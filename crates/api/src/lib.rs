@@ -13,9 +13,9 @@
 //!   of [`FlipperConfig`]s against it — each result bit-identical to the
 //!   single-shot [`flipper_core::mine`] / [`flipper_core::mine_with_view`]
 //!   paths.
-//! * **Sweeps** ([`Sweep`]): γ/ε grids, pruning-variant comparisons and
-//!   engine × thread matrices as first-class labeled run sets, sharded over
-//!   `flipper_data::exec` workers.
+//! * **Sweeps** ([`Sweep`]): γ/ε grids and pruning-variant comparisons as
+//!   first-class labeled run sets, sharded over `flipper_data::exec`
+//!   workers.
 //! * **Typed errors and sinks**: every fallible path returns
 //!   [`FlipperError`] (with [`source`](std::error::Error::source) chains
 //!   down to the failing layer); results flow into pluggable
@@ -72,7 +72,7 @@ pub use flipper_core::{
     PruningConfig, RunStats,
 };
 pub use flipper_data::format::Dataset;
-pub use flipper_data::{stats, CacheStats, CountingEngine, SupportCache, DEFAULT_CACHE_BUDGET};
+pub use flipper_data::{stats, CacheStats, SupportCache};
 pub use flipper_datagen::planted::PlantedParams;
 pub use flipper_datagen::quest::QuestParams;
 pub use flipper_guard::{CancelToken, GuardError};

@@ -29,12 +29,11 @@
 //! ```
 //!
 //! The document deliberately records only **result-determining** inputs and
-//! **deterministic** outputs: the execution knobs (`engine`, `threads`,
-//! `cache_budget`), the engine's internal work counters, and wall-clock
-//! timings are all excluded, so the bytes are identical at every thread
-//! count, under every counting engine and cache budget, and on every
-//! machine — the property the golden-file test pins. Timings and engine
-//! counters belong to the `flipper-quickbench/v1` schema instead.
+//! **deterministic** outputs: the execution knob `threads`, the counting
+//! kernel's work counters, and wall-clock timings are all excluded, so the
+//! bytes are identical at every thread count and on every machine — the
+//! property the golden-file test pins. Timings and kernel counters are
+//! reported by `flipper mine --timings` and `--trace` instead.
 
 use crate::error::FlipperError;
 use flipper_core::{FlipperConfig, FlippingPattern, MinSupports, MiningResult};
@@ -523,11 +522,9 @@ mod tests {
         assert_eq!(doc.matches("{\"label\":").count(), 2);
         assert!(doc.contains("\"pruning\":\"flipping+tpg+sibp\""));
         assert!(doc.contains("\"min_support\":{\"counts\":[5]}"));
-        // Execution knobs and engine work counters are deliberately
-        // absent: the bytes must be identical across engines, thread
-        // counts and cache budgets.
+        // Execution knobs and kernel work counters are deliberately
+        // absent: the bytes must be identical at every thread count.
         assert!(!doc.contains("threads"));
-        assert!(!doc.contains("engine"));
         assert!(!doc.contains("elapsed"));
         assert!(!doc.contains("\"counter\""));
         assert!(!doc.contains("intersections"));

@@ -1,8 +1,7 @@
 //! Parameter sweeps: many labeled configurations against one session.
 //!
-//! Tuning γ/ε, comparing pruning variants and benchmarking engine × thread
-//! matrices all used to be hand-rolled loops that re-ingested the dataset
-//! per point. A [`Sweep`] runs any number of [`FlipperConfig`]s against the
+//! Tuning γ/ε and comparing pruning variants both used to be hand-rolled
+//! loops that re-ingested the dataset per point. A [`Sweep`] runs any number of [`FlipperConfig`]s against the
 //! session's one cached view, sharding *runs* (not just candidate batches)
 //! over `flipper_data::exec` workers, and returns labeled results in
 //! submission order — each bit-identical to calling
@@ -25,7 +24,7 @@ use crate::session::Session;
 use flipper_core::{
     mine_with_view, mine_with_view_seeded, FlipperConfig, MinSupports, MiningResult, PruningConfig,
 };
-use flipper_data::{exec, CountingEngine};
+use flipper_data::exec;
 use flipper_guard::CancelToken;
 use flipper_measures::Thresholds;
 use std::collections::BTreeMap;
@@ -55,8 +54,8 @@ pub struct SweepRun {
     pub result: MiningResult,
     /// `Some(label)` when this point's result-determining fields matched
     /// an earlier point, whose result was reused instead of re-mined.
-    /// Engine, thread count and cache budget never change results, so
-    /// points differing only in those are duplicates by construction.
+    /// The thread count never changes results, so points differing only
+    /// in it are duplicates by construction.
     pub duplicate_of: Option<String>,
 }
 
@@ -200,25 +199,6 @@ impl<'s> Sweep<'s> {
         self
     }
 
-    /// Add the engine × threads matrix over `base`, labeled
-    /// `{engine}/t{threads}`.
-    pub fn engine_threads(
-        mut self,
-        base: &FlipperConfig,
-        engines: &[CountingEngine],
-        threads: &[usize],
-    ) -> Self {
-        for &engine in engines {
-            for &t in threads {
-                let mut cfg = base.clone();
-                cfg.engine = engine;
-                cfg.threads = t;
-                self.points.push((format!("{}/t{t}", engine.name()), cfg));
-            }
-        }
-        self
-    }
-
     /// Number of points queued so far.
     pub fn len(&self) -> usize {
         self.points.len()
@@ -240,8 +220,8 @@ impl<'s> Sweep<'s> {
     ///
     /// Points whose result-determining fields (`result_key`) match an
     /// earlier point are not re-mined: they receive the first point's
-    /// result and carry [`SweepRun::duplicate_of`] naming it. An
-    /// engine × thread matrix therefore mines exactly once.
+    /// result and carry [`SweepRun::duplicate_of`] naming it. Points that
+    /// differ only in `threads` therefore mine exactly once.
     pub fn run(self) -> Result<Vec<SweepRun>, FlipperError> {
         Ok(self.execute(None)?.runs)
     }
@@ -408,22 +388,15 @@ mod tests {
         let sweep = s
             .sweep()
             .thresholds_grid(&base(), &[0.5, 0.3], &[0.1, 0.4])
-            .pruning_variants(&base())
-            .engine_threads(
-                &base(),
-                &[CountingEngine::Tidset, CountingEngine::Auto],
-                &[1, 2],
-            );
+            .pruning_variants(&base());
         // Grid: (0.5,0.1), (0.5,0.4), (0.3,0.1) — (0.3,0.4) is invalid and
-        // skipped. Variants: 4. Matrix: 4.
-        assert_eq!(sweep.len(), 3 + 4 + 4);
+        // skipped. Variants: 4.
+        assert_eq!(sweep.len(), 3 + 4);
         assert!(!sweep.is_empty());
         let labels: Vec<String> = sweep.points.iter().map(|(l, _)| l.clone()).collect();
         assert_eq!(labels[0], "g0.5/e0.1");
         assert_eq!(labels[3], "basic");
         assert_eq!(labels[6], "flipping+tpg+sibp");
-        assert_eq!(labels[7], "tidset/t1");
-        assert_eq!(labels[10], "auto/t2");
     }
 
     #[test]
@@ -449,25 +422,27 @@ mod tests {
         }
     }
 
+    /// `base()` at 1 and 2 threads, labeled `t1` / `t2`.
+    fn thread_points(sweep: Sweep<'_>) -> Sweep<'_> {
+        sweep
+            .add("t1", base().with_threads(1))
+            .add("t2", base().with_threads(2))
+    }
+
     #[test]
-    fn engine_thread_matrix_mines_once_and_flags_duplicates() {
+    fn thread_points_mine_once_and_flag_duplicates() {
         let s = session();
-        let runs = s
-            .sweep()
-            .engine_threads(
-                &base(),
-                &[CountingEngine::Tidset, CountingEngine::Bitset],
-                &[1, 2],
-            )
+        let runs = thread_points(s.sweep())
+            .add("t1-again", base())
             .run()
             .unwrap();
-        assert_eq!(runs.len(), 4);
+        assert_eq!(runs.len(), 3);
         assert_eq!(runs[0].duplicate_of, None, "first point actually mines");
         for run in &runs[1..] {
             assert_eq!(
                 run.duplicate_of.as_deref(),
-                Some("tidset/t1"),
-                "{}: engine/threads never change results",
+                Some("t1"),
+                "{}: threads never change results",
                 run.label
             );
             assert_eq!(run.result.patterns, runs[0].result.patterns);
@@ -651,13 +626,9 @@ mod tests {
         let _ = std::fs::remove_file(&path);
 
         let journal = SweepJournal::open(&path, &s).unwrap();
-        let outcome = s
-            .sweep()
-            .engine_threads(&base(), &[CountingEngine::Tidset], &[1, 2])
-            .run_checkpointed(&journal)
-            .unwrap();
+        let outcome = thread_points(s.sweep()).run_checkpointed(&journal).unwrap();
         assert_eq!(outcome.runs.len(), 2);
-        assert_eq!(outcome.runs[1].duplicate_of.as_deref(), Some("tidset/t1"));
+        assert_eq!(outcome.runs[1].duplicate_of.as_deref(), Some("t1"));
 
         let journal = SweepJournal::open(&path, &s).unwrap();
         assert_eq!(
@@ -665,11 +636,7 @@ mod tests {
             2,
             "the duplicate is recorded too"
         );
-        let outcome = s
-            .sweep()
-            .engine_threads(&base(), &[CountingEngine::Tidset], &[1, 2])
-            .run_checkpointed(&journal)
-            .unwrap();
+        let outcome = thread_points(s.sweep()).run_checkpointed(&journal).unwrap();
         assert!(outcome.runs.is_empty());
         assert_eq!(outcome.restored.len(), 2);
         let _ = std::fs::remove_dir_all(&dir);

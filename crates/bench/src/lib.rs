@@ -1,11 +1,8 @@
 //! Shared experiment harness for regenerating every table and figure of the
-//! paper's evaluation (§5). The `src/bin/*` targets print the tables; the
-//! Criterion benches in `benches/` (behind the off-by-default `criterion`
-//! feature) measure the same configurations under a statistics-grade timer,
-//! and the dependency-free [`timing`] module plus the `quickbench` bin are
-//! the offline fallback.
+//! paper's evaluation (§5). The `src/bin/*` targets print the tables, timed
+//! with the dependency-free [`timing`] module. The repository's benchmark
+//! proper is the standalone `perfbench/` package.
 
-pub mod report;
 pub mod timing;
 
 use flipper_core::{mine_with_view, FlipperConfig, MinSupports, PruningConfig};

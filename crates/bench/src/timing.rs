@@ -1,18 +1,13 @@
-//! Dependency-free micro-benchmark harness.
-//!
-//! The statistics-grade benches in `benches/paper_benches.rs` sit behind the
-//! off-by-default `criterion` feature because this workspace builds offline
-//! with zero external crates. This module is the fallback path: a small
-//! warmup-then-sample loop over [`std::time::Instant`] good enough to rank
-//! configurations and spot order-of-magnitude regressions. The `quickbench`
-//! bin drives it over the same configurations as the criterion benches.
+//! Dependency-free micro-benchmark harness: a small warmup-then-sample loop
+//! over [`std::time::Instant`] good enough to rank configurations and spot
+//! order-of-magnitude regressions.
 
 use std::time::{Duration, Instant};
 
 /// Summary statistics for one timed configuration.
 #[derive(Debug, Clone)]
 pub struct Timing {
-    /// Configuration label (mirrors the criterion benchmark id).
+    /// Configuration label.
     pub label: String,
     /// Fastest observed sample.
     pub min: Duration,

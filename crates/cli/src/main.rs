@@ -9,7 +9,7 @@
 //! * `mine` — mine flipping patterns from a dataset file (optionally
 //!   writing a machine-readable `flipper-results/v1` report);
 //! * `sweep` — run a labeled grid of configurations (γ × ε × pruning
-//!   variants × engines) against one ingestion of the dataset;
+//!   variants) against one ingestion of the dataset;
 //! * `convert` — convert a dataset between the text and FBIN formats;
 //! * `topk` — threshold-free top-K most-flipping search;
 //! * `stats` — print dataset statistics;
@@ -25,9 +25,9 @@
 
 use flipper_api::io::{load_path, write_to, FileFormat};
 use flipper_api::{
-    emit_runs, threshold_point, CountingEngine, Dataset, FlipperConfig, FlipperError, Generator,
-    JsonWriter, Measure, MinSupports, PathSource, PlantedParams, PruningConfig, QuestParams,
-    ResultSink, Session, TextReport, Thresholds, TopKConfig,
+    emit_runs, threshold_point, Dataset, FlipperConfig, FlipperError, Generator, JsonWriter,
+    Measure, MinSupports, PathSource, PlantedParams, PruningConfig, QuestParams, ResultSink,
+    Session, TextReport, Thresholds, TopKConfig,
 };
 use std::collections::HashMap;
 use std::io::{BufWriter, Write};
@@ -48,15 +48,14 @@ USAGE:
   flipper mine     --input FILE [--gamma F] [--epsilon F]
                    [--minsup F1,F2,...] [--measure NAME]
                    [--variant basic|flipping|tpg|full]
-                   [--engine tidset|scan|bitset|auto] [--top K] [--max-k K]
+                   [--top K] [--max-k K]
                    [--threads N]   (0 = all cores, default 1)
-                   [--cache-budget BYTES]   (e.g. 4M; 0 disables, default 16M)
                    [--output-json FILE] [--trace FILE] [--timings]
                    [--timeout SECS] [--salvage]
   flipper sweep    --input FILE [--gammas F1,F2,...] [--epsilons F1,F2,...]
-                   [--variants v1,v2,...|all] [--engines e1,e2,...|all]
+                   [--variants v1,v2,...|all]
                    [--minsup F1,F2,...] [--measure NAME] [--threads N]
-                   [--jobs N] [--cache-budget BYTES] [--seed-supports on|off]
+                   [--jobs N] [--seed-supports on|off]
                    [--output-json FILE] [--trace FILE]
                    [--timeout SECS] [--checkpoint FILE [--resume]]
   flipper convert  --input FILE --out FILE [--to text|fbin]
@@ -74,17 +73,15 @@ the whole grid against the cached view; `--jobs` shards the runs themselves
 over workers. `--output-json` writes the machine-readable
 `{results}` report.
 
-`--cache-budget` caps the per-worker cross-cell prefix cache (suffixes K/M/G;
-0 disables it). `--seed-supports` (sweep, default on) answers supports
-already counted by earlier grid points from a session-level cache. Sweep
-points that differ only in execution knobs (engine, threads) mine once — the
-repeats are marked `= <label>` in the table. None of these switches can
-change any mined result; they only change how much counting costs.
+`--seed-supports` (sweep, default on) answers supports already counted by
+earlier grid points from a session-level cache. Neither it nor `--threads`
+or `--jobs` can change any mined result; they only change how much counting
+costs.
 
 `--trace FILE` records the run with the flipper-obs recorder and writes a
 `{trace}` Chrome trace-event JSON (open it in chrome://tracing or
 Perfetto). `--timings` (mine) prints a per-phase timing table plus counter
-and cache statistics from the same recorder. Both are observability-only:
+statistics from the same recorder. Both are observability-only:
 mined results and `{results}` bytes are identical with or without
 them, at every thread count.
 
@@ -212,23 +209,6 @@ fn get_f64_list(flags: &Flags, key: &str) -> Result<Option<Vec<f64>>, FlipperErr
     }
 }
 
-/// Parse a byte-size flag: a plain integer with an optional `K`/`M`/`G`
-/// suffix (powers of 1024, case-insensitive), e.g. `--cache-budget 4M`.
-fn get_bytes(flags: &Flags, key: &str, default: usize) -> Result<usize, FlipperError> {
-    let Some(v) = flags.get(key) else {
-        return Ok(default);
-    };
-    let bad = || FlipperError::usage(format!("--{key} expects BYTES like 65536 or 4M, got {v:?}"));
-    let (digits, shift) = match v.trim_end().chars().last() {
-        Some('k') | Some('K') => (&v[..v.len() - 1], 10),
-        Some('m') | Some('M') => (&v[..v.len() - 1], 20),
-        Some('g') | Some('G') => (&v[..v.len() - 1], 30),
-        _ => (v.as_str(), 0),
-    };
-    let n: usize = digits.trim().parse().map_err(|_| bad())?;
-    n.checked_mul(1usize << shift).ok_or_else(bad)
-}
-
 fn input_path(flags: &Flags) -> Result<&String, FlipperError> {
     flags
         .get("input")
@@ -283,11 +263,6 @@ fn parse_variant(name: &str) -> Result<PruningConfig, FlipperError> {
         "tpg" | "flipping+tpg" => Ok(PruningConfig::FLIPPING_TPG),
         other => Err(FlipperError::usage(format!("unknown variant {other:?}"))),
     }
-}
-
-fn parse_engine(name: &str) -> Result<CountingEngine, FlipperError> {
-    CountingEngine::parse(name)
-        .ok_or_else(|| FlipperError::usage(format!("unknown engine {name:?}")))
 }
 
 /// Resolve the output format: an explicit `--<flag> text|fbin` wins,
@@ -393,14 +368,10 @@ fn base_config(flags: &Flags) -> Result<FlipperConfig, FlipperError> {
         min_support: parse_minsup(flags)?,
         measure: parse_measure(flags)?,
         threads: get_usize(flags, "threads", 1)?,
-        cache_budget: get_bytes(flags, "cache-budget", flipper_api::DEFAULT_CACHE_BUDGET)?,
         ..Default::default()
     };
     if let Some(name) = flags.get("variant") {
         cfg.pruning = parse_variant(name)?;
-    }
-    if let Some(name) = flags.get("engine") {
-        cfg.engine = parse_engine(name)?;
     }
     if let Some(mk) = flags.get("max-k") {
         let max_k: usize = mk
@@ -467,7 +438,7 @@ fn finish_recorder(
 
 /// Print the `--timings` per-phase summary sourced from the recorder plus
 /// the run statistics that `flipper-results/v1` deliberately leaves out
-/// (timings, counter and cache counters are execution facts, not results).
+/// (timings and counters are execution facts, not results).
 fn print_timings(capture: &flipper_obs::Capture, stats: &flipper_api::RunStats) {
     println!();
     println!(
@@ -485,22 +456,8 @@ fn print_timings(capture: &flipper_obs::Capture, stats: &flipper_api::RunStats) 
     println!("run:     {}", stats.summary());
     let c = &stats.counter;
     println!(
-        "counter: db_scans={} subset_tests={} intersections={} counted={} prefix_reuses={}",
-        c.db_scans, c.subset_tests, c.intersections, c.candidates_counted, c.prefix_reuses
-    );
-    let k = &stats.cache;
-    println!(
-        "cache:   lookups={} exact={} parent={} hit_rate={:.1}% insertions={} evicted_cells={} \
-         resident={}B seed_lookups={} seed_hits={}",
-        k.lookups,
-        k.exact_hits,
-        k.parent_hits,
-        k.hit_rate() * 100.0,
-        k.insertions,
-        k.evicted_cells,
-        k.bytes_resident,
-        k.seed_lookups,
-        k.seed_hits
+        "counter: intersections={} counted={} prefix_reuses={}",
+        c.intersections, c.candidates_counted, c.prefix_reuses
     );
     if stats.seeded_supports > 0 {
         println!(
@@ -578,17 +535,6 @@ fn cmd_sweep(flags: &Flags) -> Result<(), FlipperError> {
             .map(|s| parse_variant(s.trim()))
             .collect::<Result<_, _>>()?,
     };
-    let engines: Vec<CountingEngine> = match flags.get("engines").map(String::as_str) {
-        None => vec![base.engine],
-        Some("all") => CountingEngine::CONCRETE
-            .into_iter()
-            .chain([CountingEngine::Auto])
-            .collect(),
-        Some(spec) => spec
-            .split(',')
-            .map(|s| parse_engine(s.trim()))
-            .collect::<Result<_, _>>()?,
-    };
     let jobs = get_usize(flags, "jobs", 1)?;
     let seed_supports = match flags.get("seed-supports").map(String::as_str) {
         None | Some("on") => true,
@@ -611,20 +557,14 @@ fn cmd_sweep(flags: &Flags) -> Result<(), FlipperError> {
                 continue;
             };
             for &pruning in &variants {
-                for &engine in &engines {
-                    let mut cfg = base.clone();
-                    cfg.thresholds = thresholds;
-                    cfg.pruning = pruning;
-                    cfg.engine = engine;
-                    let mut label = point_label.clone();
-                    if variants.len() > 1 {
-                        label.push_str(&format!("/{}", pruning.name()));
-                    }
-                    if engines.len() > 1 {
-                        label.push_str(&format!("/{}", engine.name()));
-                    }
-                    points.push((label, cfg));
+                let mut cfg = base.clone();
+                cfg.thresholds = thresholds;
+                cfg.pruning = pruning;
+                let mut label = point_label.clone();
+                if variants.len() > 1 {
+                    label.push_str(&format!("/{}", pruning.name()));
                 }
+                points.push((label, cfg));
             }
         }
     }
@@ -962,18 +902,14 @@ mod tests {
         let doc = std::fs::read_to_string(&json).unwrap();
         assert!(doc.contains("\"schema\": \"flipper-results/v1\""));
         assert!(doc.contains("{\"label\":\"mine\""));
-        // The execution-layer flags: auto engine selection + sharding, with
-        // the prefix cache disabled (results are identical either way).
+        // The execution-layer flag: sharded counting (results are identical
+        // at every thread count).
         run(&strs(&[
             "mine",
             "--input",
             &path,
-            "--engine",
-            "auto",
             "--threads",
             "2",
-            "--cache-budget",
-            "0",
             "--top",
             "1",
         ]))
@@ -992,8 +928,6 @@ mod tests {
             "all",
             "--jobs",
             "2",
-            "--cache-budget",
-            "1M",
             "--seed-supports",
             "on",
             "--output-json",
@@ -1077,7 +1011,6 @@ mod tests {
             "mine.run",
             "mine.cell",
             "mine.count",
-            "cache.cell",
             "exec.shard",
         ] {
             assert!(stats.names.contains(name), "trace is missing span {name}");
@@ -1103,20 +1036,6 @@ mod tests {
     }
 
     #[test]
-    fn mine_rejects_unknown_engine_before_touching_the_file() {
-        let err = run(&strs(&[
-            "mine",
-            "--input",
-            "/nonexistent",
-            "--engine",
-            "warpdrive",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("unknown engine"));
-        assert_eq!(err.exit_code(), 2);
-    }
-
-    #[test]
     fn missing_input_is_a_data_error_not_usage() {
         let err = run(&strs(&["mine", "--input", "/nonexistent"])).unwrap_err();
         assert!(matches!(err, FlipperError::Io { .. }));
@@ -1129,24 +1048,6 @@ mod tests {
         let err = run(&strs(&["generate", "--kind", "nope"])).unwrap_err();
         assert!(err.to_string().contains("unknown dataset kind"));
         assert_eq!(err.exit_code(), 2);
-    }
-
-    #[test]
-    fn cache_budget_parses_sizes_and_suffixes() {
-        let parse = |v: &str| {
-            let mut f = Flags::new();
-            f.insert("cache-budget".to_string(), v.to_string());
-            get_bytes(&f, "cache-budget", 7)
-        };
-        assert_eq!(get_bytes(&Flags::new(), "cache-budget", 7).unwrap(), 7);
-        assert_eq!(parse("0").unwrap(), 0);
-        assert_eq!(parse("65536").unwrap(), 65536);
-        assert_eq!(parse("4K").unwrap(), 4 << 10);
-        assert_eq!(parse("4m").unwrap(), 4 << 20);
-        assert_eq!(parse("2G").unwrap(), 2 << 30);
-        for bad in ["", "M", "4.5M", "1T", "99999999999999999999G"] {
-            assert!(parse(bad).is_err(), "{bad:?} should be rejected");
-        }
     }
 
     #[test]

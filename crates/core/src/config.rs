@@ -1,7 +1,6 @@
 //! Miner configuration: measure, thresholds, per-level minimum supports and
 //! the pruning stack.
 
-use flipper_data::CountingEngine;
 use flipper_measures::{Measure, Thresholds};
 
 /// Per-level minimum support thresholds `θ_1 ≥ θ_2 ≥ … ≥ θ_H`.
@@ -10,7 +9,6 @@ use flipper_measures::{Measure, Thresholds};
 /// rare items). Values may be given as fractions of `N` or absolute counts;
 /// if fewer values than levels are supplied, the last value is repeated.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MinSupports {
     /// Relative thresholds, each in `(0, 1]`, one per level starting at 1.
     Fractions(Vec<f64>),
@@ -63,7 +61,6 @@ impl Default for MinSupports {
 /// Which pruning techniques are active — the four cumulative variants the
 /// paper benchmarks in Fig. 8.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PruningConfig {
     /// Flipping-based pruning (§4.2.2): only chain-alive itemsets are
     /// extended vertically. Off = the BASIC level-wise Apriori baseline,
@@ -183,8 +180,6 @@ pub struct FlipperConfig {
     pub min_support: MinSupports,
     /// Active pruning techniques.
     pub pruning: PruningConfig,
-    /// Support-counting engine.
-    pub engine: CountingEngine,
     /// Optional hard cap on itemset size `k` (None = bounded only by the
     /// data and pruning).
     pub max_k: Option<usize>,
@@ -194,13 +189,6 @@ pub struct FlipperConfig {
     /// exactly `n`. Results and statistics are bit-identical at every
     /// setting.
     pub threads: usize,
-    /// Byte budget per worker slot for the cross-cell prefix cache
-    /// ([`flipper_data::cache`]): materialized `(k−1)`-prefix intersections
-    /// are kept across cells so the next k-column extends them instead of
-    /// rebuilding from level singletons. `0` disables the cache; the
-    /// default is [`flipper_data::DEFAULT_CACHE_BUDGET`] (16 MiB). Results
-    /// and reported statistics are bit-identical at every budget.
-    pub cache_budget: usize,
 }
 
 impl Default for FlipperConfig {
@@ -210,10 +198,8 @@ impl Default for FlipperConfig {
             thresholds: Thresholds::default(),
             min_support: MinSupports::default(),
             pruning: PruningConfig::default(),
-            engine: CountingEngine::default(),
             max_k: None,
             threads: 1,
-            cache_budget: flipper_data::DEFAULT_CACHE_BUDGET,
         }
     }
 }
@@ -240,12 +226,6 @@ impl FlipperConfig {
         self
     }
 
-    /// Replace the counting engine.
-    pub fn with_engine(mut self, engine: CountingEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Cap the maximum itemset size.
     pub fn with_max_k(mut self, max_k: usize) -> Self {
         assert!(max_k >= 2, "itemsets have at least two items");
@@ -256,13 +236,6 @@ impl FlipperConfig {
     /// Set the worker-thread count (`0` = auto-detect, `1` = sequential).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Set the per-worker byte budget of the cross-cell prefix cache
-    /// (`0` disables it). Never changes results or statistics.
-    pub fn with_cache_budget(mut self, cache_budget: usize) -> Self {
-        self.cache_budget = cache_budget;
         self
     }
 
@@ -362,32 +335,17 @@ mod tests {
         )
         .with_pruning(PruningConfig::BASIC)
         .with_measure(flipper_measures::Measure::Cosine)
-        .with_engine(CountingEngine::Scan)
         .with_max_k(3)
-        .with_threads(4)
-        .with_cache_budget(1 << 20);
+        .with_threads(4);
         assert_eq!(cfg.pruning, PruningConfig::BASIC);
         assert_eq!(cfg.measure, flipper_measures::Measure::Cosine);
         assert_eq!(cfg.max_k, Some(3));
         assert_eq!(cfg.threads, 4);
-        assert_eq!(cfg.cache_budget, 1 << 20);
     }
 
     #[test]
     fn default_is_sequential() {
         assert_eq!(FlipperConfig::default().threads, 1);
-    }
-
-    #[test]
-    fn default_cache_budget_is_enabled() {
-        assert_eq!(
-            FlipperConfig::default().cache_budget,
-            flipper_data::DEFAULT_CACHE_BUDGET
-        );
-        assert_eq!(
-            FlipperConfig::default().with_cache_budget(0).cache_budget,
-            0
-        );
     }
 
     #[test]

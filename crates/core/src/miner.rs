@@ -30,7 +30,7 @@
 //!   (correlation is not monotone), so the horizontal join alone can miss
 //!   viable candidates whose subsets were never counted; the vertical
 //!   children-combination of the (always present) viable parent recovers
-//!   them. `DESIGN.md` discusses this.
+//!   them.
 //! * With flipping pruning off (BASIC), every row is mined independently by
 //!   plain Apriori and flips are recovered post-hoc — the paper's baseline.
 //!
@@ -40,25 +40,19 @@
 //! # Execution
 //!
 //! Candidate generation runs on the calling thread. Support counting goes
-//! through the cache-aware sharded execution layer
-//! ([`SupportCounter::count_batch_cached`]): with `cfg.threads != 1` each
-//! cell's candidate batch is chunked over scoped worker threads, and every
-//! worker slot owns a budgeted cross-cell prefix cache
-//! ([`flipper_data::CellCache`], budget from `cfg.cache_budget`) so the
-//! `(k-1)`-prefixes materialized for one cell seed the next cell's
-//! counting. Seeded runs ([`mine_with_view_seeded`]) additionally answer
-//! candidates from a session-level [`SupportCache`] before counting.
-//! Results and statistics are bit-identical at every thread count, cache
-//! budget, and seed-cache state.
+//! through the one kernel, [`BitsetCounter::count_batch`]: with
+//! `cfg.threads != 1` each cell's candidate batch is chunked over scoped
+//! worker threads at prefix-group boundaries. Seeded runs
+//! ([`mine_with_view_seeded`]) first answer candidates from a session-level
+//! [`SupportCache`]. Results and statistics are bit-identical at every
+//! thread count and seed-cache state.
 
 use crate::cell::{Cell, ItemsetInfo};
 use crate::config::FlipperConfig;
 use crate::gen::{self, GenCtx, VerticalLevels};
 use crate::results::{CellSummary, ChainLevel, FlippingPattern, MiningResult};
 use crate::stats::{RunStats, Stopwatch};
-use flipper_data::{
-    CellCache, Itemset, MultiLevelView, SupportCache, SupportCounter, TransactionDb,
-};
+use flipper_data::{BitsetCounter, Itemset, MultiLevelView, SupportCache, TransactionDb};
 use flipper_guard::{CancelToken, GuardError};
 use flipper_measures::{CorrelationMeasure, Label, Thresholds};
 use flipper_taxonomy::{NodeId, Taxonomy};
@@ -122,7 +116,7 @@ pub fn mine_with_view_seeded_guarded(
 /// Every candidate found in `seeds` skips counting entirely and is charged
 /// to [`RunStats::seeded_supports`]; everything else is counted as usual.
 /// Supports are facts about the data alone — independent of measure,
-/// thresholds, pruning, engine, or thread count — so seeding from any
+/// thresholds, pruning, or thread count — so seeding from any
 /// completed run over the same view is sound and the mined patterns,
 /// labels, and `flipper-results/v1` bytes are identical to an unseeded
 /// run.
@@ -155,8 +149,8 @@ struct RowState {
     banned: BTreeMap<NodeId, usize>,
     /// Item supports at this level, indexed by `NodeId::index()` (absent
     /// items hold 0). Built once per level so `eval_cell`'s correlation
-    /// loop reads supports from a flat array instead of issuing one virtual
-    /// `SupportCounter::item_support` call per item per frequent candidate.
+    /// loop reads supports from a flat array instead of issuing one
+    /// `BitsetCounter::item_support` call per item per frequent candidate.
     sup_cache: Vec<u64>,
     /// Total itemsets stored in this row (memory accounting).
     stored: u64,
@@ -168,11 +162,7 @@ struct Miner<'a> {
     view: &'a MultiLevelView,
     /// Resolved worker-thread count for sharded counting (1 = sequential).
     threads: usize,
-    counter: Box<dyn SupportCounter + 'a>,
-    /// Cross-cell prefix cache handed to every counting batch
-    /// ([`SupportCounter::count_batch_cached`]); budget from
-    /// `cfg.cache_budget`, disabled at budget 0.
-    cache: CellCache,
+    counter: BitsetCounter<'a>,
     /// Session-level support seeds ([`mine_with_view_seeded`]); `None` for
     /// plain runs.
     seeds: Option<&'a SupportCache>,
@@ -198,7 +188,7 @@ impl<'a> Miner<'a> {
             tax.height(),
             "view must be built from the same taxonomy"
         );
-        let counter = cfg.engine.make(view);
+        let counter = BitsetCounter::new(view);
         let n = counter.num_transactions();
         let height = tax.height();
         let thetas = cfg.min_support.resolve(n, height);
@@ -255,7 +245,6 @@ impl<'a> Miner<'a> {
             view,
             threads: flipper_data::exec::effective_threads(cfg.threads),
             counter,
-            cache: CellCache::new(cfg.cache_budget),
             seeds: None,
             token: None,
             thetas,
@@ -341,9 +330,9 @@ impl<'a> Miner<'a> {
     // ---- evaluation -------------------------------------------------------
 
     /// Count supports for a sorted candidate batch: answer what the seed
-    /// cache already knows, count the rest through the cross-cell cached
-    /// path. Seeded supports are exact values from a completed run, so the
-    /// merged vector is identical to counting everything.
+    /// cache already knows, count the rest with the kernel. Seeded supports
+    /// are exact values from a completed run, so the merged vector is
+    /// identical to counting everything.
     fn count_supports(&mut self, h: usize, candidates: &[Itemset]) -> Vec<u64> {
         let _span = flipper_obs::span("mine.count")
             .arg("h", h as u64)
@@ -351,9 +340,7 @@ impl<'a> Miner<'a> {
         flipper_obs::observe("flipper_batch_candidates", candidates.len() as u64);
         let seeds = self.seeds.filter(|s| !s.is_empty());
         let Some(seeds) = seeds else {
-            return self
-                .counter
-                .count_batch_cached(h, candidates, self.threads, &mut self.cache);
+            return self.counter.count_batch(h, candidates, self.threads);
         };
         // One ordered range-merge over the seed cache instead of a map
         // probe (plus an `Itemset` clone for the probe key) per candidate;
@@ -382,10 +369,8 @@ impl<'a> Miner<'a> {
         }
         {
             // `unknown` preserves the sorted order of `candidates`, so the
-            // prefix-group kernels see a well-formed batch.
-            let counted =
-                self.counter
-                    .count_batch_cached(h, &unknown, self.threads, &mut self.cache);
+            // kernel sees well-formed prefix groups.
+            let counted = self.counter.count_batch(h, &unknown, self.threads);
             for (i, sup) in unknown_at.into_iter().zip(counted) {
                 out[i] = sup;
             }
@@ -411,25 +396,7 @@ impl<'a> Miner<'a> {
         let theta = self.thetas[h - 1];
         let thresholds: Thresholds = self.cfg.thresholds;
         let measure = self.cfg.measure;
-        // Snapshot cache counters around counting so the trace carries one
-        // `cache.cell` event per cell with the hit/miss deltas it caused.
-        let cache_before = flipper_obs::enabled().then(|| self.cache.stats());
         let supports = self.count_supports(h, &candidates);
-        if let Some(before) = cache_before {
-            let after = self.cache.stats();
-            flipper_obs::event(
-                "cache.cell",
-                &[
-                    ("h", h as u64),
-                    ("k", k as u64),
-                    ("lookups", after.lookups - before.lookups),
-                    ("exact_hits", after.exact_hits - before.exact_hits),
-                    ("parent_hits", after.parent_hits - before.parent_hits),
-                    ("insertions", after.insertions - before.insertions),
-                    ("evicted", after.evicted_cells - before.evicted_cells),
-                ],
-            );
-        }
 
         let mut cell = Cell::new();
         // Per-item max correlation for SIBP, indexed by `NodeId::index()` —
@@ -684,7 +651,6 @@ impl<'a> Miner<'a> {
     fn finish(mut self, t0: Stopwatch) -> MiningResult {
         let patterns = self.extract_patterns();
         self.stats.counter = self.counter.stats();
-        self.stats.cache = self.cache.stats();
         self.stats.elapsed = t0.elapsed();
         if flipper_obs::enabled() {
             // Charge the run's totals to the metrics registry in bulk —
@@ -694,23 +660,12 @@ impl<'a> Miner<'a> {
             flipper_obs::counter_add("flipper_candidates_generated_total", s.candidates_generated);
             flipper_obs::counter_add("flipper_frequent_found_total", s.frequent_found);
             flipper_obs::counter_add("flipper_seeded_supports_total", s.seeded_supports);
-            flipper_obs::counter_add("flipper_db_scans_total", s.counter.db_scans);
-            flipper_obs::counter_add("flipper_subset_tests_total", s.counter.subset_tests);
             flipper_obs::counter_add("flipper_intersections_total", s.counter.intersections);
             flipper_obs::counter_add(
                 "flipper_candidates_counted_total",
                 s.counter.candidates_counted,
             );
             flipper_obs::counter_add("flipper_prefix_reuses_total", s.counter.prefix_reuses);
-            flipper_obs::counter_add("flipper_cache_lookups_total", s.cache.lookups);
-            flipper_obs::counter_add("flipper_cache_exact_hits_total", s.cache.exact_hits);
-            flipper_obs::counter_add("flipper_cache_parent_hits_total", s.cache.parent_hits);
-            flipper_obs::counter_add("flipper_cache_insertions_total", s.cache.insertions);
-            flipper_obs::counter_add("flipper_cache_evicted_cells_total", s.cache.evicted_cells);
-            flipper_obs::gauge_set(
-                "flipper_cache_bytes_resident",
-                i64::try_from(s.cache.bytes_resident).unwrap_or(i64::MAX),
-            );
         }
         let mut evaluated: Vec<(usize, Cell)> = Vec::new();
         for (h, row) in self.rows.into_iter().enumerate() {
@@ -1016,26 +971,18 @@ mod tests {
     }
 
     #[test]
-    fn cache_budget_never_changes_results_or_stats() {
+    fn thread_count_never_changes_results_or_stats() {
         let (tax, db) = toy();
         let base = mine(&tax, &db, &toy_config(PruningConfig::FULL));
-        for budget in [0usize, 256, 4096, usize::MAX] {
-            for threads in [1usize, 4] {
-                let cfg = toy_config(PruningConfig::FULL)
-                    .with_cache_budget(budget)
-                    .with_threads(threads);
-                let r = mine(&tax, &db, &cfg);
-                assert_eq!(
-                    r.patterns, base.patterns,
-                    "budget={budget} threads={threads}"
-                );
-                assert_eq!(r.cells, base.cells, "budget={budget} threads={threads}");
-                assert_eq!(
-                    r.stats.counter, base.stats.counter,
-                    "counter stats must be budget- and thread-invariant \
-                     (budget={budget} threads={threads})"
-                );
-            }
+        for threads in [1usize, 2, 4] {
+            let cfg = toy_config(PruningConfig::FULL).with_threads(threads);
+            let r = mine(&tax, &db, &cfg);
+            assert_eq!(r.patterns, base.patterns, "threads={threads}");
+            assert_eq!(r.cells, base.cells, "threads={threads}");
+            assert_eq!(
+                r.stats.counter, base.stats.counter,
+                "counter stats must be thread-invariant (threads={threads})"
+            );
         }
     }
 

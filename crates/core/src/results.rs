@@ -7,7 +7,6 @@ use std::fmt;
 
 /// One level of a flipping pattern's correlation chain.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct ChainLevel {
     /// Abstraction level (1 = most general).
     pub level: usize,
@@ -84,7 +83,6 @@ impl std::error::Error for ChainError {}
 /// generalization chain alternates between positive and negative correlation
 /// at every abstraction level.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct FlippingPattern {
     /// The leaf-level itemset (the chain's last entry repeats it).
     pub leaf_itemset: Itemset,
@@ -179,7 +177,6 @@ impl fmt::Display for DisplayPattern<'_> {
 
 /// Summary of one evaluated search-table cell, for reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct CellSummary {
     /// Abstraction level.
     pub level: usize,

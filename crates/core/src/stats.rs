@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 /// `flipper-lint`'s determinism rule bans `Instant`/`SystemTime` from every
 /// module that feeds `flipper-results/v1` bytes; this module is deliberately
 /// outside that list because [`RunStats::elapsed`] is excluded from the
-/// serialized results (`serde(skip)` here, and the sink never writes it).
+/// serialized results (the sink never writes it).
 /// Timing code in result-path modules goes through this wrapper so the
 /// exemption stays in exactly one place.
 #[derive(Debug, Clone, Copy)]
@@ -39,7 +39,6 @@ impl Stopwatch {
 /// driver) — those carry the ratios between pruning variants on any
 /// machine.
 #[derive(Debug, Clone, Copy, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize))]
 pub struct RunStats {
     /// Candidates generated before counting (after all generation-time
     /// filters).
@@ -75,18 +74,15 @@ pub struct RunStats {
     /// counted ([`crate::mine_with_view_seeded`]); `0` on unseeded runs.
     /// Excluded from serialized results: seeding never changes them, only
     /// how much counting they cost.
-    #[cfg_attr(feature = "serde", serde(skip))]
     pub seeded_supports: u64,
-    /// Counting-engine statistics.
-    #[cfg_attr(feature = "serde", serde(skip))]
+    /// Support-counting kernel statistics.
     pub counter: CounterStats,
-    /// Cross-cell prefix-cache efficiency counters. Excluded from
-    /// serialized results for the same reason as `counter`: hit rates are
-    /// an engine/runtime property, not a property of the mined patterns.
-    #[cfg_attr(feature = "serde", serde(skip))]
+    /// Prefix-cache counters. Always zero: the miner keeps no cross-cell
+    /// prefix cache. `lookups`, `exact_hits` and `parent_hits` stay because
+    /// the benchmark (`perfbench/`) reads them. Excluded from serialized
+    /// results, like `counter`.
     pub cache: CacheStats,
     /// Wall-clock duration of the mining run.
-    #[cfg_attr(feature = "serde", serde(skip))]
     pub elapsed: Duration,
 }
 

@@ -17,8 +17,7 @@ use flipper_taxonomy::{NodeId, Taxonomy};
 /// Find all flipping patterns by exhaustive enumeration.
 ///
 /// Honors `cfg.measure`, `cfg.thresholds`, `cfg.min_support`, `cfg.max_k`
-/// and `cfg.threads`; ignores pruning and engine settings (it scans
-/// everything).
+/// and `cfg.threads`; ignores the pruning settings (it scans everything).
 pub fn brute_force(
     tax: &Taxonomy,
     db: &TransactionDb,

@@ -1,4 +1,4 @@
-//! Dense bitmap support counting — a third engine for high-density data.
+//! The support-counting kernel and its packed bitmaps.
 //!
 //! Tid-lists win when items are sparse; when an item appears in a large
 //! fraction of transactions (common at shallow taxonomy levels, where a
@@ -6,11 +6,11 @@
 //! AND + popcount is both smaller and faster. [`BitsetCounter`] uses
 //! bitmaps for dense items and falls back to tid-lists for sparse ones.
 
-use crate::cache::{CachedPrefix, CellCache, PrefixCache};
-use crate::counting::{cached_group_sharded, prefix_groups};
+use crate::counting::{prefix_groups, same_prefix_group, CounterStats, MIN_SHARD_CANDIDATES};
+use crate::exec;
 use crate::itemset::Itemset;
 use crate::projection::MultiLevelView;
-use crate::tidset::{intersect_into, intersect_size, intersect_size_many};
+use crate::tidset::{intersect_size, intersect_size_many};
 use flipper_taxonomy::NodeId;
 use std::collections::HashMap;
 
@@ -179,67 +179,60 @@ impl Bitmap {
     }
 }
 
-/// Hybrid dense/sparse counting engine.
+/// The support-counting kernel: hybrid dense-bitmap / sparse-tid-list
+/// prefix-group counting, the one counter the miner uses.
 ///
-/// Items whose support exceeds `density_threshold × N` get a bitmap;
-/// everything else stays a tid-list. A candidate with at least one bitmap
-/// member is counted by filtering the *sparsest* tid-list through the
-/// bitmaps (or pure word-AND when all members are dense).
+/// Items whose support reaches `density × N` (by default
+/// [`Self::DEFAULT_DENSITY`] = 1/16 of the transactions) get a packed bitmap
+/// at their level; everything else stays a tid-list. Candidates arrive as
+/// sorted batches, so the members of a `(k−1)`-prefix group are adjacent
+/// ([`crate::prefix_groups`]) and each group's prefix is materialized once:
+/// a word-wise AND into scratch when every prefix item is dense, otherwise
+/// the sparsest prefix tid-list filtered through the rest. Every member is
+/// then one AND-popcount, bitmap filter or galloping intersection against
+/// its last item.
+///
+/// [`Self::count_batch`] shards a batch over scoped workers at prefix-group
+/// boundaries ([`crate::exec::map_group_chunks`]), so counts and
+/// [`CounterStats`] are bit-identical at every thread count.
 pub struct BitsetCounter<'v> {
     view: &'v MultiLevelView,
     /// Bitmaps per level (index `h-1`), for dense items only.
     bitmaps: Vec<HashMap<NodeId, Bitmap>>,
-    stats: crate::counting::CounterStats,
+    stats: CounterStats,
 }
 
 impl<'v> BitsetCounter<'v> {
-    /// Default density threshold: items covering ≥ 1/16 of transactions are
+    /// Density threshold: items covering ≥ 1/16 of transactions are
     /// promoted to bitmaps.
     pub const DEFAULT_DENSITY: f64 = 1.0 / 16.0;
 
-    /// Build the hybrid counter with the default density threshold.
+    /// Build the counter over `view` with the default density threshold.
     pub fn new(view: &'v MultiLevelView) -> Self {
         Self::with_density(view, Self::DEFAULT_DENSITY)
     }
 
-    /// Build with an explicit density threshold in `[0, 1]`. A threshold of
-    /// 0 promotes every item; 1.0+ promotes none (degenerating to tid-lists).
+    /// Build with an explicit density threshold. `0.0` promotes every item
+    /// (all-bitmap); anything above `1.0` promotes none (all-tid-list).
+    /// Counts never depend on it; tests use it to force each path.
     pub fn with_density(view: &'v MultiLevelView, density: f64) -> Self {
-        Self::with_density_at_levels(view, density, None)
-    }
-
-    /// Build bitmaps only at the levels `h` where `level_mask[h - 1]` is
-    /// true (`None` = every level). Levels left out of the mask fall back to
-    /// pure tid-list counting; [`crate::AutoCounter`] uses this so a mostly
-    /// sparse dataset does not pay bitmap construction for every level.
-    pub fn with_density_at_levels(
-        view: &'v MultiLevelView,
-        density: f64,
-        level_mask: Option<&[bool]>,
-    ) -> Self {
         assert!(density >= 0.0, "density threshold must be non-negative");
-        if let Some(mask) = level_mask {
-            assert_eq!(mask.len(), view.height(), "one mask entry per level");
-        }
         let n = view.num_transactions();
-        let cutoff = (density * n as f64) as u64;
-        let mut bitmaps = Vec::with_capacity(view.height());
-        for h in 1..=view.height() {
-            let mut per_level = HashMap::new();
-            if level_mask.is_none_or(|m| m[h - 1]) {
+        let cutoff = ((density * n as f64) as u64).max(1);
+        let bitmaps = (1..=view.height())
+            .map(|h| {
                 let lv = view.level(h);
-                for &item in lv.present_items() {
-                    if lv.item_support(item) >= cutoff.max(1) {
-                        per_level.insert(item, Bitmap::from_tids(lv.tidset(item), n));
-                    }
-                }
-            }
-            bitmaps.push(per_level);
-        }
+                lv.present_items()
+                    .iter()
+                    .filter(|&&item| lv.item_support(item) >= cutoff)
+                    .map(|&item| (item, Bitmap::from_tids(lv.tidset(item), n)))
+                    .collect()
+            })
+            .collect();
         BitsetCounter {
             view,
             bitmaps,
-            stats: Default::default(),
+            stats: CounterStats::default(),
         }
     }
 
@@ -248,229 +241,57 @@ impl<'v> BitsetCounter<'v> {
         self.bitmaps[h - 1].len()
     }
 
-    /// [`crate::SupportCounter::count_shard`] with a cross-cell prefix
-    /// cache, hybrid flavor: a multi-member `k ≥ 3` group resolves its
-    /// prefix by exact hit (copy the cached bitmap/tid-list), parent hit
-    /// (`k ≥ 4`: one combine of the cached `(k−2)`-prefix with the last
-    /// prefix item, across all four dense/sparse pairings), or the full
-    /// rebuild, which caches its result for the next batch.
-    ///
-    /// The uncached kernel charges every multi-member group `k−2`
-    /// intersections plus one per member *unconditionally* (no early exit
-    /// on empty prefixes), so the cached kernel charges exactly the same
-    /// regardless of which path resolved the prefix — counts and stats are
-    /// bit-identical to the uncached kernel at every budget and thread
-    /// count. Singleton `k ≥ 3` groups keep the fused early-exit path
-    /// untouched (nothing to cache), and `k = 2` prefixes are borrowed
-    /// straight from the view as before.
-    pub fn count_shard_cached(
-        &self,
-        h: usize,
-        candidates: &[Itemset],
-        cache: &mut PrefixCache,
-    ) -> (Vec<u64>, crate::counting::CounterStats) {
-        use crate::counting::SupportCounter as _;
-        if !cache.enabled() {
-            return self.count_shard(h, candidates);
-        }
-        /// The group's shared prefix, in whichever representation resolved.
-        enum Prefix<'a> {
-            Bits(&'a Bitmap),
-            Tids(&'a [u32]),
-        }
-        let lv = self.view.level(h);
-        let maps = &self.bitmaps[h - 1];
-        let mut stats = crate::counting::CounterStats {
-            candidates_counted: candidates.len() as u64,
-            ..Default::default()
-        };
-        let mut counts = vec![0u64; candidates.len()];
-        let mut dense: Vec<&Bitmap> = Vec::new();
-        let mut sparse: Vec<&[u32]> = Vec::new();
-        let mut prefix_bm = Bitmap::zeros(0);
-        let mut prefix_tids: Vec<u32> = Vec::new();
-        for group in prefix_groups(candidates) {
-            let items = candidates[group.start].items();
-            let k = items.len();
-            if k == 0 {
-                continue; // empty itemsets count 0 transactions
-            }
-            if k == 1 {
-                for i in group {
-                    counts[i] = lv.item_support(candidates[i].items()[0]);
-                }
-                continue;
-            }
-            if k >= 3 && group.len() == 1 {
-                // Fused singleton path, identical to the uncached kernel.
-                stats.intersections += (k - 1) as u64;
-                dense.clear();
-                sparse.clear();
-                for &it in items {
-                    match maps.get(&it) {
-                        Some(m) => dense.push(m),
-                        None => sparse.push(lv.tidset(it)),
-                    }
-                }
-                counts[group.start] = match (dense.is_empty(), sparse.is_empty()) {
-                    (true, _) => intersect_size_many(&sparse),
-                    (false, true) => Bitmap::and_count(&dense),
-                    (false, false) => {
-                        sparse.sort_by_key(|s| s.len());
-                        sparse[0]
-                            .iter()
-                            .filter(|&&t| {
-                                dense.iter().all(|m| m.get(t as usize))
-                                    && sparse[1..].iter().all(|s| s.binary_search(&t).is_ok())
-                            })
-                            .count() as u64
-                    }
-                };
-                continue;
-            }
-            let prefix = if k == 2 {
-                match maps.get(&items[0]) {
-                    Some(m) => Prefix::Bits(m),
-                    None => Prefix::Tids(lv.tidset(items[0])),
-                }
-            } else {
-                stats.prefix_reuses += (group.len() - 1) as u64;
-                stats.intersections += (k - 2) as u64;
-                let prefix_items = &items[..k - 1];
-                // `None` = unresolved, `Some(true)` = bitmap scratch,
-                // `Some(false)` = tid-list scratch.
-                let mut repr = match cache.lookup(h, prefix_items) {
-                    Some(CachedPrefix::Bits(b)) => {
-                        prefix_bm.copy_from(b);
-                        Some(true)
-                    }
-                    Some(CachedPrefix::Tids(t)) => {
-                        prefix_tids.clear();
-                        prefix_tids.extend_from_slice(t);
-                        Some(false)
-                    }
-                    None => None,
-                };
-                if repr.is_some() {
-                    cache.stats_mut().exact_hits += 1;
-                } else if k >= 4 {
-                    // Parent hit: combine the cached (k−2)-prefix with the
-                    // last prefix item, whatever the two representations.
-                    let bridge = items[k - 2];
-                    repr = match (cache.lookup(h, &items[..k - 2]), maps.get(&bridge)) {
-                        (Some(CachedPrefix::Bits(p)), Some(m)) => {
-                            prefix_bm.copy_from(p);
-                            prefix_bm.and_assign(m);
-                            Some(true)
-                        }
-                        (Some(CachedPrefix::Bits(p)), None) => {
-                            prefix_tids.clear();
-                            prefix_tids.extend(
-                                lv.tidset(bridge)
-                                    .iter()
-                                    .copied()
-                                    .filter(|&t| p.get(t as usize)),
-                            );
-                            Some(false)
-                        }
-                        (Some(CachedPrefix::Tids(p)), Some(m)) => {
-                            prefix_tids.clear();
-                            prefix_tids.extend(p.iter().copied().filter(|&t| m.get(t as usize)));
-                            Some(false)
-                        }
-                        (Some(CachedPrefix::Tids(p)), None) => {
-                            intersect_into(p, lv.tidset(bridge), &mut prefix_tids);
-                            Some(false)
-                        }
-                        (None, _) => None,
-                    };
-                    if let Some(bits) = repr {
-                        cache.stats_mut().parent_hits += 1;
-                        let value = if bits {
-                            CachedPrefix::Bits(prefix_bm.clone())
-                        } else {
-                            CachedPrefix::Tids(prefix_tids.clone())
-                        };
-                        cache.insert(h, prefix_items, value);
-                    }
-                }
-                match repr {
-                    Some(true) => Prefix::Bits(&prefix_bm),
-                    Some(false) => Prefix::Tids(&prefix_tids),
-                    None => {
-                        // Full rebuild, exactly like the uncached kernel —
-                        // then cache the result for the next batch.
-                        dense.clear();
-                        sparse.clear();
-                        for &it in prefix_items {
-                            match maps.get(&it) {
-                                Some(m) => dense.push(m),
-                                None => sparse.push(lv.tidset(it)),
-                            }
-                        }
-                        if sparse.is_empty() {
-                            prefix_bm.copy_from(dense[0]);
-                            for m in &dense[1..] {
-                                prefix_bm.and_assign(m);
-                            }
-                            cache.insert(h, prefix_items, CachedPrefix::Bits(prefix_bm.clone()));
-                            Prefix::Bits(&prefix_bm)
-                        } else {
-                            sparse.sort_by_key(|s| s.len());
-                            let base = sparse[0];
-                            prefix_tids.clear();
-                            prefix_tids.extend(base.iter().copied().filter(|&t| {
-                                dense.iter().all(|m| m.get(t as usize))
-                                    && sparse[1..].iter().all(|s| s.binary_search(&t).is_ok())
-                            }));
-                            cache.insert(h, prefix_items, CachedPrefix::Tids(prefix_tids.clone()));
-                            Prefix::Tids(&prefix_tids)
-                        }
-                    }
-                }
-            };
-            for i in group {
-                stats.intersections += 1;
-                // lint:allow(panic-hygiene) group members are k >= 2 itemsets by the prefix-split precondition
-                let last = *candidates[i].items().last().expect("k >= 2");
-                counts[i] = match (&prefix, maps.get(&last)) {
-                    (Prefix::Bits(p), Some(m)) => Bitmap::and_count(&[p, m]),
-                    (Prefix::Bits(p), None) => p.and_tids_count(lv.tidset(last)),
-                    (Prefix::Tids(p), Some(m)) => m.and_tids_count(p),
-                    (Prefix::Tids(p), None) => intersect_size(p, lv.tidset(last)),
-                };
-            }
-        }
-        (counts, stats)
-    }
-}
-
-impl crate::counting::SupportCounter for BitsetCounter<'_> {
-    fn num_transactions(&self) -> u64 {
+    /// Number of transactions `N` (identical at every level).
+    pub fn num_transactions(&self) -> u64 {
         self.view.num_transactions() as u64
     }
 
-    fn item_support(&self, h: usize, item: NodeId) -> u64 {
+    /// Support of a single node at level `h`.
+    pub fn item_support(&self, h: usize, item: NodeId) -> u64 {
         self.view.level(h).item_support(item)
     }
 
-    fn present_items(&self, h: usize) -> &[NodeId] {
+    /// Nodes present (support > 0) at level `h`, ascending by id.
+    pub fn present_items(&self, h: usize) -> &[NodeId] {
         self.view.level(h).present_items()
     }
 
-    /// Prefix-group kernel, hybrid flavor: per group of candidates sharing
-    /// a `(k−1)`-prefix, the prefix is materialized once — a word-wise AND
-    /// into a reusable scratch bitmap when every prefix item is dense, or a
-    /// filtered tid-list in reusable scratch otherwise (borrowed directly
-    /// for `k = 2`) — then every member is answered by one AND-popcount /
-    /// bitmap-filter / galloping intersection against its last item.
-    /// Nothing allocates per candidate. `intersections` charges `k−2`
-    /// combines per materialized prefix plus one per member.
-    fn count_shard(
-        &self,
-        h: usize,
-        candidates: &[Itemset],
-    ) -> (Vec<u64>, crate::counting::CounterStats) {
+    /// Work statistics accumulated by [`Self::count_batch`] so far.
+    pub fn stats(&self) -> CounterStats {
+        self.stats
+    }
+
+    /// Supports of `candidates` (each a sorted itemset of level-`h` nodes),
+    /// in input order, accumulating [`Self::stats`]. The batch is sharded
+    /// over `threads` scoped workers (`0` = auto-detect, `1` = inline) in
+    /// chunks that split only between prefix groups; batches smaller than
+    /// [`MIN_SHARD_CANDIDATES`] are counted inline. Counts and stats are
+    /// bit-identical at every thread count.
+    pub fn count_batch(&mut self, h: usize, candidates: &[Itemset], threads: usize) -> Vec<u64> {
+        let threads = exec::effective_threads(threads);
+        if threads <= 1 || candidates.len() < MIN_SHARD_CANDIDATES {
+            let (counts, delta) = self.count_shard(h, candidates);
+            self.stats.merge(&delta);
+            return counts;
+        }
+        let shared = &*self;
+        let shards = exec::map_group_chunks(threads, candidates, same_prefix_group, |chunk| {
+            shared.count_shard(h, chunk)
+        });
+        let mut counts = Vec::with_capacity(candidates.len());
+        for (shard_counts, delta) in shards {
+            counts.extend(shard_counts);
+            self.stats.merge(&delta);
+        }
+        counts
+    }
+
+    /// One shard of [`Self::count_batch`]: the supports of `candidates` in
+    /// input order plus the work stats of exactly this shard. Immutable, so
+    /// shards run concurrently. Nothing allocates per candidate;
+    /// `intersections` charges `k−2` combines per materialized prefix plus
+    /// one per member, and `k−1` for a singleton `k ≥ 3` group.
+    fn count_shard(&self, h: usize, candidates: &[Itemset]) -> (Vec<u64>, CounterStats) {
         /// The group's shared prefix, in whichever representation its
         /// density mix produced.
         enum Prefix<'a> {
@@ -479,9 +300,9 @@ impl crate::counting::SupportCounter for BitsetCounter<'_> {
         }
         let lv = self.view.level(h);
         let maps = &self.bitmaps[h - 1];
-        let mut stats = crate::counting::CounterStats {
+        let mut stats = CounterStats {
             candidates_counted: candidates.len() as u64,
-            ..Default::default()
+            ..CounterStats::default()
         };
         let mut counts = vec![0u64; candidates.len()];
         // Scratch reused across groups: the dense/sparse partition of the
@@ -540,10 +361,9 @@ impl crate::counting::SupportCounter for BitsetCounter<'_> {
                 continue;
             }
             let prefix = if k == 2 {
-                match (dense.first(), sparse.first()) {
-                    (Some(m), _) => Prefix::Bits(m),
-                    (None, Some(t)) => Prefix::Tids(t),
-                    (None, None) => unreachable!("k = 2 has exactly one prefix item"),
+                match maps.get(&items[0]) {
+                    Some(m) => Prefix::Bits(m),
+                    None => Prefix::Tids(lv.tidset(items[0])),
                 }
             } else {
                 stats.prefix_reuses += (group.len() - 1) as u64;
@@ -568,8 +388,7 @@ impl crate::counting::SupportCounter for BitsetCounter<'_> {
             };
             for i in group {
                 stats.intersections += 1;
-                // lint:allow(panic-hygiene) group members are k >= 2 itemsets by the prefix-split precondition
-                let last = *candidates[i].items().last().expect("k >= 2");
+                let last = candidates[i].items()[k - 1];
                 counts[i] = match (&prefix, maps.get(&last)) {
                     (Prefix::Bits(p), Some(m)) => Bitmap::and_count(&[p, m]),
                     (Prefix::Bits(p), None) => p.and_tids_count(lv.tidset(last)),
@@ -580,41 +399,11 @@ impl crate::counting::SupportCounter for BitsetCounter<'_> {
         }
         (counts, stats)
     }
-
-    fn count_batch_cached(
-        &mut self,
-        h: usize,
-        candidates: &[Itemset],
-        threads: usize,
-        cache: &mut CellCache,
-    ) -> Vec<u64> {
-        cached_group_sharded(
-            self,
-            h,
-            candidates,
-            threads,
-            cache,
-            |c: &Self, h, chunk, shard| c.count_shard_cached(h, chunk, shard),
-        )
-    }
-
-    fn merge_stats(&mut self, delta: &crate::counting::CounterStats) {
-        self.stats.merge(delta);
-    }
-
-    fn stats(&self) -> crate::counting::CounterStats {
-        self.stats
-    }
-
-    fn engine_name(&self) -> &'static str {
-        "bitset"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counting::{SupportCounter, TidsetCounter};
     use crate::rng::{Rng, Xoshiro256pp};
     use crate::transaction::TransactionDb;
     use flipper_taxonomy::Taxonomy;
@@ -682,42 +471,6 @@ mod tests {
         (tax, TransactionDb::new(rows).unwrap())
     }
 
-    /// The hybrid engine agrees with the tid-list engine for every
-    /// density threshold (all-dense, mixed, all-sparse paths).
-    ///
-    /// Ported from a 24-case proptest: a meta-RNG draws the (seed, density)
-    /// pairs the strategy `(0u64..1000, 0.0f64..1.2)` used to sample.
-    #[test]
-    fn bitset_agrees_with_tidset() {
-        let mut meta = Xoshiro256pp::seed_from_u64(0xB175E7);
-        for _ in 0..24 {
-            let seed = meta.gen_range(0..1000u64);
-            let density = meta.gen_range(0.0..1.2);
-            let (tax, db) = random_setup(seed);
-            let view = MultiLevelView::build(&db, &tax);
-            let mut tc = TidsetCounter::new(&view);
-            let mut bc = BitsetCounter::with_density(&view, density);
-            for h in 1..=2 {
-                let nodes = tax.nodes_at_level(h).unwrap();
-                let mut cands = Vec::new();
-                for i in 0..nodes.len() {
-                    for j in (i + 1)..nodes.len() {
-                        cands.push(Itemset::pair(nodes[i], nodes[j]));
-                    }
-                }
-                // A triple too, exercising >2-way intersections.
-                if nodes.len() >= 3 {
-                    cands.push(Itemset::new(vec![nodes[0], nodes[1], nodes[2]]));
-                }
-                assert_eq!(
-                    tc.count_batch(h, &cands),
-                    bc.count_batch(h, &cands),
-                    "engines disagree (seed={seed}, density={density})"
-                );
-            }
-        }
-    }
-
     #[test]
     fn density_zero_promotes_everything() {
         let (tax, db) = random_setup(1);
@@ -726,17 +479,5 @@ mod tests {
         assert_eq!(bc.dense_items(1), view.level(1).present_items().len());
         let bc = BitsetCounter::with_density(&view, 2.0);
         assert_eq!(bc.dense_items(1), 0);
-    }
-
-    #[test]
-    fn engine_name_and_stats() {
-        let (tax, db) = random_setup(2);
-        let view = MultiLevelView::build(&db, &tax);
-        let mut bc = BitsetCounter::new(&view);
-        assert_eq!(bc.engine_name(), "bitset");
-        let nodes = tax.nodes_at_level(1).unwrap();
-        bc.count_batch(1, &[Itemset::pair(nodes[0], nodes[1])]);
-        assert_eq!(bc.stats().candidates_counted, 1);
-        assert_eq!(bc.num_transactions(), 200);
     }
 }

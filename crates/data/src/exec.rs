@@ -37,8 +37,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// Run one chunk under an `exec.shard` observability span tagged with its
 /// worker slot. Slot 0 is the calling thread; spawned workers are 1-based
-/// in spawn order — the same slot identity `map_group_chunks_with` pins
-/// its state slices to. Also the `exec.chunk` fault-injection site.
+/// in spawn order. Also the `exec.chunk` fault-injection site.
 #[inline]
 fn traced_chunk<R>(slot: usize, spawn_stamp: u64, f: impl FnOnce() -> R) -> R {
     match flipper_guard::fault::injected(flipper_guard::fault::SITE_EXEC_CHUNK) {
@@ -214,8 +213,8 @@ where
 /// adjacent items for which `same_group(&items[i - 1], &items[i])` holds,
 /// and run `f` over each chunk, returning one result per chunk in order.
 ///
-/// This is the sharding primitive behind prefix-cached support counting:
-/// candidates sharing a `(k−1)`-prefix stay in one shard, so a kernel that
+/// This is the sharding primitive behind support counting: candidates
+/// sharing a `(k−1)`-prefix stay in one shard, so a kernel that
 /// materializes per-group state (a prefix intersection) does exactly the
 /// same work — and reports exactly the same statistics — at every thread
 /// count.
@@ -239,76 +238,6 @@ where
         same_group(&items[a], &items[b])
     });
     run_ranges(ranges, |r| f(&items[r]))
-}
-
-/// [`map_group_chunks`] with one mutable state slot per chunk: chunk `i`
-/// (in range order) always runs against `states[i]`, whatever thread
-/// executes it. The cached counting kernels use this to hand every worker
-/// slot its own prefix cache — state never migrates between slots, so a
-/// rerun at the same thread count sees the same warm caches and results
-/// stay deterministic.
-///
-/// # Panics
-/// Panics when `states` has fewer slots than chunks; propagates panics from
-/// worker threads.
-pub fn map_group_chunks_with<'a, T, S, R, F, B>(
-    threads: usize,
-    items: &'a [T],
-    same_group: B,
-    states: &mut [S],
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    S: Send,
-    R: Send,
-    F: Fn(&'a [T], &mut S) -> R + Sync,
-    B: Fn(&T, &T) -> bool,
-{
-    let threads = effective_threads(threads);
-    let ranges = group_chunk_ranges(items.len(), threads, |a, b| {
-        same_group(&items[a], &items[b])
-    });
-    assert!(
-        states.len() >= ranges.len(),
-        "need one state slot per chunk: {} < {}",
-        states.len(),
-        ranges.len()
-    );
-    if ranges.len() <= 1 {
-        return ranges
-            .into_iter()
-            .zip(states.iter_mut())
-            .map(|(r, st)| traced_chunk(0, 0, || f(&items[r], st)))
-            .collect();
-    }
-    let f = &f;
-    let plan = &flipper_guard::fault::current_plan();
-    let results = std::thread::scope(|s| {
-        let spawn_stamp = flipper_obs::stamp();
-        let mut slots = ranges.into_iter().zip(states.iter_mut());
-        // lint:allow(panic-hygiene) chunk planning emits at least one range when items is non-empty
-        let (first_range, first_state) = slots.next().expect("ranges.len() > 1");
-        let handles: Vec<_> = slots
-            .enumerate()
-            .map(|(i, (r, st))| {
-                s.spawn(move || {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        flipper_guard::fault::with_plan(plan.as_ref(), || {
-                            traced_chunk(i + 1, spawn_stamp, || f(&items[r], st))
-                        })
-                    }))
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(handles.len() + 1);
-        out.push(catch_unwind(AssertUnwindSafe(|| {
-            traced_chunk(0, spawn_stamp, || f(&items[first_range], first_state))
-        })));
-        out.extend(handles.into_iter().map(|h| h.join().and_then(|r| r)));
-        out
-    });
-    unwrap_chunks(results)
 }
 
 /// Fallible chunk mapping: shard `items` like [`map_slice_chunks`] but let
@@ -449,42 +378,6 @@ mod tests {
                 assert_ne!(w[0].last(), w[1].first(), "threads={threads}: split group");
             }
         }
-    }
-
-    #[test]
-    fn map_group_chunks_with_pins_state_to_chunk_order() {
-        let items: Vec<u32> = (0..100).map(|i| i / 5).collect(); // groups of 5
-        for threads in [1usize, 2, 4, 7] {
-            let mut states = vec![Vec::<u32>::new(); threads];
-            let per_chunk = map_group_chunks_with(
-                threads,
-                &items,
-                |a, b| a == b,
-                &mut states,
-                |chunk, st: &mut Vec<u32>| {
-                    st.extend_from_slice(chunk);
-                    chunk.to_vec()
-                },
-            );
-            // Concatenation is the identity, exactly like map_group_chunks.
-            let flat: Vec<u32> = per_chunk.iter().flatten().copied().collect();
-            assert_eq!(flat, items, "threads={threads}");
-            // State slot i recorded exactly chunk i, in order.
-            for (i, chunk) in per_chunk.iter().enumerate() {
-                assert_eq!(&states[i], chunk, "threads={threads} slot={i}");
-            }
-            for st in &states[per_chunk.len()..] {
-                assert!(st.is_empty(), "unused slots untouched");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "state slot per chunk")]
-    fn map_group_chunks_with_requires_enough_slots() {
-        let items: Vec<u32> = (0..100).collect();
-        let mut states = vec![0u32; 1];
-        let _ = map_group_chunks_with(4, &items, |_, _| false, &mut states, |c, _| c.len());
     }
 
     #[test]

@@ -9,7 +9,6 @@ use std::fmt;
 /// Apriori prefix-join cheap, and gives every itemset a canonical form so
 /// result sets are deterministic.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Itemset(Vec<NodeId>);
 
 impl Itemset {

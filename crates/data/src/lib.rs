@@ -12,21 +12,19 @@
 //! * [`TransactionDb`] — validated, canonicalized transactions over leaves;
 //! * [`MultiLevelView`] — the database projected to every abstraction level,
 //!   with per-item supports and tid-lists;
-//! * [`SupportCounter`] — batch support oracles: vertical
-//!   [`TidsetCounter`], scan-based [`ScanCounter`], hybrid [`BitsetCounter`]
-//!   and the density-driven per-level [`AutoCounter`];
+//! * [`BitsetCounter`] — the support-counting kernel: hybrid
+//!   bitmap/tid-list prefix-group counting of sorted candidate batches;
 //! * [`mod@exec`] — dependency-free scoped-thread sharding;
-//!   [`SupportCounter::count_batch_sharded`] counts a batch over a worker
-//!   pool with bit-identical counts and stats at every thread count;
-//! * [`mod@cache`] — the budgeted cross-cell prefix cache and the
-//!   session-level support cache behind
-//!   [`SupportCounter::count_batch_cached`];
+//!   [`BitsetCounter::count_batch`] counts a batch over a worker pool with
+//!   bit-identical counts and stats at every thread count;
+//! * [`mod@cache`] — the session-level [`SupportCache`] that seeds repeated
+//!   runs;
 //! * [`mod@format`] — a text interchange format bundling taxonomy + data;
 //! * [`stats`] — dataset statistics.
 //!
 //! ```
 //! use flipper_taxonomy::{Taxonomy, RebalancePolicy};
-//! use flipper_data::{TransactionDb, MultiLevelView, TidsetCounter, SupportCounter, Itemset};
+//! use flipper_data::{TransactionDb, MultiLevelView, BitsetCounter, Itemset};
 //!
 //! let tax = Taxonomy::from_edges(
 //!     [("drinks", ""), ("food", ""), ("beer", "drinks"), ("bread", "food")],
@@ -36,12 +34,11 @@
 //! let db = TransactionDb::new(vec![vec![beer, bread], vec![beer]]).unwrap();
 //!
 //! let view = MultiLevelView::build(&db, &tax);
-//! let mut counter = TidsetCounter::new(&view);
-//! let sup = counter.count_batch(2, &[Itemset::pair(beer, bread)]);
+//! let mut counter = BitsetCounter::new(&view);
+//! let sup = counter.count_batch(2, &[Itemset::pair(beer, bread)], 1);
 //! assert_eq!(sup, vec![1]);
 //! ```
 
-pub mod auto;
 pub mod bitset;
 pub mod cache;
 mod counting;
@@ -56,14 +53,10 @@ pub mod stats;
 pub mod tidset;
 mod transaction;
 
-pub use auto::AutoCounter;
 pub use bitset::{Bitmap, BitsetCounter};
-pub use cache::{
-    CacheStats, CachedPrefix, CellCache, PrefixCache, SupportCache, DEFAULT_CACHE_BUDGET,
-};
+pub use cache::{CacheStats, SupportCache};
 pub use counting::{
-    naive_tidset_counts, prefix_groups, same_prefix_group, CounterStats, CountingEngine,
-    ScanCounter, SupportCounter, TidsetCounter, MIN_SHARD_CANDIDATES,
+    naive_tidset_counts, prefix_groups, same_prefix_group, CounterStats, MIN_SHARD_CANDIDATES,
 };
 pub use itemset::Itemset;
 pub use projection::{LevelView, MultiLevelView, MultiLevelViewBuilder};

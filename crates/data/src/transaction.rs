@@ -44,7 +44,6 @@ impl std::error::Error for DataError {}
 /// optionally validate leaf membership against a taxonomy with
 /// [`TransactionDb::validate_against`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TransactionDb {
     txns: Vec<Vec<NodeId>>,
 }
@@ -230,9 +229,7 @@ mod tests {
 
     #[test]
     fn clone_roundtrip() {
-        // The serde round-trip lives behind the off-by-default `serde`
-        // feature (the offline build carries no serde_json); cloning still
-        // exercises the full deep-copy + equality surface.
+        // Cloning exercises the full deep-copy + equality surface.
         let db = TransactionDb::new(vec![vec![n(1), n(2)], vec![n(3)]]).unwrap();
         let back = db.clone();
         assert_eq!(db, back);

@@ -5,7 +5,6 @@
 //! the corresponding data source at the paper's scale and taxonomy shape,
 //! and *plants* the qualitative flipping patterns the paper reports
 //! (Figs. 10–12) so that the reality-check experiments regenerate them.
-//! DESIGN.md documents the substitution.
 //!
 //! Two planting primitives cover every reported pattern:
 //!

@@ -1,15 +1,13 @@
 //! # flipper-guard
 //!
 //! The robustness substrate threaded through storage, the exec pool, the
-//! miner and sweeps: a long-lived `flipperd` serving sessions cannot
-//! afford one bit-rotted chunk, one runaway sweep or one panicking worker
-//! taking the process down. Three primitives, all dependency-free:
+//! miner and sweeps, so that one bit-rotted chunk, one runaway sweep or
+//! one panicking worker cannot take the process down. Three primitives, all dependency-free:
 //!
 //! * [`CancelToken`] — a cloneable cooperative-cancellation handle (atomic
 //!   flag + optional deadline) checked at cell/chunk boundaries. Checking
 //!   an inert token is one relaxed atomic load, so guarded and unguarded
-//!   runs produce byte-identical `flipper-results/v1` output and the
-//!   quickbench `guard` rows prove the overhead is under 1%.
+//!   runs produce byte-identical `flipper-results/v1` output.
 //! * [`trap`] — run a closure under `catch_unwind` and convert a panic
 //!   into a typed [`GuardError::Panicked`] instead of aborting the caller.
 //!   The exec pool joins every worker before the first panic propagates,

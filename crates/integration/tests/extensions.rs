@@ -1,13 +1,10 @@
 //! Tests for the extension features: level-restricted mining (§2.2),
-//! top-K most-flipping search (§7), bootstrap stability, and the bitset
-//! counting engine inside the full mining pipeline.
+//! top-K most-flipping search (§7) and bootstrap stability.
 
 use flipper_core::{mine, verify::brute_force, FlipperConfig, MinSupports};
-use flipper_data::rng::{Rng, Xoshiro256pp};
-use flipper_data::CountingEngine;
 use flipper_datagen::planted::{self, PlantedParams};
 use flipper_measures::Thresholds;
-use flipper_taxonomy::{NodeId, Taxonomy};
+use flipper_taxonomy::NodeId;
 
 fn planted_cfg() -> FlipperConfig {
     let (g, e) = planted::recommended_thresholds();
@@ -99,33 +96,6 @@ fn restricted_levels_keep_bottom_flip() {
                 .any(|p| p.leaf_itemset.items() == pair),
             "planted (−,+) tail must survive the {{2,3}} restriction"
         );
-    }
-}
-
-/// The bitset engine is a drop-in replacement inside the full pipeline.
-#[test]
-fn bitset_engine_matches_tidset_in_mining() {
-    let tax = Taxonomy::uniform(3, 2, 3).unwrap();
-    let leaves = tax.leaves().to_vec();
-    let mut rng = Xoshiro256pp::seed_from_u64(2024);
-    for _ in 0..5 {
-        let rows: Vec<Vec<NodeId>> = (0..150)
-            .map(|_| {
-                let w = rng.gen_range(1..=5);
-                (0..w)
-                    .map(|_| leaves[rng.gen_range(0..leaves.len())])
-                    .collect()
-            })
-            .collect();
-        let db = flipper_data::TransactionDb::new(rows).unwrap();
-        let cfg = FlipperConfig::new(
-            Thresholds::new(0.5, 0.25),
-            MinSupports::Counts(vec![2, 1, 1]),
-        );
-        let tid = mine(&tax, &db, &cfg.clone().with_engine(CountingEngine::Tidset));
-        let bit = mine(&tax, &db, &cfg.clone().with_engine(CountingEngine::Bitset));
-        assert_eq!(tid.patterns, bit.patterns);
-        assert_eq!(tid.cells, bit.cells);
     }
 }
 

@@ -5,7 +5,7 @@
 //! * `session_equals_single_shot_paths` — `Session::mine` ==
 //!   `mine_with_view` == `mine` (patterns, cell summaries, deterministic
 //!   statistics) on quest + planted datasets, for every pruning variant ×
-//!   engine × thread count.
+//!   thread count.
 //! * `sweep_points_equal_solo_runs` — every labeled sweep point equals the
 //!   same configuration run alone, at every job count.
 //! * `results_v1_golden` — the `flipper-results/v1` JSON document is
@@ -18,7 +18,7 @@ use flipper_api::{
     Thresholds,
 };
 use flipper_core::{mine, mine_with_view, MiningResult};
-use flipper_data::{CountingEngine, MultiLevelView};
+use flipper_data::MultiLevelView;
 use flipper_datagen::planted::PlantedParams;
 use flipper_datagen::quest::QuestParams;
 use flipper_taxonomy::{RebalancePolicy, Taxonomy};
@@ -70,24 +70,14 @@ fn session_equals_single_shot_paths() {
         let session = Session::open(&ds).unwrap();
         let view = MultiLevelView::build(&ds.db, &ds.taxonomy);
         for pruning in PruningConfig::VARIANTS {
-            for engine in [
-                CountingEngine::Tidset,
-                CountingEngine::Bitset,
-                CountingEngine::Auto,
-            ] {
-                for threads in [1usize, 4] {
-                    let cfg = base
-                        .clone()
-                        .with_pruning(pruning)
-                        .with_engine(engine)
-                        .with_threads(threads);
-                    let ctx = format!("{name} {} {engine:?} threads={threads}", pruning.name());
-                    let via_session = session.mine(&cfg).unwrap();
-                    let via_view = mine_with_view(&ds.taxonomy, &view, &cfg);
-                    let via_mine = mine(&ds.taxonomy, &ds.db, &cfg);
-                    assert_results_equal(&via_session, &via_view, &ctx);
-                    assert_results_equal(&via_session, &via_mine, &ctx);
-                }
+            for threads in [1usize, 4] {
+                let cfg = base.clone().with_pruning(pruning).with_threads(threads);
+                let ctx = format!("{name} {} threads={threads}", pruning.name());
+                let via_session = session.mine(&cfg).unwrap();
+                let via_view = mine_with_view(&ds.taxonomy, &view, &cfg);
+                let via_mine = mine(&ds.taxonomy, &ds.db, &cfg);
+                assert_results_equal(&via_session, &via_view, &ctx);
+                assert_results_equal(&via_session, &via_mine, &ctx);
             }
         }
     }
@@ -99,7 +89,7 @@ fn sweep_points_equal_solo_runs() {
         let session = Session::open(&ds).unwrap();
         for jobs in [1usize, 4] {
             // Unseeded, duplicate-free sweep: every deterministic statistic
-            // (including engine counters) matches the solo run exactly.
+            // (including kernel counters) matches the solo run exactly.
             let strict = session
                 .sweep()
                 .with_jobs(jobs)
@@ -117,15 +107,16 @@ fn sweep_points_equal_solo_runs() {
                     &format!("{name} jobs={jobs} {}", run.label),
                 );
             }
-            // Seeded sweep with an engine × thread tail: those points only
-            // differ in execution knobs, so they are served as duplicates —
+            // Seeded sweep with a thread-count tail: those points only
+            // differ in an execution knob, so they are served as duplicates —
             // and every point's *results* still equal the solo run (seeding
             // and dedup change counting cost, never patterns or cells).
             let runs = session
                 .sweep()
                 .with_jobs(jobs)
                 .pruning_variants(&base)
-                .engine_threads(&base, &[CountingEngine::Auto], &[1, 2])
+                .add("t1", base.clone().with_threads(1))
+                .add("t2", base.clone().with_threads(2))
                 .run()
                 .unwrap();
             assert_eq!(runs.len(), 6);
@@ -133,7 +124,7 @@ fn sweep_points_equal_solo_runs() {
                 assert_eq!(
                     run.duplicate_of.as_deref(),
                     Some(base.pruning.name()),
-                    "{name}: engine/threads points repeat the base config"
+                    "{name}: thread-count points repeat the base config"
                 );
             }
             for run in &runs {

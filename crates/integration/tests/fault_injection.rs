@@ -2,9 +2,8 @@
 //!
 //! `scripts/verify.sh` re-runs this suite under `--release`. It arms seeded
 //! [`flipper_guard::fault::FaultPlan`]s at every instrumented site —
-//! `store.read.section`, `store.write.section`, `exec.chunk` — across the
-//! concrete counting engines × threads {1, 4}, and proves the robustness
-//! invariant end to end:
+//! `store.read.section`, `store.write.section`, `exec.chunk` — across
+//! threads {1, 4}, and proves the robustness invariant end to end:
 //!
 //! * every injected fault surfaces as a **typed error** or a
 //!   **quarantine-flagged degraded result** — never a panic escaping the
@@ -18,11 +17,10 @@
 //! message alone.
 
 use flipper_api::{
-    CancelToken, FlipperConfig, FlipperError, JsonWriter, MinSupports, ResultSink, Session,
-    Thresholds,
+    CancelToken, FlipperConfig, FlipperError, JsonWriter, MinSupports, PruningConfig, ResultSink,
+    Session, Thresholds,
 };
 use flipper_core::MiningResult;
-use flipper_data::CountingEngine;
 use flipper_datagen::planted::PlantedParams;
 use flipper_guard::fault::{
     arm, FaultKind, FaultPlan, SITE_EXEC_CHUNK, SITE_STORE_READ, SITE_STORE_WRITE,
@@ -60,11 +58,10 @@ fn fbin_bytes_chunked() -> Vec<u8> {
 }
 
 /// The planted calibration the façade tests mine with.
-fn cfg(engine: CountingEngine, threads: usize) -> FlipperConfig {
+fn cfg(threads: usize) -> FlipperConfig {
     FlipperConfig {
         thresholds: Thresholds::new(0.6, 0.35),
         min_support: MinSupports::Counts(vec![5]),
-        engine,
         threads,
         ..Default::default()
     }
@@ -183,71 +180,74 @@ fn store_write_faults_fail_typed() {
 }
 
 /// Injected worker panics at the exec.chunk site surface as
-/// `FlipperError::Panicked` through the guarded mining path — for every
-/// concrete engine at 1 and 4 threads — and latency faults change nothing.
-/// Combinations that never shard (sequential runs, sub-threshold batches)
-/// legitimately never visit the site; they must then produce bytes
-/// identical to the unguarded baseline, proven via the plan's fire log.
+/// `FlipperError::Panicked` through the guarded mining path — at 1 and 4
+/// threads — and latency faults change nothing. Runs that never shard
+/// (sequential runs, sub-threshold batches) legitimately never visit the
+/// site; they must then produce bytes identical to the unguarded baseline,
+/// proven via the plan's fire log.
 #[test]
-fn exec_chunk_faults_surface_typed_across_engines_and_threads() {
+fn exec_chunk_faults_surface_typed_across_threads() {
     let session = Session::open(flipper_api::Generator::Planted(PlantedParams::default()))
         .expect("open planted session");
     let token = CancelToken::new();
     let mut fired_somewhere = false;
-    for engine in CountingEngine::CONCRETE {
-        for threads in THREADS {
-            let config = cfg(engine, threads);
-            let label = format!("site=exec.chunk engine={} threads={threads}", engine.name());
-            let baseline = session.mine(&config).expect("unguarded baseline");
-            let baseline_bytes = report_bytes(session.taxonomy(), &config, &baseline);
+    for threads in THREADS {
+        // BASIC counts every frequent itemset, so its batches are large
+        // enough to shard at threads > 1.
+        let config = FlipperConfig {
+            pruning: PruningConfig::BASIC,
+            ..cfg(threads)
+        };
+        let label = format!("site=exec.chunk threads={threads}");
+        let baseline = session.mine(&config).expect("unguarded baseline");
+        let baseline_bytes = report_bytes(session.taxonomy(), &config, &baseline);
 
-            // A panic on the first worker chunk becomes a typed error; the
-            // pool joins every shard before the panic is rethrown, so the
-            // trap at the API boundary is the only place it surfaces.
-            let armed = arm(FaultPlan::new(SEED).inject(SITE_EXEC_CHUNK, 1, FaultKind::Panic));
-            let outcome = catch_unwind(AssertUnwindSafe(|| session.mine_guarded(&config, &token)))
-                .unwrap_or_else(|_| panic!("{label}: panic escaped the guard"));
-            let fired = !armed.fired().is_empty();
-            drop(armed);
-            fired_somewhere |= fired;
-            match outcome {
-                Err(FlipperError::Panicked { message, .. }) => {
-                    assert!(fired, "{label}: Panicked surfaced without a fired fault");
-                    assert!(
-                        message.contains("injected fault"),
-                        "{label}: panic message should carry the injection label: {message:?}"
-                    );
-                }
-                Ok(result) => {
-                    assert!(
-                        !fired,
-                        "{label}: the injected panic fired yet mining succeeded"
-                    );
-                    assert_eq!(
-                        report_bytes(session.taxonomy(), &config, &result),
-                        baseline_bytes,
-                        "{label}: unfired guard must be byte-invisible"
-                    );
-                }
-                Err(other) => panic!("{label}: expected Panicked, got {other}"),
+        // A panic on the first worker chunk becomes a typed error; the
+        // pool joins every shard before the panic is rethrown, so the
+        // trap at the API boundary is the only place it surfaces.
+        let armed = arm(FaultPlan::new(SEED).inject(SITE_EXEC_CHUNK, 1, FaultKind::Panic));
+        let outcome = catch_unwind(AssertUnwindSafe(|| session.mine_guarded(&config, &token)))
+            .unwrap_or_else(|_| panic!("{label}: panic escaped the guard"));
+        let fired = !armed.fired().is_empty();
+        drop(armed);
+        fired_somewhere |= fired;
+        match outcome {
+            Err(FlipperError::Panicked { message, .. }) => {
+                assert!(fired, "{label}: Panicked surfaced without a fired fault");
+                assert!(
+                    message.contains("injected fault"),
+                    "{label}: panic message should carry the injection label: {message:?}"
+                );
             }
-
-            // A latency stall at the same site perturbs nothing: the
-            // guarded run's report bytes match the unguarded baseline.
-            let _armed = arm(FaultPlan::new(SEED).inject(SITE_EXEC_CHUNK, 1, FaultKind::Latency));
-            let stalled = session
-                .mine_guarded(&config, &token)
-                .expect("latency fault is benign");
-            assert_eq!(
-                report_bytes(session.taxonomy(), &config, &stalled),
-                baseline_bytes,
-                "{label}: latency fault must not perturb result bytes"
-            );
+            Ok(result) => {
+                assert!(
+                    !fired,
+                    "{label}: the injected panic fired yet mining succeeded"
+                );
+                assert_eq!(
+                    report_bytes(session.taxonomy(), &config, &result),
+                    baseline_bytes,
+                    "{label}: unfired guard must be byte-invisible"
+                );
+            }
+            Err(other) => panic!("{label}: expected Panicked, got {other}"),
         }
+
+        // A latency stall at the same site perturbs nothing: the
+        // guarded run's report bytes match the unguarded baseline.
+        let _armed = arm(FaultPlan::new(SEED).inject(SITE_EXEC_CHUNK, 1, FaultKind::Latency));
+        let stalled = session
+            .mine_guarded(&config, &token)
+            .expect("latency fault is benign");
+        assert_eq!(
+            report_bytes(session.taxonomy(), &config, &stalled),
+            baseline_bytes,
+            "{label}: latency fault must not perturb result bytes"
+        );
     }
     assert!(
         fired_somewhere,
-        "no engine × thread combination ever visited exec.chunk — the site is dead"
+        "no thread count ever visited exec.chunk — the site is dead"
     );
 }
 
@@ -259,7 +259,7 @@ fn inert_guard_is_byte_invisible() {
     let bytes = fbin_bytes();
     let token = CancelToken::new();
     for threads in THREADS {
-        let config = cfg(CountingEngine::Auto, threads);
+        let config = cfg(threads);
 
         // Plain path: strict read, unguarded mine.
         let (tax, view) = read_strict(&bytes, threads).expect("strict read");

@@ -7,8 +7,8 @@
 //! concurrently.
 
 use flipper_api::{
-    CountingEngine, FlipperConfig, Generator, JsonWriter, MinSupports, PlantedParams, ResultSink,
-    Session, Thresholds,
+    FlipperConfig, Generator, JsonWriter, MinSupports, PlantedParams, ResultSink, Session,
+    Thresholds,
 };
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -23,14 +23,13 @@ fn planted_session() -> Session {
     Session::open(Generator::Planted(PlantedParams::default())).expect("planted ingests")
 }
 
-fn config(engine: CountingEngine, threads: usize) -> FlipperConfig {
+fn config(threads: usize) -> FlipperConfig {
     FlipperConfig {
         thresholds: Thresholds {
             gamma: 0.6,
             epsilon: 0.35,
         },
         min_support: MinSupports::uniform_fraction(0.001),
-        engine,
         threads,
         ..FlipperConfig::default()
     }
@@ -47,41 +46,33 @@ fn results_bytes(session: &Session, cfg: &FlipperConfig) -> Vec<u8> {
 }
 
 /// The tentpole invariant: result bytes are identical with the recorder
-/// off and on, for every engine at threads 1 and 4.
+/// off and on, at threads 1 and 4.
 #[test]
 fn results_bytes_identical_with_tracing_on_and_off() {
     let _guard = recorder_lock();
     let session = planted_session();
-    let engines = CountingEngine::CONCRETE
-        .into_iter()
-        .chain([CountingEngine::Auto]);
-    for engine in engines {
-        for threads in [1usize, 4] {
-            let cfg = config(engine, threads);
-            flipper_obs::disable();
-            let _ = flipper_obs::drain();
-            let bare = results_bytes(&session, &cfg);
-            flipper_obs::enable();
-            let traced = results_bytes(&session, &cfg);
-            let capture = flipper_obs::drain();
-            flipper_obs::disable();
-            assert_eq!(
-                bare,
-                traced,
-                "recorder changed flipper-results/v1 bytes ({} t{threads})",
-                engine.name()
-            );
-            assert!(
-                !capture.events.is_empty(),
-                "recorder was enabled but captured nothing ({} t{threads})",
-                engine.name()
-            );
-        }
+    for threads in [1usize, 4] {
+        let cfg = config(threads);
+        flipper_obs::disable();
+        let _ = flipper_obs::drain();
+        let bare = results_bytes(&session, &cfg);
+        flipper_obs::enable();
+        let traced = results_bytes(&session, &cfg);
+        let capture = flipper_obs::drain();
+        flipper_obs::disable();
+        assert_eq!(
+            bare, traced,
+            "recorder changed flipper-results/v1 bytes (t{threads})"
+        );
+        assert!(
+            !capture.events.is_empty(),
+            "recorder was enabled but captured nothing (t{threads})"
+        );
     }
 }
 
 /// A traced mine renders a valid `flipper-trace/v1` document that covers
-/// ingest, view build, per-level counting and cache activity — and spans
+/// ingest, view build, per-level generation and counting — and spans
 /// recorded inside exec worker shards still nest within their lanes.
 #[test]
 fn traced_mine_emits_valid_covering_trace() {
@@ -94,7 +85,7 @@ fn traced_mine_emits_valid_covering_trace() {
     // too small for counting itself to shard.
     let session = Session::open_with_threads(Generator::Planted(PlantedParams::default()), 4)
         .expect("planted ingests");
-    let cfg = config(CountingEngine::Tidset, 4);
+    let cfg = config(4);
     let result = session.mine(&cfg).expect("mine succeeds");
     assert!(result.stats.cells_evaluated > 0);
     let capture = flipper_obs::drain();
@@ -109,7 +100,6 @@ fn traced_mine_emits_valid_covering_trace() {
         "mine.cell",
         "mine.gen",
         "mine.count",
-        "cache.cell",
         "exec.shard",
     ] {
         assert!(stats.names.contains(name), "missing span {name}");
@@ -126,7 +116,7 @@ fn traced_mine_emits_valid_covering_trace() {
     for metric in [
         "flipper_cells_evaluated_total",
         "flipper_candidates_counted_total",
-        "flipper_cache_lookups_total",
+        "flipper_prefix_reuses_total",
         "flipper_batch_candidates_count",
     ] {
         assert!(metrics.contains(metric), "missing metric {metric}");
@@ -193,7 +183,7 @@ fn sweep_trace_covers_grid_points() {
         let runs = session
             .sweep()
             .with_jobs(2)
-            .thresholds_grid(&config(CountingEngine::Tidset, 2), &[0.6, 0.5], &[0.35])
+            .thresholds_grid(&config(2), &[0.6, 0.5], &[0.35])
             .run()
             .expect("sweep runs");
         let capture = flipper_obs::drain();

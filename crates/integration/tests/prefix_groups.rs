@@ -1,7 +1,8 @@
-//! Seeded property sweep for the prefix-cached counting kernels: grouped
+//! Seeded property sweep for the support-counting kernel: prefix-group
 //! counting must be **bit-identical** — counts *and* stats — to the naive
-//! per-candidate reference and to itself at every thread count, for every
-//! engine, on random dense and sparse databases, including batches with
+//! per-candidate reference and to itself at every thread count, at every
+//! storage density (all-bitmap, the default mix, all-tid-list), on random
+//! dense and sparse databases and on Quest data, including batches with
 //! degenerate group shapes (all-same-prefix, all-distinct-prefix, k = 2).
 //!
 //! `scripts/verify.sh` re-runs this suite under `--release`, where the
@@ -9,9 +10,41 @@
 
 use flipper_core::{mine, FlipperConfig, MinSupports, PruningConfig};
 use flipper_data::rng::{Rng, Xoshiro256pp};
-use flipper_data::{naive_tidset_counts, CountingEngine, Itemset, MultiLevelView, TransactionDb};
+use flipper_data::{
+    naive_tidset_counts, prefix_groups, BitsetCounter, Itemset, MultiLevelView, TransactionDb,
+};
+use flipper_datagen::quest::QuestParams;
 use flipper_measures::Thresholds;
 use flipper_taxonomy::{NodeId, Taxonomy};
+
+/// The kernel's three storage mixes: `0.0` promotes every item to a bitmap,
+/// the default 1/16 mixes bitmaps and tid-lists, `2.0` keeps every item a
+/// tid-list.
+const DENSITIES: [f64; 3] = [0.0, BitsetCounter::DEFAULT_DENSITY, 2.0];
+
+/// Thread counts every batch is counted at.
+const THREADS: [usize; 3] = [1, 2, 7];
+
+/// Count `batch` at every density and thread count; counts must equal the
+/// naive reference, and counts *and* stats must match across threads.
+fn assert_kernel_matches_naive(view: &MultiLevelView, h: usize, batch: &[Itemset], ctx: &str) {
+    let reference = naive_tidset_counts(view, h, batch);
+    for density in DENSITIES {
+        let mut seq = BitsetCounter::with_density(view, density);
+        let counts = seq.count_batch(h, batch, 1);
+        assert_eq!(
+            counts, reference,
+            "{ctx} density={density}: counts vs naive"
+        );
+        for threads in THREADS {
+            let mut par = BitsetCounter::with_density(view, density);
+            let got = par.count_batch(h, batch, threads);
+            let ctx = format!("{ctx} density={density} threads={threads}");
+            assert_eq!(got, reference, "{ctx}: counts");
+            assert_eq!(par.stats(), seq.stats(), "{ctx}: stats");
+        }
+    }
+}
 
 /// Random database over `tax`: `n` transactions of width `1..=max_w`.
 fn random_db(tax: &Taxonomy, n: usize, max_w: usize, seed: u64) -> TransactionDb {
@@ -28,8 +61,8 @@ fn random_db(tax: &Taxonomy, n: usize, max_w: usize, seed: u64) -> TransactionDb
     TransactionDb::new(rows).expect("rows non-empty")
 }
 
-/// Dense setup: few leaves, wide transactions (bitset territory); sparse
-/// setup: many leaves, narrow transactions (tidset territory).
+/// Dense setup: few leaves, wide transactions (mostly bitmaps); sparse
+/// setup: many leaves, narrow transactions (mostly tid-lists).
 fn setups(seed: u64) -> Vec<(&'static str, Taxonomy, TransactionDb)> {
     let dense_tax = Taxonomy::uniform(2, 2, 2).unwrap();
     let dense_db = random_db(&dense_tax, 220, 6, seed);
@@ -81,9 +114,9 @@ fn batches(tax: &Taxonomy, h: usize) -> Vec<(&'static str, Vec<Itemset>)> {
     ]
 }
 
-/// Counts match the naive per-candidate reference for every engine, and
-/// counts *and stats* are identical at threads {1, 2, 7} for every engine
-/// and batch shape.
+/// Counts match the naive per-candidate reference at every density, and
+/// counts *and stats* are identical at threads {1, 2, 7} for every batch
+/// shape.
 #[test]
 fn grouped_counting_is_bit_identical_to_naive() {
     for seed in [3u64, 1117] {
@@ -94,38 +127,89 @@ fn grouped_counting_is_bit_identical_to_naive() {
                     continue;
                 }
                 for (shape, batch) in batches(&tax, h) {
-                    let reference = naive_tidset_counts(&view, h, &batch);
-                    for engine in [
-                        CountingEngine::Tidset,
-                        CountingEngine::Bitset,
-                        CountingEngine::Scan,
-                        CountingEngine::Auto,
-                    ] {
-                        let mut seq = engine.make(&view);
-                        let counts = seq.count_batch(h, &batch);
-                        let ctx = format!(
-                            "{setup} seed={seed} h={h} {shape} engine={}",
-                            seq.engine_name()
-                        );
-                        assert_eq!(counts, reference, "{ctx}: counts vs naive");
-                        for threads in [1usize, 2, 7] {
-                            let mut par = engine.make(&view);
-                            let got = par.count_batch_sharded(h, &batch, threads);
-                            assert_eq!(got, reference, "{ctx} threads={threads}: counts");
-                            assert_eq!(par.stats(), seq.stats(), "{ctx} threads={threads}: stats");
-                        }
-                    }
+                    let ctx = format!("{setup} seed={seed} h={h} {shape}");
+                    assert_kernel_matches_naive(&view, h, &batch, &ctx);
                 }
             }
         }
     }
 }
 
-/// End-to-end: full mining runs produce identical patterns and cell
-/// summaries across every engine, and fully bit-identical results
-/// (counter stats included) across thread counts {1, 2, 4, 7} per engine.
+/// All `k`-subsets of `items` (ascending), as sorted itemsets.
+fn k_subsets(items: &[NodeId], k: usize) -> Vec<Itemset> {
+    fn walk(
+        items: &[NodeId],
+        k: usize,
+        from: usize,
+        cur: &mut Vec<NodeId>,
+        out: &mut Vec<Itemset>,
+    ) {
+        if cur.len() == k {
+            out.push(Itemset::new(cur.clone()));
+            return;
+        }
+        for i in from..items.len() {
+            cur.push(items[i]);
+            walk(items, k, i + 1, cur, out);
+            cur.pop();
+        }
+    }
+    let mut out = Vec::new();
+    walk(items, k, 0, &mut Vec::new(), &mut out);
+    out.sort_unstable();
+    out
+}
+
+/// Chained batches the way the miner walks `Q(h,2) → Q(h,3) → Q(h,4)` on
+/// Quest data: sorted k = 2/3/4 batches over a shrinking set of frequent
+/// items, each holding both singleton and multi-member prefix groups, at
+/// every level — checked at every density and thread count. The default
+/// density must really mix bitmaps and tid-lists on at least one level.
 #[test]
-fn mining_results_invariant_across_engines_and_threads() {
+fn chained_batches_match_naive_at_every_density() {
+    let ds = flipper_datagen::quest::generate(
+        &QuestParams::default().with_transactions(300).with_seed(11),
+    );
+    let (tax, db) = (ds.taxonomy, ds.db);
+    let view = MultiLevelView::build(&db, &tax);
+    let mut mixed_levels = 0;
+    for h in 1..=tax.height() {
+        let lv = view.level(h);
+        let items: Vec<NodeId> = lv
+            .present_items()
+            .iter()
+            .copied()
+            .filter(|&it| lv.item_support(it) >= 2)
+            .take(14)
+            .collect();
+        if items.len() < 7 {
+            continue;
+        }
+        let present = lv.present_items().len();
+        assert_eq!(
+            BitsetCounter::with_density(&view, 0.0).dense_items(h),
+            present
+        );
+        assert_eq!(BitsetCounter::with_density(&view, 2.0).dense_items(h), 0);
+        let dense = BitsetCounter::new(&view).dense_items(h);
+        mixed_levels += usize::from(dense > 0 && dense < present);
+        for (k, pool) in [(2usize, 14usize), (3, 10), (4, 7)] {
+            let batch = k_subsets(&items[..pool.min(items.len())], k);
+            let sizes: Vec<usize> = prefix_groups(&batch).map(|g| g.len()).collect();
+            assert!(
+                sizes.contains(&1) && sizes.iter().any(|&n| n > 1),
+                "h={h} k={k}: batch needs singleton and multi-member groups: {sizes:?}"
+            );
+            assert_kernel_matches_naive(&view, h, &batch, &format!("quest h={h} k={k}"));
+        }
+    }
+    assert!(mixed_levels > 0, "no level mixes bitmaps and tid-lists");
+}
+
+/// End-to-end: full mining runs are fully bit-identical — patterns, cell
+/// summaries and counter stats — across thread counts {1, 2, 4, 7}.
+#[test]
+fn mining_results_invariant_across_threads() {
     for seed in [7u64, 4242] {
         for (setup, tax, db) in setups(seed) {
             let cfg = FlipperConfig::new(
@@ -134,36 +218,17 @@ fn mining_results_invariant_across_engines_and_threads() {
             )
             .with_pruning(PruningConfig::FULL);
             let baseline = mine(&tax, &db, &cfg);
-            for engine in [
-                CountingEngine::Tidset,
-                CountingEngine::Bitset,
-                CountingEngine::Scan,
-                CountingEngine::Auto,
-            ] {
-                let mut per_engine_stats = None;
-                for threads in [1usize, 2, 4, 7] {
-                    let r = mine(
-                        &tax,
-                        &db,
-                        &cfg.clone().with_engine(engine).with_threads(threads),
-                    );
-                    let ctx = format!("{setup} seed={seed} {engine:?} threads={threads}");
-                    assert_eq!(r.patterns, baseline.patterns, "{ctx}: patterns");
-                    assert_eq!(r.cells, baseline.cells, "{ctx}: cell summaries");
-                    assert_eq!(
-                        r.stats.counter.candidates_counted,
-                        baseline.stats.counter.candidates_counted,
-                        "{ctx}: candidates counted"
-                    );
-                    // Engine-specific work stats must not depend on the
-                    // thread count — prefix groups are never torn apart.
-                    match per_engine_stats {
-                        None => per_engine_stats = Some(r.stats.counter),
-                        Some(expect) => {
-                            assert_eq!(r.stats.counter, expect, "{ctx}: counter stats")
-                        }
-                    }
-                }
+            for threads in [2usize, 4, 7] {
+                let r = mine(&tax, &db, &cfg.clone().with_threads(threads));
+                let ctx = format!("{setup} seed={seed} threads={threads}");
+                assert_eq!(r.patterns, baseline.patterns, "{ctx}: patterns");
+                assert_eq!(r.cells, baseline.cells, "{ctx}: cell summaries");
+                // Prefix groups are never torn apart, so the kernel's work
+                // stats do not depend on the thread count.
+                assert_eq!(
+                    r.stats.counter, baseline.stats.counter,
+                    "{ctx}: counter stats"
+                );
             }
         }
     }

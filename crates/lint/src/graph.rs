@@ -50,16 +50,11 @@ pub const ALLOWED_EDGES: &[(&str, &str)] = &[
     ("api", "store"),
     ("api", "taxonomy"),
     ("api", "wire"),
-    ("bench", "api"),
     ("bench", "core"),
     ("bench", "data"),
     ("bench", "datagen"),
-    ("bench", "lint"),
     ("bench", "measures"),
-    ("bench", "obs"),
-    ("bench", "store"),
     ("bench", "taxonomy"),
-    ("bench", "wire"),
     ("cli", "api"),
     ("cli", "obs"),
     ("cli", "wire"),

@@ -9,7 +9,6 @@
 
 /// Sign of an expectation-based correlation judgement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ExpectationSign {
     /// Observed support exceeds the independence expectation.
     Positive,

@@ -9,7 +9,6 @@ use std::fmt;
 /// if frequent but strictly between the thresholds, and **infrequent**
 /// otherwise (infrequent itemsets carry no correlation label at all).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Label {
     /// Frequent and `Corr ≥ γ`.
     Positive,
@@ -76,7 +75,6 @@ impl fmt::Display for Label {
 
 /// The `(γ, ε)` correlation threshold pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Thresholds {
     /// Positive threshold γ: `Corr ≥ γ` ⇒ positive.
     pub gamma: f64,

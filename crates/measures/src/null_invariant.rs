@@ -53,7 +53,6 @@ pub trait CorrelationMeasure {
 /// The five null-invariant measures of Table 2, as a copyable enum so the
 /// mining configuration stays `Copy` and serializable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Measure {
     /// `min_i P(A|a_i)` — minimum of the conditional probabilities.
     AllConfidence,

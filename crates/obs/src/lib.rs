@@ -10,7 +10,7 @@
 //!   `chrome://tracing` or Perfetto), rendered by
 //!   [`Capture::render_trace`] and validated by [`validate_trace`];
 //! * `flipper-metrics/v1` — Prometheus-style text exposition, rendered by
-//!   [`Capture::render_metrics`] (the future `flipperd /metrics` body).
+//!   [`Capture::render_metrics`].
 //!
 //! The recorder is **off by default**. Every instrumentation entry point
 //! starts with one relaxed atomic load, so the disabled cost is a branch;

@@ -6,8 +6,7 @@
 //! couple of integer ops — no floats, no allocation after first touch.
 //!
 //! [`MetricsRegistry::render`] produces the `flipper-metrics/v1` text
-//! exposition: a Prometheus-style body that a future `flipperd /metrics`
-//! endpoint can serve verbatim.
+//! exposition, a Prometheus-style body.
 
 use std::collections::BTreeMap;
 

@@ -6,8 +6,7 @@
 //! and one clock read; closing it is a second clock read and a push onto
 //! the thread-local sheet. Sheets merge into the global recorder store
 //! when their thread exits, which for the scoped worker threads spawned
-//! by `flipper_data::exec` means at scope exit — the same worker-slot
-//! lifetime the `CellCache` shard slots key off. The calling thread's
+//! by `flipper_data::exec` means at scope exit. The calling thread's
 //! sheet is flushed explicitly by [`crate::recorder::drain`].
 //!
 //! Lanes: every recording thread gets a unique lane id from a global
@@ -176,7 +175,7 @@ pub fn span_labeled(name: &'static str, label: &str) -> Span {
     open(name, Some(label.to_string()))
 }
 
-/// Record an instant event (duration 0), e.g. a cache eviction.
+/// Record an instant event (duration 0), e.g. a marker inside a span.
 pub fn event(name: &'static str, args: &[(&'static str, u64)]) {
     if !recorder::enabled() {
         return;

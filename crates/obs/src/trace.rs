@@ -550,7 +550,7 @@ mod tests {
             e,
             ev("mine.cell", 0, 2_000, 1_000_000),
             ev("mine.count", 0, 10_000, 500_000),
-            ev("cache.evict", 1, 5_000, 0),
+            ev("demo.mark", 1, 5_000, 0),
             ev("exec.shard", 1, 4_000, 2_000_000),
         ];
         let text = render_chrome_trace(&events);
@@ -558,7 +558,7 @@ mod tests {
         assert_eq!(stats.events, 5);
         assert_eq!(stats.lanes, 2);
         assert!(stats.names.contains("mine.run"));
-        assert!(stats.names.contains("cache.evict"));
+        assert!(stats.names.contains("demo.mark"));
     }
 
     #[test]

@@ -130,8 +130,6 @@ mod proptests {
 
     #[test]
     fn clone_roundtrip() {
-        // The serde round-trip variant of this test needs the
-        // off-by-default `serde` feature plus a serde_json dev-dependency.
         for tax in all_taxonomies() {
             let back = tax.clone();
             assert_eq!(tax, back);

@@ -9,8 +9,6 @@ use std::fmt;
 /// assigned in insertion order, which the builder guarantees to be
 /// breadth-compatible (a parent's id is always smaller than its children's).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
@@ -53,7 +51,6 @@ impl fmt::Display for NodeId {
 
 /// Per-node payload stored in the taxonomy arena.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub(crate) struct NodeData {
     /// Human-readable unique name (e.g. `"whole milk"`, `"dairy"`).
     pub name: String,
@@ -95,9 +92,7 @@ mod tests {
 
     #[test]
     fn index_roundtrip() {
-        // The `#[serde(transparent)]` JSON representation is covered only
-        // when the `serde` feature (plus a serde_json dev-dependency) is
-        // enabled; the index round-trip pins the same in-memory identity.
+        // The index round-trip pins the in-memory identity.
         let id = NodeId::from_index(7);
         assert_eq!(id.index(), 7);
         assert_eq!(NodeId::from_index(id.index()), id);

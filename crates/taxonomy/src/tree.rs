@@ -24,7 +24,6 @@ use std::collections::HashMap;
 /// * every leaf (childless node) is at level `height`;
 /// * node names are unique.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Taxonomy {
     pub(crate) nodes: Vec<NodeData>,
     pub(crate) name_to_id: HashMap<String, NodeId>,
@@ -533,9 +532,8 @@ mod tests {
 
     #[test]
     fn clone_roundtrip_preserves_everything() {
-        // The serde round-trip needs the off-by-default `serde` feature plus
-        // a serde_json dev-dependency; deep-copy equality plus validation
-        // covers the same structural invariants offline.
+        // Deep-copy equality plus validation covers the structural
+        // invariants.
         let t = toy();
         let back = t.clone();
         assert_eq!(t, back);

@@ -14,8 +14,8 @@
 //! module* is a finding.
 //!
 //! The crate is dependency-free and sits at the bottom of the workspace
-//! layering, so every producer (`flipper-obs`, `flipper-api`,
-//! `flipper-bench`, the CLI) and consumer (including `flipper-lint`
+//! layering, so every producer (`flipper-obs`, `flipper-api`, the CLI)
+//! and consumer (including `flipper-lint`
 //! itself) can reach it.
 
 /// Deterministic mining results emitted by `flipper_api::JsonWriter` and
@@ -30,9 +30,6 @@ pub const METRICS_V1: &str = "flipper-metrics/v1";
 
 /// Append-only sweep checkpoint journals (`flipper sweep --checkpoint`).
 pub const SWEEP_CKPT_V1: &str = "flipper-sweep-ckpt/v1";
-
-/// Machine-readable quickbench reports (`quickbench --json`).
-pub const QUICKBENCH_V1: &str = "flipper-quickbench/v1";
 
 /// `flipper-lint --json` analysis reports.
 pub const LINT_V1: &str = "flipper-lint/v1";
@@ -51,7 +48,6 @@ pub const ALL: &[&str] = &[
     TRACE_V1,
     METRICS_V1,
     SWEEP_CKPT_V1,
-    QUICKBENCH_V1,
     LINT_V1,
     LINT_BASELINE_V2,
     LINT_BASELINE_V1,
