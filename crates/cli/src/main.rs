@@ -53,7 +53,7 @@ USAGE:
                    [--output-json FILE] [--trace FILE] [--timings]
                    [--timeout SECS] [--salvage]
   flipper sweep    --input FILE [--gammas F1,F2,...] [--epsilons F1,F2,...]
-                   [--variants v1,v2,...|all]
+                   [--variants v1,v2,...|all] [--max-k K]
                    [--minsup F1,F2,...] [--measure NAME] [--threads N]
                    [--jobs N] [--seed-supports on|off]
                    [--output-json FILE] [--trace FILE]
@@ -95,6 +95,10 @@ re-running with `--resume` skips the journaled points (restored as summary
 rows) and mines only the remainder. `results-diff` compares two
 `{results}` reports: exit 0 when equivalent, 1 when they differ.
 
+A flag the subcommand does not take is a usage error. `sweep` also takes
+`mine`'s `--gamma`, `--epsilon` and `--variant` as the single value of a
+grid axis left unset.
+
 EXIT CODES:  0 success · 1 data/I-O/config error · 2 usage error
              · 3 cancelled or timed out
 
@@ -129,12 +133,12 @@ fn main() -> ExitCode {
 fn run(args: &[String]) -> Result<u8, FlipperError> {
     let ok = |()| 0u8;
     match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(&parse_flags(&args[1..])?).map(ok),
-        Some("mine") => cmd_mine(&parse_flags(&args[1..])?).map(ok),
-        Some("sweep") => cmd_sweep(&parse_flags(&args[1..])?).map(ok),
-        Some("convert") => cmd_convert(&parse_flags(&args[1..])?).map(ok),
-        Some("topk") => cmd_topk(&parse_flags(&args[1..])?).map(ok),
-        Some("stats") => cmd_stats(&parse_flags(&args[1..])?).map(ok),
+        Some("generate") => cmd_generate(&parse_flags(&args[1..], GENERATE_FLAGS)?).map(ok),
+        Some("mine") => cmd_mine(&parse_flags(&args[1..], MINE_FLAGS)?).map(ok),
+        Some("sweep") => cmd_sweep(&parse_flags(&args[1..], SWEEP_FLAGS)?).map(ok),
+        Some("convert") => cmd_convert(&parse_flags(&args[1..], CONVERT_FLAGS)?).map(ok),
+        Some("topk") => cmd_topk(&parse_flags(&args[1..], TOPK_FLAGS)?).map(ok),
+        Some("stats") => cmd_stats(&parse_flags(&args[1..], &["input"])?).map(ok),
         Some("results-diff") => cmd_results_diff(&args[1..]),
         Some("help") | None => {
             print!("{}", usage());
@@ -151,15 +155,69 @@ type Flags = HashMap<String, String>;
 /// Flags that take no value (presence means "on").
 const BOOL_FLAGS: &[&str] = &["timings", "salvage", "resume"];
 
+/// The flags each subcommand reads; any other flag is a usage error.
+const GENERATE_FLAGS: &[&str] = &[
+    "kind",
+    "out",
+    "format",
+    "seed",
+    "transactions",
+    "width",
+    "scale",
+];
+const MINE_FLAGS: &[&str] = &[
+    "input",
+    "gamma",
+    "epsilon",
+    "minsup",
+    "measure",
+    "variant",
+    "top",
+    "max-k",
+    "threads",
+    "output-json",
+    "trace",
+    "timings",
+    "timeout",
+    "salvage",
+];
+/// `sweep` shares [`base_config`] with `mine`, so `--gamma`, `--epsilon`
+/// and `--variant` set its single-point defaults.
+const SWEEP_FLAGS: &[&str] = &[
+    "input",
+    "gamma",
+    "epsilon",
+    "gammas",
+    "epsilons",
+    "variant",
+    "variants",
+    "minsup",
+    "measure",
+    "max-k",
+    "threads",
+    "jobs",
+    "seed-supports",
+    "output-json",
+    "trace",
+    "timeout",
+    "checkpoint",
+    "resume",
+];
+const CONVERT_FLAGS: &[&str] = &["input", "out", "to"];
+const TOPK_FLAGS: &[&str] = &["input", "k", "minsup"];
+
 /// Parse `--key value` pairs (and bare [`BOOL_FLAGS`]) after the
-/// subcommand.
-fn parse_flags(args: &[String]) -> Result<Flags, FlipperError> {
+/// subcommand, rejecting any flag not in `allowed`.
+fn parse_flags(args: &[String], allowed: &[&str]) -> Result<Flags, FlipperError> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| FlipperError::usage(format!("expected --flag, got {:?}", args[i])))?;
+        if !allowed.contains(&key) {
+            return Err(FlipperError::usage(format!("unknown flag --{key}")));
+        }
         if BOOL_FLAGS.contains(&key) {
             flags.insert(key.to_string(), "on".to_string());
             i += 1;
@@ -845,22 +903,49 @@ mod tests {
 
     #[test]
     fn parse_flags_happy_path() {
-        let f = parse_flags(&strs(&["--kind", "quest", "--seed", "7"])).unwrap();
+        let f = parse_flags(&strs(&["--kind", "quest", "--seed", "7"]), GENERATE_FLAGS).unwrap();
         assert_eq!(f["kind"], "quest");
         assert_eq!(f["seed"], "7");
     }
 
     #[test]
     fn parse_flags_rejects_bare_values() {
-        let err = parse_flags(&strs(&["kind", "quest"])).unwrap_err();
+        let err = parse_flags(&strs(&["kind", "quest"]), GENERATE_FLAGS).unwrap_err();
         assert!(matches!(err, FlipperError::Usage(_)));
         assert_eq!(err.exit_code(), 2);
     }
 
     #[test]
     fn parse_flags_rejects_missing_value() {
-        let err = parse_flags(&strs(&["--kind"])).unwrap_err();
+        let err = parse_flags(&strs(&["--kind"]), GENERATE_FLAGS).unwrap_err();
         assert!(matches!(err, FlipperError::Usage(_)));
+    }
+
+    /// A misspelt flag is refused by name instead of silently mining with
+    /// the default it was meant to override.
+    #[test]
+    fn misspelt_flag_is_a_usage_error() {
+        let err = run(&strs(&["mine", "--input", "q.fbin", "--gama", "0.5"])).unwrap_err();
+        assert!(matches!(err, FlipperError::Usage(_)));
+        assert!(err.to_string().contains("--gama"), "{err}");
+        assert_eq!(err.exit_code(), 2);
+    }
+
+    /// Removed flags are refused like any other unknown flag.
+    #[test]
+    fn removed_engine_flags_are_usage_errors() {
+        for (cmd, flag) in [
+            ("mine", "--engine"),
+            ("mine", "--cache-budget"),
+            ("sweep", "--engines"),
+        ] {
+            let err = run(&strs(&[cmd, "--input", "q.fbin", flag, "tidset"])).unwrap_err();
+            assert!(err.to_string().contains(flag), "{cmd} {flag}: {err}");
+            assert_eq!(err.exit_code(), 2, "{cmd} {flag}");
+        }
+        // A flag of one subcommand is unknown to another.
+        let err = run(&strs(&["stats", "--input", "q.fbin", "--top", "3"])).unwrap_err();
+        assert!(err.to_string().contains("--top"), "{err}");
     }
 
     #[test]
@@ -1020,7 +1105,7 @@ mod tests {
 
     #[test]
     fn timings_flag_is_boolean() {
-        let f = parse_flags(&strs(&["--timings", "--top", "3"])).unwrap();
+        let f = parse_flags(&strs(&["--timings", "--top", "3"]), MINE_FLAGS).unwrap();
         assert_eq!(f["timings"], "on");
         assert_eq!(f["top"], "3");
     }

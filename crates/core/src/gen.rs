@@ -5,6 +5,12 @@
 //! `Q(h,k−1)` ([`horizontal`]) and the vertical children-combinations of the
 //! chain-alive itemsets of `Q(h−1,k)` ([`vertical`]).
 //!
+//! The vertical source is fused with support counting: the counting
+//! kernel's depth-first enumeration ([`BitsetCounter::co_occurring`])
+//! yields each children-combination that occurs at all together with its
+//! exact support, so vertical candidates reach the miner already counted.
+//! Only the pairs and horizontal candidates go to the counting pass.
+//!
 //! # Allocation
 //!
 //! Joins and `(k−1)`-subset probes work on item slices held in buffers
@@ -13,20 +19,13 @@
 //! subset probes with cursors into that table's prefix groups; the
 //! vertical pass probes `Q(h,k−1)` by slice ([`Cell::get_items`]). Only a
 //! candidate that survives every prune is allocated, once, as the
-//! [`Itemset`] its cell will store (the vertical pass allocates each
-//! distinct combination once, when it is first seen, and hands that
-//! buffer on to the `Itemset`).
+//! [`Itemset`] its cell will store.
 
 use crate::cell::Cell;
-use flipper_data::tidset::intersect_into;
-use flipper_data::{Itemset, LevelView};
+use flipper_data::{BitsetCounter, Itemset};
 use flipper_measures::Label;
 use flipper_taxonomy::{NodeId, Taxonomy};
-use std::collections::BTreeSet;
 use std::ops::Range;
-
-/// Marks "no parent slot" in [`VerticalScratch::slot_of`].
-const NO_SLOT: u32 = u32::MAX;
 
 /// What every generation pass reads, borrowed from the miner.
 pub(crate) struct GenCtx<'a> {
@@ -55,10 +54,55 @@ impl GenCtx<'_> {
 pub(crate) struct Generated {
     /// Surviving candidates, in generation order.
     pub(crate) cands: Vec<Itemset>,
+    /// The vertical source's supports, aligned with `cands`; empty for the
+    /// other sources, whose candidates still need counting.
+    pub(crate) supports: Vec<u64>,
     /// Removed by the Apriori / known-infrequent subset check.
     pub(crate) support_pruned: u64,
     /// Removed because they contain a SIBP-banned item.
     pub(crate) sibp_pruned: u64,
+}
+
+/// One cell's candidates, each once, split by whether a source already
+/// established its support. A batch without a vertical source has no fused
+/// candidates, so it is a plain itemset list.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct Batch {
+    /// Vertical candidates with the supports the kernel's DFS produced,
+    /// ascending by itemset.
+    pub(crate) fused: Vec<(Itemset, u64)>,
+    /// Every other candidate, ascending: the seed cache and the counting
+    /// kernel answer these.
+    pub(crate) to_count: Vec<Itemset>,
+}
+
+impl Batch {
+    /// The union of the candidates of `sources`. A candidate the vertical
+    /// source produced keeps its fused support even when another source
+    /// produced it too.
+    pub(crate) fn union(sources: impl IntoIterator<Item = Generated>) -> Batch {
+        let mut batch = Batch::default();
+        for g in sources {
+            if g.supports.is_empty() {
+                batch.to_count.extend(g.cands);
+            } else {
+                batch.fused.extend(g.cands.into_iter().zip(g.supports));
+            }
+        }
+        batch.to_count.sort_unstable();
+        batch.to_count.dedup();
+        // The vertical pass emits each combination once, for its one
+        // parent set, so the fused side holds no duplicates.
+        batch.fused.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        if !batch.fused.is_empty() {
+            let mut fused = batch.fused.iter().map(|(set, _)| set).peekable();
+            batch.to_count.retain(|set| {
+                while fused.next_if(|f| *f < set).is_some() {}
+                fused.peek() != Some(&set)
+            });
+        }
+        batch
+    }
 }
 
 /// Fixed-stride itemset rows: row `i` is `items[i·k .. (i+1)·k]`. One
@@ -225,26 +269,30 @@ pub(crate) fn horizontal(ctx: &GenCtx<'_>, prev: &Cell, k: usize) -> Generated {
     g
 }
 
-/// The two level views a vertical pass reads.
-pub(crate) struct VerticalLevels<'a> {
-    /// Level `h − 1`: the parents' tid-lists.
-    pub(crate) above: &'a LevelView,
-    /// Level `h`: the children's transactions and supports.
-    pub(crate) here: &'a LevelView,
+/// The level a vertical pass extends into.
+pub(crate) struct VerticalLevel<'a, 'v> {
+    /// The counting kernel, which enumerates the children-combinations.
+    pub(crate) counter: &'a mut BitsetCounter<'v>,
+    /// The children's level.
+    pub(crate) h: usize,
     /// Absolute minimum support at level `h`.
     pub(crate) theta: u64,
 }
 
 /// Vertical candidates for `Q(h,k)` (`k ≥ 2`): combinations of frequent
-/// level-`h` children of the chain-alive itemsets of `above = Q(h−1,k)`.
+/// level-`h` children of the chain-alive itemsets of `above = Q(h−1,k)`,
+/// with their supports in [`Generated::supports`].
 ///
-/// Generated through a tid index instead of a blind cartesian product of
-/// children lists: for each alive parent set, the parents' level-`(h−1)`
-/// tid-lists are intersected, and only children actually present together
-/// in a covering transaction are combined. A combination occurring in no
-/// covering transaction has support 0 < θ (θ ≥ 1 by
-/// [`crate::config::MinSupports::resolve`]), so it could never become
+/// Instead of a blind cartesian product of children lists, the kernel
+/// enumerates each parent set's combinations depth-first
+/// ([`BitsetCounter::co_occurring`]), intersecting the children's level-`h`
+/// transactions slot by slot and abandoning a branch once its intersection
+/// is empty. A child's transactions are a subset of its parent's, so the
+/// combinations it yields are exactly those that occur together in some
+/// transaction covering the parent set; any other has support 0 < θ (θ ≥ 1
+/// by [`crate::config::MinSupports::resolve`]), so it could never become
 /// frequent — skipping it changes no labels, no chains and no patterns.
+/// The support of every combination falls out of the same intersections.
 ///
 /// Combinations containing a SIBP-banned item are dropped, and so are
 /// combinations with a `(k−1)`-subset *present* in `prev = Q(h,k−1)` and
@@ -252,175 +300,53 @@ pub(crate) struct VerticalLevels<'a> {
 /// simply never have been candidates.)
 pub(crate) fn vertical(
     ctx: &GenCtx<'_>,
-    levels: &VerticalLevels<'_>,
+    level: &mut VerticalLevel<'_, '_>,
     above: &Cell,
     prev: Option<&Cell>,
     k: usize,
 ) -> Generated {
     let mut g = Generated::default();
-    let mut scratch = VerticalScratch::new(k, ctx.top_cat.len());
+    // Per parent slot, the parent's frequent children.
+    let mut kids: Vec<Vec<NodeId>> = vec![Vec::new(); k];
     // A `(k−1)`-subset being probed.
     let mut sub: Vec<NodeId> = Vec::with_capacity(k);
     for (pset, _) in above.alive() {
-        for mut combo in scratch.combinations(ctx, levels, pset.items()) {
-            // Children of distinct parents are distinct, so the sorted
-            // combination is strictly increasing.
-            combo.sort_unstable();
-            if combo.iter().any(|&it| ctx.is_banned(it)) {
-                g.sibp_pruned += 1;
-                continue;
-            }
-            let doomed = prev.is_some_and(|prev| {
-                (0..k).any(|i| {
-                    sub.clear();
-                    sub.extend_from_slice(&combo[..i]);
-                    sub.extend_from_slice(&combo[i + 1..]);
-                    prev.get_items(&sub)
-                        .is_some_and(|info| info.label == Label::Infrequent)
-                })
-            });
-            if doomed {
-                g.support_pruned += 1;
-            } else {
-                g.cands.push(Itemset::from_sorted(combo));
-            }
+        for (slot, &p) in kids.iter_mut().zip(pset.items()) {
+            slot.clear();
+            slot.extend(
+                ctx.tax
+                    .children(p)
+                    .iter()
+                    .copied()
+                    .filter(|&c| level.counter.item_support(level.h, c) >= level.theta),
+            );
         }
+        let slots: Vec<&[NodeId]> = kids.iter().map(Vec::as_slice).collect();
+        level
+            .counter
+            .co_occurring(level.h, &slots, |combo, support| {
+                if combo.iter().any(|&it| ctx.is_banned(it)) {
+                    g.sibp_pruned += 1;
+                    return;
+                }
+                let doomed = prev.is_some_and(|prev| {
+                    (0..k).any(|i| {
+                        sub.clear();
+                        sub.extend_from_slice(&combo[..i]);
+                        sub.extend_from_slice(&combo[i + 1..]);
+                        prev.get_items(&sub)
+                            .is_some_and(|info| info.label == Label::Infrequent)
+                    })
+                });
+                if doomed {
+                    g.support_pruned += 1;
+                } else {
+                    g.cands.push(Itemset::from_sorted(combo.to_vec()));
+                    g.supports.push(support);
+                }
+            });
     }
     g
-}
-
-/// Buffers of the vertical pass, reused for every parent set.
-struct VerticalScratch {
-    /// Parent slot of each frequent child of the current parent set, by
-    /// `NodeId::index()`; [`NO_SLOT`] elsewhere.
-    slot_of: Vec<u32>,
-    /// The frequent children marked in `slot_of`, to unmark them.
-    kids: Vec<NodeId>,
-    /// Per parent slot, the frequent children in the current transaction.
-    slots: Vec<Vec<NodeId>>,
-    /// Parents ordered shortest tid-list first.
-    order: Vec<NodeId>,
-    /// Covering transactions, double-buffered.
-    tids: Vec<u32>,
-    next: Vec<u32>,
-    /// Odometer over the slot lists, and the combination it points at.
-    odometer: Vec<usize>,
-    combo: Vec<NodeId>,
-    /// The current parent's distinct combinations, in slot order.
-    seen: BTreeSet<Vec<NodeId>>,
-}
-
-impl VerticalScratch {
-    fn new(k: usize, nodes: usize) -> Self {
-        VerticalScratch {
-            slot_of: vec![NO_SLOT; nodes],
-            kids: Vec::new(),
-            slots: vec![Vec::new(); k],
-            order: Vec::with_capacity(k),
-            tids: Vec::new(),
-            next: Vec::new(),
-            odometer: vec![0; k],
-            combo: Vec::with_capacity(k),
-            seen: BTreeSet::new(),
-        }
-    }
-
-    /// The distinct children-combinations of the parent set `parents` that
-    /// occur together in a covering transaction, each in slot order (the
-    /// child of `parents[0]` first). The set holds each combination once
-    /// however many transactions contain it.
-    fn combinations(
-        &mut self,
-        ctx: &GenCtx<'_>,
-        lv: &VerticalLevels<'_>,
-        parents: &[NodeId],
-    ) -> BTreeSet<Vec<NodeId>> {
-        // Mark every parent's frequent children with the parent's slot, and
-        // size the combination space: the product of the per-slot counts
-        // (0 when a parent has no frequent child; `None` when it overflows,
-        // which only costs the early stop).
-        self.kids.clear();
-        let mut space = Some(1usize);
-        for (slot, &p) in parents.iter().enumerate() {
-            let before = self.kids.len();
-            for &c in ctx.tax.children(p) {
-                if lv.here.item_support(c) >= lv.theta {
-                    self.slot_of[c.index()] = slot as u32;
-                    self.kids.push(c);
-                }
-            }
-            space = space.and_then(|s| s.checked_mul(self.kids.len() - before));
-        }
-        if space != Some(0) {
-            self.covering_tids(lv.above, parents);
-            self.walk(lv.here, space);
-        }
-        for &c in &self.kids {
-            self.slot_of[c.index()] = NO_SLOT;
-        }
-        std::mem::take(&mut self.seen)
-    }
-
-    /// Walk the covering transactions, adding every children-combination
-    /// they contain to `seen`, until all `space` combinations are seen.
-    fn walk(&mut self, here: &LevelView, space: Option<usize>) {
-        for &t in &self.tids {
-            for s in &mut self.slots {
-                s.clear();
-            }
-            for &c in here.transaction(t as usize) {
-                let slot = self.slot_of[c.index()];
-                if slot != NO_SLOT {
-                    self.slots[slot as usize].push(c);
-                }
-            }
-            if self.slots.iter().any(Vec::is_empty) {
-                continue;
-            }
-            // Odometer over the (typically singleton) slot lists.
-            self.odometer.fill(0);
-            'outer: loop {
-                self.combo.clear();
-                self.combo
-                    .extend(self.odometer.iter().zip(&self.slots).map(|(&at, s)| s[at]));
-                if !self.seen.contains(self.combo.as_slice()) {
-                    self.seen.insert(self.combo.clone());
-                }
-                for i in (0..self.odometer.len()).rev() {
-                    self.odometer[i] += 1;
-                    if self.odometer[i] < self.slots[i].len() {
-                        continue 'outer;
-                    }
-                    self.odometer[i] = 0;
-                }
-                break;
-            }
-            // Every combination seen: later transactions can add none.
-            if space == Some(self.seen.len()) {
-                break;
-            }
-        }
-    }
-
-    /// Intersect the parents' level-`(h−1)` tid-lists into `self.tids`,
-    /// shortest first, stopping once the running intersection empties.
-    fn covering_tids(&mut self, above: &LevelView, parents: &[NodeId]) {
-        self.order.clear();
-        self.order.extend_from_slice(parents);
-        self.order.sort_unstable_by_key(|&p| above.tidset(p).len());
-        self.tids.clear();
-        let Some((&first, rest)) = self.order.split_first() else {
-            return;
-        };
-        self.tids.extend_from_slice(above.tidset(first));
-        for &p in rest {
-            if self.tids.is_empty() {
-                return;
-            }
-            intersect_into(&self.tids, above.tidset(p), &mut self.next);
-            std::mem::swap(&mut self.tids, &mut self.next);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -428,7 +354,12 @@ mod tests {
     use super::*;
     use crate::cell::ItemsetInfo;
     use flipper_data::rng::{Rng, Xoshiro256pp};
-    use flipper_data::{MultiLevelView, TransactionDb};
+    use flipper_data::{naive_tidset_counts, MultiLevelView, TransactionDb};
+    use std::collections::BTreeSet;
+
+    /// The kernel's three storage mixes: all-bitmap, the default mixed
+    /// threshold, all-tid-list.
+    const DENSITIES: [f64; 3] = [0.0, BitsetCounter::DEFAULT_DENSITY, 2.0];
 
     fn n(i: u32) -> NodeId {
         NodeId::from_index(i as usize)
@@ -568,8 +499,9 @@ mod tests {
     }
 
     /// Vertical generation on random data: every candidate co-occurs in a
-    /// covering transaction, and every co-occurring frequent combination is
-    /// generated once or accounted for by a prune.
+    /// covering transaction, every co-occurring frequent combination is
+    /// generated once or accounted for by a prune, and every candidate's
+    /// fused support is its exact support — at every storage density.
     #[test]
     fn vertical_is_complete_and_duplicate_free() {
         let tax = Taxonomy::uniform(4, 3, 3).unwrap();
@@ -590,11 +522,6 @@ mod tests {
             top_cat[node.index()] = tax.ancestor_at_level(node, 1).unwrap();
         }
         let theta = 2;
-        let levels = VerticalLevels {
-            above: view.level(2),
-            here: view.level(3),
-            theta,
-        };
         let mids = tax.nodes_at_level(2).unwrap().to_vec();
         for k in [2usize, 3] {
             // Random parent sets over distinct categories, all alive.
@@ -622,11 +549,28 @@ mod tests {
                 }
             }
             let prev = (k == 3).then_some(&prev);
-            let base = vertical(&ctx(&tax, &top_cat), &levels, &above, prev, k);
+            let by_density = DENSITIES.map(|density| {
+                let mut counter = BitsetCounter::with_density(&view, density);
+                let mut level = VerticalLevel {
+                    counter: &mut counter,
+                    h: 3,
+                    theta,
+                };
+                vertical(&ctx(&tax, &top_cat), &mut level, &above, prev, k)
+            });
+            let base = &by_density[0];
+            for other in &by_density[1..] {
+                assert_eq!(other, base, "k={k}: density changed the candidates");
+            }
             assert!(!base.cands.is_empty(), "k={k}");
             if k == 3 {
                 assert!(base.support_pruned > 0, "the infrequent pairs must bite");
             }
+            assert_eq!(
+                base.supports,
+                naive_tidset_counts(&view, 3, &base.cands),
+                "k={k}: fused supports are exact"
+            );
             // Brute force: per parent and covering transaction, the product
             // of each slot's frequent children in that transaction.
             let mut expect = BTreeSet::new();
@@ -673,9 +617,9 @@ mod tests {
         }
     }
 
-    /// A parent whose every children-combination shows up in its first
-    /// covering transaction (the walk stops there) still yields them all,
-    /// and the set is handed out empty for the next parent.
+    /// A parent set whose every children-combination occurs (the first
+    /// transaction holds all of them) yields the whole space, each
+    /// combination once with its support.
     #[test]
     fn vertical_full_space_from_the_first_transaction() {
         let tax = Taxonomy::uniform(2, 2, 2).unwrap();
@@ -693,20 +637,71 @@ mod tests {
             .node_ids()
             .map(|x| tax.ancestor_at_level(x, 1).unwrap_or(x))
             .collect();
-        let levels = VerticalLevels {
-            above: view.level(1),
-            here: view.level(2),
+        let mut above = Cell::new();
+        above.insert(Itemset::pair(mids[0], mids[1]), info(Label::Positive));
+        let mut counter = BitsetCounter::new(&view);
+        let mut level = VerticalLevel {
+            counter: &mut counter,
+            h: 2,
             theta: 1,
         };
-        let c = ctx(&tax, &top_cat);
-        let mut scratch = VerticalScratch::new(2, tax.node_count());
-        let got = scratch.combinations(&c, &levels, &[mids[0], mids[1]]);
-        let expect: BTreeSet<Vec<NodeId>> = [(0, 2), (0, 3), (1, 2), (1, 3)]
+        let got = vertical(&ctx(&tax, &top_cat), &mut level, &above, None, 2);
+        let batch = Batch::union([got]);
+        let expect: Vec<(Itemset, u64)> = [(0, 2, 4), (0, 3, 1), (1, 2, 1), (1, 3, 4)]
             .into_iter()
-            .map(|(a, b)| vec![kids[a], kids[b]])
+            .map(|(a, b, sup)| (Itemset::pair(kids[a], kids[b]), sup))
             .collect();
-        assert_eq!(got, expect);
-        assert!(scratch.seen.is_empty());
-        assert!(scratch.slot_of.iter().all(|&s| s == NO_SLOT), "unmarked");
+        assert_eq!(batch.fused, expect);
+        assert!(batch.to_count.is_empty());
+        assert_eq!(counter.stats().candidates_counted, 0, "nothing counted");
+        assert_eq!(counter.stats().intersections, 4, "one AND per pair");
+    }
+
+    /// A `k = 3` cell fed by both sources: a candidate of both appears once,
+    /// with its fused support; a horizontal-only candidate (its items never
+    /// co-occur) still goes to counting.
+    #[test]
+    fn candidate_of_both_sources_appears_once_with_its_support() {
+        let tax = Taxonomy::uniform(3, 2, 2).unwrap();
+        let tops = tax.nodes_at_level(1).unwrap().to_vec();
+        let kid = |top: usize, i: usize| tax.children(tops[top])[i];
+        let (a1, b1, c1) = (kid(0, 0), kid(1, 0), kid(2, 0));
+        let (a2, b2, c2) = (kid(0, 1), kid(1, 1), kid(2, 1));
+        let mut rows = vec![vec![a1, b1, c1]; 3];
+        rows.extend([vec![a2, b2], vec![c2], vec![a1, b2, c2]]);
+        let db = TransactionDb::new(rows).unwrap();
+        let view = MultiLevelView::build(&db, &tax);
+        let top_cat: Vec<NodeId> = tax
+            .node_ids()
+            .map(|x| tax.ancestor_at_level(x, 1).unwrap_or(x))
+            .collect();
+        let c = ctx(&tax, &top_cat);
+        // Q(2,2): the pairs of {a1,b1,c1} and of {a2,b2,c2}, all frequent.
+        let mut prev = Cell::new();
+        for [x, y, z] in [[a1, b1, c1], [a2, b2, c2]] {
+            for (p, q) in [(x, y), (x, z), (y, z)] {
+                prev.insert(Itemset::pair(p, q), info(Label::Positive));
+            }
+        }
+        // Q(1,3): the one parent set, alive.
+        let mut above = Cell::new();
+        above.insert(Itemset::new(tops.clone()), info(Label::Positive));
+        let joined = horizontal(&c, &prev, 3);
+        let mut counter = BitsetCounter::new(&view);
+        let mut level = VerticalLevel {
+            counter: &mut counter,
+            h: 2,
+            theta: 1,
+        };
+        let fused = vertical(&c, &mut level, &above, Some(&prev), 3);
+        let both = Itemset::new(vec![a1, b1, c1]);
+        let horizontal_only = Itemset::new(vec![a2, b2, c2]);
+        assert!(joined.cands.contains(&both) && fused.cands.contains(&both));
+        let batch = Batch::union([joined, fused]);
+        assert_eq!(
+            batch.fused,
+            vec![(both, 3), (Itemset::new(vec![a1, b2, c2]), 1)]
+        );
+        assert_eq!(batch.to_count, vec![horizontal_only]);
     }
 }

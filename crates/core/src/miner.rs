@@ -17,10 +17,12 @@
 //!   **union** of
 //!   1. *vertical* candidates — children-combinations of the chain-alive
 //!      itemsets of `Q(h−1,k)` (§4.2.2: chain-broken itemsets are never
-//!      extended vertically), generated through a tid index: only
-//!      combinations that actually co-occur in some transaction covering
-//!      the parent set are enumerated (any other combination has support
-//!      0 < θ, since θ ≥ 1 always), and
+//!      extended vertically), enumerated by the counting kernel's
+//!      depth-first intersection of the children's transactions
+//!      ([`BitsetCounter::co_occurring`]): only combinations that actually
+//!      co-occur in some transaction covering the parent set are produced
+//!      (any other combination has support 0 < θ, since θ ≥ 1 always),
+//!      each with its exact support, and
 //!   2. *horizontal* candidates — Apriori joins of the frequent itemsets of
 //!      `Q(h,k−1)` (§4.2.2: supersets of chain-broken itemsets must still be
 //!      counted).
@@ -39,17 +41,18 @@
 //!
 //! # Execution
 //!
-//! Candidate generation runs on the calling thread. Support counting goes
-//! through the one kernel, [`BitsetCounter::count_batch`]: with
-//! `cfg.threads != 1` each cell's candidate batch is chunked over scoped
-//! worker threads at prefix-group boundaries. Seeded runs
-//! ([`mine_with_view_seeded`]) first answer candidates from a session-level
-//! [`SupportCache`]. Results and statistics are bit-identical at every
-//! thread count and seed-cache state.
+//! Candidate generation runs on the calling thread. Vertical candidates
+//! arrive with their supports; every other candidate is counted by the one
+//! kernel, [`BitsetCounter::count_batch`]: with `cfg.threads != 1` each
+//! cell's batch is chunked over scoped worker threads at prefix-group
+//! boundaries. Seeded runs ([`mine_with_view_seeded`]) first answer those
+//! candidates from a session-level [`SupportCache`]. Results and
+//! statistics are bit-identical at every thread count and seed-cache
+//! state.
 
 use crate::cell::{Cell, ItemsetInfo};
 use crate::config::FlipperConfig;
-use crate::gen::{self, GenCtx, VerticalLevels};
+use crate::gen::{self, Batch, GenCtx, Generated, VerticalLevel};
 use crate::results::{CellSummary, ChainLevel, FlippingPattern, MiningResult};
 use crate::stats::{RunStats, Stopwatch};
 use flipper_data::{BitsetCounter, Itemset, MultiLevelView, SupportCache, TransactionDb};
@@ -113,8 +116,10 @@ pub fn mine_with_view_seeded_guarded(
 
 /// Mine with a prebuilt view *and* a session-level support seed cache.
 ///
-/// Every candidate found in `seeds` skips counting entirely and is charged
-/// to [`RunStats::seeded_supports`]; everything else is counted as usual.
+/// Every candidate that would be counted (vertical candidates arrive with
+/// their supports and never are) and is found in `seeds` skips counting
+/// and is charged to [`RunStats::seeded_supports`]; everything else is
+/// counted as usual.
 /// Supports are facts about the data alone — independent of measure,
 /// thresholds, pruning, or thread count — so seeding from any
 /// completed run over the same view is sound and the mined patterns,
@@ -131,6 +136,20 @@ pub fn mine_with_view_seeded(
     miner
         .run()
         .unwrap_or_else(|_| unreachable!("an unguarded run has no token to interrupt it"))
+}
+
+/// Merge two ascending `(itemset, support)` streams with no itemset in
+/// common into one ascending stream.
+fn merge_ascending(
+    a: impl Iterator<Item = (Itemset, u64)>,
+    b: impl IntoIterator<Item = (Itemset, u64)>,
+) -> impl Iterator<Item = (Itemset, u64)> {
+    let (mut a, mut b) = (a.peekable(), b.into_iter().peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if y.0 < x.0 => b.next(),
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
+    })
 }
 
 /// Per-row mutable state. Ordered maps throughout: every iteration over
@@ -159,7 +178,6 @@ struct RowState {
 struct Miner<'a> {
     tax: &'a Taxonomy,
     cfg: &'a FlipperConfig,
-    view: &'a MultiLevelView,
     /// Resolved worker-thread count for sharded counting (1 = sequential).
     threads: usize,
     counter: BitsetCounter<'a>,
@@ -242,7 +260,6 @@ impl<'a> Miner<'a> {
         Miner {
             tax,
             cfg,
-            view,
             threads: flipper_data::exec::effective_threads(cfg.threads),
             counter,
             seeds: None,
@@ -288,12 +305,18 @@ impl<'a> Miner<'a> {
         out
     }
 
-    /// The sorted, deduplicated candidates of `Q(h,k)` ([`crate::gen`]).
-    /// Row 1 and the BASIC variant take level pairs at `k = 2` and the
-    /// horizontal join beyond. Flipping rows `h ≥ 2` take the vertical
-    /// children-combinations of chain-alive parents — the only source at
-    /// `k = 2` — unioned with the horizontal join for wider cells.
-    fn gen_candidates(&mut self, h: usize, k: usize) -> Vec<Itemset> {
+    /// The candidates of `Q(h,k)` ([`crate::gen`]), split by whether their
+    /// support is already known. Row 1 and the BASIC variant take level
+    /// pairs at `k = 2` and the horizontal join beyond. Flipping rows
+    /// `h ≥ 2` take the vertical children-combinations of chain-alive
+    /// parents — the only source at `k = 2` — unioned with the horizontal
+    /// join for wider cells. The `mine.gen` span records how many
+    /// candidates each source produced and how many supports the vertical
+    /// pass fused in.
+    fn gen_candidates(&mut self, h: usize, k: usize) -> Batch {
+        let mut span = flipper_obs::span("mine.gen")
+            .arg("h", h as u64)
+            .arg("k", k as u64);
         let banned = self.bans(h, k);
         let ctx = GenCtx {
             tax: self.tax,
@@ -301,30 +324,37 @@ impl<'a> Miner<'a> {
             banned: &banned,
         };
         let flipping_row = self.cfg.pruning.flipping && h >= 2;
-        let mut sources = Vec::with_capacity(2);
-        if k == 2 && !flipping_row {
-            sources.push(gen::pairs(&ctx, &self.rows[h - 1].freq_items));
-        }
-        if let Some(prev) = self.cell(h, k - 1).filter(|_| k >= 3) {
-            sources.push(gen::horizontal(&ctx, prev, k));
-        }
-        if let Some(above) = flipping_row.then(|| self.cell(h - 1, k)).flatten() {
-            let levels = VerticalLevels {
-                above: self.view.level(h - 1),
-                here: self.view.level(h),
+        let here = &self.rows[h - 1];
+        let pairs = (k == 2 && !flipping_row).then(|| gen::pairs(&ctx, &here.freq_items));
+        let horizontal = here
+            .cells
+            .get(&(k - 1))
+            .filter(|_| k >= 3)
+            .map(|prev| gen::horizontal(&ctx, prev, k));
+        let above = flipping_row
+            .then(|| self.rows[h - 2].cells.get(&k))
+            .flatten();
+        let vertical = above.map(|above| {
+            let mut level = VerticalLevel {
+                counter: &mut self.counter,
+                h,
                 theta: self.thetas[h - 1],
             };
-            sources.push(gen::vertical(&ctx, &levels, above, self.cell(h, k - 1), k));
-        }
-        let mut cands = Vec::new();
-        for g in sources {
+            gen::vertical(&ctx, &mut level, above, here.cells.get(&(k - 1)), k)
+        });
+        let size = |g: &Option<Generated>| g.as_ref().map_or(0, |g| g.cands.len() as u64);
+        span.add_arg("pairs", size(&pairs));
+        span.add_arg("horizontal", size(&horizontal));
+        span.add_arg("vertical", size(&vertical));
+
+        let sources = [pairs, horizontal, vertical];
+        for g in sources.iter().flatten() {
             self.stats.pruned_by_support += g.support_pruned;
             self.stats.pruned_by_sibp += g.sibp_pruned;
-            cands.extend(g.cands);
         }
-        cands.sort_unstable();
-        cands.dedup();
-        cands
+        let batch = Batch::union(sources.into_iter().flatten());
+        span.add_arg("fused", batch.fused.len() as u64);
+        batch
     }
 
     // ---- evaluation -------------------------------------------------------
@@ -384,19 +414,14 @@ impl<'a> Miner<'a> {
         let _cell_span = flipper_obs::span("mine.cell")
             .arg("h", h as u64)
             .arg("k", k as u64);
-        let candidates = {
-            let _gen_span = flipper_obs::span("mine.gen")
-                .arg("h", h as u64)
-                .arg("k", k as u64);
-            self.gen_candidates(h, k)
-        };
+        let Batch { fused, to_count } = self.gen_candidates(h, k);
         self.stats.cells_evaluated += 1;
-        self.stats.candidates_generated += candidates.len() as u64;
+        self.stats.candidates_generated += (fused.len() + to_count.len()) as u64;
 
         let theta = self.thetas[h - 1];
         let thresholds: Thresholds = self.cfg.thresholds;
         let measure = self.cfg.measure;
-        let supports = self.count_supports(h, &candidates);
+        let supports = self.count_supports(h, &to_count);
 
         let mut cell = Cell::new();
         // Per-item max correlation for SIBP, indexed by `NodeId::index()` —
@@ -414,7 +439,7 @@ impl<'a> Miner<'a> {
         let sup_cache = &self.rows[h - 1].sup_cache;
         let mut item_sups: Vec<u64> = Vec::new();
         let mut parent_items: Vec<NodeId> = Vec::with_capacity(k);
-        for (set, sup) in candidates.into_iter().zip(supports) {
+        for (set, sup) in merge_ascending(to_count.into_iter().zip(supports), fused) {
             let frequent = sup >= theta;
             let (corr, label) = if frequent {
                 item_sups.clear();

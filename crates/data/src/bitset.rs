@@ -5,17 +5,21 @@
 //! category may cover half the database), a packed bitmap with word-wise
 //! AND + popcount is both smaller and faster. [`BitsetCounter`] uses
 //! bitmaps for dense items and falls back to tid-lists for sparse ones.
+//! It answers two questions: the supports of a sorted candidate batch
+//! ([`BitsetCounter::count_batch`]), and which combinations of one item per
+//! slot co-occur at all, with their supports
+//! ([`BitsetCounter::co_occurring`]).
 
 use crate::counting::{prefix_groups, same_prefix_group, CounterStats, MIN_SHARD_CANDIDATES};
 use crate::exec;
 use crate::itemset::Itemset;
-use crate::projection::MultiLevelView;
-use crate::tidset::{intersect_size, intersect_size_many};
+use crate::projection::{LevelView, MultiLevelView};
+use crate::tidset::{intersect_into, intersect_size, intersect_size_many};
 use flipper_taxonomy::NodeId;
 use std::collections::HashMap;
 
 /// A fixed-width packed bitmap over transaction ids.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Bitmap {
     words: Vec<u64>,
     len: usize,
@@ -177,6 +181,91 @@ impl Bitmap {
             *w &= o;
         }
     }
+
+    /// Overwrite this bitmap with `a AND b`, reusing its word allocation,
+    /// and report whether any bit is set.
+    ///
+    /// # Panics
+    /// Panics when `a` and `b` cover different transaction counts.
+    pub(crate) fn assign_and(&mut self, a: &Bitmap, b: &Bitmap) -> bool {
+        assert_eq!(a.len, b.len, "bitmap lengths must match");
+        let mut any = 0u64;
+        self.words.clear();
+        self.words
+            .extend(a.words.iter().zip(&b.words).map(|(x, y)| {
+                let w = x & y;
+                any |= w;
+                w
+            }));
+        self.len = a.len;
+        any != 0
+    }
+
+    /// The tids of the sorted list `tids` whose bit is set, written into
+    /// `out` (cleared first): the materializing twin of
+    /// [`Self::and_tids_count`].
+    pub(crate) fn filter_tids_into(&self, tids: &[u32], out: &mut Vec<u32>) {
+        if let Some(&max) = tids.last() {
+            assert!(
+                (max as usize) < self.len,
+                "bit {max} out of range {}",
+                self.len
+            );
+        }
+        out.clear();
+        out.extend(
+            tids.iter()
+                .copied()
+                .filter(|&t| (self.words[t as usize / 64] >> (t % 64)) & 1 != 0),
+        );
+    }
+}
+
+/// One item's transactions, or an intersection of several, in whichever
+/// representation the items' densities produced.
+#[derive(Clone, Copy)]
+enum TidSet<'a> {
+    Bits(&'a Bitmap),
+    Tids(&'a [u32]),
+}
+
+impl<'a> TidSet<'a> {
+    /// `|self ∩ other|`: one AND-popcount, bitmap filter or galloping
+    /// intersection.
+    fn and_count(self, other: TidSet<'_>) -> u64 {
+        match (self, other) {
+            (TidSet::Bits(a), TidSet::Bits(b)) => Bitmap::and_count(&[a, b]),
+            (TidSet::Bits(m), TidSet::Tids(t)) | (TidSet::Tids(t), TidSet::Bits(m)) => {
+                m.and_tids_count(t)
+            }
+            (TidSet::Tids(a), TidSet::Tids(b)) => intersect_size(a, b),
+        }
+    }
+
+    /// `self ∩ other`, materialized into `out`: a word-wise AND when both
+    /// are bitmaps, otherwise a tid-list. `None` when it is empty.
+    fn and_into<'s>(self, other: TidSet<'_>, out: &'s mut Scratch) -> Option<TidSet<'s>> {
+        match (self, other) {
+            (TidSet::Bits(a), TidSet::Bits(b)) => {
+                out.bits.assign_and(a, b).then_some(TidSet::Bits(&out.bits))
+            }
+            (TidSet::Bits(m), TidSet::Tids(t)) | (TidSet::Tids(t), TidSet::Bits(m)) => {
+                m.filter_tids_into(t, &mut out.tids);
+                (!out.tids.is_empty()).then_some(TidSet::Tids(&out.tids))
+            }
+            (TidSet::Tids(a), TidSet::Tids(b)) => {
+                intersect_into(a, b, &mut out.tids);
+                (!out.tids.is_empty()).then_some(TidSet::Tids(&out.tids))
+            }
+        }
+    }
+}
+
+/// One depth's materialization targets in [`BitsetCounter::co_occurring`].
+#[derive(Debug, Default)]
+struct Scratch {
+    bits: Bitmap,
+    tids: Vec<u32>,
 }
 
 /// The support-counting kernel: hybrid dense-bitmap / sparse-tid-list
@@ -195,11 +284,17 @@ impl Bitmap {
 /// [`Self::count_batch`] shards a batch over scoped workers at prefix-group
 /// boundaries ([`crate::exec::map_group_chunks`]), so counts and
 /// [`CounterStats`] are bit-identical at every thread count.
+///
+/// [`Self::co_occurring`] enumerates combinations depth-first instead: it
+/// extends one running intersection a slot at a time, in the same two
+/// representations, and gets every combination's support on the way.
 pub struct BitsetCounter<'v> {
     view: &'v MultiLevelView,
     /// Bitmaps per level (index `h-1`), for dense items only.
     bitmaps: Vec<HashMap<NodeId, Bitmap>>,
     stats: CounterStats,
+    /// Per-depth buffers of [`Self::co_occurring`], reused across calls.
+    scratch: Vec<Scratch>,
 }
 
 impl<'v> BitsetCounter<'v> {
@@ -233,6 +328,7 @@ impl<'v> BitsetCounter<'v> {
             view,
             bitmaps,
             stats: CounterStats::default(),
+            scratch: Vec::new(),
         }
     }
 
@@ -256,9 +352,64 @@ impl<'v> BitsetCounter<'v> {
         self.view.level(h).present_items()
     }
 
-    /// Work statistics accumulated by [`Self::count_batch`] so far.
+    /// Work statistics accumulated by [`Self::count_batch`] and
+    /// [`Self::co_occurring`] so far.
     pub fn stats(&self) -> CounterStats {
         self.stats
+    }
+
+    /// Every combination of one level-`h` item per slot whose items
+    /// co-occur in at least one transaction, passed to `emit` as a sorted
+    /// itemset together with its support. Items must be distinct across
+    /// slots.
+    ///
+    /// The combinations are enumerated depth-first, sparsest slot first,
+    /// and the running intersection of the items chosen so far grows one
+    /// slot at a time into a per-depth buffer: a word-wise AND while it and
+    /// the next item are both bitmaps, a bitmap filter or list intersection
+    /// once either is a tid-list. A branch stops as soon as its
+    /// intersection is empty, and the last slot is only counted, never
+    /// materialized. Each AND, filter or intersection is charged to
+    /// [`CounterStats::intersections`]; nothing is charged to
+    /// `candidates_counted`.
+    pub fn co_occurring(
+        &mut self,
+        h: usize,
+        slots: &[&[NodeId]],
+        mut emit: impl FnMut(&[NodeId], u64),
+    ) {
+        let Self {
+            view,
+            bitmaps,
+            stats,
+            scratch,
+        } = self;
+        if slots.iter().any(|slot| slot.is_empty()) {
+            return;
+        }
+        if scratch.len() < slots.len() {
+            scratch.resize_with(slots.len(), Scratch::default);
+        }
+        let level = Level {
+            view: view.level(h),
+            maps: &bitmaps[h - 1],
+        };
+        // The sparsest slot first: its intersections shrink fastest, so
+        // more branches die before the leaf.
+        let mut order = slots.to_vec();
+        order.sort_by_key(|slot| {
+            slot.iter()
+                .map(|&item| level.view.item_support(item))
+                .sum::<u64>()
+        });
+        let mut walk = Walk {
+            path: Vec::with_capacity(slots.len()),
+            sorted: Vec::with_capacity(slots.len()),
+            intersections: 0,
+            emit: &mut emit,
+        };
+        level.extend(&order, None, scratch, &mut walk);
+        stats.intersections += walk.intersections;
     }
 
     /// Supports of `candidates` (each a sorted itemset of level-`h` nodes),
@@ -292,14 +443,10 @@ impl<'v> BitsetCounter<'v> {
     /// `intersections` charges `k−2` combines per materialized prefix plus
     /// one per member, and `k−1` for a singleton `k ≥ 3` group.
     fn count_shard(&self, h: usize, candidates: &[Itemset]) -> (Vec<u64>, CounterStats) {
-        /// The group's shared prefix, in whichever representation its
-        /// density mix produced.
-        enum Prefix<'a> {
-            Bits(&'a Bitmap),
-            Tids(&'a [u32]),
-        }
-        let lv = self.view.level(h);
-        let maps = &self.bitmaps[h - 1];
+        let level = Level {
+            view: self.view.level(h),
+            maps: &self.bitmaps[h - 1],
+        };
         let mut stats = CounterStats {
             candidates_counted: candidates.len() as u64,
             ..CounterStats::default()
@@ -319,17 +466,18 @@ impl<'v> BitsetCounter<'v> {
             }
             if k == 1 {
                 for i in group {
-                    counts[i] = lv.item_support(candidates[i].items()[0]);
+                    counts[i] = level.view.item_support(candidates[i].items()[0]);
                 }
                 continue;
             }
             dense.clear();
             sparse.clear();
+            let mut partition = |it: NodeId| match level.set(it) {
+                TidSet::Bits(m) => dense.push(m),
+                TidSet::Tids(t) => sparse.push(t),
+            };
             for &it in &items[..k - 1] {
-                match maps.get(&it) {
-                    Some(m) => dense.push(m),
-                    None => sparse.push(lv.tidset(it)),
-                }
+                partition(it);
             }
             // A singleton k ≥ 3 group has nothing to reuse: skip the prefix
             // materialization (a scratch-bitmap copy / filtered list would
@@ -338,11 +486,7 @@ impl<'v> BitsetCounter<'v> {
             // charge, zero reuses — stats stay group-structure-invariant.
             if k >= 3 && group.len() == 1 {
                 stats.intersections += (k - 1) as u64;
-                let last = items[k - 1];
-                match maps.get(&last) {
-                    Some(m) => dense.push(m),
-                    None => sparse.push(lv.tidset(last)),
-                }
+                partition(items[k - 1]);
                 counts[group.start] = match (dense.is_empty(), sparse.is_empty()) {
                     (true, _) => intersect_size_many(&sparse),
                     (false, true) => Bitmap::and_count(&dense),
@@ -361,10 +505,7 @@ impl<'v> BitsetCounter<'v> {
                 continue;
             }
             let prefix = if k == 2 {
-                match maps.get(&items[0]) {
-                    Some(m) => Prefix::Bits(m),
-                    None => Prefix::Tids(lv.tidset(items[0])),
-                }
+                level.set(items[0])
             } else {
                 stats.prefix_reuses += (group.len() - 1) as u64;
                 stats.intersections += (k - 2) as u64;
@@ -373,7 +514,7 @@ impl<'v> BitsetCounter<'v> {
                     for m in &dense[1..] {
                         prefix_bm.and_assign(m);
                     }
-                    Prefix::Bits(&prefix_bm)
+                    TidSet::Bits(&prefix_bm)
                 } else {
                     // Filter the smallest sparse list through everything.
                     sparse.sort_by_key(|s| s.len());
@@ -383,30 +524,111 @@ impl<'v> BitsetCounter<'v> {
                         dense.iter().all(|m| m.get(t as usize))
                             && sparse[1..].iter().all(|s| s.binary_search(&t).is_ok())
                     }));
-                    Prefix::Tids(&prefix_tids)
+                    TidSet::Tids(&prefix_tids)
                 }
             };
             for i in group {
                 stats.intersections += 1;
-                let last = candidates[i].items()[k - 1];
-                counts[i] = match (&prefix, maps.get(&last)) {
-                    (Prefix::Bits(p), Some(m)) => Bitmap::and_count(&[p, m]),
-                    (Prefix::Bits(p), None) => p.and_tids_count(lv.tidset(last)),
-                    (Prefix::Tids(p), Some(m)) => m.and_tids_count(p),
-                    (Prefix::Tids(p), None) => intersect_size(p, lv.tidset(last)),
-                };
+                counts[i] = prefix.and_count(level.set(candidates[i].items()[k - 1]));
             }
         }
         (counts, stats)
     }
 }
 
+/// One level's items as the kernel reads them.
+#[derive(Clone, Copy)]
+struct Level<'a> {
+    view: &'a LevelView,
+    /// The level's dense items' bitmaps.
+    maps: &'a HashMap<NodeId, Bitmap>,
+}
+
+impl<'a> Level<'a> {
+    /// `item`'s transactions: its bitmap when dense, its tid-list otherwise.
+    fn set(self, item: NodeId) -> TidSet<'a> {
+        match self.maps.get(&item) {
+            Some(m) => TidSet::Bits(m),
+            None => TidSet::Tids(self.view.tidset(item)),
+        }
+    }
+
+    /// One depth of [`BitsetCounter::co_occurring`]: extend `acc`, the
+    /// intersection of the items chosen so far (`None` before the first
+    /// slot), by each item of `slots[0]`, writing into `scratch[0]`.
+    fn extend<F: FnMut(&[NodeId], u64)>(
+        self,
+        slots: &[&[NodeId]],
+        acc: Option<TidSet<'_>>,
+        scratch: &mut [Scratch],
+        walk: &mut Walk<'_, F>,
+    ) {
+        let (Some((&slot, deeper)), Some((out, scratch))) =
+            (slots.split_first(), scratch.split_first_mut())
+        else {
+            return;
+        };
+        for &item in slot {
+            let set = self.set(item);
+            walk.path.push(item);
+            match acc {
+                // The first slot: the item's own transactions.
+                None => {
+                    let n = self.view.item_support(item);
+                    if n > 0 && deeper.is_empty() {
+                        walk.found(n);
+                    } else if n > 0 {
+                        self.extend(deeper, Some(set), scratch, walk);
+                    }
+                }
+                Some(acc) => {
+                    walk.intersections += 1;
+                    if deeper.is_empty() {
+                        let n = acc.and_count(set);
+                        if n > 0 {
+                            walk.found(n);
+                        }
+                    } else if let Some(next) = acc.and_into(set, out) {
+                        self.extend(deeper, Some(next), scratch, walk);
+                    }
+                }
+            }
+            walk.path.pop();
+        }
+    }
+}
+
+/// The state of one [`BitsetCounter::co_occurring`] enumeration.
+struct Walk<'e, F> {
+    /// The items chosen so far, in visiting order.
+    path: Vec<NodeId>,
+    /// `path` sorted, as handed to `emit`.
+    sorted: Vec<NodeId>,
+    intersections: u64,
+    emit: &'e mut F,
+}
+
+impl<F: FnMut(&[NodeId], u64)> Walk<'_, F> {
+    /// Hand the current path to `emit` with its support.
+    fn found(&mut self, support: u64) {
+        self.sorted.clear();
+        self.sorted.extend_from_slice(&self.path);
+        self.sorted.sort_unstable();
+        (self.emit)(&self.sorted, support);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counting::naive_tidset_counts;
     use crate::rng::{Rng, Xoshiro256pp};
     use crate::transaction::TransactionDb;
     use flipper_taxonomy::Taxonomy;
+
+    /// The kernel's three storage mixes: all-bitmap, the default mixed
+    /// threshold, all-tid-list.
+    const DENSITIES: [f64; 3] = [0.0, BitsetCounter::DEFAULT_DENSITY, 2.0];
 
     #[test]
     fn bitmap_basics() {
@@ -454,6 +676,139 @@ mod tests {
         let a = Bitmap::from_tids(&[1, 2, 3, 70], 100);
         assert_eq!(a.and_tids_count(&[2, 50, 70]), 2);
         assert_eq!(a.and_tids_count(&[]), 0);
+    }
+
+    #[test]
+    fn materialized_and_and_filter_match_counts() {
+        let a = Bitmap::from_tids(&[1, 2, 3, 70, 99], 100);
+        let b = Bitmap::from_tids(&[2, 3, 70], 100);
+        let mut out = Bitmap::default();
+        assert!(out.assign_and(&a, &b));
+        assert_eq!(out, Bitmap::from_tids(&[2, 3, 70], 100));
+        assert!(!out.assign_and(&a, &Bitmap::from_tids(&[0, 50], 100)));
+        assert_eq!(out.count_ones(), 0);
+        let mut tids = vec![7];
+        a.filter_tids_into(&[0, 2, 50, 70, 99], &mut tids);
+        assert_eq!(tids, vec![2, 70, 99]);
+    }
+
+    /// Every combination of one item per slot with its naive support, kept
+    /// when that support is positive; ascending.
+    fn brute_co_occurring(
+        view: &MultiLevelView,
+        h: usize,
+        slots: &[&[NodeId]],
+    ) -> Vec<(Itemset, u64)> {
+        let mut combos: Vec<Vec<NodeId>> = vec![Vec::new()];
+        for slot in slots {
+            combos = combos
+                .iter()
+                .flat_map(|c| {
+                    slot.iter().map(move |&x| {
+                        let mut c = c.clone();
+                        c.push(x);
+                        c
+                    })
+                })
+                .collect();
+        }
+        let sets: Vec<Itemset> = combos.into_iter().map(Itemset::new).collect();
+        let counts = naive_tidset_counts(view, h, &sets);
+        let mut out: Vec<(Itemset, u64)> = sets
+            .into_iter()
+            .zip(counts)
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// What `co_occurring` emits, ascending.
+    fn co_occurring(
+        c: &mut BitsetCounter<'_>,
+        h: usize,
+        slots: &[&[NodeId]],
+    ) -> Vec<(Itemset, u64)> {
+        let mut out = Vec::new();
+        c.co_occurring(h, slots, |combo, n| {
+            assert!(combo.windows(2).all(|w| w[0] < w[1]), "sorted");
+            out.push((Itemset::from_sorted(combo.to_vec()), n));
+        });
+        out.sort_unstable();
+        out
+    }
+
+    /// The DFS against brute-force enumeration on skewed random views, at
+    /// every storage mix (all-bitmap, mixed, all-tid-list) and 1–4 slots:
+    /// exactly the combinations with positive support, each once, with
+    /// their exact supports.
+    #[test]
+    fn co_occurring_matches_brute_force_at_every_density() {
+        let tax = Taxonomy::uniform(4, 4, 2).unwrap();
+        let leaves = tax.leaves().to_vec();
+        for seed in 0..6u64 {
+            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            // Low leaf indices are common, high ones rare: a mixed view.
+            let rows: Vec<Vec<NodeId>> = (0..400)
+                .map(|_| {
+                    let w = rng.gen_range(1..=5);
+                    (0..w)
+                        .map(|_| {
+                            let i = rng.gen_range(0..leaves.len());
+                            leaves[i.min(rng.gen_range(0..leaves.len()))]
+                        })
+                        .collect()
+                })
+                .collect();
+            let db = TransactionDb::new(rows).unwrap();
+            let view = MultiLevelView::build(&db, &tax);
+            let mixed = BitsetCounter::new(&view).dense_items(2);
+            assert!(mixed > 0 && mixed < view.level(2).present_items().len());
+            for n_slots in 1..=4usize {
+                // Disjoint random slots of 1–3 items each.
+                let mut pool = leaves.clone();
+                for i in (1..pool.len()).rev() {
+                    pool.swap(i, rng.gen_range(0..=i));
+                }
+                let mut slots: Vec<&[NodeId]> = Vec::new();
+                let mut rest = pool.as_slice();
+                for _ in 0..n_slots {
+                    let (slot, tail) = rest.split_at(rng.gen_range(1..=3));
+                    slots.push(slot);
+                    rest = tail;
+                }
+                let expect = brute_co_occurring(&view, 2, &slots);
+                for density in DENSITIES {
+                    let mut c = BitsetCounter::with_density(&view, density);
+                    let got = co_occurring(&mut c, 2, &slots);
+                    assert_eq!(got, expect, "seed {seed} slots {n_slots} density {density}");
+                    assert_eq!(c.stats().candidates_counted, 0);
+                }
+            }
+        }
+    }
+
+    /// A slot with no items, and items that never co-occur, emit nothing.
+    #[test]
+    fn co_occurring_emits_nothing_without_co_occurrence() {
+        let tax = Taxonomy::uniform(2, 2, 2).unwrap();
+        let tops = tax.nodes_at_level(1).unwrap().to_vec();
+        let (x1, x2) = (tax.children(tops[0])[0], tax.children(tops[0])[1]);
+        let (y1, y2) = (tax.children(tops[1])[0], tax.children(tops[1])[1]);
+        let db = TransactionDb::new(vec![vec![x1, y1], vec![x2], vec![y2], vec![x1, y1]]).unwrap();
+        let view = MultiLevelView::build(&db, &tax);
+        for density in DENSITIES {
+            let mut c = BitsetCounter::with_density(&view, density);
+            assert_eq!(
+                co_occurring(&mut c, 2, &[&[x1, x2], &[y1, y2]]),
+                vec![(Itemset::pair(x1, y1), 2)]
+            );
+            assert_eq!(c.stats().intersections, 4, "one count per pair");
+            assert!(co_occurring(&mut c, 2, &[&[x2], &[y2]]).is_empty());
+            assert!(co_occurring(&mut c, 2, &[&[x1, x2], &[]]).is_empty());
+            assert!(co_occurring(&mut c, 2, &[&[], &[y1]]).is_empty());
+            assert_eq!(c.stats().intersections, 5, "an empty slot costs nothing");
+        }
     }
 
     fn random_setup(seed: u64) -> (Taxonomy, TransactionDb) {

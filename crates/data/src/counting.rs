@@ -29,11 +29,16 @@ use std::ops::Range;
 /// hardware-independent costs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CounterStats {
-    /// Number of pairwise tid-list/bitmap intersection operations charged.
-    /// With prefix groups this is *less* than the naive `Σ (k−1)` per
-    /// candidate — the gap is the work the shared prefixes saved.
+    /// Number of pairwise tid-list/bitmap intersection operations charged:
+    /// by batch counting, and by the depth-first enumeration of
+    /// [`crate::BitsetCounter::co_occurring`] (one per AND, bitmap filter
+    /// or list intersection it runs). With prefix groups batch counting
+    /// charges *less* than the naive `Σ (k−1)` per candidate — the gap is
+    /// the work the shared prefixes saved.
     pub intersections: u64,
-    /// Total candidates counted.
+    /// Total candidates counted by batch counting. Combinations the
+    /// depth-first enumeration hands out with their supports are not
+    /// included.
     pub candidates_counted: u64,
     /// Candidates answered from a shared `(k−1)`-prefix intersection
     /// (members of a `k ≥ 3` prefix group beyond its first). Shard-invariant

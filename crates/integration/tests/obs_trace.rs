@@ -7,8 +7,8 @@
 //! concurrently.
 
 use flipper_api::{
-    FlipperConfig, Generator, JsonWriter, MinSupports, PlantedParams, ResultSink, Session,
-    Thresholds,
+    FlipperConfig, Generator, JsonWriter, MinSupports, PlantedParams, PruningConfig, ResultSink,
+    Session, Thresholds,
 };
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -121,6 +121,55 @@ fn traced_mine_emits_valid_covering_trace() {
     ] {
         assert!(metrics.contains(metric), "missing metric {metric}");
     }
+}
+
+/// Candidate provenance per cell: every `mine.gen` span says how many
+/// candidates each source produced and how many supports the vertical DFS
+/// fused in. A FULL mine fuses some below level 1; BASIC never does.
+#[test]
+fn gen_spans_record_candidate_provenance() {
+    let _guard = recorder_lock();
+    let session = planted_session();
+    let gen_args = |pruning: PruningConfig| {
+        flipper_obs::disable();
+        let _ = flipper_obs::drain();
+        flipper_obs::enable();
+        let cfg = FlipperConfig {
+            pruning,
+            ..config(1)
+        };
+        session.mine(&cfg).expect("mine succeeds");
+        let capture = flipper_obs::drain();
+        flipper_obs::disable();
+        let arg = |e: &flipper_obs::SpanEvent, key: &str| {
+            e.args
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|&(_, v)| v)
+                .unwrap_or_else(|| panic!("mine.gen span without `{key}`"))
+        };
+        let rows: Vec<[u64; 5]> = capture
+            .events
+            .iter()
+            .filter(|e| e.name == "mine.gen")
+            .map(|e| ["h", "pairs", "horizontal", "vertical", "fused"].map(|key| arg(e, key)))
+            .collect();
+        assert!(!rows.is_empty(), "no mine.gen spans ({})", pruning.name());
+        rows
+    };
+    let full = gen_args(PruningConfig::FULL);
+    assert!(
+        full.iter().any(|&[h, .., fused]| h >= 2 && fused > 0),
+        "FULL fused no supports: {full:?}"
+    );
+    assert!(full.iter().all(|&[h, .., fused]| h >= 2 || fused == 0));
+    let basic = gen_args(PruningConfig::BASIC);
+    assert!(
+        basic
+            .iter()
+            .all(|&[_, _, _, vertical, fused]| vertical == 0 && fused == 0),
+        "BASIC has no vertical source: {basic:?}"
+    );
 }
 
 /// Span nesting across shard boundaries: spans opened inside exec worker
