@@ -1062,7 +1062,7 @@ mod tests {
     fn trace_and_timings_do_not_change_results() {
         let dir = std::env::temp_dir().join(format!("flipper-cli-trace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("planted.txt").to_string_lossy().to_string();
+        let path = dir.join("planted.fbin").to_string_lossy().to_string();
         let base_json = dir.join("base.json").to_string_lossy().to_string();
         let traced_json = dir.join("traced.json").to_string_lossy().to_string();
         let trace = dir.join("t.json").to_string_lossy().to_string();
@@ -1093,6 +1093,8 @@ mod tests {
         for name in [
             "session.ingest",
             "view.build",
+            "store.decode",
+            "store.chunk",
             "mine.run",
             "mine.cell",
             "mine.count",

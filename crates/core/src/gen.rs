@@ -572,15 +572,19 @@ mod tests {
                 "k={k}: fused supports are exact"
             );
             // Brute force: per parent and covering transaction, the product
-            // of each slot's frequent children in that transaction.
+            // of each slot's frequent children in that transaction. Level 3
+            // is the leaf level, so the rows are the database's own; a
+            // parent covers a row when one of its leaves sits under it.
             let mut expect = BTreeSet::new();
             for p in &parents {
-                for t in 0..view.num_transactions() {
-                    let txn2 = view.level(2).transaction(t);
-                    if !p.items().iter().all(|x| txn2.binary_search(x).is_ok()) {
+                for txn3 in db.iter() {
+                    let covers = |x: &NodeId| {
+                        txn3.iter()
+                            .any(|&l| tax.ancestor_at_level(l, 2).unwrap() == *x)
+                    };
+                    if !p.items().iter().all(covers) {
                         continue;
                     }
-                    let txn3 = view.level(3).transaction(t);
                     let mut combos: Vec<Vec<NodeId>> = vec![Vec::new()];
                     for &par in p.items() {
                         let slot: Vec<NodeId> = txn3

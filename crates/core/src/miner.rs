@@ -248,11 +248,7 @@ impl<'a> Miner<'a> {
         // Column bound: distinct level-1 categories, the widest transaction,
         // and the configured cap.
         let cats = tax.nodes_at_level(1).map(|v| v.len()).unwrap_or(0);
-        let max_width = (0..view.num_transactions())
-            .map(|i| view.level(height).transaction(i).len())
-            .max()
-            .unwrap_or(0);
-        let mut k_cap = cats.min(max_width);
+        let mut k_cap = cats.min(view.max_width());
         if let Some(mk) = cfg.max_k {
             k_cap = k_cap.min(mk);
         }

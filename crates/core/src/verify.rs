@@ -10,7 +10,7 @@
 
 use crate::config::FlipperConfig;
 use crate::results::{ChainLevel, FlippingPattern};
-use flipper_data::{exec, Itemset, MultiLevelView, TransactionDb};
+use flipper_data::{exec, Itemset, TransactionDb};
 use flipper_measures::CorrelationMeasure;
 use flipper_taxonomy::{NodeId, Taxonomy};
 
@@ -27,11 +27,40 @@ pub fn brute_force(
     if height < 2 {
         return Vec::new();
     }
-    let view = MultiLevelView::build(db, tax);
+    // The verifier projects the rows itself rather than reading a
+    // `MultiLevelView`, so it stays independent of the code it checks.
+    // `projected[h - 1]` holds every transaction at level `h`, sorted and
+    // deduplicated; `item_sups[h - 1]` the support of every node there.
+    let projected: Vec<Vec<Vec<NodeId>>> = (1..=height)
+        .map(|h| {
+            db.iter()
+                .map(|txn| {
+                    let mut row: Vec<NodeId> = txn
+                        .iter()
+                        // lint:allow(panic-hygiene) callers pass a database validated against `tax`: every item is a leaf with ancestors at every level
+                        .map(|&it| tax.ancestor_at_level(it, h).expect("leaf"))
+                        .collect();
+                    row.sort_unstable();
+                    row.dedup();
+                    row
+                })
+                .collect()
+        })
+        .collect();
+    let item_sups: Vec<Vec<u64>> = projected
+        .iter()
+        .map(|rows| {
+            let mut sup = vec![0u64; tax.node_count()];
+            for &it in rows.iter().flatten() {
+                sup[it.index()] += 1;
+            }
+            sup
+        })
+        .collect();
     let thetas = cfg.min_support.resolve(db.len() as u64, height);
 
     // Leaf items actually present, and the column bound.
-    let leaves: Vec<NodeId> = view.level(height).present_items().to_vec();
+    let leaves: Vec<NodeId> = db.distinct_items();
     // lint:allow(panic-hygiene) height ≥ 2 was checked above, so level 1 exists
     let cats = tax.nodes_at_level(1).expect("level 1 exists").len();
     let max_width = db.max_width();
@@ -88,13 +117,16 @@ pub fn brute_force(
         for h in 1..=height {
             // lint:allow(panic-hygiene) leaves sit at the bottom level, so every ancestor level exists
             let gen = set.map(|it| tax.ancestor_at_level(it, h).expect("leaf"));
-            let lv = view.level(h);
-            let sup = count_support(lv.transactions(), &gen);
+            let sup = count_support(&projected[h - 1], &gen);
             if sup < thetas[h - 1] {
                 return;
             }
-            let item_sups: Vec<u64> = gen.items().iter().map(|&it| lv.item_support(it)).collect();
-            let corr = cfg.measure.value(sup, &item_sups);
+            let sups: Vec<u64> = gen
+                .items()
+                .iter()
+                .map(|&it| item_sups[h - 1][it.index()])
+                .collect();
+            let corr = cfg.measure.value(sup, &sups);
             let label = cfg.thresholds.label_frequent(corr);
             if !label.is_correlated() {
                 return;
@@ -149,11 +181,9 @@ pub fn brute_force(
     patterns
 }
 
-fn count_support<'a, I>(txns: I, set: &Itemset) -> u64
-where
-    I: Iterator<Item = &'a [NodeId]>,
-{
-    txns.filter(|t| set.items().iter().all(|it| t.contains(it)))
+fn count_support(txns: &[Vec<NodeId>], set: &Itemset) -> u64 {
+    txns.iter()
+        .filter(|t| set.items().iter().all(|it| t.contains(it)))
         .count() as u64
 }
 

@@ -16,7 +16,6 @@ use crate::itemset::Itemset;
 use crate::projection::{LevelView, MultiLevelView};
 use crate::tidset::{intersect_into, intersect_size, intersect_size_many};
 use flipper_taxonomy::NodeId;
-use std::collections::HashMap;
 
 /// A fixed-width packed bitmap over transaction ids.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -290,8 +289,9 @@ struct Scratch {
 /// representations, and gets every combination's support on the way.
 pub struct BitsetCounter<'v> {
     view: &'v MultiLevelView,
-    /// Bitmaps per level (index `h-1`), for dense items only.
-    bitmaps: Vec<HashMap<NodeId, Bitmap>>,
+    /// Bitmaps per level (index `h-1`) and node id; `Some` for dense items
+    /// only.
+    bitmaps: Vec<Vec<Option<Bitmap>>>,
     stats: CounterStats,
     /// Per-depth buffers of [`Self::co_occurring`], reused across calls.
     scratch: Vec<Scratch>,
@@ -317,11 +317,13 @@ impl<'v> BitsetCounter<'v> {
         let bitmaps = (1..=view.height())
             .map(|h| {
                 let lv = view.level(h);
-                lv.present_items()
-                    .iter()
-                    .filter(|&&item| lv.item_support(item) >= cutoff)
-                    .map(|&item| (item, Bitmap::from_tids(lv.tidset(item), n)))
-                    .collect()
+                let mut maps = vec![None; lv.present_items().last().map_or(0, |m| m.index() + 1)];
+                for &item in lv.present_items() {
+                    if lv.item_support(item) >= cutoff {
+                        maps[item.index()] = Some(Bitmap::from_tids(lv.tidset(item), n));
+                    }
+                }
+                maps
             })
             .collect();
         BitsetCounter {
@@ -334,7 +336,7 @@ impl<'v> BitsetCounter<'v> {
 
     /// How many items are bitmap-backed at level `h` (diagnostics).
     pub fn dense_items(&self, h: usize) -> usize {
-        self.bitmaps[h - 1].len()
+        self.bitmaps[h - 1].iter().flatten().count()
     }
 
     /// Number of transactions `N` (identical at every level).
@@ -540,16 +542,16 @@ impl<'v> BitsetCounter<'v> {
 #[derive(Clone, Copy)]
 struct Level<'a> {
     view: &'a LevelView,
-    /// The level's dense items' bitmaps.
-    maps: &'a HashMap<NodeId, Bitmap>,
+    /// The level's dense items' bitmaps, by node id.
+    maps: &'a [Option<Bitmap>],
 }
 
 impl<'a> Level<'a> {
     /// `item`'s transactions: its bitmap when dense, its tid-list otherwise.
     fn set(self, item: NodeId) -> TidSet<'a> {
-        match self.maps.get(&item) {
-            Some(m) => TidSet::Bits(m),
-            None => TidSet::Tids(self.view.tidset(item)),
+        match self.maps.get(item.index()) {
+            Some(Some(m)) => TidSet::Bits(m),
+            _ => TidSet::Tids(self.view.tidset(item)),
         }
     }
 

@@ -480,10 +480,16 @@ mod tests {
                 for density in DENSITIES {
                     let got = BitsetCounter::with_density(&view, density).count_batch(h, &cands, 1);
                     for (c, &sup) in cands.iter().zip(&got) {
-                        let reference = view
-                            .level(h)
-                            .transactions()
-                            .filter(|txn| c.items().iter().all(|it| txn.contains(it)))
+                        // A row supports `c` when every item of `c` is
+                        // the level-`h` ancestor of one of its leaves.
+                        let reference = db
+                            .iter()
+                            .filter(|txn| {
+                                c.items().iter().all(|&it| {
+                                    txn.iter()
+                                        .any(|&l| tax.ancestor_at_level(l, h).unwrap() == it)
+                                })
+                            })
                             .count() as u64;
                         assert_eq!(sup, reference, "level {h} density {density} {c}");
                     }

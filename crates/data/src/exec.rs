@@ -120,26 +120,27 @@ pub fn chunk_ranges(n: usize, chunks: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Run `f` over the given ranges and return one result per range, **in
-/// range order**. The first range runs on the calling thread while the
-/// remaining ranges each get a scoped worker.
-fn run_ranges<R, F>(mut ranges: Vec<Range<usize>>, f: F) -> Vec<R>
+/// Run `f` over the given parts and return one result per part, **in
+/// part order**. The first part runs on the calling thread while the
+/// remaining parts each get a scoped worker.
+fn run_parts<W, R, F>(mut parts: Vec<W>, f: F) -> Vec<R>
 where
+    W: Send,
     R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
+    F: Fn(W) -> R + Sync,
 {
-    if ranges.len() <= 1 {
-        return ranges
+    if parts.len() <= 1 {
+        return parts
             .into_iter()
             .map(|r| traced_chunk(0, 0, || f(r)))
             .collect();
     }
-    let first = ranges.remove(0);
+    let first = parts.remove(0);
     let f = &f;
     let plan = &flipper_guard::fault::current_plan();
     let results = std::thread::scope(|s| {
         let spawn_stamp = flipper_obs::stamp();
-        let handles: Vec<_> = ranges
+        let handles: Vec<_> = parts
             .into_iter()
             .enumerate()
             .map(|(i, r)| {
@@ -179,7 +180,7 @@ where
     F: Fn(Range<usize>) -> R + Sync,
 {
     let threads = effective_threads(threads);
-    run_ranges(chunk_ranges(n, threads), f)
+    run_parts(chunk_ranges(n, threads), f)
 }
 
 /// Split `0..n` into at most `chunks` contiguous ranges like
@@ -237,7 +238,7 @@ where
     let ranges = group_chunk_ranges(items.len(), threads, |a, b| {
         same_group(&items[a], &items[b])
     });
-    run_ranges(ranges, |r| f(&items[r]))
+    run_parts(ranges, |r| f(&items[r]))
 }
 
 /// Fallible chunk mapping: shard `items` like [`map_slice_chunks`] but let
@@ -273,9 +274,46 @@ where
     map_chunks(threads, items.len(), |r| f(&items[r]))
 }
 
+/// Shard a mutable slice into contiguous chunks, like [`map_chunks`], and
+/// run `f` over each chunk in place. Chunks are disjoint, so the outcome
+/// does not depend on the thread count as long as `f` treats each element
+/// on its own.
+///
+/// # Panics
+/// Propagates panics from worker threads.
+pub fn for_each_chunk_mut<T, F>(threads: usize, items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(&mut [T]) + Sync,
+{
+    let mut parts = Vec::new();
+    let mut rest = items;
+    for r in chunk_ranges(rest.len(), effective_threads(threads)) {
+        let (part, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
+        parts.push(part);
+        rest = tail;
+    }
+    run_parts(parts, f);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn for_each_chunk_mut_touches_every_element_once() {
+        for threads in [1usize, 2, 3, 8] {
+            for n in [0usize, 1, 5, 17] {
+                let mut v: Vec<usize> = (0..n).collect();
+                for_each_chunk_mut(threads, &mut v, |part| {
+                    for x in part {
+                        *x *= 2;
+                    }
+                });
+                assert_eq!(v, (0..n).map(|x| x * 2).collect::<Vec<_>>(), "t={threads}");
+            }
+        }
+    }
 
     #[test]
     fn chunk_ranges_cover_exactly() {

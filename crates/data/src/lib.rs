@@ -10,8 +10,10 @@
 //!
 //! * [`Itemset`] — canonical sorted itemsets with Apriori joins;
 //! * [`TransactionDb`] — validated, canonicalized transactions over leaves;
+//!   [`RowChunk`] — a chunk of rows stored flat, as the FBIN reader decodes
+//!   them;
 //! * [`MultiLevelView`] — the database projected to every abstraction level,
-//!   with per-item supports and tid-lists;
+//!   as per-item supports and tid-lists;
 //! * [`BitsetCounter`] — the support-counting kernel: hybrid
 //!   bitmap/tid-list prefix-group counting of sorted candidate batches;
 //! * [`mod@exec`] — dependency-free scoped-thread sharding;
@@ -60,4 +62,4 @@ pub use counting::{
 };
 pub use itemset::Itemset;
 pub use projection::{LevelView, MultiLevelView, MultiLevelViewBuilder};
-pub use transaction::{DataError, TransactionDb};
+pub use transaction::{DataError, RowChunk, TransactionDb};

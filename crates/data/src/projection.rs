@@ -2,11 +2,12 @@
 //!
 //! An `(h, k)`-itemset is evaluated against the database in which every item
 //! has been replaced by its level-`h` generalization (paper §2.2, Fig. 4).
-//! [`MultiLevelView`] materializes that projection once per level, together
-//! with per-item supports and tid-lists, so the miner can evaluate any cell
-//! of the search table without touching the raw data again.
+//! [`MultiLevelView`] holds what the miner reads of that projection at each
+//! level — per-item supports and sorted tid-lists (Zaki's vertical layout) —
+//! and never the projected rows themselves, so the miner can evaluate any
+//! cell of the search table without touching the raw data again.
 
-use crate::transaction::TransactionDb;
+use crate::transaction::{RowChunk, TransactionDb};
 use crate::{exec, DataError};
 use flipper_taxonomy::{NodeId, Taxonomy};
 
@@ -15,47 +16,18 @@ use flipper_taxonomy::{NodeId, Taxonomy};
 pub struct LevelView {
     /// The abstraction level (1 = most general, `H` = leaves).
     pub level: usize,
-    /// Projected transactions: items replaced by level-`level` ancestors,
-    /// re-sorted and deduplicated (generalization can merge siblings).
-    txns: Vec<Vec<NodeId>>,
-    /// Support of each node present at this level (indexed by node id;
-    /// absent nodes have support 0).
-    item_support: Vec<u64>,
-    /// Sorted transaction-id list per node id (empty for absent nodes).
+    /// Sorted transaction-id list per node id (empty for absent nodes); a
+    /// node's support is the length of its list.
     tidsets: Vec<Vec<u32>>,
     /// Nodes with non-zero support at this level, ascending by id.
     present: Vec<NodeId>,
 }
 
 impl LevelView {
-    /// Projected transactions at this level.
-    pub fn transactions(&self) -> impl Iterator<Item = &[NodeId]> {
-        self.txns.iter().map(Vec::as_slice)
-    }
-
-    /// Projected transaction by index.
-    #[inline]
-    pub fn transaction(&self, idx: usize) -> &[NodeId] {
-        &self.txns[idx]
-    }
-
-    /// Number of transactions (same at every level).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.txns.len()
-    }
-
-    /// Whether the view holds no transactions (never true for views built
-    /// from a valid database).
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.txns.is_empty()
-    }
-
     /// Support of a single node at this level.
     #[inline]
     pub fn item_support(&self, item: NodeId) -> u64 {
-        self.item_support.get(item.index()).copied().unwrap_or(0)
+        self.tidset(item).len() as u64
     }
 
     /// Sorted tid-list of a node (empty slice if absent).
@@ -79,15 +51,14 @@ impl LevelView {
 pub struct MultiLevelView {
     levels: Vec<LevelView>, // levels[h-1] is level h
     num_transactions: usize,
+    max_width: usize,
 }
 
 impl MultiLevelView {
     /// Project `db` through `tax` at every level `1..=height`.
     ///
-    /// The leaf level reuses the transactions as-is; shallower levels map
-    /// each item to its ancestor and deduplicate. Delegates to
-    /// [`MultiLevelViewBuilder`] (one chunk, sequential), so the full-load
-    /// and chunk-streamed paths can never drift apart.
+    /// Delegates to [`MultiLevelViewBuilder`] (one chunk, sequential), so
+    /// the full-load and chunk-streamed paths can never drift apart.
     ///
     /// # Panics
     /// Panics if the database is not valid for `tax` (items that are not
@@ -104,10 +75,10 @@ impl MultiLevelView {
     /// Panics if the database is not valid for `tax` (items that are not
     /// leaves at the taxonomy height).
     pub fn build_with_threads(db: &TransactionDb, tax: &Taxonomy, threads: usize) -> Self {
-        let _span = flipper_obs::span("view.build").arg("rows", db.rows().len() as u64);
+        let _span = flipper_obs::span("view.build").arg("rows", db.len() as u64);
         let mut builder = MultiLevelViewBuilder::new(tax, threads);
         builder
-            .push_chunk(db.rows())
+            .push_chunk(db.iter())
             .expect("TransactionDb rows are canonical leaf itemsets");
         builder.finish().expect("TransactionDb is never empty")
     }
@@ -137,45 +108,126 @@ impl MultiLevelView {
     pub fn num_transactions(&self) -> usize {
         self.num_transactions
     }
+
+    /// Width of the widest transaction (distinct leaf items): the paper's
+    /// bound on the number of columns of the search table.
+    #[inline]
+    pub fn max_width(&self) -> usize {
+        self.max_width
+    }
+}
+
+/// The most transactions a view can hold. Tids are `u32`, and `u32::MAX`
+/// itself is the builder's "no tid yet" mark.
+const MAX_TRANSACTIONS: usize = u32::MAX as usize;
+
+/// One level of a [`MultiLevelViewBuilder`]: the view under construction
+/// plus what committing a row to it needs.
+struct LevelBuild {
+    view: LevelView,
+    /// Every leaf's level-`h` ancestor, indexed by node id (other entries
+    /// are unused).
+    anc: Vec<NodeId>,
+    /// The last tid pushed to each node's tid-list, indexed by node id
+    /// (`u32::MAX` = none): a row that maps two leaves to one ancestor
+    /// counts it once.
+    last: Vec<u32>,
+}
+
+impl LevelBuild {
+    /// Append the rows of `chunk` as tids `base..`.
+    fn commit(&mut self, chunk: &RowChunk, base: u32) {
+        for (row, tid) in chunk.rows().zip(base..) {
+            for &item in row {
+                let a = self.anc[item.index()].index();
+                if self.last[a] != tid {
+                    self.last[a] = tid;
+                    self.view.tidsets[a].push(tid);
+                }
+            }
+        }
+    }
 }
 
 /// Incremental, chunk-at-a-time construction of a [`MultiLevelView`] —
 /// the ingestion end of the streaming pipeline.
 ///
 /// Feed transaction chunks (e.g. from an FBIN chunk reader) with
-/// [`MultiLevelViewBuilder::push_chunk`]; each chunk's rows are
-/// canonicalized, validated and projected to every abstraction level with
-/// the projection work sharded over [`mod@crate::exec`] scoped workers, then
-/// appended **in order**. The finished view is bit-identical to
-/// [`MultiLevelView::build`] over the concatenation of all chunks, at every
-/// thread count — so mining a streamed input produces exactly the results of
-/// mining a fully loaded one, without the raw database ever materializing.
-pub struct MultiLevelViewBuilder<'t> {
-    tax: &'t Taxonomy,
+/// [`MultiLevelViewBuilder::push_chunk`]. Each chunk is first canonicalized
+/// and validated into one reused flat buffer, then committed to every
+/// abstraction level through precomputed ancestor tables, with the levels
+/// sharded over [`mod@crate::exec`] scoped workers. Tids are appended **in
+/// order**, and no per-row allocation is made. The finished view is
+/// bit-identical to [`MultiLevelView::build`] over the concatenation of all
+/// chunks, at every thread count — so mining a streamed input produces
+/// exactly the results of mining a fully loaded one, without the raw
+/// database ever materializing.
+pub struct MultiLevelViewBuilder {
     threads: usize,
-    levels: Vec<LevelView>,
+    /// `leaf[i]`: node `i` is a leaf at the taxonomy height, the only items
+    /// a row may hold.
+    leaf: Vec<bool>,
+    levels: Vec<LevelBuild>,
     num_transactions: usize,
+    max_width: usize,
+    /// The current chunk's canonical rows, reused across chunks.
+    rows: RowChunk,
 }
 
-impl<'t> MultiLevelViewBuilder<'t> {
+impl MultiLevelViewBuilder {
     /// Start a builder over `tax`, sharding per-chunk projection over
     /// `threads` workers (`0` = auto-detect, `1` = sequential).
-    pub fn new(tax: &'t Taxonomy, threads: usize) -> Self {
+    pub fn new(tax: &Taxonomy, threads: usize) -> Self {
         let node_count = tax.node_count();
-        let levels = (1..=tax.height())
-            .map(|h| LevelView {
-                level: h,
-                txns: Vec::new(),
-                item_support: vec![0u64; node_count],
-                tidsets: vec![Vec::new(); node_count],
-                present: Vec::new(),
+        let height = tax.height();
+        let leaf = (0..node_count)
+            .map(|i| {
+                let node = NodeId::from_index(i);
+                tax.level_of(node) == height && tax.is_leaf(node)
+            })
+            .collect();
+        let levels = (1..=height)
+            .map(|h| {
+                // Parents precede their children in id order, so one
+                // forward pass resolves every node below level `h`.
+                let mut anc = vec![NodeId::ROOT; node_count];
+                for node in tax.node_ids() {
+                    let level = tax.level_of(node);
+                    if level == h {
+                        anc[node.index()] = node;
+                    } else if level > h {
+                        let parent = tax.parent(node).unwrap_or(NodeId::ROOT);
+                        anc[node.index()] = anc[parent.index()];
+                    }
+                }
+                LevelBuild {
+                    view: LevelView {
+                        level: h,
+                        tidsets: vec![Vec::new(); node_count],
+                        present: Vec::new(),
+                    },
+                    anc,
+                    last: vec![u32::MAX; node_count],
+                }
             })
             .collect();
         MultiLevelViewBuilder {
-            tax,
             threads,
+            leaf,
             levels,
             num_transactions: 0,
+            max_width: 0,
+            rows: RowChunk::new(),
+        }
+    }
+
+    /// A builder that has already ingested `num_transactions` rows (none of
+    /// which touch any tid-list), for exercising the transaction limit.
+    #[cfg(test)]
+    fn starting_at(tax: &Taxonomy, num_transactions: usize) -> Self {
+        MultiLevelViewBuilder {
+            num_transactions,
+            ..Self::new(tax, 1)
         }
     }
 
@@ -189,70 +241,48 @@ impl<'t> MultiLevelViewBuilder<'t> {
     /// [`TransactionDb::new`]).
     ///
     /// # Errors
-    /// Rejects empty rows and items that are not leaves of the taxonomy;
-    /// the reported transaction index is global across all pushed chunks.
-    pub fn push_chunk(&mut self, rows: &[Vec<NodeId>]) -> Result<(), DataError> {
-        let tax = self.tax;
-        let height = tax.height();
+    /// Rejects empty rows, items that are not leaves of the taxonomy, and
+    /// rows past [`DataError::TooManyTransactions`]'s limit; the reported
+    /// transaction index is global across all pushed chunks. A rejected
+    /// chunk leaves the builder exactly as it was.
+    pub fn push_chunk<'r, I>(&mut self, rows: I) -> Result<(), DataError>
+    where
+        I: IntoIterator<Item = &'r [NodeId]>,
+    {
+        // Pass 1: canonicalize and validate every row before any state the
+        // view depends on changes.
         let base = self.num_transactions;
-        // Canonicalize + validate + project, sharded across the chunk. Each
-        // row is independent, and shard results are joined back in chunk
-        // order, so the outcome is identical at every thread count.
-        let shards = exec::map_chunks(self.threads, rows.len(), |range| {
-            let mut out: Vec<Vec<Vec<NodeId>>> = Vec::with_capacity(range.len());
-            for i in range {
-                let mut canonical = rows[i].clone();
-                canonical.sort_unstable();
-                canonical.dedup();
-                if canonical.is_empty() {
-                    return Err(DataError::EmptyTransaction { txn: base + i });
-                }
-                for &item in &canonical {
-                    if item.index() >= tax.node_count()
-                        || tax.level_of(item) != height
-                        || !tax.is_leaf(item)
-                    {
-                        return Err(DataError::NonLeafItem {
-                            txn: base + i,
-                            item,
-                        });
-                    }
-                }
-                let mut per_level: Vec<Vec<NodeId>> = Vec::with_capacity(height);
-                for h in 1..height {
-                    let mut v: Vec<NodeId> = canonical
-                        .iter()
-                        .map(|&it| {
-                            tax.ancestor_at_level(it, h)
-                                .expect("leaf items always have ancestors at every level")
-                        })
-                        .collect();
-                    v.sort_unstable();
-                    v.dedup();
-                    per_level.push(v);
-                }
-                per_level.push(canonical);
-                out.push(per_level);
+        self.rows.clear();
+        let mut max_width = self.max_width;
+        for (i, row) in rows.into_iter().enumerate() {
+            let txn = base + i;
+            if txn >= MAX_TRANSACTIONS {
+                return Err(DataError::TooManyTransactions {
+                    limit: MAX_TRANSACTIONS,
+                });
             }
-            Ok(out)
-        });
-        // Validate every shard before mutating any state: a rejected chunk
-        // must leave the builder exactly as it was (no partially ingested
-        // prefix), so callers can report the error and keep the view usable.
-        let shards = shards.into_iter().collect::<Result<Vec<_>, _>>()?;
-        for shard in shards {
-            for per_level in shard {
-                let tid = self.num_transactions as u32;
-                for (lv, projected) in self.levels.iter_mut().zip(per_level) {
-                    for &it in &projected {
-                        lv.item_support[it.index()] += 1;
-                        lv.tidsets[it.index()].push(tid);
-                    }
-                    lv.txns.push(projected);
-                }
-                self.num_transactions += 1;
+            let row = self.rows.push_canonical(row);
+            if row.is_empty() {
+                return Err(DataError::EmptyTransaction { txn });
             }
+            if let Some(&item) = row
+                .iter()
+                .find(|item| !self.leaf.get(item.index()).copied().unwrap_or(false))
+            {
+                return Err(DataError::NonLeafItem { txn, item });
+            }
+            max_width = max_width.max(row.len());
         }
+        // Pass 2: commit the rows, every level on its own.
+        let chunk = &self.rows;
+        let tid = base as u32;
+        exec::for_each_chunk_mut(self.threads, &mut self.levels, |levels| {
+            for lv in levels {
+                lv.commit(chunk, tid);
+            }
+        });
+        self.num_transactions += chunk.len();
+        self.max_width = max_width;
         Ok(())
     }
 
@@ -261,20 +291,26 @@ impl<'t> MultiLevelViewBuilder<'t> {
     /// # Errors
     /// Returns [`DataError::EmptyDatabase`] when no transactions were
     /// ingested, mirroring [`TransactionDb::new`].
-    pub fn finish(mut self) -> Result<MultiLevelView, DataError> {
+    pub fn finish(self) -> Result<MultiLevelView, DataError> {
         if self.num_transactions == 0 {
             return Err(DataError::EmptyDatabase);
         }
-        let node_count = self.tax.node_count();
-        for lv in &mut self.levels {
-            lv.present = (0..node_count)
-                .filter(|&i| lv.item_support[i] > 0)
-                .map(NodeId::from_index)
-                .collect();
-        }
+        let levels = self
+            .levels
+            .into_iter()
+            .map(|lv| {
+                let mut view = lv.view;
+                view.present = (0..view.tidsets.len())
+                    .filter(|&i| !view.tidsets[i].is_empty())
+                    .map(NodeId::from_index)
+                    .collect();
+                view
+            })
+            .collect();
         Ok(MultiLevelView {
-            levels: self.levels,
+            levels,
             num_transactions: self.num_transactions,
+            max_width: self.max_width,
         })
     }
 }
@@ -282,6 +318,7 @@ impl<'t> MultiLevelViewBuilder<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::{Rng, Xoshiro256pp};
     use flipper_taxonomy::RebalancePolicy;
 
     /// The Fig. 4 toy taxonomy and database.
@@ -324,14 +361,141 @@ mod tests {
         (tax, db)
     }
 
+    /// `db`'s rows projected to level `h` by walking the taxonomy: the
+    /// independent reference the builder is checked against.
+    fn reference_rows(db: &TransactionDb, tax: &Taxonomy, h: usize) -> Vec<Vec<NodeId>> {
+        db.iter()
+            .map(|txn| {
+                let mut row: Vec<NodeId> = txn
+                    .iter()
+                    .map(|&it| tax.ancestor_at_level(it, h).unwrap())
+                    .collect();
+                row.sort_unstable();
+                row.dedup();
+                row
+            })
+            .collect()
+    }
+
+    /// Assert that `view` holds exactly the tid-lists, supports and
+    /// present items of `rows` projected by [`reference_rows`], and
+    /// `max_width` is the widest canonical row.
+    fn assert_matches_reference(view: &MultiLevelView, tax: &Taxonomy, rows: &[Vec<NodeId>]) {
+        let db = TransactionDb::new(rows.to_vec()).unwrap();
+        assert_eq!(view.height(), tax.height());
+        assert_eq!(view.num_transactions(), db.len());
+        assert_eq!(view.max_width(), db.max_width());
+        for h in 1..=tax.height() {
+            let mut tids = vec![Vec::new(); tax.node_count()];
+            for (tid, row) in reference_rows(&db, tax, h).iter().enumerate() {
+                for &it in row {
+                    tids[it.index()].push(tid as u32);
+                }
+            }
+            let lv = view.level(h);
+            let present: Vec<NodeId> = (0..tax.node_count())
+                .filter(|&i| !tids[i].is_empty())
+                .map(NodeId::from_index)
+                .collect();
+            assert_eq!(lv.present_items(), present.as_slice(), "level {h}");
+            for (i, expect) in tids.iter().enumerate() {
+                let node = NodeId::from_index(i);
+                assert_eq!(lv.tidset(node), expect.as_slice(), "level {h} {node}");
+                assert_eq!(lv.item_support(node), expect.len() as u64);
+            }
+        }
+    }
+
+    /// A random taxonomy: each new node hangs under a random earlier node
+    /// of depth below `max_depth` (or starts a new category), so leaves sit
+    /// at mixed depths and `LeafCopy` pads the shallow ones with synthetic
+    /// copies, as in the census surrogate.
+    fn random_padded_taxonomy(rng: &mut Xoshiro256pp, nodes: usize, max_depth: usize) -> Taxonomy {
+        let mut names: Vec<(String, String)> = Vec::new();
+        let mut depth: Vec<usize> = Vec::new();
+        for i in 0..nodes {
+            let open: Vec<usize> = (0..i).filter(|&j| depth[j] < max_depth).collect();
+            let parent = if open.is_empty() || rng.gen_range(0..4) == 0 {
+                None
+            } else {
+                Some(open[rng.gen_range(0..open.len())])
+            };
+            names.push((
+                format!("n{i}"),
+                parent.map_or(String::new(), |p| format!("n{p}")),
+            ));
+            depth.push(parent.map_or(1, |p| depth[p] + 1));
+        }
+        Taxonomy::from_edges(
+            names.iter().map(|(c, p)| (c.as_str(), p.as_str())),
+            RebalancePolicy::LeafCopy,
+        )
+        .unwrap()
+    }
+
+    /// Random rows of 1–6 leaves, drawn with repeats and in random order.
+    fn random_rows(rng: &mut Xoshiro256pp, tax: &Taxonomy, n: usize) -> Vec<Vec<NodeId>> {
+        let leaves = tax.leaves();
+        (0..n)
+            .map(|_| {
+                (0..rng.gen_range(1..=6))
+                    .map(|_| leaves[rng.gen_range(0..leaves.len())])
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The builder against the reference projection on random uniform and
+    /// leaf-copy-padded taxonomies, with unsorted rows holding duplicates,
+    /// at every chunking and thread count.
+    #[test]
+    fn builder_matches_reference_projection() {
+        let mut rng = Xoshiro256pp::seed_from_u64(0xB11D);
+        let mut taxonomies = vec![
+            Taxonomy::uniform(2, 3, 3).unwrap(),
+            Taxonomy::uniform(3, 2, 4).unwrap(),
+        ];
+        for _ in 0..3 {
+            taxonomies.push(random_padded_taxonomy(&mut rng, 24, 4));
+        }
+        assert!(
+            taxonomies
+                .iter()
+                .any(|t| t.node_ids().any(|n| t.is_synthetic(n))),
+            "at least one taxonomy is padded"
+        );
+        for tax in &taxonomies {
+            let rows = random_rows(&mut rng, tax, 40);
+            assert!(rows.iter().any(|r| r.windows(2).any(|w| w[0] >= w[1])));
+            for chunk_len in [1usize, 3, rows.len()] {
+                for threads in [1usize, 2, 7] {
+                    let mut b = MultiLevelViewBuilder::new(tax, threads);
+                    for chunk in rows.chunks(chunk_len) {
+                        b.push_chunk(chunk.iter().map(Vec::as_slice)).unwrap();
+                    }
+                    assert_eq!(b.num_transactions(), rows.len());
+                    assert_matches_reference(&b.finish().unwrap(), tax, &rows);
+                }
+            }
+        }
+    }
+
     #[test]
     fn leaf_level_is_identity() {
         let (tax, db) = toy();
         let mlv = MultiLevelView::build(&db, &tax);
         assert_eq!(mlv.height(), 3);
         assert_eq!(mlv.num_transactions(), 10);
-        for (i, txn) in db.iter().enumerate() {
-            assert_eq!(mlv.level(3).transaction(i), txn);
+        assert_eq!(mlv.max_width(), 4);
+        // Every leaf's tid-list is exactly the rows holding it.
+        for &leaf in tax.leaves() {
+            let expect: Vec<u32> = db
+                .iter()
+                .enumerate()
+                .filter(|(_, txn)| txn.contains(&leaf))
+                .map(|(i, _)| i as u32)
+                .collect();
+            assert_eq!(mlv.level(3).tidset(leaf), expect.as_slice(), "{leaf}");
         }
     }
 
@@ -356,10 +520,12 @@ mod tests {
         let b = tax.node_by_name("b").unwrap();
         let v1 = mlv.level(1);
         // Fig. 4 right column: D3 = {a}, D8/D9 = {b}, everything else {a, b}.
-        assert_eq!(v1.transaction(2), &[a]);
-        assert_eq!(v1.transaction(7), &[b]);
-        assert_eq!(v1.transaction(8), &[b]);
-        assert_eq!(v1.transaction(0), &[a, b]);
+        let holds = |item: NodeId, tid: u32| v1.tidset(item).contains(&tid);
+        assert!(holds(a, 2) && !holds(b, 2));
+        assert!(holds(b, 7) && !holds(a, 7));
+        assert!(holds(b, 8) && !holds(a, 8));
+        assert!(holds(a, 0) && holds(b, 0));
+        assert_eq!(v1.present_items(), &[a, b]);
         // Supports from the figure: a appears in D1–D7 and D10 (8 rows);
         // b appears everywhere except D3 (9 rows).
         assert_eq!(v1.item_support(a), 8);
@@ -374,9 +540,18 @@ mod tests {
         let a2 = tax.node_by_name("a2").unwrap();
         let v2 = mlv.level(2);
         // D2 = {a11, a21, b11} → {a1, a2, b1}: 3 distinct level-2 items.
-        assert_eq!(v2.transaction(1).len(), 3);
-        assert!(v2.transaction(1).contains(&a1));
-        assert!(v2.transaction(1).contains(&a2));
+        let d2: Vec<NodeId> = v2
+            .present_items()
+            .iter()
+            .copied()
+            .filter(|&it| v2.tidset(it).contains(&1))
+            .collect();
+        assert_eq!(d2.len(), 3);
+        assert!(d2.contains(&a1));
+        assert!(d2.contains(&a2));
+        // D1 = {a11, a22, b11, b22}: b11 and b22 merge into b1 and b2, but
+        // a1 holds tid 0 once.
+        assert_eq!(v2.tidset(a1).iter().filter(|&&t| t == 0).count(), 1);
         // Supports from Fig. 4 middle column.
         assert_eq!(v2.item_support(a1), 6); // D1-D6
         assert_eq!(v2.item_support(a2), 8); // D1-D7, D10
@@ -400,7 +575,10 @@ mod tests {
                     "tidset must be sorted unique"
                 );
                 for &tid in tids {
-                    assert!(v.transaction(tid as usize).contains(&item));
+                    assert!(db
+                        .transaction(tid as usize)
+                        .iter()
+                        .any(|&leaf| tax.ancestor_at_level(leaf, h).unwrap() == item));
                 }
             }
         }
@@ -429,12 +607,12 @@ mod tests {
     fn builder_chunked_matches_build() {
         let (tax, db) = toy();
         let full = MultiLevelView::build(&db, &tax);
-        let rows: Vec<Vec<NodeId>> = db.iter().map(<[NodeId]>::to_vec).collect();
+        let rows: Vec<&[NodeId]> = db.iter().collect();
         for threads in [1usize, 3] {
             for chunk_len in [1usize, 3, 10] {
                 let mut b = MultiLevelViewBuilder::new(&tax, threads);
                 for chunk in rows.chunks(chunk_len) {
-                    b.push_chunk(chunk).unwrap();
+                    b.push_chunk(chunk.iter().copied()).unwrap();
                 }
                 assert_eq!(
                     b.finish().unwrap(),
@@ -448,41 +626,67 @@ mod tests {
     #[test]
     fn builder_rejects_bad_chunks_atomically() {
         let (tax, db) = toy();
-        let rows: Vec<Vec<NodeId>> = db.iter().map(<[NodeId]>::to_vec).collect();
-        let mut b = MultiLevelViewBuilder::new(&tax, 4);
-        b.push_chunk(&rows[..4]).unwrap();
-        // A chunk whose LAST row is invalid (an internal node): the valid
-        // prefix must NOT be ingested — the failed chunk leaves no trace.
+        let rows: Vec<&[NodeId]> = db.iter().collect();
+        let full = MultiLevelView::build(&db, &tax);
         let a1 = tax.node_by_name("a1").unwrap();
-        let mut bad = rows[4..].to_vec();
-        bad.push(vec![a1]);
-        let err = b.push_chunk(&bad).unwrap_err();
-        assert_eq!(
-            err,
-            crate::DataError::NonLeafItem {
-                txn: 4 + bad.len() - 1,
-                item: a1
+        let wide: Vec<NodeId> = tax.leaves().to_vec();
+        for threads in [1usize, 4] {
+            let mut b = MultiLevelViewBuilder::new(&tax, threads);
+            b.push_chunk(rows[..4].iter().copied()).unwrap();
+            // Chunks whose LAST row is invalid (an internal node, or empty),
+            // after a valid row wider than any in the database: the valid
+            // prefix must NOT be ingested — the failed chunk leaves no
+            // trace, not in the tid-lists and not in `max_width`.
+            let bad_last: [(&[NodeId], DataError); 2] = [
+                (&[a1], DataError::NonLeafItem { txn: 11, item: a1 }),
+                (&[], DataError::EmptyTransaction { txn: 11 }),
+            ];
+            for (last, expect) in bad_last {
+                let mut bad: Vec<&[NodeId]> = rows[4..].to_vec();
+                bad.push(&wide);
+                bad.push(last);
+                assert_eq!(b.push_chunk(bad.iter().copied()).unwrap_err(), expect);
+                assert_eq!(
+                    b.num_transactions(),
+                    4,
+                    "failed chunk must not be partially ingested"
+                );
             }
-        );
-        assert_eq!(
-            b.num_transactions(),
-            4,
-            "failed chunk must not be partially ingested"
-        );
-        // The builder stays usable: retry with the valid rows and match the
-        // full build exactly.
-        b.push_chunk(&rows[4..]).unwrap();
-        assert_eq!(b.finish().unwrap(), MultiLevelView::build(&db, &tax));
+            // The builder stays usable: retry with the valid rows and match
+            // the full build exactly.
+            b.push_chunk(rows[4..].iter().copied()).unwrap();
+            assert_eq!(b.finish().unwrap(), full, "threads={threads}");
+        }
         // Empty rows and empty builders report the canonical errors.
         let mut b = MultiLevelViewBuilder::new(&tax, 1);
         assert_eq!(
-            b.push_chunk(&[Vec::new()]).unwrap_err(),
-            crate::DataError::EmptyTransaction { txn: 0 }
+            b.push_chunk([&[][..]]).unwrap_err(),
+            DataError::EmptyTransaction { txn: 0 }
         );
         assert_eq!(
             MultiLevelViewBuilder::new(&tax, 1).finish().unwrap_err(),
-            crate::DataError::EmptyDatabase
+            DataError::EmptyDatabase
         );
+    }
+
+    /// Tids are `u32`: the builder refuses, whole, a chunk that would
+    /// number a transaction past the limit instead of wrapping its tid.
+    #[test]
+    fn builder_rejects_transactions_past_the_tid_limit() {
+        let (tax, db) = toy();
+        let row = db.transaction(0);
+        let limit = DataError::TooManyTransactions {
+            limit: MAX_TRANSACTIONS,
+        };
+        let mut b = MultiLevelViewBuilder::starting_at(&tax, MAX_TRANSACTIONS - 1);
+        assert_eq!(b.push_chunk([row, row]).unwrap_err(), limit);
+        assert_eq!(b.num_transactions(), MAX_TRANSACTIONS - 1);
+        b.push_chunk([row]).unwrap();
+        assert_eq!(b.num_transactions(), MAX_TRANSACTIONS);
+        assert_eq!(b.push_chunk([row]).unwrap_err(), limit);
+        let view = b.finish().unwrap();
+        assert_eq!(view.level(3).tidset(row[0]), &[u32::MAX - 1]);
+        assert!(limit.to_string().contains(&MAX_TRANSACTIONS.to_string()));
     }
 
     #[test]

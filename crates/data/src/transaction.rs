@@ -21,6 +21,11 @@ pub enum DataError {
     },
     /// The database itself contains no transactions.
     EmptyDatabase,
+    /// More transactions than `u32` transaction ids can number.
+    TooManyTransactions {
+        /// The most transactions one view can hold.
+        limit: usize,
+    },
 }
 
 impl std::fmt::Display for DataError {
@@ -31,6 +36,9 @@ impl std::fmt::Display for DataError {
             }
             DataError::EmptyTransaction { txn } => write!(f, "transaction {txn} is empty"),
             DataError::EmptyDatabase => write!(f, "database has no transactions"),
+            DataError::TooManyTransactions { limit } => {
+                write!(f, "more than {limit} transactions")
+            }
         }
     }
 }
@@ -109,12 +117,6 @@ impl TransactionDb {
         self.txns.iter().map(Vec::as_slice)
     }
 
-    /// All rows as a slice (crate-internal: lets the projection layer feed
-    /// the whole database through the chunk path without copying).
-    pub(crate) fn rows(&self) -> &[Vec<NodeId>] {
-        &self.txns
-    }
-
     /// Support of the itemset `items` (must be sorted ascending) by a full
     /// scan. This is the reference implementation the optimized counters are
     /// tested against.
@@ -144,6 +146,81 @@ impl TransactionDb {
         all.sort_unstable();
         all.dedup();
         all
+    }
+}
+
+/// A chunk of transactions stored flat: every row's items back to back,
+/// plus the end offset of each row. One allocation pair per chunk instead
+/// of one `Vec` per row; this is what the FBIN chunk decoder produces.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RowChunk {
+    items: Vec<NodeId>,
+    ends: Vec<usize>,
+}
+
+impl RowChunk {
+    /// An empty chunk.
+    pub fn new() -> Self {
+        RowChunk::default()
+    }
+
+    /// Append `item` to the row under construction.
+    #[inline]
+    pub fn push_item(&mut self, item: NodeId) {
+        self.items.push(item);
+    }
+
+    /// Close the row under construction (possibly empty).
+    #[inline]
+    pub fn end_row(&mut self) {
+        self.ends.push(self.items.len());
+    }
+
+    /// Append `row` sorted and deduplicated, returning the stored row. A row
+    /// that is already strictly increasing (every FBIN row) is only copied.
+    pub(crate) fn push_canonical(&mut self, row: &[NodeId]) -> &[NodeId] {
+        let start = self.items.len();
+        self.items.extend_from_slice(row);
+        if !row.windows(2).all(|w| w[0] < w[1]) {
+            let tail = &mut self.items[start..];
+            tail.sort_unstable();
+            let mut kept = 0;
+            for i in 0..tail.len() {
+                if kept == 0 || tail[i] != tail[kept - 1] {
+                    tail[kept] = tail[i];
+                    kept += 1;
+                }
+            }
+            self.items.truncate(start + kept);
+        }
+        self.end_row();
+        &self.items[start..]
+    }
+
+    /// Drop every row, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.items.clear();
+        self.ends.clear();
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the chunk holds no rows.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The rows in order, as slices into the flat item buffer.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[NodeId]> + Clone + '_ {
+        (0..self.ends.len()).map(move |i| {
+            let start = if i == 0 { 0 } else { self.ends[i - 1] };
+            &self.items[start..self.ends[i]]
+        })
     }
 }
 

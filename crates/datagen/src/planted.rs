@@ -211,10 +211,12 @@ mod tests {
                 tax.ancestor_at_level(b, h).unwrap(),
             );
             let lv = view.level(h);
-            let co = lv
-                .transactions()
-                .filter(|t| t.contains(&ga) && t.contains(&gb))
-                .count() as f64;
+            // Co-occurrence from the raw rows: a row holds `ga` when one of
+            // its leaves generalizes to it.
+            let holds = |t: &[NodeId], g: NodeId| {
+                t.iter().any(|&l| tax.ancestor_at_level(l, h).unwrap() == g)
+            };
+            let co = d.db.iter().filter(|t| holds(t, ga) && holds(t, gb)).count() as f64;
             (co / lv.item_support(ga) as f64 + co / lv.item_support(gb) as f64) / 2.0
         };
         let (k1, k2, k3) = (kulc(1, x, y), kulc(2, x, y), kulc(3, x, y));

@@ -149,8 +149,10 @@ const PANIC_CRATES: &[&str] = &[
     "api", "core", "data", "store", "taxonomy", "measures", "guard",
 ];
 
-/// Modules that determine `flipper-results/v1` bytes, plus the flipper-obs
-/// hot-path modules the miner calls into (a nondeterministic container or
+/// Modules that determine `flipper-results/v1` bytes (including the FBIN
+/// chunk reader, the view builder and the counting kernel, which build
+/// every byte the miner reads), plus the flipper-obs hot-path modules the
+/// miner calls into (a nondeterministic container or
 /// clock read there could perturb recording order or, worse, leak timing
 /// into results). `core/src/stats.rs` is deliberately absent: it hosts the
 /// one sanctioned wall-clock read ([`Stopwatch`](../../core/src/stats.rs))
@@ -168,6 +170,9 @@ const DETERMINISM_FILES: &[&str] = &[
     "crates/core/src/ranking.rs",
     "crates/core/src/results.rs",
     "crates/data/src/cache.rs",
+    "crates/data/src/bitset.rs",
+    "crates/data/src/projection.rs",
+    "crates/store/src/reader.rs",
     "crates/api/src/sink.rs",
     "crates/api/src/session.rs",
     "crates/api/src/sweep.rs",

@@ -42,10 +42,11 @@
 //!   `[taxonomy]` section, in the same order, and is replayed through the
 //!   same [`TaxonomyBuilder`](flipper_taxonomy::TaxonomyBuilder) path);
 //! * [`FbinReader::chunks`] — iterate transaction chunks with bounded
-//!   memory; [`stream_view`] pipes them straight into
-//!   [`MultiLevelViewBuilder`], whose per-chunk projection is sharded over
-//!   `flipper_data::exec` workers, so mining can start from a file without
-//!   the raw database ever existing in memory.
+//!   memory, each decoded flat into one [`RowChunk`](flipper_data::RowChunk)
+//!   (no per-row allocation); [`stream_view`] pipes them straight into
+//!   [`MultiLevelViewBuilder`], which commits them to per-level tid-lists,
+//!   so mining can start from a file without the raw database, or any
+//!   projected copy of it, ever existing in memory.
 //!
 //! [`FbinWriter`] is the streaming producer: it accepts transactions
 //! incrementally and flushes a chunk section whenever [`TARGET_CHUNK_BYTES`]
@@ -129,16 +130,7 @@ pub fn stream_view<R: Read>(
     threads: usize,
 ) -> Result<(Taxonomy, MultiLevelView), StoreError> {
     let (taxonomy, mut chunks) = reader.into_parts();
-    let build_span = flipper_obs::span("view.build");
-    let mut builder = MultiLevelViewBuilder::new(&taxonomy, threads);
-    for chunk in chunks.by_ref() {
-        let span = flipper_obs::span("store.chunk");
-        let chunk = chunk?;
-        builder.push_chunk(&chunk)?;
-        drop(span.arg("rows", chunk.len() as u64));
-    }
-    let view = builder.finish()?;
-    drop(build_span.arg("rows", chunks.transactions_seen()));
+    let view = ingest(&taxonomy, &mut chunks, threads)?;
     Ok((taxonomy, view))
 }
 
@@ -153,20 +145,36 @@ pub fn salvage_view<R: Read>(
     r: R,
     threads: usize,
 ) -> Result<(Taxonomy, MultiLevelView, SalvageReport), StoreError> {
-    let reader = FbinReader::salvage(r)?;
-    let (taxonomy, mut chunks) = reader.into_parts();
+    let (taxonomy, mut chunks) = FbinReader::salvage(r)?.into_parts();
+    let view = ingest(&taxonomy, &mut chunks, threads)?;
+    let report = chunks.into_salvage_report().unwrap_or_default();
+    Ok((taxonomy, view, report))
+}
+
+/// Feed every chunk of `chunks` through a [`MultiLevelViewBuilder`]. Each
+/// chunk's decode runs under a `store.decode` span and its projection
+/// under `store.chunk`, both inside one `view.build`.
+fn ingest<R: Read>(
+    taxonomy: &Taxonomy,
+    chunks: &mut ChunkReader<R>,
+    threads: usize,
+) -> Result<MultiLevelView, StoreError> {
     let build_span = flipper_obs::span("view.build");
-    let mut builder = MultiLevelViewBuilder::new(&taxonomy, threads);
-    for chunk in chunks.by_ref() {
-        let span = flipper_obs::span("store.chunk");
+    let mut builder = MultiLevelViewBuilder::new(taxonomy, threads);
+    loop {
+        let decode_span = flipper_obs::span("store.decode");
+        let Some(chunk) = chunks.next() else {
+            break;
+        };
         let chunk = chunk?;
-        builder.push_chunk(&chunk)?;
+        drop(decode_span.arg("rows", chunk.len() as u64));
+        let span = flipper_obs::span("store.chunk");
+        builder.push_chunk(chunk.rows())?;
         drop(span.arg("rows", chunk.len() as u64));
     }
     let view = builder.finish()?;
     drop(build_span.arg("rows", chunks.transactions_seen()));
-    let report = chunks.into_salvage_report().unwrap_or_default();
-    Ok((taxonomy, view, report))
+    Ok(view)
 }
 
 /// Serialize a dataset to FBIN bytes in memory. Convenience for tests and
@@ -265,6 +273,61 @@ mod tests {
         assert_eq!(reader.chunks().transactions_seen(), 3);
         let back = FbinReader::new(&out[..]).unwrap().read_dataset().unwrap();
         assert_eq!(ds.db, back.db);
+    }
+
+    /// The flat chunks hand back exactly the rows that were written, in
+    /// order, at every chunking, on a balanced and a leaf-copy-padded
+    /// taxonomy. Items within a row come in dictionary order, which under
+    /// padding need not be node-id order, so rows compare as sets.
+    #[test]
+    fn chunk_rows_match_the_written_rows() {
+        let padded = Taxonomy::from_edges(
+            [
+                ("drinks", ""),
+                ("snacks", ""),
+                ("beer", "drinks"),
+                ("wine", "drinks"),
+            ],
+            RebalancePolicy::LeafCopy,
+        )
+        .unwrap();
+        let g = |s: &str| padded.node_by_name(s).unwrap();
+        let db = TransactionDb::new(vec![
+            vec![g("beer"), g("snacks#1")],
+            vec![g("wine")],
+            vec![g("beer"), g("wine"), g("snacks#1")],
+        ])
+        .unwrap();
+        for ds in [
+            toy_dataset(),
+            Dataset {
+                taxonomy: padded,
+                db,
+            },
+        ] {
+            for target in [1usize, 4, TARGET_CHUNK_BYTES] {
+                let mut out = Vec::new();
+                let mut w = FbinWriter::with_chunk_size(&mut out, &ds.taxonomy, target).unwrap();
+                for txn in ds.db.iter() {
+                    w.write_transaction(txn).unwrap();
+                }
+                w.finish().unwrap();
+                let mut reader = FbinReader::new(&out[..]).unwrap();
+                let mut rows: Vec<Vec<NodeId>> = Vec::new();
+                for chunk in reader.chunks() {
+                    let chunk = chunk.unwrap();
+                    assert_eq!(chunk.rows().len(), chunk.len());
+                    assert!(!chunk.is_empty());
+                    rows.extend(chunk.rows().map(|row| {
+                        let mut row = row.to_vec();
+                        row.sort_unstable();
+                        row
+                    }));
+                }
+                let written: Vec<Vec<NodeId>> = ds.db.iter().map(<[NodeId]>::to_vec).collect();
+                assert_eq!(rows, written, "chunk target {target}");
+            }
+        }
     }
 
     #[test]
@@ -433,8 +496,8 @@ mod tests {
             .chunks()
             .collect::<Result<Vec<_>, _>>()
             .unwrap()
-            .into_iter()
-            .flatten()
+            .iter()
+            .flat_map(|c| c.rows().map(<[NodeId]>::to_vec))
             .collect();
         let report = reader.into_parts().1.into_salvage_report().unwrap();
         assert!(!report.is_degraded(), "intact file: {}", report.summary());
@@ -470,8 +533,8 @@ mod tests {
             .chunks()
             .collect::<Result<Vec<_>, _>>()
             .unwrap()
-            .into_iter()
-            .flatten()
+            .iter()
+            .flat_map(|c| c.rows().map(<[NodeId]>::to_vec))
             .collect();
         let report = reader.into_parts().1.into_salvage_report().unwrap();
         assert!(report.is_degraded());
@@ -508,8 +571,8 @@ mod tests {
             .chunks()
             .collect::<Result<Vec<_>, _>>()
             .unwrap()
-            .into_iter()
-            .flatten()
+            .iter()
+            .flat_map(|c| c.rows().map(<[NodeId]>::to_vec))
             .collect();
         let report = reader.into_parts().1.into_salvage_report().unwrap();
         assert_eq!(report.chunks_kept, 1);
@@ -542,7 +605,7 @@ mod tests {
             let mut failed = false;
             for chunk in reader.chunks().by_ref() {
                 match chunk {
-                    Ok(c) => rows.extend(c),
+                    Ok(c) => rows.extend(c.rows().map(<[NodeId]>::to_vec)),
                     Err(_) => failed = true,
                 }
             }
@@ -585,8 +648,8 @@ mod tests {
                     .chunks()
                     .collect::<Result<Vec<_>, _>>()
                     .unwrap()
-                    .into_iter()
-                    .flatten()
+                    .iter()
+                    .flat_map(|c| c.rows().map(<[NodeId]>::to_vec))
                     .collect();
                 let report = reader.into_parts().1.into_salvage_report().unwrap();
                 assert_eq!(report.quarantined.len(), 1, "{kind:?}");

@@ -3,8 +3,9 @@
 //! [`FbinReader::new`] parses the header and dictionary and rebuilds the
 //! taxonomy; from there either [`FbinReader::read_dataset`] materializes the
 //! whole database (bit-identical to parsing the text format), or
-//! [`FbinReader::chunks`] iterates transaction chunks one at a time so
-//! ingestion can run with bounded memory.
+//! [`FbinReader::chunks`] iterates transaction chunks one at a time, each
+//! decoded flat into a [`RowChunk`], so ingestion can run with bounded
+//! memory and no per-row allocation.
 //!
 //! [`FbinReader::salvage`] opens the same stream in **salvage mode**: chunk
 //! sections whose checksum or decode fails are quarantined — recorded in a
@@ -24,7 +25,7 @@ use crate::error::StoreError;
 use crate::varint::PayloadCursor;
 use crate::{SectionTag, FBIN_MAGIC, FBIN_VERSION};
 use flipper_data::format::{deepest_copy, Dataset};
-use flipper_data::TransactionDb;
+use flipper_data::{RowChunk, TransactionDb};
 use flipper_guard::fault::SITE_STORE_READ;
 use flipper_guard::Fault;
 use flipper_taxonomy::{NodeId, RebalancePolicy, Taxonomy, TaxonomyBuilder};
@@ -120,10 +121,11 @@ impl<R: Read> FbinReader<R> {
     }
 
     /// Iterate over transaction chunks without materializing the database.
-    /// Each item is one chunk's transactions as leaf node ids of
-    /// [`FbinReader::taxonomy`] (per-transaction canonicalization — sorting,
-    /// deduplication — is left to the consumer, e.g.
-    /// [`TransactionDb::new`] or `MultiLevelViewBuilder`).
+    /// Each item is one chunk's transactions as a flat [`RowChunk`] of leaf
+    /// node ids of [`FbinReader::taxonomy`], one allocation pair per chunk
+    /// (per-transaction canonicalization — sorting, deduplication — is left
+    /// to the consumer, e.g. [`TransactionDb::new`] or
+    /// `MultiLevelViewBuilder`).
     pub fn chunks(&mut self) -> &mut ChunkReader<R> {
         &mut self.chunks
     }
@@ -139,7 +141,7 @@ impl<R: Read> FbinReader<R> {
     pub fn read_dataset(mut self) -> Result<Dataset, StoreError> {
         let mut rows: Vec<Vec<NodeId>> = Vec::new();
         for chunk in self.chunks() {
-            rows.extend(chunk?);
+            rows.extend(chunk?.rows().map(<[NodeId]>::to_vec));
         }
         let db = TransactionDb::new(rows)?;
         db.validate_against(&self.taxonomy)?;
@@ -214,8 +216,8 @@ enum ChunkState {
     Failed,
 }
 
-/// Streaming iterator over the transaction chunks of an FBIN file. Yields
-/// `Err` once on the first structural problem, then terminates. The end
+/// Streaming iterator over the transaction chunks of an FBIN file, each
+/// decoded into one flat [`RowChunk`]. Yields `Err` once on the first structural problem, then terminates. The end
 /// section's totals are verified before the iterator reports exhaustion, so
 /// a truncated file can never silently look complete.
 ///
@@ -254,7 +256,7 @@ impl<R: Read> ChunkReader<R> {
         self.salvage
     }
 
-    fn next_chunk(&mut self) -> Option<Result<Vec<Vec<NodeId>>, StoreError>> {
+    fn next_chunk(&mut self) -> Option<Result<RowChunk, StoreError>> {
         match self.state {
             ChunkState::Reading => {}
             ChunkState::Done | ChunkState::Failed => return None,
@@ -272,7 +274,7 @@ impl<R: Read> ChunkReader<R> {
         }
     }
 
-    fn advance(&mut self) -> Result<Option<Vec<Vec<NodeId>>>, StoreError> {
+    fn advance(&mut self) -> Result<Option<RowChunk>, StoreError> {
         loop {
             let frame = match read_frame(&mut self.r, &mut self.offset) {
                 Ok(f) => f,
@@ -355,7 +357,7 @@ impl<R: Read> ChunkReader<R> {
     /// Verify the end-section totals and the absence of trailing data —
     /// fatally in strict mode, as report notes in salvage mode (where a
     /// totals shortfall explained by quarantined chunks is expected).
-    fn finish_end(&mut self, payload: &[u8]) -> Result<Option<Vec<Vec<NodeId>>>, StoreError> {
+    fn finish_end(&mut self, payload: &[u8]) -> Result<Option<RowChunk>, StoreError> {
         let mut c = PayloadCursor::new(payload, "end section");
         let parsed = c.read_varint().and_then(|total_txns| {
             let total_chunks = c.read_varint()?;
@@ -433,7 +435,7 @@ impl<R: Read> ChunkReader<R> {
 }
 
 impl<R: Read> Iterator for ChunkReader<R> {
-    type Item = Result<Vec<Vec<NodeId>>, StoreError>;
+    type Item = Result<RowChunk, StoreError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         self.next_chunk()
@@ -611,13 +613,11 @@ fn decode_dict(
     Ok((taxonomy, node_of))
 }
 
-/// Decode one chunk payload into transactions of leaf node ids.
-fn decode_chunk(payload: &[u8], node_of: &[NodeId]) -> Result<Vec<Vec<NodeId>>, StoreError> {
+/// Decode one chunk payload into a flat chunk of leaf node ids.
+fn decode_chunk(payload: &[u8], node_of: &[NodeId]) -> Result<RowChunk, StoreError> {
     let mut c = PayloadCursor::new(payload, "chunk");
     let txn_count = c.read_len()?;
-    // A transaction takes at least two payload bytes, so this reserve is
-    // bounded by the (already checksummed) payload size even if corrupt.
-    let mut rows: Vec<Vec<NodeId>> = Vec::with_capacity(txn_count.min(payload.len()));
+    let mut rows = RowChunk::new();
     for t in 0..txn_count {
         let width = c.read_len()?;
         if width == 0 {
@@ -626,9 +626,8 @@ fn decode_chunk(payload: &[u8], node_of: &[NodeId]) -> Result<Vec<Vec<NodeId>>, 
                 message: format!("transaction {t} is empty"),
             });
         }
-        let mut row = Vec::with_capacity(width.min(c.remaining() + 1));
         let mut id = c.read_varint()?;
-        row.push(map_item(id, node_of)?);
+        rows.push_item(map_item(id, node_of)?);
         for _ in 1..width {
             let gap = c.read_varint()?;
             if gap == 0 {
@@ -641,9 +640,9 @@ fn decode_chunk(payload: &[u8], node_of: &[NodeId]) -> Result<Vec<Vec<NodeId>>, 
                 context: "chunk",
                 message: "item id overflows u64".to_string(),
             })?;
-            row.push(map_item(id, node_of)?);
+            rows.push_item(map_item(id, node_of)?);
         }
-        rows.push(row);
+        rows.end_row();
     }
     if !c.is_exhausted() {
         return Err(StoreError::Corrupt {

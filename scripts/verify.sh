@@ -103,7 +103,7 @@ cargo run --release -q -p flipper-cli -- mine --input "$OBS_TMP/planted.fbin" \
     --threads 2 --trace "$OBS_TMP/trace.json" --timings >/dev/null
 cargo run --release -q -p flipper-obs --example validate_trace -- \
     "$OBS_TMP/trace.json" \
-    --expect session.ingest,view.build,mine.run,mine.cell,mine.count
+    --expect session.ingest,view.build,store.decode,mine.run,mine.cell,mine.count
 
 echo "== robustness: fault-injection suite under --release, 5 runs in a row"
 for run in 1 2 3 4 5; do
