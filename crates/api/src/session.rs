@@ -66,9 +66,10 @@ impl Session {
         Session::open_with_threads(source, 1)
     }
 
-    /// Open a session, sharding ingestion over `threads` scoped workers
-    /// (`0` = auto-detect, `1` = sequential). The cached view is
-    /// bit-identical at every thread count.
+    /// Open a session, sharding the view's per-level commit over up to
+    /// `threads` scoped workers (`0` = auto-detect, `1` = sequential; at
+    /// most one per abstraction level). The cached view is bit-identical
+    /// at every thread count.
     pub fn open_with_threads(
         source: impl DataSource,
         threads: usize,

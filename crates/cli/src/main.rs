@@ -1062,45 +1062,57 @@ mod tests {
     fn trace_and_timings_do_not_change_results() {
         let dir = std::env::temp_dir().join(format!("flipper-cli-trace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("planted.fbin").to_string_lossy().to_string();
-        let base_json = dir.join("base.json").to_string_lossy().to_string();
-        let traced_json = dir.join("traced.json").to_string_lossy().to_string();
-        let trace = dir.join("t.json").to_string_lossy().to_string();
-        run(&strs(&["generate", "--kind", "planted", "--out", &path])).unwrap();
-        let mine = |extra: &[&str]| {
-            let mut args = strs(&["mine", "--input", &path, "--threads", "2", "--top", "1"]);
-            args.extend(strs(extra));
-            run(&args).unwrap();
-        };
-        mine(&["--output-json", &base_json]);
-        mine(&[
-            "--output-json",
-            &traced_json,
-            "--trace",
-            &trace,
-            "--timings",
-        ]);
-        // The hard invariant: recording must not perturb result bytes.
-        assert_eq!(
-            std::fs::read(&base_json).unwrap(),
-            std::fs::read(&traced_json).unwrap(),
-            "flipper-results/v1 bytes must be identical with --trace on/off"
-        );
-        // The emitted trace is a valid flipper-trace/v1 document covering
-        // the pipeline phases.
-        let doc = std::fs::read_to_string(&trace).unwrap();
-        let stats = flipper_obs::validate_trace(&doc).expect("trace must parse and nest");
-        for name in [
-            "session.ingest",
-            "view.build",
-            "store.decode",
-            "store.chunk",
-            "mine.run",
-            "mine.cell",
-            "mine.count",
-            "exec.shard",
-        ] {
-            assert!(stats.names.contains(name), "trace is missing span {name}");
+        // A text input is fully loaded; an FBIN input is streamed chunk by
+        // chunk and is the only one with store spans.
+        for (file, streamed) in [("planted.txt", false), ("planted.fbin", true)] {
+            let path = dir.join(file).to_string_lossy().to_string();
+            let base_json = dir.join("base.json").to_string_lossy().to_string();
+            let traced_json = dir.join("traced.json").to_string_lossy().to_string();
+            let trace = dir.join("t.json").to_string_lossy().to_string();
+            run(&strs(&["generate", "--kind", "planted", "--out", &path])).unwrap();
+            let mine = |extra: &[&str]| {
+                let mut args = strs(&["mine", "--input", &path, "--threads", "2", "--top", "1"]);
+                args.extend(strs(extra));
+                run(&args).unwrap();
+            };
+            mine(&["--output-json", &base_json]);
+            mine(&[
+                "--output-json",
+                &traced_json,
+                "--trace",
+                &trace,
+                "--timings",
+            ]);
+            // The hard invariant: recording must not perturb result bytes.
+            assert_eq!(
+                std::fs::read(&base_json).unwrap(),
+                std::fs::read(&traced_json).unwrap(),
+                "{file}: flipper-results/v1 bytes must be identical with --trace on/off"
+            );
+            // The emitted trace is a valid flipper-trace/v1 document covering
+            // the pipeline phases.
+            let doc = std::fs::read_to_string(&trace).unwrap();
+            let stats = flipper_obs::validate_trace(&doc).expect("trace must parse and nest");
+            for name in [
+                "session.ingest",
+                "view.build",
+                "mine.run",
+                "mine.cell",
+                "mine.count",
+                "exec.shard",
+            ] {
+                assert!(
+                    stats.names.contains(name),
+                    "{file}: trace is missing span {name}"
+                );
+            }
+            for name in ["store.decode", "store.chunk"] {
+                assert_eq!(
+                    stats.names.contains(name),
+                    streamed,
+                    "{file}: span {name} must appear exactly when the input is streamed"
+                );
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

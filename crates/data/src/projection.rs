@@ -67,9 +67,10 @@ impl MultiLevelView {
         Self::build_with_threads(db, tax, 1)
     }
 
-    /// [`build`](MultiLevelView::build) with the per-chunk projection
-    /// sharded over `threads` scoped workers (`0` = auto-detect, `1` =
-    /// sequential). The result is bit-identical at every thread count.
+    /// [`build`](MultiLevelView::build) with the abstraction levels
+    /// sharded over up to `threads` scoped workers (`0` = auto-detect,
+    /// `1` = sequential; never more workers than levels). The result is
+    /// bit-identical at every thread count.
     ///
     /// # Panics
     /// Panics if the database is not valid for `tax` (items that are not
@@ -175,8 +176,11 @@ pub struct MultiLevelViewBuilder {
 }
 
 impl MultiLevelViewBuilder {
-    /// Start a builder over `tax`, sharding per-chunk projection over
-    /// `threads` workers (`0` = auto-detect, `1` = sequential).
+    /// Start a builder over `tax` that commits each chunk to the
+    /// abstraction levels sharded over up to `threads` workers (`0` =
+    /// auto-detect, `1` = sequential). Only that commit is sharded: at most
+    /// one worker per level, and canonicalization and validation always
+    /// run on the calling thread.
     pub fn new(tax: &Taxonomy, threads: usize) -> Self {
         let node_count = tax.node_count();
         let height = tax.height();

@@ -155,6 +155,9 @@ impl TransactionDb {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RowChunk {
     items: Vec<NodeId>,
+    /// `usize`, not `u32`: `MultiLevelView::build` pushes a whole database
+    /// as one chunk, and only its row count is bounded by `u32`, not its
+    /// item count.
     ends: Vec<usize>,
 }
 
@@ -162,6 +165,15 @@ impl RowChunk {
     /// An empty chunk.
     pub fn new() -> Self {
         RowChunk::default()
+    }
+
+    /// An empty chunk with room for `rows` rows holding `items` items in
+    /// total.
+    pub fn with_capacity(rows: usize, items: usize) -> Self {
+        RowChunk {
+            items: Vec::with_capacity(items),
+            ends: Vec::with_capacity(rows),
+        }
     }
 
     /// Append `item` to the row under construction.

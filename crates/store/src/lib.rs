@@ -121,10 +121,12 @@ pub fn is_fbin(prefix: &[u8]) -> bool {
 
 /// Streamed ingestion: consume every chunk of `reader` into a mining-ready
 /// [`MultiLevelView`] without ever materializing the raw transaction
-/// database. Each chunk's projection is sharded over `threads` scoped
-/// workers (`0` = auto-detect, `1` = sequential); the resulting view — and
-/// therefore any `mine_with_view`-style run over it — is bit-identical to
-/// building the view from a fully loaded database, at every thread count.
+/// database. Decode runs on the calling thread; each chunk's commit to the
+/// abstraction levels is sharded over up to `threads` scoped workers (`0` =
+/// auto-detect, `1` = sequential; at most one per level). The resulting
+/// view — and therefore any `mine_with_view`-style run over it — is
+/// bit-identical to building the view from a fully loaded database, at
+/// every thread count.
 pub fn stream_view<R: Read>(
     reader: FbinReader<R>,
     threads: usize,

@@ -617,7 +617,10 @@ fn decode_dict(
 fn decode_chunk(payload: &[u8], node_of: &[NodeId]) -> Result<RowChunk, StoreError> {
     let mut c = PayloadCursor::new(payload, "chunk");
     let txn_count = c.read_len()?;
-    let mut rows = RowChunk::new();
+    // Every item takes at least one payload byte and every transaction at
+    // least two, so both reserves are bounded by the (already checksummed)
+    // payload size even if the counts are corrupt.
+    let mut rows = RowChunk::with_capacity(txn_count.min(payload.len()), payload.len());
     for t in 0..txn_count {
         let width = c.read_len()?;
         if width == 0 {
