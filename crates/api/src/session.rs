@@ -7,9 +7,11 @@ use flipper_core::stability::{bootstrap_stability, StabilityReport};
 use flipper_core::topk::{top_k_with_view, TopKConfig, TopKResult};
 use flipper_core::{
     mine_with_view, mine_with_view_guarded, mine_with_view_seeded, mine_with_view_seeded_guarded,
-    FlipperConfig, MiningResult,
+    FlipperConfig, MiningResult, Reuse,
 };
-use flipper_data::{CacheStats, MultiLevelView, SupportCache, TransactionDb};
+use flipper_data::{
+    CacheStats, MemoStats, MultiLevelView, SupportCache, TransactionDb, VerticalMemo,
+};
 use flipper_guard::CancelToken;
 use flipper_store::SalvageReport;
 use flipper_taxonomy::Taxonomy;
@@ -52,6 +54,10 @@ pub struct Session {
     /// configuration over this session. Guarded by an `RwLock` so parallel
     /// sweep jobs can read seeds concurrently.
     supports: RwLock<SupportCache>,
+    /// Session-level memo of vertical enumerations: seeded runs replay the
+    /// parent sets an earlier seeded run enumerated, and record the rest
+    /// as they go. Locks internally, always after `supports`.
+    memo: VerticalMemo,
     /// What salvage ingestion quarantined, when the session was opened via
     /// [`open_salvage_path`](Session::open_salvage_path). `None` for every
     /// strict open path.
@@ -84,6 +90,7 @@ impl Session {
             database: ingested.database,
             origin: ingested.origin,
             supports: RwLock::new(SupportCache::new()),
+            memo: VerticalMemo::new(),
             salvage: None,
         })
     }
@@ -136,6 +143,7 @@ impl Session {
             database: None,
             origin: format!("fbin file {} (salvage)", path.display()),
             supports: RwLock::new(SupportCache::new()),
+            memo: VerticalMemo::new(),
             salvage: Some(report),
         })
     }
@@ -208,7 +216,8 @@ impl Session {
 
     /// [`mine_seeded`](Session::mine_seeded) under a [`CancelToken`]; see
     /// [`mine_guarded`](Session::mine_guarded) for the guard semantics. An
-    /// interrupted run absorbs nothing into the session support cache.
+    /// interrupted run absorbs nothing into the session support cache; the
+    /// vertical enumerations it recorded are complete and stay in the memo.
     pub fn mine_seeded_guarded(
         &self,
         cfg: &FlipperConfig,
@@ -217,30 +226,49 @@ impl Session {
         cfg.validate()?;
         let result = {
             let seeds = self.seeds_read();
-            mine_with_view_seeded_guarded(&self.taxonomy, &self.view, cfg, &seeds, token)?
+            mine_with_view_seeded_guarded(
+                &self.taxonomy,
+                &self.view,
+                cfg,
+                self.reuse(&seeds),
+                token,
+            )?
         };
         self.absorb_seeded(&result);
         Ok(result)
     }
 
-    /// Mine under `cfg`, seeding support counting from this session's
-    /// support cache and depositing the run's counted supports back into
-    /// it.
+    /// Mine under `cfg`, reusing this session's work from earlier seeded
+    /// runs: support counting is seeded from the support cache, and the
+    /// vertical enumeration of a parent set an earlier run recorded is
+    /// replayed from the memo. The run deposits its counted supports and
+    /// records its enumerations for the next one.
     ///
     /// Patterns, cells, and `flipper-results/v1` bytes are identical to
-    /// [`mine`](Session::mine) — supports are configuration-independent
-    /// facts about the ingested data, so a cache hit returns exactly the
-    /// value counting would have produced. Only the counting cost changes:
-    /// [`flipper_core::RunStats::seeded_supports`] reports how many
-    /// candidates were answered from the cache.
+    /// [`mine`](Session::mine) — supports and enumerations are
+    /// configuration-independent facts about the ingested data, so a hit
+    /// returns exactly what counting or enumerating would have produced.
+    /// Only the cost changes: [`flipper_core::RunStats::seeded_supports`]
+    /// reports how many candidates were answered from the cache, and
+    /// [`memo_stats`](Session::memo_stats) how many enumerations were
+    /// replayed.
     pub fn mine_seeded(&self, cfg: &FlipperConfig) -> Result<MiningResult, FlipperError> {
         cfg.validate()?;
         let result = {
             let seeds = self.seeds_read();
-            mine_with_view_seeded(&self.taxonomy, &self.view, cfg, &seeds)
+            mine_with_view_seeded(&self.taxonomy, &self.view, cfg, self.reuse(&seeds))
         };
         self.absorb_seeded(&result);
         Ok(result)
+    }
+
+    /// The session work a seeded run reuses, given the read-locked support
+    /// cache.
+    pub(crate) fn reuse<'a>(&'a self, supports: &'a SupportCache) -> Reuse<'a> {
+        Reuse {
+            supports,
+            memo: &self.memo,
+        }
     }
 
     /// [`absorb`](Session::absorb) plus seed-probe accounting: a seeded run
@@ -285,9 +313,20 @@ impl Session {
         self.seeds_read().len()
     }
 
-    /// Drop every cached support fact and reset the cache counters.
+    /// What the session memo of vertical enumerations holds (entries and
+    /// estimated bytes), and how many lookups it answered (`hits`) or not
+    /// (`misses`) since the session opened or was last cleared.
+    pub fn memo_stats(&self) -> MemoStats {
+        self.memo.stats()
+    }
+
+    /// Drop the session's reuse state — every cached support fact and
+    /// every recorded vertical enumeration — and reset both counters. Later
+    /// seeded runs start cold; their results are unchanged.
     pub fn clear_support_cache(&self) {
-        self.seeds_write().clear();
+        let mut seeds = self.seeds_write();
+        seeds.clear();
+        self.memo.clear();
     }
 
     /// Read-lock the support cache. Lock poisoning is ignored: the cache

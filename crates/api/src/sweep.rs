@@ -7,7 +7,7 @@
 //! submission order — each bit-identical to calling
 //! [`Session::mine`](crate::Session::mine) with that configuration alone.
 //!
-//! Two cost levers ride on top, neither of which can change any result:
+//! Three cost levers ride on top, none of which can change any result:
 //!
 //! * **Deduplication** — points that agree on every result-determining
 //!   field (measure, thresholds, supports, pruning, `max_k`) mine once;
@@ -17,6 +17,12 @@
 //!   answer `(level, itemset)` supports already counted by earlier runs
 //!   from the session's [`flipper_data::SupportCache`] and deposit their
 //!   own counts back for the next sweep.
+//! * **Vertical replay** (on with seeding) — a point replays the vertical
+//!   enumeration of a parent set that an earlier point, in this sweep or
+//!   an earlier one, recorded in the session's
+//!   [`flipper_data::VerticalMemo`] under the same level and θ, instead of
+//!   re-intersecting its children's transactions. Points that differ only
+//!   in γ, ε or pruning share most of these.
 
 use crate::checkpoint::{point_key, CheckpointRow, SweepJournal};
 use crate::error::FlipperError;
@@ -128,24 +134,24 @@ impl<'s> Sweep<'s> {
         }
     }
 
-    /// Run the sweep under a [`CancelToken`]: the token is checked before
-    /// every point (and, inside each run, at cell boundaries — the token is
-    /// not threaded into the miner, so a sweep stops between points), and a
-    /// cancelled or expired token surfaces as
-    /// [`FlipperError::Cancelled`] / [`FlipperError::Timeout`] from
-    /// [`run`](Sweep::run). Results of points that complete are identical
-    /// with and without a live token.
+    /// Run the sweep under a [`CancelToken`]: the token is checked between
+    /// points, before each one starts, so a sweep stops at a point boundary
+    /// and a point that started runs to completion. A cancelled or expired
+    /// token surfaces as [`FlipperError::Cancelled`] /
+    /// [`FlipperError::Timeout`] from [`run`](Sweep::run). Results of points
+    /// that complete are identical with and without a live token.
     pub fn with_token(mut self, token: &'s CancelToken) -> Self {
         self.token = Some(token);
         self
     }
 
-    /// Toggle seeding from the session support cache (default on). Seeded
-    /// points answer already-counted `(level, itemset)` supports from
-    /// earlier completed runs instead of re-counting them, and deposit
-    /// their own counts back for the next sweep. Results are identical
-    /// either way — supports are data facts, independent of any
-    /// configuration — so turning this off only changes counting cost.
+    /// Toggle reuse of session work (default on). Seeded points answer
+    /// already-counted `(level, itemset)` supports from earlier completed
+    /// runs instead of re-counting them, and deposit their own counts back
+    /// for the next sweep; they also replay vertical enumerations recorded
+    /// by earlier points and record their own. Results are identical either
+    /// way — supports and enumerations are data facts, independent of γ, ε
+    /// and pruning — so turning this off only changes mining cost.
     pub fn with_seeding(mut self, seed_supports: bool) -> Self {
         self.seed_supports = seed_supports;
         self
@@ -276,7 +282,8 @@ impl<'s> Sweep<'s> {
         let token = self.token;
         let results: Vec<MiningResult> = {
             // Hold the read lock across the whole sweep: every job seeds
-            // from the same cache snapshot, concurrently.
+            // from the same cache snapshot, concurrently. The memo locks
+            // per parent set, so jobs see each other's enumerations.
             let seeds = self.seed_supports.then(|| session.seeds_read());
             let _sweep_span = flipper_obs::span("sweep.run")
                 .arg("points", self.points.len() as u64)
@@ -294,9 +301,12 @@ impl<'s> Sweep<'s> {
                         // the sweep typed, after every worker has joined and
                         // flushed — it cannot abort the process.
                         let result = flipper_guard::trap("sweep.point", || match &seeds {
-                            Some(s) => {
-                                mine_with_view_seeded(session.taxonomy(), session.view(), cfg, s)
-                            }
+                            Some(s) => mine_with_view_seeded(
+                                session.taxonomy(),
+                                session.view(),
+                                cfg,
+                                session.reuse(s),
+                            ),
                             None => mine_with_view(session.taxonomy(), session.view(), cfg),
                         })?;
                         if let Some(j) = journal {
@@ -369,6 +379,7 @@ mod tests {
     use super::*;
     use crate::source::Generator;
     use flipper_core::MinSupports;
+    use flipper_data::{CacheStats, MemoStats};
     use flipper_datagen::planted::PlantedParams;
 
     fn session() -> Session {
@@ -484,6 +495,45 @@ mod tests {
         }
         s.clear_support_cache();
         assert_eq!(s.support_cache_len(), 0);
+    }
+
+    /// `base()` under two minimum supports, so no memo entry one point
+    /// records is keyed for the other.
+    fn two_theta_points(sweep: Sweep<'_>) -> Sweep<'_> {
+        let mut other = base();
+        other.min_support = MinSupports::Counts(vec![4]);
+        sweep.add("s5", base()).add("s4", other)
+    }
+
+    fn results_bytes(s: &Session, runs: &[SweepRun]) -> Vec<u8> {
+        let mut json = crate::JsonWriter::new(Vec::new());
+        crate::emit_runs(&mut json, s.taxonomy(), runs).unwrap();
+        json.into_inner()
+    }
+
+    #[test]
+    fn clearing_resets_the_support_cache_and_the_memo() {
+        let s = session();
+        let cold = two_theta_points(s.sweep()).run().unwrap();
+        let first = s.memo_stats();
+        assert_eq!(first.hits, 0, "distinct θ: nothing to replay");
+        assert!(first.entries > 0 && first.bytes > 0);
+        assert_eq!(first.misses, first.entries);
+        let warm = two_theta_points(s.sweep()).run().unwrap();
+        let second = s.memo_stats();
+        assert_eq!(second.misses, first.misses, "a repeat replays everything");
+        assert_eq!(second.hits, first.entries);
+        assert_eq!((second.entries, second.bytes), (first.entries, first.bytes));
+
+        s.clear_support_cache();
+        assert_eq!(s.support_cache_len(), 0);
+        assert_eq!(s.support_cache_stats(), CacheStats::default());
+        assert_eq!(s.memo_stats(), MemoStats::default());
+        let again = two_theta_points(s.sweep()).run().unwrap();
+        assert_eq!(s.memo_stats(), first, "a cleared session starts cold");
+        let bytes = results_bytes(&s, &cold);
+        assert_eq!(results_bytes(&s, &warm), bytes);
+        assert_eq!(results_bytes(&s, &again), bytes);
     }
 
     #[test]

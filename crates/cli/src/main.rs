@@ -74,9 +74,10 @@ over workers. `--output-json` writes the machine-readable
 `{results}` report.
 
 `--seed-supports` (sweep, default on) answers supports already counted by
-earlier grid points from a session-level cache. Neither it nor `--threads`
-or `--jobs` can change any mined result; they only change how much counting
-costs.
+earlier grid points from a session-level cache, and replays the vertical
+enumerations earlier points recorded instead of re-intersecting them.
+Neither it nor `--threads` or `--jobs` can change any mined result; they
+only change how much mining costs.
 
 `--trace FILE` records the run with the flipper-obs recorder and writes a
 `{trace}` Chrome trace-event JSON (open it in chrome://tracing or

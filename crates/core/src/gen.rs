@@ -22,7 +22,7 @@
 //! [`Itemset`] its cell will store.
 
 use crate::cell::Cell;
-use flipper_data::{BitsetCounter, Itemset};
+use flipper_data::{BitsetCounter, Itemset, VerticalMemo};
 use flipper_measures::Label;
 use flipper_taxonomy::{NodeId, Taxonomy};
 use std::ops::Range;
@@ -277,6 +277,31 @@ pub(crate) struct VerticalLevel<'a, 'v> {
     pub(crate) h: usize,
     /// Absolute minimum support at level `h`.
     pub(crate) theta: u64,
+    /// Session memo of earlier enumerations at this view; `None` for
+    /// unseeded runs.
+    pub(crate) memo: Option<&'a VerticalMemo>,
+    /// Parent sets answered from `memo`.
+    pub(crate) replayed: u64,
+    /// Parent sets the kernel enumerated.
+    pub(crate) enumerated: u64,
+}
+
+impl<'a, 'v> VerticalLevel<'a, 'v> {
+    pub(crate) fn new(
+        counter: &'a mut BitsetCounter<'v>,
+        h: usize,
+        theta: u64,
+        memo: Option<&'a VerticalMemo>,
+    ) -> Self {
+        VerticalLevel {
+            counter,
+            h,
+            theta,
+            memo,
+            replayed: 0,
+            enumerated: 0,
+        }
+    }
 }
 
 /// Vertical candidates for `Q(h,k)` (`k ≥ 2`): combinations of frequent
@@ -294,8 +319,14 @@ pub(crate) struct VerticalLevel<'a, 'v> {
 /// frequent — skipping it changes no labels, no chains and no patterns.
 /// The support of every combination falls out of the same intersections.
 ///
-/// Combinations containing a SIBP-banned item are dropped, and so are
-/// combinations with a `(k−1)`-subset *present* in `prev = Q(h,k−1)` and
+/// That enumeration depends only on the view, `h`, θ_h and the parent set.
+/// With a [`VerticalMemo`], a parent set recorded by an earlier run is
+/// replayed instead, in the order the kernel emitted it, and a parent set
+/// enumerated here is recorded.
+///
+/// Every combination, enumerated or replayed, then goes through the same
+/// prunes: combinations containing a SIBP-banned item are dropped, and so
+/// are combinations with a `(k−1)`-subset *present* in `prev = Q(h,k−1)` and
 /// labeled infrequent. (Absent subsets carry no information — they may
 /// simply never have been candidates.)
 pub(crate) fn vertical(
@@ -306,45 +337,69 @@ pub(crate) fn vertical(
     k: usize,
 ) -> Generated {
     let mut g = Generated::default();
-    // Per parent slot, the parent's frequent children.
-    let mut kids: Vec<Vec<NodeId>> = vec![Vec::new(); k];
     // A `(k−1)`-subset being probed.
     let mut sub: Vec<NodeId> = Vec::with_capacity(k);
+    let mut keep = |combo: &[NodeId], support: u64| {
+        if combo.iter().any(|&it| ctx.is_banned(it)) {
+            g.sibp_pruned += 1;
+            return;
+        }
+        let doomed = prev.is_some_and(|prev| {
+            (0..k).any(|i| {
+                sub.clear();
+                sub.extend_from_slice(&combo[..i]);
+                sub.extend_from_slice(&combo[i + 1..]);
+                prev.get_items(&sub)
+                    .is_some_and(|info| info.label == Label::Infrequent)
+            })
+        });
+        if doomed {
+            g.support_pruned += 1;
+        } else {
+            g.cands.push(Itemset::from_sorted(combo.to_vec()));
+            g.supports.push(support);
+        }
+    };
+    // Per parent slot, the parent's frequent children.
+    let mut kids: Vec<Vec<NodeId>> = vec![Vec::new(); k];
+    // One parent set's combinations (rows of `k` items) and supports, as
+    // the memo stores them.
+    let mut combos: Vec<NodeId> = Vec::new();
+    let mut supports: Vec<u64> = Vec::new();
+    let (h, theta, memo) = (level.h, level.theta, level.memo);
     for (pset, _) in above.alive() {
-        for (slot, &p) in kids.iter_mut().zip(pset.items()) {
+        let parent = pset.items();
+        if memo.is_some_and(|m| m.replay_into(h, theta, parent, &mut combos, &mut supports)) {
+            level.replayed += 1;
+            for (combo, &support) in combos.chunks_exact(k).zip(&supports) {
+                keep(combo, support);
+            }
+            continue;
+        }
+        level.enumerated += 1;
+        for (slot, &p) in kids.iter_mut().zip(parent) {
             slot.clear();
             slot.extend(
                 ctx.tax
                     .children(p)
                     .iter()
                     .copied()
-                    .filter(|&c| level.counter.item_support(level.h, c) >= level.theta),
+                    .filter(|&c| level.counter.item_support(h, c) >= theta),
             );
         }
         let slots: Vec<&[NodeId]> = kids.iter().map(Vec::as_slice).collect();
-        level
-            .counter
-            .co_occurring(level.h, &slots, |combo, support| {
-                if combo.iter().any(|&it| ctx.is_banned(it)) {
-                    g.sibp_pruned += 1;
-                    return;
-                }
-                let doomed = prev.is_some_and(|prev| {
-                    (0..k).any(|i| {
-                        sub.clear();
-                        sub.extend_from_slice(&combo[..i]);
-                        sub.extend_from_slice(&combo[i + 1..]);
-                        prev.get_items(&sub)
-                            .is_some_and(|info| info.label == Label::Infrequent)
-                    })
-                });
-                if doomed {
-                    g.support_pruned += 1;
-                } else {
-                    g.cands.push(Itemset::from_sorted(combo.to_vec()));
-                    g.supports.push(support);
-                }
-            });
+        combos.clear();
+        supports.clear();
+        level.counter.co_occurring(h, &slots, |combo, support| {
+            if memo.is_some() {
+                combos.extend_from_slice(combo);
+                supports.push(support);
+            }
+            keep(combo, support);
+        });
+        if let Some(memo) = memo {
+            memo.record(h, theta, parent, &combos, &supports);
+        }
     }
     g
 }
@@ -551,11 +606,7 @@ mod tests {
             let prev = (k == 3).then_some(&prev);
             let by_density = DENSITIES.map(|density| {
                 let mut counter = BitsetCounter::with_density(&view, density);
-                let mut level = VerticalLevel {
-                    counter: &mut counter,
-                    h: 3,
-                    theta,
-                };
+                let mut level = VerticalLevel::new(&mut counter, 3, theta, None);
                 vertical(&ctx(&tax, &top_cat), &mut level, &above, prev, k)
             });
             let base = &by_density[0];
@@ -621,6 +672,101 @@ mod tests {
         }
     }
 
+    /// A warm memo replays what a cold one recorded: under any bans and any
+    /// `prev` cell, the replayed pass yields the `Generated` an unmemoized
+    /// pass does, without a single intersection.
+    #[test]
+    fn memoized_vertical_replays_identically_under_any_bans_and_prev() {
+        let tax = Taxonomy::uniform(3, 3, 3).unwrap();
+        let leaves = tax.leaves().to_vec();
+        let mut rng = Xoshiro256pp::seed_from_u64(17);
+        let rows: Vec<Vec<NodeId>> = (0..400)
+            .map(|_| {
+                let w = rng.gen_range(2..=7usize);
+                (0..w)
+                    .map(|_| leaves[rng.gen_range(0..leaves.len())])
+                    .collect()
+            })
+            .collect();
+        let db = TransactionDb::new(rows).unwrap();
+        let view = MultiLevelView::build(&db, &tax);
+        let top_cat: Vec<NodeId> = tax
+            .node_ids()
+            .map(|x| tax.ancestor_at_level(x, 1).unwrap_or(x))
+            .collect();
+        let (h, theta, k) = (3, 2, 3);
+        let mids = tax.nodes_at_level(2).unwrap().to_vec();
+        let mut above = Cell::new();
+        for _ in 0..40 {
+            let set = Itemset::new((0..k).map(|_| mids[rng.gen_range(0..mids.len())]).collect());
+            let cats: BTreeSet<NodeId> = set.items().iter().map(|it| top_cat[it.index()]).collect();
+            if cats.len() == k {
+                above.insert(set, info(Label::Positive));
+            }
+        }
+        // `prev` cells of leaf pairs, every `every`-th one infrequent.
+        let prev_cell = |every: usize| {
+            let mut cell = Cell::new();
+            let mut i = 0;
+            for (p, &a) in leaves.iter().enumerate() {
+                for &b in &leaves[p + 1..] {
+                    if top_cat[a.index()] != top_cat[b.index()] {
+                        i += 1;
+                        let label = if i % every == 0 {
+                            Label::Infrequent
+                        } else {
+                            Label::Positive
+                        };
+                        cell.insert(Itemset::pair(a, b), info(label));
+                    }
+                }
+            }
+            cell
+        };
+        let prevs = [None, Some(prev_cell(7)), Some(prev_cell(3))];
+        // Bans on every `every`-th leaf; none in the first round.
+        let bans: Vec<Vec<bool>> = [0usize, 5, 4]
+            .into_iter()
+            .map(|every| {
+                let mut b = vec![false; tax.node_count()];
+                for it in leaves.iter().skip(1).step_by(every.max(1)) {
+                    b[it.index()] = every > 0;
+                }
+                b
+            })
+            .collect();
+        let (mut sibp_bit, mut support_bit) = (false, false);
+        let memo = VerticalMemo::new();
+        let mut counter = BitsetCounter::new(&view);
+        for (round, (banned, prev)) in bans.iter().zip(&prevs).enumerate() {
+            let mut c = ctx(&tax, &top_cat);
+            c.banned = banned;
+            let mut fresh_counter = BitsetCounter::new(&view);
+            let mut plain = VerticalLevel::new(&mut fresh_counter, h, theta, None);
+            let expect = vertical(&c, &mut plain, &above, prev.as_ref(), k);
+            sibp_bit |= expect.sibp_pruned > 0;
+            support_bit |= expect.support_pruned > 0;
+            let before = counter.stats().intersections;
+            let mut level = VerticalLevel::new(&mut counter, h, theta, Some(&memo));
+            let got = vertical(&c, &mut level, &above, prev.as_ref(), k);
+            let (replayed, enumerated) = (level.replayed, level.enumerated);
+            assert_eq!(got, expect, "round {round}");
+            assert_eq!(replayed + enumerated, above.alive().count() as u64);
+            if round == 0 {
+                assert_eq!((replayed, enumerated), (0, plain.enumerated), "cold");
+                assert_eq!(
+                    counter.stats().intersections - before,
+                    fresh_counter.stats().intersections,
+                    "a cold memo enumerates like no memo"
+                );
+            } else {
+                assert_eq!(enumerated, 0, "round {round}: warm");
+                assert_eq!(counter.stats().intersections, before, "round {round}");
+            }
+        }
+        assert!(sibp_bit && support_bit, "the bans and prev cells must bite");
+    }
+
     /// A parent set whose every children-combination occurs (the first
     /// transaction holds all of them) yields the whole space, each
     /// combination once with its support.
@@ -644,11 +790,7 @@ mod tests {
         let mut above = Cell::new();
         above.insert(Itemset::pair(mids[0], mids[1]), info(Label::Positive));
         let mut counter = BitsetCounter::new(&view);
-        let mut level = VerticalLevel {
-            counter: &mut counter,
-            h: 2,
-            theta: 1,
-        };
+        let mut level = VerticalLevel::new(&mut counter, 2, 1, None);
         let got = vertical(&ctx(&tax, &top_cat), &mut level, &above, None, 2);
         let batch = Batch::union([got]);
         let expect: Vec<(Itemset, u64)> = [(0, 2, 4), (0, 3, 1), (1, 2, 1), (1, 3, 4)]
@@ -692,11 +834,7 @@ mod tests {
         above.insert(Itemset::new(tops.clone()), info(Label::Positive));
         let joined = horizontal(&c, &prev, 3);
         let mut counter = BitsetCounter::new(&view);
-        let mut level = VerticalLevel {
-            counter: &mut counter,
-            h: 2,
-            theta: 1,
-        };
+        let mut level = VerticalLevel::new(&mut counter, 2, 1, None);
         let fused = vertical(&c, &mut level, &above, Some(&prev), 3);
         let both = Itemset::new(vec![a1, b1, c1]);
         let horizontal_only = Itemset::new(vec![a2, b2, c2]);

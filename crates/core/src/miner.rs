@@ -45,17 +45,23 @@
 //! arrive with their supports; every other candidate is counted by the one
 //! kernel, [`BitsetCounter::count_batch`]: with `cfg.threads != 1` each
 //! cell's batch is chunked over scoped worker threads at prefix-group
-//! boundaries. Seeded runs ([`mine_with_view_seeded`]) first answer those
-//! candidates from a session-level [`SupportCache`]. Results and
-//! statistics are bit-identical at every thread count and seed-cache
-//! state.
+//! boundaries. Seeded runs ([`mine_with_view_seeded`]) reuse two kinds of
+//! session-level work ([`Reuse`]): they answer those candidates from a
+//! [`SupportCache`] first, and they replay a parent set's vertical
+//! enumeration from a [`VerticalMemo`] when an earlier run recorded it,
+//! recording the ones they enumerate. Results are bit-identical at every
+//! thread count and reuse state; statistics are too, except the kernel's
+//! work counters ([`RunStats::counter`]), which drop by the enumerations a
+//! seeded run replays.
 
 use crate::cell::{Cell, ItemsetInfo};
 use crate::config::FlipperConfig;
 use crate::gen::{self, Batch, GenCtx, Generated, VerticalLevel};
 use crate::results::{CellSummary, ChainLevel, FlippingPattern, MiningResult};
 use crate::stats::{RunStats, Stopwatch};
-use flipper_data::{BitsetCounter, Itemset, MultiLevelView, SupportCache, TransactionDb};
+use flipper_data::{
+    BitsetCounter, Itemset, MultiLevelView, SupportCache, TransactionDb, VerticalMemo,
+};
 use flipper_guard::{CancelToken, GuardError};
 use flipper_measures::{CorrelationMeasure, Label, Thresholds};
 use flipper_taxonomy::{NodeId, Taxonomy};
@@ -96,43 +102,59 @@ pub fn mine_with_view_guarded(
     .and_then(|r| r)
 }
 
+/// What a seeded run reuses from earlier runs over the **same view**.
+#[derive(Debug, Clone, Copy)]
+pub struct Reuse<'a> {
+    /// Supports earlier runs counted; read-only.
+    pub supports: &'a SupportCache,
+    /// Vertical enumerations earlier runs recorded; the run replays what it
+    /// finds and records what it enumerates.
+    pub memo: &'a VerticalMemo,
+}
+
 /// [`mine_with_view_seeded`] under a [`CancelToken`]; see
-/// [`mine_with_view_guarded`] for the interruption semantics.
+/// [`mine_with_view_guarded`] for the interruption semantics. Memo entries
+/// an interrupted run recorded are complete and stay valid.
 pub fn mine_with_view_seeded_guarded(
     tax: &Taxonomy,
     view: &MultiLevelView,
     cfg: &FlipperConfig,
-    seeds: &SupportCache,
+    reuse: Reuse<'_>,
     token: &CancelToken,
 ) -> Result<MiningResult, GuardError> {
     flipper_guard::trap("mine", || {
         let mut miner = Miner::new(tax, view, cfg);
-        miner.seeds = Some(seeds);
+        miner.reuse = Some(reuse);
         miner.token = Some(token);
         miner.run()
     })
     .and_then(|r| r)
 }
 
-/// Mine with a prebuilt view *and* a session-level support seed cache.
+/// Mine with a prebuilt view, reusing session-level work from earlier runs
+/// over the same view.
 ///
-/// Every candidate that would be counted (vertical candidates arrive with
-/// their supports and never are) and is found in `seeds` skips counting
-/// and is charged to [`RunStats::seeded_supports`]; everything else is
-/// counted as usual.
-/// Supports are facts about the data alone — independent of measure,
-/// thresholds, pruning, or thread count — so seeding from any
-/// completed run over the same view is sound and the mined patterns,
-/// labels, and `flipper-results/v1` bytes are identical to an unseeded
-/// run.
+/// * Every candidate that would be counted (vertical candidates arrive
+///   with their supports and never are) and is found in
+///   [`Reuse::supports`] skips counting and is charged to
+///   [`RunStats::seeded_supports`]; everything else is counted as usual.
+/// * Every chain-alive parent set whose vertical enumeration is in
+///   [`Reuse::memo`] is replayed from it instead of re-intersecting its
+///   children's transactions; the rest are enumerated and recorded.
+///
+/// Supports and enumerations are facts about the data alone (an enumeration
+/// also about `h` and θ_h, which key it) — independent of γ, ε, pruning,
+/// or thread count — so reusing them from any completed run over the same
+/// view is sound and the mined patterns, labels, and `flipper-results/v1`
+/// bytes are identical to an unseeded run.
 pub fn mine_with_view_seeded(
     tax: &Taxonomy,
     view: &MultiLevelView,
     cfg: &FlipperConfig,
-    seeds: &SupportCache,
+    reuse: Reuse<'_>,
 ) -> MiningResult {
     let mut miner = Miner::new(tax, view, cfg);
-    miner.seeds = Some(seeds);
+    miner.reuse = Some(reuse);
     miner
         .run()
         .unwrap_or_else(|_| unreachable!("an unguarded run has no token to interrupt it"))
@@ -181,9 +203,9 @@ struct Miner<'a> {
     /// Resolved worker-thread count for sharded counting (1 = sequential).
     threads: usize,
     counter: BitsetCounter<'a>,
-    /// Session-level support seeds ([`mine_with_view_seeded`]); `None` for
+    /// Session-level work to reuse ([`mine_with_view_seeded`]); `None` for
     /// plain runs.
-    seeds: Option<&'a SupportCache>,
+    reuse: Option<Reuse<'a>>,
     /// Cooperative-cancellation token ([`mine_with_view_guarded`]); checked
     /// at cell boundaries only, so the live fast path stays off the
     /// per-candidate hot loops. `None` for unguarded runs.
@@ -258,7 +280,7 @@ impl<'a> Miner<'a> {
             cfg,
             threads: flipper_data::exec::effective_threads(cfg.threads),
             counter,
-            seeds: None,
+            reuse: None,
             token: None,
             thetas,
             top_cat,
@@ -308,7 +330,8 @@ impl<'a> Miner<'a> {
     /// parents — the only source at `k = 2` — unioned with the horizontal
     /// join for wider cells. The `mine.gen` span records how many
     /// candidates each source produced and how many supports the vertical
-    /// pass fused in.
+    /// pass fused in; with a vertical source, also how many parent sets it
+    /// replayed from the memo (`memo_hits`) and enumerated (`memo_misses`).
     fn gen_candidates(&mut self, h: usize, k: usize) -> Batch {
         let mut span = flipper_obs::span("mine.gen")
             .arg("h", h as u64)
@@ -330,13 +353,13 @@ impl<'a> Miner<'a> {
         let above = flipping_row
             .then(|| self.rows[h - 2].cells.get(&k))
             .flatten();
+        let memo = self.reuse.map(|r| r.memo);
         let vertical = above.map(|above| {
-            let mut level = VerticalLevel {
-                counter: &mut self.counter,
-                h,
-                theta: self.thetas[h - 1],
-            };
-            gen::vertical(&ctx, &mut level, above, here.cells.get(&(k - 1)), k)
+            let mut level = VerticalLevel::new(&mut self.counter, h, self.thetas[h - 1], memo);
+            let g = gen::vertical(&ctx, &mut level, above, here.cells.get(&(k - 1)), k);
+            span.add_arg("memo_hits", level.replayed);
+            span.add_arg("memo_misses", level.enumerated);
+            g
         });
         let size = |g: &Option<Generated>| g.as_ref().map_or(0, |g| g.cands.len() as u64);
         span.add_arg("pairs", size(&pairs));
@@ -364,7 +387,7 @@ impl<'a> Miner<'a> {
             .arg("h", h as u64)
             .arg("batch", candidates.len() as u64);
         flipper_obs::observe("flipper_batch_candidates", candidates.len() as u64);
-        let seeds = self.seeds.filter(|s| !s.is_empty());
+        let seeds = self.reuse.map(|r| r.supports).filter(|s| !s.is_empty());
         let Some(seeds) = seeds else {
             return self.counter.count_batch(h, candidates, self.threads);
         };
@@ -866,9 +889,14 @@ mod tests {
                 seeds.insert(*h, set, info.support);
             }
         }
-        let plain = mine_with_view_seeded(&tax, &view, &cfg, &seeds);
+        let memo = VerticalMemo::new();
+        let reuse = Reuse {
+            supports: &seeds,
+            memo: &memo,
+        };
+        let plain = mine_with_view_seeded(&tax, &view, &cfg, reuse);
         let token = CancelToken::new();
-        let guarded = mine_with_view_seeded_guarded(&tax, &view, &cfg, &seeds, &token).unwrap();
+        let guarded = mine_with_view_seeded_guarded(&tax, &view, &cfg, reuse, &token).unwrap();
         assert_eq!(plain.patterns, guarded.patterns);
         assert!(guarded.stats.seeded_supports > 0);
     }
@@ -1021,7 +1049,12 @@ mod tests {
                 seeds.insert(*h, set, info.support);
             }
         }
-        let seeded = mine_with_view_seeded(&tax, &view, &cfg, &seeds);
+        let memo = VerticalMemo::new();
+        let reuse = Reuse {
+            supports: &seeds,
+            memo: &memo,
+        };
+        let seeded = mine_with_view_seeded(&tax, &view, &cfg, reuse);
         assert_eq!(seeded.patterns, plain.patterns);
         assert_eq!(seeded.cells, plain.cells);
         assert!(
@@ -1029,12 +1062,22 @@ mod tests {
             "a fully-seeded rerun must answer candidates from the cache"
         );
         assert_eq!(plain.stats.seeded_supports, 0);
+        assert!(memo.stats().entries > 0, "the run records its enumerations");
 
-        // A seed cache for a *different* config still yields identical
-        // results: supports are config-independent data facts.
+        // A warm memo replays every enumeration: same results, fewer
+        // intersections.
+        let replayed = mine_with_view_seeded(&tax, &view, &cfg, reuse);
+        assert_eq!(replayed.patterns, plain.patterns);
+        assert_eq!(replayed.cells, plain.cells);
+        assert_eq!(memo.stats().hits, memo.stats().entries);
+        assert!(replayed.stats.counter.intersections < seeded.stats.counter.intersections);
+
+        // Reuse recorded under a *different* config still yields identical
+        // results: supports and enumerations are config-independent data
+        // facts, and θ keys the enumerations.
         let alt = FlipperConfig::new(Thresholds::new(0.8, 0.1), MinSupports::Counts(vec![1]));
         let alt_plain = mine_with_view(&tax, &view, &alt);
-        let alt_seeded = mine_with_view_seeded(&tax, &view, &alt, &seeds);
+        let alt_seeded = mine_with_view_seeded(&tax, &view, &alt, reuse);
         assert_eq!(alt_seeded.patterns, alt_plain.patterns);
         assert_eq!(alt_seeded.cells, alt_plain.cells);
     }

@@ -1,10 +1,15 @@
-//! The session-level support cache that seeds repeated mining runs.
+//! The session-level reuse state that seeds repeated mining runs.
 //!
-//! Supports are properties of the data alone — no threshold, pruning
-//! variant or thread count changes them. [`SupportCache`] is a
-//! `(h, itemset) → support` map a session fills from completed runs and
-//! consults before counting, so sweep grid points that differ only in γ/ε
-//! (or pruning) never recount itemsets an earlier run already counted.
+//! * [`SupportCache`] — supports are properties of the data alone: no
+//!   threshold, pruning variant or thread count changes them. The cache is
+//!   a `(h, itemset) → support` map a session fills from completed runs and
+//!   consults before counting, so sweep grid points that differ only in
+//!   γ/ε (or pruning) never recount itemsets an earlier run already
+//!   counted.
+//! * [`VerticalMemo`] — the children-combinations a parent set yields at
+//!   level `h` ([`crate::BitsetCounter::co_occurring`]) depend only on the
+//!   view, `h`, θ_h and the parent set. The memo records each enumeration
+//!   once, so later runs replay it instead of re-intersecting.
 //!
 //! Everything here sits on the `flipper-results/v1` result path, so only
 //! ordered containers are used (`flipper-lint`'s determinism rule holds
@@ -13,6 +18,7 @@
 use crate::itemset::Itemset;
 use flipper_taxonomy::NodeId;
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Fixed per-entry bookkeeping estimate (keys, tree nodes, vec headers).
 const ENTRY_OVERHEAD: usize = 64;
@@ -205,10 +211,157 @@ impl SupportCache {
         }
     }
 
-    /// Drop every cached support.
+    /// Drop every cached support and reset the counters.
     pub fn clear(&mut self) {
         self.map.clear();
         self.bytes = 0;
+        self.stats = CacheStats::default();
+    }
+}
+
+/// What a [`VerticalMemo`] holds and how often it answered.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Parent sets whose enumeration is recorded.
+    pub entries: u64,
+    /// Bytes resident (estimate).
+    pub bytes: u64,
+    /// Lookups answered from a recorded enumeration.
+    pub hits: u64,
+    /// Lookups that found nothing recorded.
+    pub misses: u64,
+}
+
+/// Where one parent set's recorded combinations sit in its table.
+#[derive(Debug, Clone, Copy)]
+struct Recorded {
+    /// First item in [`MemoTable::items`].
+    items_at: usize,
+    /// First support in [`MemoTable::supports`].
+    supports_at: usize,
+    /// Number of combinations.
+    len: usize,
+}
+
+/// One `(h, θ_h)` table: the recorded enumerations of every parent set,
+/// flat. A parent set of `k` items yields `k`-item combinations, stored as
+/// fixed-stride rows of `items`.
+#[derive(Debug, Default)]
+struct MemoTable {
+    index: BTreeMap<Box<[NodeId]>, Recorded>,
+    items: Vec<NodeId>,
+    supports: Vec<u64>,
+}
+
+#[derive(Debug, Default)]
+struct MemoTables {
+    by_level: BTreeMap<(usize, u64), MemoTable>,
+    stats: MemoStats,
+}
+
+/// Session-level memo of the vertical enumeration: `(h, θ_h, parent set) →`
+/// the parent set's children-combinations with their supports, in the
+/// order [`crate::BitsetCounter::co_occurring`] emitted them.
+///
+/// The enumeration does not depend on γ, ε or the pruning variant, so any
+/// run over the same view may replay an entry any other run recorded.
+/// Entries hold exact DFS output and are never evicted, so a replay is
+/// always what the DFS would have produced.
+///
+/// The memo locks internally, once per lookup or record and never across an
+/// enumeration, so concurrent sweep jobs share it through `&self`. Lock
+/// poisoning is ignored: a recorded entry is complete, so every state the
+/// tables can be left in is valid.
+#[derive(Debug, Default)]
+pub struct VerticalMemo {
+    tables: Mutex<MemoTables>,
+}
+
+impl VerticalMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        VerticalMemo::default()
+    }
+
+    fn tables(&self) -> MutexGuard<'_, MemoTables> {
+        self.tables.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Copy the recorded enumeration of `parent` at level `h` under θ_h =
+    /// `theta` into `combos` (rows of `parent.len()` items) and `supports`,
+    /// replacing their contents. Returns false, leaving both untouched,
+    /// when nothing is recorded. The probe allocates nothing beyond the
+    /// buffers' growth.
+    pub fn replay_into(
+        &self,
+        h: usize,
+        theta: u64,
+        parent: &[NodeId],
+        combos: &mut Vec<NodeId>,
+        supports: &mut Vec<u64>,
+    ) -> bool {
+        let mut guard = self.tables();
+        let tables = &mut *guard;
+        let found = tables
+            .by_level
+            .get(&(h, theta))
+            .and_then(|table| table.index.get(parent).map(|rec| (table, *rec)));
+        let Some((table, rec)) = found else {
+            tables.stats.misses += 1;
+            return false;
+        };
+        let k = parent.len();
+        combos.clear();
+        combos.extend_from_slice(&table.items[rec.items_at..rec.items_at + rec.len * k]);
+        supports.clear();
+        supports.extend_from_slice(&table.supports[rec.supports_at..rec.supports_at + rec.len]);
+        tables.stats.hits += 1;
+        true
+    }
+
+    /// Record the enumeration of `parent` at level `h` under θ_h = `theta`:
+    /// `combos` holds one row of `parent.len()` items per entry of
+    /// `supports`. A parent set already recorded keeps its entry.
+    pub fn record(
+        &self,
+        h: usize,
+        theta: u64,
+        parent: &[NodeId],
+        combos: &[NodeId],
+        supports: &[u64],
+    ) {
+        debug_assert_eq!(combos.len(), supports.len() * parent.len());
+        let mut guard = self.tables();
+        let tables = &mut *guard;
+        let table = tables.by_level.entry((h, theta)).or_default();
+        if table.index.contains_key(parent) {
+            return;
+        }
+        let rec = Recorded {
+            items_at: table.items.len(),
+            supports_at: table.supports.len(),
+            len: supports.len(),
+        };
+        table.items.extend_from_slice(combos);
+        table.supports.extend_from_slice(supports);
+        table.index.insert(parent.into(), rec);
+        let size = std::mem::size_of_val(parent)
+            + std::mem::size_of_val(combos)
+            + std::mem::size_of_val(supports)
+            + ENTRY_OVERHEAD;
+        tables.stats.entries += 1;
+        tables.stats.bytes += size as u64;
+    }
+
+    /// Resident entries and bytes, plus lookup counters since the memo was
+    /// created or last cleared.
+    pub fn stats(&self) -> MemoStats {
+        self.tables().stats
+    }
+
+    /// Drop every recorded enumeration and reset the counters.
+    pub fn clear(&self) {
+        *self.tables() = MemoTables::default();
     }
 }
 
@@ -311,6 +464,43 @@ mod tests {
             0
         );
         assert_batch_matches_get(&sc, 9, &[set3(1, 2, 3)]);
+    }
+
+    #[test]
+    fn memo_replays_what_it_recorded_keyed_by_level_and_theta() {
+        let n = NodeId::from_index;
+        let memo = VerticalMemo::new();
+        let parent = [n(1), n(2)];
+        let combos = [n(10), n(20), n(11), n(20)];
+        let (mut got, mut sups) = (vec![n(99)], vec![99]);
+        assert!(!memo.replay_into(2, 5, &parent, &mut got, &mut sups));
+        assert_eq!((got.as_slice(), sups.as_slice()), (&[n(99)][..], &[99][..]));
+        memo.record(2, 5, &parent, &combos, &[7, 6]);
+        // A second record of the same key keeps the first entry.
+        memo.record(2, 5, &parent, &[], &[]);
+        assert!(memo.replay_into(2, 5, &parent, &mut got, &mut sups));
+        assert_eq!(
+            (got.as_slice(), sups.as_slice()),
+            (&combos[..], &[7, 6][..])
+        );
+        assert!(
+            !memo.replay_into(2, 6, &parent, &mut got, &mut sups),
+            "θ is keyed"
+        );
+        assert!(
+            !memo.replay_into(3, 5, &parent, &mut got, &mut sups),
+            "h is keyed"
+        );
+        // An empty enumeration is an entry too.
+        memo.record(2, 5, &[n(1), n(3)], &[], &[]);
+        assert!(memo.replay_into(2, 5, &[n(1), n(3)], &mut got, &mut sups));
+        assert!(got.is_empty() && sups.is_empty());
+        let stats = memo.stats();
+        assert_eq!((stats.entries, stats.hits, stats.misses), (2, 2, 3));
+        assert!(stats.bytes > 2 * ENTRY_OVERHEAD as u64);
+        memo.clear();
+        assert_eq!(memo.stats(), MemoStats::default());
+        assert!(!memo.replay_into(2, 5, &parent, &mut got, &mut sups));
     }
 
     #[test]

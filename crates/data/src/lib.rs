@@ -19,8 +19,8 @@
 //! * [`mod@exec`] — dependency-free scoped-thread sharding;
 //!   [`BitsetCounter::count_batch`] counts a batch over a worker pool with
 //!   bit-identical counts and stats at every thread count;
-//! * [`mod@cache`] — the session-level [`SupportCache`] that seeds repeated
-//!   runs;
+//! * [`mod@cache`] — the session-level [`SupportCache`] and
+//!   [`VerticalMemo`] that seed repeated runs;
 //! * [`mod@format`] — a text interchange format bundling taxonomy + data;
 //! * [`stats`] — dataset statistics.
 //!
@@ -56,7 +56,7 @@ pub mod tidset;
 mod transaction;
 
 pub use bitset::{Bitmap, BitsetCounter};
-pub use cache::{CacheStats, SupportCache};
+pub use cache::{CacheStats, MemoStats, SupportCache, VerticalMemo};
 pub use counting::{
     naive_tidset_counts, prefix_groups, same_prefix_group, CounterStats, MIN_SHARD_CANDIDATES,
 };

@@ -258,3 +258,79 @@ fn sweep_trace_covers_grid_points() {
         "sweep.point labels missing: {labeled:?}"
     );
 }
+
+/// Vertical replay per cell: every `mine.gen` span with a vertical source
+/// says how many parent sets it replayed from the session memo
+/// (`memo_hits`) and enumerated (`memo_misses`). The two points of this
+/// seeded sweep resolve to different θ, so the first sweep replays
+/// nothing; a repeat of the same sweep replays every alive parent set.
+#[test]
+fn gen_spans_record_memo_replays() {
+    let _guard = recorder_lock();
+    let session = planted_session();
+    let base = FlipperConfig {
+        min_support: MinSupports::Counts(vec![5]),
+        ..config(1)
+    };
+    let other = FlipperConfig {
+        min_support: MinSupports::Counts(vec![4]),
+        ..base.clone()
+    };
+    let sweep = || {
+        flipper_obs::disable();
+        let _ = flipper_obs::drain();
+        flipper_obs::enable();
+        let runs = session
+            .sweep()
+            .add("s5", base.clone())
+            .add("s4", other.clone())
+            .run()
+            .expect("sweep runs");
+        let capture = flipper_obs::drain();
+        flipper_obs::disable();
+        let arg = |e: &flipper_obs::SpanEvent, key: &str| {
+            e.args.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
+        };
+        let (mut hits, mut misses) = (0, 0);
+        for e in capture.events.iter().filter(|e| e.name == "mine.gen") {
+            let h = arg(e, "h").expect("mine.gen span without `h`");
+            match (arg(e, "memo_hits"), arg(e, "memo_misses")) {
+                (Some(hit), Some(miss)) => {
+                    assert!(h >= 2, "a level-1 cell has no vertical source");
+                    hits += hit;
+                    misses += miss;
+                }
+                (None, None) => assert_eq!(h, 1, "a FULL row below 1 is vertical"),
+                other => panic!("memo args come in pairs: {other:?}"),
+            }
+        }
+        // The alive parent sets behind every vertical cell `Q(h,k)`: the
+        // alive itemsets of `Q(h−1,k)`.
+        let alive_parents: u64 = runs
+            .iter()
+            .map(|run| {
+                let cells = &run.result.cells;
+                cells
+                    .iter()
+                    .filter(|c| c.level >= 2)
+                    .filter_map(|c| {
+                        cells
+                            .iter()
+                            .find(|p| p.level + 1 == c.level && p.k == c.k)
+                            .map(|p| p.alive as u64)
+                    })
+                    .sum::<u64>()
+            })
+            .sum();
+        (hits, misses, alive_parents)
+    };
+    let (hits, misses, alive) = sweep();
+    assert!(
+        alive > 0,
+        "the sweep must extend some parent set vertically"
+    );
+    assert_eq!((hits, misses), (0, alive), "first sweep: all enumerated");
+    let (hits, misses, alive_again) = sweep();
+    assert_eq!(alive_again, alive);
+    assert_eq!((hits, misses), (alive, 0), "repeat: all replayed");
+}
