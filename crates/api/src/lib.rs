@@ -72,7 +72,7 @@ pub use flipper_core::{
     PruningConfig, RunStats,
 };
 pub use flipper_data::format::Dataset;
-pub use flipper_data::{stats, CacheStats, MemoStats, SupportCache};
+pub use flipper_data::{stats, CacheStats};
 pub use flipper_datagen::planted::PlantedParams;
 pub use flipper_datagen::quest::QuestParams;
 pub use flipper_guard::{CancelToken, GuardError};

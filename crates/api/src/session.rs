@@ -5,17 +5,11 @@ use crate::source::DataSource;
 use crate::sweep::Sweep;
 use flipper_core::stability::{bootstrap_stability, StabilityReport};
 use flipper_core::topk::{top_k_with_view, TopKConfig, TopKResult};
-use flipper_core::{
-    mine_with_view, mine_with_view_guarded, mine_with_view_seeded, mine_with_view_seeded_guarded,
-    FlipperConfig, MiningResult, Reuse,
-};
-use flipper_data::{
-    CacheStats, MemoStats, MultiLevelView, SupportCache, TransactionDb, VerticalMemo,
-};
+use flipper_core::{mine_with_view, mine_with_view_guarded, FlipperConfig, MiningResult};
+use flipper_data::{CacheStats, MultiLevelView, TransactionDb, VerticalMemo};
 use flipper_guard::CancelToken;
 use flipper_store::SalvageReport;
 use flipper_taxonomy::Taxonomy;
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A mining session over one ingested dataset.
 ///
@@ -47,17 +41,13 @@ pub struct Session {
     view: MultiLevelView,
     database: Option<TransactionDb>,
     origin: String,
-    /// Session-level support cache: every completed seeded run deposits
-    /// its counted supports here, and later seeded runs (or sweeps) answer
-    /// matching candidates without re-counting. Supports are facts about
-    /// the ingested data alone, so entries are valid for *any*
-    /// configuration over this session. Guarded by an `RwLock` so parallel
-    /// sweep jobs can read seeds concurrently.
-    supports: RwLock<SupportCache>,
-    /// Session-level memo of vertical enumerations: seeded runs replay the
-    /// parent sets an earlier seeded run enumerated, and record the rest
-    /// as they go. Locks internally, always after `supports`.
-    memo: VerticalMemo,
+    /// Session-level memo of vertical enumerations: seeded sweep points
+    /// replay the parent sets an earlier seeded point enumerated, and
+    /// record the rest as they go. Enumerations are facts about the
+    /// ingested data, `h` and θ_h alone, so entries are valid for *any*
+    /// configuration over this session. Locks internally, so parallel sweep
+    /// jobs share it.
+    pub(crate) memo: VerticalMemo,
     /// What salvage ingestion quarantined, when the session was opened via
     /// [`open_salvage_path`](Session::open_salvage_path). `None` for every
     /// strict open path.
@@ -89,7 +79,6 @@ impl Session {
             view: ingested.view,
             database: ingested.database,
             origin: ingested.origin,
-            supports: RwLock::new(SupportCache::new()),
             memo: VerticalMemo::new(),
             salvage: None,
         })
@@ -142,7 +131,6 @@ impl Session {
             view,
             database: None,
             origin: format!("fbin file {} (salvage)", path.display()),
-            supports: RwLock::new(SupportCache::new()),
             memo: VerticalMemo::new(),
             salvage: Some(report),
         })
@@ -214,130 +202,19 @@ impl Session {
         )?)
     }
 
-    /// [`mine_seeded`](Session::mine_seeded) under a [`CancelToken`]; see
-    /// [`mine_guarded`](Session::mine_guarded) for the guard semantics. An
-    /// interrupted run absorbs nothing into the session support cache; the
-    /// vertical enumerations it recorded are complete and stay in the memo.
-    pub fn mine_seeded_guarded(
-        &self,
-        cfg: &FlipperConfig,
-        token: &CancelToken,
-    ) -> Result<MiningResult, FlipperError> {
-        cfg.validate()?;
-        let result = {
-            let seeds = self.seeds_read();
-            mine_with_view_seeded_guarded(
-                &self.taxonomy,
-                &self.view,
-                cfg,
-                self.reuse(&seeds),
-                token,
-            )?
-        };
-        self.absorb_seeded(&result);
-        Ok(result)
-    }
-
-    /// Mine under `cfg`, reusing this session's work from earlier seeded
-    /// runs: support counting is seeded from the support cache, and the
-    /// vertical enumeration of a parent set an earlier run recorded is
-    /// replayed from the memo. The run deposits its counted supports and
-    /// records its enumerations for the next one.
-    ///
-    /// Patterns, cells, and `flipper-results/v1` bytes are identical to
-    /// [`mine`](Session::mine) — supports and enumerations are
-    /// configuration-independent facts about the ingested data, so a hit
-    /// returns exactly what counting or enumerating would have produced.
-    /// Only the cost changes: [`flipper_core::RunStats::seeded_supports`]
-    /// reports how many candidates were answered from the cache, and
-    /// [`memo_stats`](Session::memo_stats) how many enumerations were
-    /// replayed.
-    pub fn mine_seeded(&self, cfg: &FlipperConfig) -> Result<MiningResult, FlipperError> {
-        cfg.validate()?;
-        let result = {
-            let seeds = self.seeds_read();
-            mine_with_view_seeded(&self.taxonomy, &self.view, cfg, self.reuse(&seeds))
-        };
-        self.absorb_seeded(&result);
-        Ok(result)
-    }
-
-    /// The session work a seeded run reuses, given the read-locked support
-    /// cache.
-    pub(crate) fn reuse<'a>(&'a self, supports: &'a SupportCache) -> Reuse<'a> {
-        Reuse {
-            supports,
-            memo: &self.memo,
-        }
-    }
-
-    /// [`absorb`](Session::absorb) plus seed-probe accounting: a seeded run
-    /// probed the cache once per generated candidate and was answered
-    /// [`flipper_core::RunStats::seeded_supports`] times.
-    pub(crate) fn absorb_seeded(&self, result: &MiningResult) {
-        // A fully seeded run counted nothing: every k ≥ 2 support it could
-        // deposit came out of this cache, so re-inserting them is pure
-        // overhead — skip straight to the probe accounting.
-        let fully_seeded = result.stats.candidates_generated > 0
-            && result.stats.seeded_supports == result.stats.candidates_generated;
-        if !fully_seeded {
-            self.absorb(result);
-        }
-        self.seeds_write().record_seed_round(
-            result.stats.candidates_generated,
-            result.stats.seeded_supports,
-        );
-    }
-
-    /// Deposit every `(level, itemset) → support` fact a completed run
-    /// established into the session support cache, so later seeded runs
-    /// and sweeps skip re-counting them.
-    pub fn absorb(&self, result: &MiningResult) {
-        let mut cache = self.seeds_write();
-        for (h, cell) in &result.evaluated {
-            for (set, info) in cell.iter() {
-                cache.insert(*h, set, info.support);
-            }
-        }
-    }
-
-    /// Efficiency counters of the session support cache (seed lookups and
-    /// hits accumulate over [`mine_seeded`](Session::mine_seeded) and
-    /// seeded sweeps).
+    /// Stats of the session's reuse state, the memo of vertical
+    /// enumerations: entries and estimated bytes resident, plus memo lookups
+    /// (`seed_lookups`) and the ones it answered (`seed_hits`), summed over
+    /// seeded sweeps since the session opened or was last cleared.
     pub fn support_cache_stats(&self) -> CacheStats {
-        self.seeds_read().stats()
-    }
-
-    /// Number of cached `(level, itemset) → support` facts.
-    pub fn support_cache_len(&self) -> usize {
-        self.seeds_read().len()
-    }
-
-    /// What the session memo of vertical enumerations holds (entries and
-    /// estimated bytes), and how many lookups it answered (`hits`) or not
-    /// (`misses`) since the session opened or was last cleared.
-    pub fn memo_stats(&self) -> MemoStats {
         self.memo.stats()
     }
 
-    /// Drop the session's reuse state — every cached support fact and
-    /// every recorded vertical enumeration — and reset both counters. Later
-    /// seeded runs start cold; their results are unchanged.
+    /// Drop the session's reuse state — every recorded vertical
+    /// enumeration in the memo — and reset its counters. Later seeded
+    /// sweeps start cold; their results are unchanged.
     pub fn clear_support_cache(&self) {
-        let mut seeds = self.seeds_write();
-        seeds.clear();
         self.memo.clear();
-    }
-
-    /// Read-lock the support cache. Lock poisoning is ignored: the cache
-    /// holds plain data whose every state is valid (a half-absorbed run
-    /// just means fewer seeds), so a panicked writer cannot corrupt it.
-    pub(crate) fn seeds_read(&self) -> RwLockReadGuard<'_, SupportCache> {
-        self.supports.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn seeds_write(&self) -> RwLockWriteGuard<'_, SupportCache> {
-        self.supports.write().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Top-K most-flipping search ([`flipper_core::topk`]) over the cached
@@ -430,33 +307,46 @@ mod tests {
     }
 
     #[test]
-    fn mine_seeded_matches_mine_and_reuses_supports() {
+    fn seeded_sweep_matches_mine_and_replays_the_memo() {
         let (_, session) = planted_session();
+        let point = |cfg: &FlipperConfig| {
+            let mut runs = session.sweep().add("p", cfg.clone()).run().unwrap();
+            runs.remove(0).result
+        };
         let cfg = counts_cfg();
         let plain = session.mine(&cfg).unwrap();
-        let cold = session.mine_seeded(&cfg).unwrap();
+        let cold = point(&cfg);
         assert_eq!(cold.patterns, plain.patterns);
         assert_eq!(cold.cells, plain.cells);
-        assert_eq!(cold.stats.seeded_supports, 0, "cache starts empty");
-        assert!(session.support_cache_len() > 0);
+        assert_eq!(cold.stats.seeded_supports, 0, "memo starts empty");
+        assert!(session.support_cache_stats().entries > 0);
 
-        let warm = session.mine_seeded(&cfg).unwrap();
+        let warm = point(&cfg);
         assert_eq!(warm.patterns, plain.patterns);
         assert_eq!(warm.cells, plain.cells);
         assert!(
             warm.stats.seeded_supports > 0,
-            "second seeded run answers candidates from the session cache"
+            "second seeded run replays supports from the session memo"
         );
         let stats = session.support_cache_stats();
         assert!(stats.seed_lookups >= stats.seed_hits && stats.seed_hits > 0);
 
-        // Different config, same session: supports are data facts.
-        let mut other = counts_cfg();
-        other.pruning = flipper_core::PruningConfig::BASIC;
-        let seeded_other = session.mine_seeded(&other).unwrap();
-        let plain_other = session.mine(&other).unwrap();
-        assert_eq!(seeded_other.patterns, plain_other.patterns);
-        assert_eq!(seeded_other.cells, plain_other.cells);
+        // Different config, same session: enumerations are data facts.
+        for other in [
+            FlipperConfig {
+                pruning: flipper_core::PruningConfig::BASIC,
+                ..counts_cfg()
+            },
+            FlipperConfig {
+                thresholds: flipper_measures::Thresholds::new(0.8, 0.1),
+                ..counts_cfg()
+            },
+        ] {
+            let seeded_other = point(&other);
+            let plain_other = session.mine(&other).unwrap();
+            assert_eq!(seeded_other.patterns, plain_other.patterns);
+            assert_eq!(seeded_other.cells, plain_other.cells);
+        }
     }
 
     #[test]
@@ -542,16 +432,12 @@ mod tests {
         let guarded = session.mine_guarded(&cfg, &live).unwrap();
         assert_eq!(guarded.patterns, plain.patterns);
         assert_eq!(guarded.cells, plain.cells);
-        let seeded = session.mine_seeded_guarded(&cfg, &live).unwrap();
-        assert_eq!(seeded.patterns, plain.patterns);
 
         let cancelled = CancelToken::new();
         cancelled.cancel();
         let err = session.mine_guarded(&cfg, &cancelled).unwrap_err();
         assert!(matches!(err, FlipperError::Cancelled), "{err}");
         assert_eq!(err.exit_code(), 3);
-        let err = session.mine_seeded_guarded(&cfg, &cancelled).unwrap_err();
-        assert!(matches!(err, FlipperError::Cancelled), "{err}");
 
         let expired = CancelToken::with_timeout(std::time::Duration::ZERO);
         let err = session.mine_guarded(&cfg, &expired).unwrap_err();

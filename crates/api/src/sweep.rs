@@ -7,19 +7,15 @@
 //! submission order — each bit-identical to calling
 //! [`Session::mine`](crate::Session::mine) with that configuration alone.
 //!
-//! Three cost levers ride on top, none of which can change any result:
+//! Two cost levers ride on top, neither of which can change any result:
 //!
 //! * **Deduplication** — points that agree on every result-determining
 //!   field (measure, thresholds, supports, pruning, `max_k`) mine once;
 //!   the repeats reuse the result and are flagged via
 //!   [`SweepRun::duplicate_of`].
-//! * **Support seeding** (default on, [`Sweep::with_seeding`]) — runs
-//!   answer `(level, itemset)` supports already counted by earlier runs
-//!   from the session's [`flipper_data::SupportCache`] and deposit their
-//!   own counts back for the next sweep.
-//! * **Vertical replay** (on with seeding) — a point replays the vertical
-//!   enumeration of a parent set that an earlier point, in this sweep or
-//!   an earlier one, recorded in the session's
+//! * **Vertical replay** (default on, [`Sweep::with_seeding`]) — a point
+//!   replays the vertical enumeration of a parent set that an earlier
+//!   point, in this sweep or an earlier one, recorded in the session's
 //!   [`flipper_data::VerticalMemo`] under the same level and θ, instead of
 //!   re-intersecting its children's transactions. Points that differ only
 //!   in γ, ε or pruning share most of these.
@@ -145,13 +141,11 @@ impl<'s> Sweep<'s> {
         self
     }
 
-    /// Toggle reuse of session work (default on). Seeded points answer
-    /// already-counted `(level, itemset)` supports from earlier completed
-    /// runs instead of re-counting them, and deposit their own counts back
-    /// for the next sweep; they also replay vertical enumerations recorded
-    /// by earlier points and record their own. Results are identical either
-    /// way — supports and enumerations are data facts, independent of γ, ε
-    /// and pruning — so turning this off only changes mining cost.
+    /// Toggle reuse of session work (default on). Seeded points replay
+    /// the vertical enumerations earlier points recorded in the session
+    /// memo and record their own. Results are identical either way —
+    /// enumerations are data facts, independent of γ, ε and pruning — so
+    /// turning this off only changes mining cost.
     pub fn with_seeding(mut self, seed_supports: bool) -> Self {
         self.seed_supports = seed_supports;
         self
@@ -280,11 +274,10 @@ impl<'s> Sweep<'s> {
             }
         }
         let token = self.token;
+        // The memo locks per parent set, so jobs see each other's
+        // enumerations.
+        let memo = self.seed_supports.then_some(&session.memo);
         let results: Vec<MiningResult> = {
-            // Hold the read lock across the whole sweep: every job seeds
-            // from the same cache snapshot, concurrently. The memo locks
-            // per parent set, so jobs see each other's enumerations.
-            let seeds = self.seed_supports.then(|| session.seeds_read());
             let _sweep_span = flipper_obs::span("sweep.run")
                 .arg("points", self.points.len() as u64)
                 .arg("unique", unique.len() as u64);
@@ -300,13 +293,10 @@ impl<'s> Sweep<'s> {
                         // Trap per point: one panicking configuration fails
                         // the sweep typed, after every worker has joined and
                         // flushed — it cannot abort the process.
-                        let result = flipper_guard::trap("sweep.point", || match &seeds {
-                            Some(s) => mine_with_view_seeded(
-                                session.taxonomy(),
-                                session.view(),
-                                cfg,
-                                session.reuse(s),
-                            ),
+                        let result = flipper_guard::trap("sweep.point", || match memo {
+                            Some(memo) => {
+                                mine_with_view_seeded(session.taxonomy(), session.view(), cfg, memo)
+                            }
                             None => mine_with_view(session.taxonomy(), session.view(), cfg),
                         })?;
                         if let Some(j) = journal {
@@ -320,11 +310,6 @@ impl<'s> Sweep<'s> {
             .flatten()
             .collect()
         };
-        if self.seed_supports {
-            for result in &results {
-                session.absorb_seeded(result);
-            }
-        }
         // Journal the duplicates too (they completed by reuse), so a
         // resumed sweep restores them instead of re-deriving the original.
         if let Some(j) = journal {
@@ -379,7 +364,7 @@ mod tests {
     use super::*;
     use crate::source::Generator;
     use flipper_core::MinSupports;
-    use flipper_data::{CacheStats, MemoStats};
+    use flipper_data::CacheStats;
     use flipper_datagen::planted::PlantedParams;
 
     fn session() -> Session {
@@ -479,14 +464,18 @@ mod tests {
                 .unwrap()
         };
         let cold = grid(true);
-        assert!(s.support_cache_len() > 0, "sweep deposits counted supports");
+        assert!(
+            s.support_cache_stats().entries > 0,
+            "sweep records its enumerations"
+        );
         let warm = grid(true);
         let stats = s.support_cache_stats();
         assert!(
             stats.seed_hits > 0,
-            "second sweep must be answered from the cache: {stats:?}"
+            "second sweep must be answered from the memo: {stats:?}"
         );
         let unseeded = grid(false);
+        assert_eq!(s.support_cache_stats(), stats, "unseeded sweeps skip it");
         for ((c, w), u) in cold.iter().zip(&warm).zip(&unseeded) {
             assert_eq!(c.result.patterns, w.result.patterns, "{}", c.label);
             assert_eq!(c.result.patterns, u.result.patterns, "{}", c.label);
@@ -494,7 +483,7 @@ mod tests {
             assert_eq!(c.result.cells, u.result.cells, "{}", c.label);
         }
         s.clear_support_cache();
-        assert_eq!(s.support_cache_len(), 0);
+        assert_eq!(s.support_cache_stats().entries, 0);
     }
 
     /// `base()` under two minimum supports, so no memo entry one point
@@ -515,22 +504,31 @@ mod tests {
     fn clearing_resets_the_support_cache_and_the_memo() {
         let s = session();
         let cold = two_theta_points(s.sweep()).run().unwrap();
-        let first = s.memo_stats();
-        assert_eq!(first.hits, 0, "distinct θ: nothing to replay");
-        assert!(first.entries > 0 && first.bytes > 0);
-        assert_eq!(first.misses, first.entries);
+        let first = s.support_cache_stats();
+        assert_eq!(first.seed_hits, 0, "distinct θ: nothing to replay");
+        assert!(first.entries > 0 && first.bytes_resident > 0);
+        assert_eq!(first.seed_lookups, first.entries, "every lookup missed");
         let warm = two_theta_points(s.sweep()).run().unwrap();
-        let second = s.memo_stats();
-        assert_eq!(second.misses, first.misses, "a repeat replays everything");
-        assert_eq!(second.hits, first.entries);
-        assert_eq!((second.entries, second.bytes), (first.entries, first.bytes));
+        let second = s.support_cache_stats();
+        assert_eq!(
+            second.seed_lookups - second.seed_hits,
+            first.seed_lookups,
+            "a repeat replays everything"
+        );
+        assert_eq!(second.seed_hits, first.entries);
+        assert_eq!(
+            (second.entries, second.bytes_resident),
+            (first.entries, first.bytes_resident)
+        );
 
         s.clear_support_cache();
-        assert_eq!(s.support_cache_len(), 0);
         assert_eq!(s.support_cache_stats(), CacheStats::default());
-        assert_eq!(s.memo_stats(), MemoStats::default());
         let again = two_theta_points(s.sweep()).run().unwrap();
-        assert_eq!(s.memo_stats(), first, "a cleared session starts cold");
+        assert_eq!(
+            s.support_cache_stats(),
+            first,
+            "a cleared session starts cold"
+        );
         let bytes = results_bytes(&s, &cold);
         assert_eq!(results_bytes(&s, &warm), bytes);
         assert_eq!(results_bytes(&s, &again), bytes);

@@ -73,11 +73,10 @@ the whole grid against the cached view; `--jobs` shards the runs themselves
 over workers. `--output-json` writes the machine-readable
 `{results}` report.
 
-`--seed-supports` (sweep, default on) answers supports already counted by
-earlier grid points from a session-level cache, and replays the vertical
-enumerations earlier points recorded instead of re-intersecting them.
-Neither it nor `--threads` or `--jobs` can change any mined result; they
-only change how much mining costs.
+`--seed-supports` (sweep, default on) replays the vertical enumerations
+earlier grid points recorded in a session-level memo instead of
+re-intersecting them. Neither it nor `--threads` or `--jobs` can change any
+mined result; they only change how much mining costs.
 
 `--trace FILE` records the run with the flipper-obs recorder and writes a
 `{trace}` Chrome trace-event JSON (open it in chrome://tracing or
@@ -518,12 +517,6 @@ fn print_timings(capture: &flipper_obs::Capture, stats: &flipper_api::RunStats) 
         "counter: intersections={} counted={} prefix_reuses={}",
         c.intersections, c.candidates_counted, c.prefix_reuses
     );
-    if stats.seeded_supports > 0 {
-        println!(
-            "seeded:  {} supports answered without counting",
-            stats.seeded_supports
-        );
-    }
 }
 
 fn cmd_mine(flags: &Flags) -> Result<(), FlipperError> {

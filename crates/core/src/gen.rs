@@ -71,8 +71,8 @@ pub(crate) struct Batch {
     /// Vertical candidates with the supports the kernel's DFS produced,
     /// ascending by itemset.
     pub(crate) fused: Vec<(Itemset, u64)>,
-    /// Every other candidate, ascending: the seed cache and the counting
-    /// kernel answer these.
+    /// Every other candidate, ascending: the counting kernel answers
+    /// these.
     pub(crate) to_count: Vec<Itemset>,
 }
 
@@ -282,6 +282,8 @@ pub(crate) struct VerticalLevel<'a, 'v> {
     pub(crate) memo: Option<&'a VerticalMemo>,
     /// Parent sets answered from `memo`.
     pub(crate) replayed: u64,
+    /// Supports copied out of `memo`: one per replayed combination.
+    pub(crate) replayed_supports: u64,
     /// Parent sets the kernel enumerated.
     pub(crate) enumerated: u64,
 }
@@ -299,6 +301,7 @@ impl<'a, 'v> VerticalLevel<'a, 'v> {
             theta,
             memo,
             replayed: 0,
+            replayed_supports: 0,
             enumerated: 0,
         }
     }
@@ -371,6 +374,7 @@ pub(crate) fn vertical(
         let parent = pset.items();
         if memo.is_some_and(|m| m.replay_into(h, theta, parent, &mut combos, &mut supports)) {
             level.replayed += 1;
+            level.replayed_supports += supports.len() as u64;
             for (combo, &support) in combos.chunks_exact(k).zip(&supports) {
                 keep(combo, support);
             }

@@ -61,9 +61,6 @@ pub mod verify;
 
 pub use cell::{Cell, ItemsetInfo};
 pub use config::{ConfigError, FlipperConfig, MinSupports, PruningConfig};
-pub use miner::{
-    mine, mine_with_view, mine_with_view_guarded, mine_with_view_seeded,
-    mine_with_view_seeded_guarded, Reuse,
-};
+pub use miner::{mine, mine_with_view, mine_with_view_guarded, mine_with_view_seeded};
 pub use results::{CellSummary, ChainError, ChainLevel, FlippingPattern, MiningResult};
 pub use stats::RunStats;

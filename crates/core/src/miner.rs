@@ -45,23 +45,21 @@
 //! arrive with their supports; every other candidate is counted by the one
 //! kernel, [`BitsetCounter::count_batch`]: with `cfg.threads != 1` each
 //! cell's batch is chunked over scoped worker threads at prefix-group
-//! boundaries. Seeded runs ([`mine_with_view_seeded`]) reuse two kinds of
-//! session-level work ([`Reuse`]): they answer those candidates from a
-//! [`SupportCache`] first, and they replay a parent set's vertical
-//! enumeration from a [`VerticalMemo`] when an earlier run recorded it,
-//! recording the ones they enumerate. Results are bit-identical at every
-//! thread count and reuse state; statistics are too, except the kernel's
-//! work counters ([`RunStats::counter`]), which drop by the enumerations a
-//! seeded run replays.
+//! boundaries. Seeded runs ([`mine_with_view_seeded`]) reuse session-level
+//! work: they replay a parent set's vertical enumeration from a
+//! [`VerticalMemo`] when an earlier run recorded it, and record the ones
+//! they enumerate. Results are bit-identical at every thread count and
+//! memo state; statistics are too, except the kernel's work counters
+//! ([`RunStats::counter`]), which drop by the enumerations a seeded run
+//! replays, and [`RunStats::seeded_supports`], which counts the supports
+//! it replayed.
 
 use crate::cell::{Cell, ItemsetInfo};
 use crate::config::FlipperConfig;
 use crate::gen::{self, Batch, GenCtx, Generated, VerticalLevel};
 use crate::results::{CellSummary, ChainLevel, FlippingPattern, MiningResult};
 use crate::stats::{RunStats, Stopwatch};
-use flipper_data::{
-    BitsetCounter, Itemset, MultiLevelView, SupportCache, TransactionDb, VerticalMemo,
-};
+use flipper_data::{BitsetCounter, Itemset, MultiLevelView, TransactionDb, VerticalMemo};
 use flipper_guard::{CancelToken, GuardError};
 use flipper_measures::{CorrelationMeasure, Label, Thresholds};
 use flipper_taxonomy::{NodeId, Taxonomy};
@@ -102,59 +100,28 @@ pub fn mine_with_view_guarded(
     .and_then(|r| r)
 }
 
-/// What a seeded run reuses from earlier runs over the **same view**.
-#[derive(Debug, Clone, Copy)]
-pub struct Reuse<'a> {
-    /// Supports earlier runs counted; read-only.
-    pub supports: &'a SupportCache,
-    /// Vertical enumerations earlier runs recorded; the run replays what it
-    /// finds and records what it enumerates.
-    pub memo: &'a VerticalMemo,
-}
-
-/// [`mine_with_view_seeded`] under a [`CancelToken`]; see
-/// [`mine_with_view_guarded`] for the interruption semantics. Memo entries
-/// an interrupted run recorded are complete and stay valid.
-pub fn mine_with_view_seeded_guarded(
-    tax: &Taxonomy,
-    view: &MultiLevelView,
-    cfg: &FlipperConfig,
-    reuse: Reuse<'_>,
-    token: &CancelToken,
-) -> Result<MiningResult, GuardError> {
-    flipper_guard::trap("mine", || {
-        let mut miner = Miner::new(tax, view, cfg);
-        miner.reuse = Some(reuse);
-        miner.token = Some(token);
-        miner.run()
-    })
-    .and_then(|r| r)
-}
-
-/// Mine with a prebuilt view, reusing session-level work from earlier runs
-/// over the same view.
+/// Mine with a prebuilt view, reusing the vertical enumerations earlier
+/// runs over the **same view** recorded in `memo`.
 ///
-/// * Every candidate that would be counted (vertical candidates arrive
-///   with their supports and never are) and is found in
-///   [`Reuse::supports`] skips counting and is charged to
-///   [`RunStats::seeded_supports`]; everything else is counted as usual.
-/// * Every chain-alive parent set whose vertical enumeration is in
-///   [`Reuse::memo`] is replayed from it instead of re-intersecting its
-///   children's transactions; the rest are enumerated and recorded.
+/// Every chain-alive parent set whose vertical enumeration is in `memo` is
+/// replayed from it instead of re-intersecting its children's transactions,
+/// and its supports are charged to [`RunStats::seeded_supports`]; the rest
+/// are enumerated and recorded.
 ///
-/// Supports and enumerations are facts about the data alone (an enumeration
-/// also about `h` and θ_h, which key it) — independent of γ, ε, pruning,
-/// or thread count — so reusing them from any completed run over the same
-/// view is sound and the mined patterns, labels, and `flipper-results/v1`
-/// bytes are identical to an unseeded run.
+/// An enumeration is a fact about the data, `h` and θ_h alone (the last
+/// two key it) — independent of γ, ε, pruning, or thread count — so
+/// replaying it from any run over the same view is sound and the mined
+/// patterns, labels, and `flipper-results/v1` bytes are identical to an
+/// unseeded run. Memo entries a run records are complete when recorded, so
+/// a run that panics part-way leaves the memo valid.
 pub fn mine_with_view_seeded(
     tax: &Taxonomy,
     view: &MultiLevelView,
     cfg: &FlipperConfig,
-    reuse: Reuse<'_>,
+    memo: &VerticalMemo,
 ) -> MiningResult {
     let mut miner = Miner::new(tax, view, cfg);
-    miner.reuse = Some(reuse);
+    miner.memo = Some(memo);
     miner
         .run()
         .unwrap_or_else(|_| unreachable!("an unguarded run has no token to interrupt it"))
@@ -203,9 +170,9 @@ struct Miner<'a> {
     /// Resolved worker-thread count for sharded counting (1 = sequential).
     threads: usize,
     counter: BitsetCounter<'a>,
-    /// Session-level work to reuse ([`mine_with_view_seeded`]); `None` for
-    /// plain runs.
-    reuse: Option<Reuse<'a>>,
+    /// Session memo of vertical enumerations ([`mine_with_view_seeded`]);
+    /// `None` for plain runs.
+    memo: Option<&'a VerticalMemo>,
     /// Cooperative-cancellation token ([`mine_with_view_guarded`]); checked
     /// at cell boundaries only, so the live fast path stays off the
     /// per-candidate hot loops. `None` for unguarded runs.
@@ -280,7 +247,7 @@ impl<'a> Miner<'a> {
             cfg,
             threads: flipper_data::exec::effective_threads(cfg.threads),
             counter,
-            reuse: None,
+            memo: None,
             token: None,
             thetas,
             top_cat,
@@ -353,10 +320,10 @@ impl<'a> Miner<'a> {
         let above = flipping_row
             .then(|| self.rows[h - 2].cells.get(&k))
             .flatten();
-        let memo = self.reuse.map(|r| r.memo);
         let vertical = above.map(|above| {
-            let mut level = VerticalLevel::new(&mut self.counter, h, self.thetas[h - 1], memo);
+            let mut level = VerticalLevel::new(&mut self.counter, h, self.thetas[h - 1], self.memo);
             let g = gen::vertical(&ctx, &mut level, above, here.cells.get(&(k - 1)), k);
+            self.stats.seeded_supports += level.replayed_supports;
             span.add_arg("memo_hits", level.replayed);
             span.add_arg("memo_misses", level.enumerated);
             g
@@ -378,53 +345,13 @@ impl<'a> Miner<'a> {
 
     // ---- evaluation -------------------------------------------------------
 
-    /// Count supports for a sorted candidate batch: answer what the seed
-    /// cache already knows, count the rest with the kernel. Seeded supports
-    /// are exact values from a completed run, so the merged vector is
-    /// identical to counting everything.
+    /// Count supports for a sorted candidate batch with the kernel.
     fn count_supports(&mut self, h: usize, candidates: &[Itemset]) -> Vec<u64> {
         let _span = flipper_obs::span("mine.count")
             .arg("h", h as u64)
             .arg("batch", candidates.len() as u64);
         flipper_obs::observe("flipper_batch_candidates", candidates.len() as u64);
-        let seeds = self.reuse.map(|r| r.supports).filter(|s| !s.is_empty());
-        let Some(seeds) = seeds else {
-            return self.counter.count_batch(h, candidates, self.threads);
-        };
-        // One ordered range-merge over the seed cache instead of a map
-        // probe (plus an `Itemset` clone for the probe key) per candidate;
-        // `gen_candidates` sorts and dedups, which `seed_batch` requires.
-        let mut out = vec![0u64; candidates.len()];
-        let mut known = vec![false; candidates.len()];
-        let hits = {
-            let _seed_span = flipper_obs::span("mine.seed").arg("h", h as u64);
-            seeds.seed_batch(h, candidates, |i, sup| {
-                out[i] = sup;
-                known[i] = true;
-            })
-        };
-        self.stats.seeded_supports += hits;
-        if hits as usize == candidates.len() {
-            return out;
-        }
-        let miss = candidates.len() - hits as usize;
-        let mut unknown: Vec<Itemset> = Vec::with_capacity(miss);
-        let mut unknown_at: Vec<usize> = Vec::with_capacity(miss);
-        for (i, set) in candidates.iter().enumerate() {
-            if !known[i] {
-                unknown_at.push(i);
-                unknown.push(set.clone());
-            }
-        }
-        {
-            // `unknown` preserves the sorted order of `candidates`, so the
-            // kernel sees well-formed prefix groups.
-            let counted = self.counter.count_batch(h, &unknown, self.threads);
-            for (i, sup) in unknown_at.into_iter().zip(counted) {
-                out[i] = sup;
-            }
-        }
-        out
+        self.counter.count_batch(h, candidates, self.threads)
     }
 
     /// Evaluate cell `Q(h,k)`: generate, count, label, compute chain
@@ -878,30 +805,6 @@ mod tests {
     }
 
     #[test]
-    fn seeded_guarded_run_matches_plain_seeded() {
-        let (tax, db) = toy();
-        let view = MultiLevelView::build(&db, &tax);
-        let cfg = toy_config(PruningConfig::FULL);
-        let first = mine_with_view(&tax, &view, &cfg);
-        let mut seeds = SupportCache::new();
-        for (h, cell) in &first.evaluated {
-            for (set, info) in cell.iter() {
-                seeds.insert(*h, set, info.support);
-            }
-        }
-        let memo = VerticalMemo::new();
-        let reuse = Reuse {
-            supports: &seeds,
-            memo: &memo,
-        };
-        let plain = mine_with_view_seeded(&tax, &view, &cfg, reuse);
-        let token = CancelToken::new();
-        let guarded = mine_with_view_seeded_guarded(&tax, &view, &cfg, reuse, &token).unwrap();
-        assert_eq!(plain.patterns, guarded.patterns);
-        assert!(guarded.stats.seeded_supports > 0);
-    }
-
-    #[test]
     fn toy_example_finds_the_paper_pattern() {
         let (tax, db) = toy();
         for pruning in PruningConfig::VARIANTS {
@@ -1042,42 +945,39 @@ mod tests {
         let cfg = toy_config(PruningConfig::FULL);
         let plain = mine_with_view(&tax, &view, &cfg);
 
-        // Seed a cache with every support the plain run established.
-        let mut seeds = SupportCache::new();
-        for (h, cell) in &plain.evaluated {
-            for (set, info) in cell.iter() {
-                seeds.insert(*h, set, info.support);
-            }
-        }
+        // A cold memo enumerates like no memo, and records what it did.
         let memo = VerticalMemo::new();
-        let reuse = Reuse {
-            supports: &seeds,
-            memo: &memo,
-        };
-        let seeded = mine_with_view_seeded(&tax, &view, &cfg, reuse);
-        assert_eq!(seeded.patterns, plain.patterns);
-        assert_eq!(seeded.cells, plain.cells);
-        assert!(
-            seeded.stats.seeded_supports > 0,
-            "a fully-seeded rerun must answer candidates from the cache"
-        );
+        let cold = mine_with_view_seeded(&tax, &view, &cfg, &memo);
+        assert_eq!(cold.patterns, plain.patterns);
+        assert_eq!(cold.cells, plain.cells);
+        assert_eq!(cold.stats.seeded_supports, 0, "a cold memo replays nothing");
+        assert_eq!(cold.stats.counter, plain.stats.counter);
         assert_eq!(plain.stats.seeded_supports, 0);
         assert!(memo.stats().entries > 0, "the run records its enumerations");
 
-        // A warm memo replays every enumeration: same results, fewer
-        // intersections.
-        let replayed = mine_with_view_seeded(&tax, &view, &cfg, reuse);
+        // A warm memo replays every enumeration: same results, supports
+        // answered without counting, fewer intersections.
+        let replayed = mine_with_view_seeded(&tax, &view, &cfg, &memo);
         assert_eq!(replayed.patterns, plain.patterns);
         assert_eq!(replayed.cells, plain.cells);
-        assert_eq!(memo.stats().hits, memo.stats().entries);
-        assert!(replayed.stats.counter.intersections < seeded.stats.counter.intersections);
+        assert_eq!(memo.stats().seed_hits, memo.stats().entries);
+        assert!(
+            replayed.stats.seeded_supports > 0,
+            "a warm rerun answers supports from the memo"
+        );
+        assert!(replayed.stats.counter.intersections < cold.stats.counter.intersections);
 
-        // Reuse recorded under a *different* config still yields identical
-        // results: supports and enumerations are config-independent data
-        // facts, and θ keys the enumerations.
+        // A guarded run shares the seeded run's results.
+        let token = CancelToken::new();
+        let guarded = mine_with_view_guarded(&tax, &view, &cfg, &token).unwrap();
+        assert_eq!(guarded.patterns, replayed.patterns);
+
+        // A memo recorded under a *different* config still yields identical
+        // results: enumerations are config-independent data facts, and θ
+        // keys them.
         let alt = FlipperConfig::new(Thresholds::new(0.8, 0.1), MinSupports::Counts(vec![1]));
         let alt_plain = mine_with_view(&tax, &view, &alt);
-        let alt_seeded = mine_with_view_seeded(&tax, &view, &alt, reuse);
+        let alt_seeded = mine_with_view_seeded(&tax, &view, &alt, &memo);
         assert_eq!(alt_seeded.patterns, alt_plain.patterns);
         assert_eq!(alt_seeded.cells, alt_plain.cells);
     }

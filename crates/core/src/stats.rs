@@ -70,17 +70,19 @@ pub struct RunStats {
     /// Total itemsets ever stored (BASIC keeps everything; Flipper far
     /// less).
     pub total_stored_itemsets: u64,
-    /// Supports answered from a session-level seed cache instead of being
-    /// counted ([`crate::mine_with_view_seeded`]); `0` on unseeded runs.
-    /// Excluded from serialized results: seeding never changes them, only
-    /// how much counting they cost.
+    /// Supports replayed from the session's vertical memo instead of being
+    /// enumerated ([`crate::mine_with_view_seeded`]): one per combination
+    /// of every replayed parent set. `0` on unseeded runs and on a seeded
+    /// run whose memo held nothing it could use. Excluded from serialized
+    /// results: replaying never changes them, only how much they cost.
     pub seeded_supports: u64,
     /// Support-counting kernel statistics.
     pub counter: CounterStats,
-    /// Prefix-cache counters. Always zero: the miner keeps no cross-cell
-    /// prefix cache. `lookups`, `exact_hits` and `parent_hits` stay because
-    /// the benchmark (`perfbench/`) reads them. Excluded from serialized
-    /// results, like `counter`.
+    /// Always zero, every field: the miner keeps no per-run cache, and the
+    /// session's memo reports through its own stats. `lookups`,
+    /// `exact_hits` and `parent_hits` stay because the benchmark
+    /// (`perfbench/`) reads them. Excluded from serialized results, like
+    /// `counter`.
     pub cache: CacheStats,
     /// Wall-clock duration of the mining run.
     pub elapsed: Duration,

@@ -375,7 +375,7 @@ mod tests {
         }
     }
 
-    /// Reuse accounting: one group of g same-prefix k=3 candidates costs
+    /// Prefix-reuse accounting: one group of g same-prefix k=3 candidates costs
     /// one materialized prefix (k−2 = 1 intersection) plus one intersection
     /// per member, and reports g−1 prefix reuses; the naive kernel would
     /// have charged g·(k−1).

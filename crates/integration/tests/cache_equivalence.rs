@@ -1,7 +1,6 @@
-//! Reuse equivalence: seeding a sweep from the session-level support cache
-//! and replaying vertical enumerations from the session memo are pure cost
-//! levers — the labeled results and their `flipper-results/v1` bytes are
-//! identical to unseeded mining.
+//! Memo equivalence: replaying vertical enumerations from the session memo
+//! is a pure cost lever — the labeled results and their
+//! `flipper-results/v1` bytes are identical to unseeded mining.
 
 use flipper_api::{
     FlipperConfig, Generator, JsonWriter, MinSupports, MiningResult, PruningConfig, ResultSink,
@@ -22,8 +21,8 @@ fn quest_config() -> FlipperConfig {
     )
 }
 
-/// Seeded sweeps answer already-counted supports from the session cache;
-/// the labeled results — and their serialized bytes — are identical to an
+/// Seeded sweeps replay recorded enumerations from the session memo; the
+/// labeled results — and their serialized bytes — are identical to an
 /// unseeded sweep of the same grid.
 #[test]
 fn seeded_sweep_is_byte_identical_to_unseeded() {
@@ -34,7 +33,7 @@ fn seeded_sweep_is_byte_identical_to_unseeded() {
         flipper_api::emit_runs(&mut json, session.taxonomy(), runs).unwrap();
         json.into_inner()
     };
-    // Fresh session per mode so the seeded one owns a warm cache and the
+    // Fresh session per mode so the seeded one owns a warm memo and the
     // unseeded one never builds any.
     let seeded_session = Session::open(&dataset).unwrap();
     let grid = |session: &Session, seed: bool| {
@@ -47,17 +46,23 @@ fn seeded_sweep_is_byte_identical_to_unseeded() {
     };
     let warmup = grid(&seeded_session, true);
     assert!(!warmup.is_empty());
+    let warm_before = seeded_session.support_cache_stats();
     assert!(
-        seeded_session.support_cache_len() > 0,
-        "sweep must deposit supports into the session cache"
+        warm_before.entries > 0,
+        "sweep must record enumerations in the session memo"
     );
     let seeded = grid(&seeded_session, true);
     assert!(
-        seeded_session.support_cache_stats().seed_hits > 0,
-        "warm sweep must hit the support cache"
+        seeded_session.support_cache_stats().seed_hits > warm_before.seed_hits,
+        "warm sweep must hit the memo"
     );
     let unseeded_session = Session::open(&dataset).unwrap();
     let unseeded = grid(&unseeded_session, false);
+    assert_eq!(
+        unseeded_session.support_cache_stats(),
+        Default::default(),
+        "an unseeded sweep never touches the memo"
+    );
     assert_eq!(
         String::from_utf8_lossy(&render(&seeded, &seeded_session)),
         String::from_utf8_lossy(&render(&unseeded, &unseeded_session)),
@@ -132,7 +137,7 @@ fn memoized_sweeps_are_byte_identical_to_fresh_mines() {
         let mut rng = Xoshiro256pp::seed_from_u64(23 + jobs as u64);
         let session = Session::open(&dataset).unwrap();
         for round in 0..2 {
-            let before = session.memo_stats();
+            let before = session.support_cache_stats();
             let runs = random_points(&mut rng, round)
                 .into_iter()
                 .fold(session.sweep().with_jobs(jobs), |sweep, (label, cfg)| {
@@ -140,7 +145,7 @@ fn memoized_sweeps_are_byte_identical_to_fresh_mines() {
                 })
                 .run()
                 .unwrap();
-            let memo = session.memo_stats();
+            let memo = session.support_cache_stats();
             for run in &runs {
                 let fresh = solo.mine(&run.config).unwrap();
                 let ctx = format!("jobs={jobs} {}", run.label);
@@ -162,9 +167,78 @@ fn memoized_sweeps_are_byte_identical_to_fresh_mines() {
                 }
             }
             if jobs == 1 {
-                assert!(memo.hits > before.hits, "round {round}: nothing replayed");
-                assert_eq!(memo.misses, memo.entries, "one job records each miss once");
+                assert!(
+                    memo.seed_hits > before.seed_hits,
+                    "round {round}: nothing replayed"
+                );
+                assert_eq!(
+                    memo.seed_lookups - memo.seed_hits,
+                    memo.entries,
+                    "one job records each miss once"
+                );
             }
         }
+    }
+}
+
+/// Every per-run counter the benchmark compares between iterations: the
+/// search counters, the supports replayed from the memo, and the kernel
+/// and cache counters.
+fn work_counters(
+    s: &flipper_api::RunStats,
+) -> (
+    [u64; 12],
+    u64,
+    flipper_data::CounterStats,
+    flipper_api::CacheStats,
+) {
+    (search_counters(s), s.seeded_supports, s.counter, s.cache)
+}
+
+/// The benchmark's `quest-sweep` iteration — sweep A, then sweep B, on one
+/// fresh session at one job — repeats its counters exactly: two fresh
+/// sessions report identical per-point [`flipper_api::RunStats`] and
+/// identical memo stats deltas per sweep. A cold first point replays
+/// nothing; a point sweep B repeats from sweep A replays supports.
+#[test]
+fn fresh_session_sweep_counters_repeat_exactly() {
+    const SWEEP_A: (&[f64], &[f64]) = (&[0.5, 0.4, 0.3], &[0.25, 0.1]);
+    const SWEEP_B: (&[f64], &[f64]) = (&[0.3], &[0.25, 0.2, 0.15, 0.1, 0.05]);
+    let dataset = quest_dataset();
+    let base = quest_config();
+    let iteration = || {
+        let session = Session::open(&dataset).unwrap();
+        let mut points = Vec::new();
+        let mut deltas = Vec::new();
+        for (gammas, epsilons) in [SWEEP_A, SWEEP_B] {
+            let before = session.support_cache_stats();
+            let runs = session
+                .sweep()
+                .with_jobs(1)
+                .thresholds_grid(&base, gammas, epsilons)
+                .run()
+                .unwrap();
+            let after = session.support_cache_stats();
+            deltas.push((
+                after.seed_hits - before.seed_hits,
+                after.seed_lookups - before.seed_lookups,
+            ));
+            for run in runs {
+                points.push((run.label, work_counters(&run.result.stats)));
+            }
+        }
+        (points, deltas)
+    };
+    let (points, deltas) = iteration();
+    assert_eq!(iteration(), (points.clone(), deltas));
+    assert_eq!(points[0].1 .1, 0, "the cold first point replays nothing");
+    for label in ["g0.3/e0.25", "g0.3/e0.1"] {
+        let replayed: Vec<u64> = points
+            .iter()
+            .filter(|(l, _)| l == label)
+            .map(|(_, c)| c.1)
+            .collect();
+        assert_eq!(replayed.len(), 2, "{label}: mined by sweeps A and B");
+        assert!(replayed[1] > 0, "{label}: sweep B replays its supports");
     }
 }

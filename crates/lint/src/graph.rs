@@ -464,14 +464,15 @@ fn resolve_one(
 }
 
 /// Is this fn a mining/serialization entry point? The set mirrors the
-/// public result path: `Session::mine`/`mine_seeded`, `Sweep::run`, and
-/// everything on `JsonWriter` (the byte-pinned serializer).
+/// public result path: `Session::mine`, `Sweep::run` (which reaches the
+/// seeded miner), and everything on `JsonWriter` (the byte-pinned
+/// serializer).
 fn is_entry_point(f: &FnRef) -> bool {
     if f.item.is_test {
         return false;
     }
     match f.item.impl_type.as_deref() {
-        Some("Session") => f.item.name == "mine" || f.item.name == "mine_seeded",
+        Some("Session") => f.item.name == "mine",
         Some("Sweep") => f.item.name == "run",
         Some("JsonWriter") => true,
         _ => false,

@@ -78,7 +78,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "panic-reachability",
         summary: "no un-allowed panic sites in functions transitively reachable from \
-                  Session::mine/mine_seeded, Sweep::run or JsonWriter; fix the site \
+                  Session::mine, Sweep::run or JsonWriter; fix the site \
                   or allow it as panic-hygiene with a reason",
         allowable: false,
     },
