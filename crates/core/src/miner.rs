@@ -350,7 +350,6 @@ impl<'a> Miner<'a> {
         let _span = flipper_obs::span("mine.count")
             .arg("h", h as u64)
             .arg("batch", candidates.len() as u64);
-        flipper_obs::observe("flipper_batch_candidates", candidates.len() as u64);
         self.counter.count_batch(h, candidates, self.threads)
     }
 
@@ -623,21 +622,6 @@ impl<'a> Miner<'a> {
         let patterns = self.extract_patterns();
         self.stats.counter = self.counter.stats();
         self.stats.elapsed = t0.elapsed();
-        if flipper_obs::enabled() {
-            // Charge the run's totals to the metrics registry in bulk —
-            // one locked pass per run, nothing per candidate.
-            let s = &self.stats;
-            flipper_obs::counter_add("flipper_cells_evaluated_total", s.cells_evaluated);
-            flipper_obs::counter_add("flipper_candidates_generated_total", s.candidates_generated);
-            flipper_obs::counter_add("flipper_frequent_found_total", s.frequent_found);
-            flipper_obs::counter_add("flipper_seeded_supports_total", s.seeded_supports);
-            flipper_obs::counter_add("flipper_intersections_total", s.counter.intersections);
-            flipper_obs::counter_add(
-                "flipper_candidates_counted_total",
-                s.counter.candidates_counted,
-            );
-            flipper_obs::counter_add("flipper_prefix_reuses_total", s.counter.prefix_reuses);
-        }
         let mut evaluated: Vec<(usize, Cell)> = Vec::new();
         for (h, row) in self.rows.into_iter().enumerate() {
             // BTreeMap iteration is ascending by `k` already.

@@ -96,6 +96,73 @@ fn equivalence_with_higher_min_support() {
     }
 }
 
+/// Theorem 3: SIBP removes no flip. The grids above almost never trigger
+/// SIBP's item bans, so these cases — found by a seeded search over
+/// `random_db` — are pinned because on each of them FULL's SIBP prunes
+/// candidates *and* brute force finds a flip of three items, which a ban
+/// set after `Q(h,2)` could remove. Both facts are asserted so the check
+/// cannot silently go vacuous.
+#[test]
+fn sibp_prunes_without_losing_flips() {
+    // (roots, fanout, height, transactions, max width, seed, γ, ε)
+    let cases = [
+        (3, 3, 3, 62, 5, 5756, 0.36, 0.21),
+        (4, 3, 3, 35, 7, 91, 0.4, 0.34),
+        (4, 2, 2, 106, 5, 3779, 0.36, 0.29),
+        (4, 3, 2, 60, 8, 7422, 0.46, 0.27),
+    ];
+    for (roots, fanout, height, n, max_w, seed, gamma, eps) in cases {
+        let tax = Taxonomy::uniform(roots, fanout, height).unwrap();
+        let db = random_db(&tax, n, max_w, seed);
+        let cfg = FlipperConfig::new(
+            Thresholds::new(gamma, eps),
+            MinSupports::Counts(vec![2, 1, 1]),
+        );
+        let full = mine(&tax, &db, &cfg.clone().with_pruning(PruningConfig::FULL));
+        assert!(
+            full.stats.pruned_by_sibp > 0,
+            "seed {seed}: SIBP pruned nothing"
+        );
+        assert!(
+            brute_force(&tax, &db, &cfg)
+                .iter()
+                .any(|p| p.leaf_itemset.len() >= 3),
+            "seed {seed}: brute force found no flip of three items"
+        );
+        check_all_variants(&tax, &db, &cfg);
+    }
+}
+
+/// A known SIBP defect, pinned so it stays visible until it is fixed. The
+/// removal prefix `R_h(k)` takes each item's max correlation over the
+/// k-itemsets the miner *generated* in `Q(h,k)`, not over every frequent
+/// k-itemset containing it. Here no level-3 pair with n14, n29 or n37 is
+/// generated (their parents are not chain-alive), although their best pairs
+/// have Kulc 0.75, 0.625 and 0.583 ≥ γ. All three enter `R_3(2)`, n29 is
+/// banned, and FULL loses the flip {n14, n29, n37} that brute force and
+/// flipping+tpg find. It was 1 of 3 000 seeded `random_db` cases. A sound
+/// SIBP turns this test into a plain `check_all_variants` call.
+#[test]
+fn sibp_known_defect_removes_one_flip() {
+    let tax = Taxonomy::uniform(3, 3, 3).unwrap();
+    let db = random_db(&tax, 45, 6, 4998);
+    let cfg = FlipperConfig::new(
+        Thresholds::new(0.41, 0.19),
+        MinSupports::Counts(vec![2, 1, 1]),
+    );
+    let both = ["{n14, n29, n37}", "{n20, n26, n35}"];
+    assert_eq!(leaf_sets(&brute_force(&tax, &db, &cfg)), both);
+    let tpg = mine(
+        &tax,
+        &db,
+        &cfg.clone().with_pruning(PruningConfig::FLIPPING_TPG),
+    );
+    assert_eq!(leaf_sets(&tpg.patterns), both);
+    let full = mine(&tax, &db, &cfg.with_pruning(PruningConfig::FULL));
+    assert!(full.stats.pruned_by_sibp > 0);
+    assert_eq!(leaf_sets(&full.patterns), ["{n20, n26, n35}"]);
+}
+
 /// Randomized equivalence: shapes, sizes, thresholds and seeds drawn by a
 /// fixed meta-RNG (ported from a 48-case proptest); every variant must match
 /// brute force exactly.

@@ -105,22 +105,12 @@ fn traced_mine_emits_valid_covering_trace() {
         assert!(stats.names.contains(name), "missing span {name}");
     }
     // Worker lanes exist beyond the main lane (threads=4 sharded at least
-    // one batch), and the metrics side carries the run's counters.
+    // one batch).
     assert!(
         stats.lanes > 1,
         "expected worker lanes, got {}",
         stats.lanes
     );
-    let metrics = capture.render_metrics();
-    assert!(metrics.starts_with("# flipper-metrics/v1\n"));
-    for metric in [
-        "flipper_cells_evaluated_total",
-        "flipper_candidates_counted_total",
-        "flipper_prefix_reuses_total",
-        "flipper_batch_candidates_count",
-    ] {
-        assert!(metrics.contains(metric), "missing metric {metric}");
-    }
 }
 
 /// Candidate provenance per cell: every `mine.gen` span says how many

@@ -1,0 +1,156 @@
+//! The paper's §5 evaluation as checked claims.
+//!
+//! Each dataset runs through `Session::sweep().pruning_variants(..)`, the
+//! path `flipper sweep --variants all` takes, and the paper's claims are
+//! asserted as equalities and inequalities rather than printed:
+//!
+//! * **Fig. 8** — on quest data, every pruning variant finds the same
+//!   flips (Theorems 1–3), and candidates and peak resident itemsets fall
+//!   monotonically from BASIC through flipping and TPG to full Flipper, by
+//!   an order of magnitude end to end; a higher γ prunes harder, while
+//!   BASIC ignores (γ, ε);
+//! * **Fig. 9** — the same ordering on the three real-dataset surrogates.
+//!
+//! Table 4's per-surrogate counts are pinned in `surrogates.rs`, next to
+//! the other Table-4-threshold tests. Table 1 (the expectation-based
+//! judgement flips with `N`, Kulc does not) is pinned where its measures
+//! live: `table1_expectation_flips_with_n` and `kulc_matches_paper_table1`
+//! in `flipper-measures`. The README's "Reproducing the paper's evaluation"
+//! section prints the same rows as tables from the CLI.
+
+use flipper_api::{FlipperConfig, Generator, MinSupports, QuestParams, Session, SweepRun};
+use flipper_datagen::surrogate::{census, groceries, medline, SurrogateData};
+use flipper_measures::Thresholds;
+
+/// All four pruning variants of `cfg`, in `PruningConfig::VARIANTS` order:
+/// basic, flipping, flipping+tpg, full.
+fn variant_runs(session: &Session, cfg: &FlipperConfig) -> Vec<SweepRun> {
+    let runs = session
+        .sweep()
+        .pruning_variants(cfg)
+        .run()
+        .expect("the variant sweep runs");
+    let names: Vec<&str> = runs.iter().map(|r| r.label.as_str()).collect();
+    assert_eq!(
+        names,
+        ["basic", "flipping", "flipping+tpg", "flipping+tpg+sibp"]
+    );
+    runs
+}
+
+/// Theorems 1–3 and the Fig. 8/9 ordering on one row: every variant finds
+/// the same flips, and each added pruning stage generates no more
+/// candidates and holds no more itemsets than the one before it.
+fn assert_paper_ordering(row: &str, runs: &[SweepRun]) {
+    for r in runs {
+        // Shown with `--nocapture`, and with the output of a failing test.
+        eprintln!(
+            "{row:<10} {:<18} candidates {:>7}  peak_resident {:>7}  flips {:>2}  sibp {}",
+            r.label,
+            r.result.stats.candidates_generated,
+            r.result.stats.peak_resident_itemsets,
+            r.result.patterns.len(),
+            r.result.stats.pruned_by_sibp,
+        );
+    }
+    let reference = &runs[0].result.patterns;
+    for r in runs {
+        assert_eq!(
+            &r.result.patterns, reference,
+            "{row}: {} disagrees with basic on the flips",
+            r.label
+        );
+    }
+    for w in runs.windows(2) {
+        let (a, b) = (&w[0].result.stats, &w[1].result.stats);
+        assert!(
+            a.candidates_generated >= b.candidates_generated,
+            "{row}: {} generated fewer candidates ({}) than {} ({})",
+            w[0].label,
+            a.candidates_generated,
+            w[1].label,
+            b.candidates_generated,
+        );
+        assert!(
+            a.peak_resident_itemsets >= b.peak_resident_itemsets,
+            "{row}: {} held fewer itemsets ({}) than {} ({})",
+            w[0].label,
+            a.peak_resident_itemsets,
+            w[1].label,
+            b.peak_resident_itemsets,
+        );
+    }
+}
+
+#[test]
+fn fig8_quest_variants_agree_and_prune_in_order() {
+    // The QuestParams default seed is the one `flipper generate --kind quest
+    // --seed 252820452` uses; N = 5 000 keeps BASIC fast in a debug build.
+    let session = Session::open(Generator::Quest(
+        QuestParams::default().with_transactions(5_000),
+    ))
+    .expect("quest data ingests");
+    // Two of Table 3's support profiles at the default (γ, ε), and the
+    // lowest and highest γ of Fig. 8(d) at the default supports.
+    const DEFAULT_THETAS: [f64; 4] = [0.01, 0.001, 0.0005, 0.0001];
+    let rows = [
+        ("thr2", (0.3, 0.1), [0.05, 0.001, 0.0005, 0.0001]),
+        ("thr4", (0.3, 0.1), [0.01, 0.0005, 0.0005, 0.0001]),
+        ("(0.2,0.1)", (0.2, 0.1), DEFAULT_THETAS),
+        ("(0.6,0.1)", (0.6, 0.1), DEFAULT_THETAS),
+    ];
+    let mut by_row = Vec::new();
+    for (row, (gamma, epsilon), thetas) in rows {
+        let cfg = FlipperConfig::new(
+            Thresholds::new(gamma, epsilon),
+            MinSupports::Fractions(thetas.to_vec()),
+        );
+        let runs = variant_runs(&session, &cfg);
+        assert_paper_ordering(row, &runs);
+        let candidates = |i: usize| runs[i].result.stats.candidates_generated;
+        let (basic, tpg, full) = (candidates(0), candidates(2), candidates(3));
+        assert!(
+            basic >= 10 * full,
+            "{row}: basic generated {basic} candidates, under 10x full's {full}"
+        );
+        by_row.push((basic, tpg, full, runs[0].result.patterns.len()));
+    }
+    assert!(
+        by_row.iter().any(|&(.., flips)| flips > 0),
+        "no Fig. 8 row found a flip"
+    );
+    // Theorem 3 is exercised, not vacuous: on some row SIBP removes
+    // candidates that flipping+tpg generates, and that row's flips are the
+    // ones BASIC finds (asserted above).
+    assert!(
+        by_row
+            .iter()
+            .any(|&(_, tpg, full, flips)| full < tpg && flips > 0),
+        "SIBP removed no candidate on a row with flips"
+    );
+    // Fig. 8(d): BASIC ignores (γ, ε), while a higher γ prunes harder.
+    let ((basic_lo, _, full_lo, _), (basic_hi, _, full_hi, _)) = (by_row[2], by_row[3]);
+    assert_eq!(basic_lo, basic_hi, "BASIC's candidates moved with γ");
+    assert!(
+        full_hi < full_lo,
+        "full: γ 0.6 generated {full_hi}, γ 0.2 {full_lo}"
+    );
+}
+
+fn surrogate_runs(name: &str, d: &SurrogateData) {
+    let cfg = FlipperConfig::new(
+        Thresholds::new(d.thresholds.0, d.thresholds.1),
+        MinSupports::Fractions(d.min_support.clone()),
+    );
+    let session = Session::open(d).expect("surrogate ingests");
+    let runs = variant_runs(&session, &cfg);
+    assert_paper_ordering(name, &runs);
+    assert!(!runs[0].result.patterns.is_empty(), "{name}: no flips");
+}
+
+#[test]
+fn fig9_surrogates_variants_agree_and_prune_in_order() {
+    surrogate_runs("groceries", &groceries(42));
+    surrogate_runs("census", &census(42));
+    surrogate_runs("medline", &medline(0.1, 42));
+}

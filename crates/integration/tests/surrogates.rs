@@ -118,3 +118,32 @@ fn census_flip_direction_matches_paper() {
     let labels: Vec<_> = p.chain.iter().map(|c| c.label).collect();
     assert_eq!(labels, vec![Negative, Positive]);
 }
+
+/// Table 4: per surrogate, the flipping patterns against all positive and
+/// negative frequent itemsets. BASIC enumerates every frequent itemset per
+/// level, so it supplies Pos/Neg; the full Flipper supplies the flips.
+#[test]
+fn table4_counts_match_paper() {
+    // (name, surrogate, Pos, Neg, flips)
+    let rows = [
+        ("groceries", groceries(42), 61, 284, 12),
+        ("census", census(42), 63, 59, 4),
+        ("medline", medline(0.1, 42), 7, 3, 2),
+    ];
+    for (name, d, pos, neg, flips) in rows {
+        let cfg = config_for(&d);
+        let basic = mine(
+            &d.taxonomy,
+            &d.db,
+            &cfg.clone().with_pruning(PruningConfig::BASIC),
+        );
+        let full = mine(&d.taxonomy, &d.db, &cfg.with_pruning(PruningConfig::FULL));
+        assert_eq!(
+            (basic.total_positive(), basic.total_negative()),
+            (pos, neg),
+            "{name}: Pos/Neg"
+        );
+        assert_eq!(full.patterns.len(), flips, "{name}: flips");
+        assert_eq!(basic.patterns, full.patterns, "{name}: variants disagree");
+    }
+}

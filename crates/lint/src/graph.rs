@@ -31,7 +31,6 @@ pub const LAYERS: &[(&str, u32)] = &[
     ("store", 3),
     ("api", 4),
     ("lint", 4),
-    ("bench", 5),
     ("cli", 5),
     ("integration", 5),
 ];
@@ -50,11 +49,6 @@ pub const ALLOWED_EDGES: &[(&str, &str)] = &[
     ("api", "store"),
     ("api", "taxonomy"),
     ("api", "wire"),
-    ("bench", "core"),
-    ("bench", "data"),
-    ("bench", "datagen"),
-    ("bench", "measures"),
-    ("bench", "taxonomy"),
     ("cli", "api"),
     ("cli", "obs"),
     ("cli", "wire"),

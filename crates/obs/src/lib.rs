@@ -3,14 +3,10 @@
 //! Zero-dependency observability substrate for the flipper mining
 //! pipeline: a runtime-toggleable recorder with structured **spans**
 //! (thread-local sheets, merged lock-free when exec worker scopes exit)
-//! and a **metrics registry** (named counters, gauges and log-bucketed
-//! integer histograms), with two exporters:
-//!
-//! * `flipper-trace/v1` — Chrome trace-event JSON (load in
-//!   `chrome://tracing` or Perfetto), rendered by
-//!   [`Capture::render_trace`] and validated by [`validate_trace`];
-//! * `flipper-metrics/v1` — Prometheus-style text exposition, rendered by
-//!   [`Capture::render_metrics`].
+//! and one exporter, `flipper-trace/v1` — Chrome trace-event JSON (load in
+//! `chrome://tracing` or Perfetto), rendered by [`Capture::render_trace`]
+//! and validated by [`validate_trace`]. [`Capture::phase_rows`] sums the
+//! same spans per name for `flipper mine --timings`.
 //!
 //! The recorder is **off by default**. Every instrumentation entry point
 //! starts with one relaxed atomic load, so the disabled cost is a branch;
@@ -26,7 +22,6 @@
 //! {
 //!     let _run = flipper_obs::span("demo.run").arg("items", 3);
 //!     let _inner = flipper_obs::span("demo.step");
-//!     flipper_obs::counter_add("demo_steps_total", 1);
 //! }
 //! let capture = flipper_obs::drain();
 //! flipper_obs::disable();
@@ -36,15 +31,11 @@
 //! ```
 
 pub mod clock;
-pub mod metrics;
 pub mod recorder;
 pub mod span;
 pub mod trace;
 
-pub use metrics::{Histogram, MetricsRegistry, HIST_BUCKETS};
-pub use recorder::{
-    counter_add, disable, drain, enable, enabled, gauge_set, observe, Capture, PhaseRow,
-};
+pub use recorder::{disable, drain, enable, enabled, Capture, PhaseRow};
 pub use span::{event, shard_span, span, span_labeled, stamp, with_shard, Span, SpanEvent};
 pub use trace::{
     parse_json, render_chrome_trace, validate_trace, Json, TraceError, TraceStats, TRACE_SCHEMA,
@@ -70,13 +61,10 @@ mod tests {
         let _ = crate::drain();
         {
             let _sp = crate::span("x");
-            crate::counter_add("c", 1);
-            crate::observe("h", 2);
             crate::event("e", &[]);
         }
         let capture = crate::drain();
         assert!(capture.events.is_empty());
-        assert!(capture.metrics.is_empty());
     }
 
     #[test]
@@ -156,34 +144,6 @@ mod tests {
         }
         // The unwound spans still nest properly in the rendered trace.
         crate::validate_trace(&capture.render_trace()).unwrap();
-    }
-
-    #[test]
-    fn metrics_flow_through_drain() {
-        let _guard = recorder_lock();
-        crate::enable();
-        let _ = crate::drain();
-        crate::counter_add("flipper_demo_total", 2);
-        crate::counter_add("flipper_demo_total", 3);
-        crate::gauge_set("flipper_demo_gauge", -1);
-        crate::observe("flipper_demo_hist", 9);
-        let capture = crate::drain();
-        crate::disable();
-        assert_eq!(capture.metrics.counter("flipper_demo_total"), Some(5));
-        assert_eq!(capture.metrics.gauge("flipper_demo_gauge"), Some(-1));
-        assert_eq!(
-            capture
-                .metrics
-                .histogram("flipper_demo_hist")
-                .unwrap()
-                .count(),
-            1
-        );
-        let text = capture.render_metrics();
-        assert!(text.starts_with("# flipper-metrics/v1\n"));
-        assert!(text.contains("flipper_demo_total 5"));
-        // Drain resets.
-        assert!(crate::drain().metrics.is_empty());
     }
 
     #[test]

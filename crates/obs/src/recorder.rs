@@ -1,16 +1,13 @@
-//! The global recorder: runtime toggle, event store and metric entry
-//! points.
+//! The global recorder: runtime toggle and event store.
 //!
 //! The recorder is a process-wide singleton. When disabled (the default)
 //! every entry point reduces to one relaxed atomic load and a branch —
 //! nothing is measured, allocated or locked, which is what lets the
 //! instrumented binary prove byte-identical `flipper-results/v1` output
 //! with tracing on or off. When enabled, spans accumulate in thread-local
-//! sheets (see [`mod@crate::span`]) and metrics go through a mutex that is
-//! only touched at batch granularity (per counting batch, per cell, per
-//! sweep point — never per candidate).
+//! sheets (see [`mod@crate::span`]) that merge into the store under a
+//! mutex only when a thread's sheet is flushed.
 
-use crate::metrics::MetricsRegistry;
 use crate::span::{self, SpanEvent};
 use crate::{clock, trace};
 use std::collections::BTreeMap;
@@ -18,18 +15,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static STORE: Mutex<Store> = Mutex::new(Store {
-    events: Vec::new(),
-    metrics: None,
-});
+static STORE: Mutex<Vec<SpanEvent>> = Mutex::new(Vec::new());
 
-struct Store {
-    events: Vec<SpanEvent>,
-    // Boxed lazily so the static initializer stays const.
-    metrics: Option<Box<MetricsRegistry>>,
-}
-
-fn store() -> MutexGuard<'static, Store> {
+fn store() -> MutexGuard<'static, Vec<SpanEvent>> {
     // A panic while holding this lock cannot leave the store logically
     // corrupt (it only ever appends), so poisoning is ignored.
     STORE
@@ -59,41 +47,7 @@ pub fn disable() {
 
 /// Merge a batch of events from a dying thread sheet into the store.
 pub(crate) fn merge_events(events: Vec<SpanEvent>) {
-    let mut s = store();
-    s.events.extend(events);
-}
-
-/// Add `v` to the global counter `name` (no-op while disabled).
-pub fn counter_add(name: &'static str, v: u64) {
-    if !enabled() {
-        return;
-    }
-    store()
-        .metrics
-        .get_or_insert_with(Default::default)
-        .counter_add(name, v);
-}
-
-/// Set the global gauge `name` to `v` (no-op while disabled).
-pub fn gauge_set(name: &'static str, v: i64) {
-    if !enabled() {
-        return;
-    }
-    store()
-        .metrics
-        .get_or_insert_with(Default::default)
-        .gauge_set(name, v);
-}
-
-/// Record `v` in the global histogram `name` (no-op while disabled).
-pub fn observe(name: &'static str, v: u64) {
-    if !enabled() {
-        return;
-    }
-    store()
-        .metrics
-        .get_or_insert_with(Default::default)
-        .observe(name, v);
+    store().extend(events);
 }
 
 /// Everything the recorder captured since the last drain.
@@ -104,8 +58,6 @@ pub fn observe(name: &'static str, v: u64) {
 pub struct Capture {
     /// Completed span and instant events.
     pub events: Vec<SpanEvent>,
-    /// Metrics snapshot.
-    pub metrics: MetricsRegistry,
 }
 
 /// One row of the per-phase summary: an event name with call count and
@@ -124,11 +76,6 @@ impl Capture {
     /// Render the capture as `flipper-trace/v1` Chrome trace-event JSON.
     pub fn render_trace(&self) -> String {
         trace::render_chrome_trace(&self.events)
-    }
-
-    /// Render the metrics snapshot as `flipper-metrics/v1` text.
-    pub fn render_metrics(&self) -> String {
-        self.metrics.render()
     }
 
     /// Aggregate events by name into per-phase totals, longest first
@@ -161,10 +108,7 @@ impl Capture {
 /// exited, so after the pipeline joins its workers this sees every event.
 pub fn drain() -> Capture {
     span::flush_current_thread();
-    let mut s = store();
-    let mut events = std::mem::take(&mut s.events);
-    let metrics = s.metrics.take().map(|b| *b).unwrap_or_default();
-    drop(s);
+    let mut events = std::mem::take(&mut *store());
     events.sort_by(|a, b| {
         a.start_ns
             .cmp(&b.start_ns)
@@ -172,5 +116,5 @@ pub fn drain() -> Capture {
             .then(a.lane.cmp(&b.lane))
             .then(a.name.cmp(b.name))
     });
-    Capture { events, metrics }
+    Capture { events }
 }

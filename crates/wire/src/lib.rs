@@ -25,9 +25,6 @@ pub const RESULTS_V1: &str = "flipper-results/v1";
 /// Chrome-trace-event span documents written by `flipper mine --trace`.
 pub const TRACE_V1: &str = "flipper-trace/v1";
 
-/// Prometheus-style metrics text written by the flipper-obs exporter.
-pub const METRICS_V1: &str = "flipper-metrics/v1";
-
 /// Append-only sweep checkpoint journals (`flipper sweep --checkpoint`).
 pub const SWEEP_CKPT_V1: &str = "flipper-sweep-ckpt/v1";
 
@@ -46,7 +43,6 @@ pub const LINT_BASELINE_V1: &str = "flipper-lint-baseline/v1";
 pub const ALL: &[&str] = &[
     RESULTS_V1,
     TRACE_V1,
-    METRICS_V1,
     SWEEP_CKPT_V1,
     LINT_V1,
     LINT_BASELINE_V2,

@@ -31,6 +31,11 @@
 #   * a cancelled-sweep-then-resume smoke: a checkpointed `flipper sweep`
 #     killed by a tiny `--timeout` must exit 3 (cancelled/timeout), leave a
 #     readable flipper-sweep-ckpt/v1 journal, and complete under `--resume`.
+#   * the paper-reproduction suite (crates/integration/tests/reproduction.rs:
+#     Fig. 8 and Fig. 9 as asserted equalities and orderings),
+#   * the README's Table-4 GROCERIES recipe as a CLI smoke: `flipper
+#     generate` then `flipper sweep --variants basic,flipping,full` must
+#     report 12 flips on every variant row.
 #
 # Documentation is a gate too: `cargo doc --no-deps` must build with
 # RUSTDOCFLAGS="-D warnings" — a public API change that breaks its own
@@ -129,6 +134,23 @@ head -1 "$OBS_TMP/sweep.ckpt" | grep -q '^flipper-sweep-ckpt/v1$' || {
 cargo run --release -q -p flipper-cli -- sweep --input "$OBS_TMP/planted.fbin" \
     --gammas 0.6,0.5,0.4 --epsilons 0.35,0.2 \
     --checkpoint "$OBS_TMP/sweep.ckpt" --resume >/dev/null
+
+echo "== paper reproduction: reproduction suite under --release"
+cargo test --release -q -p flipper-integration --test reproduction
+
+echo "== paper reproduction: Table 4 GROCERIES recipe through the CLI"
+cargo run --release -q -p flipper-cli -- generate --kind groceries --seed 42 \
+    --out "$OBS_TMP/groceries.txt" >/dev/null
+TABLE4="$(cargo run --release -q -p flipper-cli -- sweep \
+    --input "$OBS_TMP/groceries.txt" --gamma 0.15 --epsilon 0.1 \
+    --minsup 0.001,0.0005,0.0002 --variants basic,flipping,full 2>/dev/null)"
+echo "$TABLE4"
+# Skip the header; column 2 of each variant row is its flip count.
+echo "$TABLE4" | awk 'NR > 1 { rows++; if ($2 != 12) bad++ }
+    END { exit !(rows == 3 && bad == 0) }' || {
+    echo "Table 4 recipe: expected 12 flips on each of the 3 variant rows" >&2
+    exit 1
+}
 
 set +e
 
