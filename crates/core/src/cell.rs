@@ -1,15 +1,18 @@
 //! Cells of the two-dimensional search-space table `M` (Fig. 6 of the
 //! paper): each cell `Q(h,k)` holds the evaluated `(h,k)`-itemsets.
 //!
-//! Storage is a `Vec` kept sorted by itemset, so iteration order — and
-//! therefore everything downstream that walks a cell, up to the
-//! `flipper-results/v1` bytes — is deterministic by construction. The
-//! miner inserts candidates in ascending order (they are sorted and
-//! deduplicated in `gen_candidates`), which makes every insert an O(1)
-//! append in practice; out-of-order inserts fall back to binary-search
-//! placement.
+//! A cell is flat: one fixed-stride items table ([`ItemsetRows`], `k`
+//! items per row) and a parallel [`ItemsetInfo`] array, so storing an
+//! evaluated itemset costs `4k` bytes of items plus its info, and no heap
+//! allocation of its own. Rows are kept ascending, so iteration order —
+//! and therefore everything downstream that walks a cell, up to the
+//! `flipper-results/v1` bytes — is deterministic by construction, and a
+//! probe ([`Cell::get_items`]) is a binary search over the rows. The miner
+//! inserts candidates in ascending order (its batches are sorted and
+//! deduplicated), which makes every insert an append; out-of-order inserts
+//! fall back to binary-search placement.
 
-use flipper_data::Itemset;
+use flipper_data::ItemsetRows;
 use flipper_measures::Label;
 use flipper_taxonomy::NodeId;
 
@@ -30,87 +33,112 @@ pub struct ItemsetInfo {
 }
 
 /// One cell `Q(h,k)` of the search table.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Cell {
-    /// Sorted by itemset; no duplicates.
-    itemsets: Vec<(Itemset, ItemsetInfo)>,
+    /// Ascending and distinct.
+    rows: ItemsetRows,
+    /// `infos[i]` describes row `i`.
+    infos: Vec<ItemsetInfo>,
 }
 
 impl Cell {
-    /// Empty cell.
-    pub fn new() -> Self {
-        Cell::default()
+    /// Empty cell of `k`-itemsets.
+    ///
+    /// # Panics
+    /// Panics if `k == 0`.
+    pub fn new(k: usize) -> Self {
+        Cell::with_capacity(k, 0)
+    }
+
+    /// Empty cell of `k`-itemsets with room for `n` of them.
+    pub(crate) fn with_capacity(k: usize, n: usize) -> Self {
+        Cell {
+            rows: ItemsetRows::with_capacity(k, n),
+            infos: Vec::with_capacity(n),
+        }
+    }
+
+    /// Items per itemset.
+    pub fn k(&self) -> usize {
+        self.rows.k()
     }
 
     /// Number of evaluated itemsets (frequent or not).
     pub fn len(&self) -> usize {
-        self.itemsets.len()
+        self.infos.len()
     }
 
     /// Whether the cell holds no itemsets.
     pub fn is_empty(&self) -> bool {
-        self.itemsets.is_empty()
+        self.infos.is_empty()
     }
 
-    /// Insert an evaluated itemset, replacing any previous entry.
-    pub fn insert(&mut self, set: Itemset, info: ItemsetInfo) {
-        if self.itemsets.last().is_none_or(|(last, _)| *last < set) {
-            self.itemsets.push((set, info));
+    /// The itemsets, one ascending row each.
+    pub(crate) fn rows(&self) -> &ItemsetRows {
+        &self.rows
+    }
+
+    /// The info of row `i`.
+    pub(crate) fn info(&self, i: usize) -> &ItemsetInfo {
+        &self.infos[i]
+    }
+
+    /// Insert an evaluated itemset given as its sorted items, replacing any
+    /// previous entry.
+    ///
+    /// # Panics
+    /// Panics if `items` does not hold exactly `k` items.
+    pub fn insert(&mut self, items: &[NodeId], info: ItemsetInfo) {
+        let n = self.len();
+        if n == 0 || self.rows.row(n - 1) < items {
+            self.rows.push(items);
+            self.infos.push(info);
             return;
         }
-        match self.itemsets.binary_search_by(|(s, _)| s.cmp(&set)) {
-            Ok(i) => self.itemsets[i].1 = info,
-            Err(i) => self.itemsets.insert(i, (set, info)),
+        match self.rows.binary_search(items) {
+            Ok(i) => self.infos[i] = info,
+            Err(i) => {
+                self.rows.insert(i, items);
+                self.infos.insert(i, info);
+            }
         }
     }
 
-    /// Look up an itemset.
-    pub fn get(&self, set: &Itemset) -> Option<&ItemsetInfo> {
-        self.get_items(set.items())
-    }
-
-    /// Look up an itemset given as its sorted items — the probe that needs
-    /// no [`Itemset`] (and no allocation) for the key.
+    /// Look up an itemset given as its sorted items. A probe of the wrong
+    /// width, such as a prefix of a row, is never found.
     pub fn get_items(&self, items: &[NodeId]) -> Option<&ItemsetInfo> {
-        self.itemsets
-            .binary_search_by(|(s, _)| s.items().cmp(items))
-            .ok()
-            .map(|i| &self.itemsets[i].1)
+        if items.len() != self.k() {
+            return None;
+        }
+        self.rows.binary_search(items).ok().map(|i| &self.infos[i])
     }
 
-    /// Iterate `(itemset, info)` pairs in ascending itemset order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Itemset, &ItemsetInfo)> {
-        self.itemsets.iter().map(|(s, i)| (s, i))
+    /// Iterate `(items, info)` pairs in ascending itemset order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[NodeId], &ItemsetInfo)> {
+        self.rows.iter().zip(&self.infos)
     }
 
     /// Iterate itemsets with `support ≥ θ` (label ≠ infrequent).
-    pub fn frequent(&self) -> impl Iterator<Item = (&Itemset, &ItemsetInfo)> {
+    pub fn frequent(&self) -> impl Iterator<Item = (&[NodeId], &ItemsetInfo)> {
         self.iter().filter(|(_, i)| i.label != Label::Infrequent)
     }
 
     /// Iterate chain-alive itemsets — the ones extended vertically.
-    pub fn alive(&self) -> impl Iterator<Item = (&Itemset, &ItemsetInfo)> {
+    pub fn alive(&self) -> impl Iterator<Item = (&[NodeId], &ItemsetInfo)> {
         self.iter().filter(|(_, i)| i.chain_alive)
-    }
-
-    /// Number of frequent itemsets.
-    pub fn frequent_count(&self) -> usize {
-        self.frequent().count()
     }
 
     /// Whether no itemset in this cell is labeled positive — the TPG
     /// condition of Theorem 3. Vacuously true for empty cells.
     pub fn all_non_positive(&self) -> bool {
-        self.itemsets
-            .iter()
-            .all(|(_, i)| i.label != Label::Positive)
+        self.infos.iter().all(|i| i.label != Label::Positive)
     }
 
     /// Count of itemsets per label `(positive, negative, non-correlated,
     /// infrequent)`.
     pub fn label_counts(&self) -> (usize, usize, usize, usize) {
         let mut counts = (0, 0, 0, 0);
-        for (_, info) in &self.itemsets {
+        for info in &self.infos {
             match info.label {
                 Label::Positive => counts.0 += 1,
                 Label::Negative => counts.1 += 1,
@@ -125,7 +153,8 @@ impl Cell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flipper_taxonomy::NodeId;
+    use flipper_data::rng::{Rng, Xoshiro256pp};
+    use std::collections::BTreeMap;
 
     fn n(i: u32) -> NodeId {
         NodeId::from_index(i as usize)
@@ -142,26 +171,28 @@ mod tests {
 
     #[test]
     fn insert_get_len() {
-        let mut c = Cell::new();
+        let mut c = Cell::new(2);
         assert!(c.is_empty());
-        let s = Itemset::pair(n(1), n(2));
-        c.insert(s.clone(), info(Label::Positive, true));
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.get(&s).unwrap().label, Label::Positive);
-        assert!(c.get(&Itemset::pair(n(1), n(3))).is_none());
+        c.insert(&[n(1), n(2)], info(Label::Positive, true));
+        assert_eq!((c.len(), c.k()), (1, 2));
         assert_eq!(c.get_items(&[n(1), n(2)]).unwrap().label, Label::Positive);
         assert!(c.get_items(&[n(1), n(3)]).is_none());
         assert!(c.get_items(&[n(1)]).is_none(), "a prefix is not a member");
+        assert!(
+            c.get_items(&[n(1), n(2), n(3)]).is_none(),
+            "nor a wider row"
+        );
+        assert!(c.get_items(&[]).is_none());
     }
 
     #[test]
     fn filtered_iterators() {
-        let mut c = Cell::new();
-        c.insert(Itemset::pair(n(1), n(2)), info(Label::Positive, true));
-        c.insert(Itemset::pair(n(1), n(3)), info(Label::Negative, false));
-        c.insert(Itemset::pair(n(2), n(3)), info(Label::Infrequent, false));
-        c.insert(Itemset::pair(n(2), n(4)), info(Label::NonCorrelated, false));
-        assert_eq!(c.frequent_count(), 3);
+        let mut c = Cell::new(2);
+        c.insert(&[n(1), n(2)], info(Label::Positive, true));
+        c.insert(&[n(1), n(3)], info(Label::Negative, false));
+        c.insert(&[n(2), n(3)], info(Label::Infrequent, false));
+        c.insert(&[n(2), n(4)], info(Label::NonCorrelated, false));
+        assert_eq!(c.frequent().count(), 3);
         assert_eq!(c.alive().count(), 1);
         assert_eq!(c.label_counts(), (1, 1, 1, 1));
         assert!(!c.all_non_positive());
@@ -169,31 +200,118 @@ mod tests {
 
     #[test]
     fn tpg_condition() {
-        let mut c = Cell::new();
+        let mut c = Cell::new(2);
         assert!(c.all_non_positive(), "vacuously true when empty");
-        c.insert(Itemset::pair(n(1), n(2)), info(Label::Negative, true));
-        c.insert(Itemset::pair(n(1), n(3)), info(Label::Infrequent, false));
+        c.insert(&[n(1), n(2)], info(Label::Negative, true));
+        c.insert(&[n(1), n(3)], info(Label::Infrequent, false));
         assert!(c.all_non_positive());
-        c.insert(Itemset::pair(n(2), n(3)), info(Label::Positive, true));
+        c.insert(&[n(2), n(3)], info(Label::Positive, true));
         assert!(!c.all_non_positive());
     }
 
     #[test]
     fn out_of_order_inserts_keep_sorted_order_and_replace() {
-        let mut c = Cell::new();
-        c.insert(Itemset::pair(n(2), n(4)), info(Label::Negative, false));
-        c.insert(Itemset::pair(n(1), n(2)), info(Label::Positive, true));
-        c.insert(Itemset::pair(n(1), n(3)), info(Label::Infrequent, false));
+        let mut c = Cell::new(2);
+        c.insert(&[n(2), n(4)], info(Label::Negative, false));
+        c.insert(&[n(1), n(2)], info(Label::Positive, true));
+        c.insert(&[n(1), n(3)], info(Label::Infrequent, false));
         // Replacement, not duplication.
-        c.insert(Itemset::pair(n(1), n(2)), info(Label::Negative, false));
+        c.insert(&[n(1), n(2)], info(Label::Negative, false));
         assert_eq!(c.len(), 3);
-        let order: Vec<_> = c.iter().map(|(s, _)| s.clone()).collect();
+        let order: Vec<&[NodeId]> = c.iter().map(|(s, _)| s).collect();
         let mut sorted = order.clone();
         sorted.sort();
         assert_eq!(order, sorted);
-        assert_eq!(
-            c.get(&Itemset::pair(n(1), n(2))).unwrap().label,
-            Label::Negative
-        );
+        assert_eq!(c.get_items(&[n(1), n(2)]).unwrap().label, Label::Negative);
+    }
+
+    /// The flat cell against an ordered-map reference on seeded random
+    /// inserts — in and out of order, many of them replacements — at
+    /// `k = 1..=4`: the same rows in the same ascending order, the same
+    /// lookups (present, absent, a prefix, the wrong width), filters,
+    /// label counts and TPG condition.
+    #[test]
+    fn matches_a_map_reference_on_random_inserts() {
+        const LABELS: [Label; 4] = [
+            Label::Positive,
+            Label::Negative,
+            Label::NonCorrelated,
+            Label::Infrequent,
+        ];
+        let mut rng = Xoshiro256pp::seed_from_u64(23);
+        for round in 0..64u64 {
+            let k = 1 + (round % 4) as usize;
+            let universe = 4 + (round % 5) as u32 * 2;
+            let random_row = |rng: &mut Xoshiro256pp| loop {
+                let mut row: Vec<NodeId> = (0..k).map(|_| n(rng.gen_range(0..universe))).collect();
+                row.sort_unstable();
+                row.dedup();
+                if row.len() == k {
+                    return row;
+                }
+            };
+            let mut cell = Cell::new(k);
+            let mut reference: BTreeMap<Vec<NodeId>, ItemsetInfo> = BTreeMap::new();
+            let mut replaced = 0;
+            for step in 0..(8 + round * 3) {
+                let row = random_row(&mut rng);
+                let label = LABELS[rng.gen_range(0..4usize)];
+                let got = ItemsetInfo {
+                    support: step,
+                    corr: step as f64 / 100.0,
+                    label,
+                    chain_alive: label.is_correlated() && rng.gen_range(0..2u32) == 0,
+                };
+                replaced += usize::from(reference.insert(row.clone(), got).is_some());
+                cell.insert(&row, got);
+            }
+            let ctx = format!("round {round} k={k}");
+            assert_eq!(cell.len(), reference.len(), "{ctx}");
+            let rows: Vec<(&[NodeId], &ItemsetInfo)> = cell.iter().collect();
+            let expect: Vec<(&[NodeId], &ItemsetInfo)> =
+                reference.iter().map(|(r, i)| (r.as_slice(), i)).collect();
+            assert_eq!(rows, expect, "{ctx}: ascending rows");
+            let frequent: Vec<_> = cell.frequent().collect();
+            let expect_frequent: Vec<_> = expect
+                .iter()
+                .copied()
+                .filter(|(_, i)| i.label != Label::Infrequent)
+                .collect();
+            assert_eq!(frequent, expect_frequent, "{ctx}: frequent");
+            let alive: Vec<_> = cell.alive().collect();
+            let expect_alive: Vec<_> = expect
+                .iter()
+                .copied()
+                .filter(|(_, i)| i.chain_alive)
+                .collect();
+            assert_eq!(alive, expect_alive, "{ctx}: alive");
+            let count = |l: Label| reference.values().filter(|i| i.label == l).count();
+            assert_eq!(
+                cell.label_counts(),
+                (
+                    count(Label::Positive),
+                    count(Label::Negative),
+                    count(Label::NonCorrelated),
+                    count(Label::Infrequent)
+                ),
+                "{ctx}: label counts"
+            );
+            assert_eq!(
+                cell.all_non_positive(),
+                count(Label::Positive) == 0,
+                "{ctx}: TPG condition"
+            );
+            for _ in 0..16 {
+                let probe = random_row(&mut rng);
+                assert_eq!(cell.get_items(&probe), reference.get(&probe), "{ctx}");
+                assert_eq!(cell.get_items(&probe[..k - 1]), None, "{ctx}: a prefix");
+                let mut wide = probe.clone();
+                wide.push(n(universe));
+                assert_eq!(cell.get_items(&wide), None, "{ctx}: too wide");
+            }
+            if round >= 8 {
+                assert!(replaced > 0, "{ctx}: replacements must happen");
+            }
+        }
     }
 }

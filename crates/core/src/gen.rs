@@ -13,19 +13,20 @@
 //!
 //! # Allocation
 //!
-//! Joins and `(k−1)`-subset probes work on item slices held in buffers
-//! reused across the whole pass. The join copies the frequent
-//! `(k−1)`-itemsets into one fixed-stride [`Rows`] table and answers its
-//! subset probes with cursors into that table's prefix groups; the
-//! vertical pass probes `Q(h,k−1)` by slice ([`Cell::get_items`]). Only a
-//! candidate that survives every prune is allocated, once, as the
-//! [`Itemset`] its cell will store.
+//! Every candidate is a row of a fixed-stride table ([`ItemsetRows`]):
+//! each source appends its survivors to one table, [`Batch::union`] merges
+//! them into the ascending tables the counting kernel and the cell read in
+//! place, and no candidate is ever allocated on its own. The join reads the
+//! frequent rows of `Q(h,k−1)` where the cell stores them and answers its
+//! subset probes with cursors into that cell's prefix groups; the vertical
+//! pass probes `Q(h,k−1)` by slice ([`Cell::get_items`]) and takes a parent
+//! set's replayed combinations straight from the [`VerticalMemo`]'s rows.
+//! Probes and the memo's record work in buffers reused across the pass.
 
 use crate::cell::Cell;
-use flipper_data::{BitsetCounter, Itemset, VerticalMemo};
+use flipper_data::{BitsetCounter, ItemsetRows, VerticalMemo};
 use flipper_measures::Label;
 use flipper_taxonomy::{NodeId, Taxonomy};
-use std::ops::Range;
 
 /// What every generation pass reads, borrowed from the miner.
 pub(crate) struct GenCtx<'a> {
@@ -50,10 +51,10 @@ impl GenCtx<'_> {
 }
 
 /// The candidates of one source and what its prunes removed.
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct Generated {
     /// Surviving candidates, in generation order.
-    pub(crate) cands: Vec<Itemset>,
+    pub(crate) cands: ItemsetRows,
     /// The vertical source's supports, aligned with `cands`; empty for the
     /// other sources, whose candidates still need counting.
     pub(crate) supports: Vec<u64>,
@@ -63,128 +64,109 @@ pub(crate) struct Generated {
     pub(crate) sibp_pruned: u64,
 }
 
+impl Generated {
+    /// No `k`-item candidates yet.
+    fn new(k: usize) -> Self {
+        Generated {
+            cands: ItemsetRows::new(k),
+            supports: Vec::new(),
+            support_pruned: 0,
+            sibp_pruned: 0,
+        }
+    }
+}
+
 /// One cell's candidates, each once, split by whether a source already
 /// established its support. A batch without a vertical source has no fused
-/// candidates, so it is a plain itemset list.
-#[derive(Debug, Default, PartialEq)]
+/// candidates.
+#[derive(Debug, PartialEq)]
 pub(crate) struct Batch {
-    /// Vertical candidates with the supports the kernel's DFS produced,
-    /// ascending by itemset.
-    pub(crate) fused: Vec<(Itemset, u64)>,
+    /// Vertical candidates, ascending, ...
+    pub(crate) fused: ItemsetRows,
+    /// ... with the supports the kernel's DFS produced, row by row.
+    pub(crate) fused_supports: Vec<u64>,
     /// Every other candidate, ascending: the counting kernel answers
     /// these.
-    pub(crate) to_count: Vec<Itemset>,
+    pub(crate) to_count: ItemsetRows,
 }
 
 impl Batch {
-    /// The union of the candidates of `sources`. A candidate the vertical
-    /// source produced keeps its fused support even when another source
-    /// produced it too.
-    pub(crate) fn union(sources: impl IntoIterator<Item = Generated>) -> Batch {
-        let mut batch = Batch::default();
+    /// The union of the `k`-item candidates of `sources`. A candidate the
+    /// vertical source produced keeps its fused support even when another
+    /// source produced it too.
+    pub(crate) fn union(k: usize, sources: impl IntoIterator<Item = Generated>) -> Batch {
+        let (mut to_count, mut fused) = (ItemsetRows::new(k), ItemsetRows::new(k));
+        let mut fused_supports = Vec::new();
+        let append = |rows: &mut ItemsetRows, more: ItemsetRows| {
+            if rows.is_empty() {
+                *rows = more;
+            } else {
+                rows.extend(more.iter());
+            }
+        };
         for g in sources {
             if g.supports.is_empty() {
-                batch.to_count.extend(g.cands);
+                append(&mut to_count, g.cands);
             } else {
-                batch.fused.extend(g.cands.into_iter().zip(g.supports));
+                append(&mut fused, g.cands);
+                fused_supports.extend(g.supports);
             }
         }
-        batch.to_count.sort_unstable();
-        batch.to_count.dedup();
+        let (to_count, _) = ascending_distinct(to_count, Vec::<()>::new());
         // The vertical pass emits each combination once, for its one
-        // parent set, so the fused side holds no duplicates.
-        batch.fused.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        if !batch.fused.is_empty() {
-            let mut fused = batch.fused.iter().map(|(set, _)| set).peekable();
-            batch.to_count.retain(|set| {
-                while fused.next_if(|f| *f < set).is_some() {}
-                fused.peek() != Some(&set)
-            });
+        // parent set, so the fused side only needs sorting.
+        let (fused, fused_supports) = ascending_distinct(fused, fused_supports);
+        let to_count = if fused.is_empty() {
+            to_count
+        } else {
+            let mut rest = ItemsetRows::with_capacity(k, to_count.len());
+            let mut f = 0;
+            for row in to_count.iter() {
+                while f < fused.len() && fused.row(f) < row {
+                    f += 1;
+                }
+                if f == fused.len() || fused.row(f) != row {
+                    rest.push(row);
+                }
+            }
+            rest
+        };
+        Batch {
+            fused,
+            fused_supports,
+            to_count,
         }
-        batch
     }
 }
 
-/// Fixed-stride itemset rows: row `i` is `items[i·k .. (i+1)·k]`. One
-/// allocation holds a whole cell's worth of itemsets, probed by slice.
-#[derive(Debug)]
-struct Rows {
-    k: usize,
-    items: Vec<NodeId>,
-}
-
-impl Rows {
-    /// Empty table of `k`-item rows (`k ≥ 1`).
-    fn new(k: usize) -> Self {
-        debug_assert!(k >= 1, "rows need at least one item");
-        Rows {
-            k,
-            items: Vec::new(),
+/// `rows` sorted ascending with duplicate rows dropped, and `payload` (one
+/// entry per row, or none at all) carried along. Rows that are already
+/// strictly ascending — the pairs and the join emit them so — are returned
+/// as they are.
+fn ascending_distinct<T: Copy>(rows: ItemsetRows, payload: Vec<T>) -> (ItemsetRows, Vec<T>) {
+    let n = rows.len();
+    if (1..n).all(|i| rows.row(i - 1) < rows.row(i)) {
+        return (rows, payload);
+    }
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_unstable_by(|&a, &b| rows.row(a).cmp(rows.row(b)));
+    let mut sorted = ItemsetRows::with_capacity(rows.k(), n);
+    let mut carried = Vec::with_capacity(payload.len());
+    for i in order {
+        let row = rows.row(i);
+        if sorted.is_empty() || sorted.row(sorted.len() - 1) != row {
+            sorted.push(row);
+            carried.extend(payload.get(i).copied());
         }
     }
-
-    /// Number of rows.
-    fn len(&self) -> usize {
-        self.items.len().checked_div(self.k).unwrap_or(0)
-    }
-
-    /// Row `i`.
-    #[inline]
-    fn row(&self, i: usize) -> &[NodeId] {
-        &self.items[i * self.k..(i + 1) * self.k]
-    }
-
-    /// Append a row of exactly `k` items.
-    fn push(&mut self, row: &[NodeId]) {
-        debug_assert_eq!(row.len(), self.k);
-        self.items.extend_from_slice(row);
-    }
-
-    /// The rows whose first `key.len()` items equal `key`, as an index
-    /// range. Rows must be ascending.
-    fn prefix_range(&self, key: &[NodeId]) -> Range<usize> {
-        let m = key.len();
-        let lo = self.partition_point(0, |row| &row[..m] < key);
-        let hi = self.partition_point(lo, |row| &row[..m] == key);
-        lo..hi
-    }
-
-    /// First row index at or after `start` at which `pred` turns false;
-    /// rows from `start` on must be partitioned by it.
-    fn partition_point(&self, start: usize, pred: impl Fn(&[NodeId]) -> bool) -> usize {
-        let (mut lo, mut hi) = (start, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if pred(self.row(mid)) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// Maximal runs of adjacent rows sharing their first `k − 1` items.
-    fn prefix_groups(&self) -> Vec<Range<usize>> {
-        let n = self.len();
-        let p = self.k - 1;
-        let mut out = Vec::new();
-        let mut start = 0;
-        for i in 1..=n {
-            if i == n || self.row(i)[..p] != self.row(start)[..p] {
-                out.push(start..i);
-                start = i;
-            }
-        }
-        out
-    }
+    (sorted, carried)
 }
 
 /// All pairs of the frequent level items `items` (ascending) from distinct
 /// categories. An item banned at `k = 2` never starts a pair; a pair whose
 /// second item is banned counts as SIBP-pruned.
 pub(crate) fn pairs(ctx: &GenCtx<'_>, items: &[NodeId]) -> Generated {
-    let mut g = Generated::default();
+    let mut g = Generated::new(2);
     for (i, &x) in items.iter().enumerate() {
         if ctx.is_banned(x) {
             continue;
@@ -197,7 +179,7 @@ pub(crate) fn pairs(ctx: &GenCtx<'_>, items: &[NodeId]) -> Generated {
                 g.sibp_pruned += 1;
                 continue;
             }
-            g.cands.push(Itemset::from_sorted(vec![x, y]));
+            g.cands.push(&[x, y]);
         }
     }
     g
@@ -209,48 +191,48 @@ pub(crate) fn pairs(ctx: &GenCtx<'_>, items: &[NodeId]) -> Generated {
 /// be unions wider than the pure join closure, so membership is checked
 /// explicitly.)
 ///
-/// Rows sharing their `(k−2)`-prefix are joined pairwise, `p < q`, into
-/// `row(p) + last(q)`. Dropping either of the last two items gives back
-/// `row(q)` or `row(p)`, both frequent, so only the subsets that drop one
-/// of the first `k − 2` items are probed. For a fixed `p`, the subset that
-/// drops item `i` is `row(p) − i` extended by `last(q)`: it lies in the
-/// prefix group of `row(p) − i`, and as `q` ascends so does `last(q)`. One
-/// cursor per dropped position therefore walks that group once per `p`,
-/// and a probe costs amortized O(1) instead of a search.
+/// The join reads `prev`'s rows in place. Frequent rows sharing their
+/// `(k−2)`-prefix are joined pairwise, `p < q`, into `row(p) + last(q)`.
+/// Dropping either of the last two items gives back `row(q)` or `row(p)`,
+/// both frequent, so only the subsets that drop one of the first `k − 2`
+/// items are probed. For a fixed `p`, the subset that drops item `i` is
+/// `row(p) − i` extended by `last(q)`: it lies in the prefix group of
+/// `row(p) − i`, and as `q` ascends so does `last(q)`. One cursor per
+/// dropped position therefore walks that group once per `p`, and a probe
+/// costs amortized O(1) instead of a search; the row it stops at must also
+/// be frequent.
 pub(crate) fn horizontal(ctx: &GenCtx<'_>, prev: &Cell, k: usize) -> Generated {
     debug_assert!(k >= 3, "pairs come from `pairs` or `vertical`");
-    let mut freq = Rows::new(k - 1);
-    for (set, _) in prev.frequent() {
-        freq.push(set.items());
-    }
-    let mut g = Generated::default();
+    let rows = prev.rows();
+    let frequent = |i: usize| prev.info(i).label != Label::Infrequent;
+    let mut g = Generated::new(k);
     let mut key: Vec<NodeId> = Vec::with_capacity(k - 2);
     // Per dropped position `i < k − 2`: (cursor, end) into its group.
     let mut cursors: Vec<(usize, usize)> = Vec::with_capacity(k - 2);
     let mut cand: Vec<NodeId> = Vec::with_capacity(k);
-    for grp in freq.prefix_groups() {
-        for p in grp.clone() {
-            let rp = freq.row(p);
+    for grp in rows.prefix_groups(0..rows.len()) {
+        for p in grp.clone().filter(|&p| frequent(p)) {
+            let rp = rows.row(p);
             let cat_p = ctx.cat(rp[k - 2]);
             cursors.clear();
             for i in 0..k - 2 {
                 key.clear();
                 key.extend_from_slice(&rp[..i]);
                 key.extend_from_slice(&rp[i + 1..]);
-                let r = freq.prefix_range(&key);
+                let r = rows.prefix_range(&key);
                 cursors.push((r.start, r.end));
             }
-            for q in p + 1..grp.end {
-                let last = freq.row(q)[k - 2];
+            for q in (p + 1..grp.end).filter(|&q| frequent(q)) {
+                let last = rows.row(q)[k - 2];
                 if ctx.cat(last) == cat_p {
                     continue;
                 }
                 let mut ok = true;
                 for (cur, end) in cursors.iter_mut() {
-                    while *cur < *end && freq.row(*cur)[k - 2] < last {
+                    while *cur < *end && rows.row(*cur)[k - 2] < last {
                         *cur += 1;
                     }
-                    if *cur == *end || freq.row(*cur)[k - 2] != last {
+                    if *cur == *end || rows.row(*cur)[k - 2] != last || !frequent(*cur) {
                         ok = false;
                         break;
                     }
@@ -259,7 +241,7 @@ pub(crate) fn horizontal(ctx: &GenCtx<'_>, prev: &Cell, k: usize) -> Generated {
                     cand.clear();
                     cand.extend_from_slice(rp);
                     cand.push(last);
-                    g.cands.push(Itemset::from_sorted(cand.clone()));
+                    g.cands.push(&cand);
                 } else {
                     g.support_pruned += 1;
                 }
@@ -339,7 +321,7 @@ pub(crate) fn vertical(
     prev: Option<&Cell>,
     k: usize,
 ) -> Generated {
-    let mut g = Generated::default();
+    let mut g = Generated::new(k);
     // A `(k−1)`-subset being probed.
     let mut sub: Vec<NodeId> = Vec::with_capacity(k);
     let mut keep = |combo: &[NodeId], support: u64| {
@@ -359,25 +341,28 @@ pub(crate) fn vertical(
         if doomed {
             g.support_pruned += 1;
         } else {
-            g.cands.push(Itemset::from_sorted(combo.to_vec()));
+            g.cands.push(combo);
             g.supports.push(support);
         }
     };
     // Per parent slot, the parent's frequent children.
     let mut kids: Vec<Vec<NodeId>> = vec![Vec::new(); k];
     // One parent set's combinations (rows of `k` items) and supports, as
-    // the memo stores them.
+    // the memo records them.
     let mut combos: Vec<NodeId> = Vec::new();
     let mut supports: Vec<u64> = Vec::new();
     let (h, theta, memo) = (level.h, level.theta, level.memo);
-    for (pset, _) in above.alive() {
-        let parent = pset.items();
-        if memo.is_some_and(|m| m.replay_into(h, theta, parent, &mut combos, &mut supports)) {
-            level.replayed += 1;
-            level.replayed_supports += supports.len() as u64;
-            for (combo, &support) in combos.chunks_exact(k).zip(&supports) {
+    for (parent, _) in above.alive() {
+        let mut replayed = 0;
+        let hit = memo.is_some_and(|m| {
+            m.replay(h, theta, parent, |combo, support| {
+                replayed += 1;
                 keep(combo, support);
-            }
+            })
+        });
+        if hit {
+            level.replayed += 1;
+            level.replayed_supports += replayed;
             continue;
         }
         level.enumerated += 1;
@@ -413,7 +398,7 @@ mod tests {
     use super::*;
     use crate::cell::ItemsetInfo;
     use flipper_data::rng::{Rng, Xoshiro256pp};
-    use flipper_data::{naive_tidset_counts, MultiLevelView, TransactionDb};
+    use flipper_data::{naive_tidset_counts, Itemset, MultiLevelView, TransactionDb};
     use std::collections::BTreeSet;
 
     /// The kernel's three storage mixes: all-bitmap, the default mixed
@@ -451,7 +436,7 @@ mod tests {
                 sets.insert(set);
             }
         }
-        let mut cell = Cell::new();
+        let mut cell = Cell::new(k);
         for set in sets {
             let label = match rng.gen_range(0..4u32) {
                 0 => Label::Infrequent,
@@ -459,17 +444,35 @@ mod tests {
                 2 => Label::Negative,
                 _ => Label::Positive,
             };
-            cell.insert(set, info(label));
+            cell.insert(set.items(), info(label));
         }
         cell
+    }
+
+    /// `sets` as `k`-item rows, in the order given.
+    fn rows_of<'a>(k: usize, sets: impl IntoIterator<Item = &'a Itemset>) -> ItemsetRows {
+        let mut rows = ItemsetRows::new(k);
+        rows.extend(sets.into_iter().map(Itemset::items));
+        rows
+    }
+
+    /// The rows of `rows` as owned itemsets.
+    fn itemsets(rows: &ItemsetRows) -> Vec<Itemset> {
+        rows.iter()
+            .map(|r| Itemset::from_sorted(r.to_vec()))
+            .collect()
     }
 
     /// The join as literally specified: every same-prefix pair of frequent
     /// itemsets from distinct categories, kept iff all `k` of its
     /// `(k−1)`-subsets are frequent in `prev`.
     fn reference_horizontal(prev: &Cell, k: usize, top_cat: &[NodeId]) -> Generated {
-        let freq: Vec<&Itemset> = prev.frequent().map(|(s, _)| s).collect();
-        let mut g = Generated::default();
+        let freq: Vec<Itemset> = prev
+            .frequent()
+            .map(|(s, _)| Itemset::from_sorted(s.to_vec()))
+            .collect();
+        let mut g = Generated::new(k);
+        let mut cands = Vec::new();
         for (p, a) in freq.iter().enumerate() {
             for b in &freq[p + 1..] {
                 let Some(joined) = a.apriori_join(b) else {
@@ -478,33 +481,20 @@ mod tests {
                 if top_cat[a.items()[k - 2].index()] == top_cat[b.items()[k - 2].index()] {
                     continue;
                 }
-                let ok = joined
-                    .subsets_k_minus_1()
-                    .all(|s| prev.get(&s).is_some_and(|i| i.label != Label::Infrequent));
+                let ok = joined.subsets_k_minus_1().all(|s| {
+                    prev.get_items(s.items())
+                        .is_some_and(|i| i.label != Label::Infrequent)
+                });
                 if ok {
-                    g.cands.push(joined);
+                    cands.push(joined);
                 } else {
                     g.support_pruned += 1;
                 }
             }
         }
-        g.cands.sort_unstable();
+        cands.sort_unstable();
+        g.cands = rows_of(k, &cands);
         g
-    }
-
-    #[test]
-    fn rows_probe_by_prefix() {
-        let mut rows = Rows::new(2);
-        for (a, b) in [(1, 2), (1, 5), (2, 3), (2, 4), (2, 9), (7, 8)] {
-            rows.push(&[n(a), n(b)]);
-        }
-        assert_eq!(rows.len(), 6);
-        assert_eq!(rows.prefix_range(&[n(2)]), 2..5);
-        assert_eq!(rows.prefix_range(&[n(3)]), 5..5);
-        assert_eq!(rows.prefix_range(&[n(7)]), 5..6);
-        assert_eq!(rows.prefix_range(&[n(9)]), 6..6);
-        assert_eq!(rows.prefix_range(&[n(2), n(4)]), 3..4);
-        assert_eq!(rows.prefix_groups(), vec![0..2, 2..5, 5..6]);
     }
 
     /// The cursor-probed flat join equals the literal Itemset join on
@@ -539,7 +529,7 @@ mod tests {
         let mut c = ctx(&tax, &top_cat);
         c.banned = &banned;
         let got = pairs(&c, &items);
-        let mut expect = Generated::default();
+        let mut expect = Generated::new(2);
         for (i, &x) in items.iter().enumerate() {
             for &y in &items[i + 1..] {
                 if banned[x.index()] || top_cat[x.index()] == top_cat[y.index()] {
@@ -548,12 +538,13 @@ mod tests {
                 if banned[y.index()] {
                     expect.sibp_pruned += 1;
                 } else {
-                    expect.cands.push(Itemset::pair(x, y));
+                    expect.cands.push(&[x, y]);
                 }
             }
         }
         assert!(expect.sibp_pruned > 0);
-        assert!(got.cands.windows(2).all(|w| w[0] < w[1]), "ascending");
+        let got_sets = itemsets(&got.cands);
+        assert!(got_sets.windows(2).all(|w| w[0] < w[1]), "ascending");
         assert_eq!(got, expect);
     }
 
@@ -594,16 +585,16 @@ mod tests {
                     parents.insert(set);
                 }
             }
-            let mut above = Cell::new();
+            let mut above = Cell::new(k);
             for p in &parents {
-                above.insert(p.clone(), info(Label::Positive));
+                above.insert(p.items(), info(Label::Positive));
             }
             // Known-infrequent pairs prune the triples that contain them.
-            let mut prev = Cell::new();
+            let mut prev = Cell::new(2);
             for a in leaves.iter().step_by(7) {
                 for b in leaves.iter().step_by(5) {
                     if top_cat[a.index()] != top_cat[b.index()] {
-                        prev.insert(Itemset::pair(*a, *b), info(Label::Infrequent));
+                        prev.insert(Itemset::pair(*a, *b).items(), info(Label::Infrequent));
                     }
                 }
             }
@@ -662,7 +653,7 @@ mod tests {
                     expect.extend(combos.into_iter().map(Itemset::new));
                 }
             }
-            let got: BTreeSet<Itemset> = base.cands.iter().cloned().collect();
+            let got: BTreeSet<Itemset> = itemsets(&base.cands).into_iter().collect();
             assert_eq!(got.len(), base.cands.len(), "k={k}: no duplicates");
             assert!(
                 got.is_subset(&expect),
@@ -700,17 +691,17 @@ mod tests {
             .collect();
         let (h, theta, k) = (3, 2, 3);
         let mids = tax.nodes_at_level(2).unwrap().to_vec();
-        let mut above = Cell::new();
+        let mut above = Cell::new(k);
         for _ in 0..40 {
             let set = Itemset::new((0..k).map(|_| mids[rng.gen_range(0..mids.len())]).collect());
             let cats: BTreeSet<NodeId> = set.items().iter().map(|it| top_cat[it.index()]).collect();
             if cats.len() == k {
-                above.insert(set, info(Label::Positive));
+                above.insert(set.items(), info(Label::Positive));
             }
         }
         // `prev` cells of leaf pairs, every `every`-th one infrequent.
         let prev_cell = |every: usize| {
-            let mut cell = Cell::new();
+            let mut cell = Cell::new(2);
             let mut i = 0;
             for (p, &a) in leaves.iter().enumerate() {
                 for &b in &leaves[p + 1..] {
@@ -721,7 +712,7 @@ mod tests {
                         } else {
                             Label::Positive
                         };
-                        cell.insert(Itemset::pair(a, b), info(label));
+                        cell.insert(Itemset::pair(a, b).items(), info(label));
                     }
                 }
             }
@@ -791,17 +782,24 @@ mod tests {
             .node_ids()
             .map(|x| tax.ancestor_at_level(x, 1).unwrap_or(x))
             .collect();
-        let mut above = Cell::new();
-        above.insert(Itemset::pair(mids[0], mids[1]), info(Label::Positive));
+        let mut above = Cell::new(2);
+        above.insert(
+            Itemset::pair(mids[0], mids[1]).items(),
+            info(Label::Positive),
+        );
         let mut counter = BitsetCounter::new(&view);
         let mut level = VerticalLevel::new(&mut counter, 2, 1, None);
         let got = vertical(&ctx(&tax, &top_cat), &mut level, &above, None, 2);
-        let batch = Batch::union([got]);
+        let batch = Batch::union(2, [got]);
         let expect: Vec<(Itemset, u64)> = [(0, 2, 4), (0, 3, 1), (1, 2, 1), (1, 3, 4)]
             .into_iter()
             .map(|(a, b, sup)| (Itemset::pair(kids[a], kids[b]), sup))
             .collect();
-        assert_eq!(batch.fused, expect);
+        let fused: Vec<(Itemset, u64)> = itemsets(&batch.fused)
+            .into_iter()
+            .zip(batch.fused_supports)
+            .collect();
+        assert_eq!(fused, expect);
         assert!(batch.to_count.is_empty());
         assert_eq!(counter.stats().candidates_counted, 0, "nothing counted");
         assert_eq!(counter.stats().intersections, 4, "one AND per pair");
@@ -827,27 +825,28 @@ mod tests {
             .collect();
         let c = ctx(&tax, &top_cat);
         // Q(2,2): the pairs of {a1,b1,c1} and of {a2,b2,c2}, all frequent.
-        let mut prev = Cell::new();
+        let mut prev = Cell::new(2);
         for [x, y, z] in [[a1, b1, c1], [a2, b2, c2]] {
             for (p, q) in [(x, y), (x, z), (y, z)] {
-                prev.insert(Itemset::pair(p, q), info(Label::Positive));
+                prev.insert(Itemset::pair(p, q).items(), info(Label::Positive));
             }
         }
         // Q(1,3): the one parent set, alive.
-        let mut above = Cell::new();
-        above.insert(Itemset::new(tops.clone()), info(Label::Positive));
+        let mut above = Cell::new(3);
+        above.insert(Itemset::new(tops.clone()).items(), info(Label::Positive));
         let joined = horizontal(&c, &prev, 3);
         let mut counter = BitsetCounter::new(&view);
         let mut level = VerticalLevel::new(&mut counter, 2, 1, None);
         let fused = vertical(&c, &mut level, &above, Some(&prev), 3);
         let both = Itemset::new(vec![a1, b1, c1]);
         let horizontal_only = Itemset::new(vec![a2, b2, c2]);
-        assert!(joined.cands.contains(&both) && fused.cands.contains(&both));
-        let batch = Batch::union([joined, fused]);
+        assert!(itemsets(&joined.cands).contains(&both) && itemsets(&fused.cands).contains(&both));
+        let batch = Batch::union(3, [joined, fused]);
         assert_eq!(
             batch.fused,
-            vec![(both, 3), (Itemset::new(vec![a1, b2, c2]), 1)]
+            rows_of(3, [&both, &Itemset::new(vec![a1, b2, c2])])
         );
-        assert_eq!(batch.to_count, vec![horizontal_only]);
+        assert_eq!(batch.fused_supports, vec![3, 1]);
+        assert_eq!(batch.to_count, rows_of(3, [&horizontal_only]));
     }
 }

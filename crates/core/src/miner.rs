@@ -37,18 +37,25 @@
 //!   plain Apriori and flips are recovered post-hoc — the paper's baseline.
 //!
 //! The sources themselves live in [`crate::gen`]: they join and probe item
-//! slices in flat buffers, allocating only the candidates that survive.
+//! slices in place and append their survivors to fixed-stride tables.
 //!
 //! # Execution
 //!
+//! Every `k`-itemset the run touches is a row of a fixed-stride
+//! [`ItemsetRows`] table, never a heap object of its own: a cell's
+//! candidates, the batch the kernel counts, and the cell that stores the
+//! evaluated itemsets ([`Cell`]: the rows plus a parallel info array). Only
+//! the reported patterns own [`Itemset`]s.
+//!
 //! Candidate generation runs on the calling thread. Vertical candidates
 //! arrive with their supports; every other candidate is counted by the one
-//! kernel, [`BitsetCounter::count_batch`]: with `cfg.threads != 1` each
-//! cell's batch is chunked over scoped worker threads at prefix-group
-//! boundaries. Seeded runs ([`mine_with_view_seeded`]) reuse session-level
-//! work: they replay a parent set's vertical enumeration from a
-//! [`VerticalMemo`] when an earlier run recorded it, and record the ones
-//! they enumerate. Results are bit-identical at every thread count and
+//! kernel, [`BitsetCounter::count_batch`], which reads the rows in place:
+//! with `cfg.threads != 1` each cell's batch is chunked over scoped worker
+//! threads at prefix-group boundaries. Evaluation merges the two ascending
+//! tables into the cell, which is sized for them up front. Seeded runs
+//! ([`mine_with_view_seeded`]) reuse session-level work: they replay a
+//! parent set's vertical enumeration from a [`VerticalMemo`] when an
+//! earlier run recorded it, and record the ones they enumerate. Results are bit-identical at every thread count and
 //! memo state; statistics are too, except the kernel's work counters
 //! ([`RunStats::counter`]), which drop by the enumerations a seeded run
 //! replays, and [`RunStats::seeded_supports`], which counts the supports
@@ -59,7 +66,9 @@ use crate::config::FlipperConfig;
 use crate::gen::{self, Batch, GenCtx, Generated, VerticalLevel};
 use crate::results::{CellSummary, ChainLevel, FlippingPattern, MiningResult};
 use crate::stats::{RunStats, Stopwatch};
-use flipper_data::{BitsetCounter, Itemset, MultiLevelView, TransactionDb, VerticalMemo};
+use flipper_data::{
+    BitsetCounter, Itemset, ItemsetRows, MultiLevelView, TransactionDb, VerticalMemo,
+};
 use flipper_guard::{CancelToken, GuardError};
 use flipper_measures::{CorrelationMeasure, Label, Thresholds};
 use flipper_taxonomy::{NodeId, Taxonomy};
@@ -127,13 +136,13 @@ pub fn mine_with_view_seeded(
         .unwrap_or_else(|_| unreachable!("an unguarded run has no token to interrupt it"))
 }
 
-/// Merge two ascending `(itemset, support)` streams with no itemset in
-/// common into one ascending stream.
-fn merge_ascending(
-    a: impl Iterator<Item = (Itemset, u64)>,
-    b: impl IntoIterator<Item = (Itemset, u64)>,
-) -> impl Iterator<Item = (Itemset, u64)> {
-    let (mut a, mut b) = (a.peekable(), b.into_iter().peekable());
+/// Merge two ascending `(row, support)` streams with no row in common into
+/// one ascending stream.
+fn merge_ascending<'r>(
+    a: impl Iterator<Item = (&'r [NodeId], u64)>,
+    b: impl Iterator<Item = (&'r [NodeId], u64)>,
+) -> impl Iterator<Item = (&'r [NodeId], u64)> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
     std::iter::from_fn(move || match (a.peek(), b.peek()) {
         (Some(x), Some(y)) if y.0 < x.0 => b.next(),
         (Some(_), _) => a.next(),
@@ -338,15 +347,15 @@ impl<'a> Miner<'a> {
             self.stats.pruned_by_support += g.support_pruned;
             self.stats.pruned_by_sibp += g.sibp_pruned;
         }
-        let batch = Batch::union(sources.into_iter().flatten());
+        let batch = Batch::union(k, sources.into_iter().flatten());
         span.add_arg("fused", batch.fused.len() as u64);
         batch
     }
 
     // ---- evaluation -------------------------------------------------------
 
-    /// Count supports for a sorted candidate batch with the kernel.
-    fn count_supports(&mut self, h: usize, candidates: &[Itemset]) -> Vec<u64> {
+    /// Count supports for an ascending candidate batch with the kernel.
+    fn count_supports(&mut self, h: usize, candidates: &ItemsetRows) -> Vec<u64> {
         let _span = flipper_obs::span("mine.count")
             .arg("h", h as u64)
             .arg("batch", candidates.len() as u64);
@@ -354,21 +363,27 @@ impl<'a> Miner<'a> {
     }
 
     /// Evaluate cell `Q(h,k)`: generate, count, label, compute chain
-    /// aliveness, record statistics.
-    fn eval_cell(&mut self, h: usize, k: usize) {
+    /// aliveness, record statistics. Returns the cell's summary, which the
+    /// driving loops read instead of rescanning the cell.
+    fn eval_cell(&mut self, h: usize, k: usize) -> CellSummary {
         let _cell_span = flipper_obs::span("mine.cell")
             .arg("h", h as u64)
             .arg("k", k as u64);
-        let Batch { fused, to_count } = self.gen_candidates(h, k);
+        let Batch {
+            fused,
+            fused_supports,
+            to_count,
+        } = self.gen_candidates(h, k);
+        let n_cands = fused.len() + to_count.len();
         self.stats.cells_evaluated += 1;
-        self.stats.candidates_generated += (fused.len() + to_count.len()) as u64;
+        self.stats.candidates_generated += n_cands as u64;
 
         let theta = self.thetas[h - 1];
         let thresholds: Thresholds = self.cfg.thresholds;
         let measure = self.cfg.measure;
         let supports = self.count_supports(h, &to_count);
 
-        let mut cell = Cell::new();
+        let mut cell = Cell::with_capacity(k, n_cands);
         // Per-item max correlation for SIBP, indexed by `NodeId::index()` —
         // a flat array instead of a hash map so downstream iteration order
         // is structural, not hash-dependent.
@@ -377,18 +392,22 @@ impl<'a> Miner<'a> {
         } else {
             Vec::new()
         };
-        let (mut n_pos, mut n_neg, mut n_freq) = (0usize, 0usize, 0usize);
+        let (mut n_pos, mut n_neg, mut n_freq, mut n_alive) = (0usize, 0usize, 0usize, 0usize);
         // Flat per-level support cache plus one reused buffer: the
         // correlation loop issues no virtual calls and no per-candidate
         // allocations.
         let sup_cache = &self.rows[h - 1].sup_cache;
         let mut item_sups: Vec<u64> = Vec::new();
         let mut parent_items: Vec<NodeId> = Vec::with_capacity(k);
-        for (set, sup) in merge_ascending(to_count.into_iter().zip(supports), fused) {
+        let merged = merge_ascending(
+            to_count.iter().zip(supports),
+            fused.iter().zip(fused_supports),
+        );
+        for (set, sup) in merged {
             let frequent = sup >= theta;
             let (corr, label) = if frequent {
                 item_sups.clear();
-                item_sups.extend(set.items().iter().map(|&it| sup_cache[it.index()]));
+                item_sups.extend(set.iter().map(|&it| sup_cache[it.index()]));
                 let corr = measure.value(sup, &item_sups);
                 (corr, thresholds.label_frequent(corr))
             } else {
@@ -408,14 +427,15 @@ impl<'a> Miner<'a> {
                     // from distinct categories, so their parents are
                     // distinct and only need sorting.
                     parent_items.clear();
-                    parent_items.extend(set.items().iter().filter_map(|&it| self.tax.parent(it)));
+                    parent_items.extend(set.iter().filter_map(|&it| self.tax.parent(it)));
                     parent_items.sort_unstable();
                     self.cell(h - 1, k)
                         .and_then(|c| c.get_items(&parent_items))
                         .is_some_and(|pi| pi.chain_alive && pi.label.flips_to(label))
                 });
+            n_alive += usize::from(chain_alive);
             if self.cfg.pruning.sibp {
-                for &it in set.items() {
+                for &it in set {
                     let e = &mut max_corr[it.index()];
                     if corr > *e {
                         *e = corr;
@@ -436,15 +456,16 @@ impl<'a> Miner<'a> {
         self.stats.frequent_found += n_freq as u64;
         self.stats.positive_found += n_pos as u64;
         self.stats.negative_found += n_neg as u64;
-        self.cells_out.push(CellSummary {
+        let summary = CellSummary {
             level: h,
             k,
             evaluated: cell.len(),
             frequent: n_freq,
             positive: n_pos,
             negative: n_neg,
-            alive: cell.alive().count(),
-        });
+            alive: n_alive,
+        };
+        self.cells_out.push(summary);
 
         let row = &mut self.rows[h - 1];
         row.stored += cell.len() as u64;
@@ -455,6 +476,7 @@ impl<'a> Miner<'a> {
         if self.cfg.pruning.sibp {
             self.sibp_after_cell(h, k, &max_corr);
         }
+        summary
     }
 
     /// Memory proxy: BASIC retains the whole table; the pruned variants
@@ -530,9 +552,7 @@ impl<'a> Miner<'a> {
             let mut k = 2;
             while k <= self.k_cap {
                 self.check_interrupt()?;
-                self.eval_cell(1, k);
-                // lint:allow(panic-hygiene) eval_cell on the previous line always inserts the cell
-                if self.cell(1, k).expect("just inserted").frequent_count() == 0 {
+                if self.eval_cell(1, k).frequent == 0 {
                     break;
                 }
                 k += 1;
@@ -546,17 +566,13 @@ impl<'a> Miner<'a> {
         let mut k = 2;
         while k <= self.k_cap && !(row1_done && row2_done) {
             self.check_interrupt()?;
-            if !row1_done {
-                self.eval_cell(1, k);
-            }
-            if !row2_done {
-                self.eval_cell(2, k);
-            }
-            let c1_freq = self.cell(1, k).map_or(0, Cell::frequent_count);
-            let c2_freq = self.cell(2, k).map_or(0, Cell::frequent_count);
+            let c1 = (!row1_done).then(|| self.eval_cell(1, k));
+            let c2 = (!row2_done).then(|| self.eval_cell(2, k));
+            let c1_freq = c1.map_or(0, |c| c.frequent);
+            let c2_freq = c2.map_or(0, |c| c.frequent);
             if self.cfg.pruning.tpg {
-                let np1 = self.cell(1, k).is_none_or(Cell::all_non_positive);
-                let np2 = self.cell(2, k).is_none_or(Cell::all_non_positive);
+                let np1 = c1.is_none_or(|c| c.positive == 0);
+                let np2 = c2.is_none_or(|c| c.positive == 0);
                 if np1 && np2 {
                     // Theorem 3: no flipping pattern at any column ≥ k.
                     self.stats.tpg_cap = k as u64;
@@ -582,22 +598,21 @@ impl<'a> Miner<'a> {
         // Phase 2: remaining rows, left to right.
         for h in 3..=height {
             // Largest column with vertical sources in the row above.
-            let alive_cols = self.rows[h - 2]
-                .cells
+            let alive_cols = self
+                .cells_out
                 .iter()
-                .filter(|(_, c)| c.alive().next().is_some())
-                .map(|(&k, _)| k)
+                .filter(|c| c.level == h - 1 && c.alive > 0)
+                .map(|c| c.k)
                 .max()
                 .unwrap_or(0);
             let mut k = 2;
             while k <= self.k_cap {
                 self.check_interrupt()?;
-                self.eval_cell(h, k);
-                let freq_here = self.cell(h, k).map_or(0, Cell::frequent_count);
+                let here = self.eval_cell(h, k);
+                let freq_here = here.frequent;
                 if self.cfg.pruning.tpg {
                     let np_above = self.cell(h - 1, k).is_none_or(Cell::all_non_positive);
-                    let np_here = self.cell(h, k).is_none_or(Cell::all_non_positive);
-                    if np_above && np_here {
+                    if np_above && here.positive == 0 {
                         self.stats.tpg_cap = k as u64;
                         self.k_cap = k.saturating_sub(1).max(1);
                         break;
@@ -638,26 +653,23 @@ impl<'a> Miner<'a> {
     }
 
     /// Collect flipping patterns: chain-alive itemsets at the leaf level,
-    /// with their chains reconstructed from the stored cells.
+    /// with their chains reconstructed from the stored cells. Columns come
+    /// ascending from the row's map and rows ascending from each cell, so
+    /// the patterns are in (size, leaf itemset) order as they are found.
     fn extract_patterns(&self) -> Vec<FlippingPattern> {
         let height = self.tax.height();
         if height < 2 {
             return Vec::new();
         }
         let mut patterns = Vec::new();
-        let leaf_row = &self.rows[height - 1];
-        let mut ks: Vec<usize> = leaf_row.cells.keys().copied().collect();
-        ks.sort_unstable();
-        for k in ks {
-            let cell = &leaf_row.cells[&k];
-            let mut alive: Vec<&Itemset> = cell.alive().map(|(s, _)| s).collect();
-            alive.sort_unstable();
-            for leaf_set in alive {
+        for (&k, cell) in &self.rows[height - 1].cells {
+            for (leaf, _) in cell.alive() {
+                let leaf_set = Itemset::from_sorted(leaf.to_vec());
                 let mut chain = Vec::with_capacity(height);
                 let mut set = leaf_set.clone();
                 let mut ok = true;
                 for h in (1..=height).rev() {
-                    let info = match self.cell(h, k).and_then(|c| c.get(&set)) {
+                    let info = match self.cell(h, k).and_then(|c| c.get_items(set.items())) {
                         Some(i) => i,
                         None => {
                             debug_assert!(false, "alive leaf itemset with missing ancestor cell");
@@ -681,7 +693,7 @@ impl<'a> Miner<'a> {
                 }
                 chain.reverse();
                 let p = FlippingPattern {
-                    leaf_itemset: leaf_set.clone(),
+                    leaf_itemset: leaf_set,
                     chain,
                 };
                 debug_assert_eq!(p.validate(), Ok(()), "extracted pattern must be valid");

@@ -77,6 +77,38 @@ fn cell_summaries_consistent() {
     }
 }
 
+/// Every evaluated cell is a well-formed flat table under every pruning
+/// variant: each row is exactly `k` items wide and strictly increasing (a
+/// canonical itemset), and the rows are strictly ascending, hence distinct.
+#[test]
+fn evaluated_rows_are_canonical_and_ascending() {
+    for seed in 0..24u64 {
+        let (tax, db) = random_input(2, 3, 3, 80, seed);
+        let cfg = FlipperConfig::new(Thresholds::new(0.5, 0.2), MinSupports::Counts(vec![2, 1]));
+        for pruning in PruningConfig::VARIANTS {
+            let r = mine(&tax, &db, &cfg.clone().with_pruning(pruning));
+            assert!(!r.evaluated.is_empty(), "seed {seed}");
+            for (level, cell) in &r.evaluated {
+                let ctx = format!(
+                    "seed {seed} {} level {level} k {}",
+                    pruning.name(),
+                    cell.k()
+                );
+                let rows: Vec<&[NodeId]> = cell.iter().map(|(row, _)| row).collect();
+                assert_eq!(rows.len(), cell.len(), "{ctx}");
+                for row in &rows {
+                    assert_eq!(row.len(), cell.k(), "{ctx}: row width");
+                    assert!(row.windows(2).all(|w| w[0] < w[1]), "{ctx}: {row:?}");
+                }
+                assert!(
+                    rows.windows(2).all(|w| w[0] < w[1]),
+                    "{ctx}: rows strictly ascending"
+                );
+            }
+        }
+    }
+}
+
 /// Monotonicity of the pruning stack: each additional technique never
 /// *increases* generated candidates, and never changes the answer.
 #[test]

@@ -15,7 +15,7 @@ use crate::miner::mine;
 use crate::results::MiningResult;
 use flipper_data::{Itemset, TransactionDb};
 use flipper_measures::Label;
-use flipper_taxonomy::Taxonomy;
+use flipper_taxonomy::{NodeId, Taxonomy};
 
 /// A positive itemset scored by taxonomy distance.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,7 +56,7 @@ pub fn rank_result_by_distance(tax: &Taxonomy, result: &MiningResult) -> Vec<Ran
     let mut out: Vec<RankedPattern> = result
         .positive_itemsets()
         .map(|(level, set, info)| RankedPattern {
-            itemset: set.clone(),
+            itemset: Itemset::from_sorted(set.to_vec()),
             level,
             corr: info.corr,
             distance: max_pairwise_distance(tax, set),
@@ -71,8 +71,7 @@ pub fn rank_result_by_distance(tax: &Taxonomy, result: &MiningResult) -> Vec<Ran
     out
 }
 
-fn max_pairwise_distance(tax: &Taxonomy, set: &Itemset) -> usize {
-    let items = set.items();
+fn max_pairwise_distance(tax: &Taxonomy, items: &[NodeId]) -> usize {
     let mut best = 0;
     for (i, &a) in items.iter().enumerate() {
         for &b in &items[i + 1..] {
@@ -83,9 +82,9 @@ fn max_pairwise_distance(tax: &Taxonomy, set: &Itemset) -> usize {
 }
 
 impl MiningResult {
-    /// Iterate `(level, itemset, info)` for every positively labeled
+    /// Iterate `(level, items, info)` for every positively labeled
     /// itemset across all evaluated cells.
-    pub fn positive_itemsets(&self) -> impl Iterator<Item = (usize, &Itemset, &ItemsetInfo)> + '_ {
+    pub fn positive_itemsets(&self) -> impl Iterator<Item = (usize, &[NodeId], &ItemsetInfo)> + '_ {
         self.evaluated.iter().flat_map(|(level, cell)| {
             cell.iter()
                 .filter(|(_, info)| info.label == Label::Positive)

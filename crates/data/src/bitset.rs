@@ -10,12 +10,13 @@
 //! slot co-occur at all, with their supports
 //! ([`BitsetCounter::co_occurring`]).
 
-use crate::counting::{prefix_groups, same_prefix_group, CounterStats, MIN_SHARD_CANDIDATES};
+use crate::counting::{CounterStats, MIN_SHARD_CANDIDATES};
 use crate::exec;
-use crate::itemset::Itemset;
+use crate::itemset::ItemsetRows;
 use crate::projection::{LevelView, MultiLevelView};
 use crate::tidset::{intersect_into, intersect_size, intersect_size_many};
 use flipper_taxonomy::NodeId;
+use std::ops::Range;
 
 /// A fixed-width packed bitmap over transaction ids.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -273,8 +274,9 @@ struct Scratch {
 /// Items whose support reaches `density × N` (by default
 /// [`Self::DEFAULT_DENSITY`] = 1/16 of the transactions) get a packed bitmap
 /// at their level; everything else stays a tid-list. Candidates arrive as
-/// sorted batches, so the members of a `(k−1)`-prefix group are adjacent
-/// ([`crate::prefix_groups`]) and each group's prefix is materialized once:
+/// ascending rows of one flat table, so the members of a `(k−1)`-prefix
+/// group are adjacent ([`ItemsetRows::prefix_groups`]) and each group's
+/// prefix is materialized once:
 /// a word-wise AND into scratch when every prefix item is dense, otherwise
 /// the sparsest prefix tid-list filtered through the rest. Every member is
 /// then one AND-popcount, bitmap filter or galloping intersection against
@@ -414,24 +416,28 @@ impl<'v> BitsetCounter<'v> {
         stats.intersections += walk.intersections;
     }
 
-    /// Supports of `candidates` (each a sorted itemset of level-`h` nodes),
-    /// in input order, accumulating [`Self::stats`]. The batch is sharded
-    /// over `threads` scoped workers (`0` = auto-detect, `1` = inline) in
-    /// chunks that split only between prefix groups; batches smaller than
-    /// [`MIN_SHARD_CANDIDATES`] are counted inline. Counts and stats are
-    /// bit-identical at every thread count.
-    pub fn count_batch(&mut self, h: usize, candidates: &[Itemset], threads: usize) -> Vec<u64> {
+    /// Supports of the rows of `candidates` (each a sorted itemset of
+    /// level-`h` nodes), in row order, accumulating [`Self::stats`]. The
+    /// rows are sharded over `threads` scoped workers (`0` = auto-detect,
+    /// `1` = inline) in chunks that split only between prefix groups;
+    /// batches smaller than [`MIN_SHARD_CANDIDATES`] are counted inline.
+    /// Counts and stats are bit-identical at every thread count.
+    pub fn count_batch(&mut self, h: usize, candidates: &ItemsetRows, threads: usize) -> Vec<u64> {
         let threads = exec::effective_threads(threads);
-        if threads <= 1 || candidates.len() < MIN_SHARD_CANDIDATES {
-            let (counts, delta) = self.count_shard(h, candidates);
+        let n = candidates.len();
+        if threads <= 1 || n < MIN_SHARD_CANDIDATES {
+            let (counts, delta) = self.count_shard(h, candidates, 0..n);
             self.stats.merge(&delta);
             return counts;
         }
         let shared = &*self;
-        let shards = exec::map_group_chunks(threads, candidates, same_prefix_group, |chunk| {
-            shared.count_shard(h, chunk)
-        });
-        let mut counts = Vec::with_capacity(candidates.len());
+        let shards = exec::map_group_chunks(
+            threads,
+            n,
+            |a, b| candidates.same_prefix(a, b),
+            |shard| shared.count_shard(h, candidates, shard),
+        );
+        let mut counts = Vec::with_capacity(n);
         for (shard_counts, delta) in shards {
             counts.extend(shard_counts);
             self.stats.merge(&delta);
@@ -439,37 +445,40 @@ impl<'v> BitsetCounter<'v> {
         counts
     }
 
-    /// One shard of [`Self::count_batch`]: the supports of `candidates` in
-    /// input order plus the work stats of exactly this shard. Immutable, so
-    /// shards run concurrently. Nothing allocates per candidate;
-    /// `intersections` charges `k−2` combines per materialized prefix plus
-    /// one per member, and `k−1` for a singleton `k ≥ 3` group.
-    fn count_shard(&self, h: usize, candidates: &[Itemset]) -> (Vec<u64>, CounterStats) {
+    /// One shard of [`Self::count_batch`]: the supports of the `shard` rows
+    /// of `candidates` in row order plus the work stats of exactly this
+    /// shard. Immutable, so shards run concurrently. Candidates are read in
+    /// place and nothing allocates per candidate; `intersections` charges
+    /// `k−2` combines per materialized prefix plus one per member, and `k−1`
+    /// for a singleton `k ≥ 3` group.
+    fn count_shard(
+        &self,
+        h: usize,
+        candidates: &ItemsetRows,
+        shard: Range<usize>,
+    ) -> (Vec<u64>, CounterStats) {
         let level = Level {
             view: self.view.level(h),
             maps: &self.bitmaps[h - 1],
         };
+        let k = candidates.k();
         let mut stats = CounterStats {
-            candidates_counted: candidates.len() as u64,
+            candidates_counted: shard.len() as u64,
             ..CounterStats::default()
         };
-        let mut counts = vec![0u64; candidates.len()];
+        // `counts[i − base]` is the support of row `i`.
+        let base = shard.start;
+        let mut counts = vec![0u64; shard.len()];
         // Scratch reused across groups: the dense/sparse partition of the
         // current prefix and the two materialization targets.
         let mut dense: Vec<&Bitmap> = Vec::new();
         let mut sparse: Vec<&[u32]> = Vec::new();
         let mut prefix_bm = Bitmap::zeros(0);
         let mut prefix_tids: Vec<u32> = Vec::new();
-        for group in prefix_groups(candidates) {
-            let items = candidates[group.start].items();
-            let k = items.len();
-            if k == 0 {
-                continue; // empty itemsets count 0 transactions
-            }
+        for group in candidates.prefix_groups(shard) {
+            let items = candidates.row(group.start);
             if k == 1 {
-                for i in group {
-                    counts[i] = level.view.item_support(candidates[i].items()[0]);
-                }
+                counts[group.start - base] = level.view.item_support(items[0]);
                 continue;
             }
             dense.clear();
@@ -489,7 +498,7 @@ impl<'v> BitsetCounter<'v> {
             if k >= 3 && group.len() == 1 {
                 stats.intersections += (k - 1) as u64;
                 partition(items[k - 1]);
-                counts[group.start] = match (dense.is_empty(), sparse.is_empty()) {
+                counts[group.start - base] = match (dense.is_empty(), sparse.is_empty()) {
                     (true, _) => intersect_size_many(&sparse),
                     (false, true) => Bitmap::and_count(&dense),
                     (false, false) => {
@@ -531,7 +540,7 @@ impl<'v> BitsetCounter<'v> {
             };
             for i in group {
                 stats.intersections += 1;
-                counts[i] = prefix.and_count(level.set(candidates[i].items()[k - 1]));
+                counts[i - base] = prefix.and_count(level.set(candidates.row(i)[k - 1]));
             }
         }
         (counts, stats)
@@ -624,6 +633,7 @@ impl<F: FnMut(&[NodeId], u64)> Walk<'_, F> {
 mod tests {
     use super::*;
     use crate::counting::naive_tidset_counts;
+    use crate::itemset::Itemset;
     use crate::rng::{Rng, Xoshiro256pp};
     use crate::transaction::TransactionDb;
     use flipper_taxonomy::Taxonomy;
@@ -715,7 +725,9 @@ mod tests {
                 .collect();
         }
         let sets: Vec<Itemset> = combos.into_iter().map(Itemset::new).collect();
-        let counts = naive_tidset_counts(view, h, &sets);
+        let mut rows = ItemsetRows::new(slots.len());
+        rows.extend(sets.iter().map(Itemset::items));
+        let counts = naive_tidset_counts(view, h, &rows);
         let mut out: Vec<(Itemset, u64)> = sets
             .into_iter()
             .zip(counts)

@@ -107,18 +107,18 @@ impl VerticalMemo {
         self.tables.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Copy the recorded enumeration of `parent` at level `h` under θ_h =
-    /// `theta` into `combos` (rows of `parent.len()` items) and `supports`,
-    /// replacing their contents. Returns false, leaving both untouched,
-    /// when nothing is recorded. The probe allocates nothing beyond the
-    /// buffers' growth.
-    pub fn replay_into(
+    /// Replay the recorded enumeration of `parent` at level `h` under θ_h
+    /// = `theta`: hand each recorded combination (a row of `parent.len()`
+    /// items) to `visit` with its support, in the order it was recorded,
+    /// straight from the memo's flat rows. Returns false, visiting nothing,
+    /// when nothing is recorded. `visit` runs under the memo's lock, so it
+    /// must not call back into the memo.
+    pub fn replay(
         &self,
         h: usize,
         theta: u64,
         parent: &[NodeId],
-        combos: &mut Vec<NodeId>,
-        supports: &mut Vec<u64>,
+        mut visit: impl FnMut(&[NodeId], u64),
     ) -> bool {
         let mut guard = self.tables();
         let tables = &mut *guard;
@@ -131,10 +131,11 @@ impl VerticalMemo {
             return false;
         };
         let k = parent.len();
-        combos.clear();
-        combos.extend_from_slice(&table.items[rec.items_at..rec.items_at + rec.len * k]);
-        supports.clear();
-        supports.extend_from_slice(&table.supports[rec.supports_at..rec.supports_at + rec.len]);
+        let combos = table.items[rec.items_at..rec.items_at + rec.len * k].chunks_exact(k);
+        let supports = &table.supports[rec.supports_at..rec.supports_at + rec.len];
+        for (combo, &support) in combos.zip(supports) {
+            visit(combo, support);
+        }
         tables.stats.seed_hits += 1;
         true
     }
@@ -195,29 +196,25 @@ mod tests {
         let memo = VerticalMemo::new();
         let parent = [n(1), n(2)];
         let combos = [n(10), n(20), n(11), n(20)];
-        let (mut got, mut sups) = (vec![n(99)], vec![99]);
-        assert!(!memo.replay_into(2, 5, &parent, &mut got, &mut sups));
-        assert_eq!((got.as_slice(), sups.as_slice()), (&[n(99)][..], &[99][..]));
+        // What one replay visited: the combinations, flat, and supports.
+        let replay = |h, theta, parent: &[NodeId]| {
+            let (mut got, mut sups) = (Vec::new(), Vec::new());
+            let hit = memo.replay(h, theta, parent, |combo, support| {
+                got.extend_from_slice(combo);
+                sups.push(support);
+            });
+            hit.then_some((got, sups))
+        };
+        assert_eq!(replay(2, 5, &parent), None);
         memo.record(2, 5, &parent, &combos, &[7, 6]);
         // A second record of the same key keeps the first entry.
         memo.record(2, 5, &parent, &[], &[]);
-        assert!(memo.replay_into(2, 5, &parent, &mut got, &mut sups));
-        assert_eq!(
-            (got.as_slice(), sups.as_slice()),
-            (&combos[..], &[7, 6][..])
-        );
-        assert!(
-            !memo.replay_into(2, 6, &parent, &mut got, &mut sups),
-            "θ is keyed"
-        );
-        assert!(
-            !memo.replay_into(3, 5, &parent, &mut got, &mut sups),
-            "h is keyed"
-        );
+        assert_eq!(replay(2, 5, &parent), Some((combos.to_vec(), vec![7, 6])));
+        assert_eq!(replay(2, 6, &parent), None, "θ is keyed");
+        assert_eq!(replay(3, 5, &parent), None, "h is keyed");
         // An empty enumeration is an entry too.
         memo.record(2, 5, &[n(1), n(3)], &[], &[]);
-        assert!(memo.replay_into(2, 5, &[n(1), n(3)], &mut got, &mut sups));
-        assert!(got.is_empty() && sups.is_empty());
+        assert_eq!(replay(2, 5, &[n(1), n(3)]), Some((vec![], vec![])));
         let stats = memo.stats();
         assert_eq!(
             (stats.entries, stats.seed_hits, stats.seed_lookups),
@@ -226,7 +223,7 @@ mod tests {
         assert!(stats.bytes_resident > 2 * ENTRY_OVERHEAD as u64);
         memo.clear();
         assert_eq!(memo.stats(), CacheStats::default());
-        assert!(!memo.replay_into(2, 5, &parent, &mut got, &mut sups));
+        assert_eq!(replay(2, 5, &parent), None);
     }
 
     #[test]

@@ -3,27 +3,25 @@
 //! The miner asks one question per search-table cell: *what are the supports
 //! of this batch of candidate `(h,k)`-itemsets?* [`crate::BitsetCounter`]
 //! answers it. This module holds what the kernel and its callers share:
-//! the [`CounterStats`] work counters, the prefix-group split
-//! ([`prefix_groups`]) that the kernel and its sharding are built on, and
-//! [`naive_tidset_counts`], the per-candidate reference the tests check the
-//! kernel against.
+//! the [`CounterStats`] work counters and [`naive_tidset_counts`], the
+//! per-candidate reference the tests check the kernel against.
 //!
 //! # Prefix groups
 //!
-//! The miner hands every cell a **sorted, deduplicated** candidate batch,
-//! so candidates sharing their `(k−1)`-prefix are adjacent. The kernel
-//! materializes each group's prefix intersection **once** and answers every
-//! member with a single intersection against its last item;
-//! [`CounterStats::prefix_reuses`] counts the members answered from a
-//! shared prefix. Sharding splits a batch only between groups
-//! ([`crate::exec::map_group_chunks`]), so prefix reuse survives parallelism
-//! and a sharded run reports bit-identical counts *and stats* at every
-//! thread count.
+//! The miner hands every cell a batch of **ascending, distinct** candidate
+//! rows in one fixed-stride table ([`ItemsetRows`]), so candidates sharing
+//! their `(k−1)`-prefix are adjacent ([`ItemsetRows::prefix_groups`]). The
+//! kernel reads each candidate in place, materializes each group's prefix
+//! intersection **once** and answers every member with a single
+//! intersection against its last item; [`CounterStats::prefix_reuses`]
+//! counts the members answered from a shared prefix. Sharding splits a
+//! batch only between groups ([`crate::exec::map_group_chunks`]), so prefix
+//! reuse survives parallelism and a sharded run reports bit-identical
+//! counts *and stats* at every thread count.
 
-use crate::itemset::Itemset;
+use crate::itemset::ItemsetRows;
 use crate::projection::MultiLevelView;
 use crate::tidset::intersect_size_many;
-use std::ops::Range;
 
 /// Counters accumulate work statistics so experiments can report
 /// hardware-independent costs.
@@ -62,44 +60,16 @@ impl CounterStats {
 /// costs more than counting a handful of candidates.
 pub const MIN_SHARD_CANDIDATES: usize = 64;
 
-/// Whether two candidates belong to the same prefix group: equal size
-/// `k ≥ 2` and identical first `k−1` items. In the sorted, deduplicated
-/// batches the miner produces, groups are exactly the runs of adjacent
-/// candidates for which this holds.
-pub fn same_prefix_group(a: &Itemset, b: &Itemset) -> bool {
-    let k = a.len();
-    k >= 2 && b.len() == k && a.items()[..k - 1] == b.items()[..k - 1]
-}
-
-/// Split `candidates` into maximal runs of adjacent same-prefix candidates
-/// ([`same_prefix_group`]); candidates with `k < 2` form singleton groups.
-/// Works on any candidate order — an unsorted batch just yields smaller
-/// groups (less reuse, same counts).
-pub fn prefix_groups(candidates: &[Itemset]) -> impl Iterator<Item = Range<usize>> + '_ {
-    let mut start = 0usize;
-    std::iter::from_fn(move || {
-        if start >= candidates.len() {
-            return None;
-        }
-        let mut end = start + 1;
-        while end < candidates.len() && same_prefix_group(&candidates[end - 1], &candidates[end]) {
-            end += 1;
-        }
-        let r = start..end;
-        start = end;
-        Some(r)
-    })
-}
-
 /// Reference kernel: the naive per-candidate k-way intersection — every
-/// candidate collects its full tid-lists and intersects them from scratch.
-/// Kept as the ground truth the kernel's equivalence tests check against.
-pub fn naive_tidset_counts(view: &MultiLevelView, h: usize, candidates: &[Itemset]) -> Vec<u64> {
+/// candidate row collects its full tid-lists and intersects them from
+/// scratch. Kept as the ground truth the kernel's equivalence tests check
+/// against.
+pub fn naive_tidset_counts(view: &MultiLevelView, h: usize, candidates: &ItemsetRows) -> Vec<u64> {
     let lv = view.level(h);
     candidates
         .iter()
-        .map(|c| {
-            let lists: Vec<&[u32]> = c.items().iter().map(|&it| lv.tidset(it)).collect();
+        .map(|row| {
+            let lists: Vec<&[u32]> = row.iter().map(|&it| lv.tidset(it)).collect();
             intersect_size_many(&lists)
         })
         .collect()
@@ -109,6 +79,7 @@ pub fn naive_tidset_counts(view: &MultiLevelView, h: usize, candidates: &[Itemse
 mod tests {
     use super::*;
     use crate::bitset::BitsetCounter;
+    use crate::itemset::Itemset;
     use crate::rng::{Rng, Xoshiro256pp};
     use crate::transaction::TransactionDb;
     use flipper_taxonomy::{NodeId, RebalancePolicy, Taxonomy};
@@ -116,6 +87,13 @@ mod tests {
     /// The kernel's three storage mixes: all-bitmap, the default mixed
     /// threshold, all-tid-list.
     const DENSITIES: [f64; 3] = [0.0, BitsetCounter::DEFAULT_DENSITY, 2.0];
+
+    /// `sets` (all of one size, at least one) as a flat batch.
+    fn batch_of(sets: &[Itemset]) -> ItemsetRows {
+        let mut rows = ItemsetRows::new(sets[0].len());
+        rows.extend(sets.iter().map(Itemset::items));
+        rows
+    }
 
     fn toy() -> (Taxonomy, TransactionDb) {
         let tax = Taxonomy::from_edges(
@@ -191,7 +169,7 @@ mod tests {
         for density in DENSITIES {
             let mut c = BitsetCounter::with_density(&view, density);
             for (h, set, expect) in cases.iter() {
-                let got = c.count_batch(*h, std::slice::from_ref(set), 1);
+                let got = c.count_batch(*h, &batch_of(std::slice::from_ref(set)), 1);
                 assert_eq!(got, vec![*expect], "density {density} level {h} {set}");
             }
         }
@@ -202,11 +180,11 @@ mod tests {
         let (tax, db) = toy();
         let view = MultiLevelView::build(&db, &tax);
         let g = |s: &str| tax.node_by_name(s).unwrap();
-        let batch = vec![
+        let batch = batch_of(&[
             Itemset::pair(g("a12"), g("a22")),
             Itemset::pair(g("a11"), g("b11")),
             Itemset::pair(g("b21"), g("b22")),
-        ];
+        ]);
         let mut c = BitsetCounter::new(&view);
         assert_eq!(c.count_batch(3, &batch, 1), vec![2, 2, 1]);
     }
@@ -216,7 +194,7 @@ mod tests {
         let (tax, db) = toy();
         let view = MultiLevelView::build(&db, &tax);
         let g = |s: &str| tax.node_by_name(s).unwrap();
-        let batch = vec![Itemset::pair(g("a11"), g("b11"))];
+        let batch = batch_of(&[Itemset::pair(g("a11"), g("b11"))]);
         let mut c = BitsetCounter::new(&view);
         c.count_batch(3, &batch, 1);
         assert_eq!(c.stats().intersections, 1);
@@ -225,7 +203,7 @@ mod tests {
         assert_eq!(c.stats().intersections, 2);
         // Empty batches cost nothing.
         let before = c.stats();
-        c.count_batch(3, &[], 1);
+        c.count_batch(3, &ItemsetRows::new(2), 1);
         assert_eq!(c.stats(), before);
     }
 
@@ -283,6 +261,7 @@ mod tests {
             let extra = cands.clone();
             cands.extend(extra);
         }
+        let cands = batch_of(&cands);
         for density in DENSITIES {
             let mut seq = BitsetCounter::with_density(&view, density);
             let expect = seq.count_batch(2, &cands, 1);
@@ -304,12 +283,12 @@ mod tests {
         let (tax, db) = toy();
         let view = MultiLevelView::build(&db, &tax);
         let g = |s: &str| tax.node_by_name(s).unwrap();
-        let batch = vec![Itemset::pair(g("a11"), g("b11"))];
+        let batch = batch_of(&[Itemset::pair(g("a11"), g("b11"))]);
         let mut c = BitsetCounter::new(&view);
         assert_eq!(c.count_batch(3, &batch, 8), vec![2]);
         assert_eq!(c.stats().candidates_counted, 1);
         let mut c = BitsetCounter::new(&view);
-        assert!(c.count_batch(3, &[], 8).is_empty());
+        assert!(c.count_batch(3, &ItemsetRows::new(2), 8).is_empty());
         assert_eq!(c.stats(), CounterStats::default());
     }
 
@@ -317,28 +296,30 @@ mod tests {
     fn prefix_groups_split_on_prefix_and_length() {
         let s = |v: &[usize]| Itemset::new(v.iter().map(|&i| NodeId::from_index(i)).collect());
         // Three k=3 candidates sharing {1,2}, one with prefix {1,3}, two
-        // pairs with first item 7, one singleton.
-        let batch = vec![
+        // with prefix {7,8}.
+        let batch = batch_of(&[
             s(&[1, 2, 4]),
             s(&[1, 2, 5]),
             s(&[1, 2, 9]),
             s(&[1, 3, 4]),
-            s(&[7, 8]),
-            s(&[7, 9]),
-            s(&[11]),
-        ];
-        let groups: Vec<_> = prefix_groups(&batch).collect();
-        assert_eq!(groups, vec![0..3, 3..4, 4..6, 6..7]);
+            s(&[7, 8, 9]),
+            s(&[7, 8, 11]),
+        ]);
+        let groups: Vec<_> = batch.prefix_groups(0..batch.len()).collect();
+        assert_eq!(groups, vec![0..3, 3..4, 4..6]);
+        // Pairs group on their first item.
+        let pairs = batch_of(&[s(&[7, 8]), s(&[7, 9]), s(&[8, 9])]);
+        assert_eq!(pairs.prefix_groups(0..3).count(), 2);
         // Singleton k<2 groups never merge, even when "prefixes" agree.
-        let singles = vec![s(&[1]), s(&[1]), s(&[2])];
-        assert_eq!(prefix_groups(&singles).count(), 3);
+        let singles = batch_of(&[s(&[1]), s(&[1]), s(&[2])]);
+        assert_eq!(singles.prefix_groups(0..3).count(), 3);
         // Empty batch: no groups.
-        assert_eq!(prefix_groups(&[]).count(), 0);
+        assert_eq!(ItemsetRows::new(3).prefix_groups(0..0).count(), 0);
     }
 
     /// The kernel agrees with the naive per-candidate reference on batches
     /// with degenerate group shapes: all-same-prefix, all-distinct
-    /// prefixes, k = 2, and mixed sizes.
+    /// prefixes, k = 2, k = 1, and long groups among singletons.
     #[test]
     fn grouped_kernels_match_naive_on_degenerate_groups() {
         let (tax, db) = random_view_input(0x9F0F, 180, 2..=7);
@@ -357,12 +338,13 @@ mod tests {
         let pairs: Vec<Itemset> = (0..nodes.len() - 1)
             .map(|i| Itemset::pair(nodes[i], nodes[i + 1]))
             .collect();
-        let mut mixed: Vec<Itemset> = Vec::new();
-        mixed.push(Itemset::single(nodes[0]));
-        mixed.extend(pairs.iter().cloned());
-        mixed.extend(same_prefix.iter().cloned());
+        let singles: Vec<Itemset> = nodes.iter().map(|&x| Itemset::single(x)).collect();
+        // Mixed group shapes of one size: one long group among singletons.
+        let mut mixed: Vec<Itemset> = same_prefix.iter().chain(&distinct).cloned().collect();
         mixed.sort_unstable();
-        for batch in [&same_prefix, &distinct, &pairs, &mixed] {
+        mixed.dedup();
+        for batch in [&same_prefix, &distinct, &pairs, &singles, &mixed] {
+            let batch = &batch_of(batch);
             let expect = naive_tidset_counts(&view, 2, batch);
             for density in DENSITIES {
                 let mut c = BitsetCounter::with_density(&view, density);
@@ -384,10 +366,12 @@ mod tests {
         let (tax, db) = random_view_input(0xACC1, 120, 3..=6);
         let view = MultiLevelView::build(&db, &tax);
         let nodes = tax.nodes_at_level(2).unwrap().to_vec();
-        let batch: Vec<Itemset> = nodes[2..]
-            .iter()
-            .map(|&x| Itemset::new(vec![nodes[0], nodes[1], x]))
-            .collect();
+        let batch = batch_of(
+            &nodes[2..]
+                .iter()
+                .map(|&x| Itemset::new(vec![nodes[0], nodes[1], x]))
+                .collect::<Vec<_>>(),
+        );
         let g = batch.len() as u64;
         for density in DENSITIES {
             let mut c = BitsetCounter::with_density(&view, density);
@@ -396,10 +380,8 @@ mod tests {
             assert_eq!(c.stats().intersections, 1 + g, "density {density}");
         }
         // Pairs share nothing: zero reuses, one intersection per pair.
-        let pairs: Vec<Itemset> = batch
-            .iter()
-            .map(|c| Itemset::pair(c.items()[0], c.items()[1]))
-            .collect();
+        let mut pairs = ItemsetRows::new(2);
+        pairs.extend(batch.iter().map(|c| &c[..2]));
         let mut c = BitsetCounter::new(&view);
         c.count_batch(2, &pairs, 1);
         assert_eq!(c.stats().prefix_reuses, 0);
@@ -425,6 +407,7 @@ mod tests {
                 batch.push(Itemset::new(vec![nodes[i], nodes[i + 1], nodes[i + 2]]));
             }
         }
+        let batch = batch_of(&batch);
         let mut seq = BitsetCounter::new(&view);
         let expect = seq.count_batch(2, &batch, 1);
         assert_eq!(expect, naive_tidset_counts(&view, 2, &batch));
@@ -477,8 +460,9 @@ mod tests {
                         cands.push(Itemset::pair(nodes[i], nodes[j]));
                     }
                 }
+                let batch = batch_of(&cands);
                 for density in DENSITIES {
-                    let got = BitsetCounter::with_density(&view, density).count_batch(h, &cands, 1);
+                    let got = BitsetCounter::with_density(&view, density).count_batch(h, &batch, 1);
                     for (c, &sup) in cands.iter().zip(&got) {
                         // A row supports `c` when every item of `c` is
                         // the level-`h` ancestor of one of its leaves.
@@ -529,8 +513,8 @@ mod tests {
             let p0 = tax.ancestor_at_level(l0, 1).unwrap();
             let p1 = tax.ancestor_at_level(l1, 1).unwrap();
             assert_ne!(p0, p1, "cross-root leaves must generalize differently");
-            let leaf_sup = c.count_batch(2, &[Itemset::pair(l0, l1)], 1)[0];
-            let gen_sup = c.count_batch(1, &[Itemset::pair(p0, p1)], 1)[0];
+            let leaf_sup = c.count_batch(2, &batch_of(&[Itemset::pair(l0, l1)]), 1)[0];
+            let gen_sup = c.count_batch(1, &batch_of(&[Itemset::pair(p0, p1)]), 1)[0];
             assert!(gen_sup >= leaf_sup, "seed {seed}");
             assert!(leaf_sup <= view.level(2).item_support(l0), "seed {seed}");
         }

@@ -210,11 +210,12 @@ where
     out
 }
 
-/// Shard a slice into contiguous chunks that never split a group of
-/// adjacent items for which `same_group(&items[i - 1], &items[i])` holds,
-/// and run `f` over each chunk, returning one result per chunk in order.
+/// Run `f` over the ranges of `0..n` that [`group_chunk_ranges`] cuts for
+/// `threads` workers — contiguous chunks that never split a group of
+/// adjacent positions for which `same_group(i - 1, i)` holds — and return
+/// one result per chunk, **in chunk order**.
 ///
-/// This is the sharding primitive behind support counting: candidates
+/// This is the sharding primitive behind support counting: candidate rows
 /// sharing a `(k−1)`-prefix stay in one shard, so a kernel that
 /// materializes per-group state (a prefix intersection) does exactly the
 /// same work — and reports exactly the same statistics — at every thread
@@ -222,23 +223,14 @@ where
 ///
 /// # Panics
 /// Propagates panics from worker threads.
-pub fn map_group_chunks<'a, T, R, F, B>(
-    threads: usize,
-    items: &'a [T],
-    same_group: B,
-    f: F,
-) -> Vec<R>
+pub fn map_group_chunks<R, F, B>(threads: usize, n: usize, same_group: B, f: F) -> Vec<R>
 where
-    T: Sync,
     R: Send,
-    F: Fn(&'a [T]) -> R + Sync,
-    B: Fn(&T, &T) -> bool,
+    F: Fn(Range<usize>) -> R + Sync,
+    B: Fn(usize, usize) -> bool,
 {
     let threads = effective_threads(threads);
-    let ranges = group_chunk_ranges(items.len(), threads, |a, b| {
-        same_group(&items[a], &items[b])
-    });
-    run_parts(ranges, |r| f(&items[r]))
+    run_parts(group_chunk_ranges(n, threads, same_group), f)
 }
 
 /// Fallible chunk mapping: shard `items` like [`map_slice_chunks`] but let
@@ -403,8 +395,12 @@ mod tests {
     fn map_group_chunks_preserves_order_and_groups() {
         let items: Vec<u32> = (0..200).map(|i| i / 7).collect(); // groups of 7
         for threads in [1usize, 2, 4, 7] {
-            let per_chunk =
-                map_group_chunks(threads, &items, |a, b| a == b, |chunk| chunk.to_vec());
+            let per_chunk = map_group_chunks(
+                threads,
+                items.len(),
+                |a, b| items[a] == items[b],
+                |r| items[r].to_vec(),
+            );
             // Concatenation is the identity.
             let flat: Vec<u32> = per_chunk.iter().flatten().copied().collect();
             assert_eq!(flat, items, "threads={threads}");

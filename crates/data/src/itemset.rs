@@ -2,6 +2,7 @@
 
 use flipper_taxonomy::NodeId;
 use std::fmt;
+use std::ops::Range;
 
 /// A set of items (taxonomy nodes), stored sorted and duplicate-free.
 ///
@@ -178,6 +179,167 @@ impl fmt::Display for DisplayItemset<'_> {
     }
 }
 
+/// Fixed-stride itemset rows: row `i` is `items[i·k .. (i+1)·k]`.
+///
+/// One allocation holds a whole candidate batch or search-table cell of
+/// `k`-itemsets, so a stored itemset costs its `k` items and nothing else:
+/// no heap block and no vector header per itemset (the candidate layout of
+/// Bodon, "A fast APRIORI implementation", FIMI 2003). Each row is a sorted
+/// itemset, and rows compare as slices, so they order exactly like the
+/// matching [`Itemset`]s. The searches ([`Self::binary_search`],
+/// [`Self::prefix_range`]) need ascending rows; nothing checks that.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ItemsetRows {
+    k: usize,
+    items: Vec<NodeId>,
+}
+
+impl ItemsetRows {
+    /// Empty table of `k`-item rows.
+    ///
+    /// # Panics
+    /// Panics if `k == 0`.
+    pub fn new(k: usize) -> Self {
+        Self::with_capacity(k, 0)
+    }
+
+    /// Empty table of `k`-item rows with room for `rows` rows.
+    ///
+    /// # Panics
+    /// Panics if `k == 0`.
+    pub fn with_capacity(k: usize, rows: usize) -> Self {
+        assert!(k >= 1, "a row needs at least one item");
+        ItemsetRows {
+            k,
+            items: Vec::with_capacity(k * rows),
+        }
+    }
+
+    /// Items per row.
+    #[inline]
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.items.len() / self.k
+    }
+
+    /// True if the table has no rows.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// Row `i`.
+    ///
+    /// # Panics
+    /// Panics if `i >= len`.
+    #[inline]
+    pub fn row(&self, i: usize) -> &[NodeId] {
+        &self.items[i * self.k..(i + 1) * self.k]
+    }
+
+    /// The rows in order.
+    pub fn iter(&self) -> std::slice::ChunksExact<'_, NodeId> {
+        self.items.chunks_exact(self.k)
+    }
+
+    /// Append a row.
+    ///
+    /// # Panics
+    /// Panics if `row` does not hold exactly `k` items.
+    #[inline]
+    pub fn push(&mut self, row: &[NodeId]) {
+        assert_eq!(row.len(), self.k, "row width");
+        self.items.extend_from_slice(row);
+    }
+
+    /// Insert a row before row `i`, shifting the rows after it.
+    ///
+    /// # Panics
+    /// Panics if `row` does not hold exactly `k` items or `i > len`.
+    pub fn insert(&mut self, i: usize, row: &[NodeId]) {
+        assert_eq!(row.len(), self.k, "row width");
+        let at = i * self.k;
+        self.items.splice(at..at, row.iter().copied());
+    }
+
+    /// Binary search for `row` in ascending rows: `Ok` with its index, or
+    /// `Err` with the index where it would be inserted. A probe of the
+    /// wrong width is never found.
+    pub fn binary_search(&self, row: &[NodeId]) -> Result<usize, usize> {
+        let i = self.partition_point(0, |r| r < row);
+        if i < self.len() && self.row(i) == row {
+            Ok(i)
+        } else {
+            Err(i)
+        }
+    }
+
+    /// The ascending rows whose first `key.len()` items equal `key`, as an
+    /// index range (`key.len() ≤ k`).
+    pub fn prefix_range(&self, key: &[NodeId]) -> Range<usize> {
+        let m = key.len();
+        let lo = self.partition_point(0, |row| &row[..m] < key);
+        let hi = self.partition_point(lo, |row| &row[..m] == key);
+        lo..hi
+    }
+
+    /// First row index at or after `start` at which `pred` turns false;
+    /// rows from `start` on must be partitioned by it.
+    fn partition_point(&self, start: usize, pred: impl Fn(&[NodeId]) -> bool) -> usize {
+        let (mut lo, mut hi) = (start, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(self.row(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Whether rows `a` and `b` belong to one prefix group: `k ≥ 2` and the
+    /// same first `k − 1` items.
+    #[inline]
+    pub(crate) fn same_prefix(&self, a: usize, b: usize) -> bool {
+        let p = self.k - 1;
+        p > 0 && self.row(a)[..p] == self.row(b)[..p]
+    }
+
+    /// Split the rows `within` into maximal runs of adjacent rows that share
+    /// their first `k − 1` items; with `k = 1` every row is its own group.
+    /// In ascending rows, the runs are exactly the prefix groups.
+    pub fn prefix_groups(&self, within: Range<usize>) -> impl Iterator<Item = Range<usize>> + '_ {
+        let mut start = within.start;
+        std::iter::from_fn(move || {
+            if start >= within.end {
+                return None;
+            }
+            let mut end = start + 1;
+            while end < within.end && self.same_prefix(end - 1, end) {
+                end += 1;
+            }
+            let group = start..end;
+            start = end;
+            Some(group)
+        })
+    }
+}
+
+impl<'a> Extend<&'a [NodeId]> for ItemsetRows {
+    /// Append every row of `rows` ([`Self::push`]).
+    fn extend<I: IntoIterator<Item = &'a [NodeId]>>(&mut self, rows: I) {
+        for row in rows {
+            self.push(row);
+        }
+    }
+}
+
 /// Subset test on two sorted slices.
 pub(crate) fn is_sorted_subset(sub: &[NodeId], sup: &[NodeId]) -> bool {
     if sub.len() > sup.len() {
@@ -288,6 +450,60 @@ mod tests {
     fn from_iterator() {
         let s: Itemset = [n(4), n(1), n(4)].into_iter().collect();
         assert_eq!(s.items(), &[n(1), n(4)]);
+    }
+
+    #[test]
+    fn rows_probe_by_prefix() {
+        let mut rows = ItemsetRows::new(2);
+        for (a, b) in [(1, 2), (1, 5), (2, 3), (2, 4), (2, 9), (7, 8)] {
+            rows.push(&[n(a), n(b)]);
+        }
+        assert_eq!(rows.len(), 6);
+        assert_eq!(rows.prefix_range(&[n(2)]), 2..5);
+        assert_eq!(rows.prefix_range(&[n(3)]), 5..5);
+        assert_eq!(rows.prefix_range(&[n(7)]), 5..6);
+        assert_eq!(rows.prefix_range(&[n(9)]), 6..6);
+        assert_eq!(rows.prefix_range(&[n(2), n(4)]), 3..4);
+        let groups: Vec<_> = rows.prefix_groups(0..rows.len()).collect();
+        assert_eq!(groups, vec![0..2, 2..5, 5..6]);
+        let groups: Vec<_> = rows.prefix_groups(1..4).collect();
+        assert_eq!(groups, vec![1..2, 2..4], "groups stay inside the range");
+        assert_eq!(rows.binary_search(&[n(2), n(4)]), Ok(3));
+        assert_eq!(rows.binary_search(&[n(2), n(5)]), Err(4));
+        assert_eq!(rows.binary_search(&[n(2)]), Err(2), "a prefix is not a row");
+        assert_eq!(
+            rows.binary_search(&[n(2), n(4), n(5)]),
+            Err(4),
+            "nor a wider probe"
+        );
+    }
+
+    #[test]
+    fn rows_push_insert_and_iterate() {
+        let mut rows = ItemsetRows::with_capacity(3, 2);
+        assert!(rows.is_empty());
+        rows.extend([&[n(1), n(2), n(3)][..], &[n(1), n(4), n(5)]]);
+        rows.insert(1, &[n(1), n(2), n(4)]);
+        rows.insert(3, &[n(2), n(3), n(4)]);
+        let got: Vec<&[NodeId]> = rows.iter().collect();
+        assert_eq!(
+            got,
+            vec![
+                &[n(1), n(2), n(3)][..],
+                &[n(1), n(2), n(4)],
+                &[n(1), n(4), n(5)],
+                &[n(2), n(3), n(4)]
+            ]
+        );
+        assert_eq!((rows.k(), rows.len()), (3, 4));
+        assert!(rows.same_prefix(0, 1) && !rows.same_prefix(1, 2));
+        // Singletons never share a prefix.
+        let mut singles = ItemsetRows::new(1);
+        singles.extend([&[n(1)][..], &[n(1)], &[n(2)]]);
+        assert_eq!(singles.prefix_groups(0..3).count(), 3);
+        assert_eq!(singles.prefix_groups(0..0).count(), 0);
+        let wrong = std::panic::catch_unwind(|| ItemsetRows::new(2).push(&[n(1)]));
+        assert!(wrong.is_err(), "a row of the wrong width is rejected");
     }
 
     #[test]

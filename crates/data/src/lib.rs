@@ -9,13 +9,15 @@
 //! everything below the algorithm:
 //!
 //! * [`Itemset`] — canonical sorted itemsets with Apriori joins;
+//!   [`ItemsetRows`] — a table of `k`-itemsets stored flat, one row per
+//!   itemset, the layout of every candidate batch and search-table cell;
 //! * [`TransactionDb`] — validated, canonicalized transactions over leaves;
 //!   [`RowChunk`] — a chunk of rows stored flat, as the FBIN reader decodes
 //!   them;
 //! * [`MultiLevelView`] — the database projected to every abstraction level,
 //!   as per-item supports and tid-lists;
 //! * [`BitsetCounter`] — the support-counting kernel: hybrid
-//!   bitmap/tid-list prefix-group counting of sorted candidate batches;
+//!   bitmap/tid-list prefix-group counting of sorted candidate rows;
 //! * [`mod@exec`] — dependency-free scoped-thread sharding;
 //!   [`BitsetCounter::count_batch`] counts a batch over a worker pool with
 //!   bit-identical counts and stats at every thread count;
@@ -26,7 +28,7 @@
 //!
 //! ```
 //! use flipper_taxonomy::{Taxonomy, RebalancePolicy};
-//! use flipper_data::{TransactionDb, MultiLevelView, BitsetCounter, Itemset};
+//! use flipper_data::{TransactionDb, MultiLevelView, BitsetCounter, ItemsetRows};
 //!
 //! let tax = Taxonomy::from_edges(
 //!     [("drinks", ""), ("food", ""), ("beer", "drinks"), ("bread", "food")],
@@ -37,7 +39,9 @@
 //!
 //! let view = MultiLevelView::build(&db, &tax);
 //! let mut counter = BitsetCounter::new(&view);
-//! let sup = counter.count_batch(2, &[Itemset::pair(beer, bread)], 1);
+//! let mut batch = ItemsetRows::new(2);
+//! batch.push(&[beer, bread]);
+//! let sup = counter.count_batch(2, &batch, 1);
 //! assert_eq!(sup, vec![1]);
 //! ```
 
@@ -57,9 +61,7 @@ mod transaction;
 
 pub use bitset::{Bitmap, BitsetCounter};
 pub use cache::{CacheStats, VerticalMemo};
-pub use counting::{
-    naive_tidset_counts, prefix_groups, same_prefix_group, CounterStats, MIN_SHARD_CANDIDATES,
-};
-pub use itemset::Itemset;
+pub use counting::{naive_tidset_counts, CounterStats, MIN_SHARD_CANDIDATES};
+pub use itemset::{Itemset, ItemsetRows};
 pub use projection::{LevelView, MultiLevelView, MultiLevelViewBuilder};
 pub use transaction::{DataError, RowChunk, TransactionDb};

@@ -1,9 +1,10 @@
 //! Seeded property sweep for the support-counting kernel: prefix-group
-//! counting must be **bit-identical** — counts *and* stats — to the naive
-//! per-candidate reference and to itself at every thread count, at every
-//! storage density (all-bitmap, the default mix, all-tid-list), on random
-//! dense and sparse databases and on Quest data, including batches with
-//! degenerate group shapes (all-same-prefix, all-distinct-prefix, k = 2).
+//! counting over flat candidate rows ([`ItemsetRows`]) must be
+//! **bit-identical** — counts *and* stats — to the naive per-candidate
+//! reference and to itself at every thread count, at every storage density
+//! (all-bitmap, the default mix, all-tid-list), on random dense and sparse
+//! databases and on Quest data, including batches with degenerate group
+//! shapes (all-same-prefix, all-distinct-prefix, k = 2, k = 1).
 //!
 //! `scripts/verify.sh` re-runs this suite under `--release`, where the
 //! optimizer has historically surfaced bugs debug builds miss.
@@ -11,7 +12,7 @@
 use flipper_core::{mine, FlipperConfig, MinSupports, PruningConfig};
 use flipper_data::rng::{Rng, Xoshiro256pp};
 use flipper_data::{
-    naive_tidset_counts, prefix_groups, BitsetCounter, Itemset, MultiLevelView, TransactionDb,
+    naive_tidset_counts, BitsetCounter, Itemset, ItemsetRows, MultiLevelView, TransactionDb,
 };
 use flipper_datagen::quest::QuestParams;
 use flipper_measures::Thresholds;
@@ -27,7 +28,7 @@ const THREADS: [usize; 3] = [1, 2, 7];
 
 /// Count `batch` at every density and thread count; counts must equal the
 /// naive reference, and counts *and* stats must match across threads.
-fn assert_kernel_matches_naive(view: &MultiLevelView, h: usize, batch: &[Itemset], ctx: &str) {
+fn assert_kernel_matches_naive(view: &MultiLevelView, h: usize, batch: &ItemsetRows, ctx: &str) {
     let reference = naive_tidset_counts(view, h, batch);
     for density in DENSITIES {
         let mut seq = BitsetCounter::with_density(view, density);
@@ -74,10 +75,18 @@ fn setups(seed: u64) -> Vec<(&'static str, Taxonomy, TransactionDb)> {
     ]
 }
 
+/// `sets`, all of size `k`, as flat rows in the order given.
+fn rows_of(k: usize, sets: &[Itemset]) -> ItemsetRows {
+    let mut rows = ItemsetRows::new(k);
+    rows.extend(sets.iter().map(Itemset::items));
+    rows
+}
+
 /// Candidate batches covering the group shapes the kernels special-case:
-/// one giant all-same-prefix group, all-distinct prefixes, pure k = 2, and
-/// a sorted mix of all of them (the miner's real batch shape).
-fn batches(tax: &Taxonomy, h: usize) -> Vec<(&'static str, Vec<Itemset>)> {
+/// one giant all-same-prefix group, all-distinct prefixes, pure k = 2,
+/// pure k = 1, and sorted mixes of long groups and singletons (the miner's
+/// real batch shape) at k = 3 and k = 2, repeated past the sharding cutoff.
+fn batches(tax: &Taxonomy, h: usize) -> Vec<(&'static str, ItemsetRows)> {
     let nodes = tax.nodes_at_level(h).unwrap().to_vec();
     assert!(nodes.len() >= 4, "level {h} too small for batch shapes");
     let same_prefix: Vec<Itemset> = nodes[2..]
@@ -93,24 +102,28 @@ fn batches(tax: &Taxonomy, h: usize) -> Vec<(&'static str, Vec<Itemset>)> {
             pairs.push(Itemset::pair(x, y));
         }
     }
+    let singles: Vec<Itemset> = nodes.iter().map(|&x| Itemset::single(x)).collect();
     let mut mixed: Vec<Itemset> = Vec::new();
-    mixed.extend(nodes.iter().map(|&x| Itemset::single(x)));
-    mixed.extend(pairs.iter().cloned());
     mixed.extend(same_prefix.iter().cloned());
     mixed.extend(distinct_prefix.iter().cloned());
     mixed.sort_unstable();
     mixed.dedup();
-    // Repeat the mixed batch well past the sharding cutoff so the
-    // group-boundary chunker actually engages at threads > 1.
-    let mut big = mixed.clone();
-    while big.len() < 4 * flipper_data::MIN_SHARD_CANDIDATES {
-        big.extend(mixed.iter().cloned());
-    }
+    // Repeat a batch well past the sharding cutoff so the group-boundary
+    // chunker actually engages at threads > 1.
+    let large = |batch: &[Itemset]| {
+        let mut big = batch.to_vec();
+        while big.len() < 4 * flipper_data::MIN_SHARD_CANDIDATES {
+            big.extend(batch.iter().cloned());
+        }
+        big
+    };
     vec![
-        ("all-same-prefix", same_prefix),
-        ("all-distinct-prefix", distinct_prefix),
-        ("k2", pairs),
-        ("mixed-large", big),
+        ("all-same-prefix", rows_of(3, &same_prefix)),
+        ("all-distinct-prefix", rows_of(3, &distinct_prefix)),
+        ("k2", rows_of(2, &pairs)),
+        ("k1", rows_of(1, &singles)),
+        ("mixed-large", rows_of(3, &large(&mixed))),
+        ("k2-large", rows_of(2, &large(&pairs))),
     ]
 }
 
@@ -135,8 +148,8 @@ fn grouped_counting_is_bit_identical_to_naive() {
     }
 }
 
-/// All `k`-subsets of `items` (ascending), as sorted itemsets.
-fn k_subsets(items: &[NodeId], k: usize) -> Vec<Itemset> {
+/// All `k`-subsets of `items` (ascending), as ascending rows.
+fn k_subsets(items: &[NodeId], k: usize) -> ItemsetRows {
     fn walk(
         items: &[NodeId],
         k: usize,
@@ -157,7 +170,7 @@ fn k_subsets(items: &[NodeId], k: usize) -> Vec<Itemset> {
     let mut out = Vec::new();
     walk(items, k, 0, &mut Vec::new(), &mut out);
     out.sort_unstable();
-    out
+    rows_of(k, &out)
 }
 
 /// Chained batches the way the miner walks `Q(h,2) → Q(h,3) → Q(h,4)` on
@@ -195,7 +208,10 @@ fn chained_batches_match_naive_at_every_density() {
         mixed_levels += usize::from(dense > 0 && dense < present);
         for (k, pool) in [(2usize, 14usize), (3, 10), (4, 7)] {
             let batch = k_subsets(&items[..pool.min(items.len())], k);
-            let sizes: Vec<usize> = prefix_groups(&batch).map(|g| g.len()).collect();
+            let sizes: Vec<usize> = batch
+                .prefix_groups(0..batch.len())
+                .map(|g| g.len())
+                .collect();
             assert!(
                 sizes.contains(&1) && sizes.iter().any(|&n| n > 1),
                 "h={h} k={k}: batch needs singleton and multi-member groups: {sizes:?}"

@@ -8,6 +8,10 @@
 #   * the prefix-group counting sweep (the support-counting kernel
 #     bit-identical to the naive per-candidate reference, counts and stats,
 #     at every storage density and thread count),
+#   * the flipper-core unit suite (the fixed-stride candidate rows and
+#     cells, the candidate sources against their reference joins, and the
+#     miner's invariants: the stride slicing these rest on is the kind of
+#     code the optimizer has bitten before),
 #   * the FBIN storage suite (text↔fbin round-trip idempotence, streamed-
 #     vs-loaded mining equivalence, truncation/corruption behavior),
 #   * the façade acceptance suite (Session/Sweep bit-identical to the
@@ -63,6 +67,9 @@ cargo test --release -q -p flipper-integration --test equivalence
 
 echo "== counting kernel: prefix-group equivalence sweep under --release"
 cargo test --release -q -p flipper-integration --test prefix_groups
+
+echo "== flat rows: flipper-core unit suite under --release"
+cargo test --release -q -p flipper-core
 
 echo "== storage: fbin round-trip + streamed-vs-loaded equivalence under --release"
 cargo test --release -q -p flipper-integration --test store_roundtrip
