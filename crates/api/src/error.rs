@@ -57,7 +57,8 @@ pub enum FlipperError {
     /// A worker or miner panicked and the panic was trapped at a named
     /// site instead of unwinding into (and aborting) the caller.
     Panicked {
-        /// Where the panic was trapped (`"mine"`, `"sweep.point"`).
+        /// Where the panic was trapped: `"mine"`, the one trap around
+        /// every mining run (plain, guarded, top-K probe or sweep point).
         site: String,
         /// The panic message.
         message: String,
@@ -225,14 +226,11 @@ mod tests {
         assert_eq!(e.to_string(), "operation deadline exceeded");
 
         let e: FlipperError = GuardError::Panicked {
-            site: "sweep.point".into(),
+            site: "mine".into(),
             message: "index out of bounds".into(),
         }
         .into();
-        assert_eq!(
-            e.to_string(),
-            "panic trapped at sweep.point: index out of bounds"
-        );
+        assert_eq!(e.to_string(), "panic trapped at mine: index out of bounds");
         assert_eq!(e.render_chain(), format!("error: {e}"));
     }
 

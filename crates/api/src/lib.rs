@@ -18,9 +18,12 @@
 //!   workers.
 //! * **Typed errors and sinks**: every fallible path returns
 //!   [`FlipperError`] (with [`source`](std::error::Error::source) chains
-//!   down to the failing layer); results flow into pluggable
-//!   [`ResultSink`]s — human-readable [`TextReport`], machine-readable
-//!   [`JsonWriter`] (`flipper-results/v1`), accumulating [`TopK`].
+//!   down to the failing layer), and every mining call reaches the miner
+//!   through [`flipper_core::mine_with_view`], so a panic inside a run
+//!   returns as [`FlipperError::Panicked`] instead of unwinding; results
+//!   flow into pluggable [`ResultSink`]s — human-readable [`TextReport`],
+//!   machine-readable [`JsonWriter`] (`flipper-results/v1`, strings quoted
+//!   by [`flipper_wire::json`]), accumulating [`TopK`].
 //!
 //! ```
 //! use flipper_api::{Generator, Session, FlipperConfig, MinSupports, Thresholds, JsonWriter, ResultSink};

@@ -5,7 +5,7 @@ use crate::source::DataSource;
 use crate::sweep::Sweep;
 use flipper_core::stability::{bootstrap_stability, StabilityReport};
 use flipper_core::topk::{top_k_with_view, TopKConfig, TopKResult};
-use flipper_core::{mine_with_view, mine_with_view_guarded, FlipperConfig, MiningResult};
+use flipper_core::{mine_with_view, FlipperConfig, MineOptions, MiningResult};
 use flipper_data::{CacheStats, MultiLevelView, TransactionDb, VerticalMemo};
 use flipper_guard::CancelToken;
 use flipper_store::SalvageReport;
@@ -18,7 +18,10 @@ use flipper_taxonomy::Taxonomy;
 /// cached [`MultiLevelView`] then serves any number of [`mine`](Session::mine)
 /// calls with different configurations. Results are bit-identical to the
 /// single-shot [`flipper_core::mine`] / [`flipper_core::mine_with_view`]
-/// paths: `mine` is a thin delegation over the same view type.
+/// paths: `mine` is a thin delegation over the same view type. Every
+/// mining call — `mine`, [`mine_guarded`](Session::mine_guarded),
+/// [`top_k`](Session::top_k), a [`Sweep`] — returns a panic inside the
+/// miner as [`FlipperError::Panicked`] instead of unwinding.
 ///
 /// ```
 /// use flipper_api::{Generator, Session, FlipperConfig, MinSupports, PruningConfig};
@@ -174,32 +177,34 @@ impl Session {
     ///
     /// Validates the configuration first ([`FlipperConfig::validate`]) so a
     /// malformed request surfaces as a typed [`FlipperError::Config`]
-    /// instead of a panic deep inside the miner.
+    /// instead of a panic deep inside the miner; a panic inside the run
+    /// still surfaces as [`FlipperError::Panicked`].
     pub fn mine(&self, cfg: &FlipperConfig) -> Result<MiningResult, FlipperError> {
         cfg.validate()?;
-        Ok(mine_with_view(&self.taxonomy, &self.view, cfg))
+        Ok(mine_with_view(
+            &self.taxonomy,
+            &self.view,
+            cfg,
+            MineOptions::default(),
+        )?)
     }
 
     /// [`mine`](Session::mine) under a [`CancelToken`]: the run checks the
     /// token at cell boundaries and stops early with
-    /// [`FlipperError::Cancelled`] / [`FlipperError::Timeout`], and a panic
-    /// anywhere inside the miner is trapped into
-    /// [`FlipperError::Panicked`] instead of unwinding into the caller.
-    /// With a live token the result is bit-identical to
-    /// [`mine`](Session::mine) — the guard adds one relaxed atomic load per
-    /// cell.
+    /// [`FlipperError::Cancelled`] / [`FlipperError::Timeout`]. With a live
+    /// token the result is bit-identical to [`mine`](Session::mine) — the
+    /// guard adds one relaxed atomic load per cell.
     pub fn mine_guarded(
         &self,
         cfg: &FlipperConfig,
         token: &CancelToken,
     ) -> Result<MiningResult, FlipperError> {
         cfg.validate()?;
-        Ok(mine_with_view_guarded(
-            &self.taxonomy,
-            &self.view,
-            cfg,
-            token,
-        )?)
+        let opts = MineOptions {
+            token: Some(token),
+            memo: None,
+        };
+        Ok(mine_with_view(&self.taxonomy, &self.view, cfg, opts)?)
     }
 
     /// Stats of the session's reuse state, the memo of vertical
@@ -232,7 +237,7 @@ impl Session {
         base_check.validate()?;
         cfg.validate()
             .map_err(|e| FlipperError::usage(format!("top-k search: {e}")))?;
-        Ok(top_k_with_view(&self.taxonomy, &self.view, cfg))
+        Ok(top_k_with_view(&self.taxonomy, &self.view, cfg)?)
     }
 
     /// Bootstrap stability screening ([`flipper_core::stability`]): resample
@@ -290,7 +295,8 @@ mod tests {
         let cfg = counts_cfg();
         let via_session = session.mine(&cfg).unwrap();
         let via_mine = mine(&data.taxonomy, &data.db, &cfg);
-        let via_view = mine_with_view(&data.taxonomy, session.view(), &cfg);
+        let via_view =
+            mine_with_view(&data.taxonomy, session.view(), &cfg, MineOptions::default()).unwrap();
         assert_eq!(via_session.patterns, via_mine.patterns);
         assert_eq!(via_session.patterns, via_view.patterns);
         assert_eq!(via_session.cells, via_mine.cells);

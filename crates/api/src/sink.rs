@@ -10,7 +10,8 @@
 //! # The `flipper-results/v1` schema
 //!
 //! A single JSON document (hand-rolled — the workspace builds offline with
-//! zero external crates), keys always in the order shown:
+//! zero external crates; strings are quoted by
+//! [`flipper_wire::json::push_string`]), keys always in the order shown:
 //!
 //! ```text
 //! { "schema": "flipper-results/v1",
@@ -39,6 +40,7 @@ use crate::error::FlipperError;
 use flipper_core::{FlipperConfig, FlippingPattern, MinSupports, MiningResult};
 use flipper_measures::Measure;
 use flipper_taxonomy::Taxonomy;
+use flipper_wire::json::push_string;
 use std::io::Write;
 
 /// A consumer of labeled mining results.
@@ -148,20 +150,6 @@ impl<W: Write> ResultSink for TextReport<W> {
 
 // ---------------------------------------------------------------- JsonWriter
 
-/// Escape a string as a JSON string literal.
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Render a finite float with Rust's shortest round-trip formatting (the
 /// same bits always give the same text); non-finite values become `null`.
 fn push_f64(out: &mut String, v: f64) {
@@ -179,7 +167,7 @@ fn push_items(out: &mut String, tax: &Taxonomy, items: &[flipper_taxonomy::NodeI
         if i > 0 {
             out.push(',');
         }
-        push_json_string(out, tax.name(item));
+        push_string(out, tax.name(item));
     }
     out.push(']');
 }
@@ -199,7 +187,7 @@ fn render_pattern(out: &mut String, tax: &Taxonomy, p: &FlippingPattern) {
         out.push_str(&format!(",\"support\":{},\"corr\":", lv.support));
         push_f64(out, lv.corr);
         out.push_str(",\"label\":");
-        push_json_string(out, &lv.label.sigil().to_string());
+        push_string(out, &lv.label.sigil().to_string());
         out.push('}');
     }
     out.push_str("]}");
@@ -218,7 +206,7 @@ fn measure_name(m: Measure) -> &'static str {
 
 fn render_config(out: &mut String, cfg: &FlipperConfig) {
     out.push_str("{\"measure\":");
-    push_json_string(out, measure_name(cfg.measure));
+    push_string(out, measure_name(cfg.measure));
     out.push_str(",\"gamma\":");
     push_f64(out, cfg.thresholds.gamma);
     out.push_str(",\"epsilon\":");
@@ -247,7 +235,7 @@ fn render_config(out: &mut String, cfg: &FlipperConfig) {
         }
     }
     out.push_str("},\"pruning\":");
-    push_json_string(out, cfg.pruning.name());
+    push_string(out, cfg.pruning.name());
     out.push_str(",\"max_k\":");
     match cfg.max_k {
         Some(k) => out.push_str(&format!("{k}")),
@@ -298,7 +286,7 @@ impl<W: Write> JsonWriter<W> {
         let mut out = format!("{{\n  \"schema\": \"{}\",\n", flipper_wire::RESULTS_V1);
         if let Some(note) = &self.degraded {
             out.push_str("  \"degraded\": ");
-            push_json_string(&mut out, note);
+            push_string(&mut out, note);
             out.push_str(",\n");
         }
         out
@@ -329,7 +317,7 @@ impl<W: Write> ResultSink for JsonWriter<W> {
         self.runs_written += 1;
 
         out.push_str("    {\"label\":");
-        push_json_string(&mut out, label);
+        push_string(&mut out, label);
         out.push_str(",\"config\":");
         render_config(&mut out, config);
         out.push_str(",\n     \"patterns\":[");
@@ -625,7 +613,7 @@ mod tests {
     #[test]
     fn json_strings_are_escaped() {
         let mut out = String::new();
-        push_json_string(&mut out, "we\"ird\\na\nme");
+        push_string(&mut out, "we\"ird\\na\nme");
         assert_eq!(out, "\"we\\\"ird\\\\na\\u000ame\"");
         let mut out = String::new();
         push_f64(&mut out, f64::NAN);

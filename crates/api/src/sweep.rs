@@ -24,7 +24,7 @@ use crate::checkpoint::{point_key, CheckpointRow, SweepJournal};
 use crate::error::FlipperError;
 use crate::session::Session;
 use flipper_core::{
-    mine_with_view, mine_with_view_seeded, FlipperConfig, MinSupports, MiningResult, PruningConfig,
+    mine_with_view, FlipperConfig, MinSupports, MineOptions, MiningResult, PruningConfig,
 };
 use flipper_data::exec;
 use flipper_guard::CancelToken;
@@ -290,15 +290,11 @@ impl<'s> Sweep<'s> {
                             t.check()?;
                         }
                         let _point_span = flipper_obs::span_labeled("sweep.point", label);
-                        // Trap per point: one panicking configuration fails
-                        // the sweep typed, after every worker has joined and
-                        // flushed — it cannot abort the process.
-                        let result = flipper_guard::trap("sweep.point", || match memo {
-                            Some(memo) => {
-                                mine_with_view_seeded(session.taxonomy(), session.view(), cfg, memo)
-                            }
-                            None => mine_with_view(session.taxonomy(), session.view(), cfg),
-                        })?;
+                        // A panicking configuration fails the sweep typed
+                        // (`mine_with_view` traps it), after every worker
+                        // has joined and flushed.
+                        let opts = MineOptions { memo, token: None };
+                        let result = mine_with_view(session.taxonomy(), session.view(), cfg, opts)?;
                         if let Some(j) = journal {
                             j.record(key, &summary_row(label, &result))?;
                         }

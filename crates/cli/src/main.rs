@@ -29,6 +29,7 @@ use flipper_api::{
     Measure, MinSupports, PathSource, PlantedParams, PruningConfig, QuestParams, ResultSink,
     Session, TextReport, Thresholds, TopKConfig,
 };
+use flipper_wire::json::{self, Json};
 use std::collections::HashMap;
 use std::io::{BufWriter, Write};
 use std::process::ExitCode;
@@ -837,17 +838,10 @@ fn cmd_results_diff(args: &[String]) -> Result<u8, FlipperError> {
 
 /// Parse one report and verify its schema line; not-a-report is a usage
 /// error (exit 2), keeping exit 1 unambiguous for "the reports differ".
-fn parse_results(path: &str, text: &str) -> Result<flipper_obs::Json, FlipperError> {
-    use flipper_obs::Json;
-    let doc = flipper_obs::parse_json(text)
+fn parse_results(path: &str, text: &str) -> Result<Json, FlipperError> {
+    let doc = json::parse(text)
         .map_err(|e| FlipperError::usage(format!("{path} is not valid JSON: {e}")))?;
-    let schema_ok = match &doc {
-        Json::Obj(map) => {
-            matches!(map.get("schema"), Some(Json::Str(s)) if s == flipper_wire::RESULTS_V1)
-        }
-        _ => false,
-    };
-    if !schema_ok {
+    if doc.get("schema").and_then(Json::as_str) != Some(flipper_wire::RESULTS_V1) {
         let tag = flipper_wire::RESULTS_V1;
         return Err(FlipperError::usage(format!(
             "{path} is not a {tag} report (missing or wrong \"schema\" field)"
@@ -859,31 +853,22 @@ fn parse_results(path: &str, text: &str) -> Result<flipper_obs::Json, FlipperErr
 /// Index a report's runs by label for the label-level diff.
 fn runs_by_label<'a>(
     path: &str,
-    doc: &'a flipper_obs::Json,
-) -> Result<std::collections::BTreeMap<&'a str, &'a flipper_obs::Json>, FlipperError> {
-    use flipper_obs::Json;
+    doc: &'a Json,
+) -> Result<std::collections::BTreeMap<&'a str, &'a Json>, FlipperError> {
     let bad = || {
         FlipperError::usage(format!(
             "{path} has no \"runs\" array of labeled run objects"
         ))
     };
-    let Json::Obj(map) = doc else {
+    let Some(Json::Arr(runs)) = doc.get("runs") else {
         return Err(bad());
     };
-    let Some(Json::Arr(runs)) = map.get("runs") else {
-        return Err(bad());
-    };
-    let mut by_label = std::collections::BTreeMap::new();
-    for run in runs {
-        let Json::Obj(fields) = run else {
-            return Err(bad());
-        };
-        let Some(Json::Str(label)) = fields.get("label") else {
-            return Err(bad());
-        };
-        by_label.insert(label.as_str(), run);
-    }
-    Ok(by_label)
+    runs.iter()
+        .map(|run| {
+            let label = run.get("label").and_then(Json::as_str).ok_or_else(bad)?;
+            Ok((label, run))
+        })
+        .collect()
 }
 
 #[cfg(test)]

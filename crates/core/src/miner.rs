@@ -53,13 +53,17 @@
 //! with `cfg.threads != 1` each cell's batch is chunked over scoped worker
 //! threads at prefix-group boundaries. Evaluation merges the two ascending
 //! tables into the cell, which is sized for them up front. Seeded runs
-//! ([`mine_with_view_seeded`]) reuse session-level work: they replay a
+//! (a [`MineOptions::memo`]) reuse session-level work: they replay a
 //! parent set's vertical enumeration from a [`VerticalMemo`] when an
-//! earlier run recorded it, and record the ones they enumerate. Results are bit-identical at every thread count and
-//! memo state; statistics are too, except the kernel's work counters
-//! ([`RunStats::counter`]), which drop by the enumerations a seeded run
-//! replays, and [`RunStats::seeded_supports`], which counts the supports
-//! it replayed.
+//! earlier run recorded it, and record the ones they enumerate. Results
+//! are bit-identical at every thread count and memo state; statistics are
+//! too, except the kernel's work counters ([`RunStats::counter`]), which
+//! drop by the enumerations a seeded run replays, and
+//! [`RunStats::seeded_supports`], which counts the supports it replayed.
+//!
+//! Every run executes inside one [`flipper_guard::trap`] in
+//! [`mine_with_view`]; the exec pool joins all workers before it rethrows
+//! a worker's panic, so that trap is where any panic of the run surfaces.
 
 use crate::cell::{Cell, ItemsetInfo};
 use crate::config::FlipperConfig;
@@ -75,65 +79,65 @@ use flipper_taxonomy::{NodeId, Taxonomy};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Mine all flipping patterns from `db` under `tax` with configuration
-/// `cfg`. Convenience wrapper that builds the multi-level view internally;
-/// use [`mine_with_view`] to amortize the projection across runs.
+/// `cfg`. Convenience wrapper that builds the multi-level view internally
+/// and mines it with no memo and no token; use [`mine_with_view`] to
+/// amortize the projection across runs, reuse a memo, or bound the run.
+///
+/// # Panics
+/// Re-raises, with its message, any panic inside the run.
 pub fn mine(tax: &Taxonomy, db: &TransactionDb, cfg: &FlipperConfig) -> MiningResult {
     let view = MultiLevelView::build(db, tax);
-    mine_with_view(tax, &view, cfg)
+    unguarded(mine_with_view(tax, &view, cfg, MineOptions::default()))
 }
 
-/// Mine all flipping patterns using a prebuilt [`MultiLevelView`].
-pub fn mine_with_view(tax: &Taxonomy, view: &MultiLevelView, cfg: &FlipperConfig) -> MiningResult {
-    Miner::new(tax, view, cfg)
-        .run()
-        .unwrap_or_else(|_| unreachable!("an unguarded run has no token to interrupt it"))
+/// The result of a run that had no [`CancelToken`]: such a run can only
+/// fail by panicking, and the trapped panic is raised again with its
+/// message.
+pub(crate) fn unguarded<T>(run: Result<T, GuardError>) -> T {
+    match run {
+        Ok(value) => value,
+        Err(GuardError::Panicked { message, .. }) => std::panic::resume_unwind(Box::new(message)),
+        Err(_) => unreachable!("a run without a token cannot be interrupted"),
+    }
 }
 
-/// [`mine_with_view`] under a [`CancelToken`]: the token is checked at
-/// every cell boundary, so a cancel or deadline interrupts the run within
-/// one cell's worth of counting and surfaces as a typed [`GuardError`].
-/// Panics anywhere inside the run are trapped and converted too. A guarded
-/// run that completes returns bytes identical to an unguarded one — the
-/// token influences *whether* the run finishes, never *what* it computes.
-pub fn mine_with_view_guarded(
+/// The optional session state a [`mine_with_view`] run borrows. The
+/// default borrows nothing: a plain, unbounded run.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MineOptions<'a> {
+    /// Reuse the vertical enumerations earlier runs over the **same view**
+    /// recorded in this memo. Every chain-alive parent set whose
+    /// enumeration is in the memo is replayed from it instead of
+    /// re-intersecting its children's transactions, and its supports are
+    /// charged to [`RunStats::seeded_supports`]; the rest are enumerated
+    /// and recorded. An enumeration is a fact about the data, `h` and θ_h
+    /// alone (the last two key it) — independent of γ, ε, pruning, or
+    /// thread count — so replaying it is sound and the mined patterns,
+    /// labels, and `flipper-results/v1` bytes are identical to a run
+    /// without a memo. Entries are complete when recorded, so a run that
+    /// panics part-way leaves the memo valid.
+    pub memo: Option<&'a VerticalMemo>,
+    /// Check this token at every cell boundary, so a cancel or deadline
+    /// interrupts the run within one cell's worth of counting and surfaces
+    /// as [`GuardError::Cancelled`] / [`GuardError::TimedOut`]. The token
+    /// influences *whether* the run finishes, never *what* it computes.
+    pub token: Option<&'a CancelToken>,
+}
+
+/// Mine all flipping patterns using a prebuilt [`MultiLevelView`], with the
+/// memo and token in `opts`.
+///
+/// The whole run executes under [`flipper_guard::trap`]: a panic anywhere
+/// inside it — including one rethrown from a counting worker — returns as
+/// [`GuardError::Panicked`] at site `"mine"` instead of unwinding into the
+/// caller.
+pub fn mine_with_view(
     tax: &Taxonomy,
     view: &MultiLevelView,
     cfg: &FlipperConfig,
-    token: &CancelToken,
+    opts: MineOptions<'_>,
 ) -> Result<MiningResult, GuardError> {
-    flipper_guard::trap("mine", || {
-        let mut miner = Miner::new(tax, view, cfg);
-        miner.token = Some(token);
-        miner.run()
-    })
-    .and_then(|r| r)
-}
-
-/// Mine with a prebuilt view, reusing the vertical enumerations earlier
-/// runs over the **same view** recorded in `memo`.
-///
-/// Every chain-alive parent set whose vertical enumeration is in `memo` is
-/// replayed from it instead of re-intersecting its children's transactions,
-/// and its supports are charged to [`RunStats::seeded_supports`]; the rest
-/// are enumerated and recorded.
-///
-/// An enumeration is a fact about the data, `h` and θ_h alone (the last
-/// two key it) — independent of γ, ε, pruning, or thread count — so
-/// replaying it from any run over the same view is sound and the mined
-/// patterns, labels, and `flipper-results/v1` bytes are identical to an
-/// unseeded run. Memo entries a run records are complete when recorded, so
-/// a run that panics part-way leaves the memo valid.
-pub fn mine_with_view_seeded(
-    tax: &Taxonomy,
-    view: &MultiLevelView,
-    cfg: &FlipperConfig,
-    memo: &VerticalMemo,
-) -> MiningResult {
-    let mut miner = Miner::new(tax, view, cfg);
-    miner.memo = Some(memo);
-    miner
-        .run()
-        .unwrap_or_else(|_| unreachable!("an unguarded run has no token to interrupt it"))
+    flipper_guard::trap("mine", || Miner::new(tax, view, cfg, opts).run()).and_then(|r| r)
 }
 
 /// Merge two ascending `(row, support)` streams with no row in common into
@@ -179,13 +183,9 @@ struct Miner<'a> {
     /// Resolved worker-thread count for sharded counting (1 = sequential).
     threads: usize,
     counter: BitsetCounter<'a>,
-    /// Session memo of vertical enumerations ([`mine_with_view_seeded`]);
-    /// `None` for plain runs.
-    memo: Option<&'a VerticalMemo>,
-    /// Cooperative-cancellation token ([`mine_with_view_guarded`]); checked
-    /// at cell boundaries only, so the live fast path stays off the
-    /// per-candidate hot loops. `None` for unguarded runs.
-    token: Option<&'a CancelToken>,
+    /// The run's memo and token; the token is checked at cell boundaries
+    /// only, so the live fast path stays off the per-candidate hot loops.
+    opts: MineOptions<'a>,
     /// Per-level absolute minimum supports (index `h-1`).
     thetas: Vec<u64>,
     /// Level-1 ancestor of every node (index = node id).
@@ -198,7 +198,12 @@ struct Miner<'a> {
 }
 
 impl<'a> Miner<'a> {
-    fn new(tax: &'a Taxonomy, view: &'a MultiLevelView, cfg: &'a FlipperConfig) -> Self {
+    fn new(
+        tax: &'a Taxonomy,
+        view: &'a MultiLevelView,
+        cfg: &'a FlipperConfig,
+        opts: MineOptions<'a>,
+    ) -> Self {
         assert_eq!(
             view.height(),
             tax.height(),
@@ -256,8 +261,7 @@ impl<'a> Miner<'a> {
             cfg,
             threads: flipper_data::exec::effective_threads(cfg.threads),
             counter,
-            memo: None,
-            token: None,
+            opts,
             thetas,
             top_cat,
             rows,
@@ -330,7 +334,8 @@ impl<'a> Miner<'a> {
             .then(|| self.rows[h - 2].cells.get(&k))
             .flatten();
         let vertical = above.map(|above| {
-            let mut level = VerticalLevel::new(&mut self.counter, h, self.thetas[h - 1], self.memo);
+            let mut level =
+                VerticalLevel::new(&mut self.counter, h, self.thetas[h - 1], self.opts.memo);
             let g = gen::vertical(&ctx, &mut level, above, here.cells.get(&(k - 1)), k);
             self.stats.seeded_supports += level.replayed_supports;
             span.add_arg("memo_hits", level.replayed);
@@ -536,7 +541,7 @@ impl<'a> Miner<'a> {
     /// attached, one relaxed atomic load otherwise.
     #[inline]
     fn check_interrupt(&self) -> Result<(), GuardError> {
-        match self.token {
+        match self.opts.token {
             Some(token) => token.check(),
             None => Ok(()),
         }
@@ -749,6 +754,20 @@ mod tests {
         (tax, db)
     }
 
+    fn guarded_by(token: &CancelToken) -> MineOptions<'_> {
+        MineOptions {
+            token: Some(token),
+            memo: None,
+        }
+    }
+
+    fn seeded_by(memo: &VerticalMemo) -> MineOptions<'_> {
+        MineOptions {
+            memo: Some(memo),
+            token: None,
+        }
+    }
+
     fn toy_config(pruning: PruningConfig) -> FlipperConfig {
         FlipperConfig::new(Thresholds::new(0.6, 0.35), MinSupports::Counts(vec![1]))
             .with_pruning(pruning)
@@ -760,9 +779,9 @@ mod tests {
         let view = MultiLevelView::build(&db, &tax);
         for pruning in PruningConfig::VARIANTS {
             let cfg = toy_config(pruning);
-            let plain = mine_with_view(&tax, &view, &cfg);
+            let plain = mine_with_view(&tax, &view, &cfg, MineOptions::default()).unwrap();
             let token = CancelToken::new();
-            let guarded = mine_with_view_guarded(&tax, &view, &cfg, &token).unwrap();
+            let guarded = mine_with_view(&tax, &view, &cfg, guarded_by(&token)).unwrap();
             assert_eq!(plain.patterns, guarded.patterns, "{}", pruning.name());
             assert_eq!(plain.cells, guarded.cells, "{}", pruning.name());
         }
@@ -777,13 +796,13 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         assert_eq!(
-            mine_with_view_guarded(&tax, &view, &cfg, &token).unwrap_err(),
+            mine_with_view(&tax, &view, &cfg, guarded_by(&token)).unwrap_err(),
             GuardError::Cancelled
         );
         // Deterministic mid-run interruption: cancel on the 2nd check.
         let token = CancelToken::cancel_after(2);
         assert_eq!(
-            mine_with_view_guarded(&tax, &view, &cfg, &token).unwrap_err(),
+            mine_with_view(&tax, &view, &cfg, guarded_by(&token)).unwrap_err(),
             GuardError::Cancelled
         );
     }
@@ -795,7 +814,7 @@ mod tests {
         let cfg = toy_config(PruningConfig::FULL);
         let token = CancelToken::with_timeout(std::time::Duration::ZERO);
         assert_eq!(
-            mine_with_view_guarded(&tax, &view, &cfg, &token).unwrap_err(),
+            mine_with_view(&tax, &view, &cfg, guarded_by(&token)).unwrap_err(),
             GuardError::TimedOut
         );
     }
@@ -939,11 +958,11 @@ mod tests {
         let (tax, db) = toy();
         let view = MultiLevelView::build(&db, &tax);
         let cfg = toy_config(PruningConfig::FULL);
-        let plain = mine_with_view(&tax, &view, &cfg);
+        let plain = mine_with_view(&tax, &view, &cfg, MineOptions::default()).unwrap();
 
         // A cold memo enumerates like no memo, and records what it did.
         let memo = VerticalMemo::new();
-        let cold = mine_with_view_seeded(&tax, &view, &cfg, &memo);
+        let cold = mine_with_view(&tax, &view, &cfg, seeded_by(&memo)).unwrap();
         assert_eq!(cold.patterns, plain.patterns);
         assert_eq!(cold.cells, plain.cells);
         assert_eq!(cold.stats.seeded_supports, 0, "a cold memo replays nothing");
@@ -953,7 +972,7 @@ mod tests {
 
         // A warm memo replays every enumeration: same results, supports
         // answered without counting, fewer intersections.
-        let replayed = mine_with_view_seeded(&tax, &view, &cfg, &memo);
+        let replayed = mine_with_view(&tax, &view, &cfg, seeded_by(&memo)).unwrap();
         assert_eq!(replayed.patterns, plain.patterns);
         assert_eq!(replayed.cells, plain.cells);
         assert_eq!(memo.stats().seed_hits, memo.stats().entries);
@@ -965,15 +984,15 @@ mod tests {
 
         // A guarded run shares the seeded run's results.
         let token = CancelToken::new();
-        let guarded = mine_with_view_guarded(&tax, &view, &cfg, &token).unwrap();
+        let guarded = mine_with_view(&tax, &view, &cfg, guarded_by(&token)).unwrap();
         assert_eq!(guarded.patterns, replayed.patterns);
 
         // A memo recorded under a *different* config still yields identical
         // results: enumerations are config-independent data facts, and θ
         // keys them.
         let alt = FlipperConfig::new(Thresholds::new(0.8, 0.1), MinSupports::Counts(vec![1]));
-        let alt_plain = mine_with_view(&tax, &view, &alt);
-        let alt_seeded = mine_with_view_seeded(&tax, &view, &alt, &memo);
+        let alt_plain = mine_with_view(&tax, &view, &alt, MineOptions::default()).unwrap();
+        let alt_seeded = mine_with_view(&tax, &view, &alt, seeded_by(&memo)).unwrap();
         assert_eq!(alt_seeded.patterns, alt_plain.patterns);
         assert_eq!(alt_seeded.cells, alt_plain.cells);
     }

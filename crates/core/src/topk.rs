@@ -9,9 +9,10 @@
 //! least `k` patterns exist, and the best `k` by flip gap are returned.
 
 use crate::config::FlipperConfig;
-use crate::miner::mine_with_view;
+use crate::miner::{mine_with_view, unguarded, MineOptions};
 use crate::results::FlippingPattern;
 use flipper_data::{MultiLevelView, TransactionDb};
+use flipper_guard::GuardError;
 use flipper_measures::Thresholds;
 use flipper_taxonomy::Taxonomy;
 
@@ -132,7 +133,7 @@ pub fn top_k(tax: &Taxonomy, db: &TransactionDb, cfg: &TopKConfig) -> TopKResult
     // Fail fast on a bad config before paying for the projection.
     assert_search_knobs(cfg);
     let view = MultiLevelView::build(db, tax);
-    top_k_with_view(tax, &view, cfg)
+    unguarded(top_k_with_view(tax, &view, cfg))
 }
 
 /// The search-knob invariants both entry points enforce up front.
@@ -146,8 +147,13 @@ fn assert_search_knobs(cfg: &TopKConfig) {
 /// [`top_k`] over a prebuilt [`MultiLevelView`] — the projection is the
 /// expensive part, so sessions that cache the view (or built it by
 /// streaming, without ever materializing the database) search through this
-/// entry point.
-pub fn top_k_with_view(tax: &Taxonomy, view: &MultiLevelView, cfg: &TopKConfig) -> TopKResult {
+/// entry point. Each probe is one [`mine_with_view`] run, so a panic inside
+/// one returns as [`GuardError::Panicked`].
+pub fn top_k_with_view(
+    tax: &Taxonomy,
+    view: &MultiLevelView,
+    cfg: &TopKConfig,
+) -> Result<TopKResult, GuardError> {
     assert_search_knobs(cfg);
     let mut runs = 0;
     let mut best: Option<TopKResult> = None;
@@ -160,7 +166,7 @@ pub fn top_k_with_view(tax: &Taxonomy, view: &MultiLevelView, cfg: &TopKConfig) 
         let thresholds = Thresholds::new(gamma, epsilon);
         let mut mining_cfg = cfg.base.clone();
         mining_cfg.thresholds = thresholds;
-        let result = mine_with_view(tax, view, &mining_cfg);
+        let result = mine_with_view(tax, view, &mining_cfg, MineOptions::default())?;
         runs += 1;
 
         let mut patterns = result.patterns;
@@ -177,7 +183,7 @@ pub fn top_k_with_view(tax: &Taxonomy, view: &MultiLevelView, cfg: &TopKConfig) 
             runs,
         };
         if found >= cfg.k {
-            return candidate;
+            return Ok(candidate);
         }
         // Keep the best partial answer in case nothing reaches k.
         if best
@@ -191,7 +197,7 @@ pub fn top_k_with_view(tax: &Taxonomy, view: &MultiLevelView, cfg: &TopKConfig) 
     // lint:allow(panic-hygiene) validate() guarantees gamma_start ≥ gamma_floor, so the loop ran
     let mut out = best.expect("at least one run performed");
     out.runs = runs;
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

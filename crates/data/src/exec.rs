@@ -233,12 +233,12 @@ where
     run_parts(group_chunk_ranges(n, threads, same_group), f)
 }
 
-/// Fallible chunk mapping: shard `items` like [`map_slice_chunks`] but let
-/// each chunk return a `Result`; the first error **in chunk order** wins
-/// (deterministic regardless of which worker failed first on the clock)
-/// and every chunk still runs to completion before it is returned. This is
-/// the cancellation-aware entry: chunk closures check a
-/// [`flipper_guard::CancelToken`] at their boundaries and surface the
+/// Fallible chunk mapping: shard `items` into contiguous chunks like
+/// [`map_chunks`] but let each chunk return a `Result`; the first error
+/// **in chunk order** wins (deterministic regardless of which worker failed
+/// first on the clock) and every chunk still runs to completion before it
+/// is returned. This is the cancellation-aware entry: chunk closures check
+/// a [`flipper_guard::CancelToken`] at their boundaries and surface the
 /// interrupt as their error type.
 pub fn try_map_slice_chunks<'a, T, R, E, F>(
     threads: usize,
@@ -251,19 +251,9 @@ where
     E: Send,
     F: Fn(&'a [T]) -> Result<R, E> + Sync,
 {
-    let per_chunk = map_slice_chunks(threads, items, f);
-    per_chunk.into_iter().collect()
-}
-
-/// Shard a slice into contiguous chunks and run `f` over each, returning one
-/// result per chunk in order. Convenience wrapper over [`map_chunks`].
-pub fn map_slice_chunks<'a, T, R, F>(threads: usize, items: &'a [T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&'a [T]) -> R + Sync,
-{
     map_chunks(threads, items.len(), |r| f(&items[r]))
+        .into_iter()
+        .collect()
 }
 
 /// Shard a mutable slice into contiguous chunks, like [`map_chunks`], and
@@ -347,10 +337,11 @@ mod tests {
         let items: Vec<u64> = (0..1000).collect();
         let expect: u64 = items.iter().sum();
         for threads in [1usize, 3, 8] {
-            let total: u64 = map_slice_chunks(threads, &items, |c| c.iter().sum::<u64>())
-                .into_iter()
-                .sum();
-            assert_eq!(total, expect);
+            let sums: Vec<u64> =
+                try_map_slice_chunks(threads, &items, |c| Ok::<_, ()>(c.iter().sum::<u64>()))
+                    .unwrap();
+            assert_eq!(sums.len(), threads, "one result per chunk");
+            assert_eq!(sums.into_iter().sum::<u64>(), expect);
         }
     }
 

@@ -17,7 +17,7 @@ use flipper_api::{
     Dataset, FlipperConfig, Generator, JsonWriter, MinSupports, PruningConfig, ResultSink, Session,
     Thresholds,
 };
-use flipper_core::{mine, mine_with_view, MiningResult};
+use flipper_core::{mine, mine_with_view, MineOptions, MiningResult};
 use flipper_data::MultiLevelView;
 use flipper_datagen::planted::PlantedParams;
 use flipper_datagen::quest::QuestParams;
@@ -74,7 +74,8 @@ fn session_equals_single_shot_paths() {
                 let cfg = base.clone().with_pruning(pruning).with_threads(threads);
                 let ctx = format!("{name} {} threads={threads}", pruning.name());
                 let via_session = session.mine(&cfg).unwrap();
-                let via_view = mine_with_view(&ds.taxonomy, &view, &cfg);
+                let via_view =
+                    mine_with_view(&ds.taxonomy, &view, &cfg, MineOptions::default()).unwrap();
                 let via_mine = mine(&ds.taxonomy, &ds.db, &cfg);
                 assert_results_equal(&via_session, &via_view, &ctx);
                 assert_results_equal(&via_session, &via_mine, &ctx);

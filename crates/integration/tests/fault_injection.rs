@@ -20,7 +20,7 @@ use flipper_api::{
     CancelToken, FlipperConfig, FlipperError, JsonWriter, MinSupports, PruningConfig, ResultSink,
     Session, Thresholds,
 };
-use flipper_core::MiningResult;
+use flipper_core::{MineOptions, MiningResult};
 use flipper_datagen::planted::PlantedParams;
 use flipper_guard::fault::{
     arm, FaultKind, FaultPlan, SITE_EXEC_CHUNK, SITE_STORE_READ, SITE_STORE_WRITE,
@@ -180,11 +180,11 @@ fn store_write_faults_fail_typed() {
 }
 
 /// Injected worker panics at the exec.chunk site surface as
-/// `FlipperError::Panicked` through the guarded mining path — at 1 and 4
-/// threads — and latency faults change nothing. Runs that never shard
-/// (sequential runs, sub-threshold batches) legitimately never visit the
-/// site; they must then produce bytes identical to the unguarded baseline,
-/// proven via the plan's fire log.
+/// `FlipperError::Panicked` through the guarded and the plain mining path
+/// alike — at 1 and 4 threads — and latency faults change nothing. Runs
+/// that never shard (sequential runs, sub-threshold batches) legitimately
+/// never visit the site; they must then produce bytes identical to the
+/// unguarded baseline, proven via the plan's fire log.
 #[test]
 fn exec_chunk_faults_surface_typed_across_threads() {
     let session = Session::open(flipper_api::Generator::Planted(PlantedParams::default()))
@@ -202,35 +202,41 @@ fn exec_chunk_faults_surface_typed_across_threads() {
         let baseline = session.mine(&config).expect("unguarded baseline");
         let baseline_bytes = report_bytes(session.taxonomy(), &config, &baseline);
 
-        // A panic on the first worker chunk becomes a typed error; the
-        // pool joins every shard before the panic is rethrown, so the
-        // trap at the API boundary is the only place it surfaces.
-        let armed = arm(FaultPlan::new(SEED).inject(SITE_EXEC_CHUNK, 1, FaultKind::Panic));
-        let outcome = catch_unwind(AssertUnwindSafe(|| session.mine_guarded(&config, &token)))
+        // A panic on the first worker chunk becomes a typed error on both
+        // paths; the pool joins every shard before the panic is rethrown,
+        // so the trap inside the miner is the only place it surfaces.
+        for path in ["mine_guarded", "mine"] {
+            let label = format!("{label} path={path}");
+            let armed = arm(FaultPlan::new(SEED).inject(SITE_EXEC_CHUNK, 1, FaultKind::Panic));
+            let outcome = catch_unwind(AssertUnwindSafe(|| match path {
+                "mine_guarded" => session.mine_guarded(&config, &token),
+                _ => session.mine(&config),
+            }))
             .unwrap_or_else(|_| panic!("{label}: panic escaped the guard"));
-        let fired = !armed.fired().is_empty();
-        drop(armed);
-        fired_somewhere |= fired;
-        match outcome {
-            Err(FlipperError::Panicked { message, .. }) => {
-                assert!(fired, "{label}: Panicked surfaced without a fired fault");
-                assert!(
-                    message.contains("injected fault"),
-                    "{label}: panic message should carry the injection label: {message:?}"
-                );
+            let fired = !armed.fired().is_empty();
+            drop(armed);
+            fired_somewhere |= fired;
+            match outcome {
+                Err(FlipperError::Panicked { message, .. }) => {
+                    assert!(fired, "{label}: Panicked surfaced without a fired fault");
+                    assert!(
+                        message.contains("injected fault"),
+                        "{label}: panic message should carry the injection label: {message:?}"
+                    );
+                }
+                Ok(result) => {
+                    assert!(
+                        !fired,
+                        "{label}: the injected panic fired yet mining succeeded"
+                    );
+                    assert_eq!(
+                        report_bytes(session.taxonomy(), &config, &result),
+                        baseline_bytes,
+                        "{label}: unfired guard must be byte-invisible"
+                    );
+                }
+                Err(other) => panic!("{label}: expected Panicked, got {other}"),
             }
-            Ok(result) => {
-                assert!(
-                    !fired,
-                    "{label}: the injected panic fired yet mining succeeded"
-                );
-                assert_eq!(
-                    report_bytes(session.taxonomy(), &config, &result),
-                    baseline_bytes,
-                    "{label}: unfired guard must be byte-invisible"
-                );
-            }
-            Err(other) => panic!("{label}: expected Panicked, got {other}"),
         }
 
         // A latency stall at the same site perturbs nothing: the
@@ -261,9 +267,10 @@ fn inert_guard_is_byte_invisible() {
     for threads in THREADS {
         let config = cfg(threads);
 
-        // Plain path: strict read, unguarded mine.
+        // Plain path: strict read, mine with no token.
         let (tax, view) = read_strict(&bytes, threads).expect("strict read");
-        let plain = flipper_core::mine_with_view(&tax, &view, &config);
+        let plain = flipper_core::mine_with_view(&tax, &view, &config, MineOptions::default())
+            .expect("plain mine");
         let plain_bytes = report_bytes(&tax, &config, &plain);
 
         // Guarded path: salvage read of the intact file, armed-but-inert
@@ -277,8 +284,12 @@ fn inert_guard_is_byte_invisible() {
             !report.is_degraded(),
             "intact file must not be flagged: {report:?}"
         );
-        let guarded = flipper_core::mine_with_view_guarded(&gtax, &gview, &config, &token)
-            .expect("guarded mine");
+        let opts = MineOptions {
+            token: Some(&token),
+            memo: None,
+        };
+        let guarded =
+            flipper_core::mine_with_view(&gtax, &gview, &config, opts).expect("guarded mine");
         assert_eq!(
             report_bytes(&gtax, &config, &guarded),
             plain_bytes,

@@ -8,7 +8,7 @@
 //! and damaged files must fail with typed errors rather than panics or
 //! silently wrong data.
 
-use flipper_core::{mine, mine_with_view, FlipperConfig, MinSupports, MiningResult};
+use flipper_core::{mine, mine_with_view, FlipperConfig, MinSupports, MineOptions, MiningResult};
 use flipper_data::format::{read_dataset, write_dataset, Dataset};
 use flipper_datagen::{planted, quest, surrogate};
 use flipper_measures::Thresholds;
@@ -124,7 +124,7 @@ fn fbin_mining_matches_text_mining_loaded_and_streamed() {
 
         let (tax, view) = stream_view(FbinReader::new(&fbin[..]).unwrap(), threads).unwrap();
         assert_eq!(tax, text_ds.taxonomy);
-        let streamed_result = mine_with_view(&tax, &view, &cfg);
+        let streamed_result = mine_with_view(&tax, &view, &cfg, MineOptions::default()).unwrap();
         assert_results_identical(
             &streamed_result,
             &baseline,

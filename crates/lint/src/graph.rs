@@ -459,8 +459,8 @@ fn resolve_one(
 
 /// Is this fn a mining/serialization entry point? The set mirrors the
 /// public result path: `Session::mine`, `Sweep::run` (which reaches the
-/// seeded miner), and everything on `JsonWriter` (the byte-pinned
-/// serializer).
+/// miner with the session's vertical memo), and everything on `JsonWriter`
+/// (the byte-pinned serializer).
 fn is_entry_point(f: &FnRef) -> bool {
     if f.item.is_test {
         return false;

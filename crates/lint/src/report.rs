@@ -14,6 +14,7 @@
 //! shape parses to a descriptive migration error, never a panic.
 
 use crate::rules::{Finding, RULES};
+use flipper_wire::json::{self, push_string, Json};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -121,18 +122,15 @@ impl Report {
         }
         s.push_str("  ],\n  \"findings\": [\n");
         for (i, f) in self.findings.iter().enumerate() {
+            let _ = write!(s, "    {{\"rule\": \"{}\", \"file\": ", f.rule);
+            push_string(&mut s, &f.file);
             let _ = write!(
                 s,
-                "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"col\": {}, \
-                 \"allowed\": {}, \"reachable\": {}, \"message\": \"{}\"}}",
-                f.rule,
-                json_escape(&f.file),
-                f.line,
-                f.col,
-                f.allowed,
-                f.reachable,
-                json_escape(&f.message)
+                ", \"line\": {}, \"col\": {}, \"allowed\": {}, \"reachable\": {}, \"message\": ",
+                f.line, f.col, f.allowed, f.reachable
             );
+            push_string(&mut s, &f.message);
+            s.push('}');
             s.push_str(if i + 1 < self.findings.len() {
                 ",\n"
             } else {
@@ -193,24 +191,6 @@ impl Report {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A malformed baseline document — the lint eats its own error-hygiene
 /// dogfood, so even this one-field error is a type, not a `String`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -227,10 +207,10 @@ impl std::fmt::Display for BaselineError {
 
 impl std::error::Error for BaselineError {}
 
-impl From<String> for BaselineError {
-    fn from(message: String) -> Self {
-        BaselineError { message }
-    }
+fn fail<T>(message: impl Into<String>) -> Result<T, BaselineError> {
+    Err(BaselineError {
+        message: message.into(),
+    })
 }
 
 /// The committed per-rule permitted counts.
@@ -272,12 +252,12 @@ impl Baseline {
         );
         let n = self.counts.len();
         for (i, (rule, p)) in self.counts.iter().enumerate() {
+            s.push_str("    ");
+            push_string(&mut s, rule);
             let _ = write!(
                 s,
-                "    \"{}\": {{\"reachable\": {}, \"unreachable\": {}}}",
-                json_escape(rule),
-                p.reachable,
-                p.unreachable
+                ": {{\"reachable\": {}, \"unreachable\": {}}}",
+                p.reachable, p.unreachable
             );
             s.push_str(if i + 1 < n { ",\n" } else { "\n" });
         }
@@ -285,60 +265,44 @@ impl Baseline {
         s
     }
 
-    /// Parse the baseline document. Accepts exactly the shape `to_json`
-    /// writes (whitespace-insensitive); anything else is a descriptive
-    /// error, never a panic. The retired v1 shape gets a dedicated
-    /// migration message.
+    /// Parse the baseline document: a JSON object holding the `schema` tag
+    /// and, optionally, `counts`, the shape `to_json` writes. Anything else
+    /// is a descriptive error, never a panic. The retired v1 shape gets a
+    /// dedicated migration message.
     pub fn parse(text: &str) -> Result<Baseline, BaselineError> {
-        let mut p = MiniJson::new(text);
-        p.expect('{')?;
-        let mut counts = BTreeMap::new();
-        let mut saw_schema = false;
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
-            match key.as_str() {
-                "schema" => {
-                    let v = p.string()?;
-                    if v == flipper_wire::LINT_BASELINE_V1 {
-                        return Err(format!(
-                            "baseline schema `{v}` predates the reachable/unreachable \
-                             split; run `flipper-lint --bless` to migrate to `{}`",
-                            flipper_wire::LINT_BASELINE_V2
-                        )
-                        .into());
-                    }
-                    if v != flipper_wire::LINT_BASELINE_V2 {
-                        return Err(format!("unsupported baseline schema `{v}`").into());
-                    }
-                    saw_schema = true;
-                }
-                "counts" => {
-                    p.expect('{')?;
-                    if !p.try_expect('}') {
-                        loop {
-                            let rule = p.string()?;
-                            p.expect(':')?;
-                            let permit = parse_permit(&mut p)?;
-                            counts.insert(rule, permit);
-                            if !p.try_expect(',') {
-                                break;
-                            }
-                        }
-                        p.expect('}')?;
-                    }
-                }
-                other => return Err(format!("unexpected baseline key `{other}`").into()),
+        let doc = json::parse(text).or_else(|e| fail(e.to_string()))?;
+        let Json::Obj(fields) = &doc else {
+            return fail("baseline is not a JSON object");
+        };
+        match doc
+            .get("schema")
+            .map(|v| v.as_str().unwrap_or("<not a string>"))
+        {
+            None => return fail("baseline is missing the `schema` field"),
+            Some(v) if v == flipper_wire::LINT_BASELINE_V1 => {
+                return fail(format!(
+                    "baseline schema `{v}` predates the reachable/unreachable \
+                     split; run `flipper-lint --bless` to migrate to `{}`",
+                    flipper_wire::LINT_BASELINE_V2
+                ))
             }
-            if !p.try_expect(',') {
-                break;
+            Some(v) if v != flipper_wire::LINT_BASELINE_V2 => {
+                return fail(format!("unsupported baseline schema `{v}`"))
             }
+            Some(_) => {}
         }
-        p.expect('}')?;
-        if !saw_schema {
-            return Err(BaselineError::from(
-                "baseline is missing the `schema` field".to_string(),
-            ));
+        let mut counts = BTreeMap::new();
+        for (key, value) in fields {
+            match (key.as_str(), value) {
+                ("schema", _) => {}
+                ("counts", Json::Obj(rules)) => {
+                    for (rule, permit) in rules {
+                        counts.insert(rule.clone(), parse_permit(permit)?);
+                    }
+                }
+                ("counts", _) => return fail("baseline `counts` is not an object"),
+                (other, _) => return fail(format!("unexpected baseline key `{other}`")),
+            }
         }
         Ok(Baseline { counts })
     }
@@ -346,95 +310,27 @@ impl Baseline {
 
 /// Parse one `{"reachable": N, "unreachable": N}` permit object (keys in
 /// either order; both required).
-fn parse_permit(p: &mut MiniJson<'_>) -> Result<Permit, BaselineError> {
-    p.expect('{')?;
+fn parse_permit(value: &Json) -> Result<Permit, BaselineError> {
+    let Json::Obj(fields) = value else {
+        return fail(format!("expected a permit object, found `{value:?}`"));
+    };
     let (mut reachable, mut unreachable) = (None, None);
-    loop {
-        let key = p.string()?;
-        p.expect(':')?;
-        let n = p.number()?;
+    for (key, n) in fields {
+        let Some(n) = n.as_u64() else {
+            return fail(format!("expected a count, found `{n:?}`"));
+        };
         match key.as_str() {
             "reachable" => reachable = Some(n),
             "unreachable" => unreachable = Some(n),
-            other => return Err(format!("unexpected permit key `{other}`").into()),
-        }
-        if !p.try_expect(',') {
-            break;
+            other => return fail(format!("unexpected permit key `{other}`")),
         }
     }
-    p.expect('}')?;
     match (reachable, unreachable) {
         (Some(reachable), Some(unreachable)) => Ok(Permit {
             reachable,
             unreachable,
         }),
-        _ => Err(BaselineError::from(
-            "permit object needs both `reachable` and `unreachable`".to_string(),
-        )),
-    }
-}
-
-/// A tiny single-purpose JSON scanner for the baseline document.
-struct MiniJson<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-}
-
-impl<'a> MiniJson<'a> {
-    fn new(text: &'a str) -> Self {
-        MiniJson {
-            chars: text.chars().peekable(),
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.chars.peek().is_some_and(|c| c.is_whitespace()) {
-            self.chars.next();
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        self.skip_ws();
-        match self.chars.next() {
-            Some(got) if got == c => Ok(()),
-            Some(got) => Err(format!("expected `{c}`, found `{got}`")),
-            None => Err(format!("expected `{c}`, found end of input")),
-        }
-    }
-
-    fn try_expect(&mut self, c: char) -> bool {
-        self.skip_ws();
-        if self.chars.peek() == Some(&c) {
-            self.chars.next();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut s = String::new();
-        loop {
-            match self.chars.next() {
-                Some('"') => return Ok(s),
-                Some('\\') => match self.chars.next() {
-                    Some(e) => s.push(e),
-                    None => return Err("unterminated escape in string".to_string()),
-                },
-                Some(c) => s.push(c),
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let mut s = String::new();
-        while self.chars.peek().is_some_and(|c| c.is_ascii_digit()) {
-            s.push(self.chars.next().unwrap_or('0'));
-        }
-        s.parse::<u64>()
-            .map_err(|_| format!("expected a count, found `{s}`"))
+        _ => fail("permit object needs both `reachable` and `unreachable`"),
     }
 }
 
@@ -531,11 +427,40 @@ mod tests {
     }
 
     #[test]
+    fn baseline_keys_decode_json_escapes() {
+        let text = "{\"schema\": \"flipper-lint-baseline/v2\", \"counts\": \
+                    {\"panic\\u002dhygiene\": {\"reachable\": 0, \"unreachable\": 3}}}";
+        let b = Baseline::parse(text).unwrap();
+        assert_eq!(
+            b.permit("panic-hygiene"),
+            Permit {
+                reachable: 0,
+                unreachable: 3
+            }
+        );
+        // Non-count values keep their dedicated rejection.
+        let err = Baseline::parse(
+            "{\"schema\": \"flipper-lint-baseline/v2\", \"counts\": \
+             {\"x\": {\"reachable\": 1.5, \"unreachable\": 0}}}",
+        )
+        .unwrap_err();
+        assert!(err.message.starts_with("expected a count"), "{err}");
+    }
+
+    #[test]
     fn json_report_is_escaped_and_versioned() {
         let r = report_with(vec![finding("panic-hygiene", false, true)]);
         let json = r.to_json(&Baseline::default());
         assert!(json.contains(&format!("\"schema\": \"{}\"", flipper_wire::LINT_V1)));
         assert!(json.contains("m \\\"quoted\\\""));
+        let parsed = json::parse(&json).unwrap();
+        let Some(Json::Arr(findings)) = parsed.get("findings") else {
+            panic!("findings array missing: {json}");
+        };
+        assert_eq!(
+            findings[0].get("message").and_then(Json::as_str),
+            Some("m \"quoted\"")
+        );
         assert!(json.contains("\"reachable\": true"));
         assert!(json.contains("\"verdict\": \"fail\""));
         let blessed = Baseline::bless(&r);

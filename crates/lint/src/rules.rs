@@ -154,7 +154,8 @@ const PANIC_CRATES: &[&str] = &[
 /// every byte the miner reads), plus the flipper-obs hot-path modules the
 /// miner calls into (a nondeterministic container or
 /// clock read there could perturb recording order or, worse, leak timing
-/// into results). `core/src/stats.rs` is deliberately absent: it hosts the
+/// into results), plus the flipper-wire JSON module, whose object-key
+/// order reaches `flipper results-diff` output and trace validation. `core/src/stats.rs` is deliberately absent: it hosts the
 /// one sanctioned wall-clock read ([`Stopwatch`](../../core/src/stats.rs))
 /// whose `elapsed` field the JSON writer excludes from result bytes by
 /// construction. `obs/src/clock.rs` is absent for the same reason — it is
@@ -179,6 +180,7 @@ const DETERMINISM_FILES: &[&str] = &[
     "crates/obs/src/recorder.rs",
     "crates/obs/src/span.rs",
     "crates/obs/src/trace.rs",
+    "crates/wire/src/json.rs",
 ];
 
 /// The one module allowed to touch `std::thread` — shard-invariance of its
@@ -708,6 +710,7 @@ mod tests {
             "crates/obs/src/recorder.rs",
             "crates/obs/src/span.rs",
             "crates/obs/src/trace.rs",
+            "crates/wire/src/json.rs",
         ] {
             assert_eq!(live(&run(rel, src), "determinism"), 2, "{rel}");
         }

@@ -1,6 +1,6 @@
-//! Validate a `flipper-trace/v1` file: parses the JSON with the built-in
-//! parser, checks per-lane span nesting, and optionally asserts that a
-//! set of span names is present.
+//! Validate a `flipper-trace/v1` file: parses the JSON with the workspace
+//! parser (`flipper_wire::json`), checks per-lane span nesting, and
+//! optionally asserts that a set of span names is present.
 //!
 //! ```text
 //! cargo run -p flipper-obs --example validate_trace -- TRACE.json [--expect name1,name2,...]

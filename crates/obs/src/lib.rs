@@ -37,9 +37,7 @@ pub mod trace;
 
 pub use recorder::{disable, drain, enable, enabled, Capture, PhaseRow};
 pub use span::{event, shard_span, span, span_labeled, stamp, with_shard, Span, SpanEvent};
-pub use trace::{
-    parse_json, render_chrome_trace, validate_trace, Json, TraceError, TraceStats, TRACE_SCHEMA,
-};
+pub use trace::{render_chrome_trace, validate_trace, TraceError, TraceStats, TRACE_SCHEMA};
 
 #[cfg(test)]
 mod tests {

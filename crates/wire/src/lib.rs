@@ -13,10 +13,16 @@
 //! schema-tag string literal in non-test library code *outside this
 //! module* is a finding.
 //!
+//! Next to the tags sit the JSON text primitives every flipper document
+//! is read and written with ([`json`]): the workspace's one parser and its
+//! one string escaper.
+//!
 //! The crate is dependency-free and sits at the bottom of the workspace
 //! layering, so every producer (`flipper-obs`, `flipper-api`, the CLI)
 //! and consumer (including `flipper-lint`
 //! itself) can reach it.
+
+pub mod json;
 
 /// Deterministic mining results emitted by `flipper_api::JsonWriter` and
 /// consumed by `flipper results-diff`. Byte-pinned by the facade golden.
