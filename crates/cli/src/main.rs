@@ -1075,6 +1075,7 @@ mod tests {
             for name in [
                 "session.ingest",
                 "view.build",
+                "view.dense",
                 "mine.run",
                 "mine.cell",
                 "mine.count",

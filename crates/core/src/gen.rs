@@ -401,9 +401,18 @@ mod tests {
     use flipper_data::{naive_tidset_counts, Itemset, MultiLevelView, TransactionDb};
     use std::collections::BTreeSet;
 
-    /// The kernel's three storage mixes: all-bitmap, the default mixed
-    /// threshold, all-tid-list.
-    const DENSITIES: [f64; 3] = [0.0, BitsetCounter::DEFAULT_DENSITY, 2.0];
+    /// The kernel's three storage mixes: `Some(0.0)` promotes every item to
+    /// a bitmap, `None` is the storage rule's mix, `Some(2.0)` keeps every
+    /// item a tid-list.
+    const DENSITIES: [Option<f64>; 3] = [Some(0.0), None, Some(2.0)];
+
+    /// A counter over `view` at one of [`DENSITIES`].
+    fn counter_at(view: &MultiLevelView, density: Option<f64>) -> BitsetCounter<'_> {
+        density.map_or_else(
+            || BitsetCounter::new(view),
+            |d| BitsetCounter::with_density(view, d),
+        )
+    }
 
     fn n(i: u32) -> NodeId {
         NodeId::from_index(i as usize)
@@ -600,7 +609,7 @@ mod tests {
             }
             let prev = (k == 3).then_some(&prev);
             let by_density = DENSITIES.map(|density| {
-                let mut counter = BitsetCounter::with_density(&view, density);
+                let mut counter = counter_at(&view, density);
                 let mut level = VerticalLevel::new(&mut counter, 3, theta, None);
                 vertical(&ctx(&tax, &top_cat), &mut level, &above, prev, k)
             });

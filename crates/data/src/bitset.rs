@@ -1,11 +1,13 @@
 //! The support-counting kernel and its packed bitmaps.
 //!
 //! Tid-lists win when items are sparse; when an item appears in a large
-//! fraction of transactions (common at shallow taxonomy levels, where a
-//! category may cover half the database), a packed bitmap with word-wise
-//! AND + popcount is both smaller and faster. [`BitsetCounter`] uses
-//! bitmaps for dense items and falls back to tid-lists for sparse ones.
-//! It answers two questions: the supports of a sorted candidate batch
+//! enough fraction of transactions, a packed bitmap with word-wise AND +
+//! popcount is faster. [`BitsetCounter`] uses bitmaps for the items the
+//! storage rule ([`BitsetCounter::BITMAP_RATIO`]) promotes and tid-lists for
+//! the rest. The promoted items' bitmaps depend only on the view, so the
+//! [`MultiLevelView`] owns them: each level's table is built on first use
+//! and every counter over that view borrows it from then on. The counter
+//! answers two questions: the supports of a sorted candidate batch
 //! ([`BitsetCounter::count_batch`]), and which combinations of one item per
 //! slot co-occur at all, with their supports
 //! ([`BitsetCounter::co_occurring`]).
@@ -16,6 +18,7 @@ use crate::itemset::ItemsetRows;
 use crate::projection::{LevelView, MultiLevelView};
 use crate::tidset::{intersect_into, intersect_size, intersect_size_many};
 use flipper_taxonomy::NodeId;
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// A fixed-width packed bitmap over transaction ids.
@@ -271,9 +274,12 @@ struct Scratch {
 /// The support-counting kernel: hybrid dense-bitmap / sparse-tid-list
 /// prefix-group counting, the one counter the miner uses.
 ///
-/// Items whose support reaches `density × N` (by default
-/// [`Self::DEFAULT_DENSITY`] = 1/16 of the transactions) get a packed bitmap
-/// at their level; everything else stays a tid-list. Candidates arrive as
+/// Items that the storage rule ([`Self::BITMAP_RATIO`]) promotes get a
+/// packed bitmap at their level; everything else stays a tid-list. The
+/// bitmaps belong to the view: [`Self::new`] borrows each level's table,
+/// building it on the view's first use, so every counter over one view —
+/// every mining call of a session, every sweep point and job, every top-k
+/// probe — shares one build. Candidates arrive as
 /// ascending rows of one flat table, so the members of a `(k−1)`-prefix
 /// group are adjacent ([`ItemsetRows::prefix_groups`]) and each group's
 /// prefix is materialized once:
@@ -289,45 +295,67 @@ struct Scratch {
 /// [`Self::co_occurring`] enumerates combinations depth-first instead: it
 /// extends one running intersection a slot at a time, in the same two
 /// representations, and gets every combination's support on the way.
+///
+/// Counts and stats never depend on which items are bitmaps.
 pub struct BitsetCounter<'v> {
     view: &'v MultiLevelView,
     /// Bitmaps per level (index `h-1`) and node id; `Some` for dense items
-    /// only.
-    bitmaps: Vec<Vec<Option<Bitmap>>>,
+    /// only. Borrowed from the view, or private under
+    /// [`Self::with_density`].
+    bitmaps: Vec<Cow<'v, [Option<Bitmap>]>>,
     stats: CounterStats,
     /// Per-depth buffers of [`Self::co_occurring`], reused across calls.
     scratch: Vec<Scratch>,
 }
 
 impl<'v> BitsetCounter<'v> {
-    /// Density threshold: items covering ≥ 1/16 of transactions are
-    /// promoted to bitmaps.
-    pub const DEFAULT_DENSITY: f64 = 1.0 / 16.0;
+    /// The storage rule: an item gets a bitmap at its level iff
+    /// `BITMAP_RATIO · support ≥ N`, i.e. iff its `N`-bit bitmap is at most
+    /// twice its `32 · support`-bit tid-list.
+    ///
+    /// * **Memory.** A promoted item's bitmap takes `8 · ⌈N/64⌉ ≤ 8 ·
+    ///   support` bytes, at most twice its tid-list's `4 · support`. So each
+    ///   level's bitmaps take at most twice that level's tid-list bytes,
+    ///   however many items qualify. Per level, supports sum to `N · W̄`
+    ///   (`W̄` the mean projected width), so at most `64 · W̄` items qualify.
+    /// * **Speed.** At the cutoff, intersecting two promoted items is one
+    ///   4-word-blocked AND-popcount over `N/64` words with no
+    ///   data-dependent branch, where merging their tid-lists steps through
+    ///   at least `2 · N/64` tids, one branch each. Above the cutoff the
+    ///   bitmap only gets cheaper relative to the merge.
+    /// * **Measured.** `perfbench` medians of 5 runs on a 2-vCPU container,
+    ///   bitmaps built once per view, `mine_s` on quest-basic / quest-sweep:
+    ///   0.298 / 0.109 s at 1/16 (Roaring's memory rule), 0.257 / 0.075 s at
+    ///   1/32 (bitmap no larger than the tid-list), 0.189 / 0.071 s at 1/64.
+    ///   1/256 was no faster than 1/64 and took 0.7 MB more peak memory.
+    pub const BITMAP_RATIO: u64 = 64;
 
-    /// Build the counter over `view` with the default density threshold.
+    /// Build the counter over `view` under the storage rule
+    /// ([`Self::BITMAP_RATIO`]), borrowing the view's bitmaps. The first
+    /// counter over a view builds them, one level at a time.
     pub fn new(view: &'v MultiLevelView) -> Self {
-        Self::with_density(view, Self::DEFAULT_DENSITY)
+        let bitmaps = (1..=view.height())
+            .map(|h| Cow::Borrowed(view.bitmaps(h)))
+            .collect();
+        Self::with_bitmaps(view, bitmaps)
     }
 
-    /// Build with an explicit density threshold. `0.0` promotes every item
-    /// (all-bitmap); anything above `1.0` promotes none (all-tid-list).
-    /// Counts never depend on it; tests use it to force each path.
+    /// Build with an explicit density threshold and a private bitmap table:
+    /// items covering at least `density × N` transactions are promoted.
+    /// `0.0` promotes every item (all-bitmap); anything above `1.0`
+    /// promotes none (all-tid-list). Counts never depend on it; tests use
+    /// it to force each path.
     pub fn with_density(view: &'v MultiLevelView, density: f64) -> Self {
         assert!(density >= 0.0, "density threshold must be non-negative");
         let n = view.num_transactions();
         let cutoff = ((density * n as f64) as u64).max(1);
         let bitmaps = (1..=view.height())
-            .map(|h| {
-                let lv = view.level(h);
-                let mut maps = vec![None; lv.present_items().last().map_or(0, |m| m.index() + 1)];
-                for &item in lv.present_items() {
-                    if lv.item_support(item) >= cutoff {
-                        maps[item.index()] = Some(Bitmap::from_tids(lv.tidset(item), n));
-                    }
-                }
-                maps
-            })
+            .map(|h| Cow::Owned(level_bitmaps(view.level(h), n, |support| support >= cutoff)))
             .collect();
+        Self::with_bitmaps(view, bitmaps)
+    }
+
+    fn with_bitmaps(view: &'v MultiLevelView, bitmaps: Vec<Cow<'v, [Option<Bitmap>]>>) -> Self {
         BitsetCounter {
             view,
             bitmaps,
@@ -547,6 +575,32 @@ impl<'v> BitsetCounter<'v> {
     }
 }
 
+/// One level's bitmap table, by node id: a bitmap for every present item
+/// whose support satisfies `promote`, `None` for the rest.
+fn level_bitmaps(lv: &LevelView, n: usize, promote: impl Fn(u64) -> bool) -> Vec<Option<Bitmap>> {
+    let mut maps = vec![None; lv.present_items().last().map_or(0, |m| m.index() + 1)];
+    for &item in lv.present_items() {
+        if promote(lv.item_support(item)) {
+            maps[item.index()] = Some(Bitmap::from_tids(lv.tidset(item), n));
+        }
+    }
+    maps
+}
+
+/// The view's own bitmap table for `lv`, under the storage rule
+/// ([`BitsetCounter::BITMAP_RATIO`]), built inside a `view.dense` span that
+/// records the level `h`, the `items` promoted and their bitmaps' `bytes`.
+pub(crate) fn view_bitmaps(lv: &LevelView, n: usize) -> Vec<Option<Bitmap>> {
+    let mut span = flipper_obs::span("view.dense").arg("h", lv.level as u64);
+    let maps = level_bitmaps(lv, n, |support| {
+        BitsetCounter::BITMAP_RATIO * support >= n as u64
+    });
+    let items = maps.iter().flatten().count();
+    span.add_arg("items", items as u64);
+    span.add_arg("bytes", (items * n.div_ceil(64) * 8) as u64);
+    maps
+}
+
 /// One level's items as the kernel reads them.
 #[derive(Clone, Copy)]
 struct Level<'a> {
@@ -638,9 +692,18 @@ mod tests {
     use crate::transaction::TransactionDb;
     use flipper_taxonomy::Taxonomy;
 
-    /// The kernel's three storage mixes: all-bitmap, the default mixed
-    /// threshold, all-tid-list.
-    const DENSITIES: [f64; 3] = [0.0, BitsetCounter::DEFAULT_DENSITY, 2.0];
+    /// The kernel's three storage mixes: `Some(0.0)` promotes every item to
+    /// a bitmap, `None` is the storage rule's mix, `Some(2.0)` keeps every
+    /// item a tid-list.
+    const DENSITIES: [Option<f64>; 3] = [Some(0.0), None, Some(2.0)];
+
+    /// A counter over `view` at one of [`DENSITIES`].
+    fn counter_at(view: &MultiLevelView, density: Option<f64>) -> BitsetCounter<'_> {
+        density.map_or_else(
+            || BitsetCounter::new(view),
+            |d| BitsetCounter::with_density(view, d),
+        )
+    }
 
     #[test]
     fn bitmap_basics() {
@@ -793,9 +856,12 @@ mod tests {
                 }
                 let expect = brute_co_occurring(&view, 2, &slots);
                 for density in DENSITIES {
-                    let mut c = BitsetCounter::with_density(&view, density);
+                    let mut c = counter_at(&view, density);
                     let got = co_occurring(&mut c, 2, &slots);
-                    assert_eq!(got, expect, "seed {seed} slots {n_slots} density {density}");
+                    assert_eq!(
+                        got, expect,
+                        "seed {seed} slots {n_slots} density {density:?}"
+                    );
                     assert_eq!(c.stats().candidates_counted, 0);
                 }
             }
@@ -812,7 +878,7 @@ mod tests {
         let db = TransactionDb::new(vec![vec![x1, y1], vec![x2], vec![y2], vec![x1, y1]]).unwrap();
         let view = MultiLevelView::build(&db, &tax);
         for density in DENSITIES {
-            let mut c = BitsetCounter::with_density(&view, density);
+            let mut c = counter_at(&view, density);
             assert_eq!(
                 co_occurring(&mut c, 2, &[&[x1, x2], &[y1, y2]]),
                 vec![(Itemset::pair(x1, y1), 2)]
@@ -838,6 +904,78 @@ mod tests {
             })
             .collect();
         (tax, TransactionDb::new(rows).unwrap())
+    }
+
+    /// The storage rule on seeded random views of 1–2 000 transactions over
+    /// skewed item frequencies: at every level, exactly the present items
+    /// with `64 · support ≥ N` have a bitmap, each holds the item's
+    /// tid-list, and the level's bitmaps take at most twice its tid-lists'
+    /// bytes. At least half the levels mix bitmaps and tid-lists.
+    #[test]
+    fn storage_rule_promotes_by_cost_and_bounds_memory() {
+        let (mut mixed_levels, mut levels) = (0, 0);
+        for seed in 0..24u64 {
+            let mut rng = Xoshiro256pp::seed_from_u64(0xD5E ^ seed);
+            let tax = Taxonomy::uniform(rng.gen_range(1..=6), rng.gen_range(2..=6), 3).unwrap();
+            let leaves = tax.leaves().to_vec();
+            let n = rng.gen_range(1..=2_000usize);
+            // The lowest of three draws: low leaf indices common, high rare.
+            let draw = |rng: &mut Xoshiro256pp| rng.gen_range(0..leaves.len());
+            let rows: Vec<Vec<NodeId>> = (0..n)
+                .map(|_| {
+                    (0..rng.gen_range(1..=6))
+                        .map(|_| leaves[draw(&mut rng).min(draw(&mut rng)).min(draw(&mut rng))])
+                        .collect()
+                })
+                .collect();
+            let view = MultiLevelView::build(&TransactionDb::new(rows).unwrap(), &tax);
+            for h in 1..=view.height() {
+                let lv = view.level(h);
+                let maps = view.bitmaps(h);
+                let (mut promoted, mut bitmap_bytes, mut tid_bytes) = (0, 0, 0);
+                for i in 0..tax.node_count() {
+                    let item = NodeId::from_index(i);
+                    let support = lv.item_support(item);
+                    tid_bytes += 4 * support;
+                    let map = maps.get(i).and_then(Option::as_ref);
+                    let by_cost = support > 0 && 64 * support >= n as u64;
+                    assert_eq!(
+                        map.is_some(),
+                        by_cost,
+                        "seed {seed} h {h} {item}: {support}/{n}"
+                    );
+                    if let Some(map) = map {
+                        assert_eq!(*map, Bitmap::from_tids(lv.tidset(item), n));
+                        promoted += 1;
+                        bitmap_bytes += 8 * map.words.len() as u64;
+                    }
+                }
+                assert!(bitmap_bytes <= 2 * tid_bytes, "seed {seed} h {h}");
+                assert_eq!(BitsetCounter::new(&view).dense_items(h), promoted);
+                levels += 1;
+                mixed_levels += usize::from(promoted > 0 && promoted < lv.present_items().len());
+            }
+        }
+        assert!(
+            mixed_levels * 2 >= levels,
+            "{mixed_levels} of {levels} levels mix"
+        );
+    }
+
+    /// Every counter over one view borrows the view's one table per level,
+    /// and `with_density` builds its own.
+    #[test]
+    fn counters_over_one_view_share_its_bitmaps() {
+        let (tax, db) = random_setup(3);
+        let view = MultiLevelView::build(&db, &tax);
+        let (a, b) = (BitsetCounter::new(&view), BitsetCounter::new(&view));
+        let private = BitsetCounter::with_density(&view, 1.0 / 64.0);
+        for h in 1..=view.height() {
+            let shared = view.bitmaps(h);
+            assert!(std::ptr::eq(&*a.bitmaps[h - 1], shared), "h {h}");
+            assert!(std::ptr::eq(&*b.bitmaps[h - 1], shared), "h {h}");
+            assert!(!std::ptr::eq(&*private.bitmaps[h - 1], shared), "h {h}");
+        }
     }
 
     #[test]

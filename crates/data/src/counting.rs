@@ -84,9 +84,18 @@ mod tests {
     use crate::transaction::TransactionDb;
     use flipper_taxonomy::{NodeId, RebalancePolicy, Taxonomy};
 
-    /// The kernel's three storage mixes: all-bitmap, the default mixed
-    /// threshold, all-tid-list.
-    const DENSITIES: [f64; 3] = [0.0, BitsetCounter::DEFAULT_DENSITY, 2.0];
+    /// The kernel's three storage mixes: `Some(0.0)` promotes every item to
+    /// a bitmap, `None` is the storage rule's mix, `Some(2.0)` keeps every
+    /// item a tid-list.
+    const DENSITIES: [Option<f64>; 3] = [Some(0.0), None, Some(2.0)];
+
+    /// A counter over `view` at one of [`DENSITIES`].
+    fn counter_at(view: &MultiLevelView, density: Option<f64>) -> BitsetCounter<'_> {
+        density.map_or_else(
+            || BitsetCounter::new(view),
+            |d| BitsetCounter::with_density(view, d),
+        )
+    }
 
     /// `sets` (all of one size, at least one) as a flat batch.
     fn batch_of(sets: &[Itemset]) -> ItemsetRows {
@@ -167,10 +176,10 @@ mod tests {
             (1, Itemset::pair(g("a"), g("b")), 7),
         ];
         for density in DENSITIES {
-            let mut c = BitsetCounter::with_density(&view, density);
+            let mut c = counter_at(&view, density);
             for (h, set, expect) in cases.iter() {
                 let got = c.count_batch(*h, &batch_of(std::slice::from_ref(set)), 1);
-                assert_eq!(got, vec![*expect], "density {density} level {h} {set}");
+                assert_eq!(got, vec![*expect], "density {density:?} level {h} {set}");
             }
         }
     }
@@ -263,16 +272,16 @@ mod tests {
         }
         let cands = batch_of(&cands);
         for density in DENSITIES {
-            let mut seq = BitsetCounter::with_density(&view, density);
+            let mut seq = counter_at(&view, density);
             let expect = seq.count_batch(2, &cands, 1);
             for threads in [2usize, 3, 7] {
-                let mut par = BitsetCounter::with_density(&view, density);
+                let mut par = counter_at(&view, density);
                 let got = par.count_batch(2, &cands, threads);
-                assert_eq!(got, expect, "density={density} threads={threads}");
+                assert_eq!(got, expect, "density={density:?} threads={threads}");
                 assert_eq!(
                     par.stats(),
                     seq.stats(),
-                    "density={density}: stats diverge at threads={threads}"
+                    "density={density:?}: stats diverge at threads={threads}"
                 );
             }
         }
@@ -347,11 +356,11 @@ mod tests {
             let batch = &batch_of(batch);
             let expect = naive_tidset_counts(&view, 2, batch);
             for density in DENSITIES {
-                let mut c = BitsetCounter::with_density(&view, density);
+                let mut c = counter_at(&view, density);
                 assert_eq!(
                     c.count_batch(2, batch, 1),
                     expect,
-                    "density {density} disagrees with the naive reference"
+                    "density {density:?} disagrees with the naive reference"
                 );
             }
         }
@@ -374,10 +383,10 @@ mod tests {
         );
         let g = batch.len() as u64;
         for density in DENSITIES {
-            let mut c = BitsetCounter::with_density(&view, density);
+            let mut c = counter_at(&view, density);
             c.count_batch(2, &batch, 1);
-            assert_eq!(c.stats().prefix_reuses, g - 1, "density {density}");
-            assert_eq!(c.stats().intersections, 1 + g, "density {density}");
+            assert_eq!(c.stats().prefix_reuses, g - 1, "density {density:?}");
+            assert_eq!(c.stats().intersections, 1 + g, "density {density:?}");
         }
         // Pairs share nothing: zero reuses, one intersection per pair.
         let mut pairs = ItemsetRows::new(2);
@@ -462,7 +471,7 @@ mod tests {
                 }
                 let batch = batch_of(&cands);
                 for density in DENSITIES {
-                    let got = BitsetCounter::with_density(&view, density).count_batch(h, &batch, 1);
+                    let got = counter_at(&view, density).count_batch(h, &batch, 1);
                     for (c, &sup) in cands.iter().zip(&got) {
                         // A row supports `c` when every item of `c` is
                         // the level-`h` ancestor of one of its leaves.
@@ -475,7 +484,7 @@ mod tests {
                                 })
                             })
                             .count() as u64;
-                        assert_eq!(sup, reference, "level {h} density {density} {c}");
+                        assert_eq!(sup, reference, "level {h} density {density:?} {c}");
                     }
                 }
             }

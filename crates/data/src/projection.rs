@@ -6,13 +6,22 @@
 //! level — per-item supports and sorted tid-lists (Zaki's vertical layout) —
 //! and never the projected rows themselves, so the miner can evaluate any
 //! cell of the search table without touching the raw data again.
+//!
+//! The view also owns the counting kernel's bitmaps: each level's table of
+//! packed bitmaps for its dense items (see
+//! [`crate::BitsetCounter::BITMAP_RATIO`]) is built lazily, once, on the
+//! first counter over the view, and shared by every later one. The table
+//! is a cache of the tid-lists, so it is not part of the view's value:
+//! views compare equal whether or not theirs are built.
 
+use crate::bitset::{self, Bitmap};
 use crate::transaction::{RowChunk, TransactionDb};
 use crate::{exec, DataError};
 use flipper_taxonomy::{NodeId, Taxonomy};
+use std::sync::OnceLock;
 
 /// The projection of a database to one abstraction level.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct LevelView {
     /// The abstraction level (1 = most general, `H` = leaves).
     pub level: usize,
@@ -21,7 +30,19 @@ pub struct LevelView {
     tidsets: Vec<Vec<u32>>,
     /// Nodes with non-zero support at this level, ascending by id.
     present: Vec<NodeId>,
+    /// The dense items' bitmaps by node id, built on first use by
+    /// [`MultiLevelView::bitmaps`].
+    bitmaps: OnceLock<Vec<Option<Bitmap>>>,
 }
+
+/// Equal when the projections are: the lazily built bitmaps are left out.
+impl PartialEq for LevelView {
+    fn eq(&self, other: &Self) -> bool {
+        self.level == other.level && self.tidsets == other.tidsets && self.present == other.present
+    }
+}
+
+impl Eq for LevelView {}
 
 impl LevelView {
     /// Support of a single node at this level.
@@ -46,7 +67,9 @@ impl LevelView {
     }
 }
 
-/// Projections of one database to every level of a taxonomy.
+/// Projections of one database to every level of a taxonomy. Equality
+/// compares the projections only ([`LevelView`]'s equality leaves out the
+/// bitmaps).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MultiLevelView {
     levels: Vec<LevelView>, // levels[h-1] is level h
@@ -115,6 +138,15 @@ impl MultiLevelView {
     #[inline]
     pub fn max_width(&self) -> usize {
         self.max_width
+    }
+
+    /// Level `h`'s bitmap table by node id (`Some` for the items the
+    /// storage rule promotes), built on the first call for `h` and shared
+    /// by every later one, from any thread.
+    pub(crate) fn bitmaps(&self, h: usize) -> &[Option<Bitmap>] {
+        let lv = self.level(h);
+        lv.bitmaps
+            .get_or_init(|| bitset::view_bitmaps(lv, self.num_transactions))
     }
 }
 
@@ -209,6 +241,7 @@ impl MultiLevelViewBuilder {
                         level: h,
                         tidsets: vec![Vec::new(); node_count],
                         present: Vec::new(),
+                        bitmaps: OnceLock::new(),
                     },
                     anc,
                     last: vec![u32::MAX; node_count],
@@ -514,6 +547,23 @@ mod tests {
                 "threads={threads}"
             );
         }
+    }
+
+    /// The lazily built bitmaps are a cache, not part of the value: a view
+    /// whose bitmaps were built equals a fresh build and its own clone.
+    #[test]
+    fn equality_ignores_built_bitmaps() {
+        let (tax, db) = toy();
+        let built = MultiLevelView::build(&db, &tax);
+        for h in 1..=built.height() {
+            assert!(built.bitmaps(h).iter().any(Option::is_some), "level {h}");
+        }
+        let fresh = MultiLevelView::build(&db, &tax);
+        assert!(built.levels.iter().all(|lv| lv.bitmaps.get().is_some()));
+        assert!(fresh.levels.iter().all(|lv| lv.bitmaps.get().is_none()));
+        assert_eq!(built, fresh);
+        assert_eq!(built.clone(), fresh);
+        assert_eq!(fresh.clone(), built);
     }
 
     #[test]

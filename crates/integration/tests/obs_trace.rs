@@ -249,6 +249,60 @@ fn sweep_trace_covers_grid_points() {
     );
 }
 
+/// The view's bitmaps are built once per level per view, however many
+/// mining calls and jobs share it: a 2-job sweep over a fresh session
+/// records one `view.dense` span per level, each with its promoted `items`
+/// and their `bytes`, and a second sweep over the same session records none.
+#[test]
+fn sweep_builds_view_bitmaps_once_per_level() {
+    let _guard = recorder_lock();
+    let session = planted_session();
+    let dense_spans = || {
+        flipper_obs::disable();
+        let _ = flipper_obs::drain();
+        flipper_obs::enable();
+        session
+            .sweep()
+            .with_jobs(2)
+            .thresholds_grid(&config(1), &[0.6, 0.5], &[0.35, 0.2])
+            .run()
+            .expect("sweep runs");
+        let capture = flipper_obs::drain();
+        flipper_obs::disable();
+        let mut levels: Vec<[u64; 3]> = capture
+            .events
+            .iter()
+            .filter(|e| e.name == "view.dense")
+            .map(|e| {
+                ["h", "items", "bytes"].map(|key| {
+                    e.args
+                        .iter()
+                        .find(|(k, _)| *k == key)
+                        .map(|&(_, v)| v)
+                        .unwrap_or_else(|| panic!("view.dense span without `{key}`"))
+                })
+            })
+            .collect();
+        levels.sort_unstable();
+        levels
+    };
+    let first = dense_spans();
+    let height = session.taxonomy().height() as u64;
+    let built: Vec<u64> = first.iter().map(|&[h, ..]| h).collect();
+    assert_eq!(
+        built,
+        (1..=height).collect::<Vec<_>>(),
+        "one build per level"
+    );
+    assert!(
+        first
+            .iter()
+            .any(|&[_, items, bytes]| items > 0 && bytes > 0),
+        "some level promotes items: {first:?}"
+    );
+    assert!(dense_spans().is_empty(), "a second sweep rebuilt bitmaps");
+}
+
 /// Vertical replay per cell: every `mine.gen` span with a vertical source
 /// says how many parent sets it replayed from the session memo
 /// (`memo_hits`) and enumerated (`memo_misses`). The two points of this

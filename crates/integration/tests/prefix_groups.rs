@@ -2,9 +2,9 @@
 //! counting over flat candidate rows ([`ItemsetRows`]) must be
 //! **bit-identical** — counts *and* stats — to the naive per-candidate
 //! reference and to itself at every thread count, at every storage density
-//! (all-bitmap, the default mix, all-tid-list), on random dense and sparse
-//! databases and on Quest data, including batches with degenerate group
-//! shapes (all-same-prefix, all-distinct-prefix, k = 2, k = 1).
+//! (all-bitmap, the storage rule's mix, all-tid-list), on random dense and
+//! sparse databases and on Quest data, including batches with degenerate
+//! group shapes (all-same-prefix, all-distinct-prefix, k = 2, k = 1).
 //!
 //! `scripts/verify.sh` re-runs this suite under `--release`, where the
 //! optimizer has historically surfaced bugs debug builds miss.
@@ -18,10 +18,19 @@ use flipper_datagen::quest::QuestParams;
 use flipper_measures::Thresholds;
 use flipper_taxonomy::{NodeId, Taxonomy};
 
-/// The kernel's three storage mixes: `0.0` promotes every item to a bitmap,
-/// the default 1/16 mixes bitmaps and tid-lists, `2.0` keeps every item a
+/// The kernel's three storage mixes: `Some(0.0)` promotes every item to a
+/// bitmap, `None` is the storage rule's mix of bitmaps and tid-lists
+/// (`BitsetCounter::BITMAP_RATIO`), `Some(2.0)` keeps every item a
 /// tid-list.
-const DENSITIES: [f64; 3] = [0.0, BitsetCounter::DEFAULT_DENSITY, 2.0];
+const DENSITIES: [Option<f64>; 3] = [Some(0.0), None, Some(2.0)];
+
+/// A counter over `view` at one of [`DENSITIES`].
+fn counter_at(view: &MultiLevelView, density: Option<f64>) -> BitsetCounter<'_> {
+    density.map_or_else(
+        || BitsetCounter::new(view),
+        |d| BitsetCounter::with_density(view, d),
+    )
+}
 
 /// Thread counts every batch is counted at.
 const THREADS: [usize; 3] = [1, 2, 7];
@@ -31,16 +40,16 @@ const THREADS: [usize; 3] = [1, 2, 7];
 fn assert_kernel_matches_naive(view: &MultiLevelView, h: usize, batch: &ItemsetRows, ctx: &str) {
     let reference = naive_tidset_counts(view, h, batch);
     for density in DENSITIES {
-        let mut seq = BitsetCounter::with_density(view, density);
+        let mut seq = counter_at(view, density);
         let counts = seq.count_batch(h, batch, 1);
         assert_eq!(
             counts, reference,
-            "{ctx} density={density}: counts vs naive"
+            "{ctx} density={density:?}: counts vs naive"
         );
         for threads in THREADS {
-            let mut par = BitsetCounter::with_density(view, density);
+            let mut par = counter_at(view, density);
             let got = par.count_batch(h, batch, threads);
-            let ctx = format!("{ctx} density={density} threads={threads}");
+            let ctx = format!("{ctx} density={density:?} threads={threads}");
             assert_eq!(got, reference, "{ctx}: counts");
             assert_eq!(par.stats(), seq.stats(), "{ctx}: stats");
         }
@@ -176,8 +185,8 @@ fn k_subsets(items: &[NodeId], k: usize) -> ItemsetRows {
 /// Chained batches the way the miner walks `Q(h,2) → Q(h,3) → Q(h,4)` on
 /// Quest data: sorted k = 2/3/4 batches over a shrinking set of frequent
 /// items, each holding both singleton and multi-member prefix groups, at
-/// every level — checked at every density and thread count. The default
-/// density must really mix bitmaps and tid-lists on at least one level.
+/// every level — checked at every density and thread count. The storage
+/// rule must really mix bitmaps and tid-lists on at least one level.
 #[test]
 fn chained_batches_match_naive_at_every_density() {
     let ds = flipper_datagen::quest::generate(

@@ -8,6 +8,9 @@
 #   * the prefix-group counting sweep (the support-counting kernel
 #     bit-identical to the naive per-candidate reference, counts and stats,
 #     at every storage density and thread count),
+#   * the flipper-data unit suite (the bitmap AND/filter kernels, the
+#     view's once-per-level bitmap tables and the property test pinning
+#     the storage rule `64 · support ≥ N` and its memory bound),
 #   * the flipper-core unit suite (the fixed-stride candidate rows and
 #     cells, the candidate sources against their reference joins, and the
 #     miner's invariants: the stride slicing these rest on is the kind of
@@ -67,6 +70,9 @@ cargo test --release -q -p flipper-integration --test equivalence
 
 echo "== counting kernel: prefix-group equivalence sweep under --release"
 cargo test --release -q -p flipper-integration --test prefix_groups
+
+echo "== bitmaps: flipper-data unit suite under --release"
+cargo test --release -q -p flipper-data
 
 echo "== flat rows: flipper-core unit suite under --release"
 cargo test --release -q -p flipper-core
