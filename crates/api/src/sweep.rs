@@ -14,7 +14,7 @@
 //!   the repeats reuse the result and are flagged via
 //!   [`SweepRun::duplicate_of`].
 //! * **Vertical replay** (default on, [`Sweep::with_seeding`]) — a point
-//!   replays the vertical enumeration of a parent set that an earlier
+//!   selects the vertical enumeration of a parent set that an earlier
 //!   point, in this sweep or an earlier one, recorded in the session's
 //!   [`flipper_data::VerticalMemo`] under the same level and θ, instead of
 //!   re-intersecting its children's transactions. Points that differ only
@@ -274,8 +274,9 @@ impl<'s> Sweep<'s> {
             }
         }
         let token = self.token;
-        // The memo locks per parent set, so jobs see each other's
-        // enumerations.
+        // The memo locks once per vertical pass, to select or to record,
+        // and never across an enumeration, so jobs see each other's
+        // enumerations as soon as they are recorded.
         let memo = self.seed_supports.then_some(&session.memo);
         let results: Vec<MiningResult> = {
             let _sweep_span = flipper_obs::span("sweep.run")

@@ -1079,6 +1079,7 @@ mod tests {
                 "mine.run",
                 "mine.cell",
                 "mine.count",
+                "mine.enumerate",
                 "exec.shard",
             ] {
                 assert!(

@@ -13,20 +13,23 @@
 //!
 //! # Allocation
 //!
-//! Every candidate is a row of a fixed-stride table ([`ItemsetRows`]):
-//! each source appends its survivors to one table, [`Batch::union`] merges
-//! them into the ascending tables the counting kernel and the cell read in
-//! place, and no candidate is ever allocated on its own. The join reads the
-//! frequent rows of `Q(h,k−1)` where the cell stores them and answers its
-//! subset probes with cursors into that cell's prefix groups; the vertical
-//! pass probes `Q(h,k−1)` by slice ([`Cell::get_items`]) and takes a parent
-//! set's replayed combinations straight from the [`VerticalMemo`]'s rows.
-//! Probes and the memo's record work in buffers reused across the pass.
+//! Every candidate is a row of a fixed-stride table ([`ItemsetRows`]), and
+//! every source emits its survivors ascending, so [`Batch::union`] only
+//! appends them and removes the overlap between the fused and the counted
+//! side, and no candidate is ever allocated on its own or sorted after the
+//! fact. The join reads the frequent rows of `Q(h,k−1)` where the cell
+//! stores them. The vertical pass selects its parent sets' recorded
+//! combinations from the [`VerticalMemo`]'s ascending table, sorts only the
+//! rows it had to enumerate, and merges the two. Both sources answer their
+//! subset probes into `Q(h,k−1)` with the same cursors into that cell's
+//! prefix groups ([`SubsetCursors`]), so a probe is amortized O(1), not a
+//! binary search. Probes work in buffers reused across the pass.
 
 use crate::cell::Cell;
 use flipper_data::{BitsetCounter, ItemsetRows, VerticalMemo};
 use flipper_measures::Label;
 use flipper_taxonomy::{NodeId, Taxonomy};
+use std::ops::Range;
 
 /// What every generation pass reads, borrowed from the miner.
 pub(crate) struct GenCtx<'a> {
@@ -53,7 +56,7 @@ impl GenCtx<'_> {
 /// The candidates of one source and what its prunes removed.
 #[derive(Debug, PartialEq)]
 pub(crate) struct Generated {
-    /// Surviving candidates, in generation order.
+    /// Surviving candidates, ascending.
     pub(crate) cands: ItemsetRows,
     /// The vertical source's supports, aligned with `cands`; empty for the
     /// other sources, whose candidates still need counting.
@@ -94,6 +97,11 @@ impl Batch {
     /// The union of the `k`-item candidates of `sources`. A candidate the
     /// vertical source produced keeps its fused support even when another
     /// source produced it too.
+    ///
+    /// Every source emits ascending, distinct rows, and no two sources of
+    /// one side meet in a cell: the pairs feed `k = 2` and the join `k ≥ 3`,
+    /// and there is one vertical source. So each side is ascending as
+    /// appended, and only the overlap between the sides needs removing.
     pub(crate) fn union(k: usize, sources: impl IntoIterator<Item = Generated>) -> Batch {
         let (mut to_count, mut fused) = (ItemsetRows::new(k), ItemsetRows::new(k));
         let mut fused_supports = Vec::new();
@@ -112,10 +120,7 @@ impl Batch {
                 fused_supports.extend(g.supports);
             }
         }
-        let (to_count, _) = ascending_distinct(to_count, Vec::<()>::new());
-        // The vertical pass emits each combination once, for its one
-        // parent set, so the fused side only needs sorting.
-        let (fused, fused_supports) = ascending_distinct(fused, fused_supports);
+        debug_assert!(ascending(&to_count) && ascending(&fused));
         let to_count = if fused.is_empty() {
             to_count
         } else {
@@ -139,27 +144,9 @@ impl Batch {
     }
 }
 
-/// `rows` sorted ascending with duplicate rows dropped, and `payload` (one
-/// entry per row, or none at all) carried along. Rows that are already
-/// strictly ascending — the pairs and the join emit them so — are returned
-/// as they are.
-fn ascending_distinct<T: Copy>(rows: ItemsetRows, payload: Vec<T>) -> (ItemsetRows, Vec<T>) {
-    let n = rows.len();
-    if (1..n).all(|i| rows.row(i - 1) < rows.row(i)) {
-        return (rows, payload);
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_unstable_by(|&a, &b| rows.row(a).cmp(rows.row(b)));
-    let mut sorted = ItemsetRows::with_capacity(rows.k(), n);
-    let mut carried = Vec::with_capacity(payload.len());
-    for i in order {
-        let row = rows.row(i);
-        if sorted.is_empty() || sorted.row(sorted.len() - 1) != row {
-            sorted.push(row);
-            carried.extend(payload.get(i).copied());
-        }
-    }
-    (sorted, carried)
+/// Whether the rows are strictly ascending.
+fn ascending(rows: &ItemsetRows) -> bool {
+    (1..rows.len()).all(|i| rows.row(i - 1) < rows.row(i))
 }
 
 /// All pairs of the frequent level items `items` (ascending) from distinct
@@ -185,6 +172,63 @@ pub(crate) fn pairs(ctx: &GenCtx<'_>, items: &[NodeId]) -> Generated {
     g
 }
 
+/// Subset probes into the ascending `(k−1)`-item rows of `prev = Q(h,k−1)`
+/// for `k`-item candidates that share the `(k−1)`-item head `base` and
+/// arrive in ascending order of their last item `last`.
+///
+/// Dropping item `i` of `base` gives the subset `base − i + last`: it lies
+/// in `prev`'s prefix group of `base − i`, and as `last` ascends so does its
+/// place in that group. One cursor per dropped position therefore walks its
+/// group once per `base`, and a probe costs amortized O(1) instead of a
+/// search. Both the join and the vertical pass probe this way.
+struct SubsetCursors {
+    /// The `(k−2)`-item key `base − i` being located.
+    key: Vec<NodeId>,
+    /// Per dropped position: what is left of its prefix group.
+    cursors: Vec<Range<usize>>,
+}
+
+impl SubsetCursors {
+    fn new(k: usize) -> Self {
+        SubsetCursors {
+            key: Vec::with_capacity(k),
+            cursors: Vec::with_capacity(k),
+        }
+    }
+
+    /// Aim one cursor at the prefix group of `base − i` in `rows`, for each
+    /// dropped position `i < drops`.
+    fn start(&mut self, rows: &ItemsetRows, base: &[NodeId], drops: usize) {
+        self.cursors.clear();
+        for i in 0..drops {
+            self.key.clear();
+            self.key.extend_from_slice(&base[..i]);
+            self.key.extend_from_slice(&base[i + 1..]);
+            self.cursors.push(rows.prefix_range(&self.key));
+        }
+    }
+
+    /// Whether `accept` holds for every subset `base − i + last`: it gets
+    /// the subset's row in `rows`, or `None` when the subset is absent.
+    /// Stops at the first rejection; `last` must not descend between calls
+    /// for one `base`.
+    fn all(
+        &mut self,
+        rows: &ItemsetRows,
+        last: NodeId,
+        mut accept: impl FnMut(Option<usize>) -> bool,
+    ) -> bool {
+        let j = rows.k() - 1;
+        self.cursors.iter_mut().all(|cur| {
+            while cur.start < cur.end && rows.row(cur.start)[j] < last {
+                cur.start += 1;
+            }
+            let found = cur.start < cur.end && rows.row(cur.start)[j] == last;
+            accept(found.then_some(cur.start))
+        })
+    }
+}
+
 /// The horizontal Apriori join over the frequent itemsets of
 /// `prev = Q(h,k−1)` (`k ≥ 3`), with the classic prune: a joined candidate
 /// survives only if every `(k−1)`-subset is frequent in `prev`. (Cells can
@@ -192,52 +236,29 @@ pub(crate) fn pairs(ctx: &GenCtx<'_>, items: &[NodeId]) -> Generated {
 /// explicitly.)
 ///
 /// The join reads `prev`'s rows in place. Frequent rows sharing their
-/// `(k−2)`-prefix are joined pairwise, `p < q`, into `row(p) + last(q)`.
-/// Dropping either of the last two items gives back `row(q)` or `row(p)`,
-/// both frequent, so only the subsets that drop one of the first `k − 2`
-/// items are probed. For a fixed `p`, the subset that drops item `i` is
-/// `row(p) − i` extended by `last(q)`: it lies in the prefix group of
-/// `row(p) − i`, and as `q` ascends so does `last(q)`. One cursor per
-/// dropped position therefore walks that group once per `p`, and a probe
-/// costs amortized O(1) instead of a search; the row it stops at must also
-/// be frequent.
+/// `(k−2)`-prefix are joined pairwise, `p < q`, into `row(p) + last(q)`,
+/// which come out ascending. Dropping either of the last two items gives
+/// back `row(q)` or `row(p)`, both frequent, so only the subsets that drop
+/// one of the first `k − 2` items are probed, with [`SubsetCursors`] on
+/// `base = row(p)`; the row a cursor stops at must also be frequent.
 pub(crate) fn horizontal(ctx: &GenCtx<'_>, prev: &Cell, k: usize) -> Generated {
     debug_assert!(k >= 3, "pairs come from `pairs` or `vertical`");
     let rows = prev.rows();
     let frequent = |i: usize| prev.info(i).label != Label::Infrequent;
     let mut g = Generated::new(k);
-    let mut key: Vec<NodeId> = Vec::with_capacity(k - 2);
-    // Per dropped position `i < k − 2`: (cursor, end) into its group.
-    let mut cursors: Vec<(usize, usize)> = Vec::with_capacity(k - 2);
+    let mut cursors = SubsetCursors::new(k);
     let mut cand: Vec<NodeId> = Vec::with_capacity(k);
     for grp in rows.prefix_groups(0..rows.len()) {
         for p in grp.clone().filter(|&p| frequent(p)) {
             let rp = rows.row(p);
             let cat_p = ctx.cat(rp[k - 2]);
-            cursors.clear();
-            for i in 0..k - 2 {
-                key.clear();
-                key.extend_from_slice(&rp[..i]);
-                key.extend_from_slice(&rp[i + 1..]);
-                let r = rows.prefix_range(&key);
-                cursors.push((r.start, r.end));
-            }
+            cursors.start(rows, rp, k - 2);
             for q in (p + 1..grp.end).filter(|&q| frequent(q)) {
                 let last = rows.row(q)[k - 2];
                 if ctx.cat(last) == cat_p {
                     continue;
                 }
-                let mut ok = true;
-                for (cur, end) in cursors.iter_mut() {
-                    while *cur < *end && rows.row(*cur)[k - 2] < last {
-                        *cur += 1;
-                    }
-                    if *cur == *end || rows.row(*cur)[k - 2] != last || !frequent(*cur) {
-                        ok = false;
-                        break;
-                    }
-                }
-                if ok {
+                if cursors.all(rows, last, |found| found.is_some_and(frequent)) {
                     cand.clear();
                     cand.extend_from_slice(rp);
                     cand.push(last);
@@ -291,7 +312,7 @@ impl<'a, 'v> VerticalLevel<'a, 'v> {
 
 /// Vertical candidates for `Q(h,k)` (`k ≥ 2`): combinations of frequent
 /// level-`h` children of the chain-alive itemsets of `above = Q(h−1,k)`,
-/// with their supports in [`Generated::supports`].
+/// ascending, with their supports in [`Generated::supports`].
 ///
 /// Instead of a blind cartesian product of children lists, the kernel
 /// enumerates each parent set's combinations depth-first
@@ -303,17 +324,23 @@ impl<'a, 'v> VerticalLevel<'a, 'v> {
 /// by [`crate::config::MinSupports::resolve`]), so it could never become
 /// frequent — skipping it changes no labels, no chains and no patterns.
 /// The support of every combination falls out of the same intersections.
+/// Each child has one parent, so distinct parent sets never yield the same
+/// combination.
 ///
 /// That enumeration depends only on the view, `h`, θ_h and the parent set.
-/// With a [`VerticalMemo`], a parent set recorded by an earlier run is
-/// replayed instead, in the order the kernel emitted it, and a parent set
-/// enumerated here is recorded.
+/// With a [`VerticalMemo`], the alive parent sets an earlier run recorded
+/// are selected from it in one pass, already ascending; only the others are
+/// enumerated (under a `mine.enumerate` span), their rows sorted once and
+/// recorded. Without a memo every parent set is enumerated. The selected
+/// and fresh rows then merge into one ascending stream.
 ///
-/// Every combination, enumerated or replayed, then goes through the same
-/// prunes: combinations containing a SIBP-banned item are dropped, and so
-/// are combinations with a `(k−1)`-subset *present* in `prev = Q(h,k−1)` and
-/// labeled infrequent. (Absent subsets carry no information — they may
-/// simply never have been candidates.)
+/// That stream goes through the prunes: combinations containing a
+/// SIBP-banned item are dropped, and so are combinations with a
+/// `(k−1)`-subset *present* in `prev = Q(h,k−1)` and labeled infrequent.
+/// (Absent subsets carry no information — they may simply never have been
+/// candidates.) The subset that drops the last item is the combination's
+/// `(k−1)`-prefix, probed once per prefix group of the stream; every other
+/// subset is found with [`SubsetCursors`] on that prefix.
 pub(crate) fn vertical(
     ctx: &GenCtx<'_>,
     level: &mut VerticalLevel<'_, '_>,
@@ -321,51 +348,55 @@ pub(crate) fn vertical(
     prev: Option<&Cell>,
     k: usize,
 ) -> Generated {
-    let mut g = Generated::new(k);
-    // A `(k−1)`-subset being probed.
-    let mut sub: Vec<NodeId> = Vec::with_capacity(k);
-    let mut keep = |combo: &[NodeId], support: u64| {
-        if combo.iter().any(|&it| ctx.is_banned(it)) {
-            g.sibp_pruned += 1;
-            return;
-        }
-        let doomed = prev.is_some_and(|prev| {
-            (0..k).any(|i| {
-                sub.clear();
-                sub.extend_from_slice(&combo[..i]);
-                sub.extend_from_slice(&combo[i + 1..]);
-                prev.get_items(&sub)
-                    .is_some_and(|info| info.label == Label::Infrequent)
-            })
-        });
-        if doomed {
-            g.support_pruned += 1;
-        } else {
-            g.cands.push(combo);
-            g.supports.push(support);
-        }
+    let (h, theta, memo) = (level.h, level.theta, level.memo);
+    let mut parents = ItemsetRows::new(k);
+    parents.extend(above.alive().map(|(parent, _)| parent));
+    let mut recorded = ItemsetRows::new(k);
+    let mut recorded_supports = Vec::new();
+    let hits = match memo {
+        Some(memo) => memo.select(h, theta, &parents, &mut recorded, &mut recorded_supports),
+        None => vec![false; parents.len()],
     };
+    let mut missed = ItemsetRows::new(k);
+    for (parent, &hit) in parents.iter().zip(&hits) {
+        if !hit {
+            missed.push(parent);
+        }
+    }
+    level.replayed += (parents.len() - missed.len()) as u64;
+    level.replayed_supports += recorded.len() as u64;
+    level.enumerated += missed.len() as u64;
+    let (fresh, fresh_supports) = enumerate(ctx, level, &missed);
+    let mut g = Generated::new(k);
+    let mut prune = VerticalPrune::new(ctx, prev, k);
+    let (mut a, mut b) = (0, 0);
+    while a < recorded.len() || b < fresh.len() {
+        if b == fresh.len() || (a < recorded.len() && recorded.row(a) < fresh.row(b)) {
+            prune.offer(&mut g, recorded.row(a), recorded_supports[a]);
+            a += 1;
+        } else {
+            prune.offer(&mut g, fresh.row(b), fresh_supports[b]);
+            b += 1;
+        }
+    }
+    g
+}
+
+/// The combinations of the `missed` parent sets and their supports,
+/// ascending; recorded in the level's memo, if any.
+fn enumerate(
+    ctx: &GenCtx<'_>,
+    level: &mut VerticalLevel<'_, '_>,
+    missed: &ItemsetRows,
+) -> (ItemsetRows, Vec<u64>) {
+    let (h, theta, k) = (level.h, level.theta, missed.k());
+    let mut span = flipper_obs::span("mine.enumerate").arg("parents", missed.len() as u64);
+    let mut rows = ItemsetRows::new(k);
+    let mut supports = Vec::new();
+    let mut owner: Vec<u32> = Vec::new();
     // Per parent slot, the parent's frequent children.
     let mut kids: Vec<Vec<NodeId>> = vec![Vec::new(); k];
-    // One parent set's combinations (rows of `k` items) and supports, as
-    // the memo records them.
-    let mut combos: Vec<NodeId> = Vec::new();
-    let mut supports: Vec<u64> = Vec::new();
-    let (h, theta, memo) = (level.h, level.theta, level.memo);
-    for (parent, _) in above.alive() {
-        let mut replayed = 0;
-        let hit = memo.is_some_and(|m| {
-            m.replay(h, theta, parent, |combo, support| {
-                replayed += 1;
-                keep(combo, support);
-            })
-        });
-        if hit {
-            level.replayed += 1;
-            level.replayed_supports += replayed;
-            continue;
-        }
-        level.enumerated += 1;
+    for (i, parent) in missed.iter().enumerate() {
         for (slot, &p) in kids.iter_mut().zip(parent) {
             slot.clear();
             slot.extend(
@@ -377,20 +408,88 @@ pub(crate) fn vertical(
             );
         }
         let slots: Vec<&[NodeId]> = kids.iter().map(Vec::as_slice).collect();
-        combos.clear();
-        supports.clear();
         level.counter.co_occurring(h, &slots, |combo, support| {
-            if memo.is_some() {
-                combos.extend_from_slice(combo);
-                supports.push(support);
-            }
-            keep(combo, support);
+            rows.push(combo);
+            supports.push(support);
+            owner.push(i as u32);
         });
-        if let Some(memo) = memo {
-            memo.record(h, theta, parent, &combos, &supports);
+    }
+    span.add_arg("rows", rows.len() as u64);
+    drop(span);
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    order.sort_unstable_by(|&x, &y| rows.row(x).cmp(rows.row(y)));
+    let mut sorted = ItemsetRows::with_capacity(k, order.len());
+    sorted.extend(order.iter().map(|&i| rows.row(i)));
+    let supports: Vec<u64> = order.iter().map(|&i| supports[i]).collect();
+    if let Some(memo) = level.memo.filter(|_| !missed.is_empty()) {
+        let owner: Vec<u32> = order.iter().map(|&i| owner[i]).collect();
+        memo.record(h, theta, missed, &sorted, &supports, &owner);
+    }
+    (sorted, supports)
+}
+
+/// The vertical pass's prunes over its ascending stream of combinations.
+struct VerticalPrune<'c, 'g> {
+    ctx: &'c GenCtx<'g>,
+    prev: Option<&'c Cell>,
+    k: usize,
+    /// The `(k−1)`-prefix of the current prefix group.
+    head: Vec<NodeId>,
+    /// Whether the current group's prefix was probed and its cursors aimed.
+    armed: bool,
+    /// Whether the current group's prefix is known infrequent.
+    head_doomed: bool,
+    cursors: SubsetCursors,
+}
+
+impl<'c, 'g> VerticalPrune<'c, 'g> {
+    fn new(ctx: &'c GenCtx<'g>, prev: Option<&'c Cell>, k: usize) -> Self {
+        VerticalPrune {
+            ctx,
+            prev,
+            k,
+            head: Vec::with_capacity(k),
+            armed: false,
+            head_doomed: false,
+            cursors: SubsetCursors::new(k),
         }
     }
-    g
+
+    /// Prune `combo` (the next row of the ascending stream) into `g`.
+    fn offer(&mut self, g: &mut Generated, combo: &[NodeId], support: u64) {
+        let (head, last) = (&combo[..self.k - 1], combo[self.k - 1]);
+        if head != self.head.as_slice() {
+            self.head.clear();
+            self.head.extend_from_slice(head);
+            self.armed = false;
+        }
+        if combo.iter().any(|&it| self.ctx.is_banned(it)) {
+            g.sibp_pruned += 1;
+            return;
+        }
+        let doomed = self.prev.is_some_and(|prev| {
+            let infrequent = |i: usize| prev.info(i).label == Label::Infrequent;
+            if !self.armed {
+                self.armed = true;
+                self.head_doomed = prev
+                    .get_items(head)
+                    .is_some_and(|info| info.label == Label::Infrequent);
+                if !self.head_doomed {
+                    self.cursors.start(prev.rows(), head, self.k - 1);
+                }
+            }
+            self.head_doomed
+                || !self
+                    .cursors
+                    .all(prev.rows(), last, |found| !found.is_some_and(infrequent))
+        });
+        if doomed {
+            g.support_pruned += 1;
+        } else {
+            g.cands.push(combo);
+            g.supports.push(support);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -769,6 +868,159 @@ mod tests {
             }
         }
         assert!(sibp_bit && support_bit, "the bans and prev cells must bite");
+    }
+
+    /// The vertical pass as literally specified: each alive parent set's
+    /// combinations straight from the kernel, each pruned by its own `k`
+    /// subset probes into `prev`, then sorted.
+    fn reference_vertical(
+        ctx: &GenCtx<'_>,
+        counter: &mut BitsetCounter<'_>,
+        (h, theta): (usize, u64),
+        above: &Cell,
+        prev: Option<&Cell>,
+    ) -> Generated {
+        let mut all: Vec<(Itemset, u64)> = Vec::new();
+        for (parent, _) in above.alive() {
+            let kids: Vec<Vec<NodeId>> = parent
+                .iter()
+                .map(|&p| {
+                    ctx.tax
+                        .children(p)
+                        .iter()
+                        .copied()
+                        .filter(|&c| counter.item_support(h, c) >= theta)
+                        .collect()
+                })
+                .collect();
+            let slots: Vec<&[NodeId]> = kids.iter().map(Vec::as_slice).collect();
+            counter.co_occurring(h, &slots, |combo, support| {
+                all.push((Itemset::from_sorted(combo.to_vec()), support));
+            });
+        }
+        all.sort_unstable();
+        let mut g = Generated::new(above.k());
+        for (set, support) in all {
+            if set.items().iter().any(|&it| ctx.is_banned(it)) {
+                g.sibp_pruned += 1;
+                continue;
+            }
+            let doomed = prev.is_some_and(|prev| {
+                set.subsets_k_minus_1().any(|sub| {
+                    prev.get_items(sub.items())
+                        .is_some_and(|info| info.label == Label::Infrequent)
+                })
+            });
+            if doomed {
+                g.support_pruned += 1;
+            } else {
+                g.cands.push(set.items());
+                g.supports.push(support);
+            }
+        }
+        g
+    }
+
+    /// On random parent cells, bans and `prev` cells, `vertical` equals the
+    /// literal reference and emits strictly ascending rows — with no memo,
+    /// a cold memo, a partially warm one (recorded from a different
+    /// alive-parent subset, so selected and fresh rows merge) and a warm
+    /// one.
+    #[test]
+    fn vertical_matches_reference_prune_at_every_memo_state() {
+        let tax = Taxonomy::uniform(3, 3, 3).unwrap();
+        let leaves = tax.leaves().to_vec();
+        let mids = tax.nodes_at_level(2).unwrap().to_vec();
+        let top_cat: Vec<NodeId> = tax
+            .node_ids()
+            .map(|x| tax.ancestor_at_level(x, 1).unwrap_or(x))
+            .collect();
+        let mut rng = Xoshiro256pp::seed_from_u64(23);
+        let rows: Vec<Vec<NodeId>> = (0..300)
+            .map(|_| {
+                let w = rng.gen_range(2..=8usize);
+                (0..w)
+                    .map(|_| leaves[rng.gen_range(0..leaves.len())])
+                    .collect()
+            })
+            .collect();
+        let db = TransactionDb::new(rows).unwrap();
+        let view = MultiLevelView::build(&db, &tax);
+        let (h, theta) = (3, 2);
+        let alive = |alive: bool| ItemsetInfo {
+            chain_alive: alive,
+            ..info(Label::Positive)
+        };
+        let (mut sibp_bit, mut support_bit, mut merged) = (false, false, false);
+        for round in 0..16 {
+            let k = 2 + round % 2;
+            // Parent sets over distinct categories. `above` keeps two in
+            // three alive; `earlier` is another random subset of them.
+            let (mut above, mut earlier) = (Cell::new(k), Cell::new(k));
+            for _ in 0..30 {
+                let set =
+                    Itemset::new((0..k).map(|_| mids[rng.gen_range(0..mids.len())]).collect());
+                let cats: BTreeSet<NodeId> =
+                    set.items().iter().map(|it| top_cat[it.index()]).collect();
+                if cats.len() == k {
+                    above.insert(set.items(), alive(rng.gen_range(0..3u32) > 0));
+                    earlier.insert(set.items(), alive(rng.gen_range(0..2u32) == 0));
+                }
+            }
+            // Random `(k−1)`-itemsets of leaves, one in three infrequent;
+            // every fourth round has no `prev` cell.
+            let mut prev = Cell::new(k - 1);
+            for _ in 0..150 {
+                let set = Itemset::new(
+                    (0..k - 1)
+                        .map(|_| leaves[rng.gen_range(0..leaves.len())])
+                        .collect(),
+                );
+                if set.len() == k - 1 {
+                    let label = if rng.gen_range(0..3u32) == 0 {
+                        Label::Infrequent
+                    } else {
+                        Label::Positive
+                    };
+                    prev.insert(set.items(), info(label));
+                }
+            }
+            let prev = (round % 4 != 3).then_some(&prev);
+            // Bans on about one leaf in ten; none in every third round.
+            let banned: Vec<bool> = tax
+                .node_ids()
+                .map(|x| round % 3 != 0 && tax.is_leaf(x) && rng.gen_range(0..10u32) == 0)
+                .collect();
+            let mut c = ctx(&tax, &top_cat);
+            c.banned = &banned;
+            let mut counter = BitsetCounter::new(&view);
+            let expect = reference_vertical(&c, &mut counter, (h, theta), &above, prev);
+            sibp_bit |= expect.sibp_pruned > 0;
+            support_bit |= expect.support_pruned > 0;
+            let mut run = |above: &Cell, memo: Option<&VerticalMemo>| {
+                let mut level = VerticalLevel::new(&mut counter, h, theta, memo);
+                let got = vertical(&c, &mut level, above, prev, k);
+                assert!(ascending(&got.cands), "round {round}: strictly ascending");
+                (got, level.replayed, level.enumerated)
+            };
+            let alive_count = above.alive().count() as u64;
+            let (got, _, _) = run(&above, None);
+            assert_eq!(got, expect, "round {round}: no memo");
+            let memo = VerticalMemo::new();
+            let (got, replayed, enumerated) = run(&above, Some(&memo));
+            assert_eq!(got, expect, "round {round}: cold");
+            assert_eq!((replayed, enumerated), (0, alive_count));
+            let memo = VerticalMemo::new();
+            run(&earlier, Some(&memo));
+            let (got, replayed, enumerated) = run(&above, Some(&memo));
+            assert_eq!(got, expect, "round {round}: partially warm");
+            assert_eq!(replayed + enumerated, alive_count);
+            merged |= replayed > 0 && enumerated > 0 && !got.cands.is_empty();
+            let (got, replayed, _) = run(&above, Some(&memo));
+            assert_eq!(got, expect, "round {round}: warm");
+            assert_eq!(replayed, alive_count);
+        }
+        assert!(sibp_bit && support_bit && merged, "every path must bite");
     }
 
     /// A parent set whose every children-combination occurs (the first

@@ -47,15 +47,17 @@
 //! evaluated itemsets ([`Cell`]: the rows plus a parallel info array). Only
 //! the reported patterns own [`Itemset`]s.
 //!
-//! Candidate generation runs on the calling thread. Vertical candidates
-//! arrive with their supports; every other candidate is counted by the one
-//! kernel, [`BitsetCounter::count_batch`], which reads the rows in place:
-//! with `cfg.threads != 1` each cell's batch is chunked over scoped worker
-//! threads at prefix-group boundaries. Evaluation merges the two ascending
-//! tables into the cell, which is sized for them up front. Seeded runs
-//! (a [`MineOptions::memo`]) reuse session-level work: they replay a
-//! parent set's vertical enumeration from a [`VerticalMemo`] when an
-//! earlier run recorded it, and record the ones they enumerate. Results
+//! Candidate generation runs on the calling thread, and every source emits
+//! its rows ascending, so nothing is sorted after generation. Vertical
+//! candidates arrive with their supports; every other candidate is counted
+//! by the one kernel, [`BitsetCounter::count_batch`], which reads the rows
+//! in place: with `cfg.threads != 1` each cell's batch is chunked over
+//! scoped worker threads at prefix-group boundaries. Evaluation merges the
+//! two ascending tables into the cell, which is sized for them up front.
+//! Seeded runs (a [`MineOptions::memo`]) reuse session-level work: a
+//! vertical pass selects, in one pass over the [`VerticalMemo`]'s ascending
+//! table, the combinations of every alive parent set an earlier run
+//! recorded, enumerates only the others, and records those. Results
 //! are bit-identical at every thread count and memo state; statistics are
 //! too, except the kernel's work counters ([`RunStats::counter`]), which
 //! drop by the enumerations a seeded run replays, and
@@ -107,7 +109,7 @@ pub(crate) fn unguarded<T>(run: Result<T, GuardError>) -> T {
 pub struct MineOptions<'a> {
     /// Reuse the vertical enumerations earlier runs over the **same view**
     /// recorded in this memo. Every chain-alive parent set whose
-    /// enumeration is in the memo is replayed from it instead of
+    /// enumeration is in the memo is selected from it instead of
     /// re-intersecting its children's transactions, and its supports are
     /// charged to [`RunStats::seeded_supports`]; the rest are enumerated
     /// and recorded. An enumeration is a fact about the data, `h` and θ_h

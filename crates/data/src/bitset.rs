@@ -825,14 +825,20 @@ mod tests {
         let leaves = tax.leaves().to_vec();
         for seed in 0..6u64 {
             let mut rng = Xoshiro256pp::seed_from_u64(seed);
-            // Low leaf indices are common, high ones rare: a mixed view.
+            // The first half of the leaves is common, the second half rare
+            // (one draw in 32 is uniform over all leaves): a mixed view
+            // whose rare half sits far below the bitmap cutoff.
             let rows: Vec<Vec<NodeId>> = (0..400)
                 .map(|_| {
                     let w = rng.gen_range(1..=5);
                     (0..w)
                         .map(|_| {
-                            let i = rng.gen_range(0..leaves.len());
-                            leaves[i.min(rng.gen_range(0..leaves.len()))]
+                            let range = if rng.gen_range(0..32u32) == 0 {
+                                leaves.len()
+                            } else {
+                                leaves.len() / 2
+                            };
+                            leaves[rng.gen_range(0..range)]
                         })
                         .collect()
                 })

@@ -42,7 +42,12 @@
 #     Fig. 8 and Fig. 9 as asserted equalities and orderings),
 #   * the README's Table-4 GROCERIES recipe as a CLI smoke: `flipper
 #     generate` then `flipper sweep --variants basic,flipping,full` must
-#     report 12 flips on every variant row.
+#     report 12 flips on every variant row,
+#   * a vertical-memo CLI smoke: a 3×3 FULL `flipper sweep --jobs 2` over
+#     a small Quest file (3 000 transactions), once with `--seed-supports
+#     on` (points select the memo rows other points recorded, concurrently)
+#     and once with `--seed-supports off` (every parent set enumerated);
+#     `flipper results-diff` must report the two reports identical.
 #
 # Documentation is a gate too: `cargo doc --no-deps` must build with
 # RUSTDOCFLAGS="-D warnings" — a public API change that breaks its own
@@ -121,7 +126,7 @@ cargo run --release -q -p flipper-cli -- mine --input "$OBS_TMP/planted.fbin" \
     --threads 2 --trace "$OBS_TMP/trace.json" --timings >/dev/null
 cargo run --release -q -p flipper-obs --example validate_trace -- \
     "$OBS_TMP/trace.json" \
-    --expect session.ingest,view.build,store.decode,mine.run,mine.cell,mine.count
+    --expect session.ingest,view.build,store.decode,mine.run,mine.cell,mine.count,mine.enumerate
 
 echo "== robustness: fault-injection suite under --release, 5 runs in a row"
 for run in 1 2 3 4 5; do
@@ -162,6 +167,21 @@ echo "$TABLE4"
 echo "$TABLE4" | awk 'NR > 1 { rows++; if ($2 != 12) bad++ }
     END { exit !(rows == 3 && bad == 0) }' || {
     echo "Table 4 recipe: expected 12 flips on each of the 3 variant rows" >&2
+    exit 1
+}
+
+echo "== vertical memo: seeded --jobs 2 sweep equals an unseeded sweep"
+cargo run --release -q -p flipper-cli -- generate --kind quest --seed 7 \
+    --transactions 3000 --out "$OBS_TMP/quest.fbin" >/dev/null
+for seeding in on off; do
+    cargo run --release -q -p flipper-cli -- sweep --input "$OBS_TMP/quest.fbin" \
+        --gammas 0.4,0.3,0.2 --epsilons 0.15,0.1,0.05 --variants full \
+        --seed-supports "$seeding" --jobs 2 \
+        --output-json "$OBS_TMP/memo-$seeding.json" >/dev/null
+done
+cargo run --release -q -p flipper-cli -- results-diff \
+    "$OBS_TMP/memo-on.json" "$OBS_TMP/memo-off.json" || {
+    echo "vertical memo: seeded and unseeded sweeps differ" >&2
     exit 1
 }
 
