@@ -515,8 +515,8 @@ fn print_timings(capture: &flipper_obs::Capture, stats: &flipper_api::RunStats) 
     println!("run:     {}", stats.summary());
     let c = &stats.counter;
     println!(
-        "counter: intersections={} counted={} prefix_reuses={}",
-        c.intersections, c.candidates_counted, c.prefix_reuses
+        "counter: intersections={} counted={} prefix_reuses={} projected={}",
+        c.intersections, c.candidates_counted, c.prefix_reuses, c.projected
     );
 }
 

@@ -361,12 +361,17 @@ impl<'a> Miner<'a> {
 
     // ---- evaluation -------------------------------------------------------
 
-    /// Count supports for an ascending candidate batch with the kernel.
+    /// Count supports for an ascending candidate batch with the kernel. The
+    /// `mine.count` span records the members answered by projection as
+    /// `projected`.
     fn count_supports(&mut self, h: usize, candidates: &ItemsetRows) -> Vec<u64> {
-        let _span = flipper_obs::span("mine.count")
+        let mut span = flipper_obs::span("mine.count")
             .arg("h", h as u64)
             .arg("batch", candidates.len() as u64);
-        self.counter.count_batch(h, candidates, self.threads)
+        let before = self.counter.stats().projected;
+        let counts = self.counter.count_batch(h, candidates, self.threads);
+        span.add_arg("projected", self.counter.stats().projected - before);
+        counts
     }
 
     /// Evaluate cell `Q(h,k)`: generate, count, label, compute chain

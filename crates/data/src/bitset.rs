@@ -6,17 +6,21 @@
 //! storage rule ([`BitsetCounter::BITMAP_RATIO`]) promotes and tid-lists for
 //! the rest. The promoted items' bitmaps depend only on the view, so the
 //! [`MultiLevelView`] owns them: each level's table is built on first use
-//! and every counter over that view borrows it from then on. The counter
-//! answers two questions: the supports of a sorted candidate batch
-//! ([`BitsetCounter::count_batch`]), and which combinations of one item per
-//! slot co-occur at all, with their supports
-//! ([`BitsetCounter::co_occurring`]).
+//! and every counter over that view borrows it from then on.
+//!
+//! The counter answers two questions. The first is the supports of a sorted
+//! candidate batch ([`BitsetCounter::count_batch`]). A prefix group is
+//! answered either one intersection per member, or by projection: the
+//! transactions of a sparse prefix are read once, as rows of the view's
+//! horizontal layout, and every member in them is tallied. The second is
+//! which combinations of one item per slot co-occur at all, with their
+//! supports ([`BitsetCounter::co_occurring`]).
 
 use crate::counting::{CounterStats, MIN_SHARD_CANDIDATES};
 use crate::exec;
 use crate::itemset::ItemsetRows;
-use crate::projection::{LevelView, MultiLevelView};
-use crate::tidset::{intersect_into, intersect_size, intersect_size_many};
+use crate::projection::{LevelRows, LevelView, MultiLevelView};
+use crate::tidset::{intersect_into, intersect_many_into, intersect_size};
 use flipper_taxonomy::NodeId;
 use std::borrow::Cow;
 use std::ops::Range;
@@ -284,19 +288,31 @@ struct Scratch {
 /// group are adjacent ([`ItemsetRows::prefix_groups`]) and each group's
 /// prefix is materialized once:
 /// a word-wise AND into scratch when every prefix item is dense, otherwise
-/// the sparsest prefix tid-list filtered through the rest. Every member is
-/// then one AND-popcount, bitmap filter or galloping intersection against
-/// its last item.
+/// the sparse prefix tid-lists intersected shortest-first and filtered
+/// through the dense ones. The members are then answered one of two ways:
 ///
+/// * **per member**: one AND-popcount, bitmap filter or galloping
+///   intersection of the prefix against each member's last item;
+/// * **by projection**, for a tid-list prefix `T`: each row `t ∈ T` of the
+///   level's horizontal layout is read once, and every member in it is
+///   tallied through a slot table indexed by node id. It is chosen when
+///   reading the rows, about `|T| · w̄_h + m` items for `m` members and the
+///   level's mean projected width `w̄_h`, is cheaper than probing `T` once
+///   per member, at least `m · |T|`. Bitmap prefixes always take the
+///   per-member path.
+///
+/// The rows belong to the view, like the bitmaps, but they are built only
+/// for a batch whose savings pay for them (see [`Self::count_batch`]).
 /// [`Self::count_batch`] shards a batch over scoped workers at prefix-group
-/// boundaries ([`crate::exec::map_group_chunks`]), so counts and
-/// [`CounterStats`] are bit-identical at every thread count.
+/// boundaries ([`crate::exec::map_group_chunks`]) after that decision, so
+/// counts and [`CounterStats`] are bit-identical at every thread count.
 ///
 /// [`Self::co_occurring`] enumerates combinations depth-first instead: it
 /// extends one running intersection a slot at a time, in the same two
 /// representations, and gets every combination's support on the way.
 ///
-/// Counts and stats never depend on which items are bitmaps.
+/// Counts never depend on which items are bitmaps, and neither does any
+/// stat but [`CounterStats::projected`].
 pub struct BitsetCounter<'v> {
     view: &'v MultiLevelView,
     /// Bitmaps per level (index `h-1`) and node id; `Some` for dense items
@@ -449,12 +465,16 @@ impl<'v> BitsetCounter<'v> {
     /// rows are sharded over `threads` scoped workers (`0` = auto-detect,
     /// `1` = inline) in chunks that split only between prefix groups;
     /// batches smaller than [`MIN_SHARD_CANDIDATES`] are counted inline.
-    /// Counts and stats are bit-identical at every thread count.
+    /// Whether the batch may project is decided first, on the calling
+    /// thread: only when its groups promise to save more than building
+    /// level `h`'s rows costs, `N · w̄_h`. So counts and stats are
+    /// bit-identical at every thread count.
     pub fn count_batch(&mut self, h: usize, candidates: &ItemsetRows, threads: usize) -> Vec<u64> {
         let threads = exec::effective_threads(threads);
         let n = candidates.len();
+        let projection = self.projection(h, candidates);
         if threads <= 1 || n < MIN_SHARD_CANDIDATES {
-            let (counts, delta) = self.count_shard(h, candidates, 0..n);
+            let (counts, delta) = self.count_shard(h, candidates, 0..n, projection);
             self.stats.merge(&delta);
             return counts;
         }
@@ -463,7 +483,7 @@ impl<'v> BitsetCounter<'v> {
             threads,
             n,
             |a, b| candidates.same_prefix(a, b),
-            |shard| shared.count_shard(h, candidates, shard),
+            |shard| shared.count_shard(h, candidates, shard, projection),
         );
         let mut counts = Vec::with_capacity(n);
         for (shard_counts, delta) in shards {
@@ -473,22 +493,68 @@ impl<'v> BitsetCounter<'v> {
         counts
     }
 
+    /// The batch gate: level `h`'s rows and cost model when counting
+    /// `candidates` may use them, the rows built on the view's first such
+    /// batch at `h`; `None` when no group may project.
+    ///
+    /// The batch may project when the savings its groups promise
+    /// ([`ProjectionCost::saving`]) exceed the rows' one-off build. A
+    /// group's prefix tid-list is not materialized yet, so its length is
+    /// taken as that of the shortest tid-list among the prefix items, the
+    /// most it can be. The decision reads only the view and the batch,
+    /// never whether the rows are already built, so a batch projects the
+    /// same groups on a fresh view and on one an earlier call has used.
+    fn projection(
+        &self,
+        h: usize,
+        candidates: &ItemsetRows,
+    ) -> Option<(&'v LevelRows, ProjectionCost)> {
+        let k = candidates.k();
+        if k < 2 {
+            return None;
+        }
+        let level = self.level(h);
+        let cost = ProjectionCost::of(level.view, self.view.num_transactions())?;
+        let mut saving = 0u128;
+        for group in candidates.prefix_groups(0..candidates.len()) {
+            let shortest = candidates.row(group.start)[..k - 1]
+                .iter()
+                .filter_map(|&it| match level.set(it) {
+                    TidSet::Tids(t) => Some(t.len()),
+                    TidSet::Bits(_) => None,
+                })
+                .min();
+            if let Some(len) = shortest {
+                saving += cost.saving(group.len(), len);
+            }
+        }
+        (saving > cost.build()).then(|| (self.view.rows(h), cost))
+    }
+
+    /// One level's items as the kernel reads them.
+    fn level(&self, h: usize) -> Level<'_> {
+        Level {
+            view: self.view.level(h),
+            maps: &self.bitmaps[h - 1],
+        }
+    }
+
     /// One shard of [`Self::count_batch`]: the supports of the `shard` rows
     /// of `candidates` in row order plus the work stats of exactly this
     /// shard. Immutable, so shards run concurrently. Candidates are read in
     /// place and nothing allocates per candidate; `intersections` charges
     /// `k−2` combines per materialized prefix plus one per member, and `k−1`
-    /// for a singleton `k ≥ 3` group.
+    /// for a singleton `k ≥ 3` group. Given a `projection`, a group whose
+    /// prefix is a tid-list is projected through its rows when its
+    /// [`ProjectionCost`] says that is cheaper, and charged the same.
     fn count_shard(
         &self,
         h: usize,
         candidates: &ItemsetRows,
         shard: Range<usize>,
+        projection: Option<(&LevelRows, ProjectionCost)>,
     ) -> (Vec<u64>, CounterStats) {
-        let level = Level {
-            view: self.view.level(h),
-            maps: &self.bitmaps[h - 1],
-        };
+        let level = self.level(h);
         let k = candidates.k();
         let mut stats = CounterStats {
             candidates_counted: shard.len() as u64,
@@ -498,11 +564,14 @@ impl<'v> BitsetCounter<'v> {
         let base = shard.start;
         let mut counts = vec![0u64; shard.len()];
         // Scratch reused across groups: the dense/sparse partition of the
-        // current prefix and the two materialization targets.
+        // current prefix, the materialization targets and the projection's
+        // tally.
         let mut dense: Vec<&Bitmap> = Vec::new();
         let mut sparse: Vec<&[u32]> = Vec::new();
         let mut prefix_bm = Bitmap::zeros(0);
         let mut prefix_tids: Vec<u32> = Vec::new();
+        let mut spare: Vec<u32> = Vec::new();
+        let mut tally = Tally::default();
         for group in candidates.prefix_groups(shard) {
             let items = candidates.row(group.start);
             if k == 1 {
@@ -519,27 +588,27 @@ impl<'v> BitsetCounter<'v> {
                 partition(it);
             }
             // A singleton k ≥ 3 group has nothing to reuse: skip the prefix
-            // materialization (a scratch-bitmap copy / filtered list would
-            // double the memory traffic) and answer it with one fused
-            // early-exit pass over all k items. Same `k−1` intersections
-            // charge, zero reuses — stats stay group-structure-invariant.
+            // materialization (a scratch-bitmap copy would double the memory
+            // traffic) and answer it in one pass over all k items. Same
+            // `k−1` intersections charge, zero reuses — stats stay
+            // group-structure-invariant.
             if k >= 3 && group.len() == 1 {
                 stats.intersections += (k - 1) as u64;
                 partition(items[k - 1]);
-                counts[group.start - base] = match (dense.is_empty(), sparse.is_empty()) {
-                    (true, _) => intersect_size_many(&sparse),
-                    (false, true) => Bitmap::and_count(&dense),
-                    (false, false) => {
-                        // Filter the smallest sparse list through everything.
-                        sparse.sort_by_key(|s| s.len());
-                        sparse[0]
-                            .iter()
-                            .filter(|&&t| {
-                                dense.iter().all(|m| m.get(t as usize))
-                                    && sparse[1..].iter().all(|s| s.binary_search(&t).is_ok())
-                            })
-                            .count() as u64
-                    }
+                counts[group.start - base] = if sparse.is_empty() {
+                    Bitmap::and_count(&dense)
+                } else if dense.is_empty() {
+                    // Materialize all but the longest list; count that one.
+                    sparse.sort_by_key(|s| s.len());
+                    let longest = sparse.len() - 1;
+                    intersect_many_into(&mut sparse[..longest], &mut prefix_tids, &mut spare);
+                    intersect_size(&prefix_tids, sparse[longest])
+                } else {
+                    intersect_many_into(&mut sparse, &mut prefix_tids, &mut spare);
+                    prefix_tids
+                        .iter()
+                        .filter(|&&t| dense.iter().all(|m| m.get(t as usize)))
+                        .count() as u64
                 };
                 continue;
             }
@@ -555,23 +624,140 @@ impl<'v> BitsetCounter<'v> {
                     }
                     TidSet::Bits(&prefix_bm)
                 } else {
-                    // Filter the smallest sparse list through everything.
-                    sparse.sort_by_key(|s| s.len());
-                    let base = sparse[0];
-                    prefix_tids.clear();
-                    prefix_tids.extend(base.iter().copied().filter(|&t| {
-                        dense.iter().all(|m| m.get(t as usize))
-                            && sparse[1..].iter().all(|s| s.binary_search(&t).is_ok())
-                    }));
+                    intersect_many_into(&mut sparse, &mut prefix_tids, &mut spare);
+                    prefix_tids.retain(|&t| dense.iter().all(|m| m.get(t as usize)));
                     TidSet::Tids(&prefix_tids)
                 }
             };
-            for i in group {
-                stats.intersections += 1;
-                counts[i - base] = prefix.and_count(level.set(candidates.row(i)[k - 1]));
+            stats.intersections += group.len() as u64;
+            let out = &mut counts[group.start - base..group.end - base];
+            let last = |i: usize| candidates.row(i)[k - 1];
+            match (prefix, projection) {
+                (TidSet::Tids(tids), Some((rows, cost)))
+                    if cost.saving(group.len(), tids.len()) > 0 =>
+                {
+                    stats.projected += group.len() as u64;
+                    tally.count(level.view, rows, tids, group.map(last), out);
+                }
+                _ => {
+                    for (n, i) in out.iter_mut().zip(group) {
+                        *n = prefix.and_count(level.set(last(i)));
+                    }
+                }
             }
         }
         (counts, stats)
+    }
+}
+
+/// The cost model that chooses how a prefix group is answered, in units of
+/// one tid or item touched. Take a group of `m` members whose materialized
+/// prefix is the tid-list `T`, at a level of `N` transactions holding `S`
+/// item occurrences, so `w̄_h = S / N` is the mean projected width.
+///
+/// * **Per member.** Each member intersects `T` with its own transactions:
+///   a merge, a gallop or a bit probe per prefix tid. Each touches every
+///   tid of `T` at least once, so the group costs at least `m · |T|`.
+/// * **Projection.** Reading the rows of `T` touches `|T| · w̄_h` items on
+///   average, one slot lookup and one increment each. Setting and clearing
+///   the members' slots adds `m`.
+///
+/// So a group is projected iff `m · |T| > |T| · w̄_h + m`, which needs at
+/// least `w̄_h` members, and the per-member cost is a lower bound: the rule
+/// never projects a group that probing would answer faster by this count.
+/// Building a level's rows costs one write per occurrence, `S = N · w̄_h`,
+/// so a batch may build them only when its groups promise more savings.
+///
+/// **Measured.** Release build on a 2-vCPU container, Quest `N = 20 000`,
+/// seed 7, BASIC at one thread, timing only the groups the rule projects:
+/// one projected row item costs 5–12 ns, and answering the same groups per
+/// member costs 7–17 ns per unit of `m · |T|`, which undercounts its work.
+/// So the two units are taken as equal. Those groups' count fell from 47 to
+/// 1.3 ms in `Q(4,2)`, from 50 to 6.5 ms in `Q(4,3)` and from 0.55 to
+/// 0.30 ms in `Q(4,4)`. Level 4's rows (`w̄_4 = 4.42`, 88 k occurrences,
+/// 431 KB) build in about 0.9 ms, some 10 ns per occurrence, which is the
+/// same unit again.
+#[derive(Clone, Copy)]
+struct ProjectionCost {
+    /// `N`, the level's transactions.
+    transactions: u128,
+    /// `S`, the level's (transaction, item) occurrences.
+    occurrences: u128,
+}
+
+impl ProjectionCost {
+    /// The model for `lv` over `n` transactions; `None` when the level's
+    /// occurrences overflow the rows' `u32` offsets, which rules
+    /// projection out.
+    fn of(lv: &LevelView, n: usize) -> Option<Self> {
+        let occurrences = lv.occurrences();
+        (occurrences <= u64::from(u32::MAX)).then_some(ProjectionCost {
+            transactions: n as u128,
+            occurrences: u128::from(occurrences),
+        })
+    }
+
+    /// What projecting a group of `members` over a prefix of `prefix` tids
+    /// saves over answering it per member, times `N`; `0` when it saves
+    /// nothing.
+    fn saving(self, members: usize, prefix: usize) -> u128 {
+        let (m, t) = (members as u128, prefix as u128);
+        let per_member = m * t * self.transactions;
+        let projected = t * self.occurrences + m * self.transactions;
+        per_member.saturating_sub(projected)
+    }
+
+    /// The rows' one-off build, `S`, times `N` like [`Self::saving`].
+    fn build(self) -> u128 {
+        self.occurrences * self.transactions
+    }
+}
+
+/// The reused tables of one shard's projections.
+#[derive(Default)]
+struct Tally {
+    /// By node id: a member's position plus one, or `0` (the sink) for
+    /// every other item. All zeros between groups.
+    slot: Vec<u32>,
+    /// Per position: the rows holding that member; `hits[0]` is the sink.
+    hits: Vec<u32>,
+}
+
+impl Tally {
+    /// The supports of `prefix ∪ {x}` for each member `x` of `members`
+    /// (distinct), written to `out` in order: every row `t ∈ prefix` is
+    /// read once, and each of its items bumps its slot's tally, a member's
+    /// or the sink's, with no branch.
+    fn count(
+        &mut self,
+        lv: &LevelView,
+        rows: &LevelRows,
+        prefix: &[u32],
+        members: impl Iterator<Item = NodeId> + Clone,
+        out: &mut [u64],
+    ) {
+        // Every row item is a present item; a member need not be.
+        let present = lv.present_items().last().map_or(0, |m| m.index() + 1);
+        if self.slot.len() < present {
+            self.slot.resize(present, 0);
+        }
+        self.hits.clear();
+        self.hits.resize(out.len() + 1, 0);
+        for (pos, x) in (1..).zip(members.clone()) {
+            if x.index() >= self.slot.len() {
+                self.slot.resize(x.index() + 1, 0);
+            }
+            self.slot[x.index()] = pos;
+        }
+        for &t in prefix {
+            for x in rows.row(t) {
+                self.hits[self.slot[x.index()] as usize] += 1;
+            }
+        }
+        for ((n, &hits), x) in out.iter_mut().zip(&self.hits[1..]).zip(members) {
+            *n = u64::from(hits);
+            self.slot[x.index()] = 0;
+        }
     }
 }
 
@@ -981,6 +1167,33 @@ mod tests {
             assert!(std::ptr::eq(&*a.bitmaps[h - 1], shared), "h {h}");
             assert!(std::ptr::eq(&*b.bitmaps[h - 1], shared), "h {h}");
             assert!(!std::ptr::eq(&*private.bitmaps[h - 1], shared), "h {h}");
+        }
+    }
+
+    /// A group the rule projects, whose members include items absent at the
+    /// level with ids past every present one: each member's support equals
+    /// the naive count, and the group is charged as the per-member path
+    /// charges it. Bitmap prefixes (the storage rule, at `N = 10`) never
+    /// project.
+    #[test]
+    fn projection_counts_every_member_including_absent_ones() {
+        let tax = Taxonomy::uniform(1, 12, 2).unwrap();
+        let leaves = tax.leaves().to_vec();
+        let rows: Vec<Vec<NodeId>> = (0..10)
+            .map(|t| vec![leaves[0], leaves[1 + t % 5]])
+            .collect();
+        let view = MultiLevelView::build(&TransactionDb::new(rows).unwrap(), &tax);
+        let mut batch = ItemsetRows::new(2);
+        for &y in &leaves[1..] {
+            batch.push(&[leaves[0], y]);
+        }
+        let expect = naive_tidset_counts(&view, 2, &batch);
+        assert_eq!(expect, [2, 2, 2, 2, 2, 0, 0, 0, 0, 0, 0]);
+        for (density, projected) in [(Some(2.0), 11), (None, 0)] {
+            let mut c = counter_at(&view, density);
+            assert_eq!(c.count_batch(2, &batch, 1), expect, "density {density:?}");
+            assert_eq!(c.stats().projected, projected, "density {density:?}");
+            assert_eq!(c.stats().intersections, 11, "density {density:?}");
         }
     }
 

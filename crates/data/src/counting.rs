@@ -11,11 +11,23 @@
 //! The miner hands every cell a batch of **ascending, distinct** candidate
 //! rows in one fixed-stride table ([`ItemsetRows`]), so candidates sharing
 //! their `(k−1)`-prefix are adjacent ([`ItemsetRows::prefix_groups`]). The
-//! kernel reads each candidate in place, materializes each group's prefix
-//! intersection **once** and answers every member with a single
-//! intersection against its last item; [`CounterStats::prefix_reuses`]
-//! counts the members answered from a shared prefix. Sharding splits a
-//! batch only between groups ([`crate::exec::map_group_chunks`]), so prefix
+//! kernel reads each candidate in place and materializes each group's
+//! prefix intersection **once**. It then answers the members one of two
+//! ways:
+//!
+//! * **per member**: one intersection of the prefix against each member's
+//!   last item;
+//! * **by projection**, when the prefix is a tid-list `T` and reading its
+//!   transactions is cheaper than probing it once per member: every row
+//!   `t ∈ T` of the level's horizontal layout is read once, and each
+//!   member found in it is tallied (Han, Pei & Yin's projected database
+//!   over Zaki's vertical layout).
+//!
+//! [`CounterStats::prefix_reuses`] counts the members answered from a
+//! shared prefix, and [`CounterStats::projected`] those answered by
+//! projection. Every other counter charges both ways alike. Sharding splits
+//! a batch only between groups ([`crate::exec::map_group_chunks`]), and
+//! whether a batch may project is decided before it is sharded, so prefix
 //! reuse survives parallelism and a sharded run reports bit-identical
 //! counts *and stats* at every thread count.
 
@@ -42,6 +54,13 @@ pub struct CounterStats {
     /// (members of a `k ≥ 3` prefix group beyond its first). Shard-invariant
     /// by construction: sharding never splits a prefix group.
     pub prefix_reuses: u64,
+    /// Candidates answered by projection: members of a group whose prefix
+    /// tid-list was read row by row instead of probed once per member. Each
+    /// is still charged one intersection, so this is the one counter that
+    /// depends on storage: which items are bitmaps decides which prefixes
+    /// are tid-lists. It never depends on the thread count, nor on what an
+    /// earlier mining call over the same view built.
+    pub projected: u64,
 }
 
 impl CounterStats {
@@ -53,6 +72,7 @@ impl CounterStats {
         self.intersections += other.intersections;
         self.candidates_counted += other.candidates_counted;
         self.prefix_reuses += other.prefix_reuses;
+        self.projected += other.projected;
     }
 }
 
@@ -222,16 +242,19 @@ mod tests {
             intersections: 3,
             candidates_counted: 7,
             prefix_reuses: 5,
+            projected: 4,
         };
         let b = CounterStats {
             intersections: 11,
             candidates_counted: 13,
             prefix_reuses: 0,
+            projected: 0,
         };
         let c = CounterStats {
             intersections: 0,
             candidates_counted: 2,
             prefix_reuses: 9,
+            projected: 1,
         };
         // (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c)
         let mut left = a;
@@ -250,6 +273,7 @@ mod tests {
         assert_eq!(left.intersections, 14);
         assert_eq!(left.candidates_counted, 22);
         assert_eq!(left.prefix_reuses, 14);
+        assert_eq!(left.projected, 5);
     }
 
     /// Sharded counting is bit-identical to sequential counting — counts

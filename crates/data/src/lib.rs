@@ -16,10 +16,12 @@
 //!   them;
 //! * [`MultiLevelView`] — the database projected to every abstraction level,
 //!   as per-item supports and tid-lists, plus each level's bitmaps of its
-//!   dense items, built once on first use and shared by every counter;
+//!   dense items and its transactions as horizontal rows, each built once
+//!   on first use and shared by every counter;
 //! * [`BitsetCounter`] — the support-counting kernel: hybrid
 //!   bitmap/tid-list prefix-group counting of sorted candidate rows, with
-//!   an item stored as a bitmap iff `64 · support ≥ N`;
+//!   an item stored as a bitmap iff `64 · support ≥ N`, and sparse prefix
+//!   groups counted by projection over the rows;
 //! * [`mod@exec`] — dependency-free scoped-thread sharding;
 //!   [`BitsetCounter::count_batch`] counts a batch over a worker pool with
 //!   bit-identical counts and stats at every thread count;

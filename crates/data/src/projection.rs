@@ -4,15 +4,23 @@
 //! has been replaced by its level-`h` generalization (paper §2.2, Fig. 4).
 //! [`MultiLevelView`] holds what the miner reads of that projection at each
 //! level — per-item supports and sorted tid-lists (Zaki's vertical layout) —
-//! and never the projected rows themselves, so the miner can evaluate any
-//! cell of the search table without touching the raw data again.
+//! so the miner can evaluate any cell of the search table without touching
+//! the raw data again.
 //!
-//! The view also owns the counting kernel's bitmaps: each level's table of
-//! packed bitmaps for its dense items (see
-//! [`crate::BitsetCounter::BITMAP_RATIO`]) is built lazily, once, on the
-//! first counter over the view, and shared by every later one. The table
-//! is a cache of the tid-lists, so it is not part of the view's value:
-//! views compare equal whether or not theirs are built.
+//! The view also owns two caches of the tid-lists that the counting kernel
+//! builds lazily, once per level, and shares with every later counter:
+//!
+//! * each level's table of packed bitmaps for its dense items (see
+//!   [`crate::BitsetCounter::BITMAP_RATIO`]), built by the first counter
+//!   over the view;
+//! * each level's projected rows, the horizontal layout: every
+//!   transaction's level-`h` items, ascending, transposed from the
+//!   tid-lists by a counting sort. They are built by the first batch that
+//!   counts a prefix group by projection (see [`crate::BitsetCounter`]),
+//!   so a mine that never projects at a level never pays for its rows.
+//!
+//! Neither cache is part of the view's value: views compare equal whether
+//! or not theirs are built.
 
 use crate::bitset::{self, Bitmap};
 use crate::transaction::{RowChunk, TransactionDb};
@@ -33,9 +41,13 @@ pub struct LevelView {
     /// The dense items' bitmaps by node id, built on first use by
     /// [`MultiLevelView::bitmaps`].
     bitmaps: OnceLock<Vec<Option<Bitmap>>>,
+    /// The transactions as horizontal rows, built on first use by
+    /// [`MultiLevelView::rows`].
+    rows: OnceLock<LevelRows>,
 }
 
-/// Equal when the projections are: the lazily built bitmaps are left out.
+/// Equal when the projections are: the lazily built bitmaps and rows are
+/// left out.
 impl PartialEq for LevelView {
     fn eq(&self, other: &Self) -> bool {
         self.level == other.level && self.tidsets == other.tidsets && self.present == other.present
@@ -64,6 +76,78 @@ impl LevelView {
     #[inline]
     pub fn present_items(&self) -> &[NodeId] {
         &self.present
+    }
+
+    /// The number of (transaction, item) occurrences at this level: the sum
+    /// of the supports, `N · w̄_h` for the mean projected width `w̄_h`.
+    pub(crate) fn occurrences(&self) -> u64 {
+        self.present
+            .iter()
+            .map(|&item| self.item_support(item))
+            .sum()
+    }
+}
+
+/// One level's transactions as horizontal rows in CSR form: row `t` is
+/// `items[offsets[t]..offsets[t + 1]]`, the level-`h` items of transaction
+/// `t`, ascending.
+#[derive(Debug, Clone)]
+pub(crate) struct LevelRows {
+    /// `N + 1` entries; `offsets[N]` is the level's occurrence count.
+    offsets: Vec<u32>,
+    items: Vec<NodeId>,
+}
+
+impl LevelRows {
+    /// Transpose `lv`'s tid-lists over `n` transactions by a counting sort:
+    /// one pass sizes the rows, a second fills them. Items are visited in
+    /// ascending id order, so every row comes out ascending.
+    ///
+    /// # Panics
+    /// Panics when the level holds more than `u32::MAX` occurrences; the
+    /// kernel never asks for such a level's rows.
+    fn transpose(lv: &LevelView, n: usize) -> Self {
+        let total = lv.occurrences();
+        assert!(
+            total <= u64::from(u32::MAX),
+            "{total} occurrences overflow the rows' u32 offsets"
+        );
+        let mut offsets = vec![0u32; n + 1];
+        for &item in &lv.present {
+            for &t in lv.tidset(item) {
+                offsets[t as usize + 1] += 1;
+            }
+        }
+        for t in 1..=n {
+            offsets[t] += offsets[t - 1];
+        }
+        let mut items = vec![NodeId::ROOT; total as usize];
+        let mut cursor = offsets[..n].to_vec();
+        for &item in &lv.present {
+            for &t in lv.tidset(item) {
+                let at = &mut cursor[t as usize];
+                items[*at as usize] = item;
+                *at += 1;
+            }
+        }
+        LevelRows { offsets, items }
+    }
+
+    /// The items of transaction `t`, ascending.
+    #[inline]
+    pub(crate) fn row(&self, t: u32) -> &[NodeId] {
+        let t = t as usize;
+        &self.items[self.offsets[t] as usize..self.offsets[t + 1] as usize]
+    }
+
+    /// Number of rows, `N`.
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Heap bytes held by the offsets and the items.
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of_val(&self.offsets[..]) + std::mem::size_of_val(&self.items[..])
     }
 }
 
@@ -147,6 +231,21 @@ impl MultiLevelView {
         let lv = self.level(h);
         lv.bitmaps
             .get_or_init(|| bitset::view_bitmaps(lv, self.num_transactions))
+    }
+
+    /// Level `h`'s transactions as horizontal rows, built on the first call
+    /// for `h` inside a `view.rows` span that records the level `h`, the
+    /// number of `rows` and their `bytes`, and shared by every later call,
+    /// from any thread.
+    pub(crate) fn rows(&self, h: usize) -> &LevelRows {
+        let lv = self.level(h);
+        lv.rows.get_or_init(|| {
+            let mut span = flipper_obs::span("view.rows").arg("h", h as u64);
+            let rows = LevelRows::transpose(lv, self.num_transactions);
+            span.add_arg("rows", rows.len() as u64);
+            span.add_arg("bytes", rows.bytes() as u64);
+            rows
+        })
     }
 }
 
@@ -242,6 +341,7 @@ impl MultiLevelViewBuilder {
                         tidsets: vec![Vec::new(); node_count],
                         present: Vec::new(),
                         bitmaps: OnceLock::new(),
+                        rows: OnceLock::new(),
                     },
                     anc,
                     last: vec![u32::MAX; node_count],
@@ -549,21 +649,64 @@ mod tests {
         }
     }
 
-    /// The lazily built bitmaps are a cache, not part of the value: a view
-    /// whose bitmaps were built equals a fresh build and its own clone.
+    /// The lazily built bitmaps and rows are caches, not part of the value:
+    /// a view whose caches were built equals a fresh build and its own
+    /// clone.
     #[test]
     fn equality_ignores_built_bitmaps() {
         let (tax, db) = toy();
         let built = MultiLevelView::build(&db, &tax);
         for h in 1..=built.height() {
             assert!(built.bitmaps(h).iter().any(Option::is_some), "level {h}");
+            assert_eq!(built.rows(h).len(), db.len(), "level {h}");
         }
         let fresh = MultiLevelView::build(&db, &tax);
         assert!(built.levels.iter().all(|lv| lv.bitmaps.get().is_some()));
+        assert!(built.levels.iter().all(|lv| lv.rows.get().is_some()));
         assert!(fresh.levels.iter().all(|lv| lv.bitmaps.get().is_none()));
+        assert!(fresh.levels.iter().all(|lv| lv.rows.get().is_none()));
         assert_eq!(built, fresh);
         assert_eq!(built.clone(), fresh);
         assert_eq!(fresh.clone(), built);
+    }
+
+    /// The CSR rows are the transposed tid-lists: on random uniform and
+    /// padded taxonomies, row `t` of level `h` holds exactly the items whose
+    /// tid-list holds `t`, ascending, equals the reference projection of
+    /// transaction `t`, and the rows' bytes are the offsets' plus the items'.
+    #[test]
+    fn rows_are_the_transposed_tidlists() {
+        let mut rng = Xoshiro256pp::seed_from_u64(0xC5A);
+        let taxonomies = [
+            Taxonomy::uniform(3, 3, 2).unwrap(),
+            random_padded_taxonomy(&mut rng, 30, 4),
+        ];
+        for tax in &taxonomies {
+            let db = TransactionDb::new(random_rows(&mut rng, tax, 60)).unwrap();
+            let view = MultiLevelView::build(&db, tax);
+            for h in 1..=view.height() {
+                let lv = view.level(h);
+                let rows = view.rows(h);
+                assert_eq!(rows.len(), db.len());
+                let mut occurrences = 0;
+                for (t, expect) in reference_rows(&db, tax, h).iter().enumerate() {
+                    let row = rows.row(t as u32);
+                    assert!(row.windows(2).all(|w| w[0] < w[1]), "h {h} row {t}");
+                    assert_eq!(row, expect.as_slice(), "h {h} row {t}");
+                    let transposed: Vec<NodeId> = lv
+                        .present_items()
+                        .iter()
+                        .copied()
+                        .filter(|&it| lv.tidset(it).binary_search(&(t as u32)).is_ok())
+                        .collect();
+                    assert_eq!(row, transposed.as_slice(), "h {h} row {t}");
+                    occurrences += row.len();
+                }
+                assert_eq!(lv.occurrences(), occurrences as u64, "h {h}");
+                assert_eq!(rows.bytes(), 4 * (db.len() + 1) + 4 * occurrences);
+                assert!(std::ptr::eq(view.rows(h), rows), "built once");
+            }
+        }
     }
 
     #[test]

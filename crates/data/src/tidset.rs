@@ -88,28 +88,42 @@ fn gallop_intersect_size(short: &[u32], long: &[u32]) -> u64 {
     n
 }
 
+/// Intersection of `k ≥ 1` sorted tid lists, written into `out` with
+/// `spare` as the second buffer: the allocation-free core of
+/// [`intersect_many`].
+///
+/// Sorts `lists` by length and intersects them shortest-first, so the
+/// running intersection shrinks as fast as possible; returns early once it
+/// empties.
+pub(crate) fn intersect_many_into(lists: &mut [&[u32]], out: &mut Vec<u32>, spare: &mut Vec<u32>) {
+    lists.sort_by_key(|l| l.len());
+    match lists {
+        [] => out.clear(),
+        [only] => {
+            out.clear();
+            out.extend_from_slice(only);
+        }
+        [a, b, rest @ ..] => {
+            intersect_into(a, b, out);
+            for l in rest {
+                if out.is_empty() {
+                    return;
+                }
+                intersect_into(out, l, spare);
+                std::mem::swap(out, spare);
+            }
+        }
+    }
+}
+
 /// Intersection of `k ≥ 1` sorted tid lists, materialized.
 ///
 /// Lists are processed shortest-first so the running intersection shrinks as
 /// fast as possible; returns early once it empties.
 pub fn intersect_many(lists: &[&[u32]]) -> Vec<u32> {
-    match lists.len() {
-        0 => Vec::new(),
-        1 => lists[0].to_vec(),
-        2 => intersect(lists[0], lists[1]),
-        _ => {
-            let mut order: Vec<usize> = (0..lists.len()).collect();
-            order.sort_by_key(|&i| lists[i].len());
-            let mut acc = intersect(lists[order[0]], lists[order[1]]);
-            for &i in &order[2..] {
-                if acc.is_empty() {
-                    return acc;
-                }
-                acc = intersect(&acc, lists[i]);
-            }
-            acc
-        }
-    }
+    let (mut out, mut spare) = (Vec::new(), Vec::new());
+    intersect_many_into(&mut lists.to_vec(), &mut out, &mut spare);
+    out
 }
 
 /// Size of the intersection of `k ≥ 1` sorted tid lists.
@@ -117,22 +131,11 @@ pub fn intersect_many(lists: &[&[u32]]) -> Vec<u32> {
 /// Lists are processed shortest-first so the running intersection shrinks as
 /// fast as possible; returns early once it empties.
 pub fn intersect_size_many(lists: &[&[u32]]) -> u64 {
-    match lists.len() {
-        0 => 0,
-        1 => lists[0].len() as u64,
-        2 => intersect_size(lists[0], lists[1]),
-        _ => {
-            let mut order: Vec<usize> = (0..lists.len()).collect();
-            order.sort_by_key(|&i| lists[i].len());
-            let mut acc = intersect(lists[order[0]], lists[order[1]]);
-            for &i in &order[2..] {
-                if acc.is_empty() {
-                    return 0;
-                }
-                acc = intersect(&acc, lists[i]);
-            }
-            acc.len() as u64
-        }
+    match lists {
+        [] => 0,
+        [only] => only.len() as u64,
+        [a, b] => intersect_size(a, b),
+        _ => intersect_many(lists).len() as u64,
     }
 }
 

@@ -7,8 +7,8 @@
 //! concurrently.
 
 use flipper_api::{
-    FlipperConfig, Generator, JsonWriter, MinSupports, PlantedParams, PruningConfig, ResultSink,
-    Session, Thresholds,
+    FlipperConfig, Generator, JsonWriter, MinSupports, PlantedParams, PruningConfig, QuestParams,
+    ResultSink, Session, Thresholds,
 };
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -301,6 +301,81 @@ fn sweep_builds_view_bitmaps_once_per_level() {
         "some level promotes items: {first:?}"
     );
     assert!(dense_spans().is_empty(), "a second sweep rebuilt bitmaps");
+}
+
+/// The view's rows are built once per level they are projected at: on a
+/// sparse Quest session, a first BASIC mine records one `view.rows` span per
+/// such level, with the level `h`, one row per transaction and their
+/// `bytes` (`N + 1` offsets plus at least one item per row), and the
+/// `projected` args of its `mine.count` spans add up to the run's
+/// `CounterStats::projected`. A second mine on the session projects the
+/// same members and records no `view.rows` span.
+#[test]
+fn basic_mines_build_view_rows_once_per_level() {
+    let _guard = recorder_lock();
+    let session = Session::open(Generator::Quest(
+        QuestParams::default().with_transactions(1_000).with_seed(7),
+    ))
+    .expect("quest ingests");
+    let n = session.view().num_transactions() as u64;
+    let cfg = FlipperConfig {
+        min_support: MinSupports::Fractions(vec![0.02, 0.008, 0.004, 0.003]),
+        pruning: PruningConfig::BASIC,
+        ..config(2)
+    };
+    let arg = |e: &flipper_obs::SpanEvent, key: &str| {
+        e.args
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|&(_, v)| v)
+            .unwrap_or_else(|| panic!("{} span without `{key}`", e.name))
+    };
+    let traced_mine = || {
+        flipper_obs::disable();
+        let _ = flipper_obs::drain();
+        flipper_obs::enable();
+        let result = session.mine(&cfg).expect("mine succeeds");
+        let capture = flipper_obs::drain();
+        flipper_obs::disable();
+        let mut rows: Vec<[u64; 3]> = capture
+            .events
+            .iter()
+            .filter(|e| e.name == "view.rows")
+            .map(|e| [arg(e, "h"), arg(e, "rows"), arg(e, "bytes")])
+            .collect();
+        rows.sort_unstable();
+        let projected: u64 = capture
+            .events
+            .iter()
+            .filter(|e| e.name == "mine.count")
+            .map(|e| arg(e, "projected"))
+            .sum();
+        (result.stats.counter.projected, projected, rows)
+    };
+    let (first, first_spans, built) = traced_mine();
+    assert!(first > 0, "the BASIC mine projects");
+    assert_eq!(first_spans, first, "mine.count spans account for it");
+    assert!(!built.is_empty(), "projecting builds rows");
+    let height = session.taxonomy().height() as u64;
+    for (i, &[h, rows, bytes]) in built.iter().enumerate() {
+        assert!(h >= 1 && h <= height, "level {h}");
+        assert!(
+            i == 0 || built[i - 1][0] < h,
+            "one build per level: {built:?}"
+        );
+        assert_eq!(rows, n, "one row per transaction at h {h}");
+        assert!(bytes >= 4 * (n + 1) + 4 * n, "h {h}: {bytes} bytes");
+    }
+    let (second, second_spans, rebuilt) = traced_mine();
+    assert_eq!(
+        second, first,
+        "projection never depends on the rows being built"
+    );
+    assert_eq!(second_spans, second);
+    assert!(
+        rebuilt.is_empty(),
+        "a second mine rebuilt rows: {rebuilt:?}"
+    );
 }
 
 /// Vertical replay per cell: every `mine.gen` span with a vertical source

@@ -4,7 +4,8 @@
 //! reference and to itself at every thread count, at every storage density
 //! (all-bitmap, the storage rule's mix, all-tid-list), on random dense and
 //! sparse databases and on Quest data, including batches with degenerate
-//! group shapes (all-same-prefix, all-distinct-prefix, k = 2, k = 1).
+//! group shapes (all-same-prefix, all-distinct-prefix, k = 2, k = 1) and
+//! sparse batches the kernel answers by projection.
 //!
 //! `scripts/verify.sh` re-runs this suite under `--release`, where the
 //! optimizer has historically surfaced bugs debug builds miss.
@@ -12,7 +13,8 @@
 use flipper_core::{mine, FlipperConfig, MinSupports, PruningConfig};
 use flipper_data::rng::{Rng, Xoshiro256pp};
 use flipper_data::{
-    naive_tidset_counts, BitsetCounter, Itemset, ItemsetRows, MultiLevelView, TransactionDb,
+    naive_tidset_counts, BitsetCounter, CounterStats, Itemset, ItemsetRows, MultiLevelView,
+    TransactionDb,
 };
 use flipper_datagen::quest::QuestParams;
 use flipper_measures::Thresholds;
@@ -37,8 +39,15 @@ const THREADS: [usize; 3] = [1, 2, 7];
 
 /// Count `batch` at every density and thread count; counts must equal the
 /// naive reference, and counts *and* stats must match across threads.
-fn assert_kernel_matches_naive(view: &MultiLevelView, h: usize, batch: &ItemsetRows, ctx: &str) {
+/// Returns the stats at each density, in [`DENSITIES`] order.
+fn assert_kernel_matches_naive(
+    view: &MultiLevelView,
+    h: usize,
+    batch: &ItemsetRows,
+    ctx: &str,
+) -> Vec<CounterStats> {
     let reference = naive_tidset_counts(view, h, batch);
+    let mut stats = Vec::new();
     for density in DENSITIES {
         let mut seq = counter_at(view, density);
         let counts = seq.count_batch(h, batch, 1);
@@ -53,7 +62,9 @@ fn assert_kernel_matches_naive(view: &MultiLevelView, h: usize, batch: &ItemsetR
             assert_eq!(got, reference, "{ctx}: counts");
             assert_eq!(par.stats(), seq.stats(), "{ctx}: stats");
         }
+        stats.push(seq.stats());
     }
+    stats
 }
 
 /// Random database over `tax`: `n` transactions of width `1..=max_w`.
@@ -229,6 +240,68 @@ fn chained_batches_match_naive_at_every_density() {
         }
     }
     assert!(mixed_levels > 0, "no level mixes bitmaps and tid-lists");
+}
+
+/// The projected path on sparse, Quest-shaped batches: the pairs of the 80
+/// most frequent leaf items below the bitmap cutoff (`64 · support < N`)
+/// and the triples of the top 30. Each batch matches the naive reference at every
+/// density and at threads {1, 2, 7}, with stats identical across threads.
+/// With tid-list prefixes (the storage rule's mix and all-tid-list) the
+/// kernel answers members by projection, charging the same intersections
+/// as the per-member path; bitmap prefixes never project.
+#[test]
+fn sparse_prefix_groups_take_the_projected_path() {
+    let ds = flipper_datagen::quest::generate(
+        &QuestParams::default().with_transactions(2_000).with_seed(5),
+    );
+    let (tax, db) = (ds.taxonomy, ds.db);
+    let view = MultiLevelView::build(&db, &tax);
+    let h = tax.height();
+    let lv = view.level(h);
+    let n = view.num_transactions() as u64;
+    // The most frequent sparse items first, so prefixes share transactions.
+    let mut items: Vec<NodeId> = lv
+        .present_items()
+        .iter()
+        .copied()
+        .filter(|&it| 64 * lv.item_support(it) < n)
+        .collect();
+    items.sort_by_key(|&it| std::cmp::Reverse(lv.item_support(it)));
+    assert!(items.len() >= 80, "enough sparse leaf items");
+    for (k, pool) in [(2usize, 80usize), (3, 30)] {
+        let mut pool = items[..pool].to_vec();
+        pool.sort_unstable();
+        let batch = k_subsets(&pool, k);
+        let ctx = format!("sparse quest h={h} k={k}");
+        let stats = assert_kernel_matches_naive(&view, h, &batch, &ctx);
+        let by_density = DENSITIES.iter().zip(&stats);
+        for (density, stats) in by_density {
+            let ctx = format!("{ctx} density={density:?}");
+            if *density == Some(0.0) {
+                assert_eq!(stats.projected, 0, "{ctx}: bitmap prefixes never project");
+            } else {
+                assert!(stats.projected > 0, "{ctx}: nothing projected");
+            }
+            assert_eq!(stats.candidates_counted, batch.len() as u64, "{ctx}");
+            assert_eq!(stats.intersections, stats_of_groups(&batch), "{ctx}");
+        }
+    }
+}
+
+/// The intersections the kernel charges for `batch` however it answers
+/// the members: one per member, plus `k − 2` per materialized prefix of a
+/// multi-member group, and `k − 1` for a singleton `k ≥ 3` group.
+fn stats_of_groups(batch: &ItemsetRows) -> u64 {
+    let k = batch.k() as u64;
+    batch
+        .prefix_groups(0..batch.len())
+        .map(|g| match (k, g.len() as u64) {
+            (1, _) => 0,
+            (2, m) => m,
+            (_, 1) => k - 1,
+            (_, m) => k - 2 + m,
+        })
+        .sum()
 }
 
 /// End-to-end: full mining runs are fully bit-identical — patterns, cell

@@ -48,6 +48,11 @@
 #     on` (points select the memo rows other points recorded, concurrently)
 #     and once with `--seed-supports off` (every parent set enumerated);
 #     `flipper results-diff` must report the two reports identical.
+#   * a BASIC CLI smoke: `flipper mine --variant basic` on the same small
+#     Quest file at `--threads 1` and `--threads 2`; its sparse prefix
+#     groups are counted by projection (the `--timings` counter line must
+#     report `projected=` above 0), and `flipper results-diff` must report
+#     the two reports identical.
 #
 # Documentation is a gate too: `cargo doc --no-deps` must build with
 # RUSTDOCFLAGS="-D warnings" — a public API change that breaks its own
@@ -182,6 +187,22 @@ done
 cargo run --release -q -p flipper-cli -- results-diff \
     "$OBS_TMP/memo-on.json" "$OBS_TMP/memo-off.json" || {
     echo "vertical memo: seeded and unseeded sweeps differ" >&2
+    exit 1
+}
+
+echo "== prefix projection: BASIC mine at --threads 1 equals --threads 2"
+for threads in 1 2; do
+    cargo run --release -q -p flipper-cli -- mine --input "$OBS_TMP/quest.fbin" \
+        --variant basic --threads "$threads" --timings \
+        --output-json "$OBS_TMP/basic-t$threads.json" >"$OBS_TMP/basic-t$threads.txt"
+    grep -Eq '^counter: .* projected=[1-9]' "$OBS_TMP/basic-t$threads.txt" || {
+        echo "BASIC smoke: no member was counted by projection at --threads $threads" >&2
+        exit 1
+    }
+done
+cargo run --release -q -p flipper-cli -- results-diff \
+    "$OBS_TMP/basic-t1.json" "$OBS_TMP/basic-t2.json" || {
+    echo "prefix projection: BASIC reports differ across thread counts" >&2
     exit 1
 }
 
