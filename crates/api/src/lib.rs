@@ -68,7 +68,6 @@ pub use sweep::{threshold_point, Sweep, SweepOutcome, SweepRun};
 
 // Re-exported conveniences: the types a façade caller needs to configure a
 // run and read its results, so frontends depend on `flipper-api` alone.
-pub use flipper_core::stability::StabilityReport;
 pub use flipper_core::topk::{SearchConfigError, TopKConfig, TopKResult};
 pub use flipper_core::{
     ChainError, ConfigError, FlipperConfig, FlippingPattern, MinSupports, MiningResult,

@@ -3,10 +3,9 @@
 use crate::error::FlipperError;
 use crate::source::DataSource;
 use crate::sweep::Sweep;
-use flipper_core::stability::{bootstrap_stability, StabilityReport};
 use flipper_core::topk::{top_k_with_view, TopKConfig, TopKResult};
 use flipper_core::{mine_with_view, FlipperConfig, MineOptions, MiningResult};
-use flipper_data::{CacheStats, MultiLevelView, TransactionDb, VerticalMemo};
+use flipper_data::{CacheStats, MultiLevelView, VerticalMemo};
 use flipper_guard::CancelToken;
 use flipper_store::SalvageReport;
 use flipper_taxonomy::Taxonomy;
@@ -42,7 +41,6 @@ use flipper_taxonomy::Taxonomy;
 pub struct Session {
     taxonomy: Taxonomy,
     view: MultiLevelView,
-    database: Option<TransactionDb>,
     origin: String,
     /// Session-level memo of vertical enumerations: seeded sweep points
     /// replay the parent sets an earlier seeded point enumerated, and
@@ -80,7 +78,6 @@ impl Session {
         Ok(Session {
             taxonomy: ingested.taxonomy,
             view: ingested.view,
-            database: ingested.database,
             origin: ingested.origin,
             memo: VerticalMemo::new(),
             salvage: None,
@@ -132,7 +129,6 @@ impl Session {
         Ok(Session {
             taxonomy,
             view,
-            database: None,
             origin: format!("fbin file {} (salvage)", path.display()),
             memo: VerticalMemo::new(),
             salvage: Some(report),
@@ -155,12 +151,6 @@ impl Session {
     /// The cached multi-level projection.
     pub fn view(&self) -> &MultiLevelView {
         &self.view
-    }
-
-    /// The raw transaction database, when the source materialized one
-    /// (`None` after streamed FBIN ingestion).
-    pub fn database(&self) -> Option<&TransactionDb> {
-        self.database.as_ref()
     }
 
     /// Human-readable description of where the data came from.
@@ -240,29 +230,6 @@ impl Session {
         Ok(top_k_with_view(&self.taxonomy, &self.view, cfg)?)
     }
 
-    /// Bootstrap stability screening ([`flipper_core::stability`]): resample
-    /// the database `rounds` times and report how often each pattern
-    /// reappears.
-    ///
-    /// Resampling needs the materialized [`TransactionDb`]; a session
-    /// ingested from an FBIN stream reports [`FlipperError::Usage`].
-    pub fn stability(
-        &self,
-        cfg: &FlipperConfig,
-        rounds: usize,
-        seed: u64,
-    ) -> Result<StabilityReport, FlipperError> {
-        cfg.validate()?;
-        let db = self.database.as_ref().ok_or_else(|| {
-            FlipperError::usage(
-                "bootstrap stability resamples the raw database, but this session \
-                 was ingested by streaming and never materialized it; open the \
-                 session from a text file or an in-memory dataset instead",
-            )
-        })?;
-        Ok(bootstrap_stability(&self.taxonomy, db, cfg, rounds, seed))
-    }
-
     /// Start building a parameter [`Sweep`] over this session.
     pub fn sweep(&self) -> Sweep<'_> {
         Sweep::new(self)
@@ -272,7 +239,6 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::Generator;
     use flipper_core::{mine, MinSupports};
     use flipper_datagen::planted::PlantedParams;
 
@@ -377,7 +343,6 @@ mod tests {
         })
         .unwrap();
         let session = Session::open(crate::FbinSource::new(&fbin[..])).unwrap();
-        assert!(session.database().is_none());
         let r = session
             .top_k(&TopKConfig {
                 k: 2,
@@ -386,10 +351,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(r.patterns.len(), 2);
-        // …but stability needs the materialized db.
-        let err = session.stability(&counts_cfg(), 3, 7).unwrap_err();
-        assert!(matches!(err, FlipperError::Usage(_)));
-        assert_eq!(err.exit_code(), 2);
     }
 
     #[test]
@@ -490,7 +451,6 @@ mod tests {
         let report = clean.salvage_report().unwrap();
         assert!(!report.is_degraded(), "{}", report.summary());
         assert_eq!(clean.num_transactions(), data.db.len());
-        assert!(clean.database().is_none());
         assert!(clean.origin().contains("salvage"));
         let strict = Session::open_path(&clean_path).unwrap();
         assert_eq!(
@@ -531,16 +491,5 @@ mod tests {
         assert!(matches!(err, FlipperError::Usage(_)), "{err}");
 
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stability_runs_on_materialized_sessions() {
-        let session = Session::open(Generator::Planted(PlantedParams {
-            background_txns: 0,
-            ..PlantedParams::default()
-        }))
-        .unwrap();
-        let report = session.stability(&counts_cfg(), 3, 7).unwrap();
-        assert_eq!(report.rounds, 3);
     }
 }

@@ -5,9 +5,9 @@
 //! mining-ready [`MultiLevelView`]. File paths are sniffed by magic bytes
 //! (FBIN binary vs text interchange), FBIN inputs stream chunk by chunk
 //! without ever materializing the raw database, and the five dataset
-//! generators plug in through [`Generator`]. Sources that *do* materialize
-//! a [`TransactionDb`] hand it to the session too, unlocking the
-//! database-resampling analyses (bootstrap stability).
+//! generators plug in through [`Generator`]. A source that materializes a
+//! [`TransactionDb`] projects it into the view and drops it; borrowed
+//! sources project the caller's database in place.
 
 use crate::error::FlipperError;
 use flipper_data::format::{read_dataset, Dataset};
@@ -27,10 +27,6 @@ pub struct Ingested {
     pub taxonomy: Taxonomy,
     /// The multi-level projection the miner runs against.
     pub view: MultiLevelView,
-    /// The raw transaction database, when the source materialized one
-    /// (`None` for streamed FBIN ingestion — that is the point of
-    /// streaming).
-    pub database: Option<TransactionDb>,
     /// Human-readable description of where the data came from.
     pub origin: String,
 }
@@ -40,28 +36,32 @@ pub struct Ingested {
 /// `ingest` consumes the source: a streamed reader can only be read once,
 /// and consuming uniformly keeps the contract honest for every impl.
 /// Borrowed impls (`&Dataset`, `&SurrogateData`, …) exist for callers that
-/// need to keep the original around — they clone what the session must own.
+/// need to keep the original around — they project the borrowed database
+/// and clone only the taxonomy, the one part the session must own.
 pub trait DataSource {
     /// Human-readable description of the source, used in reports.
     fn describe(&self) -> String;
 
-    /// Ingest into a taxonomy + view (+ database when materialized),
-    /// sharding any projection work over `threads` scoped workers
-    /// (`0` = auto-detect, `1` = sequential). The resulting view is
-    /// bit-identical at every thread count.
+    /// Ingest into a taxonomy + view, sharding any projection work over
+    /// `threads` scoped workers (`0` = auto-detect, `1` = sequential). The
+    /// resulting view is bit-identical at every thread count.
     fn ingest(self, threads: usize) -> Result<Ingested, FlipperError>
     where
         Self: Sized;
 }
 
-/// Build an [`Ingested`] from a materialized dataset, sharding the
+/// Build an [`Ingested`] from a materialized database, sharding the
 /// projection over `threads` workers.
-fn ingest_dataset(ds: Dataset, origin: String, threads: usize) -> Ingested {
-    let view = MultiLevelView::build_with_threads(&ds.db, &ds.taxonomy, threads);
+fn ingest_dataset(
+    taxonomy: Taxonomy,
+    db: &TransactionDb,
+    origin: String,
+    threads: usize,
+) -> Ingested {
+    let view = MultiLevelView::build_with_threads(db, &taxonomy, threads);
     Ingested {
-        taxonomy: ds.taxonomy,
+        taxonomy,
         view,
-        database: Some(ds.db),
         origin,
     }
 }
@@ -115,13 +115,12 @@ impl DataSource for PathSource {
                 Ok(Ingested {
                     taxonomy,
                     view,
-                    database: None,
                     origin,
                 })
             }
             crate::io::FileFormat::Text => {
                 let ds = read_dataset(BufReader::new(open(&self.path)?), self.policy)?;
-                Ok(ingest_dataset(ds, origin, threads))
+                Ok(ingest_dataset(ds.taxonomy, &ds.db, origin, threads))
             }
         }
     }
@@ -158,7 +157,7 @@ impl<R: BufRead> DataSource for TextSource<R> {
     fn ingest(self, threads: usize) -> Result<Ingested, FlipperError> {
         let origin = self.describe();
         let ds = read_dataset(self.reader, self.policy)?;
-        Ok(ingest_dataset(ds, origin, threads))
+        Ok(ingest_dataset(ds.taxonomy, &ds.db, origin, threads))
     }
 }
 
@@ -189,7 +188,6 @@ impl<R: Read> DataSource for FbinSource<R> {
         Ok(Ingested {
             taxonomy,
             view,
-            database: None,
             origin,
         })
     }
@@ -206,7 +204,7 @@ impl DataSource for Dataset {
 
     fn ingest(self, threads: usize) -> Result<Ingested, FlipperError> {
         let origin = self.describe();
-        Ok(ingest_dataset(self, origin, threads))
+        Ok(ingest_dataset(self.taxonomy, &self.db, origin, threads))
     }
 }
 
@@ -216,7 +214,13 @@ impl DataSource for &Dataset {
     }
 
     fn ingest(self, threads: usize) -> Result<Ingested, FlipperError> {
-        self.clone().ingest(threads)
+        let origin = self.describe();
+        Ok(ingest_dataset(
+            self.taxonomy.clone(),
+            &self.db,
+            origin,
+            threads,
+        ))
     }
 }
 
@@ -248,10 +252,8 @@ macro_rules! borrow_datagen_source {
             fn ingest(self, threads: usize) -> Result<Ingested, FlipperError> {
                 let origin = self.describe();
                 Ok(ingest_dataset(
-                    Dataset {
-                        taxonomy: self.taxonomy.clone(),
-                        db: self.db.clone(),
-                    },
+                    self.taxonomy.clone(),
+                    &self.db,
                     origin,
                     threads,
                 ))
@@ -325,7 +327,8 @@ impl DataSource for Generator {
 
     fn ingest(self, threads: usize) -> Result<Ingested, FlipperError> {
         let origin = self.describe();
-        Ok(ingest_dataset(self.dataset(), origin, threads))
+        let ds = self.dataset();
+        Ok(ingest_dataset(ds.taxonomy, &ds.db, origin, threads))
     }
 }
 
@@ -343,7 +346,6 @@ mod tests {
     fn dataset_and_tuple_sources_materialize_the_db() {
         let ds = toy();
         let ing = (&ds).ingest(1).unwrap();
-        assert!(ing.database.is_some());
         assert_eq!(ing.taxonomy, ds.taxonomy);
         assert_eq!(ing.view, MultiLevelView::build(&ds.db, &ds.taxonomy));
         let ing2 = (ds.taxonomy.clone(), ds.db.clone()).ingest(1).unwrap();
@@ -360,13 +362,11 @@ mod tests {
         write_dataset(&mut text, &ds).unwrap();
         let ing = TextSource::new(&text[..]).ingest(1).unwrap();
         assert_eq!(ing.view, reference);
-        assert!(ing.database.is_some());
 
         let fbin = to_fbin_bytes(&ds).unwrap();
         for threads in [1usize, 4] {
             let ing = FbinSource::new(&fbin[..]).ingest(threads).unwrap();
             assert_eq!(ing.view, reference, "threads={threads}");
-            assert!(ing.database.is_none(), "fbin ingestion streams");
         }
     }
 
@@ -387,10 +387,8 @@ mod tests {
 
         let ing = PathSource::new(&text_path).ingest(1).unwrap();
         assert_eq!(ing.view, reference);
-        assert!(ing.database.is_some());
         let ing = PathSource::new(&fbin_path).ingest(1).unwrap();
         assert_eq!(ing.view, reference);
-        assert!(ing.database.is_none());
 
         let err = PathSource::new(dir.join("missing")).ingest(1).unwrap_err();
         assert!(matches!(err, FlipperError::Io { .. }));
@@ -408,7 +406,6 @@ mod tests {
             let name = generator.name();
             let ing = generator.ingest(1).unwrap();
             assert!(ing.origin.contains(name));
-            assert!(ing.database.is_some());
             assert!(ing.view.num_transactions() > 0, "{name}");
         }
         assert_eq!(Generator::Census { seed: 1 }.name(), "census");

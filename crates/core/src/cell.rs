@@ -8,9 +8,9 @@
 //! and therefore everything downstream that walks a cell, up to the
 //! `flipper-results/v1` bytes — is deterministic by construction, and a
 //! probe ([`Cell::get_items`]) is a binary search over the rows. The miner
-//! inserts candidates in ascending order (its batches are sorted and
-//! deduplicated), which makes every insert an append; out-of-order inserts
-//! fall back to binary-search placement.
+//! evaluates candidates in ascending order (every source emits its rows
+//! ascending and distinct), so a cell is only ever appended to
+//! ([`Cell::push`]).
 
 use flipper_data::ItemsetRows;
 use flipper_measures::Label;
@@ -18,7 +18,7 @@ use flipper_taxonomy::NodeId;
 
 /// Everything known about one evaluated `(h,k)`-itemset.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ItemsetInfo {
+pub(crate) struct ItemsetInfo {
     /// Support in the level-`h` projection.
     pub support: u64,
     /// Correlation value under the configured measure (0 for infrequent
@@ -34,7 +34,7 @@ pub struct ItemsetInfo {
 
 /// One cell `Q(h,k)` of the search table.
 #[derive(Debug, Clone)]
-pub struct Cell {
+pub(crate) struct Cell {
     /// Ascending and distinct.
     rows: ItemsetRows,
     /// `infos[i]` describes row `i`.
@@ -46,6 +46,7 @@ impl Cell {
     ///
     /// # Panics
     /// Panics if `k == 0`.
+    #[cfg(test)]
     pub fn new(k: usize) -> Self {
         Cell::with_capacity(k, 0)
     }
@@ -83,25 +84,23 @@ impl Cell {
         &self.infos[i]
     }
 
-    /// Insert an evaluated itemset given as its sorted items, replacing any
-    /// previous entry.
+    /// Append an evaluated itemset, given as its sorted items, after every
+    /// row the cell holds.
     ///
     /// # Panics
-    /// Panics if `items` does not hold exactly `k` items.
-    pub fn insert(&mut self, items: &[NodeId], info: ItemsetInfo) {
-        let n = self.len();
-        if n == 0 || self.rows.row(n - 1) < items {
-            self.rows.push(items);
-            self.infos.push(info);
-            return;
-        }
-        match self.rows.binary_search(items) {
-            Ok(i) => self.infos[i] = info,
-            Err(i) => {
-                self.rows.insert(i, items);
-                self.infos.insert(i, info);
-            }
-        }
+    /// Panics if `items` does not hold exactly `k` items. Debug builds also
+    /// check that `items` is strictly increasing and above the last row.
+    pub(crate) fn push(&mut self, items: &[NodeId], info: ItemsetInfo) {
+        debug_assert!(
+            items.windows(2).all(|w| w[0] < w[1]),
+            "row {items:?} is not strictly increasing"
+        );
+        debug_assert!(
+            self.is_empty() || self.rows.row(self.len() - 1) < items,
+            "row {items:?} does not come after the cell's last row"
+        );
+        self.rows.push(items);
+        self.infos.push(info);
     }
 
     /// Look up an itemset given as its sorted items. A probe of the wrong
@@ -119,6 +118,7 @@ impl Cell {
     }
 
     /// Iterate itemsets with `support ≥ θ` (label ≠ infrequent).
+    #[cfg(test)]
     pub fn frequent(&self) -> impl Iterator<Item = (&[NodeId], &ItemsetInfo)> {
         self.iter().filter(|(_, i)| i.label != Label::Infrequent)
     }
@@ -136,6 +136,7 @@ impl Cell {
 
     /// Count of itemsets per label `(positive, negative, non-correlated,
     /// infrequent)`.
+    #[cfg(test)]
     pub fn label_counts(&self) -> (usize, usize, usize, usize) {
         let mut counts = (0, 0, 0, 0);
         for info in &self.infos {
@@ -173,7 +174,7 @@ mod tests {
     fn insert_get_len() {
         let mut c = Cell::new(2);
         assert!(c.is_empty());
-        c.insert(&[n(1), n(2)], info(Label::Positive, true));
+        c.push(&[n(1), n(2)], info(Label::Positive, true));
         assert_eq!((c.len(), c.k()), (1, 2));
         assert_eq!(c.get_items(&[n(1), n(2)]).unwrap().label, Label::Positive);
         assert!(c.get_items(&[n(1), n(3)]).is_none());
@@ -188,10 +189,10 @@ mod tests {
     #[test]
     fn filtered_iterators() {
         let mut c = Cell::new(2);
-        c.insert(&[n(1), n(2)], info(Label::Positive, true));
-        c.insert(&[n(1), n(3)], info(Label::Negative, false));
-        c.insert(&[n(2), n(3)], info(Label::Infrequent, false));
-        c.insert(&[n(2), n(4)], info(Label::NonCorrelated, false));
+        c.push(&[n(1), n(2)], info(Label::Positive, true));
+        c.push(&[n(1), n(3)], info(Label::Negative, false));
+        c.push(&[n(2), n(3)], info(Label::Infrequent, false));
+        c.push(&[n(2), n(4)], info(Label::NonCorrelated, false));
         assert_eq!(c.frequent().count(), 3);
         assert_eq!(c.alive().count(), 1);
         assert_eq!(c.label_counts(), (1, 1, 1, 1));
@@ -202,34 +203,18 @@ mod tests {
     fn tpg_condition() {
         let mut c = Cell::new(2);
         assert!(c.all_non_positive(), "vacuously true when empty");
-        c.insert(&[n(1), n(2)], info(Label::Negative, true));
-        c.insert(&[n(1), n(3)], info(Label::Infrequent, false));
+        c.push(&[n(1), n(2)], info(Label::Negative, true));
+        c.push(&[n(1), n(3)], info(Label::Infrequent, false));
         assert!(c.all_non_positive());
-        c.insert(&[n(2), n(3)], info(Label::Positive, true));
+        c.push(&[n(2), n(3)], info(Label::Positive, true));
         assert!(!c.all_non_positive());
     }
 
-    #[test]
-    fn out_of_order_inserts_keep_sorted_order_and_replace() {
-        let mut c = Cell::new(2);
-        c.insert(&[n(2), n(4)], info(Label::Negative, false));
-        c.insert(&[n(1), n(2)], info(Label::Positive, true));
-        c.insert(&[n(1), n(3)], info(Label::Infrequent, false));
-        // Replacement, not duplication.
-        c.insert(&[n(1), n(2)], info(Label::Negative, false));
-        assert_eq!(c.len(), 3);
-        let order: Vec<&[NodeId]> = c.iter().map(|(s, _)| s).collect();
-        let mut sorted = order.clone();
-        sorted.sort();
-        assert_eq!(order, sorted);
-        assert_eq!(c.get_items(&[n(1), n(2)]).unwrap().label, Label::Negative);
-    }
-
     /// The flat cell against an ordered-map reference on seeded random
-    /// inserts — in and out of order, many of them replacements — at
-    /// `k = 1..=4`: the same rows in the same ascending order, the same
-    /// lookups (present, absent, a prefix, the wrong width), filters,
-    /// label counts and TPG condition.
+    /// rows at `k = 1..=4`, the cell holding the reference's rows pushed in
+    /// order: the same rows in the same ascending order, the same lookups
+    /// (present, absent, a prefix, the wrong width), filters, label counts
+    /// and TPG condition.
     #[test]
     fn matches_a_map_reference_on_random_inserts() {
         const LABELS: [Label; 4] = [
@@ -250,9 +235,7 @@ mod tests {
                     return row;
                 }
             };
-            let mut cell = Cell::new(k);
             let mut reference: BTreeMap<Vec<NodeId>, ItemsetInfo> = BTreeMap::new();
-            let mut replaced = 0;
             for step in 0..(8 + round * 3) {
                 let row = random_row(&mut rng);
                 let label = LABELS[rng.gen_range(0..4usize)];
@@ -262,8 +245,11 @@ mod tests {
                     label,
                     chain_alive: label.is_correlated() && rng.gen_range(0..2u32) == 0,
                 };
-                replaced += usize::from(reference.insert(row.clone(), got).is_some());
-                cell.insert(&row, got);
+                reference.insert(row, got);
+            }
+            let mut cell = Cell::new(k);
+            for (row, info) in &reference {
+                cell.push(row, *info);
             }
             let ctx = format!("round {round} k={k}");
             assert_eq!(cell.len(), reference.len(), "{ctx}");
@@ -308,9 +294,6 @@ mod tests {
                 let mut wide = probe.clone();
                 wide.push(n(universe));
                 assert_eq!(cell.get_items(&wide), None, "{ctx}: too wide");
-            }
-            if round >= 8 {
-                assert!(replaced > 0, "{ctx}: replacements must happen");
             }
         }
     }

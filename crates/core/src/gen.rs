@@ -498,7 +498,7 @@ mod tests {
     use crate::cell::ItemsetInfo;
     use flipper_data::rng::{Rng, Xoshiro256pp};
     use flipper_data::{naive_tidset_counts, Itemset, MultiLevelView, TransactionDb};
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// The kernel's three storage mixes: `Some(0.0)` promotes every item to
     /// a bitmap, `None` is the storage rule's mix, `Some(2.0)` keeps every
@@ -524,6 +524,16 @@ mod tests {
             label,
             chain_alive: label.is_correlated(),
         }
+    }
+
+    /// A cell of `rows` given in any order; a later duplicate replaces an
+    /// earlier one.
+    fn cell_of(k: usize, rows: BTreeMap<Itemset, ItemsetInfo>) -> Cell {
+        let mut cell = Cell::new(k);
+        for (set, info) in &rows {
+            cell.push(set.items(), *info);
+        }
+        cell
     }
 
     fn ctx<'a>(tax: &'a Taxonomy, top_cat: &'a [NodeId]) -> GenCtx<'a> {
@@ -552,7 +562,7 @@ mod tests {
                 2 => Label::Negative,
                 _ => Label::Positive,
             };
-            cell.insert(set.items(), info(label));
+            cell.push(set.items(), info(label));
         }
         cell
     }
@@ -695,17 +705,18 @@ mod tests {
             }
             let mut above = Cell::new(k);
             for p in &parents {
-                above.insert(p.items(), info(Label::Positive));
+                above.push(p.items(), info(Label::Positive));
             }
             // Known-infrequent pairs prune the triples that contain them.
-            let mut prev = Cell::new(2);
+            let mut prev = BTreeMap::new();
             for a in leaves.iter().step_by(7) {
                 for b in leaves.iter().step_by(5) {
                     if top_cat[a.index()] != top_cat[b.index()] {
-                        prev.insert(Itemset::pair(*a, *b).items(), info(Label::Infrequent));
+                        prev.insert(Itemset::pair(*a, *b), info(Label::Infrequent));
                     }
                 }
             }
+            let prev = cell_of(2, prev);
             let prev = (k == 3).then_some(&prev);
             let by_density = DENSITIES.map(|density| {
                 let mut counter = counter_at(&view, density);
@@ -799,14 +810,15 @@ mod tests {
             .collect();
         let (h, theta, k) = (3, 2, 3);
         let mids = tax.nodes_at_level(2).unwrap().to_vec();
-        let mut above = Cell::new(k);
+        let mut above = BTreeMap::new();
         for _ in 0..40 {
             let set = Itemset::new((0..k).map(|_| mids[rng.gen_range(0..mids.len())]).collect());
             let cats: BTreeSet<NodeId> = set.items().iter().map(|it| top_cat[it.index()]).collect();
             if cats.len() == k {
-                above.insert(set.items(), info(Label::Positive));
+                above.insert(set, info(Label::Positive));
             }
         }
+        let above = cell_of(k, above);
         // `prev` cells of leaf pairs, every `every`-th one infrequent.
         let prev_cell = |every: usize| {
             let mut cell = Cell::new(2);
@@ -820,7 +832,7 @@ mod tests {
                         } else {
                             Label::Positive
                         };
-                        cell.insert(Itemset::pair(a, b).items(), info(label));
+                        cell.push(Itemset::pair(a, b).items(), info(label));
                     }
                 }
             }
@@ -956,20 +968,21 @@ mod tests {
             let k = 2 + round % 2;
             // Parent sets over distinct categories. `above` keeps two in
             // three alive; `earlier` is another random subset of them.
-            let (mut above, mut earlier) = (Cell::new(k), Cell::new(k));
+            let (mut above, mut earlier) = (BTreeMap::new(), BTreeMap::new());
             for _ in 0..30 {
                 let set =
                     Itemset::new((0..k).map(|_| mids[rng.gen_range(0..mids.len())]).collect());
                 let cats: BTreeSet<NodeId> =
                     set.items().iter().map(|it| top_cat[it.index()]).collect();
                 if cats.len() == k {
-                    above.insert(set.items(), alive(rng.gen_range(0..3u32) > 0));
-                    earlier.insert(set.items(), alive(rng.gen_range(0..2u32) == 0));
+                    above.insert(set.clone(), alive(rng.gen_range(0..3u32) > 0));
+                    earlier.insert(set, alive(rng.gen_range(0..2u32) == 0));
                 }
             }
+            let (above, earlier) = (cell_of(k, above), cell_of(k, earlier));
             // Random `(k−1)`-itemsets of leaves, one in three infrequent;
             // every fourth round has no `prev` cell.
-            let mut prev = Cell::new(k - 1);
+            let mut prev = BTreeMap::new();
             for _ in 0..150 {
                 let set = Itemset::new(
                     (0..k - 1)
@@ -982,9 +995,10 @@ mod tests {
                     } else {
                         Label::Positive
                     };
-                    prev.insert(set.items(), info(label));
+                    prev.insert(set, info(label));
                 }
             }
+            let prev = cell_of(k - 1, prev);
             let prev = (round % 4 != 3).then_some(&prev);
             // Bans on about one leaf in ten; none in every third round.
             let banned: Vec<bool> = tax
@@ -1044,7 +1058,7 @@ mod tests {
             .map(|x| tax.ancestor_at_level(x, 1).unwrap_or(x))
             .collect();
         let mut above = Cell::new(2);
-        above.insert(
+        above.push(
             Itemset::pair(mids[0], mids[1]).items(),
             info(Label::Positive),
         );
@@ -1086,15 +1100,16 @@ mod tests {
             .collect();
         let c = ctx(&tax, &top_cat);
         // Q(2,2): the pairs of {a1,b1,c1} and of {a2,b2,c2}, all frequent.
-        let mut prev = Cell::new(2);
+        let mut prev = BTreeMap::new();
         for [x, y, z] in [[a1, b1, c1], [a2, b2, c2]] {
             for (p, q) in [(x, y), (x, z), (y, z)] {
-                prev.insert(Itemset::pair(p, q).items(), info(Label::Positive));
+                prev.insert(Itemset::pair(p, q), info(Label::Positive));
             }
         }
+        let prev = cell_of(2, prev);
         // Q(1,3): the one parent set, alive.
         let mut above = Cell::new(3);
-        above.insert(Itemset::new(tops.clone()).items(), info(Label::Positive));
+        above.push(Itemset::new(tops.clone()).items(), info(Label::Positive));
         let joined = horizontal(&c, &prev, 3);
         let mut counter = BitsetCounter::new(&view);
         let mut level = VerticalLevel::new(&mut counter, 2, 1, None);

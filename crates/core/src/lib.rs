@@ -52,14 +52,11 @@ mod gen;
 mod miner;
 #[cfg(test)]
 mod miner_proptests;
-pub mod ranking;
 mod results;
-pub mod stability;
 mod stats;
 pub mod topk;
 pub mod verify;
 
-pub use cell::{Cell, ItemsetInfo};
 pub use config::{ConfigError, FlipperConfig, MinSupports, PruningConfig};
 pub use miner::{mine, mine_with_view, MineOptions};
 pub use results::{CellSummary, ChainError, ChainLevel, FlippingPattern, MiningResult};

@@ -454,7 +454,9 @@ impl<'a> Miner<'a> {
                     }
                 }
             }
-            cell.insert(
+            debug_assert!(!chain_alive || label.is_correlated(), "{set:?}");
+            debug_assert!(!frequent || (0.0..=1.0).contains(&corr), "{set:?}: {corr}");
+            cell.push(
                 set,
                 ItemsetInfo {
                     support: sup,
@@ -491,8 +493,11 @@ impl<'a> Miner<'a> {
         summary
     }
 
-    /// Memory proxy: BASIC retains the whole table; the pruned variants
-    /// only ever need the previous row plus the current one (paper §5.2).
+    /// The paper's §5.2 memory proxy: BASIC counts the whole table, the
+    /// pruned variants the previous row plus the current one, the two rows
+    /// their candidate sources read. It is a proxy, not a measurement:
+    /// [`Miner::extract_patterns`] reads every row's cells at `finish` to
+    /// rebuild the chains, so every row stays resident until then.
     fn update_peak_resident(&mut self, h: usize) {
         let resident: u64 = if self.cfg.pruning.flipping {
             let prev = if h >= 2 { self.rows[h - 2].stored } else { 0 };
@@ -649,18 +654,10 @@ impl<'a> Miner<'a> {
         let patterns = self.extract_patterns();
         self.stats.counter = self.counter.stats();
         self.stats.elapsed = t0.elapsed();
-        let mut evaluated: Vec<(usize, Cell)> = Vec::new();
-        for (h, row) in self.rows.into_iter().enumerate() {
-            // BTreeMap iteration is ascending by `k` already.
-            for (_k, cell) in row.cells {
-                evaluated.push((h + 1, cell));
-            }
-        }
         MiningResult {
             patterns,
             stats: self.stats,
             cells: self.cells_out,
-            evaluated,
         }
     }
 

@@ -12,7 +12,7 @@ use crate::config::{FlipperConfig, MinSupports, PruningConfig};
 use crate::miner::mine;
 use flipper_data::rng::{Rng, Xoshiro256pp};
 use flipper_data::TransactionDb;
-use flipper_measures::{Label, Thresholds};
+use flipper_measures::Thresholds;
 use flipper_taxonomy::{NodeId, Taxonomy};
 
 fn random_input(
@@ -52,7 +52,9 @@ fn all_patterns_validate() {
 }
 
 /// Cell summaries are internally consistent: per-label counts bound the
-/// evaluated count, and alive itemsets are always correlated.
+/// evaluated count. Per itemset, `eval_cell` debug-asserts that alive
+/// itemsets are correlated and frequent ones have a correlation in
+/// `[0, 1]`; unit tests build in debug, so this run checks every one.
 #[test]
 fn cell_summaries_consistent() {
     for seed in 0..32u64 {
@@ -64,47 +66,29 @@ fn cell_summaries_consistent() {
             assert!(c.frequent <= c.evaluated, "seed {seed}");
             assert!(c.alive <= c.positive + c.negative, "seed {seed}");
         }
-        for (_, cell) in &r.evaluated {
-            for (_, info) in cell.iter() {
-                if info.chain_alive {
-                    assert!(info.label.is_correlated(), "seed {seed}");
-                }
-                if info.label != Label::Infrequent {
-                    assert!((0.0..=1.0).contains(&info.corr), "seed {seed}");
-                }
-            }
-        }
     }
 }
 
-/// Every evaluated cell is a well-formed flat table under every pruning
-/// variant: each row is exactly `k` items wide and strictly increasing (a
-/// canonical itemset), and the rows are strictly ascending, hence distinct.
+/// Every pruning variant stores only well-formed flat tables: `Cell::push`
+/// debug-asserts that each evaluated row is exactly `k` items wide and
+/// strictly increasing (a canonical itemset) and comes after the cell's
+/// last row, so the rows are strictly ascending, hence distinct. Unit
+/// tests build in debug, so this run checks every row of every cell.
 #[test]
-fn evaluated_rows_are_canonical_and_ascending() {
+fn every_variant_pushes_canonical_ascending_rows() {
     for seed in 0..24u64 {
         let (tax, db) = random_input(2, 3, 3, 80, seed);
         let cfg = FlipperConfig::new(Thresholds::new(0.5, 0.2), MinSupports::Counts(vec![2, 1]));
         for pruning in PruningConfig::VARIANTS {
             let r = mine(&tax, &db, &cfg.clone().with_pruning(pruning));
-            assert!(!r.evaluated.is_empty(), "seed {seed}");
-            for (level, cell) in &r.evaluated {
-                let ctx = format!(
-                    "seed {seed} {} level {level} k {}",
-                    pruning.name(),
-                    cell.k()
-                );
-                let rows: Vec<&[NodeId]> = cell.iter().map(|(row, _)| row).collect();
-                assert_eq!(rows.len(), cell.len(), "{ctx}");
-                for row in &rows {
-                    assert_eq!(row.len(), cell.k(), "{ctx}: row width");
-                    assert!(row.windows(2).all(|w| w[0] < w[1]), "{ctx}: {row:?}");
-                }
-                assert!(
-                    rows.windows(2).all(|w| w[0] < w[1]),
-                    "{ctx}: rows strictly ascending"
-                );
-            }
+            let stored: usize = r.cells.iter().map(|c| c.evaluated).sum();
+            assert!(stored > 0, "seed {seed} {}", pruning.name());
+            assert_eq!(
+                stored as u64,
+                r.stats.total_stored_itemsets,
+                "seed {seed} {}",
+                pruning.name()
+            );
         }
     }
 }

@@ -194,7 +194,10 @@ pub struct CellSummary {
     pub alive: usize,
 }
 
-/// The complete outcome of a mining run.
+/// The complete outcome of a mining run: the patterns, the run's
+/// statistics and one summary per evaluated cell. The evaluated itemsets
+/// themselves are the miner's working state and are dropped when the run
+/// finishes.
 #[derive(Debug, Clone)]
 pub struct MiningResult {
     /// All flipping patterns, sorted by (size, leaf itemset) for
@@ -204,10 +207,6 @@ pub struct MiningResult {
     pub stats: crate::stats::RunStats,
     /// Per-cell summaries in evaluation order.
     pub cells: Vec<CellSummary>,
-    /// The evaluated cells themselves, as `(level, cell)` pairs in
-    /// evaluation order — the raw material for post-hoc analyses such as
-    /// the distance ranking of [`crate::ranking`].
-    pub evaluated: Vec<(usize, crate::cell::Cell)>,
 }
 
 impl MiningResult {
@@ -344,7 +343,6 @@ mod tests {
             patterns: vec![p2.clone(), p1.clone()],
             stats: Default::default(),
             cells: vec![],
-            evaluated: vec![],
         };
         let top = r.top_k_by_gap(1);
         assert_eq!(top.len(), 1);
@@ -356,7 +354,6 @@ mod tests {
         let r = MiningResult {
             patterns: vec![],
             stats: Default::default(),
-            evaluated: vec![],
             cells: vec![
                 CellSummary {
                     level: 1,

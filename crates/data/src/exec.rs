@@ -1,8 +1,7 @@
 //! Dependency-free parallel execution helpers.
 //!
 //! The counting stack (and everything above it — the miner's per-level
-//! candidate batches, the bootstrap stability replicates, the brute-force
-//! verifier) shards work over contiguous chunks handled by a
+//! candidate batches, the brute-force verifier) shards work over contiguous chunks handled by a
 //! [`std::thread::scope`] pool. No work-stealing, no channels, no external
 //! crates: each chunk is spawned on its own scoped worker and results are
 //! joined back **in chunk order**, so any fold over them is deterministic

@@ -257,16 +257,6 @@ impl ItemsetRows {
         self.items.extend_from_slice(row);
     }
 
-    /// Insert a row before row `i`, shifting the rows after it.
-    ///
-    /// # Panics
-    /// Panics if `row` does not hold exactly `k` items or `i > len`.
-    pub fn insert(&mut self, i: usize, row: &[NodeId]) {
-        assert_eq!(row.len(), self.k, "row width");
-        let at = i * self.k;
-        self.items.splice(at..at, row.iter().copied());
-    }
-
     /// Binary search for `row` in ascending rows: `Ok` with its index, or
     /// `Err` with the index where it would be inserted. A probe of the
     /// wrong width is never found.
@@ -479,12 +469,12 @@ mod tests {
     }
 
     #[test]
-    fn rows_push_insert_and_iterate() {
+    fn rows_push_and_iterate() {
         let mut rows = ItemsetRows::with_capacity(3, 2);
         assert!(rows.is_empty());
-        rows.extend([&[n(1), n(2), n(3)][..], &[n(1), n(4), n(5)]]);
-        rows.insert(1, &[n(1), n(2), n(4)]);
-        rows.insert(3, &[n(2), n(3), n(4)]);
+        rows.extend([&[n(1), n(2), n(3)][..], &[n(1), n(2), n(4)]]);
+        rows.push(&[n(1), n(4), n(5)]);
+        rows.push(&[n(2), n(3), n(4)]);
         let got: Vec<&[NodeId]> = rows.iter().collect();
         assert_eq!(
             got,

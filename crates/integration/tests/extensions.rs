@@ -1,5 +1,4 @@
-//! Tests for the extension features: level-restricted mining (§2.2),
-//! top-K most-flipping search (§7) and bootstrap stability.
+//! Tests for level-restricted mining (§2.2), an extension feature.
 
 use flipper_core::{mine, verify::brute_force, FlipperConfig, MinSupports};
 use flipper_datagen::planted::{self, PlantedParams};
@@ -95,46 +94,6 @@ fn restricted_levels_keep_bottom_flip() {
                 .iter()
                 .any(|p| p.leaf_itemset.items() == pair),
             "planted (−,+) tail must survive the {{2,3}} restriction"
-        );
-    }
-}
-
-/// Top-K search and bootstrap stability cooperate: the patterns the top-K
-/// search surfaces on planted data are also the most stable ones.
-#[test]
-fn topk_patterns_are_stable() {
-    let d = planted::generate(&PlantedParams {
-        background_txns: 100,
-        ..Default::default()
-    });
-    let topk = flipper_core::topk::top_k(
-        &d.taxonomy,
-        &d.db,
-        &flipper_core::topk::TopKConfig {
-            k: 2,
-            base: FlipperConfig {
-                min_support: MinSupports::Counts(vec![5]),
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
-    assert_eq!(topk.patterns.len(), 2);
-
-    let mut cfg = planted_cfg();
-    cfg.thresholds = topk.thresholds;
-    let report = flipper_core::stability::bootstrap_stability(&d.taxonomy, &d.db, &cfg, 8, 5);
-    for p in &topk.patterns {
-        let entry = report
-            .patterns
-            .iter()
-            .find(|s| s.leaf_itemset == p.leaf_itemset)
-            .expect("top-k pattern appears in stability report");
-        assert!(
-            entry.stability >= 0.75,
-            "top-k pattern {} unstable: {}",
-            p.leaf_itemset,
-            entry.stability
         );
     }
 }

@@ -233,7 +233,6 @@ fn streamed_session_mines_identically_to_loaded() {
     for threads in [1usize, 4] {
         let streamed =
             Session::open_with_threads(flipper_api::FbinSource::new(&fbin[..]), threads).unwrap();
-        assert!(streamed.database().is_none());
         let got = streamed.mine(&cfg).unwrap();
         assert_results_equal(&got, &want, &format!("streamed threads={threads}"));
     }

@@ -96,6 +96,12 @@ fn io_err(context: impl Into<String>, source: std::io::Error) -> LintError {
 /// fixtures and `target/` are out of scope by construction — and files
 /// declared as `#[cfg(test)] mod <name>;` by a sibling are skipped as
 /// test-only in their entirety.
+///
+/// When `root` is a Cargo workspace (its `Cargo.toml` declares
+/// `[workspace]`), every file a rule scope names by path must exist under
+/// it: a missing one is a [`LintError::Io`] naming the file, not a file
+/// silently out of scope. A tree without a workspace manifest, such as a
+/// test fixture, is checked against the rules alone.
 pub fn analyze_workspace(root: &Path) -> Result<Report, LintError> {
     analyze_workspace_full(root).map(|a| a.report)
 }
@@ -106,6 +112,16 @@ pub fn analyze_workspace(root: &Path) -> Result<Report, LintError> {
 /// re-ruled to `panic-reachability` — the hard-zero variant — unless an
 /// explicit `lint:allow(panic-hygiene, …)` covers them.
 pub fn analyze_workspace_full(root: &Path) -> Result<Analysis, LintError> {
+    if is_workspace_root(root) {
+        for rel in rules::scope_files() {
+            std::fs::metadata(root.join(rel)).map_err(|e| {
+                io_err(
+                    format!("{rel}, named by a rule scope in crates/lint/src/rules.rs"),
+                    e,
+                )
+            })?;
+        }
+    }
     let mut files = Vec::new();
     let crates_dir = root.join("crates");
     let mut crate_dirs = read_dir_sorted(&crates_dir)?;
@@ -180,17 +196,15 @@ pub fn analyze_workspace_full(root: &Path) -> Result<Analysis, LintError> {
 /// Locate the workspace root: the nearest ancestor of `start` whose
 /// `Cargo.toml` declares `[workspace]`.
 pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
-    let mut dir = Some(start);
-    while let Some(d) = dir {
-        let manifest = d.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return Some(d.to_path_buf());
-            }
-        }
-        dir = d.parent();
-    }
-    None
+    start
+        .ancestors()
+        .find(|d| is_workspace_root(d))
+        .map(Path::to_path_buf)
+}
+
+/// Whether `dir` holds a `Cargo.toml` that declares `[workspace]`.
+fn is_workspace_root(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|text| text.contains("[workspace]"))
 }
 
 fn read_dir_sorted(dir: &Path) -> Result<Vec<PathBuf>, LintError> {

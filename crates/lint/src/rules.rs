@@ -166,9 +166,7 @@ const DETERMINISM_FILES: &[&str] = &[
     "crates/core/src/miner.rs",
     "crates/core/src/gen.rs",
     "crates/core/src/cell.rs",
-    "crates/core/src/stability.rs",
     "crates/core/src/topk.rs",
-    "crates/core/src/ranking.rs",
     "crates/core/src/results.rs",
     "crates/data/src/cache.rs",
     "crates/data/src/bitset.rs",
@@ -190,6 +188,16 @@ const EXEC_FILE: &str = "crates/data/src/exec.rs";
 /// The one module that may spell wire schema tags as string literals: the
 /// flipper-wire constant registry itself.
 const WIRE_REGISTRY_FILE: &str = "crates/wire/src/lib.rs";
+
+/// Every file a rule scope names by path. Scopes match paths as strings,
+/// so a renamed or deleted file would drop out of its rule's scope without
+/// a word; the driver rejects a workspace that lacks one instead.
+pub(crate) fn scope_files() -> impl Iterator<Item = &'static str> {
+    DETERMINISM_FILES
+        .iter()
+        .copied()
+        .chain([EXEC_FILE, WIRE_REGISTRY_FILE])
+}
 
 fn in_panic_scope(rel: &str) -> bool {
     PANIC_CRATES

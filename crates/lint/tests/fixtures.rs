@@ -10,7 +10,7 @@
 //! finding-free against the real workspace.
 
 use flipper_lint::report::Baseline;
-use flipper_lint::{analyze_workspace, analyze_workspace_full};
+use flipper_lint::{analyze_workspace, analyze_workspace_full, LintError};
 use std::path::Path;
 use std::process::Command;
 
@@ -285,4 +285,58 @@ fn cli_graph_dot_prints_and_exits_zero() {
         .output()
         .expect("spawn flipper-lint");
     assert_eq!(bad.status.code(), Some(2));
+}
+
+/// A rule scope that names a file the workspace lacks fails the analysis,
+/// naming the file, instead of silently scoping nothing. Starting from a
+/// bare workspace manifest, the test creates each file the analysis asks
+/// for until it passes, then deletes one again. The manifest-less fixture
+/// tree above is exempt from the check.
+#[test]
+fn stale_scope_path_is_an_error() {
+    let root = std::env::temp_dir().join(format!("flipper-lint-scope-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(root.join("crates")).unwrap();
+    std::fs::write(root.join("Cargo.toml"), "[workspace]\n").unwrap();
+
+    let mut created: Vec<String> = Vec::new();
+    let report = loop {
+        match analyze_workspace(&root) {
+            Ok(report) => break report,
+            Err(err) => {
+                assert!(matches!(err, LintError::Io { .. }), "{err}");
+                let msg = err.to_string();
+                let rel = msg.split(',').next().unwrap().to_string();
+                assert!(
+                    rel.starts_with("crates/") && !created.contains(&rel),
+                    "{msg}"
+                );
+                let path = root.join(&rel);
+                std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+                std::fs::write(&path, "").unwrap();
+                created.push(rel);
+            }
+        }
+    };
+    for rel in [
+        "crates/core/src/miner.rs",
+        "crates/data/src/exec.rs",
+        "crates/wire/src/lib.rs",
+    ] {
+        assert!(created.iter().any(|c| c == rel), "{rel} is in scope");
+    }
+    assert_eq!(report.files_scanned, created.len());
+
+    std::fs::remove_file(root.join("crates/data/src/exec.rs")).unwrap();
+    let msg = analyze_workspace(&root)
+        .expect_err("exec.rs is gone")
+        .to_string();
+    assert!(msg.starts_with("crates/data/src/exec.rs,"), "{msg}");
+    let out = lint_cmd()
+        .arg("--root")
+        .arg(&root)
+        .output()
+        .expect("spawn flipper-lint");
+    assert_eq!(out.status.code(), Some(2), "a stale scope is an I/O error");
+    let _ = std::fs::remove_dir_all(&root);
 }

@@ -173,29 +173,6 @@ impl Taxonomy {
             .unwrap_or(false)
     }
 
-    /// Lowest common ancestor of two nodes (may be the root).
-    pub fn lca(&self, a: NodeId, b: NodeId) -> NodeId {
-        let (mut a, mut b) = (a, b);
-        while self.level_of(a) > self.level_of(b) {
-            a = self.parent(a).expect("non-root has parent");
-        }
-        while self.level_of(b) > self.level_of(a) {
-            b = self.parent(b).expect("non-root has parent");
-        }
-        while a != b {
-            a = self.parent(a).expect("non-root has parent");
-            b = self.parent(b).expect("non-root has parent");
-        }
-        a
-    }
-
-    /// Number of edges on the shortest path between `a` and `b` in the tree
-    /// (the "taxonomy distance" used by surprisingness-ranking baselines).
-    pub fn distance(&self, a: NodeId, b: NodeId) -> usize {
-        let l = self.lca(a, b);
-        (self.level_of(a) - self.level_of(l)) + (self.level_of(b) - self.level_of(l))
-    }
-
     /// All leaf descendants of `node` (if `node` is a leaf, just itself).
     pub fn leaf_descendants(&self, node: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
@@ -475,17 +452,9 @@ mod tests {
     }
 
     #[test]
-    fn paths_lca_distance() {
+    fn path_to_root_walks_up_to_level_1() {
         let t = toy();
         let a11 = t.node_by_name("a11").unwrap();
-        let a12 = t.node_by_name("a12").unwrap();
-        let b11 = t.node_by_name("b11").unwrap();
-        let a1 = t.node_by_name("a1").unwrap();
-        assert_eq!(t.lca(a11, a12), a1);
-        assert_eq!(t.lca(a11, b11), NodeId::ROOT);
-        assert_eq!(t.distance(a11, a12), 2);
-        assert_eq!(t.distance(a11, b11), 6);
-        assert_eq!(t.distance(a11, a11), 0);
         let p = t.path_to_root(a11);
         assert_eq!(p.len(), 3);
         assert_eq!(p[0], a11);

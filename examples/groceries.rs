@@ -10,7 +10,6 @@
 
 use flipper_api::{FlipperConfig, FlipperError, MinSupports, Session, Thresholds};
 use flipper_datagen::surrogate::groceries;
-use flipper_taxonomy::dot::{to_dot, DotOptions};
 
 fn main() -> Result<(), FlipperError> {
     let data = groceries(42);
@@ -48,28 +47,6 @@ fn main() -> Result<(), FlipperError> {
         );
         assert!(found);
     }
-
-    // Render the hierarchy fragment behind the first expected flip, like
-    // the paper's Fig. 10 diagrams.
-    let (a, b) = data.expected_flip_ids()[0];
-    let highlight: Vec<_> = data
-        .taxonomy
-        .path_to_root(a)
-        .into_iter()
-        .chain(data.taxonomy.path_to_root(b))
-        .collect();
-    let dot = to_dot(
-        &data.taxonomy,
-        &DotOptions {
-            graph_name: "groceries_flip".into(),
-            highlight,
-            max_level: Some(3),
-            ..Default::default()
-        },
-    );
-    println!("\nGraphviz DOT of the taxonomy (render with `dot -Tpng`):");
-    println!("{}", &dot[..dot.len().min(400)]);
-    println!("... ({} bytes total)", dot.len());
 
     println!("stats: {}", result.stats.summary());
     Ok(())
