@@ -19,8 +19,10 @@ use flipper_taxonomy::Taxonomy;
 /// single-shot [`flipper_core::mine`] / [`flipper_core::mine_with_view`]
 /// paths: `mine` is a thin delegation over the same view type. Every
 /// mining call — `mine`, [`mine_guarded`](Session::mine_guarded),
-/// [`top_k`](Session::top_k), a [`Sweep`] — returns a panic inside the
-/// miner as [`FlipperError::Panicked`] instead of unwinding.
+/// [`top_k`](Session::top_k), a [`Sweep`] — reads and records the
+/// session's memo of vertical enumerations, so a later call replays the
+/// enumerations an earlier one paid for; and every one returns a panic
+/// inside the miner as [`FlipperError::Panicked`] instead of unwinding.
 ///
 /// ```
 /// use flipper_api::{Generator, Session, FlipperConfig, MinSupports, PruningConfig};
@@ -42,13 +44,12 @@ pub struct Session {
     taxonomy: Taxonomy,
     view: MultiLevelView,
     origin: String,
-    /// Session-level memo of vertical enumerations: seeded sweep points
-    /// replay the parent sets an earlier seeded point enumerated, and
-    /// record the rest as they go. Enumerations are facts about the
-    /// ingested data, `h` and θ_h alone, so entries are valid for *any*
-    /// configuration over this session. Locks internally, so parallel sweep
-    /// jobs share it.
-    pub(crate) memo: VerticalMemo,
+    /// Session-level memo of vertical enumerations: every mining call
+    /// replays the parent sets an earlier call enumerated, and records the
+    /// rest as it goes. Enumerations are facts about the ingested data, `h`
+    /// and θ_h alone, so entries are valid for *any* configuration over
+    /// this session. Locks internally, so parallel sweep jobs share it.
+    memo: VerticalMemo,
     /// What salvage ingestion quarantined, when the session was opened via
     /// [`open_salvage_path`](Session::open_salvage_path). `None` for every
     /// strict open path.
@@ -163,20 +164,15 @@ impl Session {
         self.view.num_transactions()
     }
 
-    /// Mine flipping patterns under `cfg` against the cached view.
+    /// Mine flipping patterns under `cfg` against the cached view, reading
+    /// and recording the session memo.
     ///
     /// Validates the configuration first ([`FlipperConfig::validate`]) so a
     /// malformed request surfaces as a typed [`FlipperError::Config`]
     /// instead of a panic deep inside the miner; a panic inside the run
     /// still surfaces as [`FlipperError::Panicked`].
     pub fn mine(&self, cfg: &FlipperConfig) -> Result<MiningResult, FlipperError> {
-        cfg.validate()?;
-        Ok(mine_with_view(
-            &self.taxonomy,
-            &self.view,
-            cfg,
-            MineOptions::default(),
-        )?)
+        self.mine_with(cfg, None)
     }
 
     /// [`mine`](Session::mine) under a [`CancelToken`]: the run checks the
@@ -189,31 +185,38 @@ impl Session {
         cfg: &FlipperConfig,
         token: &CancelToken,
     ) -> Result<MiningResult, FlipperError> {
+        self.mine_with(cfg, Some(token))
+    }
+
+    fn mine_with(
+        &self,
+        cfg: &FlipperConfig,
+        token: Option<&CancelToken>,
+    ) -> Result<MiningResult, FlipperError> {
         cfg.validate()?;
-        let opts = MineOptions {
-            token: Some(token),
-            memo: None,
-        };
+        let memo = Some(&self.memo);
+        let opts = MineOptions { memo, token };
         Ok(mine_with_view(&self.taxonomy, &self.view, cfg, opts)?)
     }
 
     /// Stats of the session's reuse state, the memo of vertical
     /// enumerations: entries and estimated bytes resident, plus memo lookups
     /// (`seed_lookups`) and the ones it answered (`seed_hits`), summed over
-    /// seeded sweeps since the session opened or was last cleared.
+    /// every mining call since the session opened or was last cleared.
     pub fn support_cache_stats(&self) -> CacheStats {
         self.memo.stats()
     }
 
     /// Drop the session's reuse state — every recorded vertical
-    /// enumeration in the memo — and reset its counters. Later seeded
-    /// sweeps start cold; their results are unchanged.
+    /// enumeration in the memo — and reset its counters. Later mining
+    /// calls start cold; their results are unchanged.
     pub fn clear_support_cache(&self) {
         self.memo.clear();
     }
 
     /// Top-K most-flipping search ([`flipper_core::topk`]) over the cached
-    /// view — works even when the session was ingested by streaming.
+    /// view and the session memo — works even when the session was
+    /// ingested by streaming.
     ///
     /// Both the base configuration and the search knobs are validated up
     /// front, so a malformed request surfaces as a typed error instead of
@@ -227,7 +230,12 @@ impl Session {
         base_check.validate()?;
         cfg.validate()
             .map_err(|e| FlipperError::usage(format!("top-k search: {e}")))?;
-        Ok(top_k_with_view(&self.taxonomy, &self.view, cfg)?)
+        Ok(top_k_with_view(
+            &self.taxonomy,
+            &self.view,
+            cfg,
+            &self.memo,
+        )?)
     }
 
     /// Start building a parameter [`Sweep`] over this session.
@@ -278,28 +286,57 @@ mod tests {
         assert_eq!(first.patterns, second.patterns);
     }
 
+    /// The search counters a run's result determines: everything in
+    /// [`flipper_core::RunStats`] but the cost of getting there.
+    fn search(s: &flipper_core::RunStats) -> [u64; 12] {
+        [
+            s.candidates_generated,
+            s.pruned_by_sibp,
+            s.pruned_by_support,
+            s.dead_parent_cells,
+            s.frequent_found,
+            s.positive_found,
+            s.negative_found,
+            s.cells_evaluated,
+            s.tpg_cap,
+            s.sibp_banned_items,
+            s.peak_resident_itemsets,
+            s.total_stored_itemsets,
+        ]
+    }
+
     #[test]
     fn seeded_sweep_matches_mine_and_replays_the_memo() {
-        let (_, session) = planted_session();
-        let point = |cfg: &FlipperConfig| {
+        let (data, session) = planted_session();
+        let fresh = || Session::open(&data).unwrap();
+        let point = |session: &Session, cfg: &FlipperConfig| {
             let mut runs = session.sweep().add("p", cfg.clone()).run().unwrap();
             runs.remove(0).result
         };
+        // Cold: each call on a fresh session, so every counter matches.
         let cfg = counts_cfg();
-        let plain = session.mine(&cfg).unwrap();
-        let cold = point(&cfg);
+        let plain = fresh().mine(&cfg).unwrap();
+        let cold = point(&session, &cfg);
         assert_eq!(cold.patterns, plain.patterns);
         assert_eq!(cold.cells, plain.cells);
+        assert_eq!(cold.stats.counter, plain.stats.counter);
+        assert_eq!(search(&cold.stats), search(&plain.stats));
         assert_eq!(cold.stats.seeded_supports, 0, "memo starts empty");
+        assert_eq!(plain.stats.seeded_supports, 0, "memo starts empty");
         assert!(session.support_cache_stats().entries > 0);
 
-        let warm = point(&cfg);
-        assert_eq!(warm.patterns, plain.patterns);
-        assert_eq!(warm.cells, plain.cells);
-        assert!(
-            warm.stats.seeded_supports > 0,
-            "second seeded run replays supports from the session memo"
-        );
+        // Warm: a sweep point and a mine on the session the cold point
+        // filled replay its enumerations.
+        for warm in [point(&session, &cfg), session.mine(&cfg).unwrap()] {
+            assert_eq!(warm.patterns, plain.patterns);
+            assert_eq!(warm.cells, plain.cells);
+            assert_eq!(search(&warm.stats), search(&plain.stats));
+            assert!(warm.stats.counter.intersections <= plain.stats.counter.intersections);
+            assert!(
+                warm.stats.seeded_supports > 0,
+                "a warm run replays supports from the session memo"
+            );
+        }
         let stats = session.support_cache_stats();
         assert!(stats.seed_lookups >= stats.seed_hits && stats.seed_hits > 0);
 
@@ -314,11 +351,39 @@ mod tests {
                 ..counts_cfg()
             },
         ] {
-            let seeded_other = point(&other);
-            let plain_other = session.mine(&other).unwrap();
-            assert_eq!(seeded_other.patterns, plain_other.patterns);
-            assert_eq!(seeded_other.cells, plain_other.cells);
+            let warm_other = point(&session, &other);
+            let cold_other = fresh().mine(&other).unwrap();
+            assert_eq!(warm_other.patterns, cold_other.patterns);
+            assert_eq!(warm_other.cells, cold_other.cells);
+            assert_eq!(search(&warm_other.stats), search(&cold_other.stats));
         }
+    }
+
+    /// `Session::top_k` probes over the session memo: its later probes
+    /// replay the first one's enumerations, and it finds what the
+    /// single-shot search does.
+    #[test]
+    fn top_k_replays_across_its_probes() {
+        let (data, session) = planted_session();
+        let cfg = TopKConfig {
+            k: 10,
+            base: counts_cfg(),
+            ..Default::default()
+        };
+        let via_session = session.top_k(&cfg).unwrap();
+        assert!(via_session.runs >= 2, "the search must probe again");
+        assert!(
+            session.support_cache_stats().seed_hits > 0,
+            "later probes replay the first one's enumerations"
+        );
+        let single_shot = flipper_core::topk::top_k(&data.taxonomy, &data.db, &cfg);
+        assert_eq!(via_session.patterns, single_shot.patterns);
+        assert_eq!(via_session.thresholds, single_shot.thresholds);
+        assert_eq!(via_session.runs, single_shot.runs);
+
+        let before = session.support_cache_stats().seed_hits;
+        assert_eq!(session.top_k(&cfg).unwrap().patterns, single_shot.patterns);
+        assert!(session.support_cache_stats().seed_hits > before);
     }
 
     #[test]

@@ -13,19 +13,18 @@
 //!   field (measure, thresholds, supports, pruning, `max_k`) mine once;
 //!   the repeats reuse the result and are flagged via
 //!   [`SweepRun::duplicate_of`].
-//! * **Vertical replay** (default on, [`Sweep::with_seeding`]) — a point
-//!   selects the vertical enumeration of a parent set that an earlier
-//!   point, in this sweep or an earlier one, recorded in the session's
-//!   [`flipper_data::VerticalMemo`] under the same level and θ, instead of
-//!   re-intersecting its children's transactions. Points that differ only
-//!   in γ, ε or pruning share most of these.
+//! * **Vertical replay** — a point selects the vertical enumeration of a
+//!   parent set that an earlier mining call on the session (a point of
+//!   this sweep or an earlier one, or a [`Session::mine`](crate::Session::mine))
+//!   recorded in the session's [`flipper_data::VerticalMemo`] under the
+//!   same level and θ, instead of re-intersecting its children's
+//!   transactions. Points that differ only in γ, ε or pruning share most
+//!   of these.
 
 use crate::checkpoint::{point_key, CheckpointRow, SweepJournal};
 use crate::error::FlipperError;
 use crate::session::Session;
-use flipper_core::{
-    mine_with_view, FlipperConfig, MinSupports, MineOptions, MiningResult, PruningConfig,
-};
+use flipper_core::{FlipperConfig, MinSupports, MiningResult, PruningConfig};
 use flipper_data::exec;
 use flipper_guard::CancelToken;
 use flipper_measures::Thresholds;
@@ -113,7 +112,6 @@ pub struct Sweep<'s> {
     session: &'s Session,
     points: Vec<(String, FlipperConfig)>,
     jobs: usize,
-    seed_supports: bool,
     token: Option<&'s CancelToken>,
 }
 
@@ -125,7 +123,6 @@ impl<'s> Sweep<'s> {
             session,
             points: Vec::new(),
             jobs: 1,
-            seed_supports: true,
             token: None,
         }
     }
@@ -138,16 +135,6 @@ impl<'s> Sweep<'s> {
     /// that complete are identical with and without a live token.
     pub fn with_token(mut self, token: &'s CancelToken) -> Self {
         self.token = Some(token);
-        self
-    }
-
-    /// Toggle reuse of session work (default on). Seeded points replay
-    /// the vertical enumerations earlier points recorded in the session
-    /// memo and record their own. Results are identical either way —
-    /// enumerations are data facts, independent of γ, ε and pruning — so
-    /// turning this off only changes mining cost.
-    pub fn with_seeding(mut self, seed_supports: bool) -> Self {
-        self.seed_supports = seed_supports;
         self
     }
 
@@ -274,10 +261,6 @@ impl<'s> Sweep<'s> {
             }
         }
         let token = self.token;
-        // The memo locks once per vertical pass, to select or to record,
-        // and never across an enumeration, so jobs see each other's
-        // enumerations as soon as they are recorded.
-        let memo = self.seed_supports.then_some(&session.memo);
         let results: Vec<MiningResult> = {
             let _sweep_span = flipper_obs::span("sweep.run")
                 .arg("points", self.points.len() as u64)
@@ -292,10 +275,12 @@ impl<'s> Sweep<'s> {
                         }
                         let _point_span = flipper_obs::span_labeled("sweep.point", label);
                         // A panicking configuration fails the sweep typed
-                        // (`mine_with_view` traps it), after every worker
-                        // has joined and flushed.
-                        let opts = MineOptions { memo, token: None };
-                        let result = mine_with_view(session.taxonomy(), session.view(), cfg, opts)?;
+                        // (the miner traps it), after every worker has
+                        // joined and flushed. The session memo locks once
+                        // per vertical pass, never across an enumeration,
+                        // so jobs see each other's enumerations as soon as
+                        // they are recorded.
+                        let result = session.mine(cfg)?;
                         if let Some(j) = journal {
                             j.record(key, &summary_row(label, &result))?;
                         }
@@ -451,33 +436,33 @@ mod tests {
     }
 
     #[test]
-    fn seeded_sweeps_match_unseeded_and_hit_the_support_cache() {
+    fn warm_sweeps_match_cold_points_and_hit_the_memo() {
         let s = session();
-        let grid = |seed: bool| {
+        let grid = || {
             s.sweep()
-                .with_seeding(seed)
                 .thresholds_grid(&base(), &[0.5, 0.3], &[0.1, 0.2])
                 .run()
                 .unwrap()
         };
-        let cold = grid(true);
+        let first = grid();
         assert!(
             s.support_cache_stats().entries > 0,
             "sweep records its enumerations"
         );
-        let warm = grid(true);
+        let warm = grid();
         let stats = s.support_cache_stats();
         assert!(
             stats.seed_hits > 0,
             "second sweep must be answered from the memo: {stats:?}"
         );
-        let unseeded = grid(false);
-        assert_eq!(s.support_cache_stats(), stats, "unseeded sweeps skip it");
-        for ((c, w), u) in cold.iter().zip(&warm).zip(&unseeded) {
-            assert_eq!(c.result.patterns, w.result.patterns, "{}", c.label);
-            assert_eq!(c.result.patterns, u.result.patterns, "{}", c.label);
-            assert_eq!(c.result.cells, w.result.cells, "{}", c.label);
-            assert_eq!(c.result.cells, u.result.cells, "{}", c.label);
+        for (f, w) in first.iter().zip(&warm) {
+            // Each point alone on a fresh session: a cold memo.
+            let cold = session().mine(&w.config).unwrap();
+            assert_eq!(f.result.patterns, cold.patterns, "{}", f.label);
+            assert_eq!(w.result.patterns, cold.patterns, "{}", w.label);
+            assert_eq!(f.result.cells, cold.cells, "{}", f.label);
+            assert_eq!(w.result.cells, cold.cells, "{}", w.label);
+            assert!(w.result.stats.seeded_supports > 0, "{}", w.label);
         }
         s.clear_support_cache();
         assert_eq!(s.support_cache_stats().entries, 0);

@@ -30,7 +30,7 @@ use flipper_api::{
     Session, TextReport, Thresholds, TopKConfig,
 };
 use flipper_wire::json::{self, Json};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
@@ -56,7 +56,7 @@ USAGE:
   flipper sweep    --input FILE [--gammas F1,F2,...] [--epsilons F1,F2,...]
                    [--variants v1,v2,...|all] [--max-k K]
                    [--minsup F1,F2,...] [--measure NAME] [--threads N]
-                   [--jobs N] [--seed-supports on|off]
+                   [--jobs N]
                    [--output-json FILE] [--trace FILE]
                    [--timeout SECS] [--checkpoint FILE [--resume]]
   flipper convert  --input FILE --out FILE [--to text|fbin]
@@ -70,14 +70,10 @@ by `generate --format fbin` or `convert --to fbin`) and the text interchange
 format both work everywhere an `--input` is accepted. `mine` and `sweep`
 ingest FBIN inputs chunk-by-chunk (streaming) and FBIN output format
 defaults from a `.fbin` extension. `sweep` ingests the dataset ONCE and runs
-the whole grid against the cached view; `--jobs` shards the runs themselves
-over workers. `--output-json` writes the machine-readable
-`{results}` report.
-
-`--seed-supports` (sweep, default on) replays the vertical enumerations
-earlier grid points recorded in a session-level memo instead of
-re-intersecting them. Neither it nor `--threads` or `--jobs` can change any
-mined result; they only change how much mining costs.
+the whole grid against the cached view, each point reusing the vertical
+enumerations of the points before it; `--jobs` shards the runs themselves
+over workers. Neither `--threads` nor `--jobs` changes any mined result.
+`--output-json` writes the machine-readable `{results}` report.
 
 `--trace FILE` records the run with the flipper-obs recorder and writes a
 `{trace}` Chrome trace-event JSON (open it in chrome://tracing or
@@ -197,7 +193,6 @@ const SWEEP_FLAGS: &[&str] = &[
     "max-k",
     "threads",
     "jobs",
-    "seed-supports",
     "output-json",
     "trace",
     "timeout",
@@ -589,15 +584,6 @@ fn cmd_sweep(flags: &Flags) -> Result<(), FlipperError> {
             .collect::<Result<_, _>>()?,
     };
     let jobs = get_usize(flags, "jobs", 1)?;
-    let seed_supports = match flags.get("seed-supports").map(String::as_str) {
-        None | Some("on") => true,
-        Some("off") => false,
-        Some(other) => {
-            return Err(FlipperError::usage(format!(
-                "--seed-supports expects on or off, got {other:?}"
-            )))
-        }
-    };
 
     // Build the whole labeled grid from the flags alone, so an empty grid
     // is reported before the (possibly expensive) ingestion starts.
@@ -655,7 +641,7 @@ fn cmd_sweep(flags: &Flags) -> Result<(), FlipperError> {
     let journal = checkpoint
         .map(|path| flipper_api::SweepJournal::open(path, &session))
         .transpose()?;
-    let mut sweep = session.sweep().with_jobs(jobs).with_seeding(seed_supports);
+    let mut sweep = session.sweep().with_jobs(jobs);
     if let Some(t) = &token {
         sweep = sweep.with_token(t);
     }
@@ -804,36 +790,49 @@ fn cmd_results_diff(args: &[String]) -> Result<u8, FlipperError> {
         println!("equivalent: {path_a} and {path_b} differ only in formatting");
         return Ok(0);
     }
-    let runs_a = runs_by_label(path_a, &doc_a)?;
-    let runs_b = runs_by_label(path_b, &doc_b)?;
-    let mut differences = 0usize;
+    let differences = report_differences((path_a, &doc_a), (path_b, &doc_b))?;
+    for line in &differences {
+        println!("{line}");
+    }
+    println!("{} difference(s)", differences.len());
+    Ok(1)
+}
+
+/// One line per difference between two reports that are not equal: runs
+/// present in one only, runs that differ, runs in a different order, and
+/// differences outside the runs array (e.g. the salvage "degraded" stamp).
+fn report_differences(
+    (path_a, doc_a): (&str, &Json),
+    (path_b, doc_b): (&str, &Json),
+) -> Result<Vec<String>, FlipperError> {
+    let order_a = labeled_runs(path_a, doc_a)?;
+    let order_b = labeled_runs(path_b, doc_b)?;
+    let runs_a: BTreeMap<&str, &Json> = order_a.iter().copied().collect();
+    let runs_b: BTreeMap<&str, &Json> = order_b.iter().copied().collect();
+    let mut lines = Vec::new();
     for (label, run_a) in &runs_a {
         match runs_b.get(label) {
-            None => {
-                println!("- run {label:?} only in {path_a}");
-                differences += 1;
-            }
+            None => lines.push(format!("- run {label:?} only in {path_a}")),
             Some(run_b) if run_a != run_b => {
-                println!("! run {label:?} differs between the reports");
-                differences += 1;
+                lines.push(format!("! run {label:?} differs between the reports"))
             }
             Some(_) => {}
         }
     }
     for label in runs_b.keys() {
         if !runs_a.contains_key(label) {
-            println!("+ run {label:?} only in {path_b}");
-            differences += 1;
+            lines.push(format!("+ run {label:?} only in {path_b}"));
         }
     }
-    if differences == 0 {
-        // Run-for-run equal, so the difference lives outside the runs
-        // array — e.g. one report carries the salvage "degraded" stamp.
-        println!("! reports differ outside the runs (e.g. a degraded stamp)");
-        differences = 1;
+    if lines.is_empty() {
+        if order_a.iter().map(|r| r.0).ne(order_b.iter().map(|r| r.0)) {
+            lines.push("! the runs match, but their order differs".to_string());
+        }
+        if lines.is_empty() || fields_outside_runs(doc_a) != fields_outside_runs(doc_b) {
+            lines.push("! reports differ outside the runs (e.g. a degraded stamp)".to_string());
+        }
     }
-    println!("{differences} difference(s)");
-    Ok(1)
+    Ok(lines)
 }
 
 /// Parse one report and verify its schema line; not-a-report is a usage
@@ -850,11 +849,17 @@ fn parse_results(path: &str, text: &str) -> Result<Json, FlipperError> {
     Ok(doc)
 }
 
-/// Index a report's runs by label for the label-level diff.
-fn runs_by_label<'a>(
-    path: &str,
-    doc: &'a Json,
-) -> Result<std::collections::BTreeMap<&'a str, &'a Json>, FlipperError> {
+/// A report's top-level fields other than its runs.
+fn fields_outside_runs(doc: &Json) -> Vec<(&String, &Json)> {
+    match doc {
+        Json::Obj(fields) => fields.iter().filter(|f| f.0 != "runs").collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// A report's runs with their labels, in document order, for the
+/// label-level diff.
+fn labeled_runs<'a>(path: &str, doc: &'a Json) -> Result<Vec<(&'a str, &'a Json)>, FlipperError> {
     let bad = || {
         FlipperError::usage(format!(
             "{path} has no \"runs\" array of labeled run objects"
@@ -917,6 +922,7 @@ mod tests {
             ("mine", "--engine"),
             ("mine", "--cache-budget"),
             ("sweep", "--engines"),
+            ("sweep", "--seed-supports"),
         ] {
             let err = run(&strs(&[cmd, "--input", "q.fbin", flag, "tidset"])).unwrap_err();
             assert!(err.to_string().contains(flag), "{cmd} {flag}: {err}");
@@ -992,8 +998,6 @@ mod tests {
             "all",
             "--jobs",
             "2",
-            "--seed-supports",
-            "on",
             "--output-json",
             &sweep_json,
         ]))
@@ -1127,20 +1131,6 @@ mod tests {
     fn generate_rejects_unknown_kind() {
         let err = run(&strs(&["generate", "--kind", "nope"])).unwrap_err();
         assert!(err.to_string().contains("unknown dataset kind"));
-        assert_eq!(err.exit_code(), 2);
-    }
-
-    #[test]
-    fn sweep_rejects_bad_seed_supports_value() {
-        let err = run(&strs(&[
-            "sweep",
-            "--input",
-            "/nonexistent",
-            "--seed-supports",
-            "maybe",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("on or off"));
         assert_eq!(err.exit_code(), 2);
     }
 
@@ -1421,6 +1411,44 @@ mod tests {
         assert_eq!(err.exit_code(), 2);
         let err = run(&strs(&["results-diff", &a])).unwrap_err();
         assert!(matches!(err, FlipperError::Usage(_)), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two sweeps whose `--gammas` order is swapped hold the same runs in a
+    /// different order: the diff says exactly that, and still exits 1.
+    #[test]
+    fn results_diff_reports_reordered_runs() {
+        let dir = std::env::temp_dir().join(format!("flipper-cli-order-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("p.txt").to_string_lossy().to_string();
+        run(&strs(&["generate", "--kind", "planted", "--out", &path])).unwrap();
+        let sweep = |gammas: &str, name: &str| {
+            let out = dir.join(name).to_string_lossy().to_string();
+            run(&strs(&[
+                "sweep",
+                "--input",
+                &path,
+                "--gammas",
+                gammas,
+                "--epsilons",
+                "0.35",
+                "--minsup",
+                "0.001",
+                "--output-json",
+                &out,
+            ]))
+            .unwrap();
+            out
+        };
+        let a = sweep("0.6,0.5", "a.json");
+        let b = sweep("0.5,0.6", "b.json");
+        assert_eq!(run(&strs(&["results-diff", &a, &b])).unwrap(), 1);
+        let doc = |path: &str| parse_results(path, &std::fs::read_to_string(path).unwrap());
+        let (doc_a, doc_b) = (doc(&a).unwrap(), doc(&b).unwrap());
+        assert_eq!(
+            report_differences((&a, &doc_a), (&b, &doc_b)).unwrap(),
+            ["! the runs match, but their order differs"]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

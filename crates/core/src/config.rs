@@ -183,8 +183,8 @@ pub struct FlipperConfig {
     /// Optional hard cap on itemset size `k` (None = bounded only by the
     /// data and pruning).
     pub max_k: Option<usize>,
-    /// Worker threads for the sharded execution layer: candidate batches,
-    /// bootstrap replicates and brute-force verification. `1` = sequential
+    /// Worker threads for the sharded execution layer: candidate batches
+    /// and brute-force verification. `1` = sequential
     /// (the default), `0` = auto-detect the hardware parallelism, `n ≥ 2` =
     /// exactly `n`. Results and statistics are bit-identical at every
     /// setting.

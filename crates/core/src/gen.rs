@@ -280,9 +280,9 @@ pub(crate) struct VerticalLevel<'a, 'v> {
     pub(crate) h: usize,
     /// Absolute minimum support at level `h`.
     pub(crate) theta: u64,
-    /// Session memo of earlier enumerations at this view; `None` for
-    /// unseeded runs.
-    pub(crate) memo: Option<&'a VerticalMemo>,
+    /// Memo of earlier enumerations at this view: the session's, or the
+    /// run's own.
+    pub(crate) memo: &'a VerticalMemo,
     /// Parent sets answered from `memo`.
     pub(crate) replayed: u64,
     /// Supports copied out of `memo`: one per replayed combination.
@@ -296,7 +296,7 @@ impl<'a, 'v> VerticalLevel<'a, 'v> {
         counter: &'a mut BitsetCounter<'v>,
         h: usize,
         theta: u64,
-        memo: Option<&'a VerticalMemo>,
+        memo: &'a VerticalMemo,
     ) -> Self {
         VerticalLevel {
             counter,
@@ -328,11 +328,11 @@ impl<'a, 'v> VerticalLevel<'a, 'v> {
 /// combination.
 ///
 /// That enumeration depends only on the view, `h`, θ_h and the parent set.
-/// With a [`VerticalMemo`], the alive parent sets an earlier run recorded
+/// The alive parent sets an earlier run recorded in the [`VerticalMemo`]
 /// are selected from it in one pass, already ascending; only the others are
 /// enumerated (under a `mine.enumerate` span), their rows sorted once and
-/// recorded. Without a memo every parent set is enumerated. The selected
-/// and fresh rows then merge into one ascending stream.
+/// recorded. The selected and fresh rows then merge into one ascending
+/// stream.
 ///
 /// That stream goes through the prunes: combinations containing a
 /// SIBP-banned item are dropped, and so are combinations with a
@@ -353,10 +353,7 @@ pub(crate) fn vertical(
     parents.extend(above.alive().map(|(parent, _)| parent));
     let mut recorded = ItemsetRows::new(k);
     let mut recorded_supports = Vec::new();
-    let hits = match memo {
-        Some(memo) => memo.select(h, theta, &parents, &mut recorded, &mut recorded_supports),
-        None => vec![false; parents.len()],
-    };
+    let hits = memo.select(h, theta, &parents, &mut recorded, &mut recorded_supports);
     let mut missed = ItemsetRows::new(k);
     for (parent, &hit) in parents.iter().zip(&hits) {
         if !hit {
@@ -383,13 +380,13 @@ pub(crate) fn vertical(
 }
 
 /// The combinations of the `missed` parent sets and their supports,
-/// ascending; recorded in the level's memo, if any.
+/// ascending; recorded in the level's memo.
 fn enumerate(
     ctx: &GenCtx<'_>,
     level: &mut VerticalLevel<'_, '_>,
     missed: &ItemsetRows,
 ) -> (ItemsetRows, Vec<u64>) {
-    let (h, theta, k) = (level.h, level.theta, missed.k());
+    let (h, theta, k, memo) = (level.h, level.theta, missed.k(), level.memo);
     let mut span = flipper_obs::span("mine.enumerate").arg("parents", missed.len() as u64);
     let mut rows = ItemsetRows::new(k);
     let mut supports = Vec::new();
@@ -421,7 +418,7 @@ fn enumerate(
     let mut sorted = ItemsetRows::with_capacity(k, order.len());
     sorted.extend(order.iter().map(|&i| rows.row(i)));
     let supports: Vec<u64> = order.iter().map(|&i| supports[i]).collect();
-    if let Some(memo) = level.memo.filter(|_| !missed.is_empty()) {
+    if !missed.is_empty() {
         let owner: Vec<u32> = order.iter().map(|&i| owner[i]).collect();
         memo.record(h, theta, missed, &sorted, &supports, &owner);
     }
@@ -720,7 +717,8 @@ mod tests {
             let prev = (k == 3).then_some(&prev);
             let by_density = DENSITIES.map(|density| {
                 let mut counter = counter_at(&view, density);
-                let mut level = VerticalLevel::new(&mut counter, 3, theta, None);
+                let memo = VerticalMemo::new();
+                let mut level = VerticalLevel::new(&mut counter, 3, theta, &memo);
                 vertical(&ctx(&tax, &top_cat), &mut level, &above, prev, k)
             });
             let base = &by_density[0];
@@ -787,8 +785,8 @@ mod tests {
     }
 
     /// A warm memo replays what a cold one recorded: under any bans and any
-    /// `prev` cell, the replayed pass yields the `Generated` an unmemoized
-    /// pass does, without a single intersection.
+    /// `prev` cell, the replayed pass yields the `Generated` a pass over a
+    /// fresh memo does, without a single intersection.
     #[test]
     fn memoized_vertical_replays_identically_under_any_bans_and_prev() {
         let tax = Taxonomy::uniform(3, 3, 3).unwrap();
@@ -857,12 +855,13 @@ mod tests {
             let mut c = ctx(&tax, &top_cat);
             c.banned = banned;
             let mut fresh_counter = BitsetCounter::new(&view);
-            let mut plain = VerticalLevel::new(&mut fresh_counter, h, theta, None);
+            let fresh_memo = VerticalMemo::new();
+            let mut plain = VerticalLevel::new(&mut fresh_counter, h, theta, &fresh_memo);
             let expect = vertical(&c, &mut plain, &above, prev.as_ref(), k);
             sibp_bit |= expect.sibp_pruned > 0;
             support_bit |= expect.support_pruned > 0;
             let before = counter.stats().intersections;
-            let mut level = VerticalLevel::new(&mut counter, h, theta, Some(&memo));
+            let mut level = VerticalLevel::new(&mut counter, h, theta, &memo);
             let got = vertical(&c, &mut level, &above, prev.as_ref(), k);
             let (replayed, enumerated) = (level.replayed, level.enumerated);
             assert_eq!(got, expect, "round {round}");
@@ -872,7 +871,7 @@ mod tests {
                 assert_eq!(
                     counter.stats().intersections - before,
                     fresh_counter.stats().intersections,
-                    "a cold memo enumerates like no memo"
+                    "a cold memo enumerates like a fresh one"
                 );
             } else {
                 assert_eq!(enumerated, 0, "round {round}: warm");
@@ -934,10 +933,9 @@ mod tests {
     }
 
     /// On random parent cells, bans and `prev` cells, `vertical` equals the
-    /// literal reference and emits strictly ascending rows — with no memo,
-    /// a cold memo, a partially warm one (recorded from a different
-    /// alive-parent subset, so selected and fresh rows merge) and a warm
-    /// one.
+    /// literal reference and emits strictly ascending rows — with a cold
+    /// memo, a partially warm one (recorded from a different alive-parent
+    /// subset, so selected and fresh rows merge) and a warm one.
     #[test]
     fn vertical_matches_reference_prune_at_every_memo_state() {
         let tax = Taxonomy::uniform(3, 3, 3).unwrap();
@@ -1011,26 +1009,24 @@ mod tests {
             let expect = reference_vertical(&c, &mut counter, (h, theta), &above, prev);
             sibp_bit |= expect.sibp_pruned > 0;
             support_bit |= expect.support_pruned > 0;
-            let mut run = |above: &Cell, memo: Option<&VerticalMemo>| {
+            let mut run = |above: &Cell, memo: &VerticalMemo| {
                 let mut level = VerticalLevel::new(&mut counter, h, theta, memo);
                 let got = vertical(&c, &mut level, above, prev, k);
                 assert!(ascending(&got.cands), "round {round}: strictly ascending");
                 (got, level.replayed, level.enumerated)
             };
             let alive_count = above.alive().count() as u64;
-            let (got, _, _) = run(&above, None);
-            assert_eq!(got, expect, "round {round}: no memo");
             let memo = VerticalMemo::new();
-            let (got, replayed, enumerated) = run(&above, Some(&memo));
+            let (got, replayed, enumerated) = run(&above, &memo);
             assert_eq!(got, expect, "round {round}: cold");
             assert_eq!((replayed, enumerated), (0, alive_count));
             let memo = VerticalMemo::new();
-            run(&earlier, Some(&memo));
-            let (got, replayed, enumerated) = run(&above, Some(&memo));
+            run(&earlier, &memo);
+            let (got, replayed, enumerated) = run(&above, &memo);
             assert_eq!(got, expect, "round {round}: partially warm");
             assert_eq!(replayed + enumerated, alive_count);
             merged |= replayed > 0 && enumerated > 0 && !got.cands.is_empty();
-            let (got, replayed, _) = run(&above, Some(&memo));
+            let (got, replayed, _) = run(&above, &memo);
             assert_eq!(got, expect, "round {round}: warm");
             assert_eq!(replayed, alive_count);
         }
@@ -1063,7 +1059,8 @@ mod tests {
             info(Label::Positive),
         );
         let mut counter = BitsetCounter::new(&view);
-        let mut level = VerticalLevel::new(&mut counter, 2, 1, None);
+        let memo = VerticalMemo::new();
+        let mut level = VerticalLevel::new(&mut counter, 2, 1, &memo);
         let got = vertical(&ctx(&tax, &top_cat), &mut level, &above, None, 2);
         let batch = Batch::union(2, [got]);
         let expect: Vec<(Itemset, u64)> = [(0, 2, 4), (0, 3, 1), (1, 2, 1), (1, 3, 4)]
@@ -1112,7 +1109,8 @@ mod tests {
         above.push(Itemset::new(tops.clone()).items(), info(Label::Positive));
         let joined = horizontal(&c, &prev, 3);
         let mut counter = BitsetCounter::new(&view);
-        let mut level = VerticalLevel::new(&mut counter, 2, 1, None);
+        let memo = VerticalMemo::new();
+        let mut level = VerticalLevel::new(&mut counter, 2, 1, &memo);
         let fused = vertical(&c, &mut level, &above, Some(&prev), 3);
         let both = Itemset::new(vec![a1, b1, c1]);
         let horizontal_only = Itemset::new(vec![a2, b2, c2]);

@@ -54,14 +54,15 @@
 //! in place: with `cfg.threads != 1` each cell's batch is chunked over
 //! scoped worker threads at prefix-group boundaries. Evaluation merges the
 //! two ascending tables into the cell, which is sized for them up front.
-//! Seeded runs (a [`MineOptions::memo`]) reuse session-level work: a
-//! vertical pass selects, in one pass over the [`VerticalMemo`]'s ascending
-//! table, the combinations of every alive parent set an earlier run
-//! recorded, enumerates only the others, and records those. Results
-//! are bit-identical at every thread count and memo state; statistics are
-//! too, except the kernel's work counters ([`RunStats::counter`]), which
-//! drop by the enumerations a seeded run replays, and
-//! [`RunStats::seeded_supports`], which counts the supports it replayed.
+//! Every run reads and records a [`VerticalMemo`]: the session's
+//! ([`MineOptions::memo`]) or a fresh one of its own. A vertical pass
+//! selects, in one pass over the memo's ascending table, the combinations
+//! of every alive parent set an earlier run recorded, enumerates only the
+//! others, and records those. Results are bit-identical at every thread
+//! count and memo state; statistics are too, except the kernel's work
+//! counters ([`RunStats::counter`]), which drop by the enumerations a run
+//! replays, and [`RunStats::seeded_supports`], which counts the supports
+//! it replayed. A run over a fresh memo replays nothing.
 //!
 //! Every run executes inside one [`flipper_guard::trap`] in
 //! [`mine_with_view`]; the exec pool joins all workers before it rethrows
@@ -82,8 +83,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Mine all flipping patterns from `db` under `tax` with configuration
 /// `cfg`. Convenience wrapper that builds the multi-level view internally
-/// and mines it with no memo and no token; use [`mine_with_view`] to
-/// amortize the projection across runs, reuse a memo, or bound the run.
+/// and mines it with a memo of its own and no token; use
+/// [`mine_with_view`] to amortize the projection across runs, share a
+/// memo, or bound the run.
 ///
 /// # Panics
 /// Re-raises, with its message, any panic inside the run.
@@ -104,20 +106,21 @@ pub(crate) fn unguarded<T>(run: Result<T, GuardError>) -> T {
 }
 
 /// The optional session state a [`mine_with_view`] run borrows. The
-/// default borrows nothing: a plain, unbounded run.
+/// default borrows nothing: an unbounded run with a memo of its own.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MineOptions<'a> {
-    /// Reuse the vertical enumerations earlier runs over the **same view**
-    /// recorded in this memo. Every chain-alive parent set whose
+    /// Share the vertical enumerations earlier runs over the **same view**
+    /// recorded in this memo; `None` gives the run a fresh memo of its own,
+    /// dropped when it ends. Every chain-alive parent set whose
     /// enumeration is in the memo is selected from it instead of
     /// re-intersecting its children's transactions, and its supports are
     /// charged to [`RunStats::seeded_supports`]; the rest are enumerated
     /// and recorded. An enumeration is a fact about the data, `h` and θ_h
     /// alone (the last two key it) — independent of γ, ε, pruning, or
     /// thread count — so replaying it is sound and the mined patterns,
-    /// labels, and `flipper-results/v1` bytes are identical to a run
-    /// without a memo. Entries are complete when recorded, so a run that
-    /// panics part-way leaves the memo valid.
+    /// labels, and `flipper-results/v1` bytes are identical at every memo
+    /// state. Entries are complete when recorded, so a run that panics
+    /// part-way leaves the memo valid.
     pub memo: Option<&'a VerticalMemo>,
     /// Check this token at every cell boundary, so a cancel or deadline
     /// interrupts the run within one cell's worth of counting and surfaces
@@ -188,6 +191,9 @@ struct Miner<'a> {
     /// The run's memo and token; the token is checked at cell boundaries
     /// only, so the live fast path stays off the per-candidate hot loops.
     opts: MineOptions<'a>,
+    /// The memo the vertical passes read and record when `opts` brings
+    /// none; dropped with the run.
+    own_memo: VerticalMemo,
     /// Per-level absolute minimum supports (index `h-1`).
     thetas: Vec<u64>,
     /// Level-1 ancestor of every node (index = node id).
@@ -264,6 +270,7 @@ impl<'a> Miner<'a> {
             threads: flipper_data::exec::effective_threads(cfg.threads),
             counter,
             opts,
+            own_memo: VerticalMemo::new(),
             thetas,
             top_cat,
             rows,
@@ -336,8 +343,8 @@ impl<'a> Miner<'a> {
             .then(|| self.rows[h - 2].cells.get(&k))
             .flatten();
         let vertical = above.map(|above| {
-            let mut level =
-                VerticalLevel::new(&mut self.counter, h, self.thetas[h - 1], self.opts.memo);
+            let memo = self.opts.memo.unwrap_or(&self.own_memo);
+            let mut level = VerticalLevel::new(&mut self.counter, h, self.thetas[h - 1], memo);
             let g = gen::vertical(&ctx, &mut level, above, here.cells.get(&(k - 1)), k);
             self.stats.seeded_supports += level.replayed_supports;
             span.add_arg("memo_hits", level.replayed);
@@ -958,13 +965,15 @@ mod tests {
     }
 
     #[test]
-    fn seeded_mining_matches_unseeded_and_skips_counting() {
+    fn warm_memo_matches_cold_and_skips_counting() {
         let (tax, db) = toy();
         let view = MultiLevelView::build(&db, &tax);
         let cfg = toy_config(PruningConfig::FULL);
+        // No memo given: the run mines over a fresh one of its own.
         let plain = mine_with_view(&tax, &view, &cfg, MineOptions::default()).unwrap();
 
-        // A cold memo enumerates like no memo, and records what it did.
+        // A cold shared memo enumerates like the run's own, and keeps what
+        // it recorded.
         let memo = VerticalMemo::new();
         let cold = mine_with_view(&tax, &view, &cfg, seeded_by(&memo)).unwrap();
         assert_eq!(cold.patterns, plain.patterns);
@@ -986,7 +995,7 @@ mod tests {
         );
         assert!(replayed.stats.counter.intersections < cold.stats.counter.intersections);
 
-        // A guarded run shares the seeded run's results.
+        // A guarded run over its own memo shares the replayed run's results.
         let token = CancelToken::new();
         let guarded = mine_with_view(&tax, &view, &cfg, guarded_by(&token)).unwrap();
         assert_eq!(guarded.patterns, replayed.patterns);
@@ -995,10 +1004,10 @@ mod tests {
         // results: enumerations are config-independent data facts, and θ
         // keys them.
         let alt = FlipperConfig::new(Thresholds::new(0.8, 0.1), MinSupports::Counts(vec![1]));
-        let alt_plain = mine_with_view(&tax, &view, &alt, MineOptions::default()).unwrap();
-        let alt_seeded = mine_with_view(&tax, &view, &alt, seeded_by(&memo)).unwrap();
-        assert_eq!(alt_seeded.patterns, alt_plain.patterns);
-        assert_eq!(alt_seeded.cells, alt_plain.cells);
+        let alt_cold = mine_with_view(&tax, &view, &alt, MineOptions::default()).unwrap();
+        let alt_warm = mine_with_view(&tax, &view, &alt, seeded_by(&memo)).unwrap();
+        assert_eq!(alt_warm.patterns, alt_cold.patterns);
+        assert_eq!(alt_warm.cells, alt_cold.cells);
     }
 
     #[test]

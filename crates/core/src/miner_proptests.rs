@@ -10,6 +10,7 @@
 
 use crate::config::{FlipperConfig, MinSupports, PruningConfig};
 use crate::miner::mine;
+use crate::results::MiningResult;
 use flipper_data::rng::{Rng, Xoshiro256pp};
 use flipper_data::TransactionDb;
 use flipper_measures::Thresholds;
@@ -69,28 +70,60 @@ fn cell_summaries_consistent() {
     }
 }
 
+/// On a two-level run with `max_k = 3`, the rows of `Q(2,3)` the kernel
+/// counted and the ones the vertical pass fused, when the run had a
+/// vertical source. Every other cell has one source side only: row 1 is
+/// counted (pairs and the join), and `Q(2,2)` is all vertical — so the
+/// kernel's count minus row 1 is what `Q(2,3)` counted.
+fn top_cell_sides(r: &MiningResult) -> (u64, u64) {
+    let evaluated = |level: usize, k: Option<usize>| -> u64 {
+        r.cells
+            .iter()
+            .filter(|c| c.level == level && k.is_none_or(|k| c.k == k))
+            .map(|c| c.evaluated as u64)
+            .sum()
+    };
+    let counted = r.stats.counter.candidates_counted - evaluated(1, None);
+    (counted, evaluated(2, Some(3)) - counted)
+}
+
 /// Every pruning variant stores only well-formed flat tables: `Cell::push`
 /// debug-asserts that each evaluated row is exactly `k` items wide and
 /// strictly increasing (a canonical itemset) and comes after the cell's
 /// last row, so the rows are strictly ascending, hence distinct. Unit
-/// tests build in debug, so this run checks every row of every cell.
+/// tests build in debug, so this run checks every row of every cell —
+/// including cells that merge counted (horizontal) and fused (vertical)
+/// rows, which the three-category inputs must produce.
 #[test]
 fn every_variant_pushes_canonical_ascending_rows() {
+    let mut merged_cells = 0;
     for seed in 0..24u64 {
-        let (tax, db) = random_input(2, 3, 3, 80, seed);
-        let cfg = FlipperConfig::new(Thresholds::new(0.5, 0.2), MinSupports::Counts(vec![2, 1]));
-        for pruning in PruningConfig::VARIANTS {
-            let r = mine(&tax, &db, &cfg.clone().with_pruning(pruning));
-            let stored: usize = r.cells.iter().map(|c| c.evaluated).sum();
-            assert!(stored > 0, "seed {seed} {}", pruning.name());
-            assert_eq!(
-                stored as u64,
-                r.stats.total_stored_itemsets,
-                "seed {seed} {}",
-                pruning.name()
-            );
+        let inputs = [
+            (random_input(2, 3, 3, 80, seed), 0.5, None),
+            (random_input(4, 3, 2, 80, seed), 0.3, Some(3)),
+        ];
+        for ((tax, db), gamma, max_k) in inputs {
+            let mut cfg =
+                FlipperConfig::new(Thresholds::new(gamma, 0.2), MinSupports::Counts(vec![2, 1]));
+            cfg.max_k = max_k;
+            for pruning in PruningConfig::VARIANTS {
+                let r = mine(&tax, &db, &cfg.clone().with_pruning(pruning));
+                let stored: usize = r.cells.iter().map(|c| c.evaluated).sum();
+                assert!(stored > 0, "seed {seed} {}", pruning.name());
+                assert_eq!(
+                    stored as u64,
+                    r.stats.total_stored_itemsets,
+                    "seed {seed} {}",
+                    pruning.name()
+                );
+                if max_k.is_some() && pruning.flipping {
+                    let (counted, fused) = top_cell_sides(&r);
+                    merged_cells += usize::from(counted > 0 && fused > 0);
+                }
+            }
         }
     }
+    assert!(merged_cells > 0, "no cell took both counted and fused rows");
 }
 
 /// Monotonicity of the pruning stack: each additional technique never

@@ -70,10 +70,10 @@ pub struct RunStats {
     /// Total itemsets ever stored (BASIC keeps everything; Flipper far
     /// less).
     pub total_stored_itemsets: u64,
-    /// Supports replayed from the session's vertical memo instead of being
+    /// Supports replayed from the run's vertical memo instead of being
     /// enumerated ([`crate::MineOptions::memo`]): one per combination
-    /// of every replayed parent set. `0` on unseeded runs and on a seeded
-    /// run whose memo held nothing it could use. Excluded from serialized
+    /// of every replayed parent set. `0` on a run over a fresh memo and on
+    /// a run whose memo held nothing it could use. Excluded from serialized
     /// results: replaying never changes them, only how much they cost.
     pub seeded_supports: u64,
     /// Support-counting kernel statistics.

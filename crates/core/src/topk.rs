@@ -11,7 +11,7 @@
 use crate::config::FlipperConfig;
 use crate::miner::{mine_with_view, unguarded, MineOptions};
 use crate::results::FlippingPattern;
-use flipper_data::{MultiLevelView, TransactionDb};
+use flipper_data::{MultiLevelView, TransactionDb, VerticalMemo};
 use flipper_guard::GuardError;
 use flipper_measures::Thresholds;
 use flipper_taxonomy::Taxonomy;
@@ -133,7 +133,7 @@ pub fn top_k(tax: &Taxonomy, db: &TransactionDb, cfg: &TopKConfig) -> TopKResult
     // Fail fast on a bad config before paying for the projection.
     assert_search_knobs(cfg);
     let view = MultiLevelView::build(db, tax);
-    unguarded(top_k_with_view(tax, &view, cfg))
+    unguarded(top_k_with_view(tax, &view, cfg, &VerticalMemo::new()))
 }
 
 /// The search-knob invariants both entry points enforce up front.
@@ -147,14 +147,18 @@ fn assert_search_knobs(cfg: &TopKConfig) {
 /// [`top_k`] over a prebuilt [`MultiLevelView`] — the projection is the
 /// expensive part, so sessions that cache the view (or built it by
 /// streaming, without ever materializing the database) search through this
-/// entry point. Each probe is one [`mine_with_view`] run, so a panic inside
-/// one returns as [`GuardError::Panicked`].
+/// entry point. Each probe is one [`mine_with_view`] run over `memo`, so a
+/// panic inside one returns as [`GuardError::Panicked`]. The probes differ
+/// only in γ and ε, so every probe after the first replays the vertical
+/// enumerations the first recorded.
 pub fn top_k_with_view(
     tax: &Taxonomy,
     view: &MultiLevelView,
     cfg: &TopKConfig,
+    memo: &VerticalMemo,
 ) -> Result<TopKResult, GuardError> {
     assert_search_knobs(cfg);
+    let memo = Some(memo);
     let mut runs = 0;
     let mut best: Option<TopKResult> = None;
 
@@ -166,7 +170,7 @@ pub fn top_k_with_view(
         let thresholds = Thresholds::new(gamma, epsilon);
         let mut mining_cfg = cfg.base.clone();
         mining_cfg.thresholds = thresholds;
-        let result = mine_with_view(tax, view, &mining_cfg, MineOptions::default())?;
+        let result = mine_with_view(tax, view, &mining_cfg, MineOptions { memo, token: None })?;
         runs += 1;
 
         let mut patterns = result.patterns;

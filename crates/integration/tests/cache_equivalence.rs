@@ -1,6 +1,7 @@
 //! Memo equivalence: replaying vertical enumerations from the session memo
 //! is a pure cost lever — the labeled results and their
-//! `flipper-results/v1` bytes are identical to unseeded mining.
+//! `flipper-results/v1` bytes are identical to mining on a fresh session,
+//! whose memo is cold.
 
 use flipper_api::{
     FlipperConfig, Generator, JsonWriter, MinSupports, MiningResult, PruningConfig, ResultSink,
@@ -21,52 +22,52 @@ fn quest_config() -> FlipperConfig {
     )
 }
 
-/// Seeded sweeps replay recorded enumerations from the session memo; the
-/// labeled results — and their serialized bytes — are identical to an
-/// unseeded sweep of the same grid.
+/// A sweep that replays recorded enumerations from the session memo
+/// renders the same `flipper-results/v1` bytes as the same grid with every
+/// point swept alone on a fresh session, whose memo is cold.
 #[test]
-fn seeded_sweep_is_byte_identical_to_unseeded() {
+fn replayed_sweep_is_byte_identical_to_cold_points() {
     let dataset = quest_dataset();
     let base = quest_config();
-    let render = |runs: &[flipper_api::SweepRun], session: &Session| {
+    let session = Session::open(&dataset).unwrap();
+    let render = |runs: &[flipper_api::SweepRun]| {
         let mut json = JsonWriter::new(Vec::new());
         flipper_api::emit_runs(&mut json, session.taxonomy(), runs).unwrap();
         json.into_inner()
     };
-    // Fresh session per mode so the seeded one owns a warm memo and the
-    // unseeded one never builds any.
-    let seeded_session = Session::open(&dataset).unwrap();
-    let grid = |session: &Session, seed: bool| {
+    let grid = || {
         session
             .sweep()
-            .with_seeding(seed)
             .thresholds_grid(&base, &[0.5, 0.4, 0.3], &[0.1, 0.25])
             .run()
             .unwrap()
     };
-    let warmup = grid(&seeded_session, true);
+    let warmup = grid();
     assert!(!warmup.is_empty());
-    let warm_before = seeded_session.support_cache_stats();
+    let warm_before = session.support_cache_stats();
     assert!(
         warm_before.entries > 0,
         "sweep must record enumerations in the session memo"
     );
-    let seeded = grid(&seeded_session, true);
+    let replayed = grid();
     assert!(
-        seeded_session.support_cache_stats().seed_hits > warm_before.seed_hits,
+        session.support_cache_stats().seed_hits > warm_before.seed_hits,
         "warm sweep must hit the memo"
     );
-    let unseeded_session = Session::open(&dataset).unwrap();
-    let unseeded = grid(&unseeded_session, false);
+    let cold: Vec<flipper_api::SweepRun> = replayed
+        .iter()
+        .map(|run| {
+            let fresh = Session::open(&dataset).unwrap();
+            let point = fresh.sweep().add(run.label.clone(), run.config.clone());
+            let alone = point.run().unwrap().remove(0);
+            assert_eq!(alone.result.stats.seeded_supports, 0, "{}", run.label);
+            alone
+        })
+        .collect();
     assert_eq!(
-        unseeded_session.support_cache_stats(),
-        Default::default(),
-        "an unseeded sweep never touches the memo"
-    );
-    assert_eq!(
-        String::from_utf8_lossy(&render(&seeded, &seeded_session)),
-        String::from_utf8_lossy(&render(&unseeded, &unseeded_session)),
-        "seeding changes counting cost, never results"
+        String::from_utf8_lossy(&render(&replayed)),
+        String::from_utf8_lossy(&render(&cold)),
+        "replay changes counting cost, never results"
     );
 }
 
@@ -118,15 +119,15 @@ fn random_points(rng: &mut Xoshiro256pp, round: usize) -> Vec<(String, FlipperCo
     points
 }
 
-/// Seeded sweeps replay vertical enumerations from the session memo; every
-/// point's `flipper-results/v1` bytes equal a fresh unseeded mine of the
-/// same configuration, over random grids in random order, at 1 and 2 jobs.
+/// Sweeps replay vertical enumerations from the session memo; every
+/// point's `flipper-results/v1` bytes equal a mine of the same
+/// configuration on a fresh session, over random grids in random order, at
+/// 1 and 2 jobs.
 /// Work counters are only asserted at 1 job: at 2, which job records an
 /// entry first depends on scheduling.
 #[test]
 fn memoized_sweeps_are_byte_identical_to_fresh_mines() {
     let dataset = quest_dataset();
-    let solo = Session::open(&dataset).unwrap();
     let bytes = |session: &Session, label: &str, cfg: &FlipperConfig, r: &MiningResult| {
         let mut json = JsonWriter::new(Vec::new());
         json.consume(label, session.taxonomy(), cfg, r).unwrap();
@@ -147,11 +148,11 @@ fn memoized_sweeps_are_byte_identical_to_fresh_mines() {
                 .unwrap();
             let memo = session.support_cache_stats();
             for run in &runs {
-                let fresh = solo.mine(&run.config).unwrap();
+                let fresh = Session::open(&dataset).unwrap().mine(&run.config).unwrap();
                 let ctx = format!("jobs={jobs} {}", run.label);
                 assert_eq!(
                     String::from_utf8_lossy(&bytes(&session, &run.label, &run.config, &run.result)),
-                    String::from_utf8_lossy(&bytes(&solo, &run.label, &run.config, &fresh)),
+                    String::from_utf8_lossy(&bytes(&session, &run.label, &run.config, &fresh)),
                     "{ctx}"
                 );
                 if jobs == 1 {

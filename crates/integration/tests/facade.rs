@@ -2,10 +2,11 @@
 //! zero-cost relabeling of the single-shot mining paths, and its
 //! machine-readable output must be byte-stable.
 //!
-//! * `session_equals_single_shot_paths` — `Session::mine` ==
-//!   `mine_with_view` == `mine` (patterns, cell summaries, deterministic
-//!   statistics) on quest + planted datasets, for every pruning variant ×
-//!   thread count.
+//! * `session_equals_single_shot_paths` — `Session::mine` on a fresh
+//!   session == `mine_with_view` == `mine` (patterns, cell summaries,
+//!   deterministic statistics) on quest + planted datasets, for every
+//!   pruning variant × thread count; a session whose memo is warm mines
+//!   the same results at no more intersections.
 //! * `sweep_points_equal_solo_runs` — every labeled sweep point equals the
 //!   same configuration run alone, at every job count.
 //! * `results_v1_golden` — the `flipper-results/v1` JSON document is
@@ -23,24 +24,54 @@ use flipper_datagen::planted::PlantedParams;
 use flipper_datagen::quest::QuestParams;
 use flipper_taxonomy::{RebalancePolicy, Taxonomy};
 
-/// Equality of everything deterministic in a result (elapsed wall-clock is
-/// the one legitimately varying field).
-fn assert_results_equal(a: &MiningResult, b: &MiningResult, ctx: &str) {
+/// Equality of everything a run's result determines: patterns, cell
+/// summaries and the search counters, not what it cost to get there.
+fn assert_same_search(a: &MiningResult, b: &MiningResult, ctx: &str) {
     assert_eq!(a.patterns, b.patterns, "{ctx}: patterns");
     assert_eq!(a.cells, b.cells, "{ctx}: cell summaries");
-    assert_eq!(
-        a.stats.candidates_generated, b.stats.candidates_generated,
-        "{ctx}: candidates"
-    );
-    assert_eq!(
-        a.stats.frequent_found, b.stats.frequent_found,
-        "{ctx}: frequent"
-    );
-    assert_eq!(
-        a.stats.peak_resident_itemsets, b.stats.peak_resident_itemsets,
-        "{ctx}: memory proxy"
-    );
+    let search = |s: &flipper_api::RunStats| {
+        [
+            s.candidates_generated,
+            s.pruned_by_sibp,
+            s.pruned_by_support,
+            s.dead_parent_cells,
+            s.frequent_found,
+            s.positive_found,
+            s.negative_found,
+            s.cells_evaluated,
+            s.tpg_cap,
+            s.sibp_banned_items,
+            s.peak_resident_itemsets,
+            s.total_stored_itemsets,
+        ]
+    };
+    assert_eq!(search(&a.stats), search(&b.stats), "{ctx}: search counters");
+}
+
+/// Equality of everything deterministic in two runs over cold memos
+/// (elapsed wall-clock is the one legitimately varying field).
+fn assert_results_equal(a: &MiningResult, b: &MiningResult, ctx: &str) {
+    assert_same_search(a, b, ctx);
     assert_eq!(a.stats.counter, b.stats.counter, "{ctx}: counter stats");
+    assert_eq!(
+        (a.stats.seeded_supports, b.stats.seeded_supports),
+        (0, 0),
+        "{ctx}: a cold memo replays nothing"
+    );
+}
+
+/// `warm` ran on a session whose memo already held its enumerations,
+/// `cold` on a fresh one: the same search, at no more intersections, and
+/// with supports replayed wherever a vertical source ran.
+fn assert_replays(warm: &MiningResult, cold: &MiningResult, cfg: &FlipperConfig, ctx: &str) {
+    assert_same_search(warm, cold, ctx);
+    assert!(
+        warm.stats.counter.intersections <= cold.stats.counter.intersections,
+        "{ctx}: replay never costs intersections"
+    );
+    if cfg.pruning.flipping {
+        assert!(warm.stats.seeded_supports > 0, "{ctx}: nothing replayed");
+    }
 }
 
 fn cases() -> Vec<(&'static str, Dataset, FlipperConfig)> {
@@ -67,18 +98,21 @@ fn cases() -> Vec<(&'static str, Dataset, FlipperConfig)> {
 #[test]
 fn session_equals_single_shot_paths() {
     for (name, ds, base) in cases() {
-        let session = Session::open(&ds).unwrap();
         let view = MultiLevelView::build(&ds.db, &ds.taxonomy);
+        // Mined under every variant once, so every call below replays.
+        let warm = Session::open(&ds).unwrap();
+        warm.sweep().pruning_variants(&base).run().unwrap();
         for pruning in PruningConfig::VARIANTS {
             for threads in [1usize, 4] {
                 let cfg = base.clone().with_pruning(pruning).with_threads(threads);
                 let ctx = format!("{name} {} threads={threads}", pruning.name());
-                let via_session = session.mine(&cfg).unwrap();
+                let via_session = Session::open(&ds).unwrap().mine(&cfg).unwrap();
                 let via_view =
                     mine_with_view(&ds.taxonomy, &view, &cfg, MineOptions::default()).unwrap();
                 let via_mine = mine(&ds.taxonomy, &ds.db, &cfg);
                 assert_results_equal(&via_session, &via_view, &ctx);
                 assert_results_equal(&via_session, &via_mine, &ctx);
+                assert_replays(&warm.mine(&cfg).unwrap(), &via_session, &cfg, &ctx);
             }
         }
     }
@@ -87,31 +121,38 @@ fn session_equals_single_shot_paths() {
 #[test]
 fn sweep_points_equal_solo_runs() {
     for (name, ds, base) in cases() {
-        let session = Session::open(&ds).unwrap();
+        let solo = |cfg: &FlipperConfig| Session::open(&ds).unwrap().mine(cfg).unwrap();
         for jobs in [1usize, 4] {
-            // Unseeded, duplicate-free sweep: every deterministic statistic
-            // (including kernel counters) matches the solo run exactly.
-            let strict = session
+            // A point swept alone on a fresh session matches the solo run
+            // on another in every deterministic statistic, kernel counters
+            // included.
+            for pruning in PruningConfig::VARIANTS {
+                let cfg = base.clone().with_pruning(pruning);
+                let fresh = Session::open(&ds).unwrap();
+                let point = fresh.sweep().with_jobs(jobs).add("p", cfg.clone());
+                let ctx = format!("{name} jobs={jobs} {}", pruning.name());
+                assert_results_equal(&point.run().unwrap()[0].result, &solo(&cfg), &ctx);
+            }
+            // Swept twice on one session, the second sweep replays what the
+            // first recorded: same search, no more intersections.
+            let session = Session::open(&ds).unwrap();
+            session.sweep().pruning_variants(&base).run().unwrap();
+            let warm = session
                 .sweep()
                 .with_jobs(jobs)
-                .with_seeding(false)
                 .pruning_variants(&base)
                 .run()
                 .unwrap();
-            assert_eq!(strict.len(), 4);
-            for run in &strict {
+            assert_eq!(warm.len(), 4);
+            for run in &warm {
                 assert_eq!(run.duplicate_of, None, "{name}: distinct configs");
-                let solo = session.mine(&run.config).unwrap();
-                assert_results_equal(
-                    &run.result,
-                    &solo,
-                    &format!("{name} jobs={jobs} {}", run.label),
-                );
+                let ctx = format!("{name} jobs={jobs} {}", run.label);
+                assert_replays(&run.result, &solo(&run.config), &run.config, &ctx);
             }
-            // Seeded sweep with a thread-count tail: those points only
-            // differ in an execution knob, so they are served as duplicates —
-            // and every point's *results* still equal the solo run (seeding
-            // and dedup change counting cost, never patterns or cells).
+            // A thread-count tail: those points only differ in an execution
+            // knob, so they are served as duplicates — and every point's
+            // *results* still equal the solo run (replay and dedup change
+            // counting cost, never patterns or cells).
             let runs = session
                 .sweep()
                 .with_jobs(jobs)
@@ -129,10 +170,10 @@ fn sweep_points_equal_solo_runs() {
                 );
             }
             for run in &runs {
-                let solo = session.mine(&run.config).unwrap();
+                let alone = solo(&run.config);
                 let ctx = format!("{name} jobs={jobs} {}", run.label);
-                assert_eq!(run.result.patterns, solo.patterns, "{ctx}: patterns");
-                assert_eq!(run.result.cells, solo.cells, "{ctx}: cell summaries");
+                assert_eq!(run.result.patterns, alone.patterns, "{ctx}: patterns");
+                assert_eq!(run.result.cells, alone.cells, "{ctx}: cell summaries");
             }
         }
     }
