@@ -30,8 +30,10 @@
 //!   would turn a crash-recovery aid into a second results format.
 //!
 //! Lines are appended under a mutex and flushed per point, so a sweep
-//! killed mid-run loses at most the points still in flight. **Line order is
-//! thread-schedule-dependent; line content is deterministic.** A torn final
+//! killed mid-run loses at most the point in flight. A sweep mines its
+//! points one after another in submission order, so **line order and line
+//! content are both deterministic**: the mined points first, then the
+//! duplicates that reused their results. A torn final
 //! line (the kill landed mid-append) is skipped on load — exactly the
 //! graceful-degradation stance the FBIN salvage reader takes.
 //!
@@ -183,7 +185,7 @@ impl SweepJournal {
     }
 
     /// Append one completed point and flush, so the record survives a kill
-    /// that lands right after it. Safe to call from sweep worker threads.
+    /// that lands right after it.
     pub(crate) fn record(&self, key: u64, row: &CheckpointRow) -> Result<(), FlipperError> {
         let line = format!(
             "{key:016x} {} {} {} {} {}\n",

@@ -14,8 +14,8 @@
 //!   single-shot [`flipper_core::mine`] / [`flipper_core::mine_with_view`]
 //!   paths.
 //! * **Sweeps** ([`Sweep`]): γ/ε grids and pruning-variant comparisons as
-//!   first-class labeled run sets, sharded over `flipper_data::exec`
-//!   workers.
+//!   first-class labeled run sets, mined one after another so each point
+//!   replays the vertical enumerations of the points before it.
 //! * **Typed errors and sinks**: every fallible path returns
 //!   [`FlipperError`] (with [`source`](std::error::Error::source) chains
 //!   down to the failing layer), and every mining call reaches the miner

@@ -48,7 +48,8 @@ pub struct Session {
     /// replays the parent sets an earlier call enumerated, and records the
     /// rest as it goes. Enumerations are facts about the ingested data, `h`
     /// and θ_h alone, so entries are valid for *any* configuration over
-    /// this session. Locks internally, so parallel sweep jobs share it.
+    /// this session. Locks internally, so callers that share the session
+    /// across threads share it too.
     memo: VerticalMemo,
     /// What salvage ingestion quarantined, when the session was opened via
     /// [`open_salvage_path`](Session::open_salvage_path). `None` for every
@@ -57,24 +58,11 @@ pub struct Session {
 }
 
 impl Session {
-    /// Open a session by ingesting `source` sequentially. Use
-    /// [`open_with_threads`](Session::open_with_threads) to shard the
-    /// ingestion-time projection over workers.
+    /// Open a session by ingesting `source`.
     pub fn open(source: impl DataSource) -> Result<Session, FlipperError> {
-        Session::open_with_threads(source, 1)
-    }
-
-    /// Open a session, sharding the view's per-level commit over up to
-    /// `threads` scoped workers (`0` = auto-detect, `1` = sequential; at
-    /// most one per abstraction level). The cached view is bit-identical
-    /// at every thread count.
-    pub fn open_with_threads(
-        source: impl DataSource,
-        threads: usize,
-    ) -> Result<Session, FlipperError> {
         let ingested = {
             let _span = flipper_obs::span("session.ingest");
-            source.ingest(threads)?
+            source.ingest()?
         };
         Ok(Session {
             taxonomy: ingested.taxonomy,
@@ -104,15 +92,6 @@ impl Session {
     /// datasets are rejected with [`FlipperError::Usage`]: the text parser
     /// already reports the exact failing line, so salvage adds nothing.
     pub fn open_salvage_path(path: impl AsRef<std::path::Path>) -> Result<Session, FlipperError> {
-        Session::open_salvage_path_with_threads(path, 1)
-    }
-
-    /// [`open_salvage_path`](Session::open_salvage_path), sharding the
-    /// ingestion-time projection over `threads` workers.
-    pub fn open_salvage_path_with_threads(
-        path: impl AsRef<std::path::Path>,
-        threads: usize,
-    ) -> Result<Session, FlipperError> {
         let path = path.as_ref();
         if crate::io::detect_format(path)? != crate::io::FileFormat::Fbin {
             return Err(FlipperError::usage(format!(
@@ -125,7 +104,7 @@ impl Session {
             .map_err(|e| FlipperError::io(format!("open {}", path.display()), e))?;
         let (taxonomy, view, report) = {
             let _span = flipper_obs::span("session.ingest");
-            flipper_store::salvage_view(std::io::BufReader::new(file), threads)?
+            flipper_store::salvage_view(std::io::BufReader::new(file))?
         };
         Ok(Session {
             taxonomy,
@@ -441,16 +420,6 @@ mod tests {
         ] {
             let err = session.top_k(&bad).unwrap_err();
             assert!(matches!(err, FlipperError::Usage(_)), "{err}");
-        }
-    }
-
-    #[test]
-    fn open_with_threads_caches_an_identical_view() {
-        let data = flipper_datagen::planted::generate(&PlantedParams::default());
-        let sequential = Session::open(&data).unwrap();
-        for threads in [2usize, 4] {
-            let sharded = Session::open_with_threads(&data, threads).unwrap();
-            assert_eq!(sharded.view(), sequential.view(), "threads={threads}");
         }
     }
 

@@ -42,23 +42,15 @@ pub trait DataSource {
     /// Human-readable description of the source, used in reports.
     fn describe(&self) -> String;
 
-    /// Ingest into a taxonomy + view, sharding any projection work over
-    /// `threads` scoped workers (`0` = auto-detect, `1` = sequential). The
-    /// resulting view is bit-identical at every thread count.
-    fn ingest(self, threads: usize) -> Result<Ingested, FlipperError>
+    /// Ingest into a taxonomy + view.
+    fn ingest(self) -> Result<Ingested, FlipperError>
     where
         Self: Sized;
 }
 
-/// Build an [`Ingested`] from a materialized database, sharding the
-/// projection over `threads` workers.
-fn ingest_dataset(
-    taxonomy: Taxonomy,
-    db: &TransactionDb,
-    origin: String,
-    threads: usize,
-) -> Ingested {
-    let view = MultiLevelView::build_with_threads(db, &taxonomy, threads);
+/// Build an [`Ingested`] from a materialized database.
+fn ingest_dataset(taxonomy: Taxonomy, db: &TransactionDb, origin: String) -> Ingested {
+    let view = MultiLevelView::build(db, &taxonomy);
     Ingested {
         taxonomy,
         view,
@@ -102,7 +94,7 @@ impl DataSource for PathSource {
         self.path.display().to_string()
     }
 
-    fn ingest(self, threads: usize) -> Result<Ingested, FlipperError> {
+    fn ingest(self) -> Result<Ingested, FlipperError> {
         let origin = self.describe();
         let open = |path: &Path| {
             std::fs::File::open(path)
@@ -111,7 +103,7 @@ impl DataSource for PathSource {
         match crate::io::detect_format(&self.path)? {
             crate::io::FileFormat::Fbin => {
                 let reader = FbinReader::new(BufReader::new(open(&self.path)?))?;
-                let (taxonomy, view) = stream_view(reader, threads)?;
+                let (taxonomy, view) = stream_view(reader)?;
                 Ok(Ingested {
                     taxonomy,
                     view,
@@ -120,7 +112,7 @@ impl DataSource for PathSource {
             }
             crate::io::FileFormat::Text => {
                 let ds = read_dataset(BufReader::new(open(&self.path)?), self.policy)?;
-                Ok(ingest_dataset(ds.taxonomy, &ds.db, origin, threads))
+                Ok(ingest_dataset(ds.taxonomy, &ds.db, origin))
             }
         }
     }
@@ -154,10 +146,10 @@ impl<R: BufRead> DataSource for TextSource<R> {
         "text stream".to_string()
     }
 
-    fn ingest(self, threads: usize) -> Result<Ingested, FlipperError> {
+    fn ingest(self) -> Result<Ingested, FlipperError> {
         let origin = self.describe();
         let ds = read_dataset(self.reader, self.policy)?;
-        Ok(ingest_dataset(ds.taxonomy, &ds.db, origin, threads))
+        Ok(ingest_dataset(ds.taxonomy, &ds.db, origin))
     }
 }
 
@@ -181,10 +173,10 @@ impl<R: Read> DataSource for FbinSource<R> {
         "fbin stream".to_string()
     }
 
-    fn ingest(self, threads: usize) -> Result<Ingested, FlipperError> {
+    fn ingest(self) -> Result<Ingested, FlipperError> {
         let origin = self.describe();
         let reader = FbinReader::new(self.reader)?;
-        let (taxonomy, view) = stream_view(reader, threads)?;
+        let (taxonomy, view) = stream_view(reader)?;
         Ok(Ingested {
             taxonomy,
             view,
@@ -202,9 +194,9 @@ impl DataSource for Dataset {
         )
     }
 
-    fn ingest(self, threads: usize) -> Result<Ingested, FlipperError> {
+    fn ingest(self) -> Result<Ingested, FlipperError> {
         let origin = self.describe();
-        Ok(ingest_dataset(self.taxonomy, &self.db, origin, threads))
+        Ok(ingest_dataset(self.taxonomy, &self.db, origin))
     }
 }
 
@@ -213,14 +205,9 @@ impl DataSource for &Dataset {
         Dataset::describe(self)
     }
 
-    fn ingest(self, threads: usize) -> Result<Ingested, FlipperError> {
+    fn ingest(self) -> Result<Ingested, FlipperError> {
         let origin = self.describe();
-        Ok(ingest_dataset(
-            self.taxonomy.clone(),
-            &self.db,
-            origin,
-            threads,
-        ))
+        Ok(ingest_dataset(self.taxonomy.clone(), &self.db, origin))
     }
 }
 
@@ -233,12 +220,12 @@ impl DataSource for (Taxonomy, TransactionDb) {
         )
     }
 
-    fn ingest(self, threads: usize) -> Result<Ingested, FlipperError> {
+    fn ingest(self) -> Result<Ingested, FlipperError> {
         Dataset {
             taxonomy: self.0,
             db: self.1,
         }
-        .ingest(threads)
+        .ingest()
     }
 }
 
@@ -249,14 +236,9 @@ macro_rules! borrow_datagen_source {
                 format!("{} ({} transactions)", $label, self.db.len())
             }
 
-            fn ingest(self, threads: usize) -> Result<Ingested, FlipperError> {
+            fn ingest(self) -> Result<Ingested, FlipperError> {
                 let origin = self.describe();
-                Ok(ingest_dataset(
-                    self.taxonomy.clone(),
-                    &self.db,
-                    origin,
-                    threads,
-                ))
+                Ok(ingest_dataset(self.taxonomy.clone(), &self.db, origin))
             }
         }
     };
@@ -325,10 +307,10 @@ impl DataSource for Generator {
         format!("generator:{}", self.name())
     }
 
-    fn ingest(self, threads: usize) -> Result<Ingested, FlipperError> {
+    fn ingest(self) -> Result<Ingested, FlipperError> {
         let origin = self.describe();
         let ds = self.dataset();
-        Ok(ingest_dataset(ds.taxonomy, &ds.db, origin, threads))
+        Ok(ingest_dataset(ds.taxonomy, &ds.db, origin))
     }
 }
 
@@ -345,10 +327,10 @@ mod tests {
     #[test]
     fn dataset_and_tuple_sources_materialize_the_db() {
         let ds = toy();
-        let ing = (&ds).ingest(1).unwrap();
+        let ing = (&ds).ingest().unwrap();
         assert_eq!(ing.taxonomy, ds.taxonomy);
         assert_eq!(ing.view, MultiLevelView::build(&ds.db, &ds.taxonomy));
-        let ing2 = (ds.taxonomy.clone(), ds.db.clone()).ingest(1).unwrap();
+        let ing2 = (ds.taxonomy.clone(), ds.db.clone()).ingest().unwrap();
         assert_eq!(ing2.view, ing.view);
         assert!(ing.origin.contains("in-memory"));
     }
@@ -360,14 +342,12 @@ mod tests {
 
         let mut text = Vec::new();
         write_dataset(&mut text, &ds).unwrap();
-        let ing = TextSource::new(&text[..]).ingest(1).unwrap();
+        let ing = TextSource::new(&text[..]).ingest().unwrap();
         assert_eq!(ing.view, reference);
 
         let fbin = to_fbin_bytes(&ds).unwrap();
-        for threads in [1usize, 4] {
-            let ing = FbinSource::new(&fbin[..]).ingest(threads).unwrap();
-            assert_eq!(ing.view, reference, "threads={threads}");
-        }
+        let ing = FbinSource::new(&fbin[..]).ingest().unwrap();
+        assert_eq!(ing.view, reference);
     }
 
     #[test]
@@ -385,12 +365,12 @@ mod tests {
         let fbin_path = dir.join("toy.txt.actually-fbin");
         std::fs::write(&fbin_path, to_fbin_bytes(&ds).unwrap()).unwrap();
 
-        let ing = PathSource::new(&text_path).ingest(1).unwrap();
+        let ing = PathSource::new(&text_path).ingest().unwrap();
         assert_eq!(ing.view, reference);
-        let ing = PathSource::new(&fbin_path).ingest(1).unwrap();
+        let ing = PathSource::new(&fbin_path).ingest().unwrap();
         assert_eq!(ing.view, reference);
 
-        let err = PathSource::new(dir.join("missing")).ingest(1).unwrap_err();
+        let err = PathSource::new(dir.join("missing")).ingest().unwrap_err();
         assert!(matches!(err, FlipperError::Io { .. }));
         assert!(err.to_string().contains("open"));
         let _ = std::fs::remove_dir_all(&dir);
@@ -404,7 +384,7 @@ mod tests {
             Generator::Groceries { seed: 1 },
         ] {
             let name = generator.name();
-            let ing = generator.ingest(1).unwrap();
+            let ing = generator.ingest().unwrap();
             assert!(ing.origin.contains(name));
             assert!(ing.view.num_transactions() > 0, "{name}");
         }

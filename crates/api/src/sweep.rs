@@ -1,11 +1,14 @@
 //! Parameter sweeps: many labeled configurations against one session.
 //!
 //! Tuning γ/ε and comparing pruning variants both used to be hand-rolled
-//! loops that re-ingested the dataset per point. A [`Sweep`] runs any number of [`FlipperConfig`]s against the
-//! session's one cached view, sharding *runs* (not just candidate batches)
-//! over `flipper_data::exec` workers, and returns labeled results in
-//! submission order — each bit-identical to calling
+//! loops that re-ingested the dataset per point. A [`Sweep`] runs any
+//! number of [`FlipperConfig`]s against the session's one cached view, one
+//! after another in submission order, and returns labeled results in that
+//! order — each bit-identical to calling
 //! [`Session::mine`](crate::Session::mine) with that configuration alone.
+//! Each point's own `threads` shards its support counting; the points
+//! themselves never run concurrently, so every point replays what the
+//! points before it enumerated.
 //!
 //! Two cost levers ride on top, neither of which can change any result:
 //!
@@ -25,7 +28,6 @@ use crate::checkpoint::{point_key, CheckpointRow, SweepJournal};
 use crate::error::FlipperError;
 use crate::session::Session;
 use flipper_core::{FlipperConfig, MinSupports, MiningResult, PruningConfig};
-use flipper_data::exec;
 use flipper_guard::CancelToken;
 use flipper_measures::Thresholds;
 use std::collections::BTreeMap;
@@ -86,7 +88,7 @@ fn result_key(cfg: &FlipperConfig) -> String {
 ///
 /// Points are added either individually ([`add`](Sweep::add)) or through
 /// the grid helpers; [`run`](Sweep::run) validates every configuration up
-/// front, executes them (optionally in parallel), and returns one
+/// front, executes them in order, and returns one
 /// [`SweepRun`] per point in submission order.
 ///
 /// ```
@@ -111,7 +113,6 @@ fn result_key(cfg: &FlipperConfig) -> String {
 pub struct Sweep<'s> {
     session: &'s Session,
     points: Vec<(String, FlipperConfig)>,
-    jobs: usize,
     token: Option<&'s CancelToken>,
 }
 
@@ -122,7 +123,6 @@ impl<'s> Sweep<'s> {
         Sweep {
             session,
             points: Vec::new(),
-            jobs: 1,
             token: None,
         }
     }
@@ -135,15 +135,6 @@ impl<'s> Sweep<'s> {
     /// that complete are identical with and without a live token.
     pub fn with_token(mut self, token: &'s CancelToken) -> Self {
         self.token = Some(token);
-        self
-    }
-
-    /// Shard the sweep's *runs* over `jobs` scoped workers (`0` =
-    /// auto-detect, `1` = sequential). Independent of each run's own
-    /// `cfg.threads`; prefer run-level parallelism for grids of many small
-    /// runs and config-level threads for few large ones.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
         self
     }
 
@@ -260,37 +251,26 @@ impl<'s> Sweep<'s> {
                 }
             }
         }
-        let token = self.token;
         let results: Vec<MiningResult> = {
             let _sweep_span = flipper_obs::span("sweep.run")
                 .arg("points", self.points.len() as u64)
                 .arg("unique", unique.len() as u64);
-            exec::try_map_slice_chunks(self.jobs, &unique, |chunk| {
-                chunk
-                    .iter()
-                    .map(|&(point, key)| {
-                        let (label, cfg) = point;
-                        if let Some(t) = token {
-                            t.check()?;
-                        }
-                        let _point_span = flipper_obs::span_labeled("sweep.point", label);
-                        // A panicking configuration fails the sweep typed
-                        // (the miner traps it), after every worker has
-                        // joined and flushed. The session memo locks once
-                        // per vertical pass, never across an enumeration,
-                        // so jobs see each other's enumerations as soon as
-                        // they are recorded.
-                        let result = session.mine(cfg)?;
-                        if let Some(j) = journal {
-                            j.record(key, &summary_row(label, &result))?;
-                        }
-                        Ok(result)
-                    })
-                    .collect::<Result<Vec<_>, FlipperError>>()
-            })?
-            .into_iter()
-            .flatten()
-            .collect()
+            unique
+                .iter()
+                .map(|&((label, cfg), key)| {
+                    if let Some(t) = self.token {
+                        t.check()?;
+                    }
+                    let _point_span = flipper_obs::span_labeled("sweep.point", label);
+                    // A panicking configuration fails the sweep typed (the
+                    // miner traps it).
+                    let result = session.mine(cfg)?;
+                    if let Some(j) = journal {
+                        j.record(key, &summary_row(label, &result))?;
+                    }
+                    Ok(result)
+                })
+                .collect::<Result<Vec<_>, FlipperError>>()?
         };
         // Journal the duplicates too (they completed by reuse), so a
         // resumed sweep restores them instead of re-deriving the original.
@@ -377,26 +357,16 @@ mod tests {
         assert_eq!(labels[6], "flipping+tpg+sibp");
     }
 
+    /// Every point of a sweep equals its single-shot mine.
     #[test]
     fn sweep_runs_match_single_shot_mining_at_any_job_count() {
         let s = session();
-        for jobs in [1usize, 4] {
-            let runs = s
-                .sweep()
-                .with_jobs(jobs)
-                .pruning_variants(&base())
-                .run()
-                .unwrap();
-            assert_eq!(runs.len(), 4, "jobs={jobs}");
-            for run in &runs {
-                let solo = s.mine(&run.config).unwrap();
-                assert_eq!(
-                    run.result.patterns, solo.patterns,
-                    "jobs={jobs} {}",
-                    run.label
-                );
-                assert_eq!(run.result.cells, solo.cells, "jobs={jobs} {}", run.label);
-            }
+        let runs = s.sweep().pruning_variants(&base()).run().unwrap();
+        assert_eq!(runs.len(), 4);
+        for run in &runs {
+            let solo = s.mine(&run.config).unwrap();
+            assert_eq!(run.result.patterns, solo.patterns, "{}", run.label);
+            assert_eq!(run.result.cells, solo.cells, "{}", run.label);
         }
     }
 
@@ -579,13 +549,11 @@ mod tests {
         let path = dir.join("resume.ckpt");
         let _ = std::fs::remove_file(&path);
 
-        // First attempt: single-job for a deterministic interruption point —
-        // two points complete, the third check cancels.
+        // First attempt: two points complete, the third check cancels.
         let journal = SweepJournal::open(&path, &s).unwrap();
         let token = CancelToken::cancel_after(3);
         let err = s
             .sweep()
-            .with_jobs(1)
             .with_token(&token)
             .pruning_variants(&base())
             .run_checkpointed(&journal)

@@ -50,13 +50,13 @@ USAGE:
                    [--minsup F1,F2,...] [--measure NAME]
                    [--variant basic|flipping|tpg|full]
                    [--top K] [--max-k K]
-                   [--threads N]   (0 = all cores, default 1)
+                   [--threads N]   (shards support counting;
+                                    0 = all cores, default 1)
                    [--output-json FILE] [--trace FILE] [--timings]
                    [--timeout SECS] [--salvage]
   flipper sweep    --input FILE [--gammas F1,F2,...] [--epsilons F1,F2,...]
                    [--variants v1,v2,...|all] [--max-k K]
                    [--minsup F1,F2,...] [--measure NAME] [--threads N]
-                   [--jobs N]
                    [--output-json FILE] [--trace FILE]
                    [--timeout SECS] [--checkpoint FILE [--resume]]
   flipper convert  --input FILE --out FILE [--to text|fbin]
@@ -70,9 +70,9 @@ by `generate --format fbin` or `convert --to fbin`) and the text interchange
 format both work everywhere an `--input` is accepted. `mine` and `sweep`
 ingest FBIN inputs chunk-by-chunk (streaming) and FBIN output format
 defaults from a `.fbin` extension. `sweep` ingests the dataset ONCE and runs
-the whole grid against the cached view, each point reusing the vertical
-enumerations of the points before it; `--jobs` shards the runs themselves
-over workers. Neither `--threads` nor `--jobs` changes any mined result.
+the whole grid against the cached view, one point after another, each point
+reusing the vertical enumerations of the points before it. `--threads`
+shards support counting over workers and never changes any mined result.
 `--output-json` writes the machine-readable `{results}` report.
 
 `--trace FILE` records the run with the flipper-obs recorder and writes a
@@ -112,7 +112,7 @@ EXAMPLES:
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    match run(&args, &mut std::io::stdout().lock()) {
         Ok(code) => ExitCode::from(code),
         Err(e) => {
             eprintln!("{}", e.render_chain());
@@ -124,25 +124,74 @@ fn main() -> ExitCode {
     }
 }
 
-/// Dispatch and return the process exit code for the success path (`0`
-/// everywhere except `results-diff`, which exits `1` when the documents
-/// differ — the `diff`/`cmp` convention).
-fn run(args: &[String]) -> Result<u8, FlipperError> {
+/// Dispatch, writing the subcommand's output to `stdout`, and return the
+/// process exit code for the success path (`0` everywhere except
+/// `results-diff`, which exits `1` when the documents differ — the
+/// `diff`/`cmp` convention).
+fn run(args: &[String], stdout: &mut dyn Write) -> Result<u8, FlipperError> {
+    let out = &mut PipeOut {
+        inner: stdout,
+        closed: false,
+    };
     let ok = |()| 0u8;
-    match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(&parse_flags(&args[1..], GENERATE_FLAGS)?).map(ok),
-        Some("mine") => cmd_mine(&parse_flags(&args[1..], MINE_FLAGS)?).map(ok),
-        Some("sweep") => cmd_sweep(&parse_flags(&args[1..], SWEEP_FLAGS)?).map(ok),
+    let code = match args.first().map(String::as_str) {
+        Some("generate") => cmd_generate(&parse_flags(&args[1..], GENERATE_FLAGS)?, out).map(ok),
+        Some("mine") => cmd_mine(&parse_flags(&args[1..], MINE_FLAGS)?, out).map(ok),
+        Some("sweep") => cmd_sweep(&parse_flags(&args[1..], SWEEP_FLAGS)?, out).map(ok),
         Some("convert") => cmd_convert(&parse_flags(&args[1..], CONVERT_FLAGS)?).map(ok),
-        Some("topk") => cmd_topk(&parse_flags(&args[1..], TOPK_FLAGS)?).map(ok),
-        Some("stats") => cmd_stats(&parse_flags(&args[1..], &["input"])?).map(ok),
-        Some("results-diff") => cmd_results_diff(&args[1..]),
-        Some("help") | None => {
-            print!("{}", usage());
-            Ok(0)
-        }
+        Some("topk") => cmd_topk(&parse_flags(&args[1..], TOPK_FLAGS)?, out).map(ok),
+        Some("stats") => cmd_stats(&parse_flags(&args[1..], &["input"])?, out).map(ok),
+        Some("results-diff") => cmd_results_diff(&args[1..], out),
+        Some("help") | None => write!(out, "{}", usage()).map_err(stdout_err).map(|()| 0),
         Some(other) => Err(FlipperError::usage(format!("unknown subcommand {other:?}"))),
+    }?;
+    out.flush().map_err(stdout_err)?;
+    Ok(code)
+}
+
+/// Standard output as the subcommands see it. A reader that goes away
+/// (`flipper stats … | head -1`) ends the output, not the run: from the
+/// first `BrokenPipe` on, writes are discarded, so the subcommand finishes
+/// (an `--output-json` file included) and exits as it would have. Any
+/// other write error is returned.
+struct PipeOut<'w> {
+    inner: &'w mut dyn Write,
+    closed: bool,
+}
+
+impl PipeOut<'_> {
+    /// Run `op` on the inner writer unless its reader is gone; a
+    /// `BrokenPipe` marks the reader gone and counts as `done`.
+    fn guard<T>(
+        &mut self,
+        done: T,
+        op: impl FnOnce(&mut dyn Write) -> std::io::Result<T>,
+    ) -> std::io::Result<T> {
+        if self.closed {
+            return Ok(done);
+        }
+        match op(self.inner) {
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+                self.closed = true;
+                Ok(done)
+            }
+            r => r,
+        }
     }
+}
+
+impl Write for PipeOut<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.guard(buf.len(), |w| w.write(buf))
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.guard((), |w| w.flush())
+    }
+}
+
+fn stdout_err(e: std::io::Error) -> FlipperError {
+    FlipperError::io("write stdout", e)
 }
 
 // ------------------------------------------------------------ flag parsing
@@ -192,7 +241,6 @@ const SWEEP_FLAGS: &[&str] = &[
     "measure",
     "max-k",
     "threads",
-    "jobs",
     "output-json",
     "trace",
     "timeout",
@@ -339,33 +387,19 @@ fn output_format(
 
 // ------------------------------------------------------------- subcommands
 
-/// Write `ds` to `out` (or stdout) in `format`.
-fn write_output(
-    ds: &Dataset,
-    out: Option<&String>,
-    format: FileFormat,
-) -> Result<(), FlipperError> {
-    match out {
-        Some(path) => flipper_api::io::write_path(path, ds, format)?,
-        None => {
-            let stdout = std::io::stdout();
-            let mut w = BufWriter::new(stdout.lock());
-            write_to(&mut w, ds, format)?;
-            w.flush().map_err(|e| FlipperError::io("write stdout", e))?;
-        }
-    }
-    if let Some(path) = out {
-        eprintln!(
-            "wrote {} transactions / {} taxonomy nodes to {path} ({})",
-            ds.db.len(),
-            ds.taxonomy.node_count(),
-            format.name()
-        );
-    }
+/// Write `ds` to the file at `path` in `format`, and say so on stderr.
+fn write_output(ds: &Dataset, path: &str, format: FileFormat) -> Result<(), FlipperError> {
+    flipper_api::io::write_path(path, ds, format)?;
+    eprintln!(
+        "wrote {} transactions / {} taxonomy nodes to {path} ({})",
+        ds.db.len(),
+        ds.taxonomy.node_count(),
+        format.name()
+    );
     Ok(())
 }
 
-fn cmd_generate(flags: &Flags) -> Result<(), FlipperError> {
+fn cmd_generate(flags: &Flags, stdout: &mut dyn Write) -> Result<(), FlipperError> {
     let kind = flags
         .get("kind")
         .ok_or_else(|| FlipperError::usage("generate requires --kind"))?;
@@ -396,16 +430,21 @@ fn cmd_generate(flags: &Flags) -> Result<(), FlipperError> {
     let ds = generator.dataset();
     let out = flags.get("out");
     let format = output_format(flags, "format", out)?;
-    write_output(&ds, out, format)
+    match out {
+        Some(path) => write_output(&ds, path, format),
+        None => {
+            let mut w = BufWriter::new(stdout);
+            write_to(&mut w, &ds, format)?;
+            w.flush().map_err(stdout_err)
+        }
+    }
 }
 
 fn cmd_convert(flags: &Flags) -> Result<(), FlipperError> {
-    let out = Some(
-        flags
-            .get("out")
-            .ok_or_else(|| FlipperError::usage("convert requires --out FILE"))?,
-    );
-    let format = output_format(flags, "to", out)?;
+    let out = flags
+        .get("out")
+        .ok_or_else(|| FlipperError::usage("convert requires --out FILE"))?;
+    let format = output_format(flags, "to", Some(out))?;
     let ds = load_path(input_path(flags)?)?;
     write_output(&ds, out, format)
 }
@@ -439,8 +478,8 @@ fn base_config(flags: &Flags) -> Result<FlipperConfig, FlipperError> {
 }
 
 /// Open a mining session on `--input`, streaming FBIN files.
-fn open_session(flags: &Flags, threads: usize) -> Result<Session, FlipperError> {
-    Session::open_with_threads(PathSource::new(input_path(flags)?), threads)
+fn open_session(flags: &Flags) -> Result<Session, FlipperError> {
+    Session::open(PathSource::new(input_path(flags)?))
 }
 
 /// An opened `--output-json` sink and the path it writes to.
@@ -493,29 +532,36 @@ fn finish_recorder(
 /// Print the `--timings` per-phase summary sourced from the recorder plus
 /// the run statistics that `flipper-results/v1` deliberately leaves out
 /// (timings and counters are execution facts, not results).
-fn print_timings(capture: &flipper_obs::Capture, stats: &flipper_api::RunStats) {
-    println!();
-    println!(
+fn print_timings(
+    out: &mut dyn Write,
+    capture: &flipper_obs::Capture,
+    stats: &flipper_api::RunStats,
+) -> std::io::Result<()> {
+    writeln!(out)?;
+    writeln!(
+        out,
         "{:<16} {:>8} {:>12} {:>12}",
         "phase", "calls", "total(ms)", "mean(us)"
-    );
+    )?;
     for row in capture.phase_rows() {
         let total_ms = row.total_ns as f64 / 1e6;
         let mean_us = row.total_ns as f64 / 1e3 / row.calls as f64;
-        println!(
+        writeln!(
+            out,
             "{:<16} {:>8} {:>12.2} {:>12.1}",
             row.name, row.calls, total_ms, mean_us
-        );
+        )?;
     }
-    println!("run:     {}", stats.summary());
+    writeln!(out, "run:     {}", stats.summary())?;
     let c = &stats.counter;
-    println!(
+    writeln!(
+        out,
         "counter: intersections={} counted={} prefix_reuses={} projected={}",
         c.intersections, c.candidates_counted, c.prefix_reuses, c.projected
-    );
+    )
 }
 
-fn cmd_mine(flags: &Flags) -> Result<(), FlipperError> {
+fn cmd_mine(flags: &Flags, out: &mut dyn Write) -> Result<(), FlipperError> {
     let cfg = base_config(flags)?;
     let trace_out = flags.get("trace");
     let timings = flags.contains_key("timings");
@@ -524,9 +570,9 @@ fn cmd_mine(flags: &Flags) -> Result<(), FlipperError> {
     let json_out = open_json_output(flags)?;
     start_recorder(record);
     let session = if flags.contains_key("salvage") {
-        Session::open_salvage_path_with_threads(input_path(flags)?, cfg.threads)?
+        Session::open_salvage_path(input_path(flags)?)?
     } else {
-        open_session(flags, cfg.threads)?
+        open_session(flags)?
     };
     if let Some(report) = session.salvage_report() {
         if report.is_degraded() {
@@ -549,12 +595,11 @@ fn cmd_mine(flags: &Flags) -> Result<(), FlipperError> {
     let capture = finish_recorder(record, trace_out)?;
 
     let top = get_usize(flags, "top", usize::MAX)?;
-    let stdout = std::io::stdout();
-    let mut report = TextReport::new(stdout.lock()).with_top(top);
+    let mut report = TextReport::new(&mut *out).with_top(top);
     report.consume("mine", session.taxonomy(), &cfg, &result)?;
     report.finish()?;
     if let (Some(capture), true) = (&capture, timings) {
-        print_timings(capture, &result.stats);
+        print_timings(out, capture, &result.stats).map_err(stdout_err)?;
     }
 
     if let Some((json, path)) = json_out {
@@ -570,7 +615,7 @@ fn cmd_mine(flags: &Flags) -> Result<(), FlipperError> {
     Ok(())
 }
 
-fn cmd_sweep(flags: &Flags) -> Result<(), FlipperError> {
+fn cmd_sweep(flags: &Flags, out: &mut dyn Write) -> Result<(), FlipperError> {
     let base = base_config(flags)?;
     let gammas = get_f64_list(flags, "gammas")?.unwrap_or_else(|| vec![base.thresholds.gamma]);
     let epsilons =
@@ -583,7 +628,6 @@ fn cmd_sweep(flags: &Flags) -> Result<(), FlipperError> {
             .map(|s| parse_variant(s.trim()))
             .collect::<Result<_, _>>()?,
     };
-    let jobs = get_usize(flags, "jobs", 1)?;
 
     // Build the whole labeled grid from the flags alone, so an empty grid
     // is reported before the (possibly expensive) ingestion starts.
@@ -637,11 +681,11 @@ fn cmd_sweep(flags: &Flags) -> Result<(), FlipperError> {
     let trace_out = flags.get("trace");
     start_recorder(trace_out.is_some());
 
-    let session = open_session(flags, base.threads)?;
+    let session = open_session(flags)?;
     let journal = checkpoint
         .map(|path| flipper_api::SweepJournal::open(path, &session))
         .transpose()?;
-    let mut sweep = session.sweep().with_jobs(jobs);
+    let mut sweep = session.sweep();
     if let Some(t) = &token {
         sweep = sweep.with_token(t);
     }
@@ -662,15 +706,19 @@ fn cmd_sweep(flags: &Flags) -> Result<(), FlipperError> {
     };
     finish_recorder(trace_out.is_some(), trace_out)?;
 
-    println!(
+    writeln!(
+        out,
         "{:<32} {:>8} {:>6} {:>6} {:>12} {:>10}  note",
         "label", "flips", "pos", "neg", "candidates", "time(ms)"
-    );
+    )
+    .map_err(stdout_err)?;
     for row in &restored {
-        println!(
+        writeln!(
+            out,
             "{:<32} {:>8} {:>6} {:>6} {:>12} {:>10}  (restored)",
             row.label, row.patterns, row.positive, row.negative, row.candidates, "-"
-        );
+        )
+        .map_err(stdout_err)?;
     }
     if !restored.is_empty() {
         eprintln!(
@@ -688,7 +736,8 @@ fn cmd_sweep(flags: &Flags) -> Result<(), FlipperError> {
             }
             None => String::new(),
         };
-        println!(
+        writeln!(
+            out,
             "{:<32} {:>8} {:>6} {:>6} {:>12} {:>10.1}  {note}",
             run.label,
             run.result.patterns.len(),
@@ -696,7 +745,8 @@ fn cmd_sweep(flags: &Flags) -> Result<(), FlipperError> {
             run.result.total_negative(),
             run.result.stats.candidates_generated,
             run.result.stats.elapsed.as_secs_f64() * 1e3,
-        );
+        )
+        .map_err(stdout_err)?;
     }
     if skipped > 0 {
         eprintln!(
@@ -713,7 +763,7 @@ fn cmd_sweep(flags: &Flags) -> Result<(), FlipperError> {
     Ok(())
 }
 
-fn cmd_topk(flags: &Flags) -> Result<(), FlipperError> {
+fn cmd_topk(flags: &Flags, out: &mut dyn Write) -> Result<(), FlipperError> {
     let cfg = TopKConfig {
         k: get_usize(flags, "k", 10)?,
         base: FlipperConfig {
@@ -729,35 +779,46 @@ fn cmd_topk(flags: &Flags) -> Result<(), FlipperError> {
         .map_err(|e| FlipperError::usage(e.to_string()))?;
     cfg.validate()
         .map_err(|e| FlipperError::usage(e.to_string()))?;
-    let session = open_session(flags, 1)?;
+    let session = open_session(flags)?;
     let r = session.top_k(&cfg)?;
-    println!(
+    writeln!(
+        out,
         "top-{} most flipping patterns at auto-selected (γ, ε) = ({}, {}) after {} runs:",
         r.patterns.len(),
         r.thresholds.gamma,
         r.thresholds.epsilon,
         r.runs
-    );
+    )
+    .map_err(stdout_err)?;
     for p in &r.patterns {
-        println!("gap {:.3}:", p.flip_gap());
-        println!("{}\n", p.display(session.taxonomy()));
+        writeln!(out, "gap {:.3}:", p.flip_gap()).map_err(stdout_err)?;
+        writeln!(out, "{}\n", p.display(session.taxonomy())).map_err(stdout_err)?;
     }
     Ok(())
 }
 
-fn cmd_stats(flags: &Flags) -> Result<(), FlipperError> {
+fn cmd_stats(flags: &Flags, out: &mut dyn Write) -> Result<(), FlipperError> {
     let ds = load_path(input_path(flags)?)?;
-    println!("{}", flipper_api::stats::DbStats::compute(&ds.db).report());
-    println!(
+    writeln!(
+        out,
+        "{}",
+        flipper_api::stats::DbStats::compute(&ds.db).report()
+    )
+    .map_err(stdout_err)?;
+    writeln!(
+        out,
         "taxonomy: {} nodes, height {}",
         ds.taxonomy.node_count(),
         ds.taxonomy.height()
-    );
+    )
+    .map_err(stdout_err)?;
     for ls in flipper_api::stats::level_stats(&ds.db, &ds.taxonomy) {
-        println!(
+        writeln!(
+            out,
             "  level {}: {} nodes, mean rel support {:.5}, max {:.5}",
             ls.level, ls.distinct_nodes, ls.mean_rel_support, ls.max_rel_support
-        );
+        )
+        .map_err(stdout_err)?;
     }
     Ok(())
 }
@@ -768,7 +829,7 @@ fn cmd_stats(flags: &Flags) -> Result<(), FlipperError> {
 /// JSON-equivalent, 1 when they differ (label-level differences listed),
 /// 2 when either file is not a results report — the `diff`/`cmp`
 /// convention that "trouble" is distinct from "files differ".
-fn cmd_results_diff(args: &[String]) -> Result<u8, FlipperError> {
+fn cmd_results_diff(args: &[String], out: &mut dyn Write) -> Result<u8, FlipperError> {
     let [path_a, path_b] = args else {
         return Err(FlipperError::usage(
             "results-diff expects exactly two FILE arguments",
@@ -781,20 +842,28 @@ fn cmd_results_diff(args: &[String]) -> Result<u8, FlipperError> {
     let text_a = read(path_a)?;
     let text_b = read(path_b)?;
     if text_a == text_b {
-        println!("identical: {path_a} and {path_b} are byte-for-byte equal");
+        writeln!(
+            out,
+            "identical: {path_a} and {path_b} are byte-for-byte equal"
+        )
+        .map_err(stdout_err)?;
         return Ok(0);
     }
     let doc_a = parse_results(path_a, &text_a)?;
     let doc_b = parse_results(path_b, &text_b)?;
     if doc_a == doc_b {
-        println!("equivalent: {path_a} and {path_b} differ only in formatting");
+        writeln!(
+            out,
+            "equivalent: {path_a} and {path_b} differ only in formatting"
+        )
+        .map_err(stdout_err)?;
         return Ok(0);
     }
     let differences = report_differences((path_a, &doc_a), (path_b, &doc_b))?;
     for line in &differences {
-        println!("{line}");
+        writeln!(out, "{line}").map_err(stdout_err)?;
     }
-    println!("{} difference(s)", differences.len());
+    writeln!(out, "{} difference(s)", differences.len()).map_err(stdout_err)?;
     Ok(1)
 }
 
@@ -885,6 +954,95 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    /// The CLI with its standard output discarded.
+    fn run(args: &[String]) -> Result<u8, FlipperError> {
+        super::run(args, &mut std::io::sink())
+    }
+
+    /// A standard output that fails every write and flush with `kind`.
+    struct FailingOut(std::io::ErrorKind);
+
+    impl Write for FailingOut {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(self.0.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(self.0.into())
+        }
+    }
+
+    /// A closed standard output (`flipper … | head -1`) ends the output
+    /// quietly: every subcommand runs to completion and exits with the code
+    /// it would have, an `--output-json` file is still written, and nothing
+    /// panics. Any other write error stays a typed I/O error (exit 1).
+    #[test]
+    fn closed_stdout_is_a_quiet_success() {
+        let dir = std::env::temp_dir().join(format!("flipper-cli-pipe-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("p.txt").to_string_lossy().to_string();
+        let fbin = dir.join("p.fbin").to_string_lossy().to_string();
+        let (a, b) = (dir.join("a.json"), dir.join("b.json"));
+        let (a, b) = (a.to_string_lossy(), b.to_string_lossy());
+        run(&strs(&["generate", "--kind", "planted", "--out", &path])).unwrap();
+        let mine = |gamma: &str, json: &str| {
+            strs(&[
+                "mine",
+                "--input",
+                &path,
+                "--gamma",
+                gamma,
+                "--epsilon",
+                "0.35",
+                "--minsup",
+                "0.001",
+                "--output-json",
+                json,
+            ])
+        };
+        let closed =
+            |args: &[String]| super::run(args, &mut FailingOut(std::io::ErrorKind::BrokenPipe));
+        for (args, code) in [
+            (strs(&["help"]), 0),
+            (strs(&["generate", "--kind", "planted"]), 0),
+            (strs(&["convert", "--input", &path, "--out", &fbin]), 0),
+            (strs(&["stats", "--input", &path]), 0),
+            (mine("0.6", &a), 0),
+            (mine("0.5", &b), 0),
+            (
+                strs(&[
+                    "sweep",
+                    "--input",
+                    &path,
+                    "--gammas",
+                    "0.6,0.5",
+                    "--epsilons",
+                    "0.35",
+                ]),
+                0,
+            ),
+            (
+                strs(&["topk", "--input", &path, "--k", "2", "--minsup", "0.001"]),
+                0,
+            ),
+            (strs(&["results-diff", &a, &a]), 0),
+            (strs(&["results-diff", &a, &b]), 1),
+        ] {
+            assert_eq!(closed(&args).unwrap(), code, "{args:?}");
+        }
+        let other = |args: &[String]| super::run(args, &mut FailingOut(std::io::ErrorKind::Other));
+        for args in [
+            strs(&["help"]),
+            strs(&["stats", "--input", &path]),
+            mine("0.6", &a),
+        ] {
+            let err = other(&args).unwrap_err();
+            assert!(matches!(err, FlipperError::Io { .. }), "{args:?}: {err}");
+            assert_eq!(err.exit_code(), 1, "{args:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn parse_flags_happy_path() {
         let f = parse_flags(&strs(&["--kind", "quest", "--seed", "7"]), GENERATE_FLAGS).unwrap();
@@ -923,6 +1081,7 @@ mod tests {
             ("mine", "--cache-budget"),
             ("sweep", "--engines"),
             ("sweep", "--seed-supports"),
+            ("sweep", "--jobs"),
         ] {
             let err = run(&strs(&[cmd, "--input", "q.fbin", flag, "tidset"])).unwrap_err();
             assert!(err.to_string().contains(flag), "{cmd} {flag}: {err}");
@@ -984,7 +1143,7 @@ mod tests {
             "1",
         ]))
         .unwrap();
-        // A sweep over one ingestion: γ × variants grid, parallel jobs.
+        // A sweep over one ingestion: γ × variants grid.
         let sweep_json = dir.join("sweep.json").to_string_lossy().to_string();
         run(&strs(&[
             "sweep",
@@ -996,8 +1155,6 @@ mod tests {
             "0.35",
             "--variants",
             "all",
-            "--jobs",
-            "2",
             "--output-json",
             &sweep_json,
         ]))
@@ -1046,13 +1203,25 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("flipper-cli-trace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         // A text input is fully loaded; an FBIN input is streamed chunk by
-        // chunk and is the only one with store spans.
-        for (file, streamed) in [("planted.txt", false), ("planted.fbin", true)] {
+        // chunk and is the only one with store spans. Quest's counting
+        // batches are large enough to shard at two threads (`exec.shard`).
+        for (file, streamed) in [("quest.txt", false), ("quest.fbin", true)] {
             let path = dir.join(file).to_string_lossy().to_string();
             let base_json = dir.join("base.json").to_string_lossy().to_string();
             let traced_json = dir.join("traced.json").to_string_lossy().to_string();
             let trace = dir.join("t.json").to_string_lossy().to_string();
-            run(&strs(&["generate", "--kind", "planted", "--out", &path])).unwrap();
+            run(&strs(&[
+                "generate",
+                "--kind",
+                "quest",
+                "--transactions",
+                "1000",
+                "--seed",
+                "7",
+                "--out",
+                &path,
+            ]))
+            .unwrap();
             let mine = |extra: &[&str]| {
                 let mut args = strs(&["mine", "--input", &path, "--threads", "2", "--top", "1"]);
                 args.extend(strs(extra));

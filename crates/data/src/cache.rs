@@ -23,10 +23,9 @@ const TAG: usize = std::mem::size_of::<u32>();
 /// Bytes a recorded row carries besides its items: its support and tag.
 const ROW_PAYLOAD: usize = std::mem::size_of::<u64>() + TAG;
 
-/// What a [`VerticalMemo`] holds and how often it answered. All counters
-/// are sums, so stats merge associatively; none of them feed
-/// `flipper-results/v1` bytes — they exist for benches and diagnostics
-/// only.
+/// What a [`VerticalMemo`] holds and how often it answered. None of the
+/// counters feed `flipper-results/v1` bytes — they exist for benches and
+/// diagnostics only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Always 0: nothing probes a prefix cache. Kept because the
@@ -44,19 +43,6 @@ pub struct CacheStats {
     pub seed_lookups: u64,
     /// Memo lookups answered from a recorded enumeration; the rest missed.
     pub seed_hits: u64,
-}
-
-impl CacheStats {
-    /// Fold `other` into `self` (all fields are sums).
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.lookups += other.lookups;
-        self.exact_hits += other.exact_hits;
-        self.parent_hits += other.parent_hits;
-        self.entries += other.entries;
-        self.bytes_resident += other.bytes_resident;
-        self.seed_lookups += other.seed_lookups;
-        self.seed_hits += other.seed_hits;
-    }
 }
 
 /// One `(h, θ_h, k)` table: the recorded enumerations of every `k`-item
@@ -396,23 +382,5 @@ mod tests {
         }
         assert_eq!((got, sups), (expect, expect_sups));
         assert_eq!(memo.stats().entries, 60);
-    }
-
-    #[test]
-    fn cache_stats_merge_sums() {
-        let mut a = CacheStats {
-            lookups: 10,
-            exact_hits: 4,
-            parent_hits: 2,
-            entries: 3,
-            bytes_resident: 100,
-            seed_lookups: 9,
-            seed_hits: 5,
-        };
-        a.merge(&a.clone());
-        assert_eq!(a.lookups, 20);
-        assert_eq!(a.exact_hits, 8);
-        assert_eq!(a.bytes_resident, 200);
-        assert_eq!(a.seed_hits, 10);
     }
 }

@@ -1,7 +1,9 @@
 //! Dependency-free parallel execution helpers.
 //!
-//! The counting stack (and everything above it — the miner's per-level
-//! candidate batches, the brute-force verifier) shards work over contiguous chunks handled by a
+//! Support counting (the miner's per-level candidate batches) and the
+//! brute-force verifier are the only parts of the pipeline that run in
+//! parallel, both at `FlipperConfig::threads`; ingest and sweeps run on the
+//! calling thread. Each shards its work over contiguous chunks handled by a
 //! [`std::thread::scope`] pool. No work-stealing, no channels, no external
 //! crates: each chunk is spawned on its own scoped worker and results are
 //! joined back **in chunk order**, so any fold over them is deterministic
@@ -119,14 +121,13 @@ pub fn chunk_ranges(n: usize, chunks: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Run `f` over the given parts and return one result per part, **in
-/// part order**. The first part runs on the calling thread while the
-/// remaining parts each get a scoped worker.
-fn run_parts<W, R, F>(mut parts: Vec<W>, f: F) -> Vec<R>
+/// Run `f` over the given ranges and return one result per range, **in
+/// range order**. The first range runs on the calling thread while the
+/// remaining ranges each get a scoped worker.
+fn run_parts<R, F>(mut parts: Vec<Range<usize>>, f: F) -> Vec<R>
 where
-    W: Send,
     R: Send,
-    F: Fn(W) -> R + Sync,
+    F: Fn(Range<usize>) -> R + Sync,
 {
     if parts.len() <= 1 {
         return parts
@@ -232,69 +233,9 @@ where
     run_parts(group_chunk_ranges(n, threads, same_group), f)
 }
 
-/// Fallible chunk mapping: shard `items` into contiguous chunks like
-/// [`map_chunks`] but let each chunk return a `Result`; the first error
-/// **in chunk order** wins (deterministic regardless of which worker failed
-/// first on the clock) and every chunk still runs to completion before it
-/// is returned. This is the cancellation-aware entry: chunk closures check
-/// a [`flipper_guard::CancelToken`] at their boundaries and surface the
-/// interrupt as their error type.
-pub fn try_map_slice_chunks<'a, T, R, E, F>(
-    threads: usize,
-    items: &'a [T],
-    f: F,
-) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(&'a [T]) -> Result<R, E> + Sync,
-{
-    map_chunks(threads, items.len(), |r| f(&items[r]))
-        .into_iter()
-        .collect()
-}
-
-/// Shard a mutable slice into contiguous chunks, like [`map_chunks`], and
-/// run `f` over each chunk in place. Chunks are disjoint, so the outcome
-/// does not depend on the thread count as long as `f` treats each element
-/// on its own.
-///
-/// # Panics
-/// Propagates panics from worker threads.
-pub fn for_each_chunk_mut<T, F>(threads: usize, items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(&mut [T]) + Sync,
-{
-    let mut parts = Vec::new();
-    let mut rest = items;
-    for r in chunk_ranges(rest.len(), effective_threads(threads)) {
-        let (part, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
-        parts.push(part);
-        rest = tail;
-    }
-    run_parts(parts, f);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn for_each_chunk_mut_touches_every_element_once() {
-        for threads in [1usize, 2, 3, 8] {
-            for n in [0usize, 1, 5, 17] {
-                let mut v: Vec<usize> = (0..n).collect();
-                for_each_chunk_mut(threads, &mut v, |part| {
-                    for x in part {
-                        *x *= 2;
-                    }
-                });
-                assert_eq!(v, (0..n).map(|x| x * 2).collect::<Vec<_>>(), "t={threads}");
-            }
-        }
-    }
 
     #[test]
     fn chunk_ranges_cover_exactly() {
@@ -328,19 +269,6 @@ mod tests {
             let per_chunk = map_chunks(threads, 100, |r| r.collect::<Vec<usize>>());
             let flat: Vec<usize> = per_chunk.into_iter().flatten().collect();
             assert_eq!(flat, (0..100).collect::<Vec<_>>(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn map_slice_chunks_sums_match() {
-        let items: Vec<u64> = (0..1000).collect();
-        let expect: u64 = items.iter().sum();
-        for threads in [1usize, 3, 8] {
-            let sums: Vec<u64> =
-                try_map_slice_chunks(threads, &items, |c| Ok::<_, ()>(c.iter().sum::<u64>()))
-                    .unwrap();
-            assert_eq!(sums.len(), threads, "one result per chunk");
-            assert_eq!(sums.into_iter().sum::<u64>(), expect);
         }
     }
 
@@ -470,24 +398,6 @@ mod tests {
             let payload = caught.unwrap_err();
             assert_eq!(payload.downcast_ref::<&str>(), Some(&"first"));
         }
-    }
-
-    #[test]
-    fn try_map_slice_chunks_collects_or_short_circuits() {
-        let items: Vec<u64> = (0..100).collect();
-        let ok: Result<Vec<u64>, &str> =
-            try_map_slice_chunks(4, &items, |c| Ok(c.iter().sum::<u64>()));
-        assert_eq!(ok.unwrap().iter().sum::<u64>(), (0..100).sum::<u64>());
-
-        // Chunks 1 and 3 fail; the chunk-order-first error is reported.
-        let err: Result<Vec<usize>, String> = try_map_slice_chunks(4, &items, |c| {
-            if c[0] == 25 || c[0] == 75 {
-                Err(format!("chunk at {}", c[0]))
-            } else {
-                Ok(c.len())
-            }
-        });
-        assert_eq!(err.unwrap_err(), "chunk at 25");
     }
 
     /// An armed plan reaches the workers its own thread dispatches and no

@@ -24,7 +24,7 @@
 
 use crate::bitset::{self, Bitmap};
 use crate::transaction::{RowChunk, TransactionDb};
-use crate::{exec, DataError};
+use crate::DataError;
 use flipper_taxonomy::{NodeId, Taxonomy};
 use std::sync::OnceLock;
 
@@ -164,27 +164,15 @@ pub struct MultiLevelView {
 impl MultiLevelView {
     /// Project `db` through `tax` at every level `1..=height`.
     ///
-    /// Delegates to [`MultiLevelViewBuilder`] (one chunk, sequential), so
+    /// Delegates to [`MultiLevelViewBuilder`] (one chunk), so
     /// the full-load and chunk-streamed paths can never drift apart.
     ///
     /// # Panics
     /// Panics if the database is not valid for `tax` (items that are not
     /// leaves at the taxonomy height).
     pub fn build(db: &TransactionDb, tax: &Taxonomy) -> Self {
-        Self::build_with_threads(db, tax, 1)
-    }
-
-    /// [`build`](MultiLevelView::build) with the abstraction levels
-    /// sharded over up to `threads` scoped workers (`0` = auto-detect,
-    /// `1` = sequential; never more workers than levels). The result is
-    /// bit-identical at every thread count.
-    ///
-    /// # Panics
-    /// Panics if the database is not valid for `tax` (items that are not
-    /// leaves at the taxonomy height).
-    pub fn build_with_threads(db: &TransactionDb, tax: &Taxonomy, threads: usize) -> Self {
         let _span = flipper_obs::span("view.build").arg("rows", db.len() as u64);
-        let mut builder = MultiLevelViewBuilder::new(tax, threads);
+        let mut builder = MultiLevelViewBuilder::new(tax);
         builder
             .push_chunk(db.iter())
             .expect("TransactionDb rows are canonical leaf itemsets");
@@ -287,15 +275,13 @@ impl LevelBuild {
 /// Feed transaction chunks (e.g. from an FBIN chunk reader) with
 /// [`MultiLevelViewBuilder::push_chunk`]. Each chunk is first canonicalized
 /// and validated into one reused flat buffer, then committed to every
-/// abstraction level through precomputed ancestor tables, with the levels
-/// sharded over [`mod@crate::exec`] scoped workers. Tids are appended **in
-/// order**, and no per-row allocation is made. The finished view is
-/// bit-identical to [`MultiLevelView::build`] over the concatenation of all
-/// chunks, at every thread count — so mining a streamed input produces
+/// abstraction level through precomputed ancestor tables, one level after
+/// another. Tids are appended **in order**, and no per-row allocation is
+/// made. The finished view is bit-identical to [`MultiLevelView::build`]
+/// over the concatenation of all chunks — so mining a streamed input produces
 /// exactly the results of mining a fully loaded one, without the raw
 /// database ever materializing.
 pub struct MultiLevelViewBuilder {
-    threads: usize,
     /// `leaf[i]`: node `i` is a leaf at the taxonomy height, the only items
     /// a row may hold.
     leaf: Vec<bool>,
@@ -307,12 +293,8 @@ pub struct MultiLevelViewBuilder {
 }
 
 impl MultiLevelViewBuilder {
-    /// Start a builder over `tax` that commits each chunk to the
-    /// abstraction levels sharded over up to `threads` workers (`0` =
-    /// auto-detect, `1` = sequential). Only that commit is sharded: at most
-    /// one worker per level, and canonicalization and validation always
-    /// run on the calling thread.
-    pub fn new(tax: &Taxonomy, threads: usize) -> Self {
+    /// Start an empty builder over `tax`.
+    pub fn new(tax: &Taxonomy) -> Self {
         let node_count = tax.node_count();
         let height = tax.height();
         let leaf = (0..node_count)
@@ -349,7 +331,6 @@ impl MultiLevelViewBuilder {
             })
             .collect();
         MultiLevelViewBuilder {
-            threads,
             leaf,
             levels,
             num_transactions: 0,
@@ -364,7 +345,7 @@ impl MultiLevelViewBuilder {
     fn starting_at(tax: &Taxonomy, num_transactions: usize) -> Self {
         MultiLevelViewBuilder {
             num_transactions,
-            ..Self::new(tax, 1)
+            ..Self::new(tax)
         }
     }
 
@@ -411,14 +392,10 @@ impl MultiLevelViewBuilder {
             max_width = max_width.max(row.len());
         }
         // Pass 2: commit the rows, every level on its own.
-        let chunk = &self.rows;
-        let tid = base as u32;
-        exec::for_each_chunk_mut(self.threads, &mut self.levels, |levels| {
-            for lv in levels {
-                lv.commit(chunk, tid);
-            }
-        });
-        self.num_transactions += chunk.len();
+        for lv in &mut self.levels {
+            lv.commit(&self.rows, base as u32);
+        }
+        self.num_transactions += self.rows.len();
         self.max_width = max_width;
         Ok(())
     }
@@ -605,14 +582,12 @@ mod tests {
             let rows = random_rows(&mut rng, tax, 40);
             assert!(rows.iter().any(|r| r.windows(2).any(|w| w[0] >= w[1])));
             for chunk_len in [1usize, 3, rows.len()] {
-                for threads in [1usize, 2, 7] {
-                    let mut b = MultiLevelViewBuilder::new(tax, threads);
-                    for chunk in rows.chunks(chunk_len) {
-                        b.push_chunk(chunk.iter().map(Vec::as_slice)).unwrap();
-                    }
-                    assert_eq!(b.num_transactions(), rows.len());
-                    assert_matches_reference(&b.finish().unwrap(), tax, &rows);
+                let mut b = MultiLevelViewBuilder::new(tax);
+                for chunk in rows.chunks(chunk_len) {
+                    b.push_chunk(chunk.iter().map(Vec::as_slice)).unwrap();
                 }
+                assert_eq!(b.num_transactions(), rows.len());
+                assert_matches_reference(&b.finish().unwrap(), tax, &rows);
             }
         }
     }
@@ -633,19 +608,6 @@ mod tests {
                 .map(|(i, _)| i as u32)
                 .collect();
             assert_eq!(mlv.level(3).tidset(leaf), expect.as_slice(), "{leaf}");
-        }
-    }
-
-    #[test]
-    fn build_with_threads_is_bit_identical() {
-        let (tax, db) = toy();
-        let sequential = MultiLevelView::build(&db, &tax);
-        for threads in [0usize, 2, 4] {
-            assert_eq!(
-                MultiLevelView::build_with_threads(&db, &tax, threads),
-                sequential,
-                "threads={threads}"
-            );
         }
     }
 
@@ -805,18 +767,12 @@ mod tests {
         let (tax, db) = toy();
         let full = MultiLevelView::build(&db, &tax);
         let rows: Vec<&[NodeId]> = db.iter().collect();
-        for threads in [1usize, 3] {
-            for chunk_len in [1usize, 3, 10] {
-                let mut b = MultiLevelViewBuilder::new(&tax, threads);
-                for chunk in rows.chunks(chunk_len) {
-                    b.push_chunk(chunk.iter().copied()).unwrap();
-                }
-                assert_eq!(
-                    b.finish().unwrap(),
-                    full,
-                    "threads={threads} chunk_len={chunk_len}"
-                );
+        for chunk_len in [1usize, 3, 10] {
+            let mut b = MultiLevelViewBuilder::new(&tax);
+            for chunk in rows.chunks(chunk_len) {
+                b.push_chunk(chunk.iter().copied()).unwrap();
             }
+            assert_eq!(b.finish().unwrap(), full, "chunk_len={chunk_len}");
         }
     }
 
@@ -827,41 +783,39 @@ mod tests {
         let full = MultiLevelView::build(&db, &tax);
         let a1 = tax.node_by_name("a1").unwrap();
         let wide: Vec<NodeId> = tax.leaves().to_vec();
-        for threads in [1usize, 4] {
-            let mut b = MultiLevelViewBuilder::new(&tax, threads);
-            b.push_chunk(rows[..4].iter().copied()).unwrap();
-            // Chunks whose LAST row is invalid (an internal node, or empty),
-            // after a valid row wider than any in the database: the valid
-            // prefix must NOT be ingested — the failed chunk leaves no
-            // trace, not in the tid-lists and not in `max_width`.
-            let bad_last: [(&[NodeId], DataError); 2] = [
-                (&[a1], DataError::NonLeafItem { txn: 11, item: a1 }),
-                (&[], DataError::EmptyTransaction { txn: 11 }),
-            ];
-            for (last, expect) in bad_last {
-                let mut bad: Vec<&[NodeId]> = rows[4..].to_vec();
-                bad.push(&wide);
-                bad.push(last);
-                assert_eq!(b.push_chunk(bad.iter().copied()).unwrap_err(), expect);
-                assert_eq!(
-                    b.num_transactions(),
-                    4,
-                    "failed chunk must not be partially ingested"
-                );
-            }
-            // The builder stays usable: retry with the valid rows and match
-            // the full build exactly.
-            b.push_chunk(rows[4..].iter().copied()).unwrap();
-            assert_eq!(b.finish().unwrap(), full, "threads={threads}");
+        let mut b = MultiLevelViewBuilder::new(&tax);
+        b.push_chunk(rows[..4].iter().copied()).unwrap();
+        // Chunks whose LAST row is invalid (an internal node, or empty),
+        // after a valid row wider than any in the database: the valid
+        // prefix must NOT be ingested — the failed chunk leaves no
+        // trace, not in the tid-lists and not in `max_width`.
+        let bad_last: [(&[NodeId], DataError); 2] = [
+            (&[a1], DataError::NonLeafItem { txn: 11, item: a1 }),
+            (&[], DataError::EmptyTransaction { txn: 11 }),
+        ];
+        for (last, expect) in bad_last {
+            let mut bad: Vec<&[NodeId]> = rows[4..].to_vec();
+            bad.push(&wide);
+            bad.push(last);
+            assert_eq!(b.push_chunk(bad.iter().copied()).unwrap_err(), expect);
+            assert_eq!(
+                b.num_transactions(),
+                4,
+                "failed chunk must not be partially ingested"
+            );
         }
+        // The builder stays usable: retry with the valid rows and match
+        // the full build exactly.
+        b.push_chunk(rows[4..].iter().copied()).unwrap();
+        assert_eq!(b.finish().unwrap(), full);
         // Empty rows and empty builders report the canonical errors.
-        let mut b = MultiLevelViewBuilder::new(&tax, 1);
+        let mut b = MultiLevelViewBuilder::new(&tax);
         assert_eq!(
             b.push_chunk([&[][..]]).unwrap_err(),
             DataError::EmptyTransaction { txn: 0 }
         );
         assert_eq!(
-            MultiLevelViewBuilder::new(&tax, 1).finish().unwrap_err(),
+            MultiLevelViewBuilder::new(&tax).finish().unwrap_err(),
             DataError::EmptyDatabase
         );
     }

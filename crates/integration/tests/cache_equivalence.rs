@@ -121,10 +121,8 @@ fn random_points(rng: &mut Xoshiro256pp, round: usize) -> Vec<(String, FlipperCo
 
 /// Sweeps replay vertical enumerations from the session memo; every
 /// point's `flipper-results/v1` bytes equal a mine of the same
-/// configuration on a fresh session, over random grids in random order, at
-/// 1 and 2 jobs.
-/// Work counters are only asserted at 1 job: at 2, which job records an
-/// entry first depends on scheduling.
+/// configuration on a fresh session, over random grids in random order, and
+/// no replay costs an intersection.
 #[test]
 fn memoized_sweeps_are_byte_identical_to_fresh_mines() {
     let dataset = quest_dataset();
@@ -134,51 +132,43 @@ fn memoized_sweeps_are_byte_identical_to_fresh_mines() {
         json.finish().unwrap();
         json.into_inner()
     };
-    for jobs in [1usize, 2] {
-        let mut rng = Xoshiro256pp::seed_from_u64(23 + jobs as u64);
-        let session = Session::open(&dataset).unwrap();
-        for round in 0..2 {
-            let before = session.support_cache_stats();
-            let runs = random_points(&mut rng, round)
-                .into_iter()
-                .fold(session.sweep().with_jobs(jobs), |sweep, (label, cfg)| {
-                    sweep.add(label, cfg)
-                })
-                .run()
-                .unwrap();
-            let memo = session.support_cache_stats();
-            for run in &runs {
-                let fresh = Session::open(&dataset).unwrap().mine(&run.config).unwrap();
-                let ctx = format!("jobs={jobs} {}", run.label);
-                assert_eq!(
-                    String::from_utf8_lossy(&bytes(&session, &run.label, &run.config, &run.result)),
-                    String::from_utf8_lossy(&bytes(&session, &run.label, &run.config, &fresh)),
-                    "{ctx}"
-                );
-                if jobs == 1 {
-                    assert_eq!(
-                        search_counters(&run.result.stats),
-                        search_counters(&fresh.stats),
-                        "{ctx}"
-                    );
-                    assert!(
-                        run.result.stats.counter.intersections <= fresh.stats.counter.intersections,
-                        "{ctx}: replay never costs intersections"
-                    );
-                }
-            }
-            if jobs == 1 {
-                assert!(
-                    memo.seed_hits > before.seed_hits,
-                    "round {round}: nothing replayed"
-                );
-                assert_eq!(
-                    memo.seed_lookups - memo.seed_hits,
-                    memo.entries,
-                    "one job records each miss once"
-                );
-            }
+    let mut rng = Xoshiro256pp::seed_from_u64(24);
+    let session = Session::open(&dataset).unwrap();
+    for round in 0..2 {
+        let before = session.support_cache_stats();
+        let runs = random_points(&mut rng, round)
+            .into_iter()
+            .fold(session.sweep(), |sweep, (label, cfg)| sweep.add(label, cfg))
+            .run()
+            .unwrap();
+        let memo = session.support_cache_stats();
+        for run in &runs {
+            let fresh = Session::open(&dataset).unwrap().mine(&run.config).unwrap();
+            let ctx = &run.label;
+            assert_eq!(
+                String::from_utf8_lossy(&bytes(&session, &run.label, &run.config, &run.result)),
+                String::from_utf8_lossy(&bytes(&session, &run.label, &run.config, &fresh)),
+                "{ctx}"
+            );
+            assert_eq!(
+                search_counters(&run.result.stats),
+                search_counters(&fresh.stats),
+                "{ctx}"
+            );
+            assert!(
+                run.result.stats.counter.intersections <= fresh.stats.counter.intersections,
+                "{ctx}: replay never costs intersections"
+            );
         }
+        assert!(
+            memo.seed_hits > before.seed_hits,
+            "round {round}: nothing replayed"
+        );
+        assert_eq!(
+            memo.seed_lookups - memo.seed_hits,
+            memo.entries,
+            "a sweep records each miss once"
+        );
     }
 }
 
@@ -197,7 +187,7 @@ fn work_counters(
 }
 
 /// The benchmark's `quest-sweep` iteration — sweep A, then sweep B, on one
-/// fresh session at one job — repeats its counters exactly: two fresh
+/// fresh session — repeats its counters exactly: two fresh
 /// sessions report identical per-point [`flipper_api::RunStats`] and
 /// identical memo stats deltas per sweep. A cold first point replays
 /// nothing; a point sweep B repeats from sweep A replays supports.
@@ -215,7 +205,6 @@ fn fresh_session_sweep_counters_repeat_exactly() {
             let before = session.support_cache_stats();
             let runs = session
                 .sweep()
-                .with_jobs(1)
                 .thresholds_grid(&base, gammas, epsilons)
                 .run()
                 .unwrap();
@@ -242,4 +231,45 @@ fn fresh_session_sweep_counters_repeat_exactly() {
         assert_eq!(replayed.len(), 2, "{label}: mined by sweeps A and B");
         assert!(replayed[1] > 0, "{label}: sweep B replays its supports");
     }
+}
+
+/// A session shared across threads: two threads mine one session at once,
+/// at the same θ and different γ. Each result renders its solo run's
+/// `flipper-results/v1` bytes, and the memo ends up holding exactly the
+/// entries a sequential pair records — whichever thread enumerates a
+/// parent set first, it is recorded once.
+#[test]
+fn concurrent_mines_on_one_session_match_solo_runs() {
+    let dataset = quest_dataset();
+    let configs = [0.5, 0.3].map(|gamma| FlipperConfig {
+        thresholds: Thresholds::new(gamma, 0.25),
+        ..quest_config()
+    });
+    let bytes = |session: &Session, cfg: &FlipperConfig, r: &MiningResult| {
+        let mut json = JsonWriter::new(Vec::new());
+        json.consume("shared", session.taxonomy(), cfg, r).unwrap();
+        json.finish().unwrap();
+        json.into_inner()
+    };
+    let shared = Session::open(&dataset).unwrap();
+    let results = std::thread::scope(|scope| {
+        configs
+            .each_ref()
+            .map(|cfg| scope.spawn(|| shared.mine(cfg).unwrap()))
+            .map(|handle| handle.join().unwrap())
+    });
+    let sequential = Session::open(&dataset).unwrap();
+    for (cfg, result) in configs.iter().zip(&results) {
+        let solo = Session::open(&dataset).unwrap().mine(cfg).unwrap();
+        assert_eq!(
+            String::from_utf8_lossy(&bytes(&shared, cfg, result)),
+            String::from_utf8_lossy(&bytes(&shared, cfg, &solo)),
+            "gamma {}",
+            cfg.thresholds.gamma
+        );
+        sequential.mine(cfg).unwrap();
+    }
+    let entries = sequential.support_cache_stats().entries;
+    assert!(entries > 0, "the pair records enumerations");
+    assert_eq!(shared.support_cache_stats().entries, entries);
 }

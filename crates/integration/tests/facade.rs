@@ -122,59 +122,51 @@ fn session_equals_single_shot_paths() {
 fn sweep_points_equal_solo_runs() {
     for (name, ds, base) in cases() {
         let solo = |cfg: &FlipperConfig| Session::open(&ds).unwrap().mine(cfg).unwrap();
-        for jobs in [1usize, 4] {
-            // A point swept alone on a fresh session matches the solo run
-            // on another in every deterministic statistic, kernel counters
-            // included.
-            for pruning in PruningConfig::VARIANTS {
-                let cfg = base.clone().with_pruning(pruning);
-                let fresh = Session::open(&ds).unwrap();
-                let point = fresh.sweep().with_jobs(jobs).add("p", cfg.clone());
-                let ctx = format!("{name} jobs={jobs} {}", pruning.name());
-                assert_results_equal(&point.run().unwrap()[0].result, &solo(&cfg), &ctx);
-            }
-            // Swept twice on one session, the second sweep replays what the
-            // first recorded: same search, no more intersections.
-            let session = Session::open(&ds).unwrap();
-            session.sweep().pruning_variants(&base).run().unwrap();
-            let warm = session
-                .sweep()
-                .with_jobs(jobs)
-                .pruning_variants(&base)
-                .run()
-                .unwrap();
-            assert_eq!(warm.len(), 4);
-            for run in &warm {
-                assert_eq!(run.duplicate_of, None, "{name}: distinct configs");
-                let ctx = format!("{name} jobs={jobs} {}", run.label);
-                assert_replays(&run.result, &solo(&run.config), &run.config, &ctx);
-            }
-            // A thread-count tail: those points only differ in an execution
-            // knob, so they are served as duplicates — and every point's
-            // *results* still equal the solo run (replay and dedup change
-            // counting cost, never patterns or cells).
-            let runs = session
-                .sweep()
-                .with_jobs(jobs)
-                .pruning_variants(&base)
-                .add("t1", base.clone().with_threads(1))
-                .add("t2", base.clone().with_threads(2))
-                .run()
-                .unwrap();
-            assert_eq!(runs.len(), 6);
-            for run in &runs[4..] {
-                assert_eq!(
-                    run.duplicate_of.as_deref(),
-                    Some(base.pruning.name()),
-                    "{name}: thread-count points repeat the base config"
-                );
-            }
-            for run in &runs {
-                let alone = solo(&run.config);
-                let ctx = format!("{name} jobs={jobs} {}", run.label);
-                assert_eq!(run.result.patterns, alone.patterns, "{ctx}: patterns");
-                assert_eq!(run.result.cells, alone.cells, "{ctx}: cell summaries");
-            }
+        // A point swept alone on a fresh session matches the solo run
+        // on another in every deterministic statistic, kernel counters
+        // included.
+        for pruning in PruningConfig::VARIANTS {
+            let cfg = base.clone().with_pruning(pruning);
+            let fresh = Session::open(&ds).unwrap();
+            let point = fresh.sweep().add("p", cfg.clone());
+            let ctx = format!("{name} {}", pruning.name());
+            assert_results_equal(&point.run().unwrap()[0].result, &solo(&cfg), &ctx);
+        }
+        // Swept twice on one session, the second sweep replays what the
+        // first recorded: same search, no more intersections.
+        let session = Session::open(&ds).unwrap();
+        session.sweep().pruning_variants(&base).run().unwrap();
+        let warm = session.sweep().pruning_variants(&base).run().unwrap();
+        assert_eq!(warm.len(), 4);
+        for run in &warm {
+            assert_eq!(run.duplicate_of, None, "{name}: distinct configs");
+            let ctx = format!("{name} {}", run.label);
+            assert_replays(&run.result, &solo(&run.config), &run.config, &ctx);
+        }
+        // A thread-count tail: those points only differ in an execution
+        // knob, so they are served as duplicates — and every point's
+        // *results* still equal the solo run (replay and dedup change
+        // counting cost, never patterns or cells).
+        let runs = session
+            .sweep()
+            .pruning_variants(&base)
+            .add("t1", base.clone().with_threads(1))
+            .add("t2", base.clone().with_threads(2))
+            .run()
+            .unwrap();
+        assert_eq!(runs.len(), 6);
+        for run in &runs[4..] {
+            assert_eq!(
+                run.duplicate_of.as_deref(),
+                Some(base.pruning.name()),
+                "{name}: thread-count points repeat the base config"
+            );
+        }
+        for run in &runs {
+            let alone = solo(&run.config);
+            let ctx = format!("{name} {}", run.label);
+            assert_eq!(run.result.patterns, alone.patterns, "{ctx}: patterns");
+            assert_eq!(run.result.cells, alone.cells, "{ctx}: cell summaries");
         }
     }
 }
@@ -271,12 +263,9 @@ fn streamed_session_mines_identically_to_loaded() {
     let loaded = Session::open(&ds).unwrap();
     let cfg = FlipperConfig::new(Thresholds::new(0.6, 0.35), MinSupports::Counts(vec![5]));
     let want = loaded.mine(&cfg).unwrap();
-    for threads in [1usize, 4] {
-        let streamed =
-            Session::open_with_threads(flipper_api::FbinSource::new(&fbin[..]), threads).unwrap();
-        let got = streamed.mine(&cfg).unwrap();
-        assert_results_equal(&got, &want, &format!("streamed threads={threads}"));
-    }
+    let streamed = Session::open(flipper_api::FbinSource::new(&fbin[..])).unwrap();
+    let got = streamed.mine(&cfg).unwrap();
+    assert_results_equal(&got, &want, "streamed");
 }
 
 /// Repeated-run determinism: the same configuration rendered five times at

@@ -2,8 +2,8 @@
 //!
 //! `scripts/verify.sh` re-runs this suite under `--release`. It arms seeded
 //! [`flipper_guard::fault::FaultPlan`]s at every instrumented site —
-//! `store.read.section`, `store.write.section`, `exec.chunk` — across
-//! threads {1, 4}, and proves the robustness invariant end to end:
+//! `store.read.section`, `store.write.section`, `exec.chunk` (the latter
+//! across counting threads {1, 4}), and proves the robustness invariant end to end:
 //!
 //! * every injected fault surfaces as a **typed error** or a
 //!   **quarantine-flagged degraded result** — never a panic escaping the
@@ -77,20 +77,16 @@ fn report_bytes(tax: &Taxonomy, config: &FlipperConfig, result: &MiningResult) -
 }
 
 /// Strict FBIN ingestion of in-memory bytes.
-fn read_strict(
-    bytes: &[u8],
-    threads: usize,
-) -> Result<(Taxonomy, flipper_data::MultiLevelView), StoreError> {
-    let reader = FbinReader::new(Cursor::new(bytes))?;
-    stream_view(reader, threads)
+fn read_strict(bytes: &[u8]) -> Result<(Taxonomy, flipper_data::MultiLevelView), StoreError> {
+    stream_view(FbinReader::new(Cursor::new(bytes))?)
 }
 
-/// Every store-read fault, strict and salvage, across thread counts: typed
-/// error or degraded-flagged result, never a panic, never silent loss.
+/// Every store-read fault, strict and salvage: typed error or
+/// degraded-flagged result, never a panic, never silent loss.
 #[test]
 fn store_read_faults_are_typed_or_quarantined_never_silent() {
     let bytes = fbin_bytes_chunked();
-    let baseline = read_strict(&bytes, 1).expect("intact file reads");
+    let baseline = read_strict(&bytes).expect("intact file reads");
     // Section hit 3 is the second chunk section of the multi-chunk file:
     // dict = 1, chunks = 2.., end last. Quarantining it leaves a remainder.
     let kinds = [
@@ -99,57 +95,52 @@ fn store_read_faults_are_typed_or_quarantined_never_silent() {
         FaultKind::Truncate,
         FaultKind::Panic, // store sites demote Panic to Io: storage never panics
     ];
-    for threads in THREADS {
-        for kind in kinds {
-            let label = format!(
-                "site=store.read hit=3 kind={} threads={threads}",
-                kind.name()
-            );
-            // Strict reads refuse the fault with a typed StoreError.
-            let strict = catch_unwind(AssertUnwindSafe(|| {
-                let _armed = arm(FaultPlan::new(SEED).inject(SITE_STORE_READ, 3, kind));
-                read_strict(&bytes, threads)
-            }))
-            .unwrap_or_else(|_| panic!("{label}: strict read panicked"));
-            assert!(strict.is_err(), "{label}: strict read must fail typed");
+    for kind in kinds {
+        let label = format!("site=store.read hit=3 kind={}", kind.name());
+        // Strict reads refuse the fault with a typed StoreError.
+        let strict = catch_unwind(AssertUnwindSafe(|| {
+            let _armed = arm(FaultPlan::new(SEED).inject(SITE_STORE_READ, 3, kind));
+            read_strict(&bytes)
+        }))
+        .unwrap_or_else(|_| panic!("{label}: strict read panicked"));
+        assert!(strict.is_err(), "{label}: strict read must fail typed");
 
-            // Salvage reads either quarantine (corruption) or still fail
-            // typed (I/O faults are never salvaged away) — and whatever
-            // survives must be flagged degraded, not passed off as whole.
-            let salvage = catch_unwind(AssertUnwindSafe(|| {
-                let _armed = arm(FaultPlan::new(SEED).inject(SITE_STORE_READ, 3, kind));
-                salvage_view(Cursor::new(&bytes[..]), threads)
-            }))
-            .unwrap_or_else(|_| panic!("{label}: salvage read panicked"));
-            match (kind, salvage) {
-                (FaultKind::Io | FaultKind::Panic, Err(StoreError::Io(_))) => {}
-                (FaultKind::Io | FaultKind::Panic, other) => {
-                    panic!("{label}: salvage must surface injected I/O, got {other:?}")
-                }
-                (_, Ok((_, view, report))) => {
-                    assert!(
-                        report.is_degraded(),
-                        "{label}: salvage of corrupted bytes must be flagged: {report:?}"
-                    );
-                    assert!(
-                        view.num_transactions() < baseline.1.num_transactions(),
-                        "{label}: the quarantined chunk's rows must be dropped, not invented"
-                    );
-                }
-                (_, Err(e)) => panic!("{label}: salvage should quarantine, got {e}"),
+        // Salvage reads either quarantine (corruption) or still fail
+        // typed (I/O faults are never salvaged away) — and whatever
+        // survives must be flagged degraded, not passed off as whole.
+        let salvage = catch_unwind(AssertUnwindSafe(|| {
+            let _armed = arm(FaultPlan::new(SEED).inject(SITE_STORE_READ, 3, kind));
+            salvage_view(Cursor::new(&bytes[..]))
+        }))
+        .unwrap_or_else(|_| panic!("{label}: salvage read panicked"));
+        match (kind, salvage) {
+            (FaultKind::Io | FaultKind::Panic, Err(StoreError::Io(_))) => {}
+            (FaultKind::Io | FaultKind::Panic, other) => {
+                panic!("{label}: salvage must surface injected I/O, got {other:?}")
             }
+            (_, Ok((_, view, report))) => {
+                assert!(
+                    report.is_degraded(),
+                    "{label}: salvage of corrupted bytes must be flagged: {report:?}"
+                );
+                assert!(
+                    view.num_transactions() < baseline.1.num_transactions(),
+                    "{label}: the quarantined chunk's rows must be dropped, not invented"
+                );
+            }
+            (_, Err(e)) => panic!("{label}: salvage should quarantine, got {e}"),
         }
-
-        // Latency stalls but corrupts nothing: bytes decode identically.
-        let _armed = arm(FaultPlan::new(SEED).inject(SITE_STORE_READ, 3, FaultKind::Latency));
-        let (tax, view) = read_strict(&bytes, threads).expect("latency fault is benign");
-        assert_eq!(tax, baseline.0, "latency must not perturb the taxonomy");
-        assert_eq!(
-            view.num_transactions(),
-            baseline.1.num_transactions(),
-            "latency must not perturb the view"
-        );
     }
+
+    // Latency stalls but corrupts nothing: bytes decode identically.
+    let _armed = arm(FaultPlan::new(SEED).inject(SITE_STORE_READ, 3, FaultKind::Latency));
+    let (tax, view) = read_strict(&bytes).expect("latency fault is benign");
+    assert_eq!(tax, baseline.0, "latency must not perturb the taxonomy");
+    assert_eq!(
+        view.num_transactions(),
+        baseline.1.num_transactions(),
+        "latency must not perturb the view"
+    );
 }
 
 /// Every store-write fault: typed error (or, for latency, byte-identical
@@ -268,7 +259,7 @@ fn inert_guard_is_byte_invisible() {
         let config = cfg(threads);
 
         // Plain path: strict read, mine with no token.
-        let (tax, view) = read_strict(&bytes, threads).expect("strict read");
+        let (tax, view) = read_strict(&bytes).expect("strict read");
         let plain = flipper_core::mine_with_view(&tax, &view, &config, MineOptions::default())
             .expect("plain mine");
         let plain_bytes = report_bytes(&tax, &config, &plain);
@@ -278,8 +269,7 @@ fn inert_guard_is_byte_invisible() {
         let _armed = arm(FaultPlan::new(SEED)
             .inject(SITE_STORE_READ, u64::MAX, FaultKind::Io)
             .inject(SITE_EXEC_CHUNK, u64::MAX, FaultKind::Panic));
-        let (gtax, gview, report) =
-            salvage_view(Cursor::new(&bytes[..]), threads).expect("salvage read");
+        let (gtax, gview, report) = salvage_view(Cursor::new(&bytes[..])).expect("salvage read");
         assert!(
             !report.is_degraded(),
             "intact file must not be flagged: {report:?}"

@@ -71,6 +71,22 @@ fn results_bytes_identical_with_tracing_on_and_off() {
     }
 }
 
+/// The sparse Quest session of the projection tests and a BASIC
+/// configuration over it: every level's batches hold at least
+/// `MIN_SHARD_CANDIDATES` candidates, so counting at `threads` > 1 shards.
+fn quest_basic(threads: usize) -> (Session, FlipperConfig) {
+    let session = Session::open(Generator::Quest(
+        QuestParams::default().with_transactions(1_000).with_seed(7),
+    ))
+    .expect("quest ingests");
+    let cfg = FlipperConfig {
+        min_support: MinSupports::Fractions(vec![0.02, 0.008, 0.004, 0.003]),
+        pruning: PruningConfig::BASIC,
+        ..config(threads)
+    };
+    (session, cfg)
+}
+
 /// A traced mine renders a valid `flipper-trace/v1` document that covers
 /// ingest, view build, per-level generation and counting — and spans
 /// recorded inside exec worker shards still nest within their lanes.
@@ -80,12 +96,9 @@ fn traced_mine_emits_valid_covering_trace() {
     flipper_obs::disable();
     let _ = flipper_obs::drain();
     flipper_obs::enable();
-    // Sharded ingestion: the view build fans out over workers, so the
-    // trace exercises multiple lanes even though the planted dataset is
-    // too small for counting itself to shard.
-    let session = Session::open_with_threads(Generator::Planted(PlantedParams::default()), 4)
-        .expect("planted ingests");
-    let cfg = config(4);
+    // Sharded counting: the Quest batches fan out over four workers, so
+    // the trace exercises multiple lanes.
+    let (session, cfg) = quest_basic(4);
     let result = session.mine(&cfg).expect("mine succeeds");
     assert!(result.stats.cells_evaluated > 0);
     let capture = flipper_obs::drain();
@@ -105,7 +118,7 @@ fn traced_mine_emits_valid_covering_trace() {
         assert!(stats.names.contains(name), "missing span {name}");
     }
     // Worker lanes exist beyond the main lane (threads=4 sharded at least
-    // one batch).
+    // one counting batch).
     assert!(
         stats.lanes > 1,
         "expected worker lanes, got {}",
@@ -164,7 +177,7 @@ fn gen_spans_record_candidate_provenance() {
 
 /// Span nesting across shard boundaries: spans opened inside exec worker
 /// closures land on per-thread lanes and stay properly nested even when
-/// the same thread runs nested pools (sweep jobs over counting shards).
+/// the same thread runs nested pools.
 #[test]
 fn spans_nest_across_shard_boundaries() {
     let _guard = recorder_lock();
@@ -221,7 +234,6 @@ fn sweep_trace_covers_grid_points() {
         }
         let runs = session
             .sweep()
-            .with_jobs(2)
             .thresholds_grid(&config(2), &[0.6, 0.5], &[0.35])
             .run()
             .expect("sweep runs");
@@ -250,7 +262,7 @@ fn sweep_trace_covers_grid_points() {
 }
 
 /// The view's bitmaps are built once per level per view, however many
-/// mining calls and jobs share it: a 2-job sweep over a fresh session
+/// mining calls share it: a sweep over a fresh session
 /// records one `view.dense` span per level, each with its promoted `items`
 /// and their `bytes`, and a second sweep over the same session records none.
 #[test]
@@ -263,7 +275,6 @@ fn sweep_builds_view_bitmaps_once_per_level() {
         flipper_obs::enable();
         session
             .sweep()
-            .with_jobs(2)
             .thresholds_grid(&config(1), &[0.6, 0.5], &[0.35, 0.2])
             .run()
             .expect("sweep runs");
@@ -313,16 +324,8 @@ fn sweep_builds_view_bitmaps_once_per_level() {
 #[test]
 fn basic_mines_build_view_rows_once_per_level() {
     let _guard = recorder_lock();
-    let session = Session::open(Generator::Quest(
-        QuestParams::default().with_transactions(1_000).with_seed(7),
-    ))
-    .expect("quest ingests");
+    let (session, cfg) = quest_basic(2);
     let n = session.view().num_transactions() as u64;
-    let cfg = FlipperConfig {
-        min_support: MinSupports::Fractions(vec![0.02, 0.008, 0.004, 0.003]),
-        pruning: PruningConfig::BASIC,
-        ..config(2)
-    };
     let arg = |e: &flipper_obs::SpanEvent, key: &str| {
         e.args
             .iter()

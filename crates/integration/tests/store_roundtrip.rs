@@ -91,8 +91,8 @@ fn padded_taxonomy_roundtrips() {
 
 /// Acceptance gate: mining an FBIN input through BOTH the full-load path
 /// and the `chunks()` streaming path yields bit-identical `MiningResult`s
-/// (patterns, labels, counts, stats) to the text path, at 1 and 4 worker
-/// threads.
+/// (patterns, labels, counts, stats) to the text path, at 1 and 4
+/// counting threads.
 #[test]
 fn fbin_mining_matches_text_mining_loaded_and_streamed() {
     let ds = quest_dataset();
@@ -122,7 +122,7 @@ fn fbin_mining_matches_text_mining_loaded_and_streamed() {
             &format!("fbin full-load, threads={threads}"),
         );
 
-        let (tax, view) = stream_view(FbinReader::new(&fbin[..]).unwrap(), threads).unwrap();
+        let (tax, view) = stream_view(FbinReader::new(&fbin[..]).unwrap()).unwrap();
         assert_eq!(tax, text_ds.taxonomy);
         let streamed_result = mine_with_view(&tax, &view, &cfg, MineOptions::default()).unwrap();
         assert_results_identical(
@@ -145,8 +145,8 @@ fn chunk_size_does_not_affect_results() {
     }
     w.finish().unwrap();
     let big = to_fbin_bytes(&ds).unwrap();
-    let (tax_a, view_a) = stream_view(FbinReader::new(&tiny_chunks[..]).unwrap(), 2).unwrap();
-    let (tax_b, view_b) = stream_view(FbinReader::new(&big[..]).unwrap(), 1).unwrap();
+    let (tax_a, view_a) = stream_view(FbinReader::new(&tiny_chunks[..]).unwrap()).unwrap();
+    let (tax_b, view_b) = stream_view(FbinReader::new(&big[..]).unwrap()).unwrap();
     assert_eq!(tax_a, tax_b);
     assert_eq!(view_a, view_b);
     // A 64-byte target on a 500-transaction dataset really produced many

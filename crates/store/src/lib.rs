@@ -44,8 +44,8 @@
 //! * [`FbinReader::chunks`] — iterate transaction chunks with bounded
 //!   memory, each decoded flat into one [`RowChunk`](flipper_data::RowChunk)
 //!   (no per-row allocation); [`stream_view`] pipes them straight into
-//!   [`MultiLevelViewBuilder`], which commits them to per-level tid-lists,
-//!   so mining can start from a file without the raw database, or any
+//!   [`MultiLevelViewBuilder`], which commits them to per-level tid-lists
+//!   on the calling thread, so mining can start from a file without the raw database, or any
 //!   projected copy of it, ever existing in memory.
 //!
 //! [`FbinWriter`] is the streaming producer: it accepts transactions
@@ -121,18 +121,15 @@ pub fn is_fbin(prefix: &[u8]) -> bool {
 
 /// Streamed ingestion: consume every chunk of `reader` into a mining-ready
 /// [`MultiLevelView`] without ever materializing the raw transaction
-/// database. Decode runs on the calling thread; each chunk's commit to the
-/// abstraction levels is sharded over up to `threads` scoped workers (`0` =
-/// auto-detect, `1` = sequential; at most one per level). The resulting
-/// view — and therefore any `flipper_core::mine_with_view` run over it — is
-/// bit-identical to building the view from a fully loaded database, at
-/// every thread count.
+/// database. Decode and the commit to the abstraction levels both run on
+/// the calling thread, one chunk at a time. The resulting view — and
+/// therefore any `flipper_core::mine_with_view` run over it — is
+/// bit-identical to building the view from a fully loaded database.
 pub fn stream_view<R: Read>(
     reader: FbinReader<R>,
-    threads: usize,
 ) -> Result<(Taxonomy, MultiLevelView), StoreError> {
     let (taxonomy, mut chunks) = reader.into_parts();
-    let view = ingest(&taxonomy, &mut chunks, threads)?;
+    let view = ingest(&taxonomy, &mut chunks)?;
     Ok((taxonomy, view))
 }
 
@@ -145,10 +142,9 @@ pub fn stream_view<R: Read>(
 /// any mining result over it) is byte-identical to [`stream_view`]'s.
 pub fn salvage_view<R: Read>(
     r: R,
-    threads: usize,
 ) -> Result<(Taxonomy, MultiLevelView, SalvageReport), StoreError> {
     let (taxonomy, mut chunks) = FbinReader::salvage(r)?.into_parts();
-    let view = ingest(&taxonomy, &mut chunks, threads)?;
+    let view = ingest(&taxonomy, &mut chunks)?;
     let report = chunks.into_salvage_report().unwrap_or_default();
     Ok((taxonomy, view, report))
 }
@@ -159,10 +155,9 @@ pub fn salvage_view<R: Read>(
 fn ingest<R: Read>(
     taxonomy: &Taxonomy,
     chunks: &mut ChunkReader<R>,
-    threads: usize,
 ) -> Result<MultiLevelView, StoreError> {
     let build_span = flipper_obs::span("view.build");
-    let mut builder = MultiLevelViewBuilder::new(taxonomy, threads);
+    let mut builder = MultiLevelViewBuilder::new(taxonomy);
     loop {
         let decode_span = flipper_obs::span("store.decode");
         let Some(chunk) = chunks.next() else {
@@ -704,8 +699,8 @@ mod tests {
     fn salvage_view_flags_degradation_and_mines_survivors() {
         let (ds, bytes) = three_chunk_file();
         // Intact: identical to stream_view, not degraded.
-        let (tax, view, report) = salvage_view(&bytes[..], 1).unwrap();
-        let (tax2, view2) = stream_view(FbinReader::new(&bytes[..]).unwrap(), 1).unwrap();
+        let (tax, view, report) = salvage_view(&bytes[..]).unwrap();
+        let (tax2, view2) = stream_view(FbinReader::new(&bytes[..]).unwrap()).unwrap();
         assert_eq!(tax, tax2);
         assert_eq!(view, view2);
         assert!(!report.is_degraded());
@@ -716,7 +711,7 @@ mod tests {
             .collect();
         let mut corrupt = bytes.clone();
         corrupt[chunks[0].1 + 5] ^= 0x01;
-        let (_, view, report) = salvage_view(&corrupt[..], 1).unwrap();
+        let (_, view, report) = salvage_view(&corrupt[..]).unwrap();
         assert!(report.is_degraded());
         assert_eq!(report.quarantined.len(), 1);
         assert_eq!(report.txns_kept, 2);
@@ -734,11 +729,9 @@ mod tests {
         }
         w.finish().unwrap();
         let full = MultiLevelView::build(&ds.db, &ds.taxonomy);
-        for threads in [1usize, 4] {
-            let (tax, view) = stream_view(FbinReader::new(&out[..]).unwrap(), threads).unwrap();
-            assert_eq!(tax, ds.taxonomy);
-            assert_eq!(view, full, "threads={threads}");
-        }
+        let (tax, view) = stream_view(FbinReader::new(&out[..]).unwrap()).unwrap();
+        assert_eq!(tax, ds.taxonomy);
+        assert_eq!(view, full);
     }
 }
 

@@ -44,10 +44,10 @@
 #     generate` then `flipper sweep --variants basic,flipping,full` must
 #     report 12 flips on every variant row,
 #   * a vertical-memo CLI smoke: a 3×3 FULL `flipper sweep` over a small
-#     Quest file (3 000 transactions), once at `--jobs 2` (points select
-#     the memo rows other points recorded, concurrently) and once at
-#     `--jobs 1` (each point replays the points before it, in order);
-#     `flipper results-diff` must report the two reports identical. That a
+#     Quest file (3 000 transactions), once at `--threads 2` and once at
+#     `--threads 1`; each point replays the points before it, in order,
+#     and at `--threads 2` counts its batches sharded around the replayed
+#     rows. `flipper results-diff` must report the two reports identical. That a
 #     replayed sweep equals the same points mined over cold memos is
 #     pinned byte for byte by the `cache_equivalence` integration suite.
 #   * a BASIC CLI smoke: `flipper mine --variant basic` on the same small
@@ -177,17 +177,17 @@ echo "$TABLE4" | awk 'NR > 1 { rows++; if ($2 != 12) bad++ }
     exit 1
 }
 
-echo "== vertical memo: concurrent (--jobs 2) replay equals sequential (--jobs 1)"
+echo "== vertical memo: replay under sharded counting (--threads 2) equals --threads 1"
 cargo run --release -q -p flipper-cli -- generate --kind quest --seed 7 \
     --transactions 3000 --out "$OBS_TMP/quest.fbin" >/dev/null
-for jobs in 2 1; do
+for threads in 2 1; do
     cargo run --release -q -p flipper-cli -- sweep --input "$OBS_TMP/quest.fbin" \
         --gammas 0.4,0.3,0.2 --epsilons 0.15,0.1,0.05 --variants full \
-        --jobs "$jobs" --output-json "$OBS_TMP/memo-j$jobs.json" >/dev/null
+        --threads "$threads" --output-json "$OBS_TMP/memo-t$threads.json" >/dev/null
 done
 cargo run --release -q -p flipper-cli -- results-diff \
-    "$OBS_TMP/memo-j2.json" "$OBS_TMP/memo-j1.json" || {
-    echo "vertical memo: concurrent and sequential replay differ" >&2
+    "$OBS_TMP/memo-t2.json" "$OBS_TMP/memo-t1.json" || {
+    echo "vertical memo: replay at --threads 2 and --threads 1 differ" >&2
     exit 1
 }
 
