@@ -9,7 +9,6 @@
 use crate::error::FlipperError;
 use flipper_data::format::{read_dataset, write_dataset, Dataset};
 use flipper_store::write_fbin;
-use flipper_taxonomy::RebalancePolicy;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -83,7 +82,7 @@ pub fn load_path(path: impl AsRef<Path>) -> Result<Dataset, FlipperError> {
     let reader = BufReader::new(file);
     match format {
         FileFormat::Fbin => Ok(flipper_store::read_fbin(reader)?),
-        FileFormat::Text => Ok(read_dataset(reader, RebalancePolicy::LeafCopy)?),
+        FileFormat::Text => Ok(read_dataset(reader)?),
     }
 }
 

@@ -21,9 +21,9 @@
 //!   down to the failing layer), and every mining call reaches the miner
 //!   through [`flipper_core::mine_with_view`], so a panic inside a run
 //!   returns as [`FlipperError::Panicked`] instead of unwinding; results
-//!   flow into pluggable [`ResultSink`]s — human-readable [`TextReport`],
-//!   machine-readable [`JsonWriter`] (`flipper-results/v1`, strings quoted
-//!   by [`flipper_wire::json`]), accumulating [`TopK`].
+//!   flow into pluggable [`ResultSink`]s — human-readable [`TextReport`]
+//!   and machine-readable [`JsonWriter`] (`flipper-results/v1`, strings
+//!   quoted by [`flipper_wire::json`]).
 //!
 //! ```
 //! use flipper_api::{Generator, Session, FlipperConfig, MinSupports, Thresholds, JsonWriter, ResultSink};
@@ -62,7 +62,7 @@ mod sweep;
 pub use checkpoint::{CheckpointRow, SweepJournal};
 pub use error::FlipperError;
 pub use session::Session;
-pub use sink::{emit_runs, JsonWriter, ResultSink, TextReport, TopK, TopKEntry};
+pub use sink::{emit_runs, JsonWriter, ResultSink, TextReport};
 pub use source::{DataSource, FbinSource, Generator, Ingested, PathSource, TextSource};
 pub use sweep::{threshold_point, Sweep, SweepOutcome, SweepRun};
 
@@ -80,4 +80,4 @@ pub use flipper_datagen::quest::QuestParams;
 pub use flipper_guard::{CancelToken, GuardError};
 pub use flipper_measures::{Measure, Thresholds};
 pub use flipper_store::{QuarantinedChunk, SalvageReport};
-pub use flipper_taxonomy::{RebalancePolicy, Taxonomy};
+pub use flipper_taxonomy::Taxonomy;

@@ -2,8 +2,8 @@
 //!
 //! A [`ResultSink`] consumes `(label, taxonomy, config, result)` records —
 //! one per mining run — and renders them somewhere: a human-readable
-//! [`TextReport`], the machine-readable [`JsonWriter`]
-//! (`flipper-results/v1`), or an accumulating [`TopK`] leaderboard. The CLI
+//! [`TextReport`] or the machine-readable [`JsonWriter`]
+//! (`flipper-results/v1`). The CLI
 //! fans one run out to several sinks at once (stdout report + `--output-json`
 //! file); a future server frontend streams sweeps through the same trait.
 //!
@@ -387,82 +387,6 @@ impl<W: Write> ResultSink for JsonWriter<W> {
     }
 }
 
-// ---------------------------------------------------------------- TopK
-
-/// An accumulating leaderboard: keeps the `k` patterns with the largest
-/// flip gap seen across every consumed run (ties broken by label, then by
-/// leaf itemset, for fully deterministic ordering).
-pub struct TopK {
-    k: usize,
-    entries: Vec<TopKEntry>,
-}
-
-/// One leaderboard entry.
-#[derive(Debug, Clone)]
-pub struct TopKEntry {
-    /// Label of the run the pattern came from.
-    pub label: String,
-    /// The pattern's flip gap (cached for sorting).
-    pub gap: f64,
-    /// The pattern itself.
-    pub pattern: FlippingPattern,
-}
-
-impl TopK {
-    /// Keep the best `k` patterns.
-    pub fn new(k: usize) -> Self {
-        TopK {
-            k,
-            entries: Vec::new(),
-        }
-    }
-
-    /// The current leaderboard, descending by gap.
-    pub fn entries(&self) -> &[TopKEntry] {
-        &self.entries
-    }
-
-    /// Render the leaderboard as text lines (`gap label itemset`).
-    pub fn render(&self, taxonomy: &Taxonomy) -> String {
-        let mut out = String::new();
-        for e in &self.entries {
-            out.push_str(&format!(
-                "{:.3}  [{}]  {}\n",
-                e.gap,
-                e.label,
-                e.pattern.leaf_itemset.display(taxonomy)
-            ));
-        }
-        out
-    }
-}
-
-impl ResultSink for TopK {
-    fn consume(
-        &mut self,
-        label: &str,
-        _taxonomy: &Taxonomy,
-        _config: &FlipperConfig,
-        result: &MiningResult,
-    ) -> Result<(), FlipperError> {
-        for p in &result.patterns {
-            self.entries.push(TopKEntry {
-                label: label.to_string(),
-                gap: p.flip_gap(),
-                pattern: p.clone(),
-            });
-        }
-        self.entries.sort_by(|a, b| {
-            b.gap
-                .total_cmp(&a.gap)
-                .then_with(|| a.label.cmp(&b.label))
-                .then_with(|| a.pattern.leaf_itemset.cmp(&b.pattern.leaf_itemset))
-        });
-        self.entries.truncate(self.k);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,23 +504,6 @@ mod tests {
         assert!(doc.contains("\"degraded\": \"salvage\""));
         assert!(doc.contains("\"runs\": []"));
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-    }
-
-    #[test]
-    fn topk_sink_keeps_best_across_runs() {
-        let (session, cfg, result) = session_and_result();
-        let mut sink = TopK::new(3);
-        sink.consume("r1", session.taxonomy(), &cfg, &result)
-            .unwrap();
-        sink.consume("r2", session.taxonomy(), &cfg, &result)
-            .unwrap();
-        sink.finish().unwrap();
-        assert_eq!(sink.entries().len(), 3.min(result.patterns.len() * 2));
-        for w in sink.entries().windows(2) {
-            assert!(w[0].gap >= w[1].gap);
-        }
-        let rendered = sink.render(session.taxonomy());
-        assert!(rendered.contains("[r1]"));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use flipper_datagen::planted::{self, PlantedData, PlantedParams};
 use flipper_datagen::quest::{self, QuestData, QuestParams};
 use flipper_datagen::surrogate::{self, SurrogateData};
 use flipper_store::{stream_view, FbinReader};
-use flipper_taxonomy::{RebalancePolicy, Taxonomy};
+use flipper_taxonomy::Taxonomy;
 use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
 
@@ -64,23 +64,12 @@ fn ingest_dataset(taxonomy: Taxonomy, db: &TransactionDb, origin: String) -> Ing
 #[derive(Debug, Clone)]
 pub struct PathSource {
     path: PathBuf,
-    policy: RebalancePolicy,
 }
 
 impl PathSource {
-    /// Source the file at `path` with the CLI's default rebalancing policy
-    /// ([`RebalancePolicy::LeafCopy`], matching the paper's experiments).
+    /// Source the file at `path`.
     pub fn new(path: impl Into<PathBuf>) -> Self {
-        PathSource {
-            path: path.into(),
-            policy: RebalancePolicy::LeafCopy,
-        }
-    }
-
-    /// Override the rebalancing policy applied to unbalanced taxonomies.
-    pub fn with_policy(mut self, policy: RebalancePolicy) -> Self {
-        self.policy = policy;
-        self
+        PathSource { path: path.into() }
     }
 
     /// The underlying path.
@@ -111,7 +100,7 @@ impl DataSource for PathSource {
                 })
             }
             crate::io::FileFormat::Text => {
-                let ds = read_dataset(BufReader::new(open(&self.path)?), self.policy)?;
+                let ds = read_dataset(BufReader::new(open(&self.path)?))?;
                 Ok(ingest_dataset(ds.taxonomy, &ds.db, origin))
             }
         }
@@ -122,22 +111,12 @@ impl DataSource for PathSource {
 #[derive(Debug)]
 pub struct TextSource<R> {
     reader: R,
-    policy: RebalancePolicy,
 }
 
 impl<R: BufRead> TextSource<R> {
     /// Source the text dataset behind `reader`.
     pub fn new(reader: R) -> Self {
-        TextSource {
-            reader,
-            policy: RebalancePolicy::LeafCopy,
-        }
-    }
-
-    /// Override the rebalancing policy applied to unbalanced taxonomies.
-    pub fn with_policy(mut self, policy: RebalancePolicy) -> Self {
-        self.policy = policy;
-        self
+        TextSource { reader }
     }
 }
 
@@ -148,7 +127,7 @@ impl<R: BufRead> DataSource for TextSource<R> {
 
     fn ingest(self) -> Result<Ingested, FlipperError> {
         let origin = self.describe();
-        let ds = read_dataset(self.reader, self.policy)?;
+        let ds = read_dataset(self.reader)?;
         Ok(ingest_dataset(ds.taxonomy, &ds.db, origin))
     }
 }

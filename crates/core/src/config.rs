@@ -58,20 +58,23 @@ impl Default for MinSupports {
     }
 }
 
-/// Which pruning techniques are active — the four cumulative variants the
-/// paper benchmarks in Fig. 8.
+/// Which pruning techniques are active — one of the four cumulative
+/// variants the paper benchmarks in Fig. 8.
+///
+/// The fields are private, so [`BASIC`](Self::BASIC),
+/// [`FLIPPING`](Self::FLIPPING), [`FLIPPING_TPG`](Self::FLIPPING_TPG) and
+/// [`FULL`](Self::FULL) are the only values there are; a struct literal
+/// does not compile:
+///
+/// ```compile_fail
+/// use flipper_core::PruningConfig;
+/// let sibp_without_tpg = PruningConfig { flipping: true, tpg: false, sibp: true };
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PruningConfig {
-    /// Flipping-based pruning (§4.2.2): only chain-alive itemsets are
-    /// extended vertically. Off = the BASIC level-wise Apriori baseline,
-    /// which mines all frequent itemsets per level and post-filters flips.
-    pub flipping: bool,
-    /// Termination of pattern growth (Theorem 3): cap the column bound when
-    /// two vertically adjacent cells are all-non-positive.
-    pub tpg: bool,
-    /// Single-item-based pruning (Theorem 2 / Corollary 2): ban minimal
-    /// support items whose per-cell max correlation stays below γ.
-    pub sibp: bool,
+    flipping: bool,
+    tpg: bool,
+    sibp: bool,
 }
 
 impl PruningConfig {
@@ -103,6 +106,25 @@ impl PruningConfig {
     /// The four cumulative variants in benchmark order.
     pub const VARIANTS: [PruningConfig; 4] =
         [Self::BASIC, Self::FLIPPING, Self::FLIPPING_TPG, Self::FULL];
+
+    /// Flipping-based pruning (§4.2.2): only chain-alive itemsets are
+    /// extended vertically. Off = the BASIC level-wise Apriori baseline,
+    /// which mines all frequent itemsets per level and post-filters flips.
+    pub const fn flipping(&self) -> bool {
+        self.flipping
+    }
+
+    /// Termination of pattern growth (Theorem 3): cap the column bound when
+    /// two vertically adjacent cells are all-non-positive.
+    pub const fn tpg(&self) -> bool {
+        self.tpg
+    }
+
+    /// Single-item-based pruning (Theorem 2 / Corollary 2): ban minimal
+    /// support items whose per-cell max correlation stays below γ.
+    pub const fn sibp(&self) -> bool {
+        self.sibp
+    }
 
     /// Short display name matching the paper's legend.
     pub fn name(&self) -> &'static str {

@@ -22,15 +22,14 @@
 //! ```
 //! use flipper_core::{mine, FlipperConfig, MinSupports};
 //! use flipper_measures::Thresholds;
-//! use flipper_taxonomy::{Taxonomy, RebalancePolicy};
+//! use flipper_taxonomy::Taxonomy;
 //! use flipper_data::TransactionDb;
 //!
 //! // Two categories, two leaves each.
 //! let tax = Taxonomy::from_edges(
 //!     [("food", ""), ("drink", ""),
 //!      ("bread", "food"), ("cheese", "food"),
-//!      ("beer", "drink"), ("milk", "drink")],
-//!     RebalancePolicy::RequireBalanced).unwrap();
+//!      ("beer", "drink"), ("milk", "drink")]).unwrap();
 //! let g = |s: &str| tax.node_by_name(s).unwrap();
 //! // bread+beer always together; cheese+milk never; categories uncorrelated.
 //! let db = TransactionDb::new(vec![

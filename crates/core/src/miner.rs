@@ -331,7 +331,7 @@ impl<'a> Miner<'a> {
             top_cat: &self.top_cat,
             banned: &banned,
         };
-        let flipping_row = self.cfg.pruning.flipping && h >= 2;
+        let flipping_row = self.cfg.pruning.flipping() && h >= 2;
         let here = &self.rows[h - 1];
         let pairs = (k == 2 && !flipping_row).then(|| gen::pairs(&ctx, &here.freq_items));
         let horizontal = here
@@ -406,7 +406,7 @@ impl<'a> Miner<'a> {
         // Per-item max correlation for SIBP, indexed by `NodeId::index()` —
         // a flat array instead of a hash map so downstream iteration order
         // is structural, not hash-dependent.
-        let mut max_corr: Vec<f64> = if self.cfg.pruning.sibp {
+        let mut max_corr: Vec<f64> = if self.cfg.pruning.sibp() {
             vec![0.0; self.tax.node_count()]
         } else {
             Vec::new()
@@ -453,7 +453,7 @@ impl<'a> Miner<'a> {
                         .is_some_and(|pi| pi.chain_alive && pi.label.flips_to(label))
                 });
             n_alive += usize::from(chain_alive);
-            if self.cfg.pruning.sibp {
+            if self.cfg.pruning.sibp() {
                 for &it in set {
                     let e = &mut max_corr[it.index()];
                     if corr > *e {
@@ -494,7 +494,7 @@ impl<'a> Miner<'a> {
         row.cells.insert(k, cell);
         self.update_peak_resident(h);
 
-        if self.cfg.pruning.sibp {
+        if self.cfg.pruning.sibp() {
             self.sibp_after_cell(h, k, &max_corr);
         }
         summary
@@ -506,7 +506,7 @@ impl<'a> Miner<'a> {
     /// [`Miner::extract_patterns`] reads every row's cells at `finish` to
     /// rebuild the chains, so every row stays resident until then.
     fn update_peak_resident(&mut self, h: usize) {
-        let resident: u64 = if self.cfg.pruning.flipping {
+        let resident: u64 = if self.cfg.pruning.flipping() {
             let prev = if h >= 2 { self.rows[h - 2].stored } else { 0 };
             prev + self.rows[h - 1].stored
         } else {
@@ -594,7 +594,7 @@ impl<'a> Miner<'a> {
             let c2 = (!row2_done).then(|| self.eval_cell(2, k));
             let c1_freq = c1.map_or(0, |c| c.frequent);
             let c2_freq = c2.map_or(0, |c| c.frequent);
-            if self.cfg.pruning.tpg {
+            if self.cfg.pruning.tpg() {
                 let np1 = c1.is_none_or(|c| c.positive == 0);
                 let np2 = c2.is_none_or(|c| c.positive == 0);
                 if np1 && np2 {
@@ -604,7 +604,7 @@ impl<'a> Miner<'a> {
                     break;
                 }
             }
-            if self.cfg.pruning.flipping {
+            if self.cfg.pruning.flipping() {
                 // Row 1 cells are frequency-complete: no frequent k-itemset
                 // at level 1 ⇒ none larger ⇒ no flipping pattern beyond.
                 if c1_freq == 0 {
@@ -634,7 +634,7 @@ impl<'a> Miner<'a> {
                 self.check_interrupt()?;
                 let here = self.eval_cell(h, k);
                 let freq_here = here.frequent;
-                if self.cfg.pruning.tpg {
+                if self.cfg.pruning.tpg() {
                     let np_above = self.cell(h - 1, k).is_none_or(Cell::all_non_positive);
                     if np_above && here.positive == 0 {
                         self.stats.tpg_cap = k as u64;
@@ -642,7 +642,7 @@ impl<'a> Miner<'a> {
                         break;
                     }
                 }
-                if self.cfg.pruning.flipping {
+                if self.cfg.pruning.flipping() {
                     // No horizontal source left and no vertical source to
                     // the right ⇒ all later cells of this row are empty.
                     if freq_here == 0 && k >= alive_cols {
@@ -724,29 +724,25 @@ impl<'a> Miner<'a> {
 mod tests {
     use super::*;
     use crate::config::{MinSupports, PruningConfig};
-    use flipper_taxonomy::RebalancePolicy;
 
     /// The paper's Fig. 4 toy dataset.
     pub(crate) fn toy() -> (Taxonomy, TransactionDb) {
-        let tax = Taxonomy::from_edges(
-            [
-                ("a", ""),
-                ("b", ""),
-                ("a1", "a"),
-                ("a2", "a"),
-                ("b1", "b"),
-                ("b2", "b"),
-                ("a11", "a1"),
-                ("a12", "a1"),
-                ("a21", "a2"),
-                ("a22", "a2"),
-                ("b11", "b1"),
-                ("b12", "b1"),
-                ("b21", "b2"),
-                ("b22", "b2"),
-            ],
-            RebalancePolicy::RequireBalanced,
-        )
+        let tax = Taxonomy::from_edges([
+            ("a", ""),
+            ("b", ""),
+            ("a1", "a"),
+            ("a2", "a"),
+            ("b1", "b"),
+            ("b2", "b"),
+            ("a11", "a1"),
+            ("a12", "a1"),
+            ("a21", "a2"),
+            ("a22", "a2"),
+            ("b11", "b1"),
+            ("b12", "b1"),
+            ("b21", "b2"),
+            ("b22", "b2"),
+        ])
         .unwrap();
         let g = |s: &str| tax.node_by_name(s).unwrap();
         let db = TransactionDb::new(vec![
@@ -913,11 +909,7 @@ mod tests {
 
     #[test]
     fn single_level_taxonomy_yields_no_patterns() {
-        let tax = Taxonomy::from_edges(
-            [("x", ""), ("y", ""), ("z", "")],
-            RebalancePolicy::RequireBalanced,
-        )
-        .unwrap();
+        let tax = Taxonomy::from_edges([("x", ""), ("y", ""), ("z", "")]).unwrap();
         let x = tax.node_by_name("x").unwrap();
         let y = tax.node_by_name("y").unwrap();
         let z = tax.node_by_name("z").unwrap();

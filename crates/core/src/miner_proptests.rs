@@ -116,7 +116,7 @@ fn every_variant_pushes_canonical_ascending_rows() {
                     "seed {seed} {}",
                     pruning.name()
                 );
-                if max_k.is_some() && pruning.flipping {
+                if max_k.is_some() && pruning.flipping() {
                     let (counted, fused) = top_cell_sides(&r);
                     merged_cells += usize::from(counted > 0 && fused > 0);
                 }

@@ -192,29 +192,25 @@ mod tests {
     use super::*;
     use crate::config::{FlipperConfig, MinSupports};
     use flipper_measures::Thresholds;
-    use flipper_taxonomy::RebalancePolicy;
 
     #[test]
     fn brute_force_on_the_toy_example() {
-        let tax = Taxonomy::from_edges(
-            [
-                ("a", ""),
-                ("b", ""),
-                ("a1", "a"),
-                ("a2", "a"),
-                ("b1", "b"),
-                ("b2", "b"),
-                ("a11", "a1"),
-                ("a12", "a1"),
-                ("a21", "a2"),
-                ("a22", "a2"),
-                ("b11", "b1"),
-                ("b12", "b1"),
-                ("b21", "b2"),
-                ("b22", "b2"),
-            ],
-            RebalancePolicy::RequireBalanced,
-        )
+        let tax = Taxonomy::from_edges([
+            ("a", ""),
+            ("b", ""),
+            ("a1", "a"),
+            ("a2", "a"),
+            ("b1", "b"),
+            ("b2", "b"),
+            ("a11", "a1"),
+            ("a12", "a1"),
+            ("a21", "a2"),
+            ("a22", "a2"),
+            ("b11", "b1"),
+            ("b12", "b1"),
+            ("b21", "b2"),
+            ("b22", "b2"),
+        ])
         .unwrap();
         let g = |s: &str| tax.node_by_name(s).unwrap();
         let db = TransactionDb::new(vec![
@@ -279,8 +275,7 @@ mod tests {
 
     #[test]
     fn single_level_has_no_patterns() {
-        let tax =
-            Taxonomy::from_edges([("x", ""), ("y", "")], RebalancePolicy::RequireBalanced).unwrap();
+        let tax = Taxonomy::from_edges([("x", ""), ("y", "")]).unwrap();
         let x = tax.node_by_name("x").unwrap();
         let y = tax.node_by_name("y").unwrap();
         let db = TransactionDb::new(vec![vec![x, y]]).unwrap();

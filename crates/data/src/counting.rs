@@ -102,7 +102,7 @@ mod tests {
     use crate::itemset::Itemset;
     use crate::rng::{Rng, Xoshiro256pp};
     use crate::transaction::TransactionDb;
-    use flipper_taxonomy::{NodeId, RebalancePolicy, Taxonomy};
+    use flipper_taxonomy::{NodeId, Taxonomy};
 
     /// The kernel's three storage mixes: `Some(0.0)` promotes every item to
     /// a bitmap, `None` is the storage rule's mix, `Some(2.0)` keeps every
@@ -125,25 +125,22 @@ mod tests {
     }
 
     fn toy() -> (Taxonomy, TransactionDb) {
-        let tax = Taxonomy::from_edges(
-            [
-                ("a", ""),
-                ("b", ""),
-                ("a1", "a"),
-                ("a2", "a"),
-                ("b1", "b"),
-                ("b2", "b"),
-                ("a11", "a1"),
-                ("a12", "a1"),
-                ("a21", "a2"),
-                ("a22", "a2"),
-                ("b11", "b1"),
-                ("b12", "b1"),
-                ("b21", "b2"),
-                ("b22", "b2"),
-            ],
-            RebalancePolicy::RequireBalanced,
-        )
+        let tax = Taxonomy::from_edges([
+            ("a", ""),
+            ("b", ""),
+            ("a1", "a"),
+            ("a2", "a"),
+            ("b1", "b"),
+            ("b2", "b"),
+            ("a11", "a1"),
+            ("a12", "a1"),
+            ("a21", "a2"),
+            ("a22", "a2"),
+            ("b11", "b1"),
+            ("b12", "b1"),
+            ("b21", "b2"),
+            ("b22", "b2"),
+        ])
         .unwrap();
         let g = |s: &str| tax.node_by_name(s).unwrap();
         let db = TransactionDb::new(vec![

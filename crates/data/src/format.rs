@@ -16,7 +16,7 @@
 //! by tabs. This is the interchange format of the `flipper` CLI.
 
 use crate::transaction::TransactionDb;
-use flipper_taxonomy::{NodeId, RebalancePolicy, Taxonomy, TaxonomyBuilder};
+use flipper_taxonomy::{NodeId, Taxonomy, TaxonomyBuilder};
 use std::io::{BufRead, Read, Write};
 
 /// Errors from parsing or writing the dataset format.
@@ -77,13 +77,10 @@ pub struct Dataset {
     pub db: TransactionDb,
 }
 
-/// Parse a dataset from a reader. Unbalanced taxonomies are repaired with
-/// `policy` (the CLI default is [`RebalancePolicy::LeafCopy`], matching the
-/// paper's experiments).
-pub fn read_dataset<R: BufRead>(
-    mut reader: R,
-    policy: RebalancePolicy,
-) -> Result<Dataset, FormatError> {
+/// Parse a dataset from a reader. An unbalanced taxonomy is balanced by
+/// padding its shallow leaves with synthetic copies (Fig. 3 \[B\], see
+/// [`TaxonomyBuilder::build`]).
+pub fn read_dataset<R: BufRead>(mut reader: R) -> Result<Dataset, FormatError> {
     // The classic format mix-up: an FBIN binary dataset (see the
     // `flipper-store` crate) handed to the text parser. Sniff the magic
     // bytes before touching lines — binary content would otherwise surface
@@ -179,7 +176,7 @@ pub fn read_dataset<R: BufRead>(
         }
     }
 
-    let taxonomy = builder.build(policy)?;
+    let taxonomy = builder.build()?;
     let mut rows: Vec<Vec<NodeId>> = Vec::with_capacity(raw_txns.len());
     for (lineno, items) in raw_txns {
         let mut row = Vec::with_capacity(items.len());
@@ -294,7 +291,7 @@ soda\tbread
 
     #[test]
     fn parse_sample() {
-        let ds = read_dataset(Cursor::new(SAMPLE), RebalancePolicy::LeafCopy).unwrap();
+        let ds = read_dataset(Cursor::new(SAMPLE)).unwrap();
         assert_eq!(ds.taxonomy.height(), 2);
         assert_eq!(ds.db.len(), 3);
         let beer = ds.taxonomy.node_by_name("beer").unwrap();
@@ -304,10 +301,10 @@ soda\tbread
 
     #[test]
     fn roundtrip_preserves_dataset() {
-        let ds = read_dataset(Cursor::new(SAMPLE), RebalancePolicy::LeafCopy).unwrap();
+        let ds = read_dataset(Cursor::new(SAMPLE)).unwrap();
         let mut out = Vec::new();
         write_dataset(&mut out, &ds).unwrap();
-        let back = read_dataset(Cursor::new(&out[..]), RebalancePolicy::LeafCopy).unwrap();
+        let back = read_dataset(Cursor::new(&out[..])).unwrap();
         assert_eq!(ds.taxonomy, back.taxonomy);
         assert_eq!(ds.db, back.db);
     }
@@ -324,7 +321,7 @@ beer\tdrinks
 [transactions]
 beer\tsnacks
 ";
-        let ds = read_dataset(Cursor::new(text), RebalancePolicy::LeafCopy).unwrap();
+        let ds = read_dataset(Cursor::new(text)).unwrap();
         assert_eq!(ds.taxonomy.height(), 2);
         let padded = ds.taxonomy.node_by_name("snacks#1").unwrap();
         assert!(ds.db.transaction(0).contains(&padded));
@@ -339,7 +336,7 @@ beer\tsnacks
     #[test]
     fn unknown_item_reports_line() {
         let text = "[taxonomy]\nx\n[transactions]\nx\ty\n";
-        let err = read_dataset(Cursor::new(text), RebalancePolicy::LeafCopy).unwrap_err();
+        let err = read_dataset(Cursor::new(text)).unwrap_err();
         match err {
             FormatError::Parse { line, message } => {
                 assert_eq!(line, 4);
@@ -355,7 +352,7 @@ beer\tsnacks
         let fbin = b"FBIN\x01\x00\x00\x00\x01garbage";
         for capacity in [1usize, 2, 64] {
             let r = std::io::BufReader::with_capacity(capacity, &fbin[..]);
-            let err = read_dataset(r, RebalancePolicy::LeafCopy).unwrap_err();
+            let err = read_dataset(r).unwrap_err();
             assert!(
                 err.to_string().contains("FBIN"),
                 "capacity {capacity}: {err}"
@@ -364,37 +361,29 @@ beer\tsnacks
         // …while a real text dataset still parses through the same tiny
         // buffer (the sniffed prefix is chained back in front).
         let r = std::io::BufReader::with_capacity(1, SAMPLE.as_bytes());
-        let ds = read_dataset(r, RebalancePolicy::LeafCopy).unwrap();
+        let ds = read_dataset(r).unwrap();
         assert_eq!(ds.db.len(), 3);
         // Inputs shorter than the magic are ordinary (bad) text.
-        let err = read_dataset(std::io::Cursor::new(b"FB"), RebalancePolicy::LeafCopy).unwrap_err();
+        let err = read_dataset(std::io::Cursor::new(b"FB")).unwrap_err();
         assert!(!err.to_string().contains("FBIN dataset"));
     }
 
     #[test]
     fn content_before_section_rejected() {
-        let err = read_dataset(
-            Cursor::new("oops\n[taxonomy]\nx\n"),
-            RebalancePolicy::LeafCopy,
-        )
-        .unwrap_err();
+        let err = read_dataset(Cursor::new("oops\n[taxonomy]\nx\n")).unwrap_err();
         assert!(matches!(err, FormatError::Parse { line: 1, .. }));
     }
 
     #[test]
     fn empty_node_name_rejected() {
-        let err = read_dataset(
-            Cursor::new("[taxonomy]\n\tparent\n"),
-            RebalancePolicy::LeafCopy,
-        )
-        .unwrap_err();
+        let err = read_dataset(Cursor::new("[taxonomy]\n\tparent\n")).unwrap_err();
         assert!(matches!(err, FormatError::Parse { line: 2, .. }));
     }
 
     #[test]
     fn comments_and_blanks_ignored() {
         let text = "\n# hi\n[taxonomy]\n\nx\n# mid\ny\n[transactions]\n\nx\ty\n";
-        let ds = read_dataset(Cursor::new(text), RebalancePolicy::LeafCopy).unwrap();
+        let ds = read_dataset(Cursor::new(text)).unwrap();
         assert_eq!(ds.db.len(), 1);
     }
 

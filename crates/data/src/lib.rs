@@ -31,12 +31,11 @@
 //! * [`stats`] — dataset statistics.
 //!
 //! ```
-//! use flipper_taxonomy::{Taxonomy, RebalancePolicy};
+//! use flipper_taxonomy::Taxonomy;
 //! use flipper_data::{TransactionDb, MultiLevelView, BitsetCounter, ItemsetRows};
 //!
 //! let tax = Taxonomy::from_edges(
-//!     [("drinks", ""), ("food", ""), ("beer", "drinks"), ("bread", "food")],
-//!     RebalancePolicy::RequireBalanced).unwrap();
+//!     [("drinks", ""), ("food", ""), ("beer", "drinks"), ("bread", "food")]).unwrap();
 //! let beer = tax.node_by_name("beer").unwrap();
 //! let bread = tax.node_by_name("bread").unwrap();
 //! let db = TransactionDb::new(vec![vec![beer, bread], vec![beer]]).unwrap();

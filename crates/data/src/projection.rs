@@ -433,29 +433,25 @@ impl MultiLevelViewBuilder {
 mod tests {
     use super::*;
     use crate::rng::{Rng, Xoshiro256pp};
-    use flipper_taxonomy::RebalancePolicy;
 
     /// The Fig. 4 toy taxonomy and database.
     pub(crate) fn toy() -> (Taxonomy, TransactionDb) {
-        let tax = Taxonomy::from_edges(
-            [
-                ("a", ""),
-                ("b", ""),
-                ("a1", "a"),
-                ("a2", "a"),
-                ("b1", "b"),
-                ("b2", "b"),
-                ("a11", "a1"),
-                ("a12", "a1"),
-                ("a21", "a2"),
-                ("a22", "a2"),
-                ("b11", "b1"),
-                ("b12", "b1"),
-                ("b21", "b2"),
-                ("b22", "b2"),
-            ],
-            RebalancePolicy::RequireBalanced,
-        )
+        let tax = Taxonomy::from_edges([
+            ("a", ""),
+            ("b", ""),
+            ("a1", "a"),
+            ("a2", "a"),
+            ("b1", "b"),
+            ("b2", "b"),
+            ("a11", "a1"),
+            ("a12", "a1"),
+            ("a21", "a2"),
+            ("a22", "a2"),
+            ("b11", "b1"),
+            ("b12", "b1"),
+            ("b21", "b2"),
+            ("b22", "b2"),
+        ])
         .unwrap();
         let g = |s: &str| tax.node_by_name(s).unwrap();
         let rows = vec![
@@ -540,11 +536,7 @@ mod tests {
             ));
             depth.push(parent.map_or(1, |p| depth[p] + 1));
         }
-        Taxonomy::from_edges(
-            names.iter().map(|(c, p)| (c.as_str(), p.as_str())),
-            RebalancePolicy::LeafCopy,
-        )
-        .unwrap()
+        Taxonomy::from_edges(names.iter().map(|(c, p)| (c.as_str(), p.as_str()))).unwrap()
     }
 
     /// Random rows of 1–6 leaves, drawn with repeats and in random order.

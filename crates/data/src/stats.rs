@@ -120,7 +120,6 @@ pub fn level_stats(db: &TransactionDb, tax: &Taxonomy) -> Vec<LevelStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flipper_taxonomy::RebalancePolicy;
 
     fn n(i: u32) -> NodeId {
         NodeId::from_index(i as usize)
@@ -169,11 +168,8 @@ mod tests {
 
     #[test]
     fn level_stats_respects_rebalanced_trees() {
-        let tax = Taxonomy::from_edges(
-            [("a", ""), ("deep", "a"), ("leaf", "deep"), ("b", "")],
-            RebalancePolicy::LeafCopy,
-        )
-        .unwrap();
+        let tax =
+            Taxonomy::from_edges([("a", ""), ("deep", "a"), ("leaf", "deep"), ("b", "")]).unwrap();
         let leaf = tax.node_by_name("leaf").unwrap();
         let b_leaf = tax.node_by_name("b#2").unwrap(); // b padded twice
         let db = TransactionDb::new(vec![vec![leaf, b_leaf], vec![leaf]]).unwrap();

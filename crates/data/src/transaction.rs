@@ -239,7 +239,6 @@ impl RowChunk {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flipper_taxonomy::RebalancePolicy;
 
     fn n(i: u32) -> NodeId {
         NodeId::from_index(i as usize)
@@ -293,11 +292,7 @@ mod tests {
 
     #[test]
     fn validation_against_taxonomy() {
-        let tax = Taxonomy::from_edges(
-            [("cat", ""), ("x", "cat"), ("y", "cat")],
-            RebalancePolicy::RequireBalanced,
-        )
-        .unwrap();
+        let tax = Taxonomy::from_edges([("cat", ""), ("x", "cat"), ("y", "cat")]).unwrap();
         let x = tax.node_by_name("x").unwrap();
         let cat = tax.node_by_name("cat").unwrap();
         let ok = TransactionDb::new(vec![vec![x]]).unwrap();

@@ -18,7 +18,7 @@
 
 use flipper_data::rng::{Rng, Xoshiro256pp};
 use flipper_data::TransactionDb;
-use flipper_taxonomy::{NodeId, RebalancePolicy, Taxonomy, TaxonomyBuilder};
+use flipper_taxonomy::{NodeId, Taxonomy, TaxonomyBuilder};
 
 /// A generated surrogate dataset with its ground-truth planted flips.
 #[derive(Debug, Clone)]
@@ -226,7 +226,7 @@ pub fn groceries(seed: u64) -> SurrogateData {
             }
         }
     }
-    let tax = b.build(RebalancePolicy::RequireBalanced).unwrap();
+    let tax = b.build().unwrap();
 
     let mut rows: Vec<Vec<NodeId>> = Vec::new();
     // Calibrated for (γ, ε) = (0.15, 0.10), θ = (0.001, 0.0005, 0.0002)·N.
@@ -388,7 +388,7 @@ pub fn census(seed: u64) -> SurrogateData {
             b.add_child(s, group).unwrap();
         }
     }
-    let tax = b.build(RebalancePolicy::LeafCopy).unwrap();
+    let tax = b.build().unwrap();
     let g = |n: &str| tax.node_by_name(n).expect("census node");
     // Leaf-level names of padded attributes.
     let hi = g("income>=50K#1");
@@ -542,7 +542,7 @@ pub fn medline(scale: f64, seed: u64) -> SurrogateData {
             }
         }
     }
-    let tax = b.build(RebalancePolicy::RequireBalanced).unwrap();
+    let tax = b.build().unwrap();
 
     // Counts are specified at the paper's full scale (640K citations); e.g.
     // `s(3)` is 30 pair-transactions at scale 0.1 (64K).
@@ -656,6 +656,15 @@ mod tests {
         // Income is a padded leaf (Fig. 3 [B] in action).
         let inc = d.taxonomy.node_by_name("income>=50K#1").unwrap();
         assert!(d.taxonomy.is_synthetic(inc));
+    }
+
+    #[test]
+    fn groceries_and_medline_trees_are_balanced_as_written() {
+        // Unlike census, these hand-written trees need no leaf padding.
+        for d in [groceries(1), medline(0.01, 3)] {
+            let t = &d.taxonomy;
+            assert!(t.node_ids().all(|id| !t.is_synthetic(id)));
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use flipper_core::{mine, mine_with_view, MineOptions, MiningResult};
 use flipper_data::MultiLevelView;
 use flipper_datagen::planted::PlantedParams;
 use flipper_datagen::quest::QuestParams;
-use flipper_taxonomy::{RebalancePolicy, Taxonomy};
+use flipper_taxonomy::Taxonomy;
 
 /// Equality of everything a run's result determines: patterns, cell
 /// summaries and the search counters, not what it cost to get there.
@@ -69,7 +69,7 @@ fn assert_replays(warm: &MiningResult, cold: &MiningResult, cfg: &FlipperConfig,
         warm.stats.counter.intersections <= cold.stats.counter.intersections,
         "{ctx}: replay never costs intersections"
     );
-    if cfg.pruning.flipping {
+    if cfg.pruning.flipping() {
         assert!(warm.stats.seeded_supports > 0, "{ctx}: nothing replayed");
     }
 }
@@ -174,25 +174,22 @@ fn sweep_points_equal_solo_runs() {
 /// The Fig. 4 toy dataset of the paper — ten transactions, fully
 /// deterministic, small enough for a readable golden file.
 fn fig4_dataset() -> Dataset {
-    let taxonomy = Taxonomy::from_edges(
-        [
-            ("a", ""),
-            ("b", ""),
-            ("a1", "a"),
-            ("a2", "a"),
-            ("b1", "b"),
-            ("b2", "b"),
-            ("a11", "a1"),
-            ("a12", "a1"),
-            ("a21", "a2"),
-            ("a22", "a2"),
-            ("b11", "b1"),
-            ("b12", "b1"),
-            ("b21", "b2"),
-            ("b22", "b2"),
-        ],
-        RebalancePolicy::RequireBalanced,
-    )
+    let taxonomy = Taxonomy::from_edges([
+        ("a", ""),
+        ("b", ""),
+        ("a1", "a"),
+        ("a2", "a"),
+        ("b1", "b"),
+        ("b2", "b"),
+        ("a11", "a1"),
+        ("a12", "a1"),
+        ("a21", "a2"),
+        ("a22", "a2"),
+        ("b11", "b1"),
+        ("b12", "b1"),
+        ("b21", "b2"),
+        ("b22", "b2"),
+    ])
     .unwrap();
     let g = |s: &str| taxonomy.node_by_name(s).unwrap();
     let db = flipper_data::TransactionDb::new(vec![

@@ -6,13 +6,12 @@ use flipper_core::{mine, FlipperConfig, MinSupports};
 use flipper_data::format::{read_dataset, write_dataset, Dataset};
 use flipper_datagen::{planted, quest, surrogate};
 use flipper_measures::Thresholds;
-use flipper_taxonomy::RebalancePolicy;
 use std::io::Cursor;
 
 fn roundtrip(ds: &Dataset) -> Dataset {
     let mut buf = Vec::new();
     write_dataset(&mut buf, ds).expect("serialization succeeds");
-    read_dataset(Cursor::new(&buf[..]), RebalancePolicy::LeafCopy).expect("parse succeeds")
+    read_dataset(Cursor::new(&buf[..])).expect("parse succeeds")
 }
 
 fn mine_names(ds: &Dataset, cfg: &FlipperConfig) -> Vec<Vec<String>> {

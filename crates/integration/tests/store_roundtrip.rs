@@ -13,7 +13,6 @@ use flipper_data::format::{read_dataset, write_dataset, Dataset};
 use flipper_datagen::{planted, quest, surrogate};
 use flipper_measures::Thresholds;
 use flipper_store::{read_fbin, stream_view, to_fbin_bytes, FbinReader, FbinWriter, StoreError};
-use flipper_taxonomy::RebalancePolicy;
 use std::io::Cursor;
 
 fn quest_dataset() -> Dataset {
@@ -66,7 +65,7 @@ fn text_fbin_text_is_idempotent() {
     ];
     for (name, ds) in cases {
         let text1 = text_bytes(&ds);
-        let via_text = read_dataset(Cursor::new(&text1[..]), RebalancePolicy::LeafCopy).unwrap();
+        let via_text = read_dataset(Cursor::new(&text1[..])).unwrap();
         let fbin = to_fbin_bytes(&via_text).unwrap();
         let via_fbin = read_fbin(&fbin[..]).unwrap();
         assert_eq!(via_text.taxonomy, via_fbin.taxonomy, "{name}");
@@ -105,7 +104,7 @@ fn fbin_mining_matches_text_mining_loaded_and_streamed() {
     );
     for threads in [1usize, 4] {
         let cfg = base.clone().with_threads(threads);
-        let text_ds = read_dataset(Cursor::new(&text[..]), RebalancePolicy::LeafCopy).unwrap();
+        let text_ds = read_dataset(Cursor::new(&text[..])).unwrap();
         let baseline = mine(&text_ds.taxonomy, &text_ds.db, &cfg);
         assert!(
             baseline.stats.candidates_generated > 0,

@@ -66,9 +66,7 @@ mod varint;
 mod writer;
 
 pub use error::StoreError;
-pub use reader::{
-    read_fbin, read_fbin_with_policy, ChunkReader, FbinReader, QuarantinedChunk, SalvageReport,
-};
+pub use reader::{read_fbin, ChunkReader, FbinReader, QuarantinedChunk, SalvageReport};
 pub use writer::{write_fbin, FbinWriter, TARGET_CHUNK_BYTES};
 
 use flipper_data::format::Dataset;
@@ -187,21 +185,18 @@ mod tests {
     use super::*;
     use flipper_data::format::{read_dataset, write_dataset};
     use flipper_data::TransactionDb;
-    use flipper_taxonomy::{NodeId, RebalancePolicy};
+    use flipper_taxonomy::NodeId;
     use std::io::Cursor;
 
     fn toy_dataset() -> Dataset {
-        let tax = Taxonomy::from_edges(
-            [
-                ("drinks", ""),
-                ("food", ""),
-                ("beer", "drinks"),
-                ("soda", "drinks"),
-                ("bread", "food"),
-                ("cheese", "food"),
-            ],
-            RebalancePolicy::RequireBalanced,
-        )
+        let tax = Taxonomy::from_edges([
+            ("drinks", ""),
+            ("food", ""),
+            ("beer", "drinks"),
+            ("soda", "drinks"),
+            ("bread", "food"),
+            ("cheese", "food"),
+        ])
         .unwrap();
         let g = |s: &str| tax.node_by_name(s).unwrap();
         let db = TransactionDb::new(vec![
@@ -228,7 +223,7 @@ mod tests {
         let ds = toy_dataset();
         let mut text = Vec::new();
         write_dataset(&mut text, &ds).unwrap();
-        let via_text = read_dataset(Cursor::new(&text[..]), RebalancePolicy::LeafCopy).unwrap();
+        let via_text = read_dataset(Cursor::new(&text[..])).unwrap();
         let via_fbin = read_fbin(&to_fbin_bytes(&ds).unwrap()[..]).unwrap();
         assert_eq!(via_text.taxonomy, via_fbin.taxonomy);
         assert_eq!(via_text.db, via_fbin.db);
@@ -238,11 +233,8 @@ mod tests {
     fn unbalanced_taxonomy_roundtrips_through_padding() {
         // A shallow leaf gets a synthetic copy under LeafCopy; the dict
         // stores the original name and the reader re-pads and re-maps.
-        let tax = Taxonomy::from_edges(
-            [("drinks", ""), ("snacks", ""), ("beer", "drinks")],
-            RebalancePolicy::LeafCopy,
-        )
-        .unwrap();
+        let tax =
+            Taxonomy::from_edges([("drinks", ""), ("snacks", ""), ("beer", "drinks")]).unwrap();
         let beer = tax.node_by_name("beer").unwrap();
         let padded = tax.node_by_name("snacks#1").unwrap();
         assert!(tax.is_synthetic(padded));
@@ -278,15 +270,12 @@ mod tests {
     /// padding need not be node-id order, so rows compare as sets.
     #[test]
     fn chunk_rows_match_the_written_rows() {
-        let padded = Taxonomy::from_edges(
-            [
-                ("drinks", ""),
-                ("snacks", ""),
-                ("beer", "drinks"),
-                ("wine", "drinks"),
-            ],
-            RebalancePolicy::LeafCopy,
-        )
+        let padded = Taxonomy::from_edges([
+            ("drinks", ""),
+            ("snacks", ""),
+            ("beer", "drinks"),
+            ("wine", "drinks"),
+        ])
         .unwrap();
         let g = |s: &str| padded.node_by_name(s).unwrap();
         let db = TransactionDb::new(vec![
@@ -754,11 +743,7 @@ mod profile {
         let t0 = Instant::now();
         for _ in 0..reps {
             std::hint::black_box(
-                flipper_data::format::read_dataset(
-                    std::io::Cursor::new(&text[..]),
-                    flipper_taxonomy::RebalancePolicy::LeafCopy,
-                )
-                .unwrap(),
+                flipper_data::format::read_dataset(std::io::Cursor::new(&text[..])).unwrap(),
             );
         }
         let t_text = t0.elapsed() / reps;

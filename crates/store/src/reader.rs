@@ -28,7 +28,7 @@ use flipper_data::format::{deepest_copy, Dataset};
 use flipper_data::{RowChunk, TransactionDb};
 use flipper_guard::fault::SITE_STORE_READ;
 use flipper_guard::Fault;
-use flipper_taxonomy::{NodeId, RebalancePolicy, Taxonomy, TaxonomyBuilder};
+use flipper_taxonomy::{NodeId, Taxonomy, TaxonomyBuilder};
 use std::io::Read;
 
 /// Upper bound on a single section payload. A corrupt length field fails
@@ -46,34 +46,22 @@ pub struct FbinReader<R: Read> {
 }
 
 impl<R: Read> FbinReader<R> {
-    /// Open an FBIN stream, rebalancing the dictionary's taxonomy with
-    /// [`RebalancePolicy::LeafCopy`] (the CLI default, matching the text
-    /// reader).
+    /// Open an FBIN stream, balancing the dictionary's taxonomy exactly as
+    /// the text reader does.
     pub fn new(r: R) -> Result<Self, StoreError> {
-        Self::open(r, RebalancePolicy::LeafCopy, false)
+        Self::open(r, false)
     }
 
-    /// Open an FBIN stream with an explicit rebalancing policy.
-    pub fn with_policy(r: R, policy: RebalancePolicy) -> Result<Self, StoreError> {
-        Self::open(r, policy, false)
-    }
-
-    /// Open an FBIN stream in **salvage mode** with the default
-    /// [`RebalancePolicy::LeafCopy`]: damaged chunk sections are quarantined
+    /// Open an FBIN stream in **salvage mode**: damaged chunk sections are quarantined
     /// instead of failing the read. Inspect
     /// [`ChunkReader::salvage_report`] after draining the chunks — a
     /// degraded report means the decoded data is a strict subset of the
     /// file's contents.
     pub fn salvage(r: R) -> Result<Self, StoreError> {
-        Self::open(r, RebalancePolicy::LeafCopy, true)
+        Self::open(r, true)
     }
 
-    /// Salvage mode with an explicit rebalancing policy.
-    pub fn salvage_with_policy(r: R, policy: RebalancePolicy) -> Result<Self, StoreError> {
-        Self::open(r, policy, true)
-    }
-
-    fn open(mut r: R, policy: RebalancePolicy, salvage: bool) -> Result<Self, StoreError> {
+    fn open(mut r: R, salvage: bool) -> Result<Self, StoreError> {
         let mut magic = [0u8; 4];
         read_exact(&mut r, &mut magic, "header")?;
         if magic != FBIN_MAGIC {
@@ -100,7 +88,7 @@ impl<R: Read> FbinReader<R> {
                 message: format!("expected the dictionary section first, found {tag:?}"),
             });
         }
-        let (taxonomy, node_of) = decode_dict(&payload, policy)?;
+        let (taxonomy, node_of) = decode_dict(&payload)?;
         Ok(FbinReader {
             taxonomy,
             chunks: ChunkReader {
@@ -545,14 +533,11 @@ fn read_section<R: Read>(r: &mut R, offset: &mut u64) -> Result<(SectionTag, Vec
 /// [`Taxonomy::from_balanced_level_order`] — a single arena-building pass
 /// with no rebalancing machinery, under which entry `i` is node `i + 1` and
 /// the node map is the identity. When that fails (an unbalanced dictionary
-/// that genuinely needs `policy`, e.g. leaf-copy padding), fall back to
+/// that needs leaf-copy padding), fall back to
 /// replaying the entries through [`TaxonomyBuilder`] — the exact code path
 /// the text reader uses, entry for entry, which is what keeps the two
 /// formats bit-identical.
-fn decode_dict(
-    payload: &[u8],
-    policy: RebalancePolicy,
-) -> Result<(Taxonomy, Vec<NodeId>), StoreError> {
+fn decode_dict(payload: &[u8]) -> Result<(Taxonomy, Vec<NodeId>), StoreError> {
     let mut c = PayloadCursor::new(payload, "dictionary");
     let count = c.read_len()?;
     // Names borrow the payload — no per-entry allocation on this pass.
@@ -599,7 +584,7 @@ fn decode_dict(
             builder.add_child(name, entries[parent_idx].0)?;
         }
     }
-    let taxonomy = builder.build(policy)?;
+    let taxonomy = builder.build()?;
     let mut node_of = Vec::with_capacity(entries.len());
     for (name, _) in &entries {
         let node = taxonomy
@@ -669,16 +654,7 @@ fn map_item(id: u64, node_of: &[NodeId]) -> Result<NodeId, StoreError> {
         })
 }
 
-/// Read a whole FBIN dataset (the full-load path) with the default
-/// [`RebalancePolicy::LeafCopy`].
+/// Read a whole FBIN dataset (the full-load path).
 pub fn read_fbin<R: Read>(r: R) -> Result<Dataset, StoreError> {
     FbinReader::new(r)?.read_dataset()
-}
-
-/// Read a whole FBIN dataset with an explicit rebalancing policy.
-pub fn read_fbin_with_policy<R: Read>(
-    r: R,
-    policy: RebalancePolicy,
-) -> Result<Dataset, StoreError> {
-    FbinReader::with_policy(r, policy)?.read_dataset()
 }

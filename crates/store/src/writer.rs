@@ -24,11 +24,10 @@ pub const TARGET_CHUNK_BYTES: usize = 64 * 1024;
 ///
 /// ```
 /// use flipper_store::{FbinWriter, read_fbin};
-/// use flipper_taxonomy::{Taxonomy, RebalancePolicy};
+/// use flipper_taxonomy::Taxonomy;
 ///
 /// let tax = Taxonomy::from_edges(
-///     [("drinks", ""), ("food", ""), ("beer", "drinks"), ("bread", "food")],
-///     RebalancePolicy::RequireBalanced).unwrap();
+///     [("drinks", ""), ("food", ""), ("beer", "drinks"), ("bread", "food")]).unwrap();
 /// let beer = tax.node_by_name("beer").unwrap();
 /// let bread = tax.node_by_name("bread").unwrap();
 ///

@@ -1,46 +1,31 @@
-//! Incremental construction of taxonomies, with the rebalancing strategies of
-//! Fig. 3 of the paper.
+//! Incremental construction of taxonomies, balanced by the leaf-copy rule
+//! of Fig. 3 \[B\] of the paper.
 
 use crate::error::TaxonomyError;
 use crate::node::{NodeData, NodeId};
 use crate::tree::Taxonomy;
 use std::collections::HashMap;
 
-/// How to handle leaves shallower than the tree height (Fig. 3).
-///
-/// Flipping patterns compare correlations of the *same* itemset across every
-/// abstraction level, so every item needs a generalization at every level.
-/// When the raw hierarchy is unbalanced the paper offers two repairs:
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RebalancePolicy {
-    /// Fig. 3 \[B\] (used in the paper's experiments, and our default):
-    /// extend each shallow leaf with synthetic copies of itself down to the
-    /// leaf level. A copy generalizes to the original, so the correlation
-    /// chain simply repeats across the padded levels.
-    #[default]
-    LeafCopy,
-    /// Fig. 3 \[A\]: keep only the levels that exist on *every* root-to-leaf
-    /// path. The new height is the minimum leaf depth; internal nodes at or
-    /// below it are dropped and each leaf is re-parented to its ancestor at
-    /// the level just above the new leaf level.
-    Truncate,
-    /// Refuse to build unless the input is already balanced.
-    RequireBalanced,
-}
-
 /// Builder for [`Taxonomy`].
 ///
 /// Nodes are added as `(name, parent-name)` pairs; parents must already
-/// exist. [`TaxonomyBuilder::build`] balances the tree according to the
-/// chosen [`RebalancePolicy`] and freezes it.
+/// exist. [`TaxonomyBuilder::build`] balances the tree and freezes it.
+///
+/// Flipping patterns compare correlations of the *same* itemset across every
+/// abstraction level, so every item needs a generalization at every level.
+/// `build` therefore extends each leaf shallower than the tree height with
+/// synthetic copies of itself down to the leaf level (Fig. 3 \[B\], the
+/// repair the paper's experiments use). A copy generalizes to the original,
+/// so the correlation chain simply repeats across the padded levels; on an
+/// already balanced tree nothing is added.
 ///
 /// ```
-/// use flipper_taxonomy::{TaxonomyBuilder, RebalancePolicy};
+/// use flipper_taxonomy::TaxonomyBuilder;
 /// let mut b = TaxonomyBuilder::new();
 /// b.add_root_child("drinks").unwrap();
 /// b.add_child("beer", "drinks").unwrap();
 /// b.add_child("canned beer", "beer").unwrap();
-/// let tax = b.build(RebalancePolicy::LeafCopy).unwrap();
+/// let tax = b.build().unwrap();
 /// assert_eq!(tax.height(), 3);
 /// ```
 #[derive(Debug, Default, Clone)]
@@ -103,8 +88,8 @@ impl TaxonomyBuilder {
         d
     }
 
-    /// Finalize the taxonomy, applying `policy` if the tree is unbalanced.
-    pub fn build(mut self, policy: RebalancePolicy) -> Result<Taxonomy, TaxonomyError> {
+    /// Finalize the taxonomy, padding every shallow leaf to the tree height.
+    pub fn build(mut self) -> Result<Taxonomy, TaxonomyError> {
         if self.entries.is_empty() {
             return Err(TaxonomyError::Empty);
         }
@@ -116,33 +101,7 @@ impl TaxonomyBuilder {
             }
         }
         let height = depths.iter().copied().max().ok_or(TaxonomyError::Empty)?;
-        let min_leaf_depth = depths
-            .iter()
-            .zip(&has_child)
-            .filter(|&(_, &hc)| !hc)
-            .map(|(&d, _)| d)
-            .min()
-            .ok_or(TaxonomyError::Empty)?;
-
-        if min_leaf_depth != height {
-            match policy {
-                RebalancePolicy::RequireBalanced => {
-                    let leaf = (0..self.entries.len())
-                        .find(|&i| !has_child[i] && depths[i] == min_leaf_depth)
-                        // lint:allow(panic-hygiene) min_leaf_depth was computed from an existing childless entry above
-                        .expect("a shallow leaf exists");
-                    return Err(TaxonomyError::Unbalanced {
-                        leaf: self.entries[leaf].0.clone(),
-                        depth: min_leaf_depth,
-                        height,
-                    });
-                }
-                RebalancePolicy::LeafCopy => self.pad_leaves(&depths, &has_child, height)?,
-                RebalancePolicy::Truncate => {
-                    return self.truncate(&depths, &has_child, min_leaf_depth);
-                }
-            }
-        }
+        self.pad_leaves(&depths, &has_child, height)?;
         self.freeze()
     }
 
@@ -170,45 +129,6 @@ impl TaxonomyBuilder {
             }
         }
         Ok(())
-    }
-
-    /// Fig. 3 [A]: new height = min leaf depth; drop internal nodes at or
-    /// below it and re-parent every leaf to its ancestor at `new_height - 1`.
-    fn truncate(
-        self,
-        depths: &[usize],
-        has_child: &[bool],
-        new_height: usize,
-    ) -> Result<Taxonomy, TaxonomyError> {
-        let mut b = TaxonomyBuilder::new();
-        // Keep internal nodes strictly above the new leaf level.
-        for (i, (name, parent, _)) in self.entries.iter().enumerate() {
-            if depths[i] < new_height && has_child[i] {
-                match parent {
-                    None => b.add_root_child(name)?,
-                    Some(p) => b.add_child(name, &self.entries[*p].0)?,
-                }
-            }
-        }
-        // Re-attach each original leaf at the new leaf level.
-        for (i, (name, parent, _)) in self.entries.iter().enumerate() {
-            if has_child[i] {
-                continue;
-            }
-            // Walk up to the ancestor at depth new_height - 1.
-            let mut anc = *parent;
-            let mut d = depths[i] - 1;
-            while d >= new_height {
-                let p = anc.ok_or_else(|| TaxonomyError::UnknownParent(name.clone()))?;
-                anc = self.entries[p].1;
-                d -= 1;
-            }
-            match anc {
-                None => b.add_root_child(name)?,
-                Some(p) => b.add_child(name, &self.entries[p].0)?,
-            }
-        }
-        b.build(RebalancePolicy::RequireBalanced)
     }
 
     /// Convert entries into the arena representation, assigning ids in
@@ -309,22 +229,8 @@ mod tests {
     }
 
     #[test]
-    fn require_balanced_rejects_fig3() {
-        let err = fig3_builder()
-            .build(RebalancePolicy::RequireBalanced)
-            .unwrap_err();
-        match err {
-            TaxonomyError::Unbalanced { depth, height, .. } => {
-                assert_eq!(depth, 2);
-                assert_eq!(height, 3);
-            }
-            other => panic!("expected Unbalanced, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn leaf_copy_pads_to_full_height() {
-        let t = fig3_builder().build(RebalancePolicy::LeafCopy).unwrap();
+        let t = fig3_builder().build().unwrap();
         assert_eq!(t.height(), 3);
         // b11 and b12 each gained one synthetic copy.
         let b11 = t.node_by_name("b11").unwrap();
@@ -336,21 +242,6 @@ mod tests {
         assert!(t.validate().is_ok());
         // Leaves: 8 original leaves, but b11/b12 replaced by their copies.
         assert_eq!(t.leaf_count(), 8);
-    }
-
-    #[test]
-    fn truncate_collapses_to_min_leaf_depth() {
-        let t = fig3_builder().build(RebalancePolicy::Truncate).unwrap();
-        // Fig. 3 [A]: only two consistent levels remain.
-        assert_eq!(t.height(), 2);
-        let a11 = t.node_by_name("a11").unwrap();
-        let a = t.node_by_name("a").unwrap();
-        assert_eq!(t.parent(a11), Some(a));
-        // Internal nodes a1/a2/b2 are gone.
-        assert!(t.node_by_name("a1").is_none());
-        assert!(t.node_by_name("b2").is_none());
-        assert_eq!(t.leaf_count(), 8);
-        assert!(t.validate().is_ok());
     }
 
     #[test]
@@ -375,16 +266,14 @@ mod tests {
     #[test]
     fn empty_build_rejected() {
         assert_eq!(
-            TaxonomyBuilder::new()
-                .build(RebalancePolicy::LeafCopy)
-                .unwrap_err(),
+            TaxonomyBuilder::new().build().unwrap_err(),
             TaxonomyError::Empty
         );
     }
 
     #[test]
     fn ids_are_level_ordered() {
-        let t = fig3_builder().build(RebalancePolicy::LeafCopy).unwrap();
+        let t = fig3_builder().build().unwrap();
         for id in t.node_ids() {
             if let Some(p) = t.parent(id) {
                 assert!(p < id, "parent {p} must precede child {id}");
@@ -405,7 +294,7 @@ mod tests {
     fn single_level_taxonomy() {
         let mut b = TaxonomyBuilder::new();
         b.add_root_child("only").unwrap();
-        let t = b.build(RebalancePolicy::RequireBalanced).unwrap();
+        let t = b.build().unwrap();
         assert_eq!(t.height(), 1);
         assert_eq!(t.leaves().len(), 1);
     }
@@ -420,7 +309,7 @@ mod tests {
             b.add_child(&name, &prev).unwrap();
             prev = name;
         }
-        let t = b.build(RebalancePolicy::RequireBalanced).unwrap();
+        let t = b.build().unwrap();
         assert_eq!(t.height(), 6);
         let leaf = t.node_by_name("l6").unwrap();
         assert_eq!(

@@ -57,8 +57,7 @@ impl fmt::Display for TaxonomyError {
                 height,
             } => write!(
                 f,
-                "taxonomy is unbalanced: leaf {leaf:?} is at depth {depth}, height is {height} \
-                 (rebalance with RebalancePolicy before building)"
+                "taxonomy is unbalanced: leaf {leaf:?} is at depth {depth}, height is {height}"
             ),
             TaxonomyError::Cycle(name) => {
                 write!(f, "taxonomy edge would create a cycle at node {name:?}")

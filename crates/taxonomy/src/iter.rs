@@ -64,18 +64,15 @@ impl Iterator for Ancestors<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RebalancePolicy, Taxonomy};
+    use crate::Taxonomy;
 
     fn chain() -> Taxonomy {
-        Taxonomy::from_edges(
-            [
-                ("top", ""),
-                ("mid", "top"),
-                ("leaf", "mid"),
-                ("leaf2", "mid"),
-            ],
-            RebalancePolicy::RequireBalanced,
-        )
+        Taxonomy::from_edges([
+            ("top", ""),
+            ("mid", "top"),
+            ("leaf", "mid"),
+            ("leaf2", "mid"),
+        ])
         .unwrap()
     }
 

@@ -13,19 +13,17 @@
 //! * an arena-backed [`Taxonomy`] with O(1) parent/children/level access and
 //!   ancestor queries;
 //! * a [`TaxonomyBuilder`] accepting arbitrary (possibly unbalanced) input
-//!   and the two rebalancing strategies of the paper's Fig. 3
-//!   ([`RebalancePolicy::LeafCopy`] and [`RebalancePolicy::Truncate`]);
+//!   and balancing it by padding shallow leaves with synthetic copies of
+//!   themselves (the paper's Fig. 3 \[B\]);
 //! * traversal iterators.
 //!
 //! ```
-//! use flipper_taxonomy::{Taxonomy, RebalancePolicy};
+//! use flipper_taxonomy::Taxonomy;
 //!
 //! let tax = Taxonomy::from_edges(
 //!     [("drinks", ""), ("food", ""),
 //!      ("beer", "drinks"), ("soda", "drinks"),
-//!      ("bread", "food"), ("cheese", "food")],
-//!     RebalancePolicy::RequireBalanced,
-//! ).unwrap();
+//!      ("bread", "food"), ("cheese", "food")]).unwrap();
 //!
 //! let beer = tax.node_by_name("beer").unwrap();
 //! let drinks = tax.node_by_name("drinks").unwrap();
@@ -40,7 +38,7 @@ mod node;
 mod restrict;
 mod tree;
 
-pub use builder::{RebalancePolicy, TaxonomyBuilder};
+pub use builder::TaxonomyBuilder;
 pub use error::TaxonomyError;
 pub use node::NodeId;
 pub use tree::Taxonomy;

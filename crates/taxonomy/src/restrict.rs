@@ -3,7 +3,7 @@
 //! input to the algorithm, which would be a truncated taxonomy tree
 //! containing these specific levels of interest."*
 
-use crate::builder::{RebalancePolicy, TaxonomyBuilder};
+use crate::builder::TaxonomyBuilder;
 use crate::error::TaxonomyError;
 use crate::tree::Taxonomy;
 
@@ -55,7 +55,7 @@ impl Taxonomy {
                 }
             }
         }
-        b.build(RebalancePolicy::RequireBalanced)
+        b.build()
     }
 }
 

@@ -5,8 +5,8 @@
 //! level 0 and is excluded from mining; level 1 holds the most general
 //! categories; level `H` (= [`Taxonomy::height`]) holds the leaf items that
 //! actually appear in transactions. Every leaf is at exactly level `H` — the
-//! builder enforces this, rebalancing unbalanced input per Fig. 3 of the
-//! paper.
+//! builder enforces this, padding shallow leaves with synthetic copies of
+//! themselves (Fig. 3 \[B\] of the paper).
 
 use crate::error::TaxonomyError;
 use crate::node::{NodeData, NodeId};
@@ -283,7 +283,7 @@ impl Taxonomy {
             }
             frontier = next;
         }
-        b.build(crate::RebalancePolicy::RequireBalanced)
+        b.build()
     }
 
     /// Fast-path constructor for **already balanced, level-ordered** input:
@@ -299,7 +299,7 @@ impl Taxonomy {
     /// entries in the same order, which the test-suite asserts.
     ///
     /// # Errors
-    /// Returns an error — so callers can fall back to the rebalancing
+    /// Returns an error — so callers can fall back to the padding
     /// builder — when the input breaks any fast-path precondition:
     /// * [`TaxonomyError::Empty`] — no entries;
     /// * [`TaxonomyError::UnknownParent`] — a parent id not smaller than the
@@ -308,7 +308,7 @@ impl Taxonomy {
     ///   (a node shallower than its predecessor);
     /// * [`TaxonomyError::DuplicateName`] — a reused name;
     /// * [`TaxonomyError::Unbalanced`] — a leaf above the maximum depth
-    ///   (the input needs real rebalancing).
+    ///   (the input needs leaf-copy padding).
     pub fn from_balanced_level_order<S: AsRef<str>>(
         entries: &[(S, u32)],
     ) -> Result<Self, TaxonomyError> {
@@ -374,11 +374,10 @@ impl Taxonomy {
     /// Build a taxonomy from `(child, parent)` name pairs. Parents must be
     /// declared (as someone's child, or as a root child with parent `""`)
     /// before being referenced. An empty parent string means "child of the
-    /// root".
-    pub fn from_edges<'a, I>(
-        edges: I,
-        policy: crate::RebalancePolicy,
-    ) -> Result<Self, TaxonomyError>
+    /// root". Shallow leaves are padded as by [`TaxonomyBuilder::build`].
+    ///
+    /// [`TaxonomyBuilder::build`]: crate::TaxonomyBuilder::build
+    pub fn from_edges<'a, I>(edges: I) -> Result<Self, TaxonomyError>
     where
         I: IntoIterator<Item = (&'a str, &'a str)>,
     {
@@ -390,36 +389,32 @@ impl Taxonomy {
                 b.add_child(child, parent)?;
             }
         }
-        b.build(policy)
+        b.build()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RebalancePolicy;
 
     fn toy() -> Taxonomy {
         // The Fig. 4 taxonomy: a/b categories, a1/a2/b1/b2, then 8 leaves.
-        Taxonomy::from_edges(
-            [
-                ("a", ""),
-                ("b", ""),
-                ("a1", "a"),
-                ("a2", "a"),
-                ("b1", "b"),
-                ("b2", "b"),
-                ("a11", "a1"),
-                ("a12", "a1"),
-                ("a21", "a2"),
-                ("a22", "a2"),
-                ("b11", "b1"),
-                ("b12", "b1"),
-                ("b21", "b2"),
-                ("b22", "b2"),
-            ],
-            RebalancePolicy::RequireBalanced,
-        )
+        Taxonomy::from_edges([
+            ("a", ""),
+            ("b", ""),
+            ("a1", "a"),
+            ("a2", "a"),
+            ("b1", "b"),
+            ("b2", "b"),
+            ("a11", "a1"),
+            ("a12", "a1"),
+            ("a21", "a2"),
+            ("a22", "a2"),
+            ("b11", "b1"),
+            ("b12", "b1"),
+            ("b21", "b2"),
+            ("b22", "b2"),
+        ])
         .unwrap()
     }
 

@@ -14,30 +14,27 @@ use flipper_api::{
     TextReport, Thresholds,
 };
 use flipper_data::TransactionDb;
-use flipper_taxonomy::{RebalancePolicy, Taxonomy};
+use flipper_taxonomy::Taxonomy;
 
 fn main() -> Result<(), FlipperError> {
     // The taxonomy of Fig. 4: two categories (a, b), two sub-categories
     // each, two leaves per sub-category.
-    let tax = Taxonomy::from_edges(
-        [
-            ("a", ""),
-            ("b", ""),
-            ("a1", "a"),
-            ("a2", "a"),
-            ("b1", "b"),
-            ("b2", "b"),
-            ("a11", "a1"),
-            ("a12", "a1"),
-            ("a21", "a2"),
-            ("a22", "a2"),
-            ("b11", "b1"),
-            ("b12", "b1"),
-            ("b21", "b2"),
-            ("b22", "b2"),
-        ],
-        RebalancePolicy::RequireBalanced,
-    )?;
+    let tax = Taxonomy::from_edges([
+        ("a", ""),
+        ("b", ""),
+        ("a1", "a"),
+        ("a2", "a"),
+        ("b1", "b"),
+        ("b2", "b"),
+        ("a11", "a1"),
+        ("a12", "a1"),
+        ("a21", "a2"),
+        ("a22", "a2"),
+        ("b11", "b1"),
+        ("b12", "b1"),
+        ("b21", "b2"),
+        ("b22", "b2"),
+    ])?;
 
     // The 10 transactions D1..D10 of Fig. 4.
     let g = |s: &str| tax.node_by_name(s).expect("item exists");

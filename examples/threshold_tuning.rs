@@ -6,12 +6,12 @@
 //! minimum supports should decrease with depth. Before the façade this was
 //! a hand-rolled loop; now it is a γ × ε thresholds grid the session runs
 //! against its one cached view — each point bit-identical to a single-shot
-//! `mine` call. The top-K "most flipping" ranking flows through the
-//! accumulating [`TopK`] sink.
+//! `mine` call. The top-K "most flipping" ranking merges each run's
+//! [`MiningResult::top_k_by_gap`](flipper_api::MiningResult::top_k_by_gap).
 //!
 //! Run with: `cargo run --example threshold_tuning`
 
-use flipper_api::{emit_runs, FlipperConfig, FlipperError, MinSupports, Session, Thresholds, TopK};
+use flipper_api::{FlipperConfig, FlipperError, FlippingPattern, MinSupports, Session, Thresholds};
 use flipper_datagen::surrogate::groceries;
 
 fn main() -> Result<(), FlipperError> {
@@ -61,13 +61,33 @@ fn main() -> Result<(), FlipperError> {
     }
 
     // Top-K most-flipping ranking (the paper's §7 proposal) across the
-    // whole sweep, via the accumulating sink.
-    let mut leaderboard = TopK::new(3);
-    emit_runs(&mut leaderboard, session.taxonomy(), &runs)?;
+    // whole sweep: each run's best 3 by flip gap, merged.
+    let mut leaderboard: Vec<(&str, &FlippingPattern)> = runs
+        .iter()
+        .flat_map(|run| {
+            let label = run.label.as_str();
+            run.result
+                .top_k_by_gap(3)
+                .into_iter()
+                .map(move |p| (label, p))
+        })
+        .collect();
+    leaderboard.sort_by(|a, b| {
+        b.1.flip_gap()
+            .total_cmp(&a.1.flip_gap())
+            .then_with(|| a.0.cmp(b.0))
+    });
+    leaderboard.truncate(3);
     println!("\ntop-3 patterns by flip gap across the sweep:");
-    print!("{}", leaderboard.render(session.taxonomy()));
+    for (label, p) in &leaderboard {
+        println!(
+            "{:.3}  [{label}]  {}",
+            p.flip_gap(),
+            p.leaf_itemset.display(session.taxonomy())
+        );
+    }
 
     assert_eq!(runs.len(), epsilons.len(), "one run per ε");
-    assert!(!leaderboard.entries().is_empty());
+    assert!(!leaderboard.is_empty());
     Ok(())
 }

@@ -23,7 +23,9 @@
 #   * flipper-lint (crates/lint): project-specific static analysis — the
 #     ratchet against LINT_BASELINE.json must hold (no rule above its
 #     committed count; see README "Static analysis"),
-#   * the quickstart example (the library-API walkthrough must run green),
+#   * every runnable example (quickstart, groceries, census, medline,
+#     threshold_tuning, topk): each library-API walkthrough must run green
+#     in release; together they take well under a second,
 #   * the observability suite plus a traced smoke mine: `flipper mine
 #     --trace` on a planted dataset must emit a `flipper-trace/v1` document
 #     that parses, nests per lane and covers the pipeline's span names
@@ -120,8 +122,11 @@ fi
 echo "== docs: cargo doc --no-deps with -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 
-echo "== examples: quickstart (release)"
-cargo run --release -q -p flipper-integration --example quickstart >/dev/null
+echo "== examples: every flipper-integration example (release)"
+for example in quickstart groceries census medline threshold_tuning topk; do
+    echo "-- example $example"
+    cargo run --release -q -p flipper-integration --example "$example" >/dev/null
+done
 
 echo "== observability: obs suite + traced smoke mine under --release"
 cargo test --release -q -p flipper-integration --test obs_trace
