@@ -23,7 +23,7 @@
 //! or not theirs are built.
 
 use crate::bitset::{self, Bitmap};
-use crate::transaction::{RowChunk, TransactionDb};
+use crate::transaction::TransactionDb;
 use crate::DataError;
 use flipper_taxonomy::{NodeId, Taxonomy};
 use std::sync::OnceLock;
@@ -174,7 +174,7 @@ impl MultiLevelView {
         let _span = flipper_obs::span("view.build").arg("rows", db.len() as u64);
         let mut builder = MultiLevelViewBuilder::new(tax);
         builder
-            .push_chunk(db.iter())
+            .push_chunk((0..db.len()).map(|t| db.transaction(t)))
             .expect("TransactionDb rows are canonical leaf itemsets");
         builder.finish().expect("TransactionDb is never empty")
     }
@@ -255,9 +255,10 @@ struct LevelBuild {
 }
 
 impl LevelBuild {
-    /// Append the rows of `chunk` as tids `base..`.
-    fn commit(&mut self, chunk: &RowChunk, base: u32) {
-        for (row, tid) in chunk.rows().zip(base..) {
+    /// Append `rows` as tids `base..`. Item order within a row does not
+    /// matter, and a repeated item counts once, like a repeated ancestor.
+    fn commit<'r>(&mut self, rows: impl Iterator<Item = &'r [NodeId]>, base: u32) {
+        for (row, tid) in rows.zip(base..) {
             for &item in row {
                 let a = self.anc[item.index()].index();
                 if self.last[a] != tid {
@@ -273,14 +274,14 @@ impl LevelBuild {
 /// the ingestion end of the streaming pipeline.
 ///
 /// Feed transaction chunks (e.g. from an FBIN chunk reader) with
-/// [`MultiLevelViewBuilder::push_chunk`]. Each chunk is first canonicalized
-/// and validated into one reused flat buffer, then committed to every
+/// [`MultiLevelViewBuilder::push_chunk`]. Each chunk is first validated in
+/// place, then committed straight from the caller's rows to every
 /// abstraction level through precomputed ancestor tables, one level after
-/// another. Tids are appended **in order**, and no per-row allocation is
-/// made. The finished view is bit-identical to [`MultiLevelView::build`]
-/// over the concatenation of all chunks — so mining a streamed input produces
-/// exactly the results of mining a fully loaded one, without the raw
-/// database ever materializing.
+/// another; the chunk is never copied. Tids are appended **in order**, and
+/// no per-row allocation is made. The finished view is bit-identical to
+/// [`MultiLevelView::build`] over the concatenation of all chunks — so
+/// mining a streamed input produces exactly the results of mining a fully
+/// loaded one, without the raw database ever materializing.
 pub struct MultiLevelViewBuilder {
     /// `leaf[i]`: node `i` is a leaf at the taxonomy height, the only items
     /// a row may hold.
@@ -288,8 +289,9 @@ pub struct MultiLevelViewBuilder {
     levels: Vec<LevelBuild>,
     num_transactions: usize,
     max_width: usize,
-    /// The current chunk's canonical rows, reused across chunks.
-    rows: RowChunk,
+    /// A copy of one unsorted row, sorted to count its distinct items;
+    /// reused across rows.
+    scratch: Vec<NodeId>,
 }
 
 impl MultiLevelViewBuilder {
@@ -335,7 +337,7 @@ impl MultiLevelViewBuilder {
             levels,
             num_transactions: 0,
             max_width: 0,
-            rows: RowChunk::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -355,47 +357,62 @@ impl MultiLevelViewBuilder {
     }
 
     /// Ingest one chunk of transactions (leaf items, any order, duplicates
-    /// allowed — rows are canonicalized exactly like
-    /// [`TransactionDb::new`]).
+    /// allowed — each row counts as its sorted, deduplicated form, exactly
+    /// like [`TransactionDb::new`]).
+    ///
+    /// The rows are read in place, once to validate them all and then once
+    /// per level to commit them, so their iterator must be `Clone`. Only an
+    /// unsorted row (one not strictly increasing) is copied, one at a time,
+    /// to count its distinct items for the widest-row width.
     ///
     /// # Errors
     /// Rejects empty rows, items that are not leaves of the taxonomy, and
     /// rows past [`DataError::TooManyTransactions`]'s limit; the reported
-    /// transaction index is global across all pushed chunks. A rejected
-    /// chunk leaves the builder exactly as it was.
+    /// transaction index is global across all pushed chunks, and a row's
+    /// reported non-leaf item is its smallest. A rejected chunk leaves the
+    /// builder exactly as it was.
     pub fn push_chunk<'r, I>(&mut self, rows: I) -> Result<(), DataError>
     where
         I: IntoIterator<Item = &'r [NodeId]>,
+        I::IntoIter: Clone,
     {
-        // Pass 1: canonicalize and validate every row before any state the
-        // view depends on changes.
+        let rows = rows.into_iter();
+        // Pass 1: validate every row before any state the view depends on
+        // changes.
         let base = self.num_transactions;
-        self.rows.clear();
+        let mut count = 0;
         let mut max_width = self.max_width;
-        for (i, row) in rows.into_iter().enumerate() {
-            let txn = base + i;
+        for row in rows.clone() {
+            let txn = base + count;
             if txn >= MAX_TRANSACTIONS {
                 return Err(DataError::TooManyTransactions {
                     limit: MAX_TRANSACTIONS,
                 });
             }
-            let row = self.rows.push_canonical(row);
             if row.is_empty() {
                 return Err(DataError::EmptyTransaction { txn });
             }
-            if let Some(&item) = row
-                .iter()
-                .find(|item| !self.leaf.get(item.index()).copied().unwrap_or(false))
-            {
+            let is_leaf = |item: &NodeId| self.leaf.get(item.index()).copied().unwrap_or(false);
+            if let Some(item) = row.iter().copied().filter(|i| !is_leaf(i)).min() {
                 return Err(DataError::NonLeafItem { txn, item });
             }
-            max_width = max_width.max(row.len());
+            let width = if row.windows(2).all(|w| w[0] < w[1]) {
+                row.len()
+            } else {
+                self.scratch.clear();
+                self.scratch.extend_from_slice(row);
+                self.scratch.sort_unstable();
+                self.scratch.dedup();
+                self.scratch.len()
+            };
+            max_width = max_width.max(width);
+            count += 1;
         }
         // Pass 2: commit the rows, every level on its own.
         for lv in &mut self.levels {
-            lv.commit(&self.rows, base as u32);
+            lv.commit(rows.clone(), base as u32);
         }
-        self.num_transactions += self.rows.len();
+        self.num_transactions += count;
         self.max_width = max_width;
         Ok(())
     }
@@ -780,10 +797,24 @@ mod tests {
         // Chunks whose LAST row is invalid (an internal node, or empty),
         // after a valid row wider than any in the database: the valid
         // prefix must NOT be ingested — the failed chunk leaves no
-        // trace, not in the tid-lists and not in `max_width`.
-        let bad_last: [(&[NodeId], DataError); 2] = [
+        // trace, not in the tid-lists and not in `max_width`. An unsorted
+        // row reports its smallest non-leaf item, as its canonical form
+        // would.
+        let (inner_b, b22) = (
+            tax.node_by_name("b").unwrap(),
+            tax.node_by_name("b22").unwrap(),
+        );
+        assert!(inner_b < a1);
+        let bad_last: [(&[NodeId], DataError); 3] = [
             (&[a1], DataError::NonLeafItem { txn: 11, item: a1 }),
             (&[], DataError::EmptyTransaction { txn: 11 }),
+            (
+                &[b22, a1, inner_b],
+                DataError::NonLeafItem {
+                    txn: 11,
+                    item: inner_b,
+                },
+            ),
         ];
         for (last, expect) in bad_last {
             let mut bad: Vec<&[NodeId]> = rows[4..].to_vec();

@@ -155,18 +155,12 @@ impl TransactionDb {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RowChunk {
     items: Vec<NodeId>,
-    /// `usize`, not `u32`: `MultiLevelView::build` pushes a whole database
-    /// as one chunk, and only its row count is bounded by `u32`, not its
-    /// item count.
+    /// `usize`, not `u32`: only a chunk's row count is bounded by the tid
+    /// limit, not its item count.
     ends: Vec<usize>,
 }
 
 impl RowChunk {
-    /// An empty chunk.
-    pub fn new() -> Self {
-        RowChunk::default()
-    }
-
     /// An empty chunk with room for `rows` rows holding `items` items in
     /// total.
     pub fn with_capacity(rows: usize, items: usize) -> Self {
@@ -186,33 +180,6 @@ impl RowChunk {
     #[inline]
     pub fn end_row(&mut self) {
         self.ends.push(self.items.len());
-    }
-
-    /// Append `row` sorted and deduplicated, returning the stored row. A row
-    /// that is already strictly increasing (every FBIN row) is only copied.
-    pub(crate) fn push_canonical(&mut self, row: &[NodeId]) -> &[NodeId] {
-        let start = self.items.len();
-        self.items.extend_from_slice(row);
-        if !row.windows(2).all(|w| w[0] < w[1]) {
-            let tail = &mut self.items[start..];
-            tail.sort_unstable();
-            let mut kept = 0;
-            for i in 0..tail.len() {
-                if kept == 0 || tail[i] != tail[kept - 1] {
-                    tail[kept] = tail[i];
-                    kept += 1;
-                }
-            }
-            self.items.truncate(start + kept);
-        }
-        self.end_row();
-        &self.items[start..]
-    }
-
-    /// Drop every row, keeping the allocations.
-    pub fn clear(&mut self) {
-        self.items.clear();
-        self.ends.clear();
     }
 
     /// Number of rows.

@@ -708,6 +708,33 @@ mod tests {
         assert_ne!(view, full, "a degraded view must differ from the full one");
     }
 
+    /// FNV-1a (64-bit) of `bytes`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+        })
+    }
+
+    /// The FBIN bytes of two fixed datasets, pinned by hash: any change to
+    /// the writer's framing, varints or checksum shows up here.
+    #[test]
+    fn fbin_bytes_are_pinned() {
+        let groceries = flipper_datagen::surrogate::groceries(3).into_dataset();
+        let quest = flipper_datagen::quest::generate(
+            &flipper_datagen::quest::QuestParams::default()
+                .with_transactions(1_000)
+                .with_seed(7),
+        )
+        .into_dataset();
+        for (name, ds, expect) in [
+            ("groceries(3)", groceries, 0x1b3b_0f53_7afc_c082),
+            ("quest N=1000 seed 7", quest, 0x2683_6c7b_39c5_ab1b),
+        ] {
+            let bytes = to_fbin_bytes(&ds).unwrap();
+            assert_eq!(fnv1a(&bytes), expect, "{name}");
+        }
+    }
+
     #[test]
     fn stream_view_matches_full_load_view() {
         let ds = toy_dataset();

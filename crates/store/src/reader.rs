@@ -7,6 +7,13 @@
 //! decoded flat into a [`RowChunk`], so ingestion can run with bounded
 //! memory and no per-row allocation.
 //!
+//! A chunk is decoded by one loop over its payload (`decode_chunk`). Its
+//! varint reads and checks (zero-width row, zero gap, id overflow, id past
+//! the dictionary, overlong or overflowing varint, truncation, trailing
+//! bytes) return small `Copy` fault codes, and the [`StoreError`] with its
+//! message is built only when the chunk fails, so a valid chunk moves no
+//! error value through the loop.
+//!
 //! [`FbinReader::salvage`] opens the same stream in **salvage mode**: chunk
 //! sections whose checksum or decode fails are quarantined — recorded in a
 //! [`SalvageReport`] with their index, byte offset and reason — instead of
@@ -22,7 +29,7 @@
 
 use crate::crc32::crc32;
 use crate::error::StoreError;
-use crate::varint::PayloadCursor;
+use crate::varint::{read_len, read_varint, PayloadCursor, VarintFault};
 use crate::{SectionTag, FBIN_MAGIC, FBIN_VERSION};
 use flipper_data::format::{deepest_copy, Dataset};
 use flipper_data::{RowChunk, TransactionDb};
@@ -300,7 +307,9 @@ impl<R: Read> ChunkReader<R> {
                 }
             }
             match frame.tag {
-                SectionTag::Chunk => match decode_chunk(&frame.payload, &self.node_of) {
+                SectionTag::Chunk => match decode_chunk(&frame.payload, &self.node_of)
+                    .map_err(|f| f.into_error(self.node_of.len()))
+                {
                     Ok(rows) => {
                         self.txns_seen += rows.len() as u64;
                         self.chunks_seen += 1;
@@ -598,63 +607,259 @@ fn decode_dict(payload: &[u8]) -> Result<(Taxonomy, Vec<NodeId>), StoreError> {
     Ok((taxonomy, node_of))
 }
 
-/// Decode one chunk payload into a flat chunk of leaf node ids.
-fn decode_chunk(payload: &[u8], node_of: &[NodeId]) -> Result<RowChunk, StoreError> {
-    let mut c = PayloadCursor::new(payload, "chunk");
-    let txn_count = c.read_len()?;
+/// Why a chunk payload failed to decode: a `Copy` code that the decode
+/// loop returns instead of building a [`StoreError`] per read. The error,
+/// with its message, is built by [`ChunkFault::into_error`] only once the
+/// chunk has failed.
+#[derive(Debug, Clone, Copy)]
+enum ChunkFault {
+    Varint(VarintFault),
+    /// Transaction `t` has width 0.
+    EmptyRow(usize),
+    /// Transaction `t` has a zero gap, so its ids do not increase.
+    ZeroGap(usize),
+    /// An id plus its gap overflows `u64`.
+    IdOverflow,
+    /// An id past the end of the dictionary.
+    IdOutOfRange(u64),
+    /// Bytes left over after the last transaction.
+    Trailing(usize),
+}
+
+impl From<VarintFault> for ChunkFault {
+    fn from(f: VarintFault) -> Self {
+        ChunkFault::Varint(f)
+    }
+}
+
+impl ChunkFault {
+    fn into_error(self, dict_len: usize) -> StoreError {
+        let message = match self {
+            ChunkFault::Varint(f) => return f.into_error("chunk"),
+            ChunkFault::EmptyRow(t) => format!("transaction {t} is empty"),
+            ChunkFault::ZeroGap(t) => format!("transaction {t} has a non-increasing item id"),
+            ChunkFault::IdOverflow => "item id overflows u64".to_string(),
+            ChunkFault::IdOutOfRange(id) => {
+                format!("item id {id} out of range for a {dict_len}-entry dictionary")
+            }
+            ChunkFault::Trailing(n) => format!("{n} trailing bytes"),
+        };
+        StoreError::Corrupt {
+            context: "chunk",
+            message,
+        }
+    }
+}
+
+/// Decode one chunk payload into a flat chunk of leaf node ids: one pass
+/// over `payload`, every check kept, no error value built unless the chunk
+/// fails.
+fn decode_chunk(payload: &[u8], node_of: &[NodeId]) -> Result<RowChunk, ChunkFault> {
+    let node = |id: u64| -> Result<NodeId, ChunkFault> {
+        usize::try_from(id)
+            .ok()
+            .and_then(|i| node_of.get(i).copied())
+            .ok_or(ChunkFault::IdOutOfRange(id))
+    };
+    let mut pos = 0;
+    let txn_count = read_len(payload, &mut pos)?;
     // Every item takes at least one payload byte and every transaction at
     // least two, so both reserves are bounded by the (already checksummed)
     // payload size even if the counts are corrupt.
     let mut rows = RowChunk::with_capacity(txn_count.min(payload.len()), payload.len());
     for t in 0..txn_count {
-        let width = c.read_len()?;
+        let width = read_len(payload, &mut pos)?;
         if width == 0 {
-            return Err(StoreError::Corrupt {
-                context: "chunk",
-                message: format!("transaction {t} is empty"),
-            });
+            return Err(ChunkFault::EmptyRow(t));
         }
-        let mut id = c.read_varint()?;
-        rows.push_item(map_item(id, node_of)?);
+        let mut id = read_varint(payload, &mut pos)?;
+        rows.push_item(node(id)?);
         for _ in 1..width {
-            let gap = c.read_varint()?;
+            let gap = read_varint(payload, &mut pos)?;
             if gap == 0 {
-                return Err(StoreError::Corrupt {
-                    context: "chunk",
-                    message: format!("transaction {t} has a non-increasing item id"),
-                });
+                return Err(ChunkFault::ZeroGap(t));
             }
-            id = id.checked_add(gap).ok_or(StoreError::Corrupt {
-                context: "chunk",
-                message: "item id overflows u64".to_string(),
-            })?;
-            rows.push_item(map_item(id, node_of)?);
+            id = id.checked_add(gap).ok_or(ChunkFault::IdOverflow)?;
+            rows.push_item(node(id)?);
         }
         rows.end_row();
     }
-    if !c.is_exhausted() {
-        return Err(StoreError::Corrupt {
-            context: "chunk",
-            message: format!("{} trailing bytes", c.remaining()),
-        });
+    match payload.len() - pos {
+        0 => Ok(rows),
+        n => Err(ChunkFault::Trailing(n)),
     }
-    Ok(rows)
-}
-
-fn map_item(id: u64, node_of: &[NodeId]) -> Result<NodeId, StoreError> {
-    usize::try_from(id)
-        .ok()
-        .and_then(|i| node_of.get(i).copied())
-        .ok_or_else(|| StoreError::Corrupt {
-            context: "chunk",
-            message: format!(
-                "item id {id} out of range for a {}-entry dictionary",
-                node_of.len()
-            ),
-        })
 }
 
 /// Read a whole FBIN dataset (the full-load path).
 pub fn read_fbin<R: Read>(r: R) -> Result<Dataset, StoreError> {
     FbinReader::new(r)?.read_dataset()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::crc32::crc32;
+    use crate::varint::write_varint;
+    use crate::{stream_view, to_fbin_bytes};
+
+    /// A six-entry dictionary: `drinks` (0), `food` (1) and the leaves
+    /// `beer` (2), `soda` (3), `bread` (4), `cheese` (5).
+    fn dataset() -> Dataset {
+        let taxonomy = Taxonomy::from_edges([
+            ("drinks", ""),
+            ("food", ""),
+            ("beer", "drinks"),
+            ("soda", "drinks"),
+            ("bread", "food"),
+            ("cheese", "food"),
+        ])
+        .unwrap();
+        let beer = taxonomy.node_by_name("beer").unwrap();
+        let db = TransactionDb::new(vec![vec![beer]]).unwrap();
+        Dataset { taxonomy, db }
+    }
+
+    /// One framed section with a valid CRC.
+    fn section(tag: SectionTag, payload: &[u8]) -> Vec<u8> {
+        let mut out = vec![tag as u8];
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(payload);
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out
+    }
+
+    /// A file holding [`dataset`]'s header and dictionary, then one chunk
+    /// section carrying `payload` under a valid CRC, then an end section
+    /// claiming `txns` transactions in one chunk. Returns the file and the
+    /// chunk section's byte offset.
+    fn file_with_chunk(payload: &[u8], txns: u8) -> (Vec<u8>, u64) {
+        let valid = to_fbin_bytes(&dataset()).unwrap();
+        let dict_len = u32::from_le_bytes(valid[9..13].try_into().unwrap()) as usize;
+        let dict_end = 8 + 1 + 4 + dict_len + 4;
+        let mut out = valid[..dict_end].to_vec();
+        out.extend(section(SectionTag::Chunk, payload));
+        out.extend(section(SectionTag::End, &[txns, 1]));
+        (out, dict_end as u64)
+    }
+
+    fn varint(v: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_varint(&mut out, v);
+        out
+    }
+
+    /// `Some(message)`: a `Corrupt` error in context `chunk` with exactly
+    /// that message. `None`: `Truncated` in context `chunk`.
+    type Expect = Option<&'static str>;
+
+    fn assert_pinned(case: &str, err: &StoreError, expect: Expect) {
+        match (err, expect) {
+            (StoreError::Corrupt { context, message }, Some(m)) => {
+                assert_eq!(*context, "chunk", "{case}");
+                assert_eq!(message, m, "{case}");
+            }
+            (StoreError::Truncated { context }, None) => assert_eq!(*context, "chunk", "{case}"),
+            _ => panic!("{case}: expected {expect:?}, got {err:?}"),
+        }
+    }
+
+    /// The chunk decoder's own checks. Each case is a chunk payload under
+    /// a valid CRC, so neither the checksum nor the framing rejects it
+    /// first; the strict reads must fail with exactly the pinned error, and
+    /// a salvage read must quarantine the chunk with the same text.
+    #[test]
+    fn chunk_decode_errors_are_pinned() {
+        let cat = |parts: &[&[u8]]| parts.concat();
+        let cases: Vec<(&str, Vec<u8>, Expect)> = vec![
+            (
+                "zero-width row",
+                vec![2, 1, 2, 0],
+                Some("transaction 1 is empty"),
+            ),
+            (
+                "zero gap",
+                vec![1, 2, 2, 0],
+                Some("transaction 0 has a non-increasing item id"),
+            ),
+            (
+                "id past the dictionary",
+                vec![1, 2, 2, 4],
+                Some("item id 6 out of range for a 6-entry dictionary"),
+            ),
+            (
+                "first id past the dictionary",
+                cat(&[&[1, 1], &varint(u64::MAX)]),
+                Some("item id 18446744073709551615 out of range for a 6-entry dictionary"),
+            ),
+            (
+                "id sum overflowing u64",
+                cat(&[&[1, 2, 2], &varint(u64::MAX)]),
+                Some("item id overflows u64"),
+            ),
+            (
+                "11-byte varint",
+                cat(&[&[1, 1], &[0x80; 10], &[0x00]]),
+                Some("varint overflows u64"),
+            ),
+            (
+                "varint overflowing u64",
+                cat(&[&[1, 1], &[0xFF; 9], &[0x02]]),
+                Some("varint overflows u64"),
+            ),
+            (
+                "row count overflowing u64",
+                cat(&[&[0xFF; 9], &[0x7F]]),
+                Some("varint overflows u64"),
+            ),
+            ("varint cut at payload end", vec![1, 2, 2, 0x81], None),
+            ("fewer rows than txn_count", vec![3, 1, 2, 1, 3], None),
+            ("empty payload", vec![], None),
+            (
+                "trailing bytes",
+                vec![1, 1, 2, 7, 7],
+                Some("2 trailing bytes"),
+            ),
+        ];
+        for (case, payload, expect) in cases {
+            let (bytes, chunk_offset) = file_with_chunk(&payload, 1);
+            let err = read_fbin(&bytes[..]).unwrap_err();
+            assert_pinned(case, &err, expect);
+            let Err(streamed) = stream_view(FbinReader::new(&bytes[..]).unwrap()) else {
+                panic!("{case}: stream_view accepted the chunk");
+            };
+            assert_pinned(case, &streamed, expect);
+            assert_eq!(streamed.to_string(), err.to_string(), "{case}");
+
+            let mut reader = FbinReader::salvage(&bytes[..]).unwrap();
+            for chunk in reader.chunks() {
+                chunk.unwrap();
+            }
+            let report = reader.into_parts().1.into_salvage_report().unwrap();
+            assert_eq!(
+                report.quarantined,
+                vec![QuarantinedChunk {
+                    index: 0,
+                    byte_offset: chunk_offset,
+                    reason: err.to_string(),
+                }],
+                "{case}"
+            );
+            assert_eq!(report.chunks_kept, 0, "{case}");
+        }
+    }
+
+    /// The same framing with a well-formed payload decodes, so the cases
+    /// above fail on their payloads alone.
+    #[test]
+    fn hand_built_chunk_decodes() {
+        // Rows {beer, cheese} and {soda}: ids 2, 2+3 and 3.
+        let (bytes, _) = file_with_chunk(&[2, 2, 2, 3, 1, 3], 2);
+        let ds = read_fbin(&bytes[..]).unwrap();
+        let names: Vec<Vec<&str>> = ds
+            .db
+            .iter()
+            .map(|row| row.iter().map(|&n| ds.taxonomy.name(n)).collect())
+            .collect();
+        assert_eq!(names, vec![vec!["beer", "cheese"], vec!["soda"]]);
+    }
 }

@@ -4,6 +4,12 @@
 //! unsigned LEB128 varint: 7 value bits per byte, high bit = continuation.
 //! Small values (the overwhelmingly common case for delta-encoded sorted
 //! item ids) take one byte.
+//!
+//! [`read_varint`] is the one varint reader, and [`read_len`] narrows its
+//! value to `usize`. Both return a [`VarintFault`] code rather than a
+//! [`StoreError`], so the chunk decoder's hot loop moves no error value
+//! through its reads; [`PayloadCursor`] wraps them for the dictionary and
+//! end sections, where each fault becomes its error at once.
 
 use crate::error::StoreError;
 
@@ -18,6 +24,67 @@ pub fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
         }
         buf.push(byte | 0x80);
     }
+}
+
+/// Why a varint could not be read: a small `Copy` code, so a decode loop
+/// carries no [`StoreError`] (and no `String`) through its reads. The
+/// caller turns it into an error, with its own context, only on failure.
+#[derive(Debug, Clone, Copy)]
+pub enum VarintFault {
+    /// The payload ended inside the varint.
+    Truncated,
+    /// The value does not fit in a `u64`: a tenth byte above 1, which
+    /// also covers every varint longer than 10 bytes.
+    Overflow,
+    /// A length that does not fit in `usize`.
+    Length(u64),
+}
+
+impl VarintFault {
+    /// The error this fault stands for, reported against `context`.
+    pub fn into_error(self, context: &'static str) -> StoreError {
+        match self {
+            VarintFault::Truncated => StoreError::Truncated { context },
+            VarintFault::Overflow => StoreError::Corrupt {
+                context,
+                message: "varint overflows u64".to_string(),
+            },
+            VarintFault::Length(v) => StoreError::Corrupt {
+                context,
+                message: format!("length {v} exceeds the address space"),
+            },
+        }
+    }
+}
+
+/// Read one LEB128 varint from `buf` at `*pos` and advance `*pos` past it.
+#[inline]
+pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, VarintFault> {
+    let mut value = 0;
+    let mut shift = 0;
+    loop {
+        let Some(&byte) = buf.get(*pos) else {
+            return Err(VarintFault::Truncated);
+        };
+        *pos += 1;
+        // The tenth byte (shift 63) holds the top bit of a u64: anything
+        // above 1 there, a continuation included, is corruption, not EOF.
+        if shift == 63 && byte > 1 {
+            return Err(VarintFault::Overflow);
+        }
+        value |= u64::from(byte & 0x7F) << shift;
+        if byte < 0x80 {
+            return Ok(value);
+        }
+        shift += 7;
+    }
+}
+
+/// Read a varint at `*pos`, as [`read_varint`], and narrow it to `usize`.
+#[inline]
+pub fn read_len(buf: &[u8], pos: &mut usize) -> Result<usize, VarintFault> {
+    let v = read_varint(buf, pos)?;
+    usize::try_from(v).map_err(|_| VarintFault::Length(v))
 }
 
 /// A cursor over one section payload, with typed truncation/corruption
@@ -51,44 +118,12 @@ impl<'a> PayloadCursor<'a> {
 
     /// Read one LEB128 varint.
     pub fn read_varint(&mut self) -> Result<u64, StoreError> {
-        let mut value = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let Some(&byte) = self.buf.get(self.pos) else {
-                return Err(StoreError::Truncated {
-                    context: self.context,
-                });
-            };
-            self.pos += 1;
-            // 10 bytes (shift 63) is the maximum for a u64; a continuation
-            // past that or overflowing payload bits is corruption, not EOF.
-            if shift == 63 && byte > 1 {
-                return Err(StoreError::Corrupt {
-                    context: self.context,
-                    message: "varint overflows u64".to_string(),
-                });
-            }
-            value |= u64::from(byte & 0x7F) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(StoreError::Corrupt {
-                    context: self.context,
-                    message: "varint longer than 10 bytes".to_string(),
-                });
-            }
-        }
+        read_varint(self.buf, &mut self.pos).map_err(|f| f.into_error(self.context))
     }
 
     /// Read a varint and narrow it to `usize`.
     pub fn read_len(&mut self) -> Result<usize, StoreError> {
-        let v = self.read_varint()?;
-        usize::try_from(v).map_err(|_| StoreError::Corrupt {
-            context: self.context,
-            message: format!("length {v} exceeds the address space"),
-        })
+        read_len(self.buf, &mut self.pos).map_err(|f| f.into_error(self.context))
     }
 
     /// Read exactly `n` raw bytes.

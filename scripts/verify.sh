@@ -15,8 +15,11 @@
 #     cells, the candidate sources against their reference joins, and the
 #     miner's invariants: the stride slicing these rest on is the kind of
 #     code the optimizer has bitten before),
-#   * the FBIN storage suite (text↔fbin round-trip idempotence, streamed-
-#     vs-loaded mining equivalence, truncation/corruption behavior),
+#   * the FBIN storage suites: the integration round-trip suite (text↔fbin
+#     round-trip idempotence, streamed-vs-loaded mining equivalence,
+#     truncation/corruption behavior) and the flipper-store unit suite (the
+#     chunk decoder's own checks pinned by exact error, the slice-by-8
+#     CRC-32 against its bytewise reference, FBIN bytes pinned by hash),
 #   * the façade acceptance suite (Session/Sweep bit-identical to the
 #     single-shot paths, flipper-results/v1 golden bytes, repeated-run
 #     byte identity),
@@ -91,8 +94,9 @@ cargo test --release -q -p flipper-data
 echo "== flat rows: flipper-core unit suite under --release"
 cargo test --release -q -p flipper-core
 
-echo "== storage: fbin round-trip + streamed-vs-loaded equivalence under --release"
+echo "== storage: fbin round-trip + streamed-vs-loaded equivalence, decoder and CRC pins under --release"
 cargo test --release -q -p flipper-integration --test store_roundtrip
+cargo test --release -q -p flipper-store
 
 echo "== api façade: session/sweep equivalence + results/v1 golden under --release"
 cargo test --release -q -p flipper-integration --test facade
