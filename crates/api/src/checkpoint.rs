@@ -222,7 +222,6 @@ fn parse_row(line: &str) -> Option<(u64, CheckpointRow)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::Generator;
     use flipper_datagen::planted::PlantedParams;
 
     fn temp_path(name: &str) -> PathBuf {
@@ -232,7 +231,8 @@ mod tests {
     }
 
     fn session() -> Session {
-        Session::open(Generator::Planted(PlantedParams::default())).unwrap()
+        let data = flipper_datagen::planted::generate(&PlantedParams::default());
+        Session::from_db(&data.taxonomy, &data.db).unwrap()
     }
 
     #[test]

@@ -1,16 +1,73 @@
-//! Dataset file I/O: format detection, loading and writing.
+//! Dataset file I/O: generation, format detection, loading and writing.
 //!
 //! [`Session`](crate::Session) covers the mining path; this module covers
 //! the dataset-shuffling paths around it (`flipper generate`, `flipper
-//! convert`, `flipper stats`): sniff a file's format by magic bytes, load a
-//! full [`Dataset`] from either format, write one in either format. All
-//! errors are [`FlipperError`]s.
+//! convert`, `flipper stats`): run one of the five [`Generator`]s, sniff a
+//! file's format by magic bytes, load a full [`Dataset`] from either
+//! format, write one in either format. All errors are [`FlipperError`]s.
 
 use crate::error::FlipperError;
 use flipper_data::format::{read_dataset, write_dataset, Dataset};
+use flipper_datagen::planted::{self, PlantedParams};
+use flipper_datagen::quest::{self, QuestParams};
+use flipper_datagen::surrogate;
 use flipper_store::write_fbin;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::Path;
+
+/// The five dataset generators of `flipper-datagen`, as `flipper generate`
+/// names them.
+#[derive(Debug, Clone)]
+pub enum Generator {
+    /// The Srikant–Agrawal synthetic generator (§5.1 performance study).
+    Quest(QuestParams),
+    /// Ground-truth datasets with provable planted flipping patterns.
+    Planted(PlantedParams),
+    /// The GROCERIES surrogate (§5.2, Fig. 10).
+    Groceries {
+        /// RNG seed.
+        seed: u64,
+    },
+    /// The CENSUS surrogate (§5.2, Fig. 11).
+    Census {
+        /// RNG seed.
+        seed: u64,
+    },
+    /// The MEDLINE surrogate (§5.2, Fig. 12) at `scale` of the paper's
+    /// 640K-citation working set.
+    Medline {
+        /// Fraction of the full corpus size (1.0 ≈ 640K citations).
+        scale: f64,
+        /// RNG seed.
+        seed: u64,
+    },
+}
+
+impl Generator {
+    /// Short name of the generator kind, as used by `flipper generate`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Generator::Quest(_) => "quest",
+            Generator::Planted(_) => "planted",
+            Generator::Groceries { .. } => "groceries",
+            Generator::Census { .. } => "census",
+            Generator::Medline { .. } => "medline",
+        }
+    }
+
+    /// Run the generator and package the output as an interchange
+    /// [`Dataset`] (ground-truth metadata dropped).
+    pub fn dataset(&self) -> Dataset {
+        match self {
+            Generator::Quest(params) => quest::generate(params).into_dataset(),
+            Generator::Planted(params) => planted::generate(params).into_dataset(),
+            Generator::Groceries { seed } => surrogate::groceries(*seed).into_dataset(),
+            Generator::Census { seed } => surrogate::census(*seed).into_dataset(),
+            Generator::Medline { scale, seed } => surrogate::medline(*scale, *seed).into_dataset(),
+        }
+    }
+}
 
 /// The two on-disk dataset formats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,38 +108,16 @@ impl FileFormat {
 
 /// Sniff a dataset file's format by its magic bytes.
 pub fn detect_format(path: impl AsRef<Path>) -> Result<FileFormat, FlipperError> {
-    let path = path.as_ref();
-    let mut file = std::fs::File::open(path)
-        .map_err(|e| FlipperError::io(format!("open {}", path.display()), e))?;
-    let mut prefix = [0u8; 4];
-    let mut filled = 0;
-    while filled < prefix.len() {
-        match file.read(&mut prefix[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(FlipperError::io(format!("read {}", path.display()), e)),
-        }
-    }
-    Ok(if flipper_store::is_fbin(&prefix[..filled]) {
-        FileFormat::Fbin
-    } else {
-        FileFormat::Text
-    })
+    Ok(crate::source::open(path.as_ref())?.0)
 }
 
 /// Load a full [`Dataset`] from `path`, auto-detecting the format by magic
 /// bytes — a binary file handed to a text-era script still loads instead of
 /// dying with a line-1 parse error (and vice versa).
 pub fn load_path(path: impl AsRef<Path>) -> Result<Dataset, FlipperError> {
-    let path = path.as_ref();
-    let format = detect_format(path)?;
-    let file = std::fs::File::open(path)
-        .map_err(|e| FlipperError::io(format!("open {}", path.display()), e))?;
-    let reader = BufReader::new(file);
-    match format {
-        FileFormat::Fbin => Ok(flipper_store::read_fbin(reader)?),
-        FileFormat::Text => Ok(read_dataset(reader)?),
+    match crate::source::open(path.as_ref())? {
+        (FileFormat::Fbin, reader) => Ok(flipper_store::read_fbin(reader)?),
+        (FileFormat::Text, reader) => Ok(read_dataset(reader)?),
     }
 }
 
@@ -110,7 +145,7 @@ pub fn write_path(
     format: FileFormat,
 ) -> Result<(), FlipperError> {
     let path = path.as_ref();
-    let file = std::fs::File::create(path)
+    let file = File::create(path)
         .map_err(|e| FlipperError::io(format!("create {}", path.display()), e))?;
     let mut w = BufWriter::new(file);
     write_to(&mut w, ds, format)?;
@@ -121,8 +156,6 @@ pub fn write_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::Generator;
-    use flipper_datagen::planted::PlantedParams;
 
     #[test]
     fn format_names_parse_and_extensions_default() {
@@ -157,5 +190,29 @@ mod tests {
         let err = load_path(dir.join("missing")).unwrap_err();
         assert!(matches!(err, FlipperError::Io { .. }));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn generators_generate_and_name_themselves() {
+        for (generator, name) in [
+            (Generator::Planted(PlantedParams::default()), "planted"),
+            (
+                Generator::Quest(QuestParams::default().with_transactions(50)),
+                "quest",
+            ),
+            (Generator::Groceries { seed: 1 }, "groceries"),
+        ] {
+            assert_eq!(generator.name(), name);
+            assert!(!generator.dataset().db.is_empty(), "{name}");
+        }
+        assert_eq!(Generator::Census { seed: 1 }.name(), "census");
+        assert_eq!(
+            Generator::Medline {
+                scale: 0.01,
+                seed: 1
+            }
+            .name(),
+            "medline"
+        );
     }
 }

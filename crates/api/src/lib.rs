@@ -4,11 +4,12 @@
 //! public surface the CLI, the examples, the benches and future server
 //! frontends all sit on. Four ideas:
 //!
-//! * **Typed sources** ([`DataSource`]): text files, FBIN files and streams
-//!   (auto-detected by magic bytes, streamed chunk by chunk), in-memory
-//!   [`Dataset`]s and the five [`Generator`]s all funnel into one ingestion
-//!   path.
-//! * **Sessions** ([`Session`]): ingest a source *once* into a cached
+//! * **One way in**: a [`Session`] opens on a dataset file
+//!   ([`Session::open_path`]: text or FBIN, told apart by magic bytes, FBIN
+//!   streamed chunk by chunk), on a damaged FBIN file
+//!   ([`Session::open_salvage_path`]), or on an in-memory database over a
+//!   taxonomy's leaves ([`Session::from_db`]).
+//! * **Sessions** ([`Session`]): ingest a dataset *once* into a cached
 //!   [`MultiLevelView`](flipper_data::MultiLevelView), then run any number
 //!   of [`FlipperConfig`]s against it — each result bit-identical to the
 //!   single-shot [`flipper_core::mine`] / [`flipper_core::mine_with_view`]
@@ -26,11 +27,12 @@
 //!   quoted by [`flipper_wire::json`]).
 //!
 //! ```
-//! use flipper_api::{Generator, Session, FlipperConfig, MinSupports, Thresholds, JsonWriter, ResultSink};
-//! use flipper_datagen::planted::PlantedParams;
+//! use flipper_api::{Session, FlipperConfig, MinSupports, Thresholds, JsonWriter, ResultSink};
+//! use flipper_datagen::planted::{self, PlantedParams};
 //!
 //! // Open a session (ingest once)…
-//! let session = Session::open(Generator::Planted(PlantedParams::default()))?;
+//! let data = planted::generate(&PlantedParams::default());
+//! let session = Session::from_db(&data.taxonomy, &data.db)?;
 //! let base = FlipperConfig {
 //!     thresholds: Thresholds::new(0.6, 0.35), // the planted calibration
 //!     min_support: MinSupports::Counts(vec![5]),
@@ -63,7 +65,6 @@ pub use checkpoint::{CheckpointRow, SweepJournal};
 pub use error::FlipperError;
 pub use session::Session;
 pub use sink::{emit_runs, JsonWriter, ResultSink, TextReport};
-pub use source::{DataSource, FbinSource, Generator, Ingested, PathSource, TextSource};
 pub use sweep::{threshold_point, Sweep, SweepOutcome, SweepRun};
 
 // Re-exported conveniences: the types a façade caller needs to configure a

@@ -1,13 +1,14 @@
 //! The session: ingest once, mine many times.
 
 use crate::error::FlipperError;
-use crate::source::DataSource;
+use crate::io::FileFormat;
 use crate::sweep::Sweep;
 use flipper_core::topk::{top_k_with_view, TopKConfig, TopKResult};
 use flipper_core::{mine_with_view, FlipperConfig, MineOptions, MiningResult};
-use flipper_data::{CacheStats, MultiLevelView, VerticalMemo};
+use flipper_data::format::read_dataset;
+use flipper_data::{CacheStats, MultiLevelView, TransactionDb, VerticalMemo};
 use flipper_guard::CancelToken;
-use flipper_store::SalvageReport;
+use flipper_store::{stream_view, FbinReader, SalvageReport};
 use flipper_taxonomy::Taxonomy;
 
 /// A mining session over one ingested dataset.
@@ -25,10 +26,11 @@ use flipper_taxonomy::Taxonomy;
 /// inside the miner as [`FlipperError::Panicked`] instead of unwinding.
 ///
 /// ```
-/// use flipper_api::{Generator, Session, FlipperConfig, MinSupports, PruningConfig};
-/// use flipper_datagen::planted::PlantedParams;
+/// use flipper_api::{Session, FlipperConfig, MinSupports, PruningConfig};
+/// use flipper_datagen::planted::{self, PlantedParams};
 ///
-/// let session = Session::open(Generator::Planted(PlantedParams::default()))?;
+/// let data = planted::generate(&PlantedParams::default());
+/// let session = Session::from_db(&data.taxonomy, &data.db)?;
 /// let cfg = FlipperConfig {
 ///     min_support: MinSupports::Counts(vec![5]),
 ///     ..Default::default()
@@ -58,25 +60,61 @@ pub struct Session {
 }
 
 impl Session {
-    /// Open a session by ingesting `source`.
-    pub fn open(source: impl DataSource) -> Result<Session, FlipperError> {
-        let ingested = {
-            let _span = flipper_obs::span("session.ingest");
-            source.ingest()?
-        };
-        Ok(Session {
-            taxonomy: ingested.taxonomy,
-            view: ingested.view,
-            origin: ingested.origin,
+    fn new(
+        taxonomy: Taxonomy,
+        view: MultiLevelView,
+        origin: String,
+        salvage: Option<SalvageReport>,
+    ) -> Session {
+        Session {
+            taxonomy,
+            view,
+            origin,
             memo: VerticalMemo::new(),
-            salvage: None,
-        })
+            salvage,
+        }
     }
 
-    /// Open a session on a dataset file, format-sniffed by magic bytes
-    /// (shorthand for [`PathSource`](crate::PathSource)).
+    /// Open a session on an in-memory database over `taxonomy`'s leaves.
+    /// The database is projected where it lies; only the taxonomy is
+    /// cloned.
+    ///
+    /// # Errors
+    /// [`FlipperError::Data`] when a row holds an item that is not a leaf at
+    /// the taxonomy's height (the error names the transaction and the item).
+    pub fn from_db(taxonomy: &Taxonomy, db: &TransactionDb) -> Result<Session, FlipperError> {
+        let _span = flipper_obs::span("session.ingest");
+        let view = MultiLevelView::try_build(db, taxonomy)?;
+        let origin = format!(
+            "in-memory dataset ({} transactions, {} nodes)",
+            db.len(),
+            taxonomy.node_count()
+        );
+        Ok(Session::new(taxonomy.clone(), view, origin, None))
+    }
+
+    /// Open a session on a dataset file, format-sniffed by magic bytes: an
+    /// FBIN file is streamed chunk by chunk into the view, without the raw
+    /// database ever existing in memory; anything else goes through the
+    /// text parser. [`origin`](Session::origin) is the path as displayed.
     pub fn open_path(path: impl Into<std::path::PathBuf>) -> Result<Session, FlipperError> {
-        Session::open(crate::PathSource::new(path))
+        let _span = flipper_obs::span("session.ingest");
+        let path = path.into();
+        let (format, reader) = crate::source::open(&path)?;
+        let (taxonomy, view) = match format {
+            FileFormat::Fbin => stream_view(FbinReader::new(reader)?)?,
+            FileFormat::Text => {
+                let ds = read_dataset(reader)?;
+                let view = MultiLevelView::try_build(&ds.db, &ds.taxonomy)?;
+                (ds.taxonomy, view)
+            }
+        };
+        Ok(Session::new(
+            taxonomy,
+            view,
+            path.display().to_string(),
+            None,
+        ))
     }
 
     /// Open a session on a **damaged** FBIN file, mining what is readable:
@@ -93,26 +131,22 @@ impl Session {
     /// already reports the exact failing line, so salvage adds nothing.
     pub fn open_salvage_path(path: impl AsRef<std::path::Path>) -> Result<Session, FlipperError> {
         let path = path.as_ref();
-        if crate::io::detect_format(path)? != crate::io::FileFormat::Fbin {
+        let (format, reader) = crate::source::open(path)?;
+        if format != FileFormat::Fbin {
             return Err(FlipperError::usage(format!(
                 "salvage applies to FBIN files only, and {} is a text dataset \
                  (the text parser already reports the exact failing line)",
                 path.display()
             )));
         }
-        let file = std::fs::File::open(path)
-            .map_err(|e| FlipperError::io(format!("open {}", path.display()), e))?;
-        let (taxonomy, view, report) = {
-            let _span = flipper_obs::span("session.ingest");
-            flipper_store::salvage_view(std::io::BufReader::new(file))?
-        };
-        Ok(Session {
+        let _span = flipper_obs::span("session.ingest");
+        let (taxonomy, view, report) = flipper_store::salvage_view(reader)?;
+        Ok(Session::new(
             taxonomy,
             view,
-            origin: format!("fbin file {} (salvage)", path.display()),
-            memo: VerticalMemo::new(),
-            salvage: Some(report),
-        })
+            format!("fbin file {} (salvage)", path.display()),
+            Some(report),
+        ))
     }
 
     /// The salvage report, when this session was opened via
@@ -231,8 +265,15 @@ mod tests {
 
     fn planted_session() -> (flipper_datagen::planted::PlantedData, Session) {
         let data = flipper_datagen::planted::generate(&PlantedParams::default());
-        let session = Session::open(&data).unwrap();
+        let session = Session::from_db(&data.taxonomy, &data.db).unwrap();
         (data, session)
+    }
+
+    /// A fresh scratch directory for one test.
+    fn temp_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("flipper-api-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     fn counts_cfg() -> FlipperConfig {
@@ -240,6 +281,40 @@ mod tests {
             min_support: MinSupports::Counts(vec![5]),
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn from_db_projects_the_borrowed_db() {
+        let (data, session) = planted_session();
+        assert_eq!(session.taxonomy(), &data.taxonomy);
+        assert_eq!(
+            session.view(),
+            &MultiLevelView::build(&data.db, &data.taxonomy)
+        );
+        assert!(session.origin().contains("in-memory"));
+    }
+
+    #[test]
+    fn from_db_rejects_a_non_leaf_item_typed() {
+        let tax = Taxonomy::from_edges([("a", ""), ("b", ""), ("a1", "a"), ("b1", "b")]).unwrap();
+        let id = |name| tax.node_by_name(name).unwrap();
+        let db =
+            TransactionDb::new(vec![vec![id("a"), id("b1")], vec![id("a1"), id("b1")]]).unwrap();
+        let err = Session::from_db(&tax, &db).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FlipperError::Data(flipper_data::DataError::NonLeafItem { txn: 0, item })
+                    if item == id("a")
+            ),
+            "{err:?}"
+        );
+        assert_eq!(err.exit_code(), 1);
+        let cause = std::error::Error::source(&err).unwrap().to_string();
+        assert!(
+            cause.contains("transaction 0") && cause.contains(&id("a").to_string()),
+            "{cause}"
+        );
     }
 
     #[test]
@@ -287,7 +362,7 @@ mod tests {
     #[test]
     fn seeded_sweep_matches_mine_and_replays_the_memo() {
         let (data, session) = planted_session();
-        let fresh = || Session::open(&data).unwrap();
+        let fresh = || Session::from_db(&data.taxonomy, &data.db).unwrap();
         let point = |session: &Session, cfg: &FlipperConfig| {
             let mut runs = session.sweep().add("p", cfg.clone()).run().unwrap();
             runs.remove(0).result
@@ -381,12 +456,10 @@ mod tests {
             background_txns: 0,
             ..Default::default()
         });
-        let fbin = flipper_store::to_fbin_bytes(&flipper_data::format::Dataset {
-            taxonomy: data.taxonomy.clone(),
-            db: data.db.clone(),
-        })
-        .unwrap();
-        let session = Session::open(crate::FbinSource::new(&fbin[..])).unwrap();
+        let dir = temp_dir("topk");
+        let path = dir.join("planted.fbin");
+        crate::io::write_path(&path, &data.into_dataset(), FileFormat::Fbin).unwrap();
+        let session = Session::open_path(&path).unwrap();
         let r = session
             .top_k(&TopKConfig {
                 k: 2,
@@ -395,6 +468,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(r.patterns.len(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -465,8 +539,7 @@ mod tests {
 
     #[test]
     fn salvage_open_quarantines_damage_and_mines_the_rest() {
-        let dir = std::env::temp_dir().join(format!("flipper-api-salvage-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("salvage");
         let data = flipper_datagen::planted::generate(&PlantedParams::default());
 
         // One transaction per chunk, so one damaged chunk loses one txn.

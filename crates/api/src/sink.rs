@@ -391,11 +391,11 @@ impl<W: Write> ResultSink for JsonWriter<W> {
 mod tests {
     use super::*;
     use crate::session::Session;
-    use crate::source::Generator;
     use flipper_datagen::planted::PlantedParams;
 
     fn session_and_result() -> (Session, FlipperConfig, MiningResult) {
-        let session = Session::open(Generator::Planted(PlantedParams::default())).unwrap();
+        let data = flipper_datagen::planted::generate(&PlantedParams::default());
+        let session = Session::from_db(&data.taxonomy, &data.db).unwrap();
         let (gamma, epsilon) = flipper_datagen::planted::recommended_thresholds();
         let cfg = FlipperConfig {
             thresholds: flipper_measures::Thresholds::new(gamma, epsilon),

@@ -92,10 +92,11 @@ fn result_key(cfg: &FlipperConfig) -> String {
 /// [`SweepRun`] per point in submission order.
 ///
 /// ```
-/// use flipper_api::{Generator, Session, FlipperConfig, MinSupports};
-/// use flipper_datagen::planted::PlantedParams;
+/// use flipper_api::{Session, FlipperConfig, MinSupports};
+/// use flipper_datagen::planted::{self, PlantedParams};
 ///
-/// let session = Session::open(Generator::Planted(PlantedParams::default()))?;
+/// let data = planted::generate(&PlantedParams::default());
+/// let session = Session::from_db(&data.taxonomy, &data.db)?;
 /// let base = FlipperConfig {
 ///     min_support: MinSupports::Counts(vec![5]),
 ///     ..Default::default()
@@ -324,13 +325,13 @@ fn summary_row(label: &str, result: &MiningResult) -> CheckpointRow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::Generator;
     use flipper_core::MinSupports;
     use flipper_data::CacheStats;
     use flipper_datagen::planted::PlantedParams;
 
     fn session() -> Session {
-        Session::open(Generator::Planted(PlantedParams::default())).unwrap()
+        let data = flipper_datagen::planted::generate(&PlantedParams::default());
+        Session::from_db(&data.taxonomy, &data.db).unwrap()
     }
 
     fn base() -> FlipperConfig {

@@ -23,11 +23,11 @@
 //! can tell "you called it wrong" from "it ran out of time" from "the data
 //! is bad".
 
-use flipper_api::io::{load_path, write_to, FileFormat};
+use flipper_api::io::{load_path, write_to, FileFormat, Generator};
 use flipper_api::{
-    emit_runs, threshold_point, Dataset, FlipperConfig, FlipperError, Generator, JsonWriter,
-    Measure, MinSupports, PathSource, PlantedParams, PruningConfig, QuestParams, ResultSink,
-    Session, TextReport, Thresholds, TopKConfig,
+    emit_runs, threshold_point, Dataset, FlipperConfig, FlipperError, JsonWriter, Measure,
+    MinSupports, PlantedParams, PruningConfig, QuestParams, ResultSink, Session, TextReport,
+    Thresholds, TopKConfig,
 };
 use flipper_wire::json::{self, Json};
 use std::collections::{BTreeMap, HashMap};
@@ -479,7 +479,7 @@ fn base_config(flags: &Flags) -> Result<FlipperConfig, FlipperError> {
 
 /// Open a mining session on `--input`, streaming FBIN files.
 fn open_session(flags: &Flags) -> Result<Session, FlipperError> {
-    Session::open(PathSource::new(input_path(flags)?))
+    Session::open_path(input_path(flags)?)
 }
 
 /// An opened `--output-json` sink and the path it writes to.
@@ -1378,12 +1378,13 @@ mod tests {
 
     #[test]
     fn text_parser_names_fbin_mixups_through_the_facade() {
-        // Feeding FBIN bytes to the text source must name the problem, not
-        // report a baffling line-1 parse error.
+        // Feeding FBIN bytes to the text reader must name the problem, not
+        // report a baffling line-1 parse error, once converted into the
+        // facade's error type.
         let ds = Generator::Planted(PlantedParams::default()).dataset();
         let mut bytes = Vec::new();
         write_to(&mut bytes, &ds, FileFormat::Fbin).unwrap();
-        let err = Session::open(flipper_api::TextSource::new(&bytes[..])).unwrap_err();
+        let err = FlipperError::from(flipper_data::format::read_dataset(&bytes[..]).unwrap_err());
         assert!(matches!(err, FlipperError::Parse { line: 1, .. }));
         assert!(
             err.to_string().contains("FBIN"),

@@ -48,9 +48,9 @@ pub struct RunStats {
     /// Candidates dropped at generation time because a known subset was
     /// infrequent (support-based / Apriori pruning).
     pub pruned_by_support: u64,
-    /// Candidates never generated because vertical extension was withheld
-    /// from chain-broken parents is not directly observable; instead this
-    /// counts cells whose vertical source was non-empty but fully dead.
+    /// Always 0: no code writes this counter, so every report carries 0
+    /// here. It stays only because the `flipper-results/v1` `stats` object
+    /// carries the field, and removing it would change those bytes.
     pub dead_parent_cells: u64,
     /// Frequent itemsets found.
     pub frequent_found: u64,

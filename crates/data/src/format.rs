@@ -145,15 +145,17 @@ pub fn read_dataset<R: BufRead>(mut reader: R) -> Result<Dataset, FormatError> {
                 });
             }
             Section::Taxonomy => {
-                let mut parts = line.splitn(2, '\t');
-                let child = parts.next().expect("split yields at least one part").trim();
+                let (child, parent) = match line.split_once('\t') {
+                    Some((child, parent)) => (child.trim(), Some(parent)),
+                    None => (line.trim(), None),
+                };
                 if child.is_empty() {
                     return Err(FormatError::Parse {
                         line: lineno,
                         message: "empty node name".to_string(),
                     });
                 }
-                match parts.next().map(str::trim).filter(|p| !p.is_empty()) {
+                match parent.map(str::trim).filter(|p| !p.is_empty()) {
                     None => builder.add_root_child(child)?,
                     Some(parent) => builder.add_child(child, parent)?,
                 }

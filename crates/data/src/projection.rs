@@ -167,16 +167,26 @@ impl MultiLevelView {
     /// Delegates to [`MultiLevelViewBuilder`] (one chunk), so
     /// the full-load and chunk-streamed paths can never drift apart.
     ///
+    /// # Errors
+    /// What [`MultiLevelViewBuilder::push_chunk`] rejects: for a
+    /// [`TransactionDb`] that is [`DataError::NonLeafItem`], a row holding
+    /// an item that is not a leaf at the taxonomy height, or
+    /// [`DataError::TooManyTransactions`].
+    pub fn try_build(db: &TransactionDb, tax: &Taxonomy) -> Result<Self, DataError> {
+        let _span = flipper_obs::span("view.build").arg("rows", db.len() as u64);
+        let mut builder = MultiLevelViewBuilder::new(tax);
+        builder.push_chunk((0..db.len()).map(|t| db.transaction(t)))?;
+        builder.finish()
+    }
+
+    /// [`try_build`](Self::try_build) for a database known to hold only
+    /// leaves of `tax`.
+    ///
     /// # Panics
     /// Panics if the database is not valid for `tax` (items that are not
     /// leaves at the taxonomy height).
     pub fn build(db: &TransactionDb, tax: &Taxonomy) -> Self {
-        let _span = flipper_obs::span("view.build").arg("rows", db.len() as u64);
-        let mut builder = MultiLevelViewBuilder::new(tax);
-        builder
-            .push_chunk((0..db.len()).map(|t| db.transaction(t)))
-            .expect("TransactionDb rows are canonical leaf itemsets");
-        builder.finish().expect("TransactionDb is never empty")
+        Self::try_build(db, tax).expect("TransactionDb rows are leaf itemsets of the taxonomy")
     }
 
     /// The view at abstraction level `h` (1-based).

@@ -3,9 +3,9 @@
 //! `flipper-results/v1` bytes are identical to mining on a fresh session,
 //! whose memo is cold.
 
+use flipper_api::io::Generator;
 use flipper_api::{
-    FlipperConfig, Generator, JsonWriter, MinSupports, MiningResult, PruningConfig, ResultSink,
-    Session,
+    FlipperConfig, JsonWriter, MinSupports, MiningResult, PruningConfig, ResultSink, Session,
 };
 use flipper_data::rng::{Rng, Xoshiro256pp};
 use flipper_datagen::quest::QuestParams;
@@ -29,7 +29,7 @@ fn quest_config() -> FlipperConfig {
 fn replayed_sweep_is_byte_identical_to_cold_points() {
     let dataset = quest_dataset();
     let base = quest_config();
-    let session = Session::open(&dataset).unwrap();
+    let session = Session::from_db(&dataset.taxonomy, &dataset.db).unwrap();
     let render = |runs: &[flipper_api::SweepRun]| {
         let mut json = JsonWriter::new(Vec::new());
         flipper_api::emit_runs(&mut json, session.taxonomy(), runs).unwrap();
@@ -57,7 +57,7 @@ fn replayed_sweep_is_byte_identical_to_cold_points() {
     let cold: Vec<flipper_api::SweepRun> = replayed
         .iter()
         .map(|run| {
-            let fresh = Session::open(&dataset).unwrap();
+            let fresh = Session::from_db(&dataset.taxonomy, &dataset.db).unwrap();
             let point = fresh.sweep().add(run.label.clone(), run.config.clone());
             let alone = point.run().unwrap().remove(0);
             assert_eq!(alone.result.stats.seeded_supports, 0, "{}", run.label);
@@ -133,7 +133,7 @@ fn memoized_sweeps_are_byte_identical_to_fresh_mines() {
         json.into_inner()
     };
     let mut rng = Xoshiro256pp::seed_from_u64(24);
-    let session = Session::open(&dataset).unwrap();
+    let session = Session::from_db(&dataset.taxonomy, &dataset.db).unwrap();
     for round in 0..2 {
         let before = session.support_cache_stats();
         let runs = random_points(&mut rng, round)
@@ -143,7 +143,10 @@ fn memoized_sweeps_are_byte_identical_to_fresh_mines() {
             .unwrap();
         let memo = session.support_cache_stats();
         for run in &runs {
-            let fresh = Session::open(&dataset).unwrap().mine(&run.config).unwrap();
+            let fresh = Session::from_db(&dataset.taxonomy, &dataset.db)
+                .unwrap()
+                .mine(&run.config)
+                .unwrap();
             let ctx = &run.label;
             assert_eq!(
                 String::from_utf8_lossy(&bytes(&session, &run.label, &run.config, &run.result)),
@@ -198,7 +201,7 @@ fn fresh_session_sweep_counters_repeat_exactly() {
     let dataset = quest_dataset();
     let base = quest_config();
     let iteration = || {
-        let session = Session::open(&dataset).unwrap();
+        let session = Session::from_db(&dataset.taxonomy, &dataset.db).unwrap();
         let mut points = Vec::new();
         let mut deltas = Vec::new();
         for (gammas, epsilons) in [SWEEP_A, SWEEP_B] {
@@ -251,16 +254,19 @@ fn concurrent_mines_on_one_session_match_solo_runs() {
         json.finish().unwrap();
         json.into_inner()
     };
-    let shared = Session::open(&dataset).unwrap();
+    let shared = Session::from_db(&dataset.taxonomy, &dataset.db).unwrap();
     let results = std::thread::scope(|scope| {
         configs
             .each_ref()
             .map(|cfg| scope.spawn(|| shared.mine(cfg).unwrap()))
             .map(|handle| handle.join().unwrap())
     });
-    let sequential = Session::open(&dataset).unwrap();
+    let sequential = Session::from_db(&dataset.taxonomy, &dataset.db).unwrap();
     for (cfg, result) in configs.iter().zip(&results) {
-        let solo = Session::open(&dataset).unwrap().mine(cfg).unwrap();
+        let solo = Session::from_db(&dataset.taxonomy, &dataset.db)
+            .unwrap()
+            .mine(cfg)
+            .unwrap();
         assert_eq!(
             String::from_utf8_lossy(&bytes(&shared, cfg, result)),
             String::from_utf8_lossy(&bytes(&shared, cfg, &solo)),

@@ -14,9 +14,9 @@
 //!   golden file (set `UPDATE_GOLDEN=1` to re-bless after an intentional
 //!   schema change).
 
+use flipper_api::io::{FileFormat, Generator};
 use flipper_api::{
-    Dataset, FlipperConfig, Generator, JsonWriter, MinSupports, PruningConfig, ResultSink, Session,
-    Thresholds,
+    Dataset, FlipperConfig, JsonWriter, MinSupports, PruningConfig, ResultSink, Session, Thresholds,
 };
 use flipper_core::{mine, mine_with_view, MineOptions, MiningResult};
 use flipper_data::MultiLevelView;
@@ -100,13 +100,16 @@ fn session_equals_single_shot_paths() {
     for (name, ds, base) in cases() {
         let view = MultiLevelView::build(&ds.db, &ds.taxonomy);
         // Mined under every variant once, so every call below replays.
-        let warm = Session::open(&ds).unwrap();
+        let warm = Session::from_db(&ds.taxonomy, &ds.db).unwrap();
         warm.sweep().pruning_variants(&base).run().unwrap();
         for pruning in PruningConfig::VARIANTS {
             for threads in [1usize, 4] {
                 let cfg = base.clone().with_pruning(pruning).with_threads(threads);
                 let ctx = format!("{name} {} threads={threads}", pruning.name());
-                let via_session = Session::open(&ds).unwrap().mine(&cfg).unwrap();
+                let via_session = Session::from_db(&ds.taxonomy, &ds.db)
+                    .unwrap()
+                    .mine(&cfg)
+                    .unwrap();
                 let via_view =
                     mine_with_view(&ds.taxonomy, &view, &cfg, MineOptions::default()).unwrap();
                 let via_mine = mine(&ds.taxonomy, &ds.db, &cfg);
@@ -121,20 +124,25 @@ fn session_equals_single_shot_paths() {
 #[test]
 fn sweep_points_equal_solo_runs() {
     for (name, ds, base) in cases() {
-        let solo = |cfg: &FlipperConfig| Session::open(&ds).unwrap().mine(cfg).unwrap();
+        let solo = |cfg: &FlipperConfig| {
+            Session::from_db(&ds.taxonomy, &ds.db)
+                .unwrap()
+                .mine(cfg)
+                .unwrap()
+        };
         // A point swept alone on a fresh session matches the solo run
         // on another in every deterministic statistic, kernel counters
         // included.
         for pruning in PruningConfig::VARIANTS {
             let cfg = base.clone().with_pruning(pruning);
-            let fresh = Session::open(&ds).unwrap();
+            let fresh = Session::from_db(&ds.taxonomy, &ds.db).unwrap();
             let point = fresh.sweep().add("p", cfg.clone());
             let ctx = format!("{name} {}", pruning.name());
             assert_results_equal(&point.run().unwrap()[0].result, &solo(&cfg), &ctx);
         }
         // Swept twice on one session, the second sweep replays what the
         // first recorded: same search, no more intersections.
-        let session = Session::open(&ds).unwrap();
+        let session = Session::from_db(&ds.taxonomy, &ds.db).unwrap();
         session.sweep().pruning_variants(&base).run().unwrap();
         let warm = session.sweep().pruning_variants(&base).run().unwrap();
         assert_eq!(warm.len(), 4);
@@ -211,7 +219,8 @@ fn fig4_dataset() -> Dataset {
 /// Render the two-run (full + basic pruning) report at a given thread
 /// count.
 fn render_fig4_report(threads: usize) -> Vec<u8> {
-    let session = Session::open(fig4_dataset()).unwrap();
+    let ds = fig4_dataset();
+    let session = Session::from_db(&ds.taxonomy, &ds.db).unwrap();
     let base = FlipperConfig::new(Thresholds::new(0.6, 0.35), MinSupports::Counts(vec![1]))
         .with_threads(threads);
     let mut json = JsonWriter::new(Vec::new());
@@ -256,13 +265,17 @@ fn results_v1_golden() {
 #[test]
 fn streamed_session_mines_identically_to_loaded() {
     let ds = Generator::Planted(PlantedParams::default()).dataset();
-    let fbin = flipper_store::to_fbin_bytes(&ds).unwrap();
-    let loaded = Session::open(&ds).unwrap();
+    let dir = std::env::temp_dir().join(format!("flipper-facade-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("planted.fbin");
+    flipper_api::io::write_path(&path, &ds, FileFormat::Fbin).unwrap();
+    let loaded = Session::from_db(&ds.taxonomy, &ds.db).unwrap();
     let cfg = FlipperConfig::new(Thresholds::new(0.6, 0.35), MinSupports::Counts(vec![5]));
     let want = loaded.mine(&cfg).unwrap();
-    let streamed = Session::open(flipper_api::FbinSource::new(&fbin[..])).unwrap();
+    let streamed = Session::open_path(&path).unwrap();
     let got = streamed.mine(&cfg).unwrap();
     assert_results_equal(&got, &want, "streamed");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Repeated-run determinism: the same configuration rendered five times at
@@ -273,7 +286,7 @@ fn streamed_session_mines_identically_to_loaded() {
 #[test]
 fn results_v1_bytes_identical_across_repeated_runs() {
     for (name, ds, base) in cases() {
-        let session = Session::open(&ds).unwrap();
+        let session = Session::from_db(&ds.taxonomy, &ds.db).unwrap();
         let mut reference: Option<Vec<u8>> = None;
         for threads in [1usize, 4] {
             let cfg = base.clone().with_threads(threads);

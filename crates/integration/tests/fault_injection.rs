@@ -34,7 +34,7 @@ const SEED: u64 = 0xFA17_1A6E;
 const THREADS: [usize; 2] = [1, 4];
 
 fn planted() -> flipper_data::format::Dataset {
-    flipper_api::Generator::Planted(PlantedParams::default()).dataset()
+    flipper_api::io::Generator::Planted(PlantedParams::default()).dataset()
 }
 
 fn fbin_bytes() -> Vec<u8> {
@@ -178,8 +178,8 @@ fn store_write_faults_fail_typed() {
 /// unguarded baseline, proven via the plan's fire log.
 #[test]
 fn exec_chunk_faults_surface_typed_across_threads() {
-    let session = Session::open(flipper_api::Generator::Planted(PlantedParams::default()))
-        .expect("open planted session");
+    let ds = planted();
+    let session = Session::from_db(&ds.taxonomy, &ds.db).expect("open planted session");
     let token = CancelToken::new();
     let mut fired_somewhere = false;
     for threads in THREADS {

@@ -7,9 +7,10 @@
 //! concurrently.
 
 use flipper_api::{
-    FlipperConfig, Generator, JsonWriter, MinSupports, PlantedParams, PruningConfig, QuestParams,
-    ResultSink, Session, Thresholds,
+    FlipperConfig, JsonWriter, MinSupports, PlantedParams, PruningConfig, QuestParams, ResultSink,
+    Session, Thresholds,
 };
+use flipper_datagen::{planted, quest};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 fn recorder_lock() -> MutexGuard<'static, ()> {
@@ -20,7 +21,8 @@ fn recorder_lock() -> MutexGuard<'static, ()> {
 }
 
 fn planted_session() -> Session {
-    Session::open(Generator::Planted(PlantedParams::default())).expect("planted ingests")
+    let data = planted::generate(&PlantedParams::default());
+    Session::from_db(&data.taxonomy, &data.db).expect("planted ingests")
 }
 
 fn config(threads: usize) -> FlipperConfig {
@@ -75,10 +77,8 @@ fn results_bytes_identical_with_tracing_on_and_off() {
 /// configuration over it: every level's batches hold at least
 /// `MIN_SHARD_CANDIDATES` candidates, so counting at `threads` > 1 shards.
 fn quest_basic(threads: usize) -> (Session, FlipperConfig) {
-    let session = Session::open(Generator::Quest(
-        QuestParams::default().with_transactions(1_000).with_seed(7),
-    ))
-    .expect("quest ingests");
+    let data = quest::generate(&QuestParams::default().with_transactions(1_000).with_seed(7));
+    let session = Session::from_db(&data.taxonomy, &data.db).expect("quest ingests");
     let cfg = FlipperConfig {
         min_support: MinSupports::Fractions(vec![0.02, 0.008, 0.004, 0.003]),
         pruning: PruningConfig::BASIC,

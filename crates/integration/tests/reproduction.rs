@@ -18,7 +18,7 @@
 //! in `flipper-measures`. The README's "Reproducing the paper's evaluation"
 //! section prints the same rows as tables from the CLI.
 
-use flipper_api::{FlipperConfig, Generator, MinSupports, QuestParams, Session, SweepRun};
+use flipper_api::{FlipperConfig, MinSupports, QuestParams, Session, SweepRun};
 use flipper_datagen::surrogate::{census, groceries, medline, SurrogateData};
 use flipper_measures::Thresholds;
 
@@ -86,10 +86,8 @@ fn assert_paper_ordering(row: &str, runs: &[SweepRun]) {
 fn fig8_quest_variants_agree_and_prune_in_order() {
     // The QuestParams default seed is the one `flipper generate --kind quest
     // --seed 252820452` uses; N = 5 000 keeps BASIC fast in a debug build.
-    let session = Session::open(Generator::Quest(
-        QuestParams::default().with_transactions(5_000),
-    ))
-    .expect("quest data ingests");
+    let data = flipper_datagen::quest::generate(&QuestParams::default().with_transactions(5_000));
+    let session = Session::from_db(&data.taxonomy, &data.db).expect("quest data ingests");
     // Two of Table 3's support profiles at the default (γ, ε), and the
     // lowest and highest γ of Fig. 8(d) at the default supports.
     const DEFAULT_THETAS: [f64; 4] = [0.01, 0.001, 0.0005, 0.0001];
@@ -142,7 +140,7 @@ fn surrogate_runs(name: &str, d: &SurrogateData) {
         Thresholds::new(d.thresholds.0, d.thresholds.1),
         MinSupports::Fractions(d.min_support.clone()),
     );
-    let session = Session::open(d).expect("surrogate ingests");
+    let session = Session::from_db(&d.taxonomy, &d.db).expect("surrogate ingests");
     let runs = variant_runs(&session, &cfg);
     assert_paper_ordering(name, &runs);
     assert!(!runs[0].result.patterns.is_empty(), "{name}: no flips");

@@ -457,16 +457,20 @@ fn resolve_one(
     }
 }
 
-/// Is this fn a mining/serialization entry point? The set mirrors the
-/// public result path: `Session::mine`, `Sweep::run` (which reaches the
-/// miner with the session's vertical memo), and everything on `JsonWriter`
-/// (the byte-pinned serializer).
+/// Is this fn an ingest/mining/serialization entry point? The set mirrors
+/// the public result path: the three `Session` constructors (ingest reads
+/// outside input), `Session::mine`, `Sweep::run` (which reaches the miner
+/// with the session's vertical memo), and everything on `JsonWriter` (the
+/// byte-pinned serializer).
 fn is_entry_point(f: &FnRef) -> bool {
     if f.item.is_test {
         return false;
     }
     match f.item.impl_type.as_deref() {
-        Some("Session") => f.item.name == "mine",
+        Some("Session") => matches!(
+            f.item.name.as_str(),
+            "mine" | "open_path" | "open_salvage_path" | "from_db"
+        ),
         Some("Sweep") => f.item.name == "run",
         Some("JsonWriter") => true,
         _ => false,

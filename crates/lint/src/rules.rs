@@ -78,8 +78,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "panic-reachability",
         summary: "no un-allowed panic sites in functions transitively reachable from \
-                  Session::mine, Sweep::run or JsonWriter; fix the site \
-                  or allow it as panic-hygiene with a reason",
+                  the Session constructors, Session::mine, Sweep::run or JsonWriter; \
+                  fix the site or allow it as panic-hygiene with a reason",
         allowable: false,
     },
     RuleInfo {

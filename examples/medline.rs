@@ -27,7 +27,7 @@ fn main() -> Result<(), FlipperError> {
         data.taxonomy.height()
     );
 
-    let session = Session::open(&data)?;
+    let session = Session::from_db(&data.taxonomy, &data.db)?;
     let cfg = FlipperConfig::new(
         Thresholds::new(data.thresholds.0, data.thresholds.1),
         MinSupports::Fractions(data.min_support.clone()),

@@ -2,16 +2,17 @@
 //! `flipper-api` session façade.
 //!
 //! Builds the 10-transaction database and 3-level taxonomy from Figure 4 of
-//! the paper, opens a [`Session`] on it (in-memory sources ingest like any
-//! other), and mines with γ = 0.6, ε = 0.35 — recovering the single
+//! the paper, opens a [`Session`] on it with [`Session::from_db`] (which
+//! borrows the database and checks every row against the taxonomy's
+//! leaves), and mines with γ = 0.6, ε = 0.35 — recovering the single
 //! flipping pattern `{a11, b11}` highlighted in Figure 5. The result flows
 //! through a [`TextReport`] sink, exactly as `flipper mine` prints it.
 //!
 //! Run with: `cargo run --example quickstart`
 
 use flipper_api::{
-    Dataset, FlipperConfig, FlipperError, MinSupports, PruningConfig, ResultSink, Session,
-    TextReport, Thresholds,
+    FlipperConfig, FlipperError, MinSupports, PruningConfig, ResultSink, Session, TextReport,
+    Thresholds,
 };
 use flipper_data::TransactionDb;
 use flipper_taxonomy::Taxonomy;
@@ -52,7 +53,7 @@ fn main() -> Result<(), FlipperError> {
     ])?;
 
     // Ingest once; the session caches the multi-level projection.
-    let session = Session::open(Dataset { taxonomy: tax, db })?;
+    let session = Session::from_db(&tax, &db)?;
 
     // Example 3 of the paper: γ = 0.6, ε = 0.35, minimum support 1 count.
     let cfg = FlipperConfig::new(Thresholds::new(0.6, 0.35), MinSupports::Counts(vec![1]))

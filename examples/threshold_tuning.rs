@@ -17,7 +17,7 @@ use flipper_datagen::surrogate::groceries;
 fn main() -> Result<(), FlipperError> {
     let data = groceries(42);
     // Ingest once; every sweep point below reuses this projection.
-    let session = Session::open(&data)?;
+    let session = Session::from_db(&data.taxonomy, &data.db)?;
 
     let gamma = 0.15;
     let base = FlipperConfig {

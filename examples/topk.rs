@@ -13,7 +13,7 @@ fn main() -> Result<(), FlipperError> {
     let data = census(42);
     println!("CENSUS surrogate: {} records", data.db.len());
 
-    let session = Session::open(&data)?;
+    let session = Session::from_db(&data.taxonomy, &data.db)?;
 
     // No (γ, ε) supplied: the search relaxes thresholds along the paper's
     // tuning recipe until k patterns emerge.
