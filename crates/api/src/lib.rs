@@ -10,10 +10,9 @@
 //!   ([`Session::open_salvage_path`]), or on an in-memory database over a
 //!   taxonomy's leaves ([`Session::from_db`]).
 //! * **Sessions** ([`Session`]): ingest a dataset *once* into a cached
-//!   [`MultiLevelView`](flipper_data::MultiLevelView), then run any number
-//!   of [`FlipperConfig`]s against it — each result bit-identical to the
-//!   single-shot [`flipper_core::mine`] / [`flipper_core::mine_with_view`]
-//!   paths.
+//!   [`MultiLevelView`], then run any number of [`FlipperConfig`]s against
+//!   it through [`flipper_core::mine_with_view`], the one mining call —
+//!   each result bit-identical to a run on a fresh session.
 //! * **Sweeps** ([`Sweep`]): γ/ε grids and pruning-variant comparisons as
 //!   first-class labeled run sets, mined one after another so each point
 //!   replays the vertical enumerations of the points before it.
@@ -75,7 +74,7 @@ pub use flipper_core::{
     PruningConfig, RunStats,
 };
 pub use flipper_data::format::Dataset;
-pub use flipper_data::{stats, CacheStats};
+pub use flipper_data::{stats, CacheStats, MultiLevelView};
 pub use flipper_datagen::planted::PlantedParams;
 pub use flipper_datagen::quest::QuestParams;
 pub use flipper_guard::{CancelToken, GuardError};

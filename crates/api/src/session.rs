@@ -4,7 +4,7 @@ use crate::error::FlipperError;
 use crate::io::FileFormat;
 use crate::sweep::Sweep;
 use flipper_core::topk::{top_k_with_view, TopKConfig, TopKResult};
-use flipper_core::{mine_with_view, FlipperConfig, MineOptions, MiningResult};
+use flipper_core::{mine_with_view, FlipperConfig, MiningResult};
 use flipper_data::format::read_dataset;
 use flipper_data::{CacheStats, MultiLevelView, TransactionDb, VerticalMemo};
 use flipper_guard::CancelToken;
@@ -16,9 +16,9 @@ use flipper_taxonomy::Taxonomy;
 /// Opening a session pays the ingestion cost — parsing or streaming the
 /// source and projecting it to every abstraction level — exactly once; the
 /// cached [`MultiLevelView`] then serves any number of [`mine`](Session::mine)
-/// calls with different configurations. Results are bit-identical to the
-/// single-shot [`flipper_core::mine`] / [`flipper_core::mine_with_view`]
-/// paths: `mine` is a thin delegation over the same view type. Every
+/// calls with different configurations, each a thin delegation to
+/// [`flipper_core::mine_with_view`], the one mining call. Results are
+/// bit-identical to a run on a fresh session, whatever ran before. Every
 /// mining call — `mine`, [`mine_guarded`](Session::mine_guarded),
 /// [`top_k`](Session::top_k), a [`Sweep`] — reads and records the
 /// session's memo of vertical enumerations, so a later call replays the
@@ -84,7 +84,7 @@ impl Session {
     /// the taxonomy's height (the error names the transaction and the item).
     pub fn from_db(taxonomy: &Taxonomy, db: &TransactionDb) -> Result<Session, FlipperError> {
         let _span = flipper_obs::span("session.ingest");
-        let view = MultiLevelView::try_build(db, taxonomy)?;
+        let view = MultiLevelView::build(db, taxonomy)?;
         let origin = format!(
             "in-memory dataset ({} transactions, {} nodes)",
             db.len(),
@@ -105,7 +105,7 @@ impl Session {
             FileFormat::Fbin => stream_view(FbinReader::new(reader)?)?,
             FileFormat::Text => {
                 let ds = read_dataset(reader)?;
-                let view = MultiLevelView::try_build(&ds.db, &ds.taxonomy)?;
+                let view = MultiLevelView::build(&ds.db, &ds.taxonomy)?;
                 (ds.taxonomy, view)
             }
         };
@@ -207,9 +207,8 @@ impl Session {
         token: Option<&CancelToken>,
     ) -> Result<MiningResult, FlipperError> {
         cfg.validate()?;
-        let memo = Some(&self.memo);
-        let opts = MineOptions { memo, token };
-        Ok(mine_with_view(&self.taxonomy, &self.view, cfg, opts)?)
+        let run = mine_with_view(&self.taxonomy, &self.view, cfg, &self.memo, token);
+        Ok(run?)
     }
 
     /// Stats of the session's reuse state, the memo of vertical
@@ -260,7 +259,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flipper_core::{mine, MinSupports};
+    use flipper_core::MinSupports;
     use flipper_datagen::planted::PlantedParams;
 
     fn planted_session() -> (flipper_datagen::planted::PlantedData, Session) {
@@ -289,7 +288,7 @@ mod tests {
         assert_eq!(session.taxonomy(), &data.taxonomy);
         assert_eq!(
             session.view(),
-            &MultiLevelView::build(&data.db, &data.taxonomy)
+            &MultiLevelView::build(&data.db, &data.taxonomy).unwrap()
         );
         assert!(session.origin().contains("in-memory"));
     }
@@ -322,9 +321,23 @@ mod tests {
         let (data, session) = planted_session();
         let cfg = counts_cfg();
         let via_session = session.mine(&cfg).unwrap();
-        let via_mine = mine(&data.taxonomy, &data.db, &cfg);
-        let via_view =
-            mine_with_view(&data.taxonomy, session.view(), &cfg, MineOptions::default()).unwrap();
+        let fresh_view = MultiLevelView::build(&data.db, &data.taxonomy).unwrap();
+        let via_mine = mine_with_view(
+            &data.taxonomy,
+            &fresh_view,
+            &cfg,
+            &VerticalMemo::new(),
+            None,
+        )
+        .unwrap();
+        let via_view = mine_with_view(
+            &data.taxonomy,
+            session.view(),
+            &cfg,
+            &VerticalMemo::new(),
+            None,
+        )
+        .unwrap();
         assert_eq!(via_session.patterns, via_mine.patterns);
         assert_eq!(via_session.patterns, via_view.patterns);
         assert_eq!(via_session.cells, via_mine.cells);
@@ -414,8 +427,8 @@ mod tests {
     }
 
     /// `Session::top_k` probes over the session memo: its later probes
-    /// replay the first one's enumerations, and it finds what the
-    /// single-shot search does.
+    /// replay the first one's enumerations, and it finds what
+    /// `top_k_with_view` over a fresh view and memo does.
     #[test]
     fn top_k_replays_across_its_probes() {
         let (data, session) = planted_session();
@@ -430,7 +443,9 @@ mod tests {
             session.support_cache_stats().seed_hits > 0,
             "later probes replay the first one's enumerations"
         );
-        let single_shot = flipper_core::topk::top_k(&data.taxonomy, &data.db, &cfg);
+        let fresh_view = MultiLevelView::build(&data.db, &data.taxonomy).unwrap();
+        let single_shot =
+            top_k_with_view(&data.taxonomy, &fresh_view, &cfg, &VerticalMemo::new()).unwrap();
         assert_eq!(via_session.patterns, single_shot.patterns);
         assert_eq!(via_session.thresholds, single_shot.thresholds);
         assert_eq!(via_session.runs, single_shot.runs);

@@ -82,7 +82,7 @@ mod tests {
     fn path_source_sniffs_magic_bytes() {
         let dir = temp_dir("sniff");
         let ds = toy();
-        let reference = MultiLevelView::build(&ds.db, &ds.taxonomy);
+        let reference = MultiLevelView::build(&ds.db, &ds.taxonomy).unwrap();
 
         let text_path = dir.join("toy.txt");
         write_path(&text_path, &ds, FileFormat::Text).unwrap();

@@ -799,6 +799,7 @@ fn cmd_topk(flags: &Flags, out: &mut dyn Write) -> Result<(), FlipperError> {
 
 fn cmd_stats(flags: &Flags, out: &mut dyn Write) -> Result<(), FlipperError> {
     let ds = load_path(input_path(flags)?)?;
+    let view = flipper_api::MultiLevelView::build(&ds.db, &ds.taxonomy)?;
     writeln!(
         out,
         "{}",
@@ -812,7 +813,7 @@ fn cmd_stats(flags: &Flags, out: &mut dyn Write) -> Result<(), FlipperError> {
         ds.taxonomy.height()
     )
     .map_err(stdout_err)?;
-    for ls in flipper_api::stats::level_stats(&ds.db, &ds.taxonomy) {
+    for ls in flipper_api::stats::level_stats(&view) {
         writeln!(
             out,
             "  level {}: {} nodes, mean rel support {:.5}, max {:.5}",

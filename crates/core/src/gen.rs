@@ -280,8 +280,8 @@ pub(crate) struct VerticalLevel<'a, 'v> {
     pub(crate) h: usize,
     /// Absolute minimum support at level `h`.
     pub(crate) theta: u64,
-    /// Memo of earlier enumerations at this view: the session's, or the
-    /// run's own.
+    /// Memo of earlier enumerations at this view, the one the caller of
+    /// [`crate::mine_with_view`] passed.
     pub(crate) memo: &'a VerticalMemo,
     /// Parent sets answered from `memo`.
     pub(crate) replayed: u64,
@@ -681,7 +681,7 @@ mod tests {
             })
             .collect();
         let db = TransactionDb::new(rows).unwrap();
-        let view = MultiLevelView::build(&db, &tax);
+        let view = MultiLevelView::build(&db, &tax).unwrap();
         let mut top_cat = vec![NodeId::ROOT; tax.node_count()];
         for node in tax.node_ids().skip(1) {
             top_cat[node.index()] = tax.ancestor_at_level(node, 1).unwrap();
@@ -801,7 +801,7 @@ mod tests {
             })
             .collect();
         let db = TransactionDb::new(rows).unwrap();
-        let view = MultiLevelView::build(&db, &tax);
+        let view = MultiLevelView::build(&db, &tax).unwrap();
         let top_cat: Vec<NodeId> = tax
             .node_ids()
             .map(|x| tax.ancestor_at_level(x, 1).unwrap_or(x))
@@ -955,7 +955,7 @@ mod tests {
             })
             .collect();
         let db = TransactionDb::new(rows).unwrap();
-        let view = MultiLevelView::build(&db, &tax);
+        let view = MultiLevelView::build(&db, &tax).unwrap();
         let (h, theta) = (3, 2);
         let alive = |alive: bool| ItemsetInfo {
             chain_alive: alive,
@@ -1048,7 +1048,7 @@ mod tests {
         let mut rows = vec![kids.clone()];
         rows.extend((0..6).map(|i| vec![kids[i % 2], kids[2 + i % 2]]));
         let db = TransactionDb::new(rows).unwrap();
-        let view = MultiLevelView::build(&db, &tax);
+        let view = MultiLevelView::build(&db, &tax).unwrap();
         let top_cat: Vec<NodeId> = tax
             .node_ids()
             .map(|x| tax.ancestor_at_level(x, 1).unwrap_or(x))
@@ -1090,7 +1090,7 @@ mod tests {
         let mut rows = vec![vec![a1, b1, c1]; 3];
         rows.extend([vec![a2, b2], vec![c2], vec![a1, b2, c2]]);
         let db = TransactionDb::new(rows).unwrap();
-        let view = MultiLevelView::build(&db, &tax);
+        let view = MultiLevelView::build(&db, &tax).unwrap();
         let top_cat: Vec<NodeId> = tax
             .node_ids()
             .map(|x| tax.ancestor_at_level(x, 1).unwrap_or(x))

@@ -19,11 +19,19 @@
 //! 4. [`PruningConfig::FULL`] — plus single-item-based pruning
 //!    (Theorem 2 / Corollary 2).
 //!
+//! [`mine_with_view`] is the one mining call. It takes the database
+//! projected through the taxonomy to every level (a
+//! [`MultiLevelView`](flipper_data::MultiLevelView)), the
+//! [`VerticalMemo`](flipper_data::VerticalMemo) the run reads and records,
+//! and an optional [`CancelToken`](flipper_guard::CancelToken).
+//! [`topk::top_k_with_view`] searches thresholds through it. Applications mine through
+//! `flipper_api::Session`, which owns the view and the memo.
+//!
 //! ```
-//! use flipper_core::{mine, FlipperConfig, MinSupports};
+//! use flipper_core::{mine_with_view, FlipperConfig, MinSupports};
 //! use flipper_measures::Thresholds;
 //! use flipper_taxonomy::Taxonomy;
-//! use flipper_data::TransactionDb;
+//! use flipper_data::{MultiLevelView, TransactionDb, VerticalMemo};
 //!
 //! // Two categories, two leaves each.
 //! let tax = Taxonomy::from_edges(
@@ -38,11 +46,14 @@
 //!     vec![g("cheese")], vec![g("milk")],
 //! ]).unwrap();
 //!
+//! // A row holding a non-leaf item is a typed error, not a panic.
+//! let view = MultiLevelView::build(&db, &tax)?;
 //! let cfg = FlipperConfig::new(Thresholds::new(0.9, 0.4), MinSupports::Counts(vec![1]));
-//! let result = mine(&tax, &db, &cfg);
+//! let result = mine_with_view(&tax, &view, &cfg, &VerticalMemo::new(), None)?;
 //! for p in &result.patterns {
 //!     println!("{}", p.display(&tax));
 //! }
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 mod cell;
@@ -57,6 +68,6 @@ pub mod topk;
 pub mod verify;
 
 pub use config::{ConfigError, FlipperConfig, MinSupports, PruningConfig};
-pub use miner::{mine, mine_with_view, MineOptions};
+pub use miner::mine_with_view;
 pub use results::{CellSummary, ChainError, ChainLevel, FlippingPattern, MiningResult};
 pub use stats::RunStats;

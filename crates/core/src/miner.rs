@@ -54,8 +54,8 @@
 //! in place: with `cfg.threads != 1` each cell's batch is chunked over
 //! scoped worker threads at prefix-group boundaries. Evaluation merges the
 //! two ascending tables into the cell, which is sized for them up front.
-//! Every run reads and records a [`VerticalMemo`]: the session's
-//! ([`MineOptions::memo`]) or a fresh one of its own. A vertical pass
+//! Every run reads and records the [`VerticalMemo`] its caller passes to
+//! [`mine_with_view`] (a session passes its own). A vertical pass
 //! selects, in one pass over the memo's ascending table, the combinations
 //! of every alive parent set an earlier run recorded, enumerates only the
 //! others, and records those. Results are bit-identical at every thread
@@ -73,64 +73,30 @@ use crate::config::FlipperConfig;
 use crate::gen::{self, Batch, GenCtx, Generated, VerticalLevel};
 use crate::results::{CellSummary, ChainLevel, FlippingPattern, MiningResult};
 use crate::stats::{RunStats, Stopwatch};
-use flipper_data::{
-    BitsetCounter, Itemset, ItemsetRows, MultiLevelView, TransactionDb, VerticalMemo,
-};
+use flipper_data::{BitsetCounter, Itemset, ItemsetRows, MultiLevelView, VerticalMemo};
 use flipper_guard::{CancelToken, GuardError};
 use flipper_measures::{CorrelationMeasure, Label, Thresholds};
 use flipper_taxonomy::{NodeId, Taxonomy};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Mine all flipping patterns from `db` under `tax` with configuration
-/// `cfg`. Convenience wrapper that builds the multi-level view internally
-/// and mines it with a memo of its own and no token; use
-/// [`mine_with_view`] to amortize the projection across runs, share a
-/// memo, or bound the run.
+/// Mine all flipping patterns from the database projected in `view` under
+/// `tax` with configuration `cfg`.
 ///
-/// # Panics
-/// Re-raises, with its message, any panic inside the run.
-pub fn mine(tax: &Taxonomy, db: &TransactionDb, cfg: &FlipperConfig) -> MiningResult {
-    let view = MultiLevelView::build(db, tax);
-    unguarded(mine_with_view(tax, &view, cfg, MineOptions::default()))
-}
-
-/// The result of a run that had no [`CancelToken`]: such a run can only
-/// fail by panicking, and the trapped panic is raised again with its
-/// message.
-pub(crate) fn unguarded<T>(run: Result<T, GuardError>) -> T {
-    match run {
-        Ok(value) => value,
-        Err(GuardError::Panicked { message, .. }) => std::panic::resume_unwind(Box::new(message)),
-        Err(_) => unreachable!("a run without a token cannot be interrupted"),
-    }
-}
-
-/// The optional session state a [`mine_with_view`] run borrows. The
-/// default borrows nothing: an unbounded run with a memo of its own.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MineOptions<'a> {
-    /// Share the vertical enumerations earlier runs over the **same view**
-    /// recorded in this memo; `None` gives the run a fresh memo of its own,
-    /// dropped when it ends. Every chain-alive parent set whose
-    /// enumeration is in the memo is selected from it instead of
-    /// re-intersecting its children's transactions, and its supports are
-    /// charged to [`RunStats::seeded_supports`]; the rest are enumerated
-    /// and recorded. An enumeration is a fact about the data, `h` and θ_h
-    /// alone (the last two key it) — independent of γ, ε, pruning, or
-    /// thread count — so replaying it is sound and the mined patterns,
-    /// labels, and `flipper-results/v1` bytes are identical at every memo
-    /// state. Entries are complete when recorded, so a run that panics
-    /// part-way leaves the memo valid.
-    pub memo: Option<&'a VerticalMemo>,
-    /// Check this token at every cell boundary, so a cancel or deadline
-    /// interrupts the run within one cell's worth of counting and surfaces
-    /// as [`GuardError::Cancelled`] / [`GuardError::TimedOut`]. The token
-    /// influences *whether* the run finishes, never *what* it computes.
-    pub token: Option<&'a CancelToken>,
-}
-
-/// Mine all flipping patterns using a prebuilt [`MultiLevelView`], with the
-/// memo and token in `opts`.
+/// The run reads and records `memo`: every chain-alive parent set whose
+/// vertical enumeration an earlier run over the **same view** recorded is
+/// selected from it instead of re-intersecting its children's
+/// transactions, and its supports are charged to
+/// [`RunStats::seeded_supports`]; the rest are enumerated and recorded. An
+/// enumeration is a fact about the data, `h` and θ_h alone (the last two
+/// key it) — independent of γ, ε, pruning, or thread count — so the mined
+/// patterns, labels, and `flipper-results/v1` bytes are identical at every
+/// memo state. Entries are complete when recorded, so a run that panics
+/// part-way leaves the memo valid.
+///
+/// With a `token`, the run checks it at every cell boundary, so a cancel or
+/// deadline interrupts it within one cell's worth of counting and surfaces
+/// as [`GuardError::Cancelled`] / [`GuardError::TimedOut`]. The token
+/// influences *whether* the run finishes, never *what* it computes.
 ///
 /// The whole run executes under [`flipper_guard::trap`]: a panic anywhere
 /// inside it — including one rethrown from a counting worker — returns as
@@ -140,9 +106,10 @@ pub fn mine_with_view(
     tax: &Taxonomy,
     view: &MultiLevelView,
     cfg: &FlipperConfig,
-    opts: MineOptions<'_>,
+    memo: &VerticalMemo,
+    token: Option<&CancelToken>,
 ) -> Result<MiningResult, GuardError> {
-    flipper_guard::trap("mine", || Miner::new(tax, view, cfg, opts).run()).and_then(|r| r)
+    flipper_guard::trap("mine", || Miner::new(tax, view, cfg, memo, token).run()).and_then(|r| r)
 }
 
 /// Merge two ascending `(row, support)` streams with no row in common into
@@ -188,12 +155,11 @@ struct Miner<'a> {
     /// Resolved worker-thread count for sharded counting (1 = sequential).
     threads: usize,
     counter: BitsetCounter<'a>,
-    /// The run's memo and token; the token is checked at cell boundaries
-    /// only, so the live fast path stays off the per-candidate hot loops.
-    opts: MineOptions<'a>,
-    /// The memo the vertical passes read and record when `opts` brings
-    /// none; dropped with the run.
-    own_memo: VerticalMemo,
+    /// The memo the vertical passes read and record.
+    memo: &'a VerticalMemo,
+    /// Checked at cell boundaries only, so the live fast path stays off the
+    /// per-candidate hot loops.
+    token: Option<&'a CancelToken>,
     /// Per-level absolute minimum supports (index `h-1`).
     thetas: Vec<u64>,
     /// Level-1 ancestor of every node (index = node id).
@@ -210,7 +176,8 @@ impl<'a> Miner<'a> {
         tax: &'a Taxonomy,
         view: &'a MultiLevelView,
         cfg: &'a FlipperConfig,
-        opts: MineOptions<'a>,
+        memo: &'a VerticalMemo,
+        token: Option<&'a CancelToken>,
     ) -> Self {
         assert_eq!(
             view.height(),
@@ -269,8 +236,8 @@ impl<'a> Miner<'a> {
             cfg,
             threads: flipper_data::exec::effective_threads(cfg.threads),
             counter,
-            opts,
-            own_memo: VerticalMemo::new(),
+            memo,
+            token,
             thetas,
             top_cat,
             rows,
@@ -343,8 +310,7 @@ impl<'a> Miner<'a> {
             .then(|| self.rows[h - 2].cells.get(&k))
             .flatten();
         let vertical = above.map(|above| {
-            let memo = self.opts.memo.unwrap_or(&self.own_memo);
-            let mut level = VerticalLevel::new(&mut self.counter, h, self.thetas[h - 1], memo);
+            let mut level = VerticalLevel::new(&mut self.counter, h, self.thetas[h - 1], self.memo);
             let g = gen::vertical(&ctx, &mut level, above, here.cells.get(&(k - 1)), k);
             self.stats.seeded_supports += level.replayed_supports;
             span.add_arg("memo_hits", level.replayed);
@@ -560,7 +526,7 @@ impl<'a> Miner<'a> {
     /// attached, one relaxed atomic load otherwise.
     #[inline]
     fn check_interrupt(&self) -> Result<(), GuardError> {
-        match self.opts.token {
+        match self.token {
             Some(token) => token.check(),
             None => Ok(()),
         }
@@ -720,10 +686,23 @@ impl<'a> Miner<'a> {
     }
 }
 
+/// Mine `db` under `tax` over a fresh memo and without a token — the one
+/// mining call as the unit tests drive it.
+#[cfg(test)]
+pub(crate) fn mine(
+    tax: &Taxonomy,
+    db: &flipper_data::TransactionDb,
+    cfg: &FlipperConfig,
+) -> MiningResult {
+    let view = MultiLevelView::build(db, tax).unwrap();
+    mine_with_view(tax, &view, cfg, &VerticalMemo::new(), None).unwrap()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{MinSupports, PruningConfig};
+    use flipper_data::TransactionDb;
 
     /// The paper's Fig. 4 toy dataset.
     pub(crate) fn toy() -> (Taxonomy, TransactionDb) {
@@ -761,34 +740,21 @@ mod tests {
         (tax, db)
     }
 
-    fn guarded_by(token: &CancelToken) -> MineOptions<'_> {
-        MineOptions {
-            token: Some(token),
-            memo: None,
-        }
-    }
-
-    fn seeded_by(memo: &VerticalMemo) -> MineOptions<'_> {
-        MineOptions {
-            memo: Some(memo),
-            token: None,
-        }
-    }
-
     fn toy_config(pruning: PruningConfig) -> FlipperConfig {
         FlipperConfig::new(Thresholds::new(0.6, 0.35), MinSupports::Counts(vec![1]))
             .with_pruning(pruning)
     }
 
     #[test]
-    fn guarded_run_with_a_live_token_matches_unguarded() {
+    fn guarded_run_with_a_live_token_matches_a_plain_run() {
         let (tax, db) = toy();
-        let view = MultiLevelView::build(&db, &tax);
+        let view = MultiLevelView::build(&db, &tax).unwrap();
         for pruning in PruningConfig::VARIANTS {
             let cfg = toy_config(pruning);
-            let plain = mine_with_view(&tax, &view, &cfg, MineOptions::default()).unwrap();
+            let plain = mine_with_view(&tax, &view, &cfg, &VerticalMemo::new(), None).unwrap();
             let token = CancelToken::new();
-            let guarded = mine_with_view(&tax, &view, &cfg, guarded_by(&token)).unwrap();
+            let guarded =
+                mine_with_view(&tax, &view, &cfg, &VerticalMemo::new(), Some(&token)).unwrap();
             assert_eq!(plain.patterns, guarded.patterns, "{}", pruning.name());
             assert_eq!(plain.cells, guarded.cells, "{}", pruning.name());
         }
@@ -797,19 +763,19 @@ mod tests {
     #[test]
     fn cancelled_token_interrupts_at_a_cell_boundary() {
         let (tax, db) = toy();
-        let view = MultiLevelView::build(&db, &tax);
+        let view = MultiLevelView::build(&db, &tax).unwrap();
         let cfg = toy_config(PruningConfig::FULL);
         // Pre-cancelled: the very first boundary check trips.
         let token = CancelToken::new();
         token.cancel();
         assert_eq!(
-            mine_with_view(&tax, &view, &cfg, guarded_by(&token)).unwrap_err(),
+            mine_with_view(&tax, &view, &cfg, &VerticalMemo::new(), Some(&token)).unwrap_err(),
             GuardError::Cancelled
         );
         // Deterministic mid-run interruption: cancel on the 2nd check.
         let token = CancelToken::cancel_after(2);
         assert_eq!(
-            mine_with_view(&tax, &view, &cfg, guarded_by(&token)).unwrap_err(),
+            mine_with_view(&tax, &view, &cfg, &VerticalMemo::new(), Some(&token)).unwrap_err(),
             GuardError::Cancelled
         );
     }
@@ -817,11 +783,11 @@ mod tests {
     #[test]
     fn expired_deadline_surfaces_as_timeout() {
         let (tax, db) = toy();
-        let view = MultiLevelView::build(&db, &tax);
+        let view = MultiLevelView::build(&db, &tax).unwrap();
         let cfg = toy_config(PruningConfig::FULL);
         let token = CancelToken::with_timeout(std::time::Duration::ZERO);
         assert_eq!(
-            mine_with_view(&tax, &view, &cfg, guarded_by(&token)).unwrap_err(),
+            mine_with_view(&tax, &view, &cfg, &VerticalMemo::new(), Some(&token)).unwrap_err(),
             GuardError::TimedOut
         );
     }
@@ -959,15 +925,15 @@ mod tests {
     #[test]
     fn warm_memo_matches_cold_and_skips_counting() {
         let (tax, db) = toy();
-        let view = MultiLevelView::build(&db, &tax);
+        let view = MultiLevelView::build(&db, &tax).unwrap();
         let cfg = toy_config(PruningConfig::FULL);
-        // No memo given: the run mines over a fresh one of its own.
-        let plain = mine_with_view(&tax, &view, &cfg, MineOptions::default()).unwrap();
+        // A run over a fresh memo, dropped when it ends.
+        let plain = mine_with_view(&tax, &view, &cfg, &VerticalMemo::new(), None).unwrap();
 
-        // A cold shared memo enumerates like the run's own, and keeps what
-        // it recorded.
+        // A cold memo the caller keeps enumerates like a fresh one, and
+        // keeps what it recorded.
         let memo = VerticalMemo::new();
-        let cold = mine_with_view(&tax, &view, &cfg, seeded_by(&memo)).unwrap();
+        let cold = mine_with_view(&tax, &view, &cfg, &memo, None).unwrap();
         assert_eq!(cold.patterns, plain.patterns);
         assert_eq!(cold.cells, plain.cells);
         assert_eq!(cold.stats.seeded_supports, 0, "a cold memo replays nothing");
@@ -977,7 +943,7 @@ mod tests {
 
         // A warm memo replays every enumeration: same results, supports
         // answered without counting, fewer intersections.
-        let replayed = mine_with_view(&tax, &view, &cfg, seeded_by(&memo)).unwrap();
+        let replayed = mine_with_view(&tax, &view, &cfg, &memo, None).unwrap();
         assert_eq!(replayed.patterns, plain.patterns);
         assert_eq!(replayed.cells, plain.cells);
         assert_eq!(memo.stats().seed_hits, memo.stats().entries);
@@ -987,17 +953,18 @@ mod tests {
         );
         assert!(replayed.stats.counter.intersections < cold.stats.counter.intersections);
 
-        // A guarded run over its own memo shares the replayed run's results.
+        // A guarded run over a fresh memo shares the replayed run's results.
         let token = CancelToken::new();
-        let guarded = mine_with_view(&tax, &view, &cfg, guarded_by(&token)).unwrap();
+        let guarded =
+            mine_with_view(&tax, &view, &cfg, &VerticalMemo::new(), Some(&token)).unwrap();
         assert_eq!(guarded.patterns, replayed.patterns);
 
         // A memo recorded under a *different* config still yields identical
         // results: enumerations are config-independent data facts, and θ
         // keys them.
         let alt = FlipperConfig::new(Thresholds::new(0.8, 0.1), MinSupports::Counts(vec![1]));
-        let alt_cold = mine_with_view(&tax, &view, &alt, MineOptions::default()).unwrap();
-        let alt_warm = mine_with_view(&tax, &view, &alt, seeded_by(&memo)).unwrap();
+        let alt_cold = mine_with_view(&tax, &view, &alt, &VerticalMemo::new(), None).unwrap();
+        let alt_warm = mine_with_view(&tax, &view, &alt, &memo, None).unwrap();
         assert_eq!(alt_warm.patterns, alt_cold.patterns);
         assert_eq!(alt_warm.cells, alt_cold.cells);
     }

@@ -71,7 +71,7 @@ pub struct RunStats {
     /// less).
     pub total_stored_itemsets: u64,
     /// Supports replayed from the run's vertical memo instead of being
-    /// enumerated ([`crate::MineOptions::memo`]): one per combination
+    /// enumerated ([`crate::mine_with_view`]'s `memo`): one per combination
     /// of every replayed parent set. `0` on a run over a fresh memo and on
     /// a run whose memo held nothing it could use. Excluded from serialized
     /// results: replaying never changes them, only how much they cost.

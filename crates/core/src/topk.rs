@@ -9,9 +9,9 @@
 //! least `k` patterns exist, and the best `k` by flip gap are returned.
 
 use crate::config::FlipperConfig;
-use crate::miner::{mine_with_view, unguarded, MineOptions};
+use crate::miner::mine_with_view;
 use crate::results::FlippingPattern;
-use flipper_data::{MultiLevelView, TransactionDb, VerticalMemo};
+use flipper_data::{MultiLevelView, VerticalMemo};
 use flipper_guard::GuardError;
 use flipper_measures::Thresholds;
 use flipper_taxonomy::Taxonomy;
@@ -48,7 +48,7 @@ impl Default for TopKConfig {
 
 /// A rejected [`TopKConfig`] search knob, reported by
 /// [`TopKConfig::validate`]. The single source of truth for the search
-/// invariants: the panicking entry points assert through it, and fallible
+/// invariants: [`top_k_with_view`] asserts through it, and fallible
 /// frontends surface it as a typed error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SearchConfigError {
@@ -84,9 +84,9 @@ impl std::error::Error for SearchConfigError {}
 
 impl TopKConfig {
     /// Check the search-knob invariants (the base mining configuration has
-    /// its own [`FlipperConfig::validate`]). [`top_k`] /
-    /// [`top_k_with_view`] assert these on entry; fallible callers check
-    /// here first to get a typed error instead of a panic.
+    /// its own [`FlipperConfig::validate`]). [`top_k_with_view`] asserts
+    /// these on entry; fallible callers check here first to get a typed
+    /// error instead of a panic.
     pub fn validate(&self) -> Result<(), SearchConfigError> {
         if self.k == 0 {
             return Err(SearchConfigError::ZeroK);
@@ -117,7 +117,8 @@ pub struct TopKResult {
     pub runs: usize,
 }
 
-/// Find the top-K most-flipping patterns without a user-supplied `(γ, ε)`.
+/// Find the top-K most-flipping patterns over a prebuilt
+/// [`MultiLevelView`] without a user-supplied `(γ, ε)`.
 ///
 /// Strategy (mirroring the paper's recipe): for γ from `gamma_start`
 /// downwards, sweep ε from just below γ *downwards* is what a user would do
@@ -129,36 +130,25 @@ pub struct TopKResult {
 /// Patterns found at stricter thresholds have larger guaranteed gaps
 /// (`corr ≥ γ` on positive levels, `corr ≤ ε` on negative ones), so the
 /// first γ that yields ≥ k patterns gives the best-separated top-K.
-pub fn top_k(tax: &Taxonomy, db: &TransactionDb, cfg: &TopKConfig) -> TopKResult {
-    // Fail fast on a bad config before paying for the projection.
-    assert_search_knobs(cfg);
-    let view = MultiLevelView::build(db, tax);
-    unguarded(top_k_with_view(tax, &view, cfg, &VerticalMemo::new()))
-}
-
-/// The search-knob invariants both entry points enforce up front.
-fn assert_search_knobs(cfg: &TopKConfig) {
-    if let Err(e) = cfg.validate() {
-        // lint:allow(panic-hygiene) documented panicking entry point; fallible callers use validate()
-        panic!("{e}");
-    }
-}
-
-/// [`top_k`] over a prebuilt [`MultiLevelView`] — the projection is the
-/// expensive part, so sessions that cache the view (or built it by
-/// streaming, without ever materializing the database) search through this
-/// entry point. Each probe is one [`mine_with_view`] run over `memo`, so a
-/// panic inside one returns as [`GuardError::Panicked`]. The probes differ
-/// only in γ and ε, so every probe after the first replays the vertical
-/// enumerations the first recorded.
+///
+/// Each probe is one [`mine_with_view`] run over `memo`, so a panic inside
+/// one returns as [`GuardError::Panicked`]. The probes differ only in γ and
+/// ε, so every probe after the first replays the vertical enumerations the
+/// first recorded.
+///
+/// # Panics
+/// Panics with the [`SearchConfigError`] message if `cfg` fails
+/// [`TopKConfig::validate`].
 pub fn top_k_with_view(
     tax: &Taxonomy,
     view: &MultiLevelView,
     cfg: &TopKConfig,
     memo: &VerticalMemo,
 ) -> Result<TopKResult, GuardError> {
-    assert_search_knobs(cfg);
-    let memo = Some(memo);
+    if let Err(e) = cfg.validate() {
+        // lint:allow(panic-hygiene) documented panicking entry point; fallible callers use validate()
+        panic!("{e}");
+    }
     let mut runs = 0;
     let mut best: Option<TopKResult> = None;
 
@@ -170,7 +160,7 @@ pub fn top_k_with_view(
         let thresholds = Thresholds::new(gamma, epsilon);
         let mut mining_cfg = cfg.base.clone();
         mining_cfg.thresholds = thresholds;
-        let result = mine_with_view(tax, view, &mining_cfg, MineOptions { memo, token: None })?;
+        let result = mine_with_view(tax, view, &mining_cfg, memo, None)?;
         runs += 1;
 
         let mut patterns = result.patterns;
@@ -210,6 +200,12 @@ mod tests {
     use crate::config::MinSupports;
     use flipper_datagen::planted::{self, PlantedParams};
 
+    /// The search over a fresh view and memo of `d`.
+    fn top_k(d: &planted::PlantedData, cfg: &TopKConfig) -> TopKResult {
+        let view = MultiLevelView::build(&d.db, &d.taxonomy).unwrap();
+        top_k_with_view(&d.taxonomy, &view, cfg, &VerticalMemo::new()).unwrap()
+    }
+
     fn planted_base() -> FlipperConfig {
         FlipperConfig {
             min_support: MinSupports::Counts(vec![5]),
@@ -228,7 +224,7 @@ mod tests {
             base: planted_base(),
             ..Default::default()
         };
-        let r = top_k(&d.taxonomy, &d.db, &cfg);
+        let r = top_k(&d, &cfg);
         assert_eq!(r.patterns.len(), 2, "both planted pairs surface");
         let mut found: Vec<_> = r
             .patterns
@@ -255,7 +251,7 @@ mod tests {
             base: planted_base(),
             ..Default::default()
         };
-        let r = top_k(&d.taxonomy, &d.db, &cfg);
+        let r = top_k(&d, &cfg);
         assert_eq!(r.patterns.len(), 1);
         // Both planted patterns have identical construction, so the winner
         // must carry the maximal gap among all patterns at the final γ.
@@ -271,7 +267,7 @@ mod tests {
             base: planted_base(),
             ..Default::default()
         };
-        let r = top_k(&d.taxonomy, &d.db, &cfg);
+        let r = top_k(&d, &cfg);
         for w in r.patterns.windows(2) {
             assert!(w[0].flip_gap() >= w[1].flip_gap() - 1e-12);
         }
@@ -294,7 +290,7 @@ mod tests {
             base: planted_base(),
             ..Default::default()
         };
-        let r = top_k(&d.taxonomy, &d.db, &cfg);
+        let r = top_k(&d, &cfg);
         assert!(r.patterns.len() < 50);
         assert!(r.runs > 1, "search explored multiple gammas");
     }
@@ -355,7 +351,7 @@ mod tests {
             base: planted_base(),
             ..Default::default()
         };
-        let _ = top_k(&d.taxonomy, &d.db, &cfg);
+        let _ = top_k(&d, &cfg);
     }
 
     #[test]
@@ -367,6 +363,6 @@ mod tests {
             base: planted_base(),
             ..Default::default()
         };
-        let _ = top_k(&d.taxonomy, &d.db, &cfg);
+        let _ = top_k(&d, &cfg);
     }
 }

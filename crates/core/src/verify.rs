@@ -10,7 +10,7 @@
 
 use crate::config::FlipperConfig;
 use crate::results::{ChainLevel, FlippingPattern};
-use flipper_data::{exec, Itemset, TransactionDb};
+use flipper_data::{exec, DataError, Itemset, TransactionDb};
 use flipper_measures::CorrelationMeasure;
 use flipper_taxonomy::{NodeId, Taxonomy};
 
@@ -18,14 +18,20 @@ use flipper_taxonomy::{NodeId, Taxonomy};
 ///
 /// Honors `cfg.measure`, `cfg.thresholds`, `cfg.min_support`, `cfg.max_k`
 /// and `cfg.threads`; ignores the pruning settings (it scans everything).
+///
+/// # Errors
+/// [`DataError::NonLeafItem`] when a row holds an item that is not a leaf
+/// of `tax`, as [`MultiLevelView::build`](flipper_data::MultiLevelView::build)
+/// reports it.
 pub fn brute_force(
     tax: &Taxonomy,
     db: &TransactionDb,
     cfg: &FlipperConfig,
-) -> Vec<FlippingPattern> {
+) -> Result<Vec<FlippingPattern>, DataError> {
+    db.validate_against(tax)?;
     let height = tax.height();
     if height < 2 {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     // The verifier projects the rows itself rather than reading a
     // `MultiLevelView`, so it stays independent of the code it checks.
@@ -37,7 +43,7 @@ pub fn brute_force(
                 .map(|txn| {
                     let mut row: Vec<NodeId> = txn
                         .iter()
-                        // lint:allow(panic-hygiene) callers pass a database validated against `tax`: every item is a leaf with ancestors at every level
+                        // lint:allow(panic-hygiene) the database was validated against `tax` above: every item is a leaf with ancestors at every level
                         .map(|&it| tax.ancestor_at_level(it, h).expect("leaf"))
                         .collect();
                     row.sort_unstable();
@@ -73,7 +79,7 @@ pub fn brute_force(
         // a first leaf before recursing, so it must not run with k_max < 2
         // (a direct `cfg.max_k = Some(0)` would otherwise enumerate the
         // full powerset).
-        return Vec::new();
+        return Ok(Vec::new());
     }
 
     // Depth-first enumeration of index combinations of every size 2..=k_max.
@@ -178,7 +184,7 @@ pub fn brute_force(
     patterns.sort_by(|a, b| {
         (a.leaf_itemset.len(), &a.leaf_itemset).cmp(&(b.leaf_itemset.len(), &b.leaf_itemset))
     });
-    patterns
+    Ok(patterns)
 }
 
 fn count_support(txns: &[Vec<NodeId>], set: &Itemset) -> u64 {
@@ -227,7 +233,7 @@ mod tests {
         ])
         .unwrap();
         let cfg = FlipperConfig::new(Thresholds::new(0.6, 0.35), MinSupports::Counts(vec![1]));
-        let pats = brute_force(&tax, &db, &cfg);
+        let pats = brute_force(&tax, &db, &cfg).unwrap();
         assert_eq!(pats.len(), 1);
         assert_eq!(pats[0].leaf_itemset.display(&tax).to_string(), "{a11, b11}");
         assert_eq!(pats[0].validate(), Ok(()));
@@ -245,7 +251,10 @@ mod tests {
                 max_k: Some(mk),
                 ..FlipperConfig::new(Thresholds::new(0.5, 0.2), MinSupports::Counts(vec![1]))
             };
-            assert!(brute_force(&tax, &db, &cfg).is_empty(), "max_k={mk}");
+            assert!(
+                brute_force(&tax, &db, &cfg).unwrap().is_empty(),
+                "max_k={mk}"
+            );
         }
     }
 
@@ -266,9 +275,9 @@ mod tests {
             .collect();
         let db = TransactionDb::new(rows).unwrap();
         let cfg = FlipperConfig::new(Thresholds::new(0.5, 0.25), MinSupports::Counts(vec![1]));
-        let sequential = brute_force(&tax, &db, &cfg);
+        let sequential = brute_force(&tax, &db, &cfg).unwrap();
         for threads in [2usize, 4, 0] {
-            let parallel = brute_force(&tax, &db, &cfg.clone().with_threads(threads));
+            let parallel = brute_force(&tax, &db, &cfg.clone().with_threads(threads)).unwrap();
             assert_eq!(parallel, sequential, "threads={threads}");
         }
     }
@@ -280,6 +289,22 @@ mod tests {
         let y = tax.node_by_name("y").unwrap();
         let db = TransactionDb::new(vec![vec![x, y]]).unwrap();
         let cfg = FlipperConfig::new(Thresholds::new(0.5, 0.1), MinSupports::Counts(vec![1]));
-        assert!(brute_force(&tax, &db, &cfg).is_empty());
+        assert!(brute_force(&tax, &db, &cfg).unwrap().is_empty());
+    }
+
+    /// A row holding a non-leaf item is a typed error, never a panic.
+    #[test]
+    fn non_leaf_row_is_a_typed_error() {
+        let tax = Taxonomy::from_edges([("a", ""), ("b", ""), ("a1", "a"), ("b1", "b")]).unwrap();
+        let id = |name| tax.node_by_name(name).unwrap();
+        let db = TransactionDb::new(vec![vec![id("a"), id("b1")]]).unwrap();
+        let cfg = FlipperConfig::new(Thresholds::new(0.5, 0.1), MinSupports::Counts(vec![1]));
+        assert_eq!(
+            brute_force(&tax, &db, &cfg).unwrap_err(),
+            DataError::NonLeafItem {
+                txn: 0,
+                item: id("a")
+            }
+        );
     }
 }

@@ -1030,7 +1030,7 @@ mod tests {
                 })
                 .collect();
             let db = TransactionDb::new(rows).unwrap();
-            let view = MultiLevelView::build(&db, &tax);
+            let view = MultiLevelView::build(&db, &tax).unwrap();
             let mixed = BitsetCounter::new(&view).dense_items(2);
             assert!(mixed > 0 && mixed < view.level(2).present_items().len());
             for n_slots in 1..=4usize {
@@ -1068,7 +1068,7 @@ mod tests {
         let (x1, x2) = (tax.children(tops[0])[0], tax.children(tops[0])[1]);
         let (y1, y2) = (tax.children(tops[1])[0], tax.children(tops[1])[1]);
         let db = TransactionDb::new(vec![vec![x1, y1], vec![x2], vec![y2], vec![x1, y1]]).unwrap();
-        let view = MultiLevelView::build(&db, &tax);
+        let view = MultiLevelView::build(&db, &tax).unwrap();
         for density in DENSITIES {
             let mut c = counter_at(&view, density);
             assert_eq!(
@@ -1120,7 +1120,7 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let view = MultiLevelView::build(&TransactionDb::new(rows).unwrap(), &tax);
+            let view = MultiLevelView::build(&TransactionDb::new(rows).unwrap(), &tax).unwrap();
             for h in 1..=view.height() {
                 let lv = view.level(h);
                 let maps = view.bitmaps(h);
@@ -1159,7 +1159,7 @@ mod tests {
     #[test]
     fn counters_over_one_view_share_its_bitmaps() {
         let (tax, db) = random_setup(3);
-        let view = MultiLevelView::build(&db, &tax);
+        let view = MultiLevelView::build(&db, &tax).unwrap();
         let (a, b) = (BitsetCounter::new(&view), BitsetCounter::new(&view));
         let private = BitsetCounter::with_density(&view, 1.0 / 64.0);
         for h in 1..=view.height() {
@@ -1182,7 +1182,7 @@ mod tests {
         let rows: Vec<Vec<NodeId>> = (0..10)
             .map(|t| vec![leaves[0], leaves[1 + t % 5]])
             .collect();
-        let view = MultiLevelView::build(&TransactionDb::new(rows).unwrap(), &tax);
+        let view = MultiLevelView::build(&TransactionDb::new(rows).unwrap(), &tax).unwrap();
         let mut batch = ItemsetRows::new(2);
         for &y in &leaves[1..] {
             batch.push(&[leaves[0], y]);
@@ -1200,7 +1200,7 @@ mod tests {
     #[test]
     fn density_zero_promotes_everything() {
         let (tax, db) = random_setup(1);
-        let view = MultiLevelView::build(&db, &tax);
+        let view = MultiLevelView::build(&db, &tax).unwrap();
         let bc = BitsetCounter::with_density(&view, 0.0);
         assert_eq!(bc.dense_items(1), view.level(1).present_items().len());
         let bc = BitsetCounter::with_density(&view, 2.0);

@@ -183,7 +183,7 @@ mod tests {
     #[test]
     fn kernel_counts_the_toy_example_at_every_density() {
         let (tax, db) = toy();
-        let view = MultiLevelView::build(&db, &tax);
+        let view = MultiLevelView::build(&db, &tax).unwrap();
         let g = |s: &str| tax.node_by_name(s).unwrap();
         // The paper's flipping pattern {a11, b11}: sup=2 at leaf level;
         // {a1, b1} sup=2 at level 2; {a, b} sup=7 at level 1.
@@ -204,7 +204,7 @@ mod tests {
     #[test]
     fn batch_order_is_preserved() {
         let (tax, db) = toy();
-        let view = MultiLevelView::build(&db, &tax);
+        let view = MultiLevelView::build(&db, &tax).unwrap();
         let g = |s: &str| tax.node_by_name(s).unwrap();
         let batch = batch_of(&[
             Itemset::pair(g("a12"), g("a22")),
@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let (tax, db) = toy();
-        let view = MultiLevelView::build(&db, &tax);
+        let view = MultiLevelView::build(&db, &tax).unwrap();
         let g = |s: &str| tax.node_by_name(s).unwrap();
         let batch = batch_of(&[Itemset::pair(g("a11"), g("b11"))]);
         let mut c = BitsetCounter::new(&view);
@@ -278,7 +278,7 @@ mod tests {
     #[test]
     fn sharded_counting_matches_sequential() {
         let (tax, db) = random_view_input(0x5AAD, 150, 1..=6);
-        let view = MultiLevelView::build(&db, &tax);
+        let view = MultiLevelView::build(&db, &tax).unwrap();
         // A batch well above MIN_SHARD_CANDIDATES.
         let nodes = tax.nodes_at_level(2).unwrap();
         let mut cands = Vec::new();
@@ -311,7 +311,7 @@ mod tests {
     #[test]
     fn sharded_small_batches_fall_back_inline() {
         let (tax, db) = toy();
-        let view = MultiLevelView::build(&db, &tax);
+        let view = MultiLevelView::build(&db, &tax).unwrap();
         let g = |s: &str| tax.node_by_name(s).unwrap();
         let batch = batch_of(&[Itemset::pair(g("a11"), g("b11"))]);
         let mut c = BitsetCounter::new(&view);
@@ -353,7 +353,7 @@ mod tests {
     #[test]
     fn grouped_kernels_match_naive_on_degenerate_groups() {
         let (tax, db) = random_view_input(0x9F0F, 180, 2..=7);
-        let view = MultiLevelView::build(&db, &tax);
+        let view = MultiLevelView::build(&db, &tax).unwrap();
         let nodes = tax.nodes_at_level(2).unwrap().to_vec();
         // All-same-prefix: {n0, n1, x} for every other x.
         let same_prefix: Vec<Itemset> = nodes[2..]
@@ -394,7 +394,7 @@ mod tests {
     #[test]
     fn prefix_reuse_stats_accounting() {
         let (tax, db) = random_view_input(0xACC1, 120, 3..=6);
-        let view = MultiLevelView::build(&db, &tax);
+        let view = MultiLevelView::build(&db, &tax).unwrap();
         let nodes = tax.nodes_at_level(2).unwrap().to_vec();
         let batch = batch_of(
             &nodes[2..]
@@ -424,7 +424,7 @@ mod tests {
     #[test]
     fn group_sharding_keeps_stats_invariant_across_threads() {
         let (tax, db) = random_view_input(0x51AB, 150, 2..=6);
-        let view = MultiLevelView::build(&db, &tax);
+        let view = MultiLevelView::build(&db, &tax).unwrap();
         let nodes = tax.nodes_at_level(2).unwrap().to_vec();
         // One giant same-prefix group followed by distinct-prefix filler,
         // repeated until well past the sharding cutoff.
@@ -455,7 +455,7 @@ mod tests {
     #[test]
     fn item_queries_delegate_to_view() {
         let (tax, db) = toy();
-        let view = MultiLevelView::build(&db, &tax);
+        let view = MultiLevelView::build(&db, &tax).unwrap();
         let c = BitsetCounter::new(&view);
         let a = tax.node_by_name("a").unwrap();
         assert_eq!(c.item_support(1, a), 8);
@@ -481,7 +481,7 @@ mod tests {
                 })
                 .collect();
             let db = TransactionDb::new(rows).unwrap();
-            let view = MultiLevelView::build(&db, &tax);
+            let view = MultiLevelView::build(&db, &tax).unwrap();
             for h in 1..=3 {
                 let nodes = tax.nodes_at_level(h).unwrap();
                 let mut cands = Vec::new();
@@ -535,7 +535,7 @@ mod tests {
                 })
                 .collect();
             let db = TransactionDb::new(rows).unwrap();
-            let view = MultiLevelView::build(&db, &tax);
+            let view = MultiLevelView::build(&db, &tax).unwrap();
             let mut c = BitsetCounter::new(&view);
             // A cross-category leaf pair and its level-1 generalization.
             let l0 = leaves[0];

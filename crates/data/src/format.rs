@@ -233,11 +233,15 @@ pub fn write_dataset<W: Write>(w: &mut W, ds: &Dataset) -> Result<(), FormatErro
         ds.db.len()
     )?;
     writeln!(w, "[taxonomy]")?;
-    for node in ds.taxonomy.node_ids().skip(1) {
+    // Every node but the root has a parent.
+    for (node, parent) in ds
+        .taxonomy
+        .node_ids()
+        .filter_map(|node| Some((node, ds.taxonomy.parent(node)?)))
+    {
         if ds.taxonomy.is_synthetic(node) {
             continue;
         }
-        let parent = ds.taxonomy.parent(node).expect("non-root");
         if parent.is_root() {
             writeln!(w, "{}", ds.taxonomy.name(node))?;
         } else {
@@ -263,10 +267,8 @@ pub fn write_dataset<W: Write>(w: &mut W, ds: &Dataset) -> Result<(), FormatErro
 /// Name of the nearest non-synthetic ancestor-or-self.
 fn original_name(tax: &Taxonomy, node: NodeId) -> &str {
     let mut cur = node;
-    while tax.is_synthetic(cur) {
-        cur = tax
-            .parent(cur)
-            .expect("synthetic nodes are never level-1 roots");
+    while let Some(parent) = tax.parent(cur).filter(|_| tax.is_synthetic(cur)) {
+        cur = parent;
     }
     tax.name(cur)
 }

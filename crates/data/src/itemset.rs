@@ -71,11 +71,6 @@ impl Itemset {
         self.0.binary_search(&item).is_ok()
     }
 
-    /// Whether `self ⊆ other`, both sorted (linear merge).
-    pub fn is_subset_of(&self, other: &Itemset) -> bool {
-        is_sorted_subset(&self.0, &other.0)
-    }
-
     /// The `(k−1)`-subset omitting position `i`.
     ///
     /// # Panics
@@ -89,18 +84,6 @@ impl Itemset {
     /// All `(k−1)`-subsets, in omitted-position order.
     pub fn subsets_k_minus_1(&self) -> impl Iterator<Item = Itemset> + '_ {
         (0..self.0.len()).map(|i| self.without_index(i))
-    }
-
-    /// Itemset with `item` inserted (no-op clone if already present).
-    pub fn with_item(&self, item: NodeId) -> Itemset {
-        match self.0.binary_search(&item) {
-            Ok(_) => self.clone(),
-            Err(pos) => {
-                let mut v = self.0.clone();
-                v.insert(pos, item);
-                Itemset(v)
-            }
-        }
     }
 
     /// Apriori prefix join: if `self` and `other` are k-itemsets sharing
@@ -382,10 +365,10 @@ mod tests {
         assert!(s.contains(n(3)));
         assert!(!s.contains(n(2)));
         let big = Itemset::new(vec![n(1), n(2), n(3), n(4), n(5)]);
-        assert!(s.is_subset_of(&big));
-        assert!(!big.is_subset_of(&s));
-        assert!(s.is_subset_of(&s));
-        assert!(Itemset::new(vec![]).is_subset_of(&s));
+        assert!(is_sorted_subset(s.items(), big.items()));
+        assert!(!is_sorted_subset(big.items(), s.items()));
+        assert!(is_sorted_subset(s.items(), s.items()));
+        assert!(is_sorted_subset(&[], s.items()));
     }
 
     #[test]
@@ -412,13 +395,6 @@ mod tests {
         assert!(ab.apriori_join(&ab).is_none());
         // Length mismatch.
         assert!(ab.apriori_join(&Itemset::single(n(9))).is_none());
-    }
-
-    #[test]
-    fn with_item_inserts_in_place() {
-        let s = Itemset::new(vec![n(1), n(5)]);
-        assert_eq!(s.with_item(n(3)).items(), &[n(1), n(3), n(5)]);
-        assert_eq!(s.with_item(n(5)).items(), &[n(1), n(5)]);
     }
 
     #[test]

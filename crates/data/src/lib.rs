@@ -40,7 +40,7 @@
 //! let bread = tax.node_by_name("bread").unwrap();
 //! let db = TransactionDb::new(vec![vec![beer, bread], vec![beer]]).unwrap();
 //!
-//! let view = MultiLevelView::build(&db, &tax);
+//! let view = MultiLevelView::build(&db, &tax).unwrap();
 //! let mut counter = BitsetCounter::new(&view);
 //! let mut batch = ItemsetRows::new(2);
 //! batch.push(&[beer, bread]);

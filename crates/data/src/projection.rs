@@ -172,21 +172,11 @@ impl MultiLevelView {
     /// [`TransactionDb`] that is [`DataError::NonLeafItem`], a row holding
     /// an item that is not a leaf at the taxonomy height, or
     /// [`DataError::TooManyTransactions`].
-    pub fn try_build(db: &TransactionDb, tax: &Taxonomy) -> Result<Self, DataError> {
+    pub fn build(db: &TransactionDb, tax: &Taxonomy) -> Result<Self, DataError> {
         let _span = flipper_obs::span("view.build").arg("rows", db.len() as u64);
         let mut builder = MultiLevelViewBuilder::new(tax);
         builder.push_chunk((0..db.len()).map(|t| db.transaction(t)))?;
         builder.finish()
-    }
-
-    /// [`try_build`](Self::try_build) for a database known to hold only
-    /// leaves of `tax`.
-    ///
-    /// # Panics
-    /// Panics if the database is not valid for `tax` (items that are not
-    /// leaves at the taxonomy height).
-    pub fn build(db: &TransactionDb, tax: &Taxonomy) -> Self {
-        Self::try_build(db, tax).expect("TransactionDb rows are leaf itemsets of the taxonomy")
     }
 
     /// The view at abstraction level `h` (1-based).
@@ -614,7 +604,7 @@ mod tests {
     #[test]
     fn leaf_level_is_identity() {
         let (tax, db) = toy();
-        let mlv = MultiLevelView::build(&db, &tax);
+        let mlv = MultiLevelView::build(&db, &tax).unwrap();
         assert_eq!(mlv.height(), 3);
         assert_eq!(mlv.num_transactions(), 10);
         assert_eq!(mlv.max_width(), 4);
@@ -636,12 +626,12 @@ mod tests {
     #[test]
     fn equality_ignores_built_bitmaps() {
         let (tax, db) = toy();
-        let built = MultiLevelView::build(&db, &tax);
+        let built = MultiLevelView::build(&db, &tax).unwrap();
         for h in 1..=built.height() {
             assert!(built.bitmaps(h).iter().any(Option::is_some), "level {h}");
             assert_eq!(built.rows(h).len(), db.len(), "level {h}");
         }
-        let fresh = MultiLevelView::build(&db, &tax);
+        let fresh = MultiLevelView::build(&db, &tax).unwrap();
         assert!(built.levels.iter().all(|lv| lv.bitmaps.get().is_some()));
         assert!(built.levels.iter().all(|lv| lv.rows.get().is_some()));
         assert!(fresh.levels.iter().all(|lv| lv.bitmaps.get().is_none()));
@@ -664,7 +654,7 @@ mod tests {
         ];
         for tax in &taxonomies {
             let db = TransactionDb::new(random_rows(&mut rng, tax, 60)).unwrap();
-            let view = MultiLevelView::build(&db, tax);
+            let view = MultiLevelView::build(&db, tax).unwrap();
             for h in 1..=view.height() {
                 let lv = view.level(h);
                 let rows = view.rows(h);
@@ -693,7 +683,7 @@ mod tests {
     #[test]
     fn level1_projection_matches_paper_figure() {
         let (tax, db) = toy();
-        let mlv = MultiLevelView::build(&db, &tax);
+        let mlv = MultiLevelView::build(&db, &tax).unwrap();
         let a = tax.node_by_name("a").unwrap();
         let b = tax.node_by_name("b").unwrap();
         let v1 = mlv.level(1);
@@ -713,7 +703,7 @@ mod tests {
     #[test]
     fn level2_projection_merges_siblings() {
         let (tax, db) = toy();
-        let mlv = MultiLevelView::build(&db, &tax);
+        let mlv = MultiLevelView::build(&db, &tax).unwrap();
         let a1 = tax.node_by_name("a1").unwrap();
         let a2 = tax.node_by_name("a2").unwrap();
         let v2 = mlv.level(2);
@@ -738,7 +728,7 @@ mod tests {
     #[test]
     fn tidsets_agree_with_supports() {
         let (tax, db) = toy();
-        let mlv = MultiLevelView::build(&db, &tax);
+        let mlv = MultiLevelView::build(&db, &tax).unwrap();
         for h in 1..=3 {
             let v = mlv.level(h);
             for &item in v.present_items() {
@@ -765,7 +755,7 @@ mod tests {
     #[test]
     fn absent_item_has_zero_support_and_empty_tidset() {
         let (tax, db) = toy();
-        let mlv = MultiLevelView::build(&db, &tax);
+        let mlv = MultiLevelView::build(&db, &tax).unwrap();
         let a11 = tax.node_by_name("a11").unwrap();
         // a11 is a leaf; at level 1 only categories are present.
         assert_eq!(mlv.level(1).item_support(a11), 0);
@@ -777,14 +767,14 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn level_zero_panics() {
         let (tax, db) = toy();
-        let mlv = MultiLevelView::build(&db, &tax);
+        let mlv = MultiLevelView::build(&db, &tax).unwrap();
         let _ = mlv.level(0);
     }
 
     #[test]
     fn builder_chunked_matches_build() {
         let (tax, db) = toy();
-        let full = MultiLevelView::build(&db, &tax);
+        let full = MultiLevelView::build(&db, &tax).unwrap();
         let rows: Vec<&[NodeId]> = db.iter().collect();
         for chunk_len in [1usize, 3, 10] {
             let mut b = MultiLevelViewBuilder::new(&tax);
@@ -799,7 +789,7 @@ mod tests {
     fn builder_rejects_bad_chunks_atomically() {
         let (tax, db) = toy();
         let rows: Vec<&[NodeId]> = db.iter().collect();
-        let full = MultiLevelView::build(&db, &tax);
+        let full = MultiLevelView::build(&db, &tax).unwrap();
         let a1 = tax.node_by_name("a1").unwrap();
         let wide: Vec<NodeId> = tax.leaves().to_vec();
         let mut b = MultiLevelViewBuilder::new(&tax);
@@ -876,7 +866,7 @@ mod tests {
     #[test]
     fn present_items_sorted_and_exact() {
         let (tax, db) = toy();
-        let mlv = MultiLevelView::build(&db, &tax);
+        let mlv = MultiLevelView::build(&db, &tax).unwrap();
         let v1 = mlv.level(1);
         let names: Vec<&str> = v1.present_items().iter().map(|&n| tax.name(n)).collect();
         assert_eq!(names, vec!["a", "b"]);

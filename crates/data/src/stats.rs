@@ -1,8 +1,9 @@
 //! Descriptive statistics of transaction databases — used by the CLI's
 //! `stats` subcommand and by experiment reports.
 
+use crate::projection::MultiLevelView;
 use crate::transaction::TransactionDb;
-use flipper_taxonomy::{NodeId, Taxonomy};
+use flipper_taxonomy::NodeId;
 use std::collections::HashMap;
 
 /// Summary statistics of a database (optionally cross-referenced with its
@@ -92,11 +93,10 @@ pub struct LevelStats {
     pub max_rel_support: f64,
 }
 
-/// Compute [`LevelStats`] for each level `1..=height`.
-pub fn level_stats(db: &TransactionDb, tax: &Taxonomy) -> Vec<LevelStats> {
-    let view = crate::projection::MultiLevelView::build(db, tax);
-    let n = db.len() as f64;
-    (1..=tax.height())
+/// Compute [`LevelStats`] for each level `1..=height` of `view`.
+pub fn level_stats(view: &MultiLevelView) -> Vec<LevelStats> {
+    let n = view.num_transactions() as f64;
+    (1..=view.height())
         .map(|h| {
             let lv = view.level(h);
             let sups: Vec<u64> = lv
@@ -120,6 +120,7 @@ pub fn level_stats(db: &TransactionDb, tax: &Taxonomy) -> Vec<LevelStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flipper_taxonomy::Taxonomy;
 
     fn n(i: u32) -> NodeId {
         NodeId::from_index(i as usize)
@@ -159,7 +160,7 @@ mod tests {
             .map(|i| vec![leaves[i % leaves.len()], leaves[(i + 1) % leaves.len()]])
             .collect();
         let db = TransactionDb::new(rows).unwrap();
-        let ls = level_stats(&db, &tax);
+        let ls = level_stats(&MultiLevelView::build(&db, &tax).unwrap());
         assert_eq!(ls.len(), 2);
         assert!(ls[0].distinct_nodes <= ls[1].distinct_nodes);
         assert!(ls[0].mean_rel_support >= ls[1].mean_rel_support);
@@ -174,7 +175,7 @@ mod tests {
         let b_leaf = tax.node_by_name("b#2").unwrap(); // b padded twice
         let db = TransactionDb::new(vec![vec![leaf, b_leaf], vec![leaf]]).unwrap();
         db.validate_against(&tax).unwrap();
-        let ls = level_stats(&db, &tax);
+        let ls = level_stats(&MultiLevelView::build(&db, &tax).unwrap());
         assert_eq!(ls.len(), 3);
         assert_eq!(ls[0].distinct_nodes, 2); // a and b
     }

@@ -19,17 +19,9 @@ pub fn intersect_size(a: &[u32], b: &[u32]) -> u64 {
     }
 }
 
-/// Intersection of two sorted tid lists, materialized.
-pub fn intersect(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    intersect_into(a, b, &mut out);
-    out
-}
-
 /// Intersection of two sorted tid lists, written into `out` (cleared
-/// first). The allocation-free core of [`intersect`]: reusing one output
-/// buffer across many intersections keeps a hot counting loop from
-/// allocating per group.
+/// first). Reusing one output buffer across many intersections keeps a hot
+/// counting loop from allocating per group.
 pub fn intersect_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     out.clear();
     out.reserve(a.len().min(b.len()));
@@ -143,6 +135,13 @@ pub fn intersect_size_many(lists: &[&[u32]]) -> u64 {
 mod tests {
     use super::*;
     use crate::rng::{Rng, Xoshiro256pp};
+
+    /// Intersection of two sorted tid lists, materialized.
+    fn intersect(a: &[u32], b: &[u32]) -> Vec<u32> {
+        let mut out = Vec::new();
+        intersect_into(a, b, &mut out);
+        out
+    }
 
     #[test]
     fn basic_intersections() {

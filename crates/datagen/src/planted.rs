@@ -187,7 +187,7 @@ mod tests {
         // Parent dilution: P + Q occurrences each.
         let tax = &d.taxonomy;
         let px = tax.parent(x).unwrap();
-        let view = flipper_data::MultiLevelView::build(&d.db, tax);
+        let view = flipper_data::MultiLevelView::build(&d.db, tax).unwrap();
         assert_eq!(view.level(2).item_support(px), 150);
         // Category-level: co-occurrence P + R, support P + Q + R.
         let ca = tax.ancestor_at_level(x, 1).unwrap();
@@ -204,7 +204,7 @@ mod tests {
         let d = generate(&p);
         let (x, y) = d.planted_pairs[0];
         let tax = &d.taxonomy;
-        let view = flipper_data::MultiLevelView::build(&d.db, tax);
+        let view = flipper_data::MultiLevelView::build(&d.db, tax).unwrap();
         let kulc = |h: usize, a: NodeId, b: NodeId| {
             let (ga, gb) = (
                 tax.ancestor_at_level(a, h).unwrap(),

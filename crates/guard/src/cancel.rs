@@ -6,7 +6,7 @@
 //! (one relaxed atomic load) is unmeasurable next to the work it bounds.
 //! Deadlines read [`Instant`]; tokens therefore never influence *what* a
 //! run computes, only *whether it finishes* — results from a completed
-//! guarded run are byte-identical to an unguarded one.
+//! guarded run are byte-identical to a run without a token.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};

@@ -6,7 +6,7 @@
 //!
 //! * [`CancelToken`] — a cloneable cooperative-cancellation handle (atomic
 //!   flag + optional deadline) checked at cell/chunk boundaries. Checking
-//!   an inert token is one relaxed atomic load, so guarded and unguarded
+//!   an inert token is one relaxed atomic load, so runs with and without one
 //!   runs produce byte-identical `flipper-results/v1` output.
 //! * [`trap`] — run a closure under `catch_unwind` and convert a panic
 //!   into a typed [`GuardError::Panicked`] instead of aborting the caller.

@@ -5,11 +5,23 @@
 //! paper's pruning theorems are exercised against exhaustive enumeration on
 //! randomized databases, taxonomy shapes, thresholds and measures.
 
-use flipper_core::{mine, verify::brute_force, FlipperConfig, MinSupports, PruningConfig};
+use flipper_core::{verify::brute_force, FlipperConfig, MinSupports, PruningConfig};
 use flipper_data::rng::{Rng, Xoshiro256pp};
 use flipper_data::TransactionDb;
 use flipper_measures::{Measure, Thresholds};
 use flipper_taxonomy::{NodeId, Taxonomy};
+
+/// Mine `db` under `tax` on a fresh session.
+fn mine(
+    tax: &flipper_taxonomy::Taxonomy,
+    db: &flipper_data::TransactionDb,
+    cfg: &FlipperConfig,
+) -> flipper_core::MiningResult {
+    flipper_api::Session::from_db(tax, db)
+        .unwrap()
+        .mine(cfg)
+        .unwrap()
+}
 
 /// Random database over a uniform taxonomy.
 fn random_db(tax: &Taxonomy, n: usize, max_w: usize, seed: u64) -> TransactionDb {
@@ -36,7 +48,7 @@ fn leaf_sets(patterns: &[flipper_core::FlippingPattern]) -> Vec<String> {
 }
 
 fn check_all_variants(tax: &Taxonomy, db: &TransactionDb, cfg: &FlipperConfig) {
-    let expected = leaf_sets(&brute_force(tax, db, cfg));
+    let expected = leaf_sets(&brute_force(tax, db, cfg).unwrap());
     for pruning in PruningConfig::VARIANTS {
         let got = leaf_sets(&mine(tax, db, &cfg.clone().with_pruning(pruning)).patterns);
         assert_eq!(
@@ -125,6 +137,7 @@ fn sibp_prunes_without_losing_flips() {
         );
         assert!(
             brute_force(&tax, &db, &cfg)
+                .unwrap()
                 .iter()
                 .any(|p| p.leaf_itemset.len() >= 3),
             "seed {seed}: brute force found no flip of three items"
@@ -151,7 +164,7 @@ fn sibp_known_defect_removes_one_flip() {
         MinSupports::Counts(vec![2, 1, 1]),
     );
     let both = ["{n14, n29, n37}", "{n20, n26, n35}"];
-    assert_eq!(leaf_sets(&brute_force(&tax, &db, &cfg)), both);
+    assert_eq!(leaf_sets(&brute_force(&tax, &db, &cfg).unwrap()), both);
     let tpg = mine(
         &tax,
         &db,
@@ -192,7 +205,7 @@ fn equivalence_randomized() {
             Thresholds::new(gamma, eps),
             MinSupports::Counts(vec![theta * 2, theta, 1]),
         );
-        let expected = leaf_sets(&brute_force(&tax, &db, &cfg));
+        let expected = leaf_sets(&brute_force(&tax, &db, &cfg).unwrap());
         for pruning in PruningConfig::VARIANTS {
             let got = leaf_sets(&mine(&tax, &db, &cfg.clone().with_pruning(pruning)).patterns);
             assert_eq!(

@@ -1,12 +1,13 @@
 //! Façade acceptance tests: the `flipper-api` session surface must be a
-//! zero-cost relabeling of the single-shot mining paths, and its
+//! zero-cost relabeling of the one mining call, `mine_with_view`, and its
 //! machine-readable output must be byte-stable.
 //!
 //! * `session_equals_single_shot_paths` — `Session::mine` on a fresh
-//!   session == `mine_with_view` == `mine` (patterns, cell summaries,
-//!   deterministic statistics) on quest + planted datasets, for every
-//!   pruning variant × thread count; a session whose memo is warm mines
-//!   the same results at no more intersections.
+//!   session == `mine_with_view` over a fresh memo, on a shared view and on
+//!   a freshly built one (patterns, cell summaries, deterministic
+//!   statistics) on quest + planted datasets, for every pruning variant ×
+//!   thread count; a session whose memo is warm mines the same results at
+//!   no more intersections.
 //! * `sweep_points_equal_solo_runs` — every labeled sweep point equals the
 //!   same configuration run alone, at every job count.
 //! * `results_v1_golden` — the `flipper-results/v1` JSON document is
@@ -18,8 +19,8 @@ use flipper_api::io::{FileFormat, Generator};
 use flipper_api::{
     Dataset, FlipperConfig, JsonWriter, MinSupports, PruningConfig, ResultSink, Session, Thresholds,
 };
-use flipper_core::{mine, mine_with_view, MineOptions, MiningResult};
-use flipper_data::MultiLevelView;
+use flipper_core::{mine_with_view, MiningResult};
+use flipper_data::{MultiLevelView, VerticalMemo};
 use flipper_datagen::planted::PlantedParams;
 use flipper_datagen::quest::QuestParams;
 use flipper_taxonomy::Taxonomy;
@@ -98,7 +99,7 @@ fn cases() -> Vec<(&'static str, Dataset, FlipperConfig)> {
 #[test]
 fn session_equals_single_shot_paths() {
     for (name, ds, base) in cases() {
-        let view = MultiLevelView::build(&ds.db, &ds.taxonomy);
+        let view = MultiLevelView::build(&ds.db, &ds.taxonomy).unwrap();
         // Mined under every variant once, so every call below replays.
         let warm = Session::from_db(&ds.taxonomy, &ds.db).unwrap();
         warm.sweep().pruning_variants(&base).run().unwrap();
@@ -111,8 +112,11 @@ fn session_equals_single_shot_paths() {
                     .mine(&cfg)
                     .unwrap();
                 let via_view =
-                    mine_with_view(&ds.taxonomy, &view, &cfg, MineOptions::default()).unwrap();
-                let via_mine = mine(&ds.taxonomy, &ds.db, &cfg);
+                    mine_with_view(&ds.taxonomy, &view, &cfg, &VerticalMemo::new(), None).unwrap();
+                let fresh_view = MultiLevelView::build(&ds.db, &ds.taxonomy).unwrap();
+                let via_mine =
+                    mine_with_view(&ds.taxonomy, &fresh_view, &cfg, &VerticalMemo::new(), None)
+                        .unwrap();
                 assert_results_equal(&via_session, &via_view, &ctx);
                 assert_results_equal(&via_session, &via_mine, &ctx);
                 assert_replays(&warm.mine(&cfg).unwrap(), &via_session, &cfg, &ctx);

@@ -10,7 +10,7 @@
 //!   library, never silent corruption;
 //! * with the guard machinery engaged but inert (armed plan whose triggers
 //!   never fire, live cancel token), `flipper-results/v1` bytes on
-//!   undamaged data are **byte-identical** to an unguarded run.
+//!   undamaged data are **byte-identical** to a plain run.
 //!
 //! Fault parameters derive from the plan seed, so any failure here
 //! reproduces from the `(seed, site, hit, kind)` tuple in the assertion
@@ -20,7 +20,8 @@ use flipper_api::{
     CancelToken, FlipperConfig, FlipperError, JsonWriter, MinSupports, PruningConfig, ResultSink,
     Session, Thresholds,
 };
-use flipper_core::{MineOptions, MiningResult};
+use flipper_core::{mine_with_view, MiningResult};
+use flipper_data::VerticalMemo;
 use flipper_datagen::planted::PlantedParams;
 use flipper_guard::fault::{
     arm, FaultKind, FaultPlan, SITE_EXEC_CHUNK, SITE_STORE_READ, SITE_STORE_WRITE,
@@ -175,7 +176,7 @@ fn store_write_faults_fail_typed() {
 /// alike — at 1 and 4 threads — and latency faults change nothing. Runs
 /// that never shard (sequential runs, sub-threshold batches) legitimately
 /// never visit the site; they must then produce bytes identical to the
-/// unguarded baseline, proven via the plan's fire log.
+/// plain baseline, proven via the plan's fire log.
 #[test]
 fn exec_chunk_faults_surface_typed_across_threads() {
     let ds = planted();
@@ -190,7 +191,7 @@ fn exec_chunk_faults_surface_typed_across_threads() {
             ..cfg(threads)
         };
         let label = format!("site=exec.chunk threads={threads}");
-        let baseline = session.mine(&config).expect("unguarded baseline");
+        let baseline = session.mine(&config).expect("plain baseline");
         let baseline_bytes = report_bytes(session.taxonomy(), &config, &baseline);
 
         // A panic on the first worker chunk becomes a typed error on both
@@ -231,7 +232,7 @@ fn exec_chunk_faults_surface_typed_across_threads() {
         }
 
         // A latency stall at the same site perturbs nothing: the
-        // guarded run's report bytes match the unguarded baseline.
+        // guarded run's report bytes match the plain baseline.
         let _armed = arm(FaultPlan::new(SEED).inject(SITE_EXEC_CHUNK, 1, FaultKind::Latency));
         let stalled = session
             .mine_guarded(&config, &token)
@@ -260,8 +261,8 @@ fn inert_guard_is_byte_invisible() {
 
         // Plain path: strict read, mine with no token.
         let (tax, view) = read_strict(&bytes).expect("strict read");
-        let plain = flipper_core::mine_with_view(&tax, &view, &config, MineOptions::default())
-            .expect("plain mine");
+        let plain =
+            mine_with_view(&tax, &view, &config, &VerticalMemo::new(), None).expect("plain mine");
         let plain_bytes = report_bytes(&tax, &config, &plain);
 
         // Guarded path: salvage read of the intact file, armed-but-inert
@@ -274,12 +275,8 @@ fn inert_guard_is_byte_invisible() {
             !report.is_degraded(),
             "intact file must not be flagged: {report:?}"
         );
-        let opts = MineOptions {
-            token: Some(&token),
-            memo: None,
-        };
-        let guarded =
-            flipper_core::mine_with_view(&gtax, &gview, &config, opts).expect("guarded mine");
+        let guarded = mine_with_view(&gtax, &gview, &config, &VerticalMemo::new(), Some(&token))
+            .expect("guarded mine");
         assert_eq!(
             report_bytes(&gtax, &config, &guarded),
             plain_bytes,

@@ -2,11 +2,23 @@
 //! write → read round-trip through the text format, and mining the re-read
 //! dataset yields identical patterns.
 
-use flipper_core::{mine, FlipperConfig, MinSupports};
+use flipper_core::{FlipperConfig, MinSupports};
 use flipper_data::format::{read_dataset, write_dataset, Dataset};
 use flipper_datagen::{planted, quest, surrogate};
 use flipper_measures::Thresholds;
 use std::io::Cursor;
+
+/// Mine `db` under `tax` on a fresh session.
+fn mine(
+    tax: &flipper_taxonomy::Taxonomy,
+    db: &flipper_data::TransactionDb,
+    cfg: &FlipperConfig,
+) -> flipper_core::MiningResult {
+    flipper_api::Session::from_db(tax, db)
+        .unwrap()
+        .mine(cfg)
+        .unwrap()
+}
 
 fn roundtrip(ds: &Dataset) -> Dataset {
     let mut buf = Vec::new();

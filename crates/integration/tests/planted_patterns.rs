@@ -3,9 +3,21 @@
 //! (random data almost never flips, as the paper also observed for its
 //! synthetic experiments).
 
-use flipper_core::{mine, verify::brute_force, FlipperConfig, MinSupports, PruningConfig};
+use flipper_core::{verify::brute_force, FlipperConfig, MinSupports, PruningConfig};
 use flipper_datagen::planted::{self, PlantedParams};
 use flipper_measures::Thresholds;
+
+/// Mine `db` under `tax` on a fresh session.
+fn mine(
+    tax: &flipper_taxonomy::Taxonomy,
+    db: &flipper_data::TransactionDb,
+    cfg: &FlipperConfig,
+) -> flipper_core::MiningResult {
+    flipper_api::Session::from_db(tax, db)
+        .unwrap()
+        .mine(cfg)
+        .unwrap()
+}
 
 fn planted_cfg() -> FlipperConfig {
     let (gamma, eps) = planted::recommended_thresholds();
@@ -77,6 +89,7 @@ fn planted_matches_brute_force_with_noise() {
         });
         let cfg = planted_cfg();
         let expected: Vec<String> = brute_force(&data.taxonomy, &data.db, &cfg)
+            .unwrap()
             .iter()
             .map(|p| p.leaf_itemset.to_string())
             .collect();
@@ -128,6 +141,7 @@ fn more_noise_still_agrees_with_brute_force() {
     });
     let cfg = planted_cfg();
     let expected: Vec<String> = brute_force(&data.taxonomy, &data.db, &cfg)
+        .unwrap()
         .iter()
         .map(|p| p.leaf_itemset.to_string())
         .collect();

@@ -10,7 +10,7 @@
 //! `scripts/verify.sh` re-runs this suite under `--release`, where the
 //! optimizer has historically surfaced bugs debug builds miss.
 
-use flipper_core::{mine, FlipperConfig, MinSupports, PruningConfig};
+use flipper_core::{FlipperConfig, MinSupports, PruningConfig};
 use flipper_data::rng::{Rng, Xoshiro256pp};
 use flipper_data::{
     naive_tidset_counts, BitsetCounter, CounterStats, Itemset, ItemsetRows, MultiLevelView,
@@ -19,6 +19,18 @@ use flipper_data::{
 use flipper_datagen::quest::QuestParams;
 use flipper_measures::Thresholds;
 use flipper_taxonomy::{NodeId, Taxonomy};
+
+/// Mine `db` under `tax` on a fresh session.
+fn mine(
+    tax: &flipper_taxonomy::Taxonomy,
+    db: &flipper_data::TransactionDb,
+    cfg: &FlipperConfig,
+) -> flipper_core::MiningResult {
+    flipper_api::Session::from_db(tax, db)
+        .unwrap()
+        .mine(cfg)
+        .unwrap()
+}
 
 /// The kernel's three storage mixes: `Some(0.0)` promotes every item to a
 /// bitmap, `None` is the storage rule's mix of bitmaps and tid-lists
@@ -154,7 +166,7 @@ fn batches(tax: &Taxonomy, h: usize) -> Vec<(&'static str, ItemsetRows)> {
 fn grouped_counting_is_bit_identical_to_naive() {
     for seed in [3u64, 1117] {
         for (setup, tax, db) in setups(seed) {
-            let view = MultiLevelView::build(&db, &tax);
+            let view = MultiLevelView::build(&db, &tax).unwrap();
             for h in 1..=tax.height() {
                 if tax.nodes_at_level(h).unwrap().len() < 4 {
                     continue;
@@ -204,7 +216,7 @@ fn chained_batches_match_naive_at_every_density() {
         &QuestParams::default().with_transactions(300).with_seed(11),
     );
     let (tax, db) = (ds.taxonomy, ds.db);
-    let view = MultiLevelView::build(&db, &tax);
+    let view = MultiLevelView::build(&db, &tax).unwrap();
     let mut mixed_levels = 0;
     for h in 1..=tax.height() {
         let lv = view.level(h);
@@ -255,7 +267,7 @@ fn sparse_prefix_groups_take_the_projected_path() {
         &QuestParams::default().with_transactions(2_000).with_seed(5),
     );
     let (tax, db) = (ds.taxonomy, ds.db);
-    let view = MultiLevelView::build(&db, &tax);
+    let view = MultiLevelView::build(&db, &tax).unwrap();
     let h = tax.height();
     let lv = view.level(h);
     let n = view.num_transactions() as u64;

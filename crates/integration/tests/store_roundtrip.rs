@@ -8,8 +8,9 @@
 //! and damaged files must fail with typed errors rather than panics or
 //! silently wrong data.
 
-use flipper_core::{mine, mine_with_view, FlipperConfig, MinSupports, MineOptions, MiningResult};
+use flipper_core::{mine_with_view, FlipperConfig, MinSupports, MiningResult};
 use flipper_data::format::{read_dataset, write_dataset, Dataset};
+use flipper_data::VerticalMemo;
 use flipper_datagen::{planted, quest, surrogate};
 use flipper_measures::Thresholds;
 use flipper_store::{read_fbin, stream_view, to_fbin_bytes, FbinReader, FbinWriter, StoreError};
@@ -105,7 +106,13 @@ fn fbin_mining_matches_text_mining_loaded_and_streamed() {
     for threads in [1usize, 4] {
         let cfg = base.clone().with_threads(threads);
         let text_ds = read_dataset(Cursor::new(&text[..])).unwrap();
-        let baseline = mine(&text_ds.taxonomy, &text_ds.db, &cfg);
+        let mine = |ds: &Dataset| {
+            flipper_api::Session::from_db(&ds.taxonomy, &ds.db)
+                .unwrap()
+                .mine(&cfg)
+                .unwrap()
+        };
+        let baseline = mine(&text_ds);
         assert!(
             baseline.stats.candidates_generated > 0,
             "config must exercise the miner"
@@ -114,7 +121,7 @@ fn fbin_mining_matches_text_mining_loaded_and_streamed() {
         let loaded = read_fbin(&fbin[..]).unwrap();
         assert_eq!(loaded.taxonomy, text_ds.taxonomy);
         assert_eq!(loaded.db, text_ds.db);
-        let loaded_result = mine(&loaded.taxonomy, &loaded.db, &cfg);
+        let loaded_result = mine(&loaded);
         assert_results_identical(
             &loaded_result,
             &baseline,
@@ -123,7 +130,8 @@ fn fbin_mining_matches_text_mining_loaded_and_streamed() {
 
         let (tax, view) = stream_view(FbinReader::new(&fbin[..]).unwrap()).unwrap();
         assert_eq!(tax, text_ds.taxonomy);
-        let streamed_result = mine_with_view(&tax, &view, &cfg, MineOptions::default()).unwrap();
+        let streamed_result =
+            mine_with_view(&tax, &view, &cfg, &VerticalMemo::new(), None).unwrap();
         assert_results_identical(
             &streamed_result,
             &baseline,

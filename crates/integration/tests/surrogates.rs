@@ -2,9 +2,21 @@
 //! qualitative flipping patterns the paper reports for the corresponding
 //! real dataset (Figs. 10–12), under the Table-4 thresholds.
 
-use flipper_core::{mine, FlipperConfig, MinSupports, PruningConfig};
+use flipper_core::{FlipperConfig, MinSupports, PruningConfig};
 use flipper_datagen::surrogate::{census, groceries, medline, SurrogateData};
 use flipper_measures::Thresholds;
+
+/// Mine `db` under `tax` on a fresh session.
+fn mine(
+    tax: &flipper_taxonomy::Taxonomy,
+    db: &flipper_data::TransactionDb,
+    cfg: &FlipperConfig,
+) -> flipper_core::MiningResult {
+    flipper_api::Session::from_db(tax, db)
+        .unwrap()
+        .mine(cfg)
+        .unwrap()
+}
 
 fn config_for(d: &SurrogateData) -> FlipperConfig {
     FlipperConfig::new(

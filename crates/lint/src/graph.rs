@@ -459,9 +459,10 @@ fn resolve_one(
 
 /// Is this fn an ingest/mining/serialization entry point? The set mirrors
 /// the public result path: the three `Session` constructors (ingest reads
-/// outside input), `Session::mine`, `Sweep::run` (which reaches the miner
-/// with the session's vertical memo), and everything on `JsonWriter` (the
-/// byte-pinned serializer).
+/// outside input), the `Session` mining calls (`mine`, `mine_guarded`,
+/// `top_k`), `Sweep::run` and `Sweep::run_checkpointed` (which reach the
+/// miner with the session's vertical memo), and everything on `JsonWriter`
+/// (the byte-pinned serializer).
 fn is_entry_point(f: &FnRef) -> bool {
     if f.item.is_test {
         return false;
@@ -469,9 +470,9 @@ fn is_entry_point(f: &FnRef) -> bool {
     match f.item.impl_type.as_deref() {
         Some("Session") => matches!(
             f.item.name.as_str(),
-            "mine" | "open_path" | "open_salvage_path" | "from_db"
+            "mine" | "mine_guarded" | "top_k" | "open_path" | "open_salvage_path" | "from_db"
         ),
-        Some("Sweep") => f.item.name == "run",
+        Some("Sweep") => matches!(f.item.name.as_str(), "run" | "run_checkpointed"),
         Some("JsonWriter") => true,
         _ => false,
     }
@@ -674,20 +675,30 @@ mod tests {
         let g = ws(&[
             (
                 "crates/api/src/session.rs",
-                "impl Session { pub fn mine(&self) { flipper_core::step(); } }",
+                "impl Session { pub fn mine(&self) { flipper_core::step(); }\n\
+                 pub fn mine_guarded(&self) { flipper_core::guarded(); }\n\
+                 pub fn top_k(&self) { flipper_core::search(); }\n\
+                 pub fn origin(&self) { flipper_core::orphan(); } }",
+            ),
+            (
+                "crates/api/src/sweep.rs",
+                "impl Sweep { pub fn run_checkpointed(&self) { flipper_core::resume(); } }",
             ),
             (
                 "crates/core/src/miner.rs",
-                "pub fn step() { helper(); }\nfn helper() {}\nfn orphan() {}",
+                "pub fn step() { helper(); }\nfn helper() {}\nfn orphan() {}\n\
+                 pub fn guarded() {}\npub fn search() {}\npub fn resume() {}",
             ),
         ]);
-        let lx = lex("pub fn step() { helper(); }\nfn helper() {}\nfn orphan() {}");
-        // Token index of `helper` body content: find via fns directly.
-        let step = g.fns.iter().position(|f| f.item.name == "helper").unwrap();
-        assert!(g.reachable[step]);
-        let orphan = g.fns.iter().position(|f| f.item.name == "orphan").unwrap();
-        assert!(!g.reachable[orphan]);
-        drop(lx);
+        let reachable = |name: &str| {
+            let i = g.fns.iter().position(|f| f.item.name == name).unwrap();
+            g.reachable[i]
+        };
+        for name in ["helper", "guarded", "search", "resume"] {
+            assert!(reachable(name), "{name}");
+        }
+        // Called only from a `Session` method that is no entry point.
+        assert!(!reachable("orphan"));
     }
 
     #[test]

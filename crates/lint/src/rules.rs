@@ -78,7 +78,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "panic-reachability",
         summary: "no un-allowed panic sites in functions transitively reachable from \
-                  the Session constructors, Session::mine, Sweep::run or JsonWriter; \
+                  the Session constructors, Session::{mine, mine_guarded, top_k}, \
+                  Sweep::{run, run_checkpointed} or JsonWriter; \
                   fix the site or allow it as panic-hygiene with a reason",
         allowable: false,
     },

@@ -21,18 +21,6 @@ pub enum Label {
 }
 
 impl Label {
-    /// Whether this label is exactly [`Label::Positive`].
-    #[inline]
-    pub fn is_positive(self) -> bool {
-        self == Label::Positive
-    }
-
-    /// Whether this label is exactly [`Label::Negative`].
-    #[inline]
-    pub fn is_negative(self) -> bool {
-        self == Label::Negative
-    }
-
     /// Whether this label can sit inside a flipping chain (positive or
     /// negative — non-correlated and infrequent itemsets break chains).
     #[inline]
@@ -167,8 +155,6 @@ mod tests {
     #[test]
     fn predicates_and_sigils() {
         use Label::*;
-        assert!(Positive.is_positive() && !Positive.is_negative());
-        assert!(Negative.is_negative());
         assert!(Positive.is_correlated() && Negative.is_correlated());
         assert!(!NonCorrelated.is_correlated() && !Infrequent.is_correlated());
         assert_eq!(Positive.sigil(), '+');

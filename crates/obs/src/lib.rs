@@ -36,7 +36,7 @@ pub mod span;
 pub mod trace;
 
 pub use recorder::{disable, drain, enable, enabled, Capture, PhaseRow};
-pub use span::{event, shard_span, span, span_labeled, stamp, with_shard, Span, SpanEvent};
+pub use span::{shard_span, span, span_labeled, stamp, with_shard, Span, SpanEvent};
 pub use trace::{render_chrome_trace, validate_trace, TraceError, TraceStats, TRACE_SCHEMA};
 
 #[cfg(test)]
@@ -59,7 +59,6 @@ mod tests {
         let _ = crate::drain();
         {
             let _sp = crate::span("x");
-            crate::event("e", &[]);
         }
         let capture = crate::drain();
         assert!(capture.events.is_empty());
@@ -79,10 +78,9 @@ mod tests {
                 let _inner = crate::span("inner");
             }
         }
-        crate::event("mark", &[("k", 7)]);
         let capture = crate::drain();
         crate::disable();
-        assert_eq!(capture.events.len(), 4);
+        assert_eq!(capture.events.len(), 3);
         // Sorted by start: outer first even though it closed last.
         assert_eq!(capture.events[0].name, "outer");
         assert_eq!(capture.events[1].name, "inner");
@@ -92,8 +90,6 @@ mod tests {
             assert!(inner.start_ns >= outer.start_ns);
             assert!(inner.start_ns + inner.dur_ns <= outer.start_ns + outer.dur_ns);
         }
-        assert_eq!(capture.events[3].name, "mark");
-        assert_eq!(capture.events[3].dur_ns, 0);
         // And the rendered trace passes its own validator.
         crate::validate_trace(&capture.render_trace()).unwrap();
     }

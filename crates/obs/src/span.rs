@@ -175,22 +175,6 @@ pub fn span_labeled(name: &'static str, label: &str) -> Span {
     open(name, Some(label.to_string()))
 }
 
-/// Record an instant event (duration 0), e.g. a marker inside a span.
-pub fn event(name: &'static str, args: &[(&'static str, u64)]) {
-    if !recorder::enabled() {
-        return;
-    }
-    let now = clock::now_ns();
-    push_event(SpanEvent {
-        name,
-        label: None,
-        lane: 0,
-        start_ns: now,
-        dur_ns: 0,
-        args: args.to_vec(),
-    });
-}
-
 /// A timestamp for queue-wait measurement: nanoseconds since the epoch
 /// when the recorder is enabled, 0 otherwise. Capture one before handing
 /// work to a pool, then pass it to [`shard_span`] inside the worker.

@@ -138,11 +138,6 @@ impl<W: Write> FbinWriter<W> {
         Ok(())
     }
 
-    /// Transactions written so far.
-    pub fn transactions_written(&self) -> u64 {
-        self.total_txns
-    }
-
     fn flush_chunk(&mut self) -> Result<(), StoreError> {
         if self.chunk_txns == 0 {
             return Ok(());

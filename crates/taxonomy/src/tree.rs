@@ -139,80 +139,9 @@ impl Taxonomy {
         Ok(cur)
     }
 
-    /// The level-1 ancestor (top category) of `node`.
-    ///
-    /// The paper requires all items of a flipping pattern to descend from
-    /// *different* level-1 nodes; this accessor implements that check.
-    pub fn top_category(&self, node: NodeId) -> Result<NodeId, TaxonomyError> {
-        self.ancestor_at_level(node, 1)
-    }
-
-    /// Path from `node` up to (and excluding) the root: `[node, parent, …,
-    /// level-1 ancestor]`.
-    pub fn path_to_root(&self, node: NodeId) -> Vec<NodeId> {
-        let mut path = Vec::with_capacity(self.level_of(node));
-        let mut cur = Some(node);
-        while let Some(n) = cur {
-            if n.is_root() {
-                break;
-            }
-            path.push(n);
-            cur = self.parent(n);
-        }
-        path
-    }
-
-    /// Whether `anc` is an ancestor of `node` (a node is not its own
-    /// ancestor).
-    pub fn is_ancestor(&self, anc: NodeId, node: NodeId) -> bool {
-        if self.level_of(anc) >= self.level_of(node) {
-            return false;
-        }
-        self.ancestor_at_level(node, self.level_of(anc))
-            .map(|a| a == anc)
-            .unwrap_or(false)
-    }
-
-    /// All leaf descendants of `node` (if `node` is a leaf, just itself).
-    pub fn leaf_descendants(&self, node: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut stack = vec![node];
-        while let Some(n) = stack.pop() {
-            if self.is_leaf(n) {
-                out.push(n);
-            } else {
-                stack.extend_from_slice(self.children(n));
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// All descendants of `node` at level `h` (empty if `h <= level(node)`).
-    pub fn descendants_at_level(&self, node: NodeId, h: usize) -> Vec<NodeId> {
-        if h <= self.level_of(node) || h > self.height {
-            return Vec::new();
-        }
-        let mut frontier = vec![node];
-        for _ in self.level_of(node)..h {
-            let mut next = Vec::new();
-            for n in frontier {
-                next.extend_from_slice(self.children(n));
-            }
-            frontier = next;
-        }
-        frontier.sort_unstable();
-        frontier
-    }
-
     /// Iterate over all node ids in id order (root first).
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.nodes.len()).map(NodeId::from_index)
-    }
-
-    /// Pre-order depth-first traversal starting at the root.
-    pub fn preorder(&self) -> crate::iter::Preorder<'_> {
-        crate::iter::Preorder::new(self, NodeId::ROOT)
     }
 
     /// Validate all structural invariants; used by tests and after
@@ -439,33 +368,18 @@ mod tests {
         assert_eq!(t.ancestor_at_level(a11, 2).unwrap(), a1);
         assert_eq!(t.ancestor_at_level(a11, 1).unwrap(), a);
         assert_eq!(t.ancestor_at_level(a11, 3).unwrap(), a11);
-        assert_eq!(t.top_category(a11).unwrap(), a);
         assert!(t.ancestor_at_level(a, 2).is_err());
-        assert!(t.is_ancestor(a, a11));
-        assert!(!t.is_ancestor(a11, a));
-        assert!(!t.is_ancestor(a11, a11));
-    }
-
-    #[test]
-    fn path_to_root_walks_up_to_level_1() {
-        let t = toy();
-        let a11 = t.node_by_name("a11").unwrap();
-        let p = t.path_to_root(a11);
-        assert_eq!(p.len(), 3);
-        assert_eq!(p[0], a11);
-        assert_eq!(p[2], t.node_by_name("a").unwrap());
     }
 
     #[test]
     fn descendants() {
         let t = toy();
         let a = t.node_by_name("a").unwrap();
-        assert_eq!(t.leaf_descendants(a).len(), 4);
-        assert_eq!(t.descendants_at_level(a, 2).len(), 2);
-        assert_eq!(t.descendants_at_level(a, 3).len(), 4);
-        assert!(t.descendants_at_level(a, 1).is_empty());
+        assert_eq!(t.children(a).len(), 2);
+        let grandchildren: usize = t.children(a).iter().map(|&c| t.children(c).len()).sum();
+        assert_eq!(grandchildren, 4);
         let a11 = t.node_by_name("a11").unwrap();
-        assert_eq!(t.leaf_descendants(a11), vec![a11]);
+        assert!(t.is_leaf(a11) && t.children(a11).is_empty());
     }
 
     #[test]
@@ -572,13 +486,5 @@ mod tests {
             e(&[("a", 0), ("b", 0), ("a1", 1)]),
             TaxonomyError::Unbalanced { .. }
         ));
-    }
-
-    #[test]
-    fn preorder_visits_all_nodes_root_first() {
-        let t = toy();
-        let order: Vec<NodeId> = t.preorder().collect();
-        assert_eq!(order.len(), t.node_count());
-        assert_eq!(order[0], NodeId::ROOT);
     }
 }

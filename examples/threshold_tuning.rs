@@ -5,8 +5,8 @@
 //! until a satisfactory number of flipping patterns emerges; per-level
 //! minimum supports should decrease with depth. Before the façade this was
 //! a hand-rolled loop; now it is a γ × ε thresholds grid the session runs
-//! against its one cached view — each point bit-identical to a single-shot
-//! `mine` call. The top-K "most flipping" ranking merges each run's
+//! against its one cached view — each point bit-identical to
+//! `Session::mine` on a fresh session. The top-K "most flipping" ranking merges each run's
 //! [`MiningResult::top_k_by_gap`](flipper_api::MiningResult::top_k_by_gap).
 //!
 //! Run with: `cargo run --example threshold_tuning`
@@ -53,7 +53,7 @@ fn main() -> Result<(), FlipperError> {
     // Per-level support guidance: decreasing thresholds matter because item
     // supports shrink with depth.
     println!("\nper-level item-support profile (mean relative support):");
-    for ls in flipper_api::stats::level_stats(&data.db, &data.taxonomy) {
+    for ls in flipper_api::stats::level_stats(session.view()) {
         println!(
             "  level {}: {} nodes, mean support {:.4}, max {:.4}",
             ls.level, ls.distinct_nodes, ls.mean_rel_support, ls.max_rel_support

@@ -20,9 +20,9 @@
 #     truncation/corruption behavior) and the flipper-store unit suite (the
 #     chunk decoder's own checks pinned by exact error, the slice-by-8
 #     CRC-32 against its bytewise reference, FBIN bytes pinned by hash),
-#   * the façade acceptance suite (Session/Sweep bit-identical to the
-#     single-shot paths, flipper-results/v1 golden bytes, repeated-run
-#     byte identity),
+#   * the façade acceptance suite (Session/Sweep bit-identical to
+#     flipper_core::mine_with_view over a fresh memo, flipper-results/v1
+#     golden bytes, repeated-run byte identity),
 #   * flipper-lint (crates/lint): project-specific static analysis — the
 #     ratchet against LINT_BASELINE.json must hold (no rule above its
 #     committed count; see README "Static analysis"),
