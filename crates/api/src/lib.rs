@@ -52,7 +52,6 @@
 //! # Ok::<(), flipper_api::FlipperError>(())
 //! ```
 
-mod checkpoint;
 mod error;
 pub mod io;
 mod session;
@@ -60,11 +59,10 @@ mod sink;
 mod source;
 mod sweep;
 
-pub use checkpoint::{CheckpointRow, SweepJournal};
 pub use error::FlipperError;
 pub use session::Session;
 pub use sink::{emit_runs, JsonWriter, ResultSink, TextReport};
-pub use sweep::{threshold_point, Sweep, SweepOutcome, SweepRun};
+pub use sweep::{threshold_point, Sweep, SweepRun};
 
 // Re-exported conveniences: the types a façade caller needs to configure a
 // run and read its results, so frontends depend on `flipper-api` alone.

@@ -3,7 +3,7 @@
 use crate::error::FlipperError;
 use crate::io::FileFormat;
 use crate::sweep::Sweep;
-use flipper_core::topk::{top_k_with_view, TopKConfig, TopKResult};
+use flipper_core::topk::{top_k_with_view, TopKConfig, TopKError, TopKResult};
 use flipper_core::{mine_with_view, FlipperConfig, MiningResult};
 use flipper_data::format::read_dataset;
 use flipper_data::{CacheStats, MultiLevelView, TransactionDb, VerticalMemo};
@@ -240,14 +240,10 @@ impl Session {
         let mut base_check = cfg.base.clone();
         base_check.thresholds = flipper_measures::Thresholds::default();
         base_check.validate()?;
-        cfg.validate()
-            .map_err(|e| FlipperError::usage(format!("top-k search: {e}")))?;
-        Ok(top_k_with_view(
-            &self.taxonomy,
-            &self.view,
-            cfg,
-            &self.memo,
-        )?)
+        top_k_with_view(&self.taxonomy, &self.view, cfg, &self.memo).map_err(|e| match e {
+            TopKError::Config(_) => FlipperError::usage(e.to_string()),
+            TopKError::Guard(e) => e.into(),
+        })
     }
 
     /// Start building a parameter [`Sweep`] over this session.
@@ -509,6 +505,7 @@ mod tests {
         ] {
             let err = session.top_k(&bad).unwrap_err();
             assert!(matches!(err, FlipperError::Usage(_)), "{err}");
+            assert!(err.to_string().contains("top-k search: "), "{err}");
         }
     }
 

@@ -24,7 +24,6 @@
 //!   transactions. Points that differ only in γ, ε or pruning share most
 //!   of these.
 
-use crate::checkpoint::{point_key, CheckpointRow, SweepJournal};
 use crate::error::FlipperError;
 use crate::session::Session;
 use flipper_core::{FlipperConfig, MinSupports, MiningResult, PruningConfig};
@@ -202,45 +201,17 @@ impl<'s> Sweep<'s> {
     /// result and carry [`SweepRun::duplicate_of`] naming it. Points that
     /// differ only in `threads` therefore mine exactly once.
     pub fn run(self) -> Result<Vec<SweepRun>, FlipperError> {
-        Ok(self.execute(None)?.runs)
-    }
-
-    /// [`run`](Sweep::run) against a [`SweepJournal`]: points the journal
-    /// already records are **skipped** and surface as
-    /// [`SweepOutcome::restored`] summaries; the remainder mine normally,
-    /// each appended to the journal (and flushed) the moment it completes.
-    /// A sweep killed mid-run — cancelled, timed out, OOM-killed — therefore
-    /// resumes from its last completed point instead of restarting.
-    pub fn run_checkpointed(self, journal: &SweepJournal) -> Result<SweepOutcome, FlipperError> {
-        self.execute(Some(journal))
-    }
-
-    fn execute(self, journal: Option<&SweepJournal>) -> Result<SweepOutcome, FlipperError> {
         for (_, cfg) in &self.points {
             cfg.validate()?;
-        }
-        let session = self.session;
-        // Restore already-completed points from the journal; the rest stay
-        // live. A point's journal key covers its label *and* its
-        // result-determining fields, so an edited grid never restores a
-        // stale summary.
-        let mut restored: Vec<CheckpointRow> = Vec::new();
-        let mut live: Vec<(&(String, FlipperConfig), u64)> = Vec::new();
-        for point in &self.points {
-            let key = point_key(&point.0, &result_key(&point.1));
-            match journal.and_then(|j| j.completed(key)) {
-                Some(row) => restored.push(row.clone()),
-                None => live.push((point, key)),
-            }
         }
         // Partition into unique points (mined) and duplicates (reused):
         // per point, the slot of its result in the unique-result vector,
         // plus the index of the original point when it is a repeat.
         let mut first_of: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-        let mut unique: Vec<(&(String, FlipperConfig), u64)> = Vec::new();
-        let mut assignment: Vec<(usize, Option<usize>)> = Vec::with_capacity(live.len());
-        for (i, &entry) in live.iter().enumerate() {
-            match first_of.entry(result_key(&entry.0 .1)) {
+        let mut unique: Vec<&(String, FlipperConfig)> = Vec::new();
+        let mut assignment: Vec<(usize, Option<usize>)> = Vec::with_capacity(self.points.len());
+        for (i, point) in self.points.iter().enumerate() {
+            match first_of.entry(result_key(&point.1)) {
                 std::collections::btree_map::Entry::Occupied(e) => {
                     let &(orig, slot) = e.get();
                     assignment.push((slot, Some(orig)));
@@ -248,7 +219,7 @@ impl<'s> Sweep<'s> {
                 std::collections::btree_map::Entry::Vacant(e) => {
                     e.insert((i, unique.len()));
                     assignment.push((unique.len(), None));
-                    unique.push(entry);
+                    unique.push(point);
                 }
             }
         }
@@ -258,67 +229,29 @@ impl<'s> Sweep<'s> {
                 .arg("unique", unique.len() as u64);
             unique
                 .iter()
-                .map(|&((label, cfg), key)| {
+                .map(|(label, cfg)| {
                     if let Some(t) = self.token {
                         t.check()?;
                     }
                     let _point_span = flipper_obs::span_labeled("sweep.point", label);
                     // A panicking configuration fails the sweep typed (the
                     // miner traps it).
-                    let result = session.mine(cfg)?;
-                    if let Some(j) = journal {
-                        j.record(key, &summary_row(label, &result))?;
-                    }
-                    Ok(result)
+                    self.session.mine(cfg)
                 })
                 .collect::<Result<Vec<_>, FlipperError>>()?
         };
-        // Journal the duplicates too (they completed by reuse), so a
-        // resumed sweep restores them instead of re-deriving the original.
-        if let Some(j) = journal {
-            for (&(point, key), &(slot, orig)) in live.iter().zip(&assignment) {
-                if orig.is_some() {
-                    j.record(key, &summary_row(&point.0, &results[slot]))?;
-                }
-            }
-        }
-        let runs = live
+        let runs = self
+            .points
             .iter()
             .zip(assignment)
-            .map(|(&(point, _), (slot, orig))| SweepRun {
-                label: point.0.clone(),
-                config: point.1.clone(),
+            .map(|((label, config), (slot, orig))| SweepRun {
+                label: label.clone(),
+                config: config.clone(),
                 result: results[slot].clone(),
-                duplicate_of: orig.map(|i| live[i].0 .0.clone()),
+                duplicate_of: orig.map(|i| self.points[i].0.clone()),
             })
             .collect();
-        Ok(SweepOutcome { runs, restored })
-    }
-}
-
-/// What [`Sweep::run_checkpointed`] returns: the points this invocation
-/// actually mined, plus summaries of the points restored from the journal.
-/// Restored points deliberately carry summaries only — the journal is a
-/// crash-recovery aid, not a second results format; rerun without the
-/// journal to regenerate full results.
-#[derive(Debug)]
-pub struct SweepOutcome {
-    /// Newly-mined points, in submission order (journal-restored points
-    /// removed).
-    pub runs: Vec<SweepRun>,
-    /// Points skipped because the journal already records them, in
-    /// submission order.
-    pub restored: Vec<CheckpointRow>,
-}
-
-/// The journal summary of one completed point.
-fn summary_row(label: &str, result: &MiningResult) -> CheckpointRow {
-    CheckpointRow {
-        label: label.to_string(),
-        patterns: result.patterns.len() as u64,
-        positive: result.total_positive() as u64,
-        negative: result.total_negative() as u64,
-        candidates: result.stats.candidates_generated,
+        Ok(runs)
     }
 }
 
@@ -439,12 +372,14 @@ mod tests {
         assert_eq!(s.support_cache_stats().entries, 0);
     }
 
-    /// `base()` under two minimum supports, so no memo entry one point
-    /// records is keyed for the other.
-    fn two_theta_points(sweep: Sweep<'_>) -> Sweep<'_> {
-        let mut other = base();
-        other.min_support = MinSupports::Counts(vec![4]);
-        sweep.add("s5", base()).add("s4", other)
+    /// `base()` under three minimum supports, so no memo entry one point
+    /// records is keyed for another.
+    fn three_theta_points(sweep: Sweep<'_>) -> Sweep<'_> {
+        let at = |count| FlipperConfig {
+            min_support: MinSupports::Counts(vec![count]),
+            ..base()
+        };
+        sweep.add("s5", at(5)).add("s4", at(4)).add("s3", at(3))
     }
 
     fn results_bytes(s: &Session, runs: &[SweepRun]) -> Vec<u8> {
@@ -456,12 +391,12 @@ mod tests {
     #[test]
     fn clearing_resets_the_support_cache_and_the_memo() {
         let s = session();
-        let cold = two_theta_points(s.sweep()).run().unwrap();
+        let cold = three_theta_points(s.sweep()).run().unwrap();
         let first = s.support_cache_stats();
         assert_eq!(first.seed_hits, 0, "distinct θ: nothing to replay");
         assert!(first.entries > 0 && first.bytes_resident > 0);
         assert_eq!(first.seed_lookups, first.entries, "every lookup missed");
-        let warm = two_theta_points(s.sweep()).run().unwrap();
+        let warm = three_theta_points(s.sweep()).run().unwrap();
         let second = s.support_cache_stats();
         assert_eq!(
             second.seed_lookups - second.seed_hits,
@@ -476,7 +411,7 @@ mod tests {
 
         s.clear_support_cache();
         assert_eq!(s.support_cache_stats(), CacheStats::default());
-        let again = two_theta_points(s.sweep()).run().unwrap();
+        let again = three_theta_points(s.sweep()).run().unwrap();
         assert_eq!(
             s.support_cache_stats(),
             first,
@@ -542,102 +477,28 @@ mod tests {
         assert!(matches!(err, FlipperError::Timeout), "{err}");
     }
 
+    /// A token that fires between points stops the sweep at a point
+    /// boundary: the points before it mined in full (and recorded their
+    /// enumerations in the memo), the rest never started.
     #[test]
-    fn cancelled_sweep_checkpoints_progress_and_resumes() {
+    fn cancel_between_points_stops_at_a_point_boundary() {
         let s = session();
-        let dir = std::env::temp_dir().join(format!("flipper-sweep-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("resume.ckpt");
-        let _ = std::fs::remove_file(&path);
-
-        // First attempt: two points complete, the third check cancels.
-        let journal = SweepJournal::open(&path, &s).unwrap();
+        // Two checks pass, so two points complete; the third check cancels.
         let token = CancelToken::cancel_after(3);
-        let err = s
-            .sweep()
+        let err = three_theta_points(s.sweep())
             .with_token(&token)
-            .pruning_variants(&base())
-            .run_checkpointed(&journal)
+            .run()
             .unwrap_err();
         assert!(matches!(err, FlipperError::Cancelled), "{err}");
-        assert_eq!(
-            journal.completed_points(),
-            0,
-            "in-memory view is a snapshot at open"
-        );
-        drop(journal);
 
-        // Resume: reopen the journal, completed points restore as summaries,
-        // the rest mine.
-        let journal = SweepJournal::open(&path, &s).unwrap();
-        let done = journal.completed_points();
-        assert_eq!(done, 2, "two points completed before the cancellation");
-        let outcome = s
-            .sweep()
-            .pruning_variants(&base())
-            .run_checkpointed(&journal)
-            .unwrap();
-        assert_eq!(outcome.restored.len(), done);
-        assert_eq!(outcome.runs.len(), 4 - done);
-        let mut labels: Vec<&str> = outcome
-            .restored
-            .iter()
-            .map(|r| r.label.as_str())
-            .chain(outcome.runs.iter().map(|r| r.label.as_str()))
-            .collect();
-        labels.sort_unstable();
-        assert_eq!(
-            labels,
-            ["basic", "flipping", "flipping+tpg", "flipping+tpg+sibp"]
-        );
-        // Restored summaries match what a fresh solo mine reports.
-        for row in &outcome.restored {
-            let pruning = PruningConfig::VARIANTS
-                .into_iter()
-                .find(|p| p.name() == row.label)
-                .unwrap();
-            let mut cfg = base();
-            cfg.pruning = pruning;
-            let solo = s.mine(&cfg).unwrap();
-            assert_eq!(row.patterns, solo.patterns.len() as u64, "{}", row.label);
-            assert_eq!(row.positive, solo.total_positive() as u64, "{}", row.label);
-            assert_eq!(row.negative, solo.total_negative() as u64, "{}", row.label);
+        let first_two = session();
+        for (_, cfg) in three_theta_points(first_two.sweep()).points.iter().take(2) {
+            first_two.mine(cfg).unwrap();
         }
-
-        // A third pass restores everything and mines nothing.
-        let journal = SweepJournal::open(&path, &s).unwrap();
-        let outcome = s
-            .sweep()
-            .pruning_variants(&base())
-            .run_checkpointed(&journal)
-            .unwrap();
-        assert!(outcome.runs.is_empty());
-        assert_eq!(outcome.restored.len(), 4);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpointed_duplicates_are_journaled_too() {
-        let s = session();
-        let dir = std::env::temp_dir().join(format!("flipper-sweep-dup-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("dups.ckpt");
-        let _ = std::fs::remove_file(&path);
-
-        let journal = SweepJournal::open(&path, &s).unwrap();
-        let outcome = thread_points(s.sweep()).run_checkpointed(&journal).unwrap();
-        assert_eq!(outcome.runs.len(), 2);
-        assert_eq!(outcome.runs[1].duplicate_of.as_deref(), Some("t1"));
-
-        let journal = SweepJournal::open(&path, &s).unwrap();
-        assert_eq!(
-            journal.completed_points(),
-            2,
-            "the duplicate is recorded too"
-        );
-        let outcome = thread_points(s.sweep()).run_checkpointed(&journal).unwrap();
-        assert!(outcome.runs.is_empty());
-        assert_eq!(outcome.restored.len(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
+        let full = session();
+        three_theta_points(full.sweep()).run().unwrap();
+        let cancelled = s.support_cache_stats();
+        assert_eq!(cancelled, first_two.support_cache_stats());
+        assert_ne!(cancelled, full.support_cache_stats());
     }
 }

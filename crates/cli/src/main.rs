@@ -58,7 +58,7 @@ USAGE:
                    [--variants v1,v2,...|all] [--max-k K]
                    [--minsup F1,F2,...] [--measure NAME] [--threads N]
                    [--output-json FILE] [--trace FILE]
-                   [--timeout SECS] [--checkpoint FILE [--resume]]
+                   [--timeout SECS]
   flipper convert  --input FILE --out FILE [--to text|fbin]
   flipper topk     --input FILE --k N [--minsup F1,F2,...]
   flipper stats    --input FILE
@@ -84,13 +84,12 @@ them, at every thread count.
 
 `--timeout SECS` bounds a run cooperatively: the deadline is checked at
 cell/point boundaries and an expired run exits 3 with a typed error — never
-a partial report. `mine --salvage` opens a damaged FBIN input in salvage
-mode: chunks failing their CRC are quarantined (listed on stderr) and the
-rest is mined; the JSON report carries an additive \"degraded\" field. `sweep
---checkpoint FILE` journals each completed point; after a kill or timeout,
-re-running with `--resume` skips the journaled points (restored as summary
-rows) and mines only the remainder. `results-diff` compares two
-`{results}` reports: exit 0 when equivalent, 1 when they differ.
+a partial report, and an existing `--output-json` file keeps its bytes.
+`mine --salvage` opens a damaged FBIN input in salvage mode: chunks failing
+their CRC are quarantined (listed on stderr) and the rest is mined; the
+JSON report carries an additive \"degraded\" field.
+`results-diff` compares two `{results}` reports: exit 0 when
+equivalent, 1 when they differ.
 
 A flag the subcommand does not take is a usage error. `sweep` also takes
 `mine`'s `--gamma`, `--epsilon` and `--variant` as the single value of a
@@ -199,7 +198,7 @@ fn stdout_err(e: std::io::Error) -> FlipperError {
 type Flags = HashMap<String, String>;
 
 /// Flags that take no value (presence means "on").
-const BOOL_FLAGS: &[&str] = &["timings", "salvage", "resume"];
+const BOOL_FLAGS: &[&str] = &["timings", "salvage"];
 
 /// The flags each subcommand reads; any other flag is a usage error.
 const GENERATE_FLAGS: &[&str] = &[
@@ -244,8 +243,6 @@ const SWEEP_FLAGS: &[&str] = &[
     "output-json",
     "trace",
     "timeout",
-    "checkpoint",
-    "resume",
 ];
 const CONVERT_FLAGS: &[&str] = &["input", "out", "to"];
 const TOPK_FLAGS: &[&str] = &["input", "k", "minsup"];
@@ -482,20 +479,37 @@ fn open_session(flags: &Flags) -> Result<Session, FlipperError> {
     Session::open_path(input_path(flags)?)
 }
 
-/// An opened `--output-json` sink and the path it writes to.
-type JsonOutput<'f> = (JsonWriter<BufWriter<std::fs::File>>, &'f String);
+/// An opened `--output-json` file and the path it names.
+type JsonOutput<'f> = (std::fs::File, &'f String);
 
 /// Open `--output-json` for writing, if requested — called before mining so
-/// an unwritable path fails fast instead of after the whole run.
+/// an unwritable path fails fast instead of after the whole run. The file
+/// is not truncated yet, so a run that fails or times out leaves an
+/// existing report as it was; [`json_writer`] empties it once the report
+/// is ready to write.
 fn open_json_output(flags: &Flags) -> Result<Option<JsonOutput<'_>>, FlipperError> {
     match flags.get("output-json") {
         None => Ok(None),
         Some(path) => {
-            let file = std::fs::File::create(path)
+            let file = std::fs::OpenOptions::new()
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(path)
                 .map_err(|e| FlipperError::io(format!("create {path}"), e))?;
-            Ok(Some((JsonWriter::new(BufWriter::new(file)), path)))
+            Ok(Some((file, path)))
         }
     }
+}
+
+/// Empty an opened `--output-json` file and write the report into it.
+fn json_writer(
+    file: std::fs::File,
+    path: &str,
+) -> Result<JsonWriter<BufWriter<std::fs::File>>, FlipperError> {
+    file.set_len(0)
+        .map_err(|e| FlipperError::io(format!("truncate {path}"), e))?;
+    Ok(JsonWriter::new(BufWriter::new(file)))
 }
 
 /// Enable the flipper-obs recorder (clearing any stale capture) when
@@ -602,7 +616,8 @@ fn cmd_mine(flags: &Flags, out: &mut dyn Write) -> Result<(), FlipperError> {
         print_timings(out, capture, &result.stats).map_err(stdout_err)?;
     }
 
-    if let Some((json, path)) = json_out {
+    if let Some((file, path)) = json_out {
+        let json = json_writer(file, path)?;
         let mut json = match session.salvage_report().filter(|r| r.is_degraded()) {
             Some(report) => json.with_degraded(report.summary()),
             None => json,
@@ -664,27 +679,11 @@ fn cmd_sweep(flags: &Flags, out: &mut dyn Write) -> Result<(), FlipperError> {
     }
     let n_runs = points.len();
     let token = parse_timeout(flags)?;
-    let resume = flags.contains_key("resume");
-    let checkpoint = flags.get("checkpoint");
-    if resume && checkpoint.is_none() {
-        return Err(FlipperError::usage("--resume requires --checkpoint FILE"));
-    }
-    if let Some(path) = checkpoint {
-        if std::path::Path::new(path).exists() && !resume {
-            return Err(FlipperError::usage(format!(
-                "checkpoint journal {path} already exists; pass --resume to \
-                 continue it, or remove the file to start over"
-            )));
-        }
-    }
     let json_out = open_json_output(flags)?;
     let trace_out = flags.get("trace");
     start_recorder(trace_out.is_some());
 
     let session = open_session(flags)?;
-    let journal = checkpoint
-        .map(|path| flipper_api::SweepJournal::open(path, &session))
-        .transpose()?;
     let mut sweep = session.sweep();
     if let Some(t) = &token {
         sweep = sweep.with_token(t);
@@ -697,13 +696,7 @@ fn cmd_sweep(flags: &Flags, out: &mut dyn Write) -> Result<(), FlipperError> {
         session.origin(),
         session.num_transactions()
     );
-    let (runs, restored) = match &journal {
-        Some(journal) => {
-            let outcome = sweep.run_checkpointed(journal)?;
-            (outcome.runs, outcome.restored)
-        }
-        None => (sweep.run()?, Vec::new()),
-    };
+    let runs = sweep.run()?;
     finish_recorder(trace_out.is_some(), trace_out)?;
 
     writeln!(
@@ -712,21 +705,6 @@ fn cmd_sweep(flags: &Flags, out: &mut dyn Write) -> Result<(), FlipperError> {
         "label", "flips", "pos", "neg", "candidates", "time(ms)"
     )
     .map_err(stdout_err)?;
-    for row in &restored {
-        writeln!(
-            out,
-            "{:<32} {:>8} {:>6} {:>6} {:>12} {:>10}  (restored)",
-            row.label, row.patterns, row.positive, row.negative, row.candidates, "-"
-        )
-        .map_err(stdout_err)?;
-    }
-    if !restored.is_empty() {
-        eprintln!(
-            "{} of {n_runs} points restored from the checkpoint journal as \
-             summaries only; rerun without --resume for their full results",
-            restored.len()
-        );
-    }
     let mut skipped = 0usize;
     for run in &runs {
         let note = match &run.duplicate_of {
@@ -755,8 +733,8 @@ fn cmd_sweep(flags: &Flags, out: &mut dyn Write) -> Result<(), FlipperError> {
         );
     }
 
-    if let Some((mut json, path)) = json_out {
-        emit_runs(&mut json, session.taxonomy(), &runs)?;
+    if let Some((file, path)) = json_out {
+        emit_runs(&mut json_writer(file, path)?, session.taxonomy(), &runs)?;
         let tag = flipper_wire::RESULTS_V1;
         eprintln!("wrote {tag} report ({} runs) to {path}", runs.len());
     }
@@ -1083,6 +1061,8 @@ mod tests {
             ("sweep", "--engines"),
             ("sweep", "--seed-supports"),
             ("sweep", "--jobs"),
+            ("sweep", "--checkpoint"),
+            ("sweep", "--resume"),
         ] {
             let err = run(&strs(&[cmd, "--input", "q.fbin", flag, "tidset"])).unwrap_err();
             assert!(err.to_string().contains(flag), "{cmd} {flag}: {err}");
@@ -1410,21 +1390,28 @@ mod tests {
             assert_eq!(err.exit_code(), 2);
         }
         // A timeout that expires before the first deadline check surfaces
-        // as the typed Timeout error and the dedicated exit code 3.
+        // as the typed Timeout error and the dedicated exit code 3, writes
+        // no report and leaves an existing `--output-json` file byte for
+        // byte as it was.
         let dir = std::env::temp_dir().join(format!("flipper-cli-timeout-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("p.txt").to_string_lossy().to_string();
+        let json = dir.join("r.json").to_string_lossy().to_string();
         run(&strs(&["generate", "--kind", "planted", "--out", &path])).unwrap();
-        let err = run(&strs(&[
-            "mine",
-            "--input",
-            &path,
-            "--timeout",
-            "0.000000001",
-        ]))
-        .unwrap_err();
-        assert!(matches!(err, FlipperError::Timeout), "{err}");
-        assert_eq!(err.exit_code(), 3);
+        for cmd in ["mine", "sweep"] {
+            let args = |extra: &[&str]| {
+                let mut args = strs(&[cmd, "--input", &path, "--output-json", &json]);
+                args.extend(strs(extra));
+                args
+            };
+            run(&args(&[])).unwrap();
+            let report = std::fs::read(&json).unwrap();
+            assert!(report.starts_with(b"{\n  \"schema\""), "{cmd}");
+            let err = run(&args(&["--timeout", "0.000000001"])).unwrap_err();
+            assert!(matches!(err, FlipperError::Timeout), "{cmd}: {err}");
+            assert_eq!(err.exit_code(), 3);
+            assert_eq!(std::fs::read(&json).unwrap(), report, "{cmd}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1493,44 +1480,6 @@ mod tests {
         run(&strs(&["convert", "--input", &fbin, "--out", &text])).unwrap();
         let err = run(&strs(&["mine", "--input", &text, "--salvage"])).unwrap_err();
         assert!(matches!(err, FlipperError::Usage(_)), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sweep_checkpoint_flags_gate_and_resume_restores() {
-        let err = run(&strs(&["sweep", "--input", "/nonexistent", "--resume"])).unwrap_err();
-        assert!(err.to_string().contains("--resume requires"), "{err}");
-        assert_eq!(err.exit_code(), 2);
-
-        let dir = std::env::temp_dir().join(format!("flipper-cli-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("p.txt").to_string_lossy().to_string();
-        let ckpt = dir.join("sweep.ckpt").to_string_lossy().to_string();
-        run(&strs(&["generate", "--kind", "planted", "--out", &path])).unwrap();
-        let sweep = |extra: &[&str]| {
-            let mut args = strs(&[
-                "sweep",
-                "--input",
-                &path,
-                "--gammas",
-                "0.6,0.5",
-                "--epsilons",
-                "0.35",
-            ]);
-            args.extend(strs(extra));
-            run(&args)
-        };
-        sweep(&["--checkpoint", &ckpt]).unwrap();
-        assert!(std::fs::read_to_string(&ckpt)
-            .unwrap()
-            .starts_with("flipper-sweep-ckpt/v1\n"));
-        // Re-running against an existing journal without --resume is
-        // refused before ingestion, so a finished sweep isn't clobbered.
-        let err = sweep(&["--checkpoint", &ckpt]).unwrap_err();
-        assert!(err.to_string().contains("already exists"), "{err}");
-        assert_eq!(err.exit_code(), 2);
-        // --resume restores every completed point instead of re-mining.
-        sweep(&["--checkpoint", &ckpt, "--resume"]).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

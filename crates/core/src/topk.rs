@@ -48,8 +48,8 @@ impl Default for TopKConfig {
 
 /// A rejected [`TopKConfig`] search knob, reported by
 /// [`TopKConfig::validate`]. The single source of truth for the search
-/// invariants: [`top_k_with_view`] asserts through it, and fallible
-/// frontends surface it as a typed error.
+/// invariants: [`top_k_with_view`] rejects through it, and frontends
+/// surface it as a typed error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SearchConfigError {
     /// `k` is zero.
@@ -82,11 +82,36 @@ impl std::fmt::Display for SearchConfigError {
 
 impl std::error::Error for SearchConfigError {}
 
+/// Why [`top_k_with_view`] returned no result.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TopKError {
+    /// The search knobs fail [`TopKConfig::validate`]; nothing was mined.
+    Config(SearchConfigError),
+    /// A probe's mining run stopped (see [`mine_with_view`]).
+    Guard(GuardError),
+}
+
+impl std::fmt::Display for TopKError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TopKError::Config(e) => write!(f, "top-k search: {e}"),
+            TopKError::Guard(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for TopKError {}
+
+impl From<GuardError> for TopKError {
+    fn from(e: GuardError) -> Self {
+        TopKError::Guard(e)
+    }
+}
+
 impl TopKConfig {
     /// Check the search-knob invariants (the base mining configuration has
-    /// its own [`FlipperConfig::validate`]). [`top_k_with_view`] asserts
-    /// these on entry; fallible callers check here first to get a typed
-    /// error instead of a panic.
+    /// its own [`FlipperConfig::validate`]). [`top_k_with_view`] checks
+    /// these on entry and returns a violation as [`TopKError::Config`].
     pub fn validate(&self) -> Result<(), SearchConfigError> {
         if self.k == 0 {
             return Err(SearchConfigError::ZeroK);
@@ -131,24 +156,18 @@ pub struct TopKResult {
 /// (`corr ≥ γ` on positive levels, `corr ≤ ε` on negative ones), so the
 /// first γ that yields ≥ k patterns gives the best-separated top-K.
 ///
-/// Each probe is one [`mine_with_view`] run over `memo`, so a panic inside
-/// one returns as [`GuardError::Panicked`]. The probes differ only in γ and
-/// ε, so every probe after the first replays the vertical enumerations the
-/// first recorded.
-///
-/// # Panics
-/// Panics with the [`SearchConfigError`] message if `cfg` fails
-/// [`TopKConfig::validate`].
+/// A `cfg` failing [`TopKConfig::validate`] returns [`TopKError::Config`]
+/// before any mining. Each probe is one [`mine_with_view`] run over `memo`,
+/// so a panic inside one returns as [`GuardError::Panicked`] in
+/// [`TopKError::Guard`]. The probes differ only in γ and ε, so every probe
+/// after the first replays the vertical enumerations the first recorded.
 pub fn top_k_with_view(
     tax: &Taxonomy,
     view: &MultiLevelView,
     cfg: &TopKConfig,
     memo: &VerticalMemo,
-) -> Result<TopKResult, GuardError> {
-    if let Err(e) = cfg.validate() {
-        // lint:allow(panic-hygiene) documented panicking entry point; fallible callers use validate()
-        panic!("{e}");
-    }
+) -> Result<TopKResult, TopKError> {
+    cfg.validate().map_err(TopKError::Config)?;
     let mut runs = 0;
     let mut best: Option<TopKResult> = None;
 
@@ -201,9 +220,9 @@ mod tests {
     use flipper_datagen::planted::{self, PlantedParams};
 
     /// The search over a fresh view and memo of `d`.
-    fn top_k(d: &planted::PlantedData, cfg: &TopKConfig) -> TopKResult {
+    fn top_k(d: &planted::PlantedData, cfg: &TopKConfig) -> Result<TopKResult, TopKError> {
         let view = MultiLevelView::build(&d.db, &d.taxonomy).unwrap();
-        top_k_with_view(&d.taxonomy, &view, cfg, &VerticalMemo::new()).unwrap()
+        top_k_with_view(&d.taxonomy, &view, cfg, &VerticalMemo::new())
     }
 
     fn planted_base() -> FlipperConfig {
@@ -224,7 +243,7 @@ mod tests {
             base: planted_base(),
             ..Default::default()
         };
-        let r = top_k(&d, &cfg);
+        let r = top_k(&d, &cfg).unwrap();
         assert_eq!(r.patterns.len(), 2, "both planted pairs surface");
         let mut found: Vec<_> = r
             .patterns
@@ -251,7 +270,7 @@ mod tests {
             base: planted_base(),
             ..Default::default()
         };
-        let r = top_k(&d, &cfg);
+        let r = top_k(&d, &cfg).unwrap();
         assert_eq!(r.patterns.len(), 1);
         // Both planted patterns have identical construction, so the winner
         // must carry the maximal gap among all patterns at the final γ.
@@ -267,7 +286,7 @@ mod tests {
             base: planted_base(),
             ..Default::default()
         };
-        let r = top_k(&d, &cfg);
+        let r = top_k(&d, &cfg).unwrap();
         for w in r.patterns.windows(2) {
             assert!(w[0].flip_gap() >= w[1].flip_gap() - 1e-12);
         }
@@ -290,7 +309,7 @@ mod tests {
             base: planted_base(),
             ..Default::default()
         };
-        let r = top_k(&d, &cfg);
+        let r = top_k(&d, &cfg).unwrap();
         assert!(r.patterns.len() < 50);
         assert!(r.runs > 1, "search explored multiple gammas");
     }
@@ -343,7 +362,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "k must be positive")]
     fn zero_k_rejected() {
         let d = planted::generate(&PlantedParams::default());
         let cfg = TopKConfig {
@@ -351,11 +369,12 @@ mod tests {
             base: planted_base(),
             ..Default::default()
         };
-        let _ = top_k(&d, &cfg);
+        let err = top_k(&d, &cfg).unwrap_err();
+        assert_eq!(err, TopKError::Config(SearchConfigError::ZeroK));
+        assert!(err.to_string().contains("k must be positive"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "gamma_step")]
     fn bad_gamma_step_rejected() {
         let d = planted::generate(&PlantedParams::default());
         let cfg = TopKConfig {
@@ -363,6 +382,8 @@ mod tests {
             base: planted_base(),
             ..Default::default()
         };
-        let _ = top_k(&d, &cfg);
+        let err = top_k(&d, &cfg).unwrap_err();
+        assert_eq!(err, TopKError::Config(SearchConfigError::BadGammaStep(1.5)));
+        assert!(err.to_string().contains("gamma_step"), "{err}");
     }
 }

@@ -100,9 +100,10 @@ struct MemoTables {
 /// enumerate by merging their sorted rows in.
 ///
 /// The memo locks internally, once per selection or record and never across
-/// an enumeration, so concurrent sweep jobs share it through `&self`. Lock
-/// poisoning is ignored: a record builds its merged rows before it touches
-/// the table, so every state the tables can be left in is valid.
+/// an enumeration, so concurrent callers of one session share it through
+/// `&self`. Lock poisoning is ignored: a record builds its merged rows
+/// before it touches the table, so every state the tables can be left in is
+/// valid.
 #[derive(Debug, Default)]
 pub struct VerticalMemo {
     tables: Mutex<MemoTables>,

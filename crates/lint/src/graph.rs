@@ -460,9 +460,9 @@ fn resolve_one(
 /// Is this fn an ingest/mining/serialization entry point? The set mirrors
 /// the public result path: the three `Session` constructors (ingest reads
 /// outside input), the `Session` mining calls (`mine`, `mine_guarded`,
-/// `top_k`), `Sweep::run` and `Sweep::run_checkpointed` (which reach the
-/// miner with the session's vertical memo), and everything on `JsonWriter`
-/// (the byte-pinned serializer).
+/// `top_k`), `Sweep::run` (which reaches the miner with the session's
+/// vertical memo), and everything on `JsonWriter` (the byte-pinned
+/// serializer).
 fn is_entry_point(f: &FnRef) -> bool {
     if f.item.is_test {
         return false;
@@ -472,7 +472,7 @@ fn is_entry_point(f: &FnRef) -> bool {
             f.item.name.as_str(),
             "mine" | "mine_guarded" | "top_k" | "open_path" | "open_salvage_path" | "from_db"
         ),
-        Some("Sweep") => matches!(f.item.name.as_str(), "run" | "run_checkpointed"),
+        Some("Sweep") => f.item.name == "run",
         Some("JsonWriter") => true,
         _ => false,
     }
@@ -682,19 +682,19 @@ mod tests {
             ),
             (
                 "crates/api/src/sweep.rs",
-                "impl Sweep { pub fn run_checkpointed(&self) { flipper_core::resume(); } }",
+                "impl Sweep { pub fn run(&self) { flipper_core::point(); } }",
             ),
             (
                 "crates/core/src/miner.rs",
                 "pub fn step() { helper(); }\nfn helper() {}\nfn orphan() {}\n\
-                 pub fn guarded() {}\npub fn search() {}\npub fn resume() {}",
+                 pub fn guarded() {}\npub fn search() {}\npub fn point() {}",
             ),
         ]);
         let reachable = |name: &str| {
             let i = g.fns.iter().position(|f| f.item.name == name).unwrap();
             g.reachable[i]
         };
-        for name in ["helper", "guarded", "search", "resume"] {
+        for name in ["helper", "guarded", "search", "point"] {
             assert!(reachable(name), "{name}");
         }
         // Called only from a `Session` method that is no entry point.

@@ -79,7 +79,7 @@ pub const RULES: &[RuleInfo] = &[
         name: "panic-reachability",
         summary: "no un-allowed panic sites in functions transitively reachable from \
                   the Session constructors, Session::{mine, mine_guarded, top_k}, \
-                  Sweep::{run, run_checkpointed} or JsonWriter; \
+                  Sweep::run or JsonWriter; \
                   fix the site or allow it as panic-hygiene with a reason",
         allowable: false,
     },

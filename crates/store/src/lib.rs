@@ -749,58 +749,3 @@ mod tests {
         assert_eq!(view, full);
     }
 }
-
-#[cfg(test)]
-mod profile {
-    use super::*;
-    use std::time::Instant;
-
-    #[test]
-    #[ignore]
-    fn where_does_load_time_go() {
-        let ds = flipper_datagen::quest::generate(
-            &flipper_datagen::quest::QuestParams::default().with_transactions(1000),
-        )
-        .into_dataset();
-        let mut text = Vec::new();
-        flipper_data::format::write_dataset(&mut text, &ds).unwrap();
-        let fbin = to_fbin_bytes(&ds).unwrap();
-        let reps = 50;
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(
-                flipper_data::format::read_dataset(std::io::Cursor::new(&text[..])).unwrap(),
-            );
-        }
-        let t_text = t0.elapsed() / reps;
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(read_fbin(&fbin[..]).unwrap());
-        }
-        let t_full = t0.elapsed() / reps;
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(FbinReader::new(&fbin[..]).unwrap());
-        }
-        let t_dict = t0.elapsed() / reps;
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            let mut r = FbinReader::new(&fbin[..]).unwrap();
-            for c in r.chunks() {
-                std::hint::black_box(c.unwrap());
-            }
-        }
-        let t_chunks = t0.elapsed() / reps;
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            let tax = flipper_taxonomy::Taxonomy::uniform(10, 5, 4).unwrap();
-            std::hint::black_box(tax);
-        }
-        let t_uniform = t0.elapsed() / reps;
-        println!("text-parse      {t_text:?}");
-        println!("fbin full load  {t_full:?}");
-        println!("fbin dict only  {t_dict:?}");
-        println!("fbin dict+chunks{t_chunks:?}");
-        println!("taxonomy uniform{t_uniform:?}");
-    }
-}

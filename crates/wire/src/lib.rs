@@ -31,9 +31,6 @@ pub const RESULTS_V1: &str = "flipper-results/v1";
 /// Chrome-trace-event span documents written by `flipper mine --trace`.
 pub const TRACE_V1: &str = "flipper-trace/v1";
 
-/// Append-only sweep checkpoint journals (`flipper sweep --checkpoint`).
-pub const SWEEP_CKPT_V1: &str = "flipper-sweep-ckpt/v1";
-
 /// `flipper-lint --json` analysis reports.
 pub const LINT_V1: &str = "flipper-lint/v1";
 
@@ -49,7 +46,6 @@ pub const LINT_BASELINE_V1: &str = "flipper-lint-baseline/v1";
 pub const ALL: &[&str] = &[
     RESULTS_V1,
     TRACE_V1,
-    SWEEP_CKPT_V1,
     LINT_V1,
     LINT_BASELINE_V2,
     LINT_BASELINE_V1,

@@ -40,9 +40,9 @@
 #     corruption — and the inert guard must be byte-invisible in
 #     flipper-results/v1. Repeating it catches plans leaking between
 #     concurrently running tests,
-#   * a cancelled-sweep-then-resume smoke: a checkpointed `flipper sweep`
-#     killed by a tiny `--timeout` must exit 3 (cancelled/timeout), leave a
-#     readable flipper-sweep-ckpt/v1 journal, and complete under `--resume`.
+#   * a timed-out-sweep smoke: a `flipper sweep` stopped by a tiny
+#     `--timeout` must exit 3 (cancelled/timeout) and leave the report an
+#     earlier sweep wrote to the same `--output-json` file byte-identical,
 #   * the paper-reproduction suite (crates/integration/tests/reproduction.rs:
 #     Fig. 8 and Fig. 9 as asserted equalities and orderings),
 #   * the README's Table-4 GROCERIES recipe as a CLI smoke: `flipper
@@ -150,24 +150,25 @@ for run in 1 2 3 4 5; do
     cargo test --release -q -p flipper-integration --test fault_injection
 done
 
-echo "== robustness: cancelled-sweep-then-resume smoke (checkpoint journal)"
+echo "== robustness: timed-out-sweep smoke (an existing report stays intact)"
+cargo run --release -q -p flipper-cli -- sweep --input "$OBS_TMP/planted.fbin" \
+    --gammas 0.6,0.5,0.4 --epsilons 0.35,0.2 \
+    --output-json "$OBS_TMP/sweep.json" >/dev/null 2>&1
+cp "$OBS_TMP/sweep.json" "$OBS_TMP/sweep.before.json"
 set +e
 cargo run --release -q -p flipper-cli -- sweep --input "$OBS_TMP/planted.fbin" \
     --gammas 0.6,0.5,0.4 --epsilons 0.35,0.2 \
-    --checkpoint "$OBS_TMP/sweep.ckpt" --timeout 0.000000001 >/dev/null 2>&1
+    --output-json "$OBS_TMP/sweep.json" --timeout 0.000000001 >/dev/null 2>&1
 rc=$?
 set -e
 if [ "$rc" -ne 3 ]; then
-    echo "cancelled sweep: expected the cancelled/timeout exit code 3, got $rc" >&2
+    echo "timed-out sweep: expected the cancelled/timeout exit code 3, got $rc" >&2
     exit 1
 fi
-head -1 "$OBS_TMP/sweep.ckpt" | grep -q '^flipper-sweep-ckpt/v1$' || {
-    echo "cancelled sweep left no readable flipper-sweep-ckpt/v1 journal" >&2
+cmp -s "$OBS_TMP/sweep.json" "$OBS_TMP/sweep.before.json" || {
+    echo "timed-out sweep changed the existing --output-json report" >&2
     exit 1
 }
-cargo run --release -q -p flipper-cli -- sweep --input "$OBS_TMP/planted.fbin" \
-    --gammas 0.6,0.5,0.4 --epsilons 0.35,0.2 \
-    --checkpoint "$OBS_TMP/sweep.ckpt" --resume >/dev/null
 
 echo "== paper reproduction: reproduction suite under --release"
 cargo test --release -q -p flipper-integration --test reproduction
