@@ -479,37 +479,68 @@ fn open_session(flags: &Flags) -> Result<Session, FlipperError> {
     Session::open_path(input_path(flags)?)
 }
 
-/// An opened `--output-json` file and the path it names.
-type JsonOutput<'f> = (std::fs::File, &'f String);
+/// An opened `--output-json` file. Opening it before mining makes an
+/// unwritable path fail fast instead of after the whole run. The file is
+/// not truncated until [`JsonOutput::writer`], so a run that fails or
+/// times out leaves an existing report as it was, and a file this run
+/// created is removed again.
+struct JsonOutput<'f> {
+    file: std::fs::File,
+    path: &'f str,
+    created: Created<'f>,
+}
 
-/// Open `--output-json` for writing, if requested — called before mining so
-/// an unwritable path fails fast instead of after the whole run. The file
-/// is not truncated yet, so a run that fails or times out leaves an
-/// existing report as it was; [`json_writer`] empties it once the report
-/// is ready to write.
-fn open_json_output(flags: &Flags) -> Result<Option<JsonOutput<'_>>, FlipperError> {
-    match flags.get("output-json") {
-        None => Ok(None),
-        Some(path) => {
-            let file = std::fs::OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(false)
-                .open(path)
-                .map_err(|e| FlipperError::io(format!("create {path}"), e))?;
-            Ok(Some((file, path)))
+/// The path of a file this run created, removed when dropped unless a
+/// report was written into it.
+struct Created<'f>(Option<&'f str>);
+
+impl Drop for Created<'_> {
+    fn drop(&mut self) {
+        if let Some(path) = self.0 {
+            let _ = std::fs::remove_file(path);
         }
     }
 }
 
-/// Empty an opened `--output-json` file and write the report into it.
-fn json_writer(
-    file: std::fs::File,
-    path: &str,
-) -> Result<JsonWriter<BufWriter<std::fs::File>>, FlipperError> {
-    file.set_len(0)
-        .map_err(|e| FlipperError::io(format!("truncate {path}"), e))?;
-    Ok(JsonWriter::new(BufWriter::new(file)))
+impl<'f> JsonOutput<'f> {
+    /// Open `--output-json` for writing, if requested.
+    fn open(flags: &'f Flags) -> Result<Option<Self>, FlipperError> {
+        let Some(path) = flags.get("output-json") else {
+            return Ok(None);
+        };
+        let open = |create_new: bool| {
+            std::fs::OpenOptions::new()
+                .write(true)
+                .create_new(create_new)
+                .open(path)
+        };
+        let (file, created) = match open(true) {
+            Ok(file) => (file, Some(path.as_str())),
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => (
+                open(false).map_err(|e| FlipperError::io(format!("open {path}"), e))?,
+                None,
+            ),
+            Err(e) => return Err(FlipperError::io(format!("create {path}"), e)),
+        };
+        Ok(Some(JsonOutput {
+            file,
+            path,
+            created: Created(created),
+        }))
+    }
+
+    /// Empty the file and hand it over for the report, which it then keeps.
+    fn writer(self) -> Result<JsonWriter<BufWriter<std::fs::File>>, FlipperError> {
+        let JsonOutput {
+            file,
+            path,
+            mut created,
+        } = self;
+        created.0 = None;
+        file.set_len(0)
+            .map_err(|e| FlipperError::io(format!("truncate {path}"), e))?;
+        Ok(JsonWriter::new(BufWriter::new(file)))
+    }
 }
 
 /// Enable the flipper-obs recorder (clearing any stale capture) when
@@ -581,7 +612,7 @@ fn cmd_mine(flags: &Flags, out: &mut dyn Write) -> Result<(), FlipperError> {
     let timings = flags.contains_key("timings");
     let record = trace_out.is_some() || timings;
     let token = parse_timeout(flags)?;
-    let json_out = open_json_output(flags)?;
+    let json_out = JsonOutput::open(flags)?;
     start_recorder(record);
     let session = if flags.contains_key("salvage") {
         Session::open_salvage_path(input_path(flags)?)?
@@ -616,8 +647,9 @@ fn cmd_mine(flags: &Flags, out: &mut dyn Write) -> Result<(), FlipperError> {
         print_timings(out, capture, &result.stats).map_err(stdout_err)?;
     }
 
-    if let Some((file, path)) = json_out {
-        let json = json_writer(file, path)?;
+    if let Some(json_out) = json_out {
+        let path = json_out.path;
+        let json = json_out.writer()?;
         let mut json = match session.salvage_report().filter(|r| r.is_degraded()) {
             Some(report) => json.with_degraded(report.summary()),
             None => json,
@@ -679,7 +711,7 @@ fn cmd_sweep(flags: &Flags, out: &mut dyn Write) -> Result<(), FlipperError> {
     }
     let n_runs = points.len();
     let token = parse_timeout(flags)?;
-    let json_out = open_json_output(flags)?;
+    let json_out = JsonOutput::open(flags)?;
     let trace_out = flags.get("trace");
     start_recorder(trace_out.is_some());
 
@@ -733,8 +765,9 @@ fn cmd_sweep(flags: &Flags, out: &mut dyn Write) -> Result<(), FlipperError> {
         );
     }
 
-    if let Some((file, path)) = json_out {
-        emit_runs(&mut json_writer(file, path)?, session.taxonomy(), &runs)?;
+    if let Some(json_out) = json_out {
+        let path = json_out.path;
+        emit_runs(&mut json_out.writer()?, session.taxonomy(), &runs)?;
         let tag = flipper_wire::RESULTS_V1;
         eprintln!("wrote {tag} report ({} runs) to {path}", runs.len());
     }
@@ -1392,7 +1425,7 @@ mod tests {
         // A timeout that expires before the first deadline check surfaces
         // as the typed Timeout error and the dedicated exit code 3, writes
         // no report and leaves an existing `--output-json` file byte for
-        // byte as it was.
+        // byte as it was, or a fresh path without a file.
         let dir = std::env::temp_dir().join(format!("flipper-cli-timeout-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("p.txt").to_string_lossy().to_string();
@@ -1411,6 +1444,20 @@ mod tests {
             assert!(matches!(err, FlipperError::Timeout), "{cmd}: {err}");
             assert_eq!(err.exit_code(), 3);
             assert_eq!(std::fs::read(&json).unwrap(), report, "{cmd}");
+            let fresh = dir.join(format!("{cmd}-fresh.json"));
+            let fresh_arg = fresh.to_string_lossy().to_string();
+            let err = run(&strs(&[
+                cmd,
+                "--input",
+                &path,
+                "--output-json",
+                &fresh_arg,
+                "--timeout",
+                "0.000000001",
+            ]))
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 3, "{cmd}: {err}");
+            assert!(!fresh.exists(), "{cmd}: a timed-out run left {fresh_arg}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -9,8 +9,8 @@
 //! `flipper-results/v1` bytes — is deterministic by construction, and a
 //! probe ([`Cell::get_items`]) is a binary search over the rows. The miner
 //! evaluates candidates in ascending order (every source emits its rows
-//! ascending and distinct), so a cell is only ever appended to
-//! ([`Cell::push`]).
+//! ascending and distinct) into one table, and the cell adopts that table
+//! as its rows ([`Cell::adopt`]) instead of copying them.
 
 use flipper_data::ItemsetRows;
 use flipper_measures::Label;
@@ -32,7 +32,8 @@ pub(crate) struct ItemsetInfo {
     pub chain_alive: bool,
 }
 
-/// One cell `Q(h,k)` of the search table.
+/// One cell `Q(h,k)` of the search table. Its rows are the table its
+/// candidates were counted in, adopted whole, with no spare capacity.
 #[derive(Debug, Clone)]
 pub(crate) struct Cell {
     /// Ascending and distinct.
@@ -48,15 +49,22 @@ impl Cell {
     /// Panics if `k == 0`.
     #[cfg(test)]
     pub fn new(k: usize) -> Self {
-        Cell::with_capacity(k, 0)
+        Cell::adopt(ItemsetRows::new(k), Vec::new())
     }
 
-    /// Empty cell of `k`-itemsets with room for `n` of them.
-    pub(crate) fn with_capacity(k: usize, n: usize) -> Self {
-        Cell {
-            rows: ItemsetRows::with_capacity(k, n),
-            infos: Vec::with_capacity(n),
-        }
+    /// The cell of the evaluated `rows`, ascending and distinct, taking the
+    /// table as it is: `infos[i]` describes row `i`.
+    ///
+    /// # Panics
+    /// Panics if `infos` does not hold one info per row. Debug builds also
+    /// check that the rows are strictly ascending.
+    pub(crate) fn adopt(rows: ItemsetRows, infos: Vec<ItemsetInfo>) -> Self {
+        assert_eq!(rows.len(), infos.len(), "one info per row");
+        debug_assert!(
+            (1..rows.len()).all(|i| rows.row(i - 1) < rows.row(i)),
+            "rows are not strictly ascending"
+        );
+        Cell { rows, infos }
     }
 
     /// Items per itemset.
@@ -70,6 +78,7 @@ impl Cell {
     }
 
     /// Whether the cell holds no itemsets.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.infos.is_empty()
     }
@@ -90,6 +99,7 @@ impl Cell {
     /// # Panics
     /// Panics if `items` does not hold exactly `k` items. Debug builds also
     /// check that `items` is strictly increasing and above the last row.
+    #[cfg(test)]
     pub(crate) fn push(&mut self, items: &[NodeId], info: ItemsetInfo) {
         debug_assert!(
             items.windows(2).all(|w| w[0] < w[1]),
@@ -118,7 +128,6 @@ impl Cell {
     }
 
     /// Iterate itemsets with `support ≥ θ` (label ≠ infrequent).
-    #[cfg(test)]
     pub fn frequent(&self) -> impl Iterator<Item = (&[NodeId], &ItemsetInfo)> {
         self.iter().filter(|(_, i)| i.label != Label::Infrequent)
     }

@@ -17,13 +17,19 @@
 //! every source emits its survivors ascending, so [`Batch::union`] only
 //! appends them and removes the overlap between the fused and the counted
 //! side, and no candidate is ever allocated on its own or sorted after the
-//! fact. The join reads the frequent rows of `Q(h,k−1)` where the cell
-//! stores them. The vertical pass selects its parent sets' recorded
-//! combinations from the [`VerticalMemo`]'s ascending table, sorts only the
-//! rows it had to enumerate, and merges the two. Both sources answer their
-//! subset probes into `Q(h,k−1)` with the same cursors into that cell's
-//! prefix groups ([`SubsetCursors`]), so a probe is amortized O(1), not a
-//! binary search. Probes work in buffers reused across the pass.
+//! fact. After counting, [`Batch::into_rows`] merges the fused rows into
+//! the counted table in place, and that table becomes the cell's rows.
+//!
+//! The join reads only the frequent rows of `Q(h,k−1)`, gathered into one
+//! table per pass, so it never steps over an infrequent row. The vertical
+//! pass selects its parent sets' recorded combinations from the
+//! [`VerticalMemo`]'s ascending table, sorts only the rows it had to
+//! enumerate, and merges the two. Both sources answer their subset probes
+//! with the same cursors into the prefix groups of the table they probe
+//! ([`SubsetCursors`]): a probe is amortized O(1), and a cursor finds its
+//! next group by galloping forward from its last one, restarting from the
+//! top only when the probed prefix changes. Probes work in buffers reused
+//! across the pass.
 
 use crate::cell::Cell;
 use flipper_data::{BitsetCounter, ItemsetRows, VerticalMemo};
@@ -121,10 +127,12 @@ impl Batch {
             }
         }
         debug_assert!(ascending(&to_count) && ascending(&fused));
-        let to_count = if fused.is_empty() {
+        let to_count = if fused.is_empty() || to_count.is_empty() {
             to_count
         } else {
-            let mut rest = ItemsetRows::with_capacity(k, to_count.len());
+            // Room for the fused rows too, so that merging them in after
+            // counting ([`Self::into_rows`]) never moves the table.
+            let mut rest = ItemsetRows::with_capacity(k, to_count.len() + fused.len());
             let mut f = 0;
             for row in to_count.iter() {
                 while f < fused.len() && fused.row(f) < row {
@@ -141,6 +149,16 @@ impl Batch {
             fused_supports,
             to_count,
         }
+    }
+
+    /// The cell's rows and their supports, given the `counted` supports of
+    /// [`Self::to_count`]: the counted table with the fused rows merged in
+    /// place ([`ItemsetRows::merge_with`]). A batch without fused rows
+    /// hands its counted table over as it is.
+    pub(crate) fn into_rows(self, counted: Vec<u64>) -> (ItemsetRows, Vec<u64>) {
+        let (mut rows, mut supports) = (self.to_count, counted);
+        rows.merge_with(&mut supports, self.fused, self.fused_supports);
+        (rows, supports)
     }
 }
 
@@ -172,40 +190,70 @@ pub(crate) fn pairs(ctx: &GenCtx<'_>, items: &[NodeId]) -> Generated {
     g
 }
 
-/// Subset probes into the ascending `(k−1)`-item rows of `prev = Q(h,k−1)`
-/// for `k`-item candidates that share the `(k−1)`-item head `base` and
-/// arrive in ascending order of their last item `last`.
+/// Subset probes into ascending `(k−1)`-item rows for `k`-item candidates
+/// that share the `(k−1)`-item head `base` and arrive in ascending order of
+/// their last item `last`.
 ///
 /// Dropping item `i` of `base` gives the subset `base − i + last`: it lies
-/// in `prev`'s prefix group of `base − i`, and as `last` ascends so does its
+/// in the rows' prefix group of `base − i`, and as `last` ascends so does its
 /// place in that group. One cursor per dropped position therefore walks its
 /// group once per `base`, and a probe costs amortized O(1) instead of a
-/// search. Both the join and the vertical pass probe this way.
+/// search.
+///
+/// The groups are found by galloping, not by binary search. Bases arrive
+/// ascending, and for as long as consecutive bases keep the same
+/// `base[..=i]` the key `base − i` ascends with them, so cursor `i` gallops
+/// forward from where its previous group started, at a cost logarithmic in
+/// the distance moved. It restarts from the first row only when that prefix
+/// changes. Both the join and the vertical pass probe this way.
 struct SubsetCursors {
+    /// The base the cursors were last aimed for.
+    base: Vec<NodeId>,
     /// The `(k−2)`-item key `base − i` being located.
     key: Vec<NodeId>,
-    /// Per dropped position: what is left of its prefix group.
+    /// Per dropped position: where its prefix group starts, ...
+    starts: Vec<usize>,
+    /// ... and what is left of that group.
     cursors: Vec<Range<usize>>,
 }
 
 impl SubsetCursors {
     fn new(k: usize) -> Self {
         SubsetCursors {
+            base: Vec::with_capacity(k),
             key: Vec::with_capacity(k),
+            starts: Vec::with_capacity(k),
             cursors: Vec::with_capacity(k),
         }
     }
 
     /// Aim one cursor at the prefix group of `base − i` in `rows`, for each
-    /// dropped position `i < drops`.
+    /// dropped position `i < drops`. Over one table, `drops` must stay the
+    /// same and bases must not descend between calls.
     fn start(&mut self, rows: &ItemsetRows, base: &[NodeId], drops: usize) {
-        self.cursors.clear();
+        debug_assert!(self.base.as_slice() <= base, "bases must ascend");
+        let kept = self
+            .base
+            .iter()
+            .zip(base)
+            .take_while(|(a, b)| a == b)
+            .count();
+        self.starts.resize(drops, 0);
+        self.cursors.resize(drops, 0..0);
+        let m = base.len() - 1;
         for i in 0..drops {
             self.key.clear();
             self.key.extend_from_slice(&base[..i]);
             self.key.extend_from_slice(&base[i + 1..]);
-            self.cursors.push(rows.prefix_range(&self.key));
+            let key = self.key.as_slice();
+            let from = if i < kept { self.starts[i] } else { 0 };
+            let lo = gallop(rows, from, |row| &row[..m] < key);
+            let hi = gallop(rows, lo, |row| &row[..m] == key);
+            self.starts[i] = lo;
+            self.cursors[i] = lo..hi;
         }
+        self.base.clear();
+        self.base.extend_from_slice(base);
     }
 
     /// Whether `accept` holds for every subset `base − i + last`: it gets
@@ -229,36 +277,62 @@ impl SubsetCursors {
     }
 }
 
+/// The first index at or after `from` whose row fails `below`; the rows
+/// from `from` on must be partitioned by it. Steps of doubling length
+/// bracket the answer and a binary search inside the last step ends it.
+fn gallop(rows: &ItemsetRows, from: usize, below: impl Fn(&[NodeId]) -> bool) -> usize {
+    let n = rows.len();
+    // Every row in `from..lo` is below; `hi` is the next row tested.
+    let (mut lo, mut hi, mut step) = (from, from, 1);
+    while hi < n && below(rows.row(hi)) {
+        lo = hi + 1;
+        hi = lo + step;
+        step *= 2;
+    }
+    let mut hi = hi.min(n);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if below(rows.row(mid)) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 /// The horizontal Apriori join over the frequent itemsets of
 /// `prev = Q(h,k−1)` (`k ≥ 3`), with the classic prune: a joined candidate
 /// survives only if every `(k−1)`-subset is frequent in `prev`. (Cells can
 /// be unions wider than the pure join closure, so membership is checked
 /// explicitly.)
 ///
-/// The join reads `prev`'s rows in place. Frequent rows sharing their
-/// `(k−2)`-prefix are joined pairwise, `p < q`, into `row(p) + last(q)`,
-/// which come out ascending. Dropping either of the last two items gives
-/// back `row(q)` or `row(p)`, both frequent, so only the subsets that drop
-/// one of the first `k − 2` items are probed, with [`SubsetCursors`] on
-/// `base = row(p)`; the row a cursor stops at must also be frequent.
+/// The join reads only `prev`'s frequent rows, gathered into one table, so
+/// a join group is exactly its frequent members and no cursor walks past an
+/// infrequent row. Rows sharing their `(k−2)`-prefix are joined pairwise,
+/// `p < q`, into `row(p) + last(q)`, which come out ascending. Dropping
+/// either of the last two items gives back `row(q)` or `row(p)`, both
+/// frequent, so only the subsets that drop one of the first `k − 2` items
+/// are probed, with [`SubsetCursors`] on `base = row(p)`; every row a
+/// cursor finds is frequent.
 pub(crate) fn horizontal(ctx: &GenCtx<'_>, prev: &Cell, k: usize) -> Generated {
     debug_assert!(k >= 3, "pairs come from `pairs` or `vertical`");
-    let rows = prev.rows();
-    let frequent = |i: usize| prev.info(i).label != Label::Infrequent;
+    let mut rows = ItemsetRows::with_capacity(k - 1, prev.frequent().count());
+    rows.extend(prev.frequent().map(|(row, _)| row));
     let mut g = Generated::new(k);
     let mut cursors = SubsetCursors::new(k);
     let mut cand: Vec<NodeId> = Vec::with_capacity(k);
     for grp in rows.prefix_groups(0..rows.len()) {
-        for p in grp.clone().filter(|&p| frequent(p)) {
+        for p in grp.clone() {
             let rp = rows.row(p);
             let cat_p = ctx.cat(rp[k - 2]);
-            cursors.start(rows, rp, k - 2);
-            for q in (p + 1..grp.end).filter(|&q| frequent(q)) {
+            cursors.start(&rows, rp, k - 2);
+            for q in p + 1..grp.end {
                 let last = rows.row(q)[k - 2];
                 if ctx.cat(last) == cat_p {
                     continue;
                 }
-                if cursors.all(rows, last, |found| found.is_some_and(frequent)) {
+                if cursors.all(&rows, last, |found| found.is_some()) {
                     cand.clear();
                     cand.extend_from_slice(rp);
                     cand.push(last);
@@ -612,8 +686,44 @@ mod tests {
         g
     }
 
+    /// A cell of `w`-itemsets over items `1..=items` of which at least nine
+    /// in ten are infrequent. The frequent ones are every `w`-subset of a
+    /// few random `(w+2)`-item seeds, so they join and pass the subset
+    /// check, plus a few strays, whose joins the check prunes. The seeds
+    /// spread over the items, so consecutive join bases change a leading
+    /// item often.
+    fn mostly_infrequent_cell(rng: &mut Xoshiro256pp, items: u32, w: usize) -> Cell {
+        let random_set = |rng: &mut Xoshiro256pp, len: usize| loop {
+            let set = Itemset::new((0..len).map(|_| n(rng.gen_range(1..=items))).collect());
+            if set.len() == len {
+                return set;
+            }
+        };
+        let frequent = |rng: &mut Xoshiro256pp| {
+            info([Label::NonCorrelated, Label::Positive][rng.gen_range(0..2usize)])
+        };
+        let mut rows = BTreeMap::new();
+        for _ in 0..3 {
+            let seed = random_set(rng, w + 2);
+            for (a, b) in (0..w + 2).flat_map(|a| (a + 1..w + 2).map(move |b| (a, b))) {
+                let sub = seed.without_index(b).without_index(a);
+                rows.insert(sub, frequent(rng));
+            }
+        }
+        for _ in 0..3 {
+            rows.insert(random_set(rng, w), frequent(rng));
+        }
+        let n_frequent = rows.len();
+        while rows.len() < 10 * n_frequent {
+            rows.entry(random_set(rng, w))
+                .or_insert(info(Label::Infrequent));
+        }
+        cell_of(w, rows)
+    }
+
     /// The cursor-probed flat join equals the literal Itemset join on
-    /// random cells.
+    /// random cells: ones with labels drawn evenly, and ones where at least
+    /// nine rows in ten are infrequent, at `k = 3..=6`.
     #[test]
     fn horizontal_matches_reference_join() {
         let tax = Taxonomy::uniform(2, 2, 2).unwrap();
@@ -627,6 +737,112 @@ mod tests {
             let expect = reference_horizontal(&prev, k, &top_cat);
             let got = horizontal(&ctx(&tax, &top_cat), &prev, k);
             assert_eq!(got, expect, "round={round} k={k}");
+        }
+        let (mut joined, mut pruned) = (0, 0);
+        for round in 0..32 {
+            let k = 3 + round % 4;
+            let items = 30;
+            let top_cat: Vec<NodeId> = (0..=items).map(|i| n(i % 4)).collect();
+            let prev = mostly_infrequent_cell(&mut rng, items, k - 1);
+            assert!(prev.frequent().count() * 10 <= prev.len());
+            let expect = reference_horizontal(&prev, k, &top_cat);
+            let got = horizontal(&ctx(&tax, &top_cat), &prev, k);
+            assert_eq!(got, expect, "sparse round={round} k={k}");
+            joined += got.cands.len();
+            pruned += got.support_pruned;
+        }
+        assert!(
+            joined > 0 && pruned > 0,
+            "the sparse rounds must join and prune"
+        );
+    }
+
+    /// Merge two ascending `(row, support)` streams with no row in common
+    /// into one ascending stream.
+    fn merge_ascending<'r>(
+        a: impl Iterator<Item = (&'r [NodeId], u64)>,
+        b: impl Iterator<Item = (&'r [NodeId], u64)>,
+    ) -> impl Iterator<Item = (&'r [NodeId], u64)> {
+        let (mut a, mut b) = (a.peekable(), b.peekable());
+        std::iter::from_fn(move || match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) if y.0 < x.0 => b.next(),
+            (Some(_), _) => a.next(),
+            (None, _) => b.next(),
+        })
+    }
+
+    /// Merging the fused rows into the counted table in place gives the
+    /// rows and supports of the streamed reference merge, wherever the
+    /// fused rows fall (before, among or after the counted ones) and with
+    /// either side empty.
+    #[test]
+    fn fused_rows_merge_into_the_counted_table() {
+        let mut rng = Xoshiro256pp::seed_from_u64(29);
+        let k = 3;
+        // Every 3-subset of items 1..=12, ascending: 220 rows.
+        let mut all: Vec<Vec<NodeId>> = Vec::new();
+        for a in 1..=10u32 {
+            for b in a + 1..=11 {
+                for c in b + 1..=12 {
+                    all.push(vec![n(a), n(b), n(c)]);
+                }
+            }
+        }
+        let table = |rows: &[&Vec<NodeId>]| {
+            let mut t = ItemsetRows::new(k);
+            t.extend(rows.iter().map(|r| r.as_slice()));
+            t
+        };
+        let len = all.len();
+        assert_eq!(len, 220);
+        let splits = [
+            "fused first",
+            "fused last",
+            "fused in the middle",
+            "interleaved",
+            "nothing fused",
+            "nothing counted",
+        ];
+        for name in splits {
+            // Whether row `i` is counted rather than fused.
+            let counted = |i: usize| match name {
+                "fused first" => i >= 40,
+                "fused last" => i < 180,
+                "fused in the middle" => !(100..140).contains(&i),
+                "interleaved" => i % 3 != 1,
+                "nothing fused" => true,
+                _ => false,
+            };
+            let (mut c_rows, mut f_rows) = (Vec::new(), Vec::new());
+            for (i, row) in all.iter().enumerate() {
+                if counted(i) {
+                    c_rows.push(row);
+                } else {
+                    f_rows.push(row);
+                }
+            }
+            let c_sup: Vec<u64> = c_rows.iter().map(|_| rng.gen_range(0..100u64)).collect();
+            let f_sup: Vec<u64> = f_rows.iter().map(|_| rng.gen_range(0..100u64)).collect();
+            let batch = Batch {
+                fused: table(&f_rows),
+                fused_supports: f_sup.clone(),
+                to_count: table(&c_rows),
+            };
+            let expect: Vec<(&[NodeId], u64)> = merge_ascending(
+                c_rows
+                    .iter()
+                    .map(|r| r.as_slice())
+                    .zip(c_sup.iter().copied()),
+                f_rows
+                    .iter()
+                    .map(|r| r.as_slice())
+                    .zip(f_sup.iter().copied()),
+            )
+            .collect();
+            let (rows, supports) = batch.into_rows(c_sup.clone());
+            let got: Vec<(&[NodeId], u64)> = rows.iter().zip(supports.iter().copied()).collect();
+            assert_eq!(got, expect, "{name}");
+            assert_eq!(got.len(), len, "{name}");
         }
     }
 

@@ -48,12 +48,15 @@
 //! the reported patterns own [`Itemset`]s.
 //!
 //! Candidate generation runs on the calling thread, and every source emits
-//! its rows ascending, so nothing is sorted after generation. Vertical
+//! its rows ascending, so nothing is sorted after generation. The join
+//! reads only the frequent rows of the cell to its left. Vertical
 //! candidates arrive with their supports; every other candidate is counted
 //! by the one kernel, [`BitsetCounter::count_batch`], which reads the rows
 //! in place: with `cfg.threads != 1` each cell's batch is chunked over
-//! scoped worker threads at prefix-group boundaries. Evaluation merges the
-//! two ascending tables into the cell, which is sized for them up front.
+//! scoped worker threads at prefix-group boundaries. The counted table then
+//! becomes the cell's rows: the fused rows, where there are any, are merged
+//! into it in place, and the cell adopts it without spare capacity instead
+//! of copying its rows, so a BASIC cell (no fused rows) copies none.
 //! Every run reads and records the [`VerticalMemo`] its caller passes to
 //! [`mine_with_view`] (a session passes its own). A vertical pass
 //! selects, in one pass over the memo's ascending table, the combinations
@@ -110,20 +113,6 @@ pub fn mine_with_view(
     token: Option<&CancelToken>,
 ) -> Result<MiningResult, GuardError> {
     flipper_guard::trap("mine", || Miner::new(tax, view, cfg, memo, token).run()).and_then(|r| r)
-}
-
-/// Merge two ascending `(row, support)` streams with no row in common into
-/// one ascending stream.
-fn merge_ascending<'r>(
-    a: impl Iterator<Item = (&'r [NodeId], u64)>,
-    b: impl Iterator<Item = (&'r [NodeId], u64)>,
-) -> impl Iterator<Item = (&'r [NodeId], u64)> {
-    let (mut a, mut b) = (a.peekable(), b.peekable());
-    std::iter::from_fn(move || match (a.peek(), b.peek()) {
-        (Some(x), Some(y)) if y.0 < x.0 => b.next(),
-        (Some(_), _) => a.next(),
-        (None, _) => b.next(),
-    })
 }
 
 /// Per-row mutable state. Ordered maps throughout: every iteration over
@@ -285,9 +274,11 @@ impl<'a> Miner<'a> {
     /// `h ≥ 2` take the vertical children-combinations of chain-alive
     /// parents — the only source at `k = 2` — unioned with the horizontal
     /// join for wider cells. The `mine.gen` span records how many
-    /// candidates each source produced and how many supports the vertical
-    /// pass fused in; with a vertical source, also how many parent sets it
-    /// replayed from the memo (`memo_hits`) and enumerated (`memo_misses`).
+    /// candidates each source produced, how many supports the vertical
+    /// pass fused in, and how many candidates the subset check
+    /// (`support_pruned`) and the SIBP bans (`sibp_pruned`) removed; with a
+    /// vertical source, also how many parent sets it replayed from the memo
+    /// (`memo_hits`) and enumerated (`memo_misses`).
     fn gen_candidates(&mut self, h: usize, k: usize) -> Batch {
         let mut span = flipper_obs::span("mine.gen")
             .arg("h", h as u64)
@@ -323,10 +314,15 @@ impl<'a> Miner<'a> {
         span.add_arg("vertical", size(&vertical));
 
         let sources = [pairs, horizontal, vertical];
+        let (mut support_pruned, mut sibp_pruned) = (0, 0);
         for g in sources.iter().flatten() {
-            self.stats.pruned_by_support += g.support_pruned;
-            self.stats.pruned_by_sibp += g.sibp_pruned;
+            support_pruned += g.support_pruned;
+            sibp_pruned += g.sibp_pruned;
         }
+        span.add_arg("support_pruned", support_pruned);
+        span.add_arg("sibp_pruned", sibp_pruned);
+        self.stats.pruned_by_support += support_pruned;
+        self.stats.pruned_by_sibp += sibp_pruned;
         let batch = Batch::union(k, sources.into_iter().flatten());
         span.add_arg("fused", batch.fused.len() as u64);
         batch
@@ -354,21 +350,17 @@ impl<'a> Miner<'a> {
         let _cell_span = flipper_obs::span("mine.cell")
             .arg("h", h as u64)
             .arg("k", k as u64);
-        let Batch {
-            fused,
-            fused_supports,
-            to_count,
-        } = self.gen_candidates(h, k);
-        let n_cands = fused.len() + to_count.len();
+        let batch = self.gen_candidates(h, k);
         self.stats.cells_evaluated += 1;
-        self.stats.candidates_generated += n_cands as u64;
 
         let theta = self.thetas[h - 1];
         let thresholds: Thresholds = self.cfg.thresholds;
         let measure = self.cfg.measure;
-        let supports = self.count_supports(h, &to_count);
+        let counted = self.count_supports(h, &batch.to_count);
+        let (rows, supports) = batch.into_rows(counted);
+        self.stats.candidates_generated += rows.len() as u64;
 
-        let mut cell = Cell::with_capacity(k, n_cands);
+        let mut infos = Vec::with_capacity(rows.len());
         // Per-item max correlation for SIBP, indexed by `NodeId::index()` —
         // a flat array instead of a hash map so downstream iteration order
         // is structural, not hash-dependent.
@@ -384,11 +376,7 @@ impl<'a> Miner<'a> {
         let sup_cache = &self.rows[h - 1].sup_cache;
         let mut item_sups: Vec<u64> = Vec::new();
         let mut parent_items: Vec<NodeId> = Vec::with_capacity(k);
-        let merged = merge_ascending(
-            to_count.iter().zip(supports),
-            fused.iter().zip(fused_supports),
-        );
-        for (set, sup) in merged {
+        for (set, &sup) in rows.iter().zip(&supports) {
             let frequent = sup >= theta;
             let (corr, label) = if frequent {
                 item_sups.clear();
@@ -429,16 +417,14 @@ impl<'a> Miner<'a> {
             }
             debug_assert!(!chain_alive || label.is_correlated(), "{set:?}");
             debug_assert!(!frequent || (0.0..=1.0).contains(&corr), "{set:?}: {corr}");
-            cell.push(
-                set,
-                ItemsetInfo {
-                    support: sup,
-                    corr,
-                    label,
-                    chain_alive,
-                },
-            );
+            infos.push(ItemsetInfo {
+                support: sup,
+                corr,
+                label,
+                chain_alive,
+            });
         }
+        let cell = Cell::adopt(rows, infos);
 
         self.stats.frequent_found += n_freq as u64;
         self.stats.positive_found += n_pos as u64;

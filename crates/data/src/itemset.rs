@@ -169,8 +169,8 @@ impl fmt::Display for DisplayItemset<'_> {
 /// no heap block and no vector header per itemset (the candidate layout of
 /// Bodon, "A fast APRIORI implementation", FIMI 2003). Each row is a sorted
 /// itemset, and rows compare as slices, so they order exactly like the
-/// matching [`Itemset`]s. The searches ([`Self::binary_search`],
-/// [`Self::prefix_range`]) need ascending rows; nothing checks that.
+/// matching [`Itemset`]s. [`Self::binary_search`] and
+/// [`Self::merge_with`] need ascending rows; nothing checks that.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ItemsetRows {
     k: usize,
@@ -240,11 +240,62 @@ impl ItemsetRows {
         self.items.extend_from_slice(row);
     }
 
+    /// Merge the ascending rows of `other`, none of which `self` holds, into
+    /// `self`'s ascending rows, carrying one value per row along: `vals[i]`
+    /// belongs to row `i` of `self`, `other_vals[j]` to row `j` of `other`.
+    ///
+    /// The merge runs back to front in place, so a row of `self` moves at
+    /// most once and the rows before `other`'s first row not at all; with
+    /// `other` empty nothing is copied, and with `self` empty `other` is
+    /// adopted whole. A table created with room for `other`'s rows is not
+    /// reallocated. The table is left without spare capacity.
+    ///
+    /// # Panics
+    /// Panics if the widths differ or a value column's length is not its
+    /// table's row count.
+    pub fn merge_with<T: Copy>(
+        &mut self,
+        vals: &mut Vec<T>,
+        other: ItemsetRows,
+        other_vals: Vec<T>,
+    ) {
+        let (k, n, m) = (self.k, self.len(), other.len());
+        assert_eq!(other.k, k, "row width");
+        assert!(
+            vals.len() == n && other_vals.len() == m,
+            "one value per row"
+        );
+        if n == 0 {
+            *self = other;
+            *vals = other_vals;
+        } else if m > 0 {
+            self.items.reserve_exact(m * k);
+            self.items.resize((n + m) * k, NodeId::ROOT);
+            vals.resize(n + m, other_vals[0]);
+            let (mut a, mut b) = (n, m);
+            while b > 0 {
+                let to = a + b - 1;
+                let theirs = other.row(b - 1);
+                debug_assert_ne!(a.checked_sub(1).map(|i| self.row(i)), Some(theirs));
+                if a > 0 && self.row(a - 1) > theirs {
+                    a -= 1;
+                    self.items.copy_within(a * k..(a + 1) * k, to * k);
+                    vals[to] = vals[a];
+                } else {
+                    b -= 1;
+                    self.items[to * k..(to + 1) * k].copy_from_slice(theirs);
+                    vals[to] = other_vals[b];
+                }
+            }
+        }
+        self.items.shrink_to_fit();
+    }
+
     /// Binary search for `row` in ascending rows: `Ok` with its index, or
     /// `Err` with the index where it would be inserted. A probe of the
     /// wrong width is never found.
     pub fn binary_search(&self, row: &[NodeId]) -> Result<usize, usize> {
-        let i = self.partition_point(0, |r| r < row);
+        let i = self.partition_point(|r| r < row);
         if i < self.len() && self.row(i) == row {
             Ok(i)
         } else {
@@ -252,19 +303,10 @@ impl ItemsetRows {
         }
     }
 
-    /// The ascending rows whose first `key.len()` items equal `key`, as an
-    /// index range (`key.len() ≤ k`).
-    pub fn prefix_range(&self, key: &[NodeId]) -> Range<usize> {
-        let m = key.len();
-        let lo = self.partition_point(0, |row| &row[..m] < key);
-        let hi = self.partition_point(lo, |row| &row[..m] == key);
-        lo..hi
-    }
-
-    /// First row index at or after `start` at which `pred` turns false;
-    /// rows from `start` on must be partitioned by it.
-    fn partition_point(&self, start: usize, pred: impl Fn(&[NodeId]) -> bool) -> usize {
-        let (mut lo, mut hi) = (start, self.len());
+    /// First row index at which `pred` turns false; the rows must be
+    /// partitioned by it.
+    fn partition_point(&self, pred: impl Fn(&[NodeId]) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             if pred(self.row(mid)) {
@@ -425,11 +467,6 @@ mod tests {
             rows.push(&[n(a), n(b)]);
         }
         assert_eq!(rows.len(), 6);
-        assert_eq!(rows.prefix_range(&[n(2)]), 2..5);
-        assert_eq!(rows.prefix_range(&[n(3)]), 5..5);
-        assert_eq!(rows.prefix_range(&[n(7)]), 5..6);
-        assert_eq!(rows.prefix_range(&[n(9)]), 6..6);
-        assert_eq!(rows.prefix_range(&[n(2), n(4)]), 3..4);
         let groups: Vec<_> = rows.prefix_groups(0..rows.len()).collect();
         assert_eq!(groups, vec![0..2, 2..5, 5..6]);
         let groups: Vec<_> = rows.prefix_groups(1..4).collect();

@@ -127,23 +127,21 @@ fn traced_mine_emits_valid_covering_trace() {
 }
 
 /// Candidate provenance per cell: every `mine.gen` span says how many
-/// candidates each source produced and how many supports the vertical DFS
-/// fused in. A FULL mine fuses some below level 1; BASIC never does.
+/// candidates each source produced, how many supports the vertical DFS
+/// fused in, and how many joins the subset check and the SIBP bans
+/// pruned; those pruned counts sum over the spans to the run's own. A
+/// FULL mine fuses some below level 1; BASIC never does.
 #[test]
 fn gen_spans_record_candidate_provenance() {
     let _guard = recorder_lock();
-    let session = planted_session();
-    let gen_args = |pruning: PruningConfig| {
+    let gen_args = |session: &Session, cfg: &FlipperConfig| {
         flipper_obs::disable();
         let _ = flipper_obs::drain();
         flipper_obs::enable();
-        let cfg = FlipperConfig {
-            pruning,
-            ..config(1)
-        };
-        session.mine(&cfg).expect("mine succeeds");
+        let result = session.mine(cfg).expect("mine succeeds");
         let capture = flipper_obs::drain();
         flipper_obs::disable();
+        let name = cfg.pruning.name();
         let arg = |e: &flipper_obs::SpanEvent, key: &str| {
             e.args
                 .iter()
@@ -151,28 +149,62 @@ fn gen_spans_record_candidate_provenance() {
                 .map(|&(_, v)| v)
                 .unwrap_or_else(|| panic!("mine.gen span without `{key}`"))
         };
-        let rows: Vec<[u64; 5]> = capture
+        let keys = [
+            "h",
+            "pairs",
+            "horizontal",
+            "vertical",
+            "fused",
+            "support_pruned",
+            "sibp_pruned",
+        ];
+        let rows: Vec<[u64; 7]> = capture
             .events
             .iter()
             .filter(|e| e.name == "mine.gen")
-            .map(|e| ["h", "pairs", "horizontal", "vertical", "fused"].map(|key| arg(e, key)))
+            .map(|e| keys.map(|key| arg(e, key)))
             .collect();
-        assert!(!rows.is_empty(), "no mine.gen spans ({})", pruning.name());
+        assert!(!rows.is_empty(), "no mine.gen spans ({name})");
+        let sum = |col: usize| rows.iter().map(|r| r[col]).sum::<u64>();
+        assert_eq!(
+            (sum(5), sum(6)),
+            (result.stats.pruned_by_support, result.stats.pruned_by_sibp),
+            "{name}: the spans' pruned counts sum to the run's"
+        );
         rows
     };
-    let full = gen_args(PruningConfig::FULL);
+    let planted = planted_session();
+    let with = |pruning: PruningConfig, cfg: &FlipperConfig| FlipperConfig {
+        pruning,
+        ..cfg.clone()
+    };
+    let full = gen_args(&planted, &with(PruningConfig::FULL, &config(1)));
     assert!(
-        full.iter().any(|&[h, .., fused]| h >= 2 && fused > 0),
+        full.iter()
+            .any(|&[h, _, _, _, fused, ..]| h >= 2 && fused > 0),
         "FULL fused no supports: {full:?}"
     );
-    assert!(full.iter().all(|&[h, .., fused]| h >= 2 || fused == 0));
-    let basic = gen_args(PruningConfig::BASIC);
+    assert!(full
+        .iter()
+        .all(|&[h, _, _, _, fused, ..]| h >= 2 || fused == 0));
+    let basic = gen_args(&planted, &with(PruningConfig::BASIC, &config(1)));
     assert!(
         basic
             .iter()
-            .all(|&[_, _, _, vertical, fused]| vertical == 0 && fused == 0),
+            .all(|&[_, _, _, vertical, fused, ..]| vertical == 0 && fused == 0),
         "BASIC has no vertical source: {basic:?}"
     );
+    // The planted data prunes nothing; on Quest the subset check bites in
+    // both variants, so the sums above compare non-zero counts.
+    let (quest, quest_cfg) = quest_basic(1);
+    for pruning in [PruningConfig::FULL, PruningConfig::BASIC] {
+        let rows = gen_args(&quest, &with(pruning, &quest_cfg));
+        assert!(
+            rows.iter().any(|r| r[5] > 0),
+            "{}: the subset check pruned nothing",
+            pruning.name()
+        );
+    }
 }
 
 /// Span nesting across shard boundaries: spans opened inside exec worker

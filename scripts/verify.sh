@@ -42,7 +42,9 @@
 #     concurrently running tests,
 #   * a timed-out-sweep smoke: a `flipper sweep` stopped by a tiny
 #     `--timeout` must exit 3 (cancelled/timeout) and leave the report an
-#     earlier sweep wrote to the same `--output-json` file byte-identical,
+#     earlier sweep wrote to the same `--output-json` file byte-identical;
+#     stopped the same way on a fresh `--output-json` path, it must exit 3
+#     and leave no file there,
 #   * the paper-reproduction suite (crates/integration/tests/reproduction.rs:
 #     Fig. 8 and Fig. 9 as asserted equalities and orderings),
 #   * the README's Table-4 GROCERIES recipe as a CLI smoke: `flipper
@@ -150,7 +152,7 @@ for run in 1 2 3 4 5; do
     cargo test --release -q -p flipper-integration --test fault_injection
 done
 
-echo "== robustness: timed-out-sweep smoke (an existing report stays intact)"
+echo "== robustness: timed-out-sweep smoke (an existing report stays intact, a fresh path stays empty)"
 cargo run --release -q -p flipper-cli -- sweep --input "$OBS_TMP/planted.fbin" \
     --gammas 0.6,0.5,0.4 --epsilons 0.35,0.2 \
     --output-json "$OBS_TMP/sweep.json" >/dev/null 2>&1
@@ -169,6 +171,20 @@ cmp -s "$OBS_TMP/sweep.json" "$OBS_TMP/sweep.before.json" || {
     echo "timed-out sweep changed the existing --output-json report" >&2
     exit 1
 }
+set +e
+cargo run --release -q -p flipper-cli -- sweep --input "$OBS_TMP/planted.fbin" \
+    --gammas 0.6,0.5,0.4 --epsilons 0.35,0.2 \
+    --output-json "$OBS_TMP/fresh.json" --timeout 0.000000001 >/dev/null 2>&1
+rc=$?
+set -e
+if [ "$rc" -ne 3 ]; then
+    echo "timed-out sweep (fresh path): expected exit code 3, got $rc" >&2
+    exit 1
+fi
+if [ -e "$OBS_TMP/fresh.json" ]; then
+    echo "timed-out sweep left a file at a fresh --output-json path" >&2
+    exit 1
+fi
 
 echo "== paper reproduction: reproduction suite under --release"
 cargo test --release -q -p flipper-integration --test reproduction
