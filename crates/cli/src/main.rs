@@ -543,25 +543,35 @@ impl<'f> JsonOutput<'f> {
     }
 }
 
-/// Enable the flipper-obs recorder (clearing any stale capture) when
-/// `--trace` or `--timings` asks for one.
-fn start_recorder(record: bool) {
-    if record {
-        flipper_obs::enable();
-        let _ = flipper_obs::drain();
+/// The flipper-obs capture that `--trace` or `--timings` opens on the
+/// calling thread. Dropping it closes the capture, so an error return
+/// closes it too, without writing a trace.
+struct Recording;
+
+impl Drop for Recording {
+    fn drop(&mut self) {
+        flipper_obs::disable();
     }
 }
 
-/// Stop recording and write the `flipper-trace/v1` file, if requested.
+/// Open a capture when `--trace` or `--timings` asks for one.
+fn start_recorder(record: bool) -> Option<Recording> {
+    record.then(|| {
+        flipper_obs::enable();
+        Recording
+    })
+}
+
+/// Close the capture and write the `flipper-trace/v1` file, if requested.
 fn finish_recorder(
-    record: bool,
+    recording: Option<Recording>,
     trace_out: Option<&String>,
 ) -> Result<Option<flipper_obs::Capture>, FlipperError> {
-    if !record {
+    let Some(recording) = recording else {
         return Ok(None);
-    }
+    };
     let capture = flipper_obs::drain();
-    flipper_obs::disable();
+    drop(recording);
     if let Some(path) = trace_out {
         std::fs::write(path, capture.render_trace())
             .map_err(|e| FlipperError::io(format!("write {path}"), e))?;
@@ -613,7 +623,7 @@ fn cmd_mine(flags: &Flags, out: &mut dyn Write) -> Result<(), FlipperError> {
     let record = trace_out.is_some() || timings;
     let token = parse_timeout(flags)?;
     let json_out = JsonOutput::open(flags)?;
-    start_recorder(record);
+    let recording = start_recorder(record);
     let session = if flags.contains_key("salvage") {
         Session::open_salvage_path(input_path(flags)?)?
     } else {
@@ -637,7 +647,7 @@ fn cmd_mine(flags: &Flags, out: &mut dyn Write) -> Result<(), FlipperError> {
         Some(t) => session.mine_guarded(&cfg, t)?,
         None => session.mine(&cfg)?,
     };
-    let capture = finish_recorder(record, trace_out)?;
+    let capture = finish_recorder(recording, trace_out)?;
 
     let top = get_usize(flags, "top", usize::MAX)?;
     let mut report = TextReport::new(&mut *out).with_top(top);
@@ -713,7 +723,7 @@ fn cmd_sweep(flags: &Flags, out: &mut dyn Write) -> Result<(), FlipperError> {
     let token = parse_timeout(flags)?;
     let json_out = JsonOutput::open(flags)?;
     let trace_out = flags.get("trace");
-    start_recorder(trace_out.is_some());
+    let recording = start_recorder(trace_out.is_some());
 
     let session = open_session(flags)?;
     let mut sweep = session.sweep();
@@ -729,7 +739,7 @@ fn cmd_sweep(flags: &Flags, out: &mut dyn Write) -> Result<(), FlipperError> {
         session.num_transactions()
     );
     let runs = sweep.run()?;
-    finish_recorder(trace_out.is_some(), trace_out)?;
+    finish_recorder(recording, trace_out)?;
 
     writeln!(
         out,
@@ -1425,7 +1435,8 @@ mod tests {
         // A timeout that expires before the first deadline check surfaces
         // as the typed Timeout error and the dedicated exit code 3, writes
         // no report and leaves an existing `--output-json` file byte for
-        // byte as it was, or a fresh path without a file.
+        // byte as it was, or a fresh path without a file. A traced run
+        // writes no trace either, and closes its capture.
         let dir = std::env::temp_dir().join(format!("flipper-cli-timeout-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("p.txt").to_string_lossy().to_string();
@@ -1446,18 +1457,24 @@ mod tests {
             assert_eq!(std::fs::read(&json).unwrap(), report, "{cmd}");
             let fresh = dir.join(format!("{cmd}-fresh.json"));
             let fresh_arg = fresh.to_string_lossy().to_string();
+            let trace = dir.join(format!("{cmd}-trace.json"));
+            let trace_arg = trace.to_string_lossy().to_string();
             let err = run(&strs(&[
                 cmd,
                 "--input",
                 &path,
                 "--output-json",
                 &fresh_arg,
+                "--trace",
+                &trace_arg,
                 "--timeout",
                 "0.000000001",
             ]))
             .unwrap_err();
             assert_eq!(err.exit_code(), 3, "{cmd}: {err}");
             assert!(!fresh.exists(), "{cmd}: a timed-out run left {fresh_arg}");
+            assert!(!trace.exists(), "{cmd}: a timed-out run left {trace_arg}");
+            assert!(!flipper_obs::enabled(), "{cmd}: the capture stayed open");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -168,23 +168,15 @@ fn ascending(rows: &ItemsetRows) -> bool {
 }
 
 /// All pairs of the frequent level items `items` (ascending) from distinct
-/// categories. An item banned at `k = 2` never starts a pair; a pair whose
-/// second item is banned counts as SIBP-pruned.
+/// categories. Pairs are generated only on row 1 and in the non-flipping
+/// variants, where SIBP bans nothing, so no pair is SIBP-pruned.
 pub(crate) fn pairs(ctx: &GenCtx<'_>, items: &[NodeId]) -> Generated {
     let mut g = Generated::new(2);
     for (i, &x) in items.iter().enumerate() {
-        if ctx.is_banned(x) {
-            continue;
-        }
         for &y in &items[i + 1..] {
-            if ctx.cat(x) == ctx.cat(y) {
-                continue;
+            if ctx.cat(x) != ctx.cat(y) {
+                g.cands.push(&[x, y]);
             }
-            if ctx.is_banned(y) {
-                g.sibp_pruned += 1;
-                continue;
-            }
-            g.cands.push(&[x, y]);
         }
     }
     g
@@ -846,34 +838,22 @@ mod tests {
         }
     }
 
-    /// Pairs: every cross-category pair, an item banned at `k = 2` never
-    /// starts one, a banned second item counts as SIBP-pruned.
+    /// Pairs: every cross-category pair, ascending, and nothing else.
     #[test]
-    fn pairs_cross_categories_and_honour_bans() {
+    fn pairs_are_every_cross_category_pair() {
         let tax = Taxonomy::uniform(2, 2, 2).unwrap();
         let items: Vec<NodeId> = (1..60).map(n).collect();
         let top_cat: Vec<NodeId> = (0..60).map(|i| n(i % 5)).collect();
-        let mut banned = vec![false; 60];
-        for i in [3usize, 17, 41] {
-            banned[i] = true;
-        }
-        let mut c = ctx(&tax, &top_cat);
-        c.banned = &banned;
-        let got = pairs(&c, &items);
+        let got = pairs(&ctx(&tax, &top_cat), &items);
         let mut expect = Generated::new(2);
         for (i, &x) in items.iter().enumerate() {
             for &y in &items[i + 1..] {
-                if banned[x.index()] || top_cat[x.index()] == top_cat[y.index()] {
-                    continue;
-                }
-                if banned[y.index()] {
-                    expect.sibp_pruned += 1;
-                } else {
+                if top_cat[x.index()] != top_cat[y.index()] {
                     expect.cands.push(&[x, y]);
                 }
             }
         }
-        assert!(expect.sibp_pruned > 0);
+        assert!(!expect.cands.is_empty());
         let got_sets = itemsets(&got.cands);
         assert!(got_sets.windows(2).all(|w| w[0] < w[1]), "ascending");
         assert_eq!(got, expect);

@@ -13,51 +13,49 @@
 //! "auto-detect" ([`available_threads`]), `1` means sequential (no threads
 //! are spawned), `n ≥ 2` means exactly `n` workers.
 //!
-//! When the `flipper-obs` recorder is enabled, every chunk runs under an
-//! `exec.shard` span that records its worker slot and the queue wait
-//! (time between the pool dispatching the batch and the chunk starting to
-//! run) next to the run time; with the recorder disabled the only cost is
-//! one atomic load per chunk.
+//! A pool runs its chunks in the `flipper-obs` capture (if any) of the
+//! thread that dispatched it: every chunk runs under an `exec.shard` span
+//! that records its worker slot and the queue wait (time between the pool
+//! taking the capture handle and the chunk starting to run) next to the
+//! run time, and each worker hands its events to that capture as its chunk
+//! returns or unwinds. With no capture open the only cost is one
+//! thread-local read per batch.
 //!
 //! # Panic isolation
 //!
 //! Every chunk closure runs under `catch_unwind`: a panicking shard no
-//! longer aborts the pool mid-scope. All workers are joined first — so
-//! flipper-obs thread-local sheets flush cleanly and no spans leak — and
+//! longer aborts the pool mid-scope. All workers are joined first, and
 //! only then is the first panic (in **chunk order**, not wall-clock order)
 //! resumed on the calling thread, where `flipper_guard::trap` can convert
 //! it into a typed error at the API boundary. Each chunk is also a named
 //! `flipper-guard` fault-injection site (`exec.chunk`), honouring `Panic`
-//! and `Latency` faults from an armed plan. Fault plans are armed per
-//! thread, so every worker runs under the plan (if any) of the thread that
-//! dispatched it, never under a plan armed by an unrelated caller.
+//! and `Latency` faults from an armed plan. Fault plans and captures both
+//! belong to a thread, so every worker runs under the plan and capture (if
+//! any) of the thread that dispatched it, never under those of an
+//! unrelated caller.
 
+use flipper_obs::CaptureRef;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-/// Run one chunk under an `exec.shard` observability span tagged with its
-/// worker slot. Slot 0 is the calling thread; spawned workers are 1-based
-/// in spawn order. Also the `exec.chunk` fault-injection site.
+/// Run one chunk as worker slot `slot` of the dispatcher's `capture`
+/// (`flipper_obs::run_shard`). Slot 0 is the calling thread; spawned
+/// workers are 1-based in spawn order. Also the `exec.chunk`
+/// fault-injection site.
 #[inline]
-fn traced_chunk<R>(slot: usize, spawn_stamp: u64, f: impl FnOnce() -> R) -> R {
+fn traced_chunk<R>(capture: Option<&CaptureRef>, slot: usize, f: impl FnOnce() -> R) -> R {
     match flipper_guard::fault::injected(flipper_guard::fault::SITE_EXEC_CHUNK) {
         // lint:allow(panic-hygiene) deterministic fault injection: the pool's catch_unwind converts this into a typed error
         Some(flipper_guard::Fault::Panic) => panic!("injected fault: worker panic"),
         Some(flipper_guard::Fault::Latency { spins }) => flipper_guard::fault::spin(spins),
         _ => {}
     }
-    if !flipper_obs::enabled() {
-        return f();
-    }
-    flipper_obs::with_shard(slot as u32, || {
-        let _span = flipper_obs::shard_span(slot as u64, spawn_stamp);
-        f()
-    })
+    flipper_obs::run_shard(capture, slot as u32, f)
 }
 
 /// Join caught chunk results, resuming the first panic **in chunk order**
-/// only after every chunk has completed (all worker sheets flushed).
+/// only after every chunk has completed.
 fn unwrap_chunks<R>(results: Vec<std::thread::Result<R>>) -> Vec<R> {
     let mut out = Vec::with_capacity(results.len());
     let mut first_panic = None;
@@ -129,17 +127,17 @@ where
     R: Send,
     F: Fn(Range<usize>) -> R + Sync,
 {
+    let capture = &flipper_obs::current_capture();
     if parts.len() <= 1 {
         return parts
             .into_iter()
-            .map(|r| traced_chunk(0, 0, || f(r)))
+            .map(|r| traced_chunk(capture.as_ref(), 0, || f(r)))
             .collect();
     }
     let first = parts.remove(0);
     let f = &f;
     let plan = &flipper_guard::fault::current_plan();
     let results = std::thread::scope(|s| {
-        let spawn_stamp = flipper_obs::stamp();
         let handles: Vec<_> = parts
             .into_iter()
             .enumerate()
@@ -147,7 +145,7 @@ where
                 s.spawn(move || {
                     catch_unwind(AssertUnwindSafe(|| {
                         flipper_guard::fault::with_plan(plan.as_ref(), || {
-                            traced_chunk(i + 1, spawn_stamp, || f(r))
+                            traced_chunk(capture.as_ref(), i + 1, || f(r))
                         })
                     }))
                 })
@@ -155,7 +153,7 @@ where
             .collect();
         let mut out = Vec::with_capacity(handles.len() + 1);
         out.push(catch_unwind(AssertUnwindSafe(|| {
-            traced_chunk(0, spawn_stamp, || f(first))
+            traced_chunk(capture.as_ref(), 0, || f(first))
         })));
         // A worker can only fail its join by panicking *outside* the
         // catch_unwind above (thread-runtime trouble); fold that payload in

@@ -1,24 +1,19 @@
-//! Observability invariants: the flipper-obs recorder must never perturb
-//! `flipper-results/v1` bytes, and the traces it emits must be valid
+//! Observability invariants: a flipper-obs capture must never perturb
+//! `flipper-results/v1` bytes, and the traces it records must be valid
 //! `flipper-trace/v1` documents covering the whole pipeline.
 //!
-//! The recorder is process-global, so every test here serializes on one
-//! mutex; this file is its own test binary, so no other tests can record
-//! concurrently.
+//! A capture belongs to the thread that opened it (and the exec workers
+//! that thread dispatches), so these tests record concurrently without
+//! any lock, and one of them pins that two concurrent captures hold only
+//! their own spans.
 
 use flipper_api::{
     FlipperConfig, JsonWriter, MinSupports, PlantedParams, PruningConfig, QuestParams, ResultSink,
     Session, Thresholds,
 };
 use flipper_datagen::{planted, quest};
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-fn recorder_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use std::collections::BTreeSet;
+use std::sync::Barrier;
 
 fn planted_session() -> Session {
     let data = planted::generate(&PlantedParams::default());
@@ -37,6 +32,26 @@ fn config(threads: usize) -> FlipperConfig {
     }
 }
 
+/// Run `f` with a capture open on this thread; return its result and
+/// everything the capture recorded.
+fn captured<T>(f: impl FnOnce() -> T) -> (T, flipper_obs::Capture) {
+    flipper_obs::enable();
+    let out = f();
+    let capture = flipper_obs::drain();
+    flipper_obs::disable();
+    (out, capture)
+}
+
+/// The integer argument `key` of span event `e`.
+fn arg(e: &flipper_obs::SpanEvent, key: &str) -> Option<u64> {
+    e.args.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
+}
+
+/// The integer argument `key` that every `e.name` span carries.
+fn must_arg(e: &flipper_obs::SpanEvent, key: &str) -> u64 {
+    arg(e, key).unwrap_or_else(|| panic!("{} span without `{key}`", e.name))
+}
+
 /// Mine and serialize to `flipper-results/v1` bytes.
 fn results_bytes(session: &Session, cfg: &FlipperConfig) -> Vec<u8> {
     let result = session.mine(cfg).expect("mine succeeds");
@@ -51,17 +66,11 @@ fn results_bytes(session: &Session, cfg: &FlipperConfig) -> Vec<u8> {
 /// off and on, at threads 1 and 4.
 #[test]
 fn results_bytes_identical_with_tracing_on_and_off() {
-    let _guard = recorder_lock();
     let session = planted_session();
     for threads in [1usize, 4] {
         let cfg = config(threads);
-        flipper_obs::disable();
-        let _ = flipper_obs::drain();
         let bare = results_bytes(&session, &cfg);
-        flipper_obs::enable();
-        let traced = results_bytes(&session, &cfg);
-        let capture = flipper_obs::drain();
-        flipper_obs::disable();
+        let (traced, capture) = captured(|| results_bytes(&session, &cfg));
         assert_eq!(
             bare, traced,
             "recorder changed flipper-results/v1 bytes (t{threads})"
@@ -70,6 +79,69 @@ fn results_bytes_identical_with_tracing_on_and_off() {
             !capture.events.is_empty(),
             "recorder was enabled but captured nothing (t{threads})"
         );
+    }
+}
+
+/// Two callers tracing at once on two threads each drain only their own
+/// spans: with a capture open, this thread mines an in-memory planted
+/// session while a second thread, its own capture opened at the same time,
+/// mines the same data from FBIN, drains and ends before this one drains.
+/// Each capture holds one `mine.run` on lane 0 (its opening thread), every
+/// other lane is one of its own exec workers, and only the streamed one
+/// has store spans.
+#[test]
+fn concurrent_captures_hold_only_their_own_spans() {
+    let ds = flipper_api::io::Generator::Planted(PlantedParams::default()).dataset();
+    let dir = std::env::temp_dir().join(format!("flipper-obs-concurrent-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("planted.fbin");
+    flipper_api::io::write_path(&path, &ds, flipper_api::io::FileFormat::Fbin).unwrap();
+    let cfg = FlipperConfig {
+        pruning: PruningConfig::BASIC,
+        ..config(4)
+    };
+    // Both captures are open before either thread mines; nothing can fail
+    // before the barrier, so a failing mine fails the test, not hangs it.
+    let both_open = Barrier::new(2);
+    let mine = |session: Session| session.mine(&cfg).expect("mine succeeds");
+    let (streamed, memory) = captured(|| {
+        std::thread::scope(|s| {
+            let streamed = s.spawn(|| {
+                let ((), capture) = captured(|| {
+                    both_open.wait();
+                    mine(Session::open_path(&path).unwrap());
+                });
+                capture
+            });
+            both_open.wait();
+            mine(Session::from_db(&ds.taxonomy, &ds.db).unwrap());
+            streamed.join().unwrap()
+        })
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    for (capture, is_streamed) in [(&memory, false), (&streamed, true)] {
+        let stats = flipper_obs::validate_trace(&capture.render_trace()).expect("trace valid");
+        let lanes = |name: &str| -> Vec<u32> {
+            let named = capture.events.iter().filter(|e| e.name == name);
+            named.map(|e| e.lane).collect()
+        };
+        assert_eq!(
+            lanes("mine.run"),
+            [0],
+            "one mine.run, on the opening thread's lane"
+        );
+        let mut own: BTreeSet<u32> = lanes("exec.shard").into_iter().collect();
+        own.insert(0);
+        assert!(own.len() > 1, "the mine shards over exec workers");
+        let all: BTreeSet<u32> = capture.events.iter().map(|e| e.lane).collect();
+        assert_eq!(all, own, "the opener and its own workers only");
+        for name in ["store.decode", "store.chunk"] {
+            assert_eq!(
+                stats.names.contains(name),
+                is_streamed,
+                "span {name} belongs to the streamed capture only"
+            );
+        }
     }
 }
 
@@ -92,18 +164,13 @@ fn quest_basic(threads: usize) -> (Session, FlipperConfig) {
 /// recorded inside exec worker shards still nest within their lanes.
 #[test]
 fn traced_mine_emits_valid_covering_trace() {
-    let _guard = recorder_lock();
-    flipper_obs::disable();
-    let _ = flipper_obs::drain();
-    flipper_obs::enable();
     // Sharded counting: the Quest batches fan out over four workers, so
     // the trace exercises multiple lanes.
-    let (session, cfg) = quest_basic(4);
-    let result = session.mine(&cfg).expect("mine succeeds");
+    let (result, capture) = captured(|| {
+        let (session, cfg) = quest_basic(4);
+        session.mine(&cfg).expect("mine succeeds")
+    });
     assert!(result.stats.cells_evaluated > 0);
-    let capture = flipper_obs::drain();
-    flipper_obs::disable();
-
     let trace = capture.render_trace();
     let stats = flipper_obs::validate_trace(&trace).expect("trace parses and nests");
     for name in [
@@ -133,22 +200,9 @@ fn traced_mine_emits_valid_covering_trace() {
 /// FULL mine fuses some below level 1; BASIC never does.
 #[test]
 fn gen_spans_record_candidate_provenance() {
-    let _guard = recorder_lock();
     let gen_args = |session: &Session, cfg: &FlipperConfig| {
-        flipper_obs::disable();
-        let _ = flipper_obs::drain();
-        flipper_obs::enable();
-        let result = session.mine(cfg).expect("mine succeeds");
-        let capture = flipper_obs::drain();
-        flipper_obs::disable();
+        let (result, capture) = captured(|| session.mine(cfg).expect("mine succeeds"));
         let name = cfg.pruning.name();
-        let arg = |e: &flipper_obs::SpanEvent, key: &str| {
-            e.args
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map(|&(_, v)| v)
-                .unwrap_or_else(|| panic!("mine.gen span without `{key}`"))
-        };
         let keys = [
             "h",
             "pairs",
@@ -162,7 +216,7 @@ fn gen_spans_record_candidate_provenance() {
             .events
             .iter()
             .filter(|e| e.name == "mine.gen")
-            .map(|e| keys.map(|key| arg(e, key)))
+            .map(|e| keys.map(|key| must_arg(e, key)))
             .collect();
         assert!(!rows.is_empty(), "no mine.gen spans ({name})");
         let sum = |col: usize| rows.iter().map(|r| r[col]).sum::<u64>();
@@ -212,25 +266,20 @@ fn gen_spans_record_candidate_provenance() {
 /// the same thread runs nested pools.
 #[test]
 fn spans_nest_across_shard_boundaries() {
-    let _guard = recorder_lock();
-    flipper_obs::disable();
-    let _ = flipper_obs::drain();
-    flipper_obs::enable();
-    let outer = flipper_obs::span("test.outer");
-    let sums = flipper_data::exec::map_chunks(4, 64, |r| {
-        let _chunk_span = flipper_obs::span("test.chunk").arg("len", r.len() as u64);
-        // A nested pool from inside a worker: its chunks' spans must not
-        // corrupt the outer lanes.
-        flipper_data::exec::map_chunks(2, r.len(), |inner| {
-            let _inner_span = flipper_obs::span("test.inner");
-            inner.len()
+    let (sums, capture) = captured(|| {
+        let _outer = flipper_obs::span("test.outer");
+        flipper_data::exec::map_chunks(4, 64, |r| {
+            let _chunk_span = flipper_obs::span("test.chunk").arg("len", r.len() as u64);
+            // A nested pool from inside a worker: its chunks' spans must not
+            // corrupt the outer lanes.
+            flipper_data::exec::map_chunks(2, r.len(), |inner| {
+                let _inner_span = flipper_obs::span("test.inner");
+                inner.len()
+            })
+            .into_iter()
+            .sum::<usize>()
         })
-        .into_iter()
-        .sum::<usize>()
     });
-    drop(outer);
-    let capture = flipper_obs::drain();
-    flipper_obs::disable();
     assert_eq!(sums.iter().sum::<usize>(), 64);
 
     let trace = capture.render_trace();
@@ -244,7 +293,7 @@ fn spans_nest_across_shard_boundaries() {
         .events
         .iter()
         .any(|e| e.name == "exec.shard" && e.args.iter().any(|(k, _)| *k == "slot")));
-    // test.chunk spans recorded under with_shard carry the shard tag.
+    // test.chunk spans recorded inside a shard carry the shard tag.
     assert!(capture
         .events
         .iter()
@@ -256,27 +305,19 @@ fn spans_nest_across_shard_boundaries() {
 /// invariant under the recorder too.
 #[test]
 fn sweep_trace_covers_grid_points() {
-    let _guard = recorder_lock();
-    let run_sweep = |record: bool| {
+    let run_sweep = || {
         let session = planted_session();
-        flipper_obs::disable();
-        let _ = flipper_obs::drain();
-        if record {
-            flipper_obs::enable();
-        }
         let runs = session
             .sweep()
             .thresholds_grid(&config(2), &[0.6, 0.5], &[0.35])
             .run()
             .expect("sweep runs");
-        let capture = flipper_obs::drain();
-        flipper_obs::disable();
         let mut sink = JsonWriter::new(Vec::new());
         flipper_api::emit_runs(&mut sink, session.taxonomy(), &runs).expect("emit");
-        (sink.into_inner(), capture)
+        sink.into_inner()
     };
-    let (bare, _) = run_sweep(false);
-    let (traced, capture) = run_sweep(true);
+    let bare = run_sweep();
+    let (traced, capture) = captured(run_sweep);
     assert_eq!(bare, traced, "recorder changed sweep results");
     let stats = flipper_obs::validate_trace(&capture.render_trace()).expect("sweep trace valid");
     assert!(stats.names.contains("sweep.run"));
@@ -299,32 +340,20 @@ fn sweep_trace_covers_grid_points() {
 /// and their `bytes`, and a second sweep over the same session records none.
 #[test]
 fn sweep_builds_view_bitmaps_once_per_level() {
-    let _guard = recorder_lock();
     let session = planted_session();
     let dense_spans = || {
-        flipper_obs::disable();
-        let _ = flipper_obs::drain();
-        flipper_obs::enable();
-        session
-            .sweep()
-            .thresholds_grid(&config(1), &[0.6, 0.5], &[0.35, 0.2])
-            .run()
-            .expect("sweep runs");
-        let capture = flipper_obs::drain();
-        flipper_obs::disable();
+        let (runs, capture) = captured(|| {
+            session
+                .sweep()
+                .thresholds_grid(&config(1), &[0.6, 0.5], &[0.35, 0.2])
+                .run()
+        });
+        runs.expect("sweep runs");
         let mut levels: Vec<[u64; 3]> = capture
             .events
             .iter()
             .filter(|e| e.name == "view.dense")
-            .map(|e| {
-                ["h", "items", "bytes"].map(|key| {
-                    e.args
-                        .iter()
-                        .find(|(k, _)| *k == key)
-                        .map(|&(_, v)| v)
-                        .unwrap_or_else(|| panic!("view.dense span without `{key}`"))
-                })
-            })
+            .map(|e| ["h", "items", "bytes"].map(|key| must_arg(e, key)))
             .collect();
         levels.sort_unstable();
         levels
@@ -355,35 +384,22 @@ fn sweep_builds_view_bitmaps_once_per_level() {
 /// same members and records no `view.rows` span.
 #[test]
 fn basic_mines_build_view_rows_once_per_level() {
-    let _guard = recorder_lock();
     let (session, cfg) = quest_basic(2);
     let n = session.view().num_transactions() as u64;
-    let arg = |e: &flipper_obs::SpanEvent, key: &str| {
-        e.args
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|&(_, v)| v)
-            .unwrap_or_else(|| panic!("{} span without `{key}`", e.name))
-    };
     let traced_mine = || {
-        flipper_obs::disable();
-        let _ = flipper_obs::drain();
-        flipper_obs::enable();
-        let result = session.mine(&cfg).expect("mine succeeds");
-        let capture = flipper_obs::drain();
-        flipper_obs::disable();
+        let (result, capture) = captured(|| session.mine(&cfg).expect("mine succeeds"));
         let mut rows: Vec<[u64; 3]> = capture
             .events
             .iter()
             .filter(|e| e.name == "view.rows")
-            .map(|e| [arg(e, "h"), arg(e, "rows"), arg(e, "bytes")])
+            .map(|e| ["h", "rows", "bytes"].map(|key| must_arg(e, key)))
             .collect();
         rows.sort_unstable();
         let projected: u64 = capture
             .events
             .iter()
             .filter(|e| e.name == "mine.count")
-            .map(|e| arg(e, "projected"))
+            .map(|e| must_arg(e, "projected"))
             .sum();
         (result.stats.counter.projected, projected, rows)
     };
@@ -420,7 +436,6 @@ fn basic_mines_build_view_rows_once_per_level() {
 /// nothing; a repeat of the same sweep replays every alive parent set.
 #[test]
 fn gen_spans_record_memo_replays() {
-    let _guard = recorder_lock();
     let session = planted_session();
     let base = FlipperConfig {
         min_support: MinSupports::Counts(vec![5]),
@@ -431,23 +446,13 @@ fn gen_spans_record_memo_replays() {
         ..base.clone()
     };
     let sweep = || {
-        flipper_obs::disable();
-        let _ = flipper_obs::drain();
-        flipper_obs::enable();
-        let runs = session
-            .sweep()
-            .add("s5", base.clone())
-            .add("s4", other.clone())
-            .run()
-            .expect("sweep runs");
-        let capture = flipper_obs::drain();
-        flipper_obs::disable();
-        let arg = |e: &flipper_obs::SpanEvent, key: &str| {
-            e.args.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
-        };
+        let (runs, capture) = captured(|| {
+            let sweep = session.sweep().add("s5", base.clone());
+            sweep.add("s4", other.clone()).run().expect("sweep runs")
+        });
         let (mut hits, mut misses) = (0, 0);
         for e in capture.events.iter().filter(|e| e.name == "mine.gen") {
-            let h = arg(e, "h").expect("mine.gen span without `h`");
+            let h = must_arg(e, "h");
             match (arg(e, "memo_hits"), arg(e, "memo_misses")) {
                 (Some(hit), Some(miss)) => {
                     assert!(h >= 2, "a level-1 cell has no vertical source");

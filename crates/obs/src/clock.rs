@@ -8,23 +8,16 @@
 //! `determinism` rule in `flipper-lint` and must route timestamps through
 //! [`now_ns`].
 //!
-//! Timestamps are nanoseconds since a process-wide epoch captured the
-//! first time the clock is touched (normally when the recorder is
-//! enabled). Using a single epoch keeps every span in one trace on one
-//! timeline regardless of which thread recorded it.
+//! Timestamps are nanoseconds since a process-wide epoch pinned by the
+//! first reading, which is never taken before a capture is open, so a
+//! trace starts near zero. The epoch is the one thing captures share: it
+//! keeps every span of a trace on one timeline regardless of which thread
+//! recorded it.
 
 use std::sync::OnceLock;
 use std::time::Instant;
 
 static EPOCH: OnceLock<Instant> = OnceLock::new();
-
-/// Pin the process-wide epoch, if it has not been pinned yet.
-///
-/// Called by `Recorder::enable` so that trace timestamps start near zero
-/// for the traced run instead of at process start.
-pub fn init_epoch() {
-    let _ = EPOCH.get_or_init(Instant::now);
-}
 
 /// Nanoseconds elapsed since the recorder epoch.
 ///
@@ -43,7 +36,6 @@ mod tests {
 
     #[test]
     fn clock_is_monotonic() {
-        init_epoch();
         let a = now_ns();
         let b = now_ns();
         assert!(b >= a);

@@ -1,24 +1,26 @@
 //! # flipper-obs
 //!
 //! Zero-dependency observability substrate for the flipper mining
-//! pipeline: a runtime-toggleable recorder with structured **spans**
-//! (thread-local sheets, merged lock-free when exec worker scopes exit)
-//! and one exporter, `flipper-trace/v1` — Chrome trace-event JSON (load in
-//! `chrome://tracing` or Perfetto), rendered by [`Capture::render_trace`]
-//! and validated by [`validate_trace`]. [`Capture::phase_rows`] sums the
-//! same spans per name for `flipper mine --timings`.
+//! pipeline: structured **spans** recorded into a **capture** that belongs
+//! to the thread that opened it (exec workers join the capture of the
+//! thread that dispatched them), and one exporter, `flipper-trace/v1` —
+//! Chrome trace-event JSON (load in `chrome://tracing` or Perfetto),
+//! rendered by [`Capture::render_trace`] and validated by
+//! [`validate_trace`]. [`Capture::phase_rows`] sums the same spans per
+//! name for `flipper mine --timings`.
 //!
-//! The recorder is **off by default**. Every instrumentation entry point
-//! starts with one relaxed atomic load, so the disabled cost is a branch;
-//! the determinism suite proves `flipper-results/v1` bytes are identical
-//! with the recorder on or off at every thread count. The only module
-//! allowed to read wall-clock time is [`mod@clock`], which joins
-//! `flipper_core::stats::Stopwatch` as a sanctioned timer outside the
+//! No capture is open by default. Every instrumentation entry point starts
+//! with one thread-local read, so the cost on a thread without a capture
+//! is a branch, and two callers tracing on two threads never see each
+//! other's spans; the determinism suite proves `flipper-results/v1` bytes
+//! are identical with a capture open or not at every thread count. The
+//! only module allowed to read wall-clock time is [`mod@clock`], which
+//! joins `flipper_core::stats::Stopwatch` as a sanctioned timer outside the
 //! `flipper-lint` determinism scope; everything else in this crate is
 //! inside that scope.
 //!
 //! ```
-//! flipper_obs::enable();
+//! flipper_obs::enable(); // opens a capture on this thread
 //! {
 //!     let _run = flipper_obs::span("demo.run").arg("items", 3);
 //!     let _inner = flipper_obs::span("demo.step");
@@ -35,40 +37,41 @@ pub mod recorder;
 pub mod span;
 pub mod trace;
 
-pub use recorder::{disable, drain, enable, enabled, Capture, PhaseRow};
-pub use span::{shard_span, span, span_labeled, stamp, with_shard, Span, SpanEvent};
+pub use recorder::{
+    current_capture, disable, drain, enable, enabled, run_shard, Capture, CaptureRef, PhaseRow,
+};
+pub use span::{span, span_labeled, Span, SpanEvent};
 pub use trace::{render_chrome_trace, validate_trace, TraceError, TraceStats, TRACE_SCHEMA};
 
 #[cfg(test)]
 mod tests {
-    use std::sync::{Mutex, MutexGuard, OnceLock};
-
-    /// The recorder is process-global, so tests that toggle it must not
-    /// interleave.
-    pub fn recorder_lock() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(Mutex::default)
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn names(capture: &crate::Capture) -> Vec<&'static str> {
+        capture.events.iter().map(|e| e.name).collect()
     }
 
+    /// A capture is the opening thread's alone: a thread with no capture,
+    /// or a closed one, records nothing while another thread's is open.
     #[test]
     fn disabled_recorder_records_nothing() {
-        let _guard = recorder_lock();
-        crate::disable();
-        let _ = crate::drain();
-        {
-            let _sp = crate::span("x");
-        }
+        crate::enable();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                drop(crate::span("elsewhere"));
+                crate::enable();
+                crate::disable();
+                drop(crate::span("closed"));
+                assert!(!crate::enabled() && crate::drain().events.is_empty());
+            });
+        });
+        drop(crate::span("here"));
         let capture = crate::drain();
-        assert!(capture.events.is_empty());
+        crate::disable();
+        assert_eq!(names(&capture), ["here"]);
     }
 
     #[test]
     fn spans_nest_and_drain_in_start_order() {
-        let _guard = recorder_lock();
         crate::enable();
-        let _ = crate::drain();
         {
             let _outer = crate::span("outer");
             {
@@ -94,12 +97,14 @@ mod tests {
         crate::validate_trace(&capture.render_trace()).unwrap();
     }
 
+    /// A chunk run on the capture's own thread keeps its lane, tags its
+    /// spans with the slot, records the queue wait and restores the
+    /// thread's untagged sheet afterwards.
     #[test]
-    fn with_shard_tags_spans_and_restores() {
-        let _guard = recorder_lock();
+    fn run_shard_tags_spans_and_restores() {
         crate::enable();
-        let _ = crate::drain();
-        crate::with_shard(3, || {
+        let handle = crate::current_capture();
+        crate::run_shard(handle.as_ref(), 3, || {
             let _sp = crate::span("work");
         });
         {
@@ -107,17 +112,47 @@ mod tests {
         }
         let capture = crate::drain();
         crate::disable();
-        let work = capture.events.iter().find(|e| e.name == "work").unwrap();
-        assert!(work.args.contains(&("shard", 3)));
-        let after = capture.events.iter().find(|e| e.name == "after").unwrap();
-        assert!(after.args.iter().all(|(k, _)| *k != "shard"));
+        let event = |name| capture.events.iter().find(|e| e.name == name).unwrap();
+        assert!(event("work").args.contains(&("shard", 3)));
+        assert!(event("after").args.iter().all(|(k, _)| *k != "shard"));
+        let shard = event("exec.shard");
+        assert!(shard.args.contains(&("slot", 3)));
+        assert!(shard.args.iter().any(|(k, _)| *k == "queue_ns"));
+        assert!(capture.events.iter().all(|e| e.lane == 0));
+    }
+
+    /// A worker joins its dispatcher's capture on a fresh lane and hands
+    /// its events over even when its chunk unwinds; the worker thread is
+    /// left without a capture of its own.
+    #[test]
+    fn a_worker_hands_its_events_to_the_dispatchers_capture_when_it_unwinds() {
+        crate::enable();
+        {
+            let _sp = crate::span("dispatch");
+        }
+        let handle = crate::current_capture();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let caught = std::panic::catch_unwind(|| {
+                    crate::run_shard(handle.as_ref(), 1, || {
+                        let _sp = crate::span("doomed");
+                        panic!("injected worker panic");
+                    })
+                });
+                assert!(caught.is_err());
+                assert!(!crate::enabled());
+            });
+        });
+        let capture = crate::drain();
+        crate::disable();
+        let lanes: Vec<(&str, u32)> = capture.events.iter().map(|e| (e.name, e.lane)).collect();
+        assert_eq!(lanes, [("dispatch", 0), ("exec.shard", 1), ("doomed", 1)]);
+        crate::validate_trace(&capture.render_trace()).unwrap();
     }
 
     #[test]
     fn spans_survive_a_caught_panic_and_keep_recording() {
-        let _guard = recorder_lock();
         crate::enable();
-        let _ = crate::drain();
         // flipper-guard traps worker panics with catch_unwind; any spans
         // open at the panic site must close during the unwind and leave the
         // thread's sheet usable afterwards.
@@ -132,7 +167,7 @@ mod tests {
         }
         let capture = crate::drain();
         crate::disable();
-        let names: Vec<&str> = capture.events.iter().map(|e| e.name).collect();
+        let names = names(&capture);
         for name in ["guarded", "doomed", "after"] {
             assert!(names.contains(&name), "missing span {name}: {names:?}");
         }
@@ -142,9 +177,7 @@ mod tests {
 
     #[test]
     fn phase_rows_aggregate_by_name() {
-        let _guard = recorder_lock();
         crate::enable();
-        let _ = crate::drain();
         for _ in 0..3 {
             let _sp = crate::span("phase.a");
         }
@@ -157,22 +190,5 @@ mod tests {
         assert_eq!(rows.len(), 2);
         let a = rows.iter().find(|r| r.name == "phase.a").unwrap();
         assert_eq!(a.calls, 3);
-    }
-
-    #[test]
-    fn shard_span_records_queue_wait() {
-        let _guard = recorder_lock();
-        crate::enable();
-        let _ = crate::drain();
-        let stamp = crate::stamp();
-        {
-            let _sp = crate::shard_span(2, stamp);
-        }
-        let capture = crate::drain();
-        crate::disable();
-        let ev = &capture.events[0];
-        assert_eq!(ev.name, "exec.shard");
-        assert!(ev.args.iter().any(|(k, _)| *k == "slot"));
-        assert!(ev.args.iter().any(|(k, _)| *k == "queue_ns"));
     }
 }

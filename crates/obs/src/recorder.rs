@@ -1,56 +1,162 @@
-//! The global recorder: runtime toggle and event store.
+//! Captures: who records, and where the events go.
 //!
-//! The recorder is a process-wide singleton. When disabled (the default)
-//! every entry point reduces to one relaxed atomic load and a branch —
-//! nothing is measured, allocated or locked, which is what lets the
-//! instrumented binary prove byte-identical `flipper-results/v1` output
-//! with tracing on or off. When enabled, spans accumulate in thread-local
-//! sheets (see [`mod@crate::span`]) that merge into the store under a
-//! mutex only when a thread's sheet is flushed.
+//! A capture belongs to the thread that opened it with [`enable`]: the
+//! thread's *sheet* (its lane, shard tag and event buffer) points at the
+//! capture, and [`enabled`] is one thread-local read of whether a sheet
+//! is open. Nothing is process-wide, so two callers tracing at once on
+//! two threads each drain only their own spans, and a thread with no
+//! capture records nothing even while another thread's capture is open.
+//!
+//! Exec workers join the capture of the thread that dispatched them: the
+//! pool takes a [`CaptureRef`] with [`current_capture`] next to its fault
+//! plan and runs each chunk under [`run_shard`], which gives the worker a
+//! sheet on a fresh lane of that capture and hands the chunk's events to
+//! it when the chunk returns or unwinds. Lanes are numbered per capture;
+//! lane 0 is the opening thread.
 
 use crate::span::{self, SpanEvent};
 use crate::{clock, trace};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static STORE: Mutex<Vec<SpanEvent>> = Mutex::new(Vec::new());
-
-fn store() -> MutexGuard<'static, Vec<SpanEvent>> {
-    // A panic while holding this lock cannot leave the store logically
-    // corrupt (it only ever appends), so poisoning is ignored.
-    STORE
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+/// What the threads of one capture share: the events exec workers handed
+/// back, and the next free lane.
+#[derive(Debug)]
+struct Shared {
+    events: Mutex<Vec<SpanEvent>>,
+    next_lane: AtomicU32,
 }
 
-/// Is the recorder currently enabled? One relaxed load.
+impl Shared {
+    /// The handed-back events. Holders only ever append or take, so a
+    /// panic under the lock leaves nothing inconsistent: poisoning is
+    /// ignored.
+    fn lock(&self) -> MutexGuard<'_, Vec<SpanEvent>> {
+        self.events.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// One thread's part of an open capture.
+struct Sheet {
+    capture: Arc<Shared>,
+    lane: u32,
+    shard: Option<u32>,
+    events: Vec<SpanEvent>,
+}
+
+thread_local! {
+    static SHEET: RefCell<Option<Sheet>> = const { RefCell::new(None) };
+}
+
+/// Is a capture open on the calling thread? One thread-local read.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    SHEET.with_borrow(Option::is_some)
 }
 
-/// Enable the recorder. Pins the clock epoch on first use and claims the
-/// first span lane for the calling thread.
+/// Open a fresh capture on the calling thread, replacing any capture open
+/// there.
 pub fn enable() {
-    clock::init_epoch();
-    span::touch_current_thread();
-    ENABLED.store(true, Ordering::Relaxed);
+    let capture = Arc::new(Shared {
+        events: Mutex::default(),
+        next_lane: AtomicU32::new(1),
+    });
+    let sheet = Sheet {
+        capture,
+        lane: 0,
+        shard: None,
+        events: Vec::new(),
+    };
+    SHEET.replace(Some(sheet));
 }
 
-/// Disable the recorder. Events already sitting in thread-local sheets
-/// stay there and are picked up by the next [`drain`].
+/// Close the calling thread's capture. Events not yet drained are dropped
+/// with it.
 pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
+    SHEET.take();
 }
 
-/// Merge a batch of events from a dying thread sheet into the store.
-pub(crate) fn merge_events(events: Vec<SpanEvent>) {
-    store().extend(events);
+/// Record a completed event on the calling thread's sheet, tagged with its
+/// lane and shard; dropped when no capture is open (or during thread
+/// shutdown, when the sheet is already gone).
+pub(crate) fn record(mut ev: SpanEvent) {
+    let _ = SHEET.try_with(|s| {
+        if let Ok(mut sheet) = s.try_borrow_mut() {
+            if let Some(sheet) = sheet.as_mut() {
+                ev.lane = sheet.lane;
+                if let Some(shard) = sheet.shard {
+                    ev.args.push(("shard", u64::from(shard)));
+                }
+                sheet.events.push(ev);
+            }
+        }
+    });
 }
 
-/// Everything the recorder captured since the last drain.
+/// A handle on the capture open on a dispatching thread, taken by
+/// [`current_capture`] and handed to the exec workers it dispatches. It
+/// remembers when it was taken, so a chunk can tell how long it queued.
+#[derive(Debug, Clone)]
+pub struct CaptureRef {
+    capture: Arc<Shared>,
+    taken_ns: u64,
+}
+
+/// The capture open on the calling thread, for a pool to hand to its
+/// workers; `None` (one thread-local read) when there is none.
+pub fn current_capture() -> Option<CaptureRef> {
+    SHEET.with_borrow(|sheet| {
+        sheet.as_ref().map(|sheet| CaptureRef {
+            capture: Arc::clone(&sheet.capture),
+            taken_ns: clock::now_ns(),
+        })
+    })
+}
+
+/// Run one exec chunk as worker slot `slot` of `capture` (the dispatching
+/// thread's, from [`current_capture`]); without a capture, just run `f`.
+///
+/// The chunk records an `exec.shard` span with its `slot` and `queue_ns`
+/// (from the handle being taken to the chunk starting), and every event it
+/// records carries a `shard` argument. On the thread that owns the capture
+/// the chunk keeps that thread's lane; any other thread gets a fresh lane
+/// of the capture. The chunk's events go to the capture when it returns or
+/// unwinds, and the thread's own sheet (if any) is restored, so nested
+/// pools keep their own slots.
+pub fn run_shard<R>(capture: Option<&CaptureRef>, slot: u32, f: impl FnOnce() -> R) -> R {
+    /// Hands the chunk's sheet back and restores the thread's own.
+    struct Restore(Option<Sheet>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            if let Some(chunk) = SHEET.replace(self.0.take()) {
+                chunk.capture.lock().extend(chunk.events);
+            }
+        }
+    }
+    let Some(handle) = capture else {
+        return f();
+    };
+    let restore = Restore(SHEET.take());
+    let lane = match &restore.0 {
+        Some(sheet) if Arc::ptr_eq(&sheet.capture, &handle.capture) => sheet.lane,
+        _ => handle.capture.next_lane.fetch_add(1, Ordering::Relaxed),
+    };
+    let chunk = Sheet {
+        capture: Arc::clone(&handle.capture),
+        lane,
+        shard: Some(slot),
+        events: Vec::new(),
+    };
+    SHEET.replace(Some(chunk));
+    let shard = span::span("exec.shard");
+    let queued = shard.start_ns.saturating_sub(handle.taken_ns);
+    let _shard = shard.arg("slot", u64::from(slot)).arg("queue_ns", queued);
+    f()
+}
+
+/// Everything a capture recorded since its last drain.
 ///
 /// Events are sorted by start time (ties: longer span first, then lane,
 /// then name) so parents precede children within a lane.
@@ -100,15 +206,20 @@ impl Capture {
     }
 }
 
-/// Take everything recorded so far, leaving the recorder empty (but still
-/// enabled if it was enabled).
+/// Take everything the calling thread's capture recorded so far, leaving
+/// it open and empty; an empty [`Capture`] when none is open.
 ///
-/// Flushes the calling thread's sheet first; worker threads spawned by
-/// `flipper_data::exec` have already merged their sheets when their scope
-/// exited, so after the pipeline joins its workers this sees every event.
+/// Exec workers hand their events to the capture as each chunk ends, so
+/// once a mining call has returned this sees every event it recorded.
 pub fn drain() -> Capture {
-    span::flush_current_thread();
-    let mut events = std::mem::take(&mut *store());
+    let mut events = SHEET.with_borrow_mut(|sheet| {
+        let Some(sheet) = sheet.as_mut() else {
+            return Vec::new();
+        };
+        let mut events = std::mem::take(&mut sheet.events);
+        events.append(&mut sheet.capture.lock());
+        events
+    });
     events.sort_by(|a, b| {
         a.start_ns
             .cmp(&b.start_ns)

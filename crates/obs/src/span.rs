@@ -1,25 +1,14 @@
-//! Structured spans with thread-local event sheets.
+//! Structured spans.
 //!
-//! Each thread that records spans owns a private *sheet* — an append-only
-//! event buffer plus its lane id — so the hot path never takes a lock:
-//! opening a span is one relaxed atomic load (is the recorder enabled?)
-//! and one clock read; closing it is a second clock read and a push onto
-//! the thread-local sheet. Sheets merge into the global recorder store
-//! when their thread exits, which for the scoped worker threads spawned
-//! by `flipper_data::exec` means at scope exit. The calling thread's
-//! sheet is flushed explicitly by [`crate::recorder::drain`].
-//!
-//! Lanes: every recording thread gets a unique lane id from a global
-//! counter (the thread that enables the recorder — normally `main` —
-//! claims lane 0). Because a thread executes sequentially, spans within a
-//! lane are properly nested by construction, which is what the trace
-//! validator checks. Worker closures run under [`with_shard`], which tags
-//! every span they record with the exec worker slot.
+//! A span is an RAII guard: opening one reads whether the calling thread
+//! has a capture open ([`crate::enabled`], one thread-local read) and, if
+//! so, the clock; closing it reads the clock again and pushes the event
+//! onto the thread's sheet, which belongs to that capture (see
+//! [`mod@crate::recorder`]). No lock is taken on either path. A thread
+//! executes sequentially, so the spans of one lane are properly nested by
+//! construction, which is what the trace validator checks.
 
-use crate::clock;
-use crate::recorder;
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU32, Ordering};
+use crate::{clock, recorder};
 
 /// One completed span or instant event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,7 +17,8 @@ pub struct SpanEvent {
     pub name: &'static str,
     /// Optional dynamic label (sweep grid point, dataset name, …).
     pub label: Option<String>,
-    /// Lane (Chrome trace `tid`): unique per recording thread.
+    /// Lane (Chrome trace `tid`): unique per recording thread within a
+    /// capture; 0 is the thread that opened it.
     pub lane: u32,
     /// Start timestamp, nanoseconds since the recorder epoch.
     pub start_ns: u64,
@@ -38,72 +28,16 @@ pub struct SpanEvent {
     pub args: Vec<(&'static str, u64)>,
 }
 
-static NEXT_LANE: AtomicU32 = AtomicU32::new(0);
-
-struct LocalSheet {
-    lane: u32,
-    shard: Option<u32>,
-    events: Vec<SpanEvent>,
-}
-
-impl Drop for LocalSheet {
-    fn drop(&mut self) {
-        if !self.events.is_empty() {
-            recorder::merge_events(std::mem::take(&mut self.events));
-        }
-    }
-}
-
-thread_local! {
-    static SHEET: RefCell<LocalSheet> = RefCell::new(LocalSheet {
-        lane: NEXT_LANE.fetch_add(1, Ordering::Relaxed),
-        shard: None,
-        events: Vec::new(),
-    });
-}
-
-/// Claim a lane for the calling thread (called from `enable` so the
-/// enabling thread gets the first lane).
-pub(crate) fn touch_current_thread() {
-    SHEET.with(|s| {
-        let _ = s.borrow().lane;
-    });
-}
-
-/// Flush the calling thread's sheet into the global store.
-pub(crate) fn flush_current_thread() {
-    SHEET.with(|s| {
-        let mut sheet = s.borrow_mut();
-        if !sheet.events.is_empty() {
-            recorder::merge_events(std::mem::take(&mut sheet.events));
-        }
-    });
-}
-
-fn push_event(mut ev: SpanEvent) {
-    // TLS destructors may have already run during thread shutdown; in that
-    // case `with` panics, so use `try_with` and drop the event instead.
-    let _ = SHEET.try_with(|s| {
-        if let Ok(mut sheet) = s.try_borrow_mut() {
-            ev.lane = sheet.lane;
-            if let Some(shard) = sheet.shard {
-                ev.args.push(("shard", u64::from(shard)));
-            }
-            sheet.events.push(ev);
-        }
-    });
-}
-
 /// An RAII span guard: records a complete event from creation to drop.
 ///
-/// Obtained from [`span`] or [`span_labeled`]. When the recorder is
-/// disabled the guard is inert — no clock reads, no allocation, no event.
+/// Obtained from [`span`] or [`span_labeled`]. On a thread with no capture
+/// open the guard is inert — no clock reads, no allocation, no event.
 #[must_use = "a span measures the scope it is alive in"]
 #[derive(Debug)]
 pub struct Span {
     name: &'static str,
     label: Option<String>,
-    start_ns: u64,
+    pub(crate) start_ns: u64,
     args: Vec<(&'static str, u64)>,
     armed: bool,
 }
@@ -111,9 +45,7 @@ pub struct Span {
 impl Span {
     /// Attach a small integer argument to the span (no-op when inert).
     pub fn arg(mut self, key: &'static str, value: u64) -> Span {
-        if self.armed {
-            self.args.push((key, value));
-        }
+        self.add_arg(key, value);
         self
     }
 
@@ -131,7 +63,7 @@ impl Drop for Span {
             return;
         }
         let end = clock::now_ns();
-        push_event(SpanEvent {
+        recorder::record(SpanEvent {
             name: self.name,
             label: self.label.take(),
             lane: 0,
@@ -142,22 +74,14 @@ impl Drop for Span {
     }
 }
 
-fn open(name: &'static str, label: Option<String>) -> Span {
-    if !recorder::enabled() {
-        return Span {
-            name,
-            label: None,
-            start_ns: 0,
-            args: Vec::new(),
-            armed: false,
-        };
-    }
+fn open(name: &'static str, label: Option<&str>) -> Span {
+    let armed = recorder::enabled();
     Span {
         name,
-        label,
-        start_ns: clock::now_ns(),
+        label: label.filter(|_| armed).map(str::to_string),
+        start_ns: if armed { clock::now_ns() } else { 0 },
         args: Vec::new(),
-        armed: true,
+        armed,
     }
 }
 
@@ -167,62 +91,7 @@ pub fn span(name: &'static str) -> Span {
 }
 
 /// Open a span with a dynamic label. The label is only cloned when the
-/// recorder is enabled.
+/// calling thread has a capture open.
 pub fn span_labeled(name: &'static str, label: &str) -> Span {
-    if !recorder::enabled() {
-        return open(name, None);
-    }
-    open(name, Some(label.to_string()))
-}
-
-/// A timestamp for queue-wait measurement: nanoseconds since the epoch
-/// when the recorder is enabled, 0 otherwise. Capture one before handing
-/// work to a pool, then pass it to [`shard_span`] inside the worker.
-pub fn stamp() -> u64 {
-    if recorder::enabled() {
-        clock::now_ns()
-    } else {
-        0
-    }
-}
-
-/// Open an `exec.shard` span for worker slot `slot`.
-///
-/// `spawn_stamp` is a [`stamp`] captured just before the work was queued;
-/// the difference to the span's start is recorded as `queue_ns` (the time
-/// the chunk waited for its worker to start running).
-pub fn shard_span(slot: u64, spawn_stamp: u64) -> Span {
-    let mut sp = open("exec.shard", None);
-    if sp.armed {
-        sp.args.push(("slot", slot));
-        if spawn_stamp != 0 {
-            sp.args
-                .push(("queue_ns", sp.start_ns.saturating_sub(spawn_stamp)));
-        }
-    }
-    sp
-}
-
-/// Run `f` with all spans recorded by this thread tagged with exec worker
-/// slot `slot` (a `shard` argument on every event). Restores the previous
-/// tag on exit, so nested exec pools keep their own slots.
-pub fn with_shard<T>(slot: u32, f: impl FnOnce() -> T) -> T {
-    let prev = SHEET
-        .try_with(|s| {
-            if let Ok(mut sheet) = s.try_borrow_mut() {
-                let prev = sheet.shard;
-                sheet.shard = Some(slot);
-                prev
-            } else {
-                None
-            }
-        })
-        .unwrap_or(None);
-    let out = f();
-    let _ = SHEET.try_with(|s| {
-        if let Ok(mut sheet) = s.try_borrow_mut() {
-            sheet.shard = prev;
-        }
-    });
-    out
+    open(name, Some(label))
 }

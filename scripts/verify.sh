@@ -29,10 +29,13 @@
 #   * every runnable example (quickstart, groceries, census, medline,
 #     threshold_tuning, topk): each library-API walkthrough must run green
 #     in release; together they take well under a second,
-#   * the observability suite plus a traced smoke mine: `flipper mine
-#     --trace` on a planted dataset must emit a `flipper-trace/v1` document
-#     that parses, nests per lane and covers the pipeline's span names
-#     (checked by the flipper-obs `validate_trace` example),
+#   * the observability suite and the flipper-cli unit suite, three runs
+#     in a row, plus a traced smoke mine: `flipper mine --trace` on a
+#     planted dataset must emit a `flipper-trace/v1` document that parses,
+#     nests per lane and covers the pipeline's span names (checked by the
+#     flipper-obs `validate_trace` example). Both suites trace from several
+#     tests at once, so repeating them catches captures leaking between
+#     concurrently running tests,
 #   * the fault-injection suite (crates/integration/tests/fault_injection.rs),
 #     run five times in a row: seeded flipper-guard faults at every
 #     instrumented site across thread counts must surface as typed errors or
@@ -134,8 +137,14 @@ for example in quickstart groceries census medline threshold_tuning topk; do
     cargo run --release -q -p flipper-integration --example "$example" >/dev/null
 done
 
-echo "== observability: obs suite + traced smoke mine under --release"
-cargo test --release -q -p flipper-integration --test obs_trace
+echo "== observability: obs suite + CLI suite under --release, 3 runs in a row"
+for run in 1 2 3; do
+    echo "-- observability run $run/3"
+    cargo test --release -q -p flipper-integration --test obs_trace
+    cargo test --release -q -p flipper-cli
+done
+
+echo "== observability: traced smoke mine under --release"
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "$OBS_TMP"' EXIT
 cargo run --release -q -p flipper-cli -- generate --kind planted \
